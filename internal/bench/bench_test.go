@@ -2,6 +2,8 @@ package bench
 
 import (
 	"repro/internal/fs"
+	"repro/internal/mmdsfi"
+	"repro/internal/workloads/specint"
 
 	"bytes"
 	"os"
@@ -114,6 +116,53 @@ func TestShapeFig7a(t *testing.T) {
 	t.Logf("mean MMDSFI overhead: %.1f%% (paper 36.6%%)", mean)
 }
 
+// TestFig7GoldenCounts pins the exact retired-instruction counts behind
+// Figure 7 — each specint kernel at SpecIters = 100, native and under
+// the default MMDSFI instrumentation. The interpreter is the figure's
+// clock, so a VM change that claims to be cycle-exact proves it here;
+// a change to the kernels, the instrumenter or the ISA that moves a
+// count on purpose regenerates the table and says why.
+func TestFig7GoldenCounts(t *testing.T) {
+	golden := []struct {
+		name                 string
+		native, instrumented uint64
+	}{
+		{"perlbench", 8007, 12208},
+		{"bzip2", 3907, 4108},
+		{"gcc", 8107, 11708},
+		{"mcf", 4107, 5908},
+		{"gobmk", 6107, 8308},
+		{"hmmer", 4407, 4608},
+		{"sjeng", 5907, 8108},
+		{"libquantum", 3207, 3408},
+		{"h264ref", 5407, 6608},
+		{"omnetpp", 7507, 11708},
+		{"astar", 5407, 7208},
+		{"xalancbmk", 7907, 12108},
+	}
+	if len(golden) != len(specint.Suite) {
+		t.Fatalf("golden table has %d kernels, suite has %d", len(golden), len(specint.Suite))
+	}
+	for i, r := range specint.Suite {
+		g := golden[i]
+		if r.Name != g.name {
+			t.Fatalf("suite[%d] = %s, golden table has %s", i, r.Name, g.name)
+		}
+		native, err := specint.Measure(r, 100, mmdsfi.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		instr, err := specint.Measure(r, 100, mmdsfi.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if native != g.native || instr != g.instrumented {
+			t.Errorf("%s: retired %d native / %d instrumented, golden %d / %d",
+				r.Name, native, instr, g.native, g.instrumented)
+		}
+	}
+}
+
 func TestRunAllQuickSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -142,63 +191,60 @@ func TestRunAllQuickSmoke(t *testing.T) {
 	t.Logf("\n%s", out.String())
 }
 
-// TestShapeIPCBench is the zero-copy data-plane CI smoke: the vectored
-// lending path must beat the scalar copy path on both pipe and socket
-// at every chunk size, and splice must at least match scalar. The
-// splice zero-copy invariant (no payload byte staged while splice is
-// the mover) is enforced inside IPCBench itself — any violation fails
-// the experiment, not just this test.
+// TestShapeIPCBench is the zero-copy data-plane CI smoke. It asserts
+// only the per-cell syscall and byte ledgers, which are exact: a
+// vectored pump issues one 4-span writev per chunk-sized round where
+// the scalar pump issues four writes, lends every payload byte and
+// stages none; a scalar pump lends nothing; splice moves the payload
+// without staging a byte. The throughput ratios those counts buy are
+// wall clock, so they live in TestIPCBenchRegression (median of 5).
 func TestShapeIPCBench(t *testing.T) {
-	if raceEnabled {
-		t.Skip("wall-clock shape distorted by race instrumentation")
-	}
-	tab, err := IPCBench(Quick())
+	s := Quick()
+	tab, net, err := ipcBench(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	byLabel := map[string][]float64{}
-	for _, r := range tab.Rows {
-		byLabel[r.Label] = r.Values
-	}
-	chunks := Quick().IPCChunks
-	for _, pair := range []struct {
-		vec, sc string
-		ratio   float64
+	total := uint64(s.IPCTotal)
+	// Every payload byte is moved once per SIP-side hop: a pipe has two
+	// (writer, reader; the splice row's are filler and mover), a socket
+	// one (the far end is the host-side drain, outside the ledger).
+	rows := map[string]struct {
+		hops     uint64
+		vectored bool
 	}{
-		// The acceptance bar is ≥2x pipe throughput at 64 KiB+
-		// (measured ~2.5-4x); the always-on smoke asserts 1.5x to
-		// absorb CI jitter, and the OCCLUM_BENCH_REGRESS gate holds
-		// the 2x line on medians. The socket path is noisier (the
-		// host-side drain goroutine shares the clock), so its smoke
-		// bar is just clearly-above-scalar.
-		{"pipe writev", "pipe scalar", 1.5},
-		{"sock writev", "sock scalar", 1.2},
-	} {
-		vec, sc := byLabel[pair.vec], byLabel[pair.sc]
-		if len(vec) != len(chunks) || len(sc) != len(chunks) {
-			t.Fatalf("rows missing: %v", byLabel)
+		"pipe scalar": {2, false}, "pipe writev": {2, true},
+		"sock scalar": {1, false}, "sock writev": {1, true},
+		"pipe→sock splice": {2, true},
+	}
+	for ri, r := range tab.Rows {
+		row, ok := rows[r.Label]
+		if !ok || len(r.Values) != len(s.IPCChunks) || len(net[ri]) != len(s.IPCChunks) {
+			t.Fatalf("row %q (known: %v): %d values, %d ledgers, want %d", r.Label, ok, len(r.Values), len(net[ri]), len(s.IPCChunks))
 		}
-		for i, c := range chunks {
-			if vec[i] < sc[i]*pair.ratio {
-				t.Errorf("%s %.0f MB/s not ≥%.1fx %s %.0f MB/s at %d KiB",
-					pair.vec, vec[i], pair.ratio, pair.sc, sc[i], c>>10)
+		for ci, chunk := range s.IPCChunks {
+			d := net[ri][ci]
+			// Scalar: no writev, nothing lent, every hop a copy.
+			// Vectored: one writev per round, every hop a loan.
+			wantWritevs, wantLent, wantCopied := uint64(0), uint64(0), row.hops*total
+			if row.vectored {
+				wantWritevs, wantLent, wantCopied = total/uint64(chunk), row.hops*total, 0
+			}
+			t.Logf("%s %d KiB: writevs=%d readvs=%d splices=%d lent=%d copied=%d", r.Label, chunk>>10, d.Writevs, d.Readvs, d.Splices, d.BytesLent, d.BytesCopied)
+			if d.Writevs != wantWritevs || d.BytesLent != wantLent || d.BytesCopied != wantCopied {
+				t.Errorf("%s at %d KiB: %d writevs, %d bytes lent, %d copied, want %d, %d, %d",
+					r.Label, chunk>>10, d.Writevs, d.BytesLent, d.BytesCopied, wantWritevs, wantLent, wantCopied)
 			}
 		}
 	}
-	spl, sc := byLabel["pipe→sock splice"], byLabel["pipe scalar"]
-	for i, c := range chunks {
-		if spl[i] < sc[i] {
-			t.Errorf("splice %.0f MB/s below pipe scalar %.0f MB/s at %d KiB",
-				spl[i], sc[i], c>>10)
-		}
-	}
-	t.Logf("ipc MB/s: %v", byLabel)
 }
 
-// TestIPCBenchRegression holds the zero-copy data plane to the 2x
-// acceptance line recorded in BENCH_PR8.json: the pipe writev-over-
-// scalar speedup at 64 KiB and 1 MiB chunks must stay ≥2x on the median
-// of 5 runs. Heavy and timing-sensitive, so it only runs when
+// TestIPCBenchRegression holds the zero-copy data plane to its
+// throughput lines on the median of 5 runs: pipe writev over scalar ≥ 2x
+// at 64 KiB and 1 MiB chunks (the acceptance line recorded in
+// BENCH_PR8.json) and ≥ 1.5x at every chunk size, socket writev over
+// scalar ≥ 1.2x (the host-side drain goroutine shares the clock, so the
+// bar is just clearly-above-scalar), and splice at least matching pipe
+// scalar. Heavy and timing-sensitive, so it only runs when
 // OCCLUM_BENCH_REGRESS=1 (the CI bench job sets it).
 func TestIPCBenchRegression(t *testing.T) {
 	if os.Getenv("OCCLUM_BENCH_REGRESS") == "" {
@@ -207,8 +253,21 @@ func TestIPCBenchRegression(t *testing.T) {
 	if raceEnabled {
 		t.Skip("wall-clock ratios are not meaningful under the race detector")
 	}
-	var ratios [][2]float64
-	for run := 0; run < 5; run++ {
+	const runs = 5
+	chunks := Quick().IPCChunks
+	lines := []struct {
+		over, base string
+		floor      []float64 // per chunk
+	}{
+		{"pipe writev", "pipe scalar", []float64{1.5, 2.0, 2.0}},
+		{"sock writev", "sock scalar", []float64{1.2, 1.2, 1.2}},
+		{"pipe→sock splice", "pipe scalar", []float64{1.0, 1.0, 1.0}},
+	}
+	ratios := make([][][]float64, len(lines)) // [line][chunk][run]
+	for i := range ratios {
+		ratios[i] = make([][]float64, len(chunks))
+	}
+	for run := 0; run < runs; run++ {
 		tab, err := IPCBench(Quick())
 		if err != nil {
 			t.Fatal(err)
@@ -217,18 +276,22 @@ func TestIPCBenchRegression(t *testing.T) {
 		for _, r := range tab.Rows {
 			byLabel[r.Label] = r.Values
 		}
-		vec, sc := byLabel["pipe writev"], byLabel["pipe scalar"]
-		ratios = append(ratios, [2]float64{vec[1] / sc[1], vec[2] / sc[2]})
-	}
-	sort.Slice(ratios, func(i, j int) bool { return ratios[i][0] < ratios[j][0] })
-	med := ratios[2]
-	for i, label := range []string{"64KiB", "1MiB"} {
-		if med[i] < 2.0 {
-			t.Errorf("pipe writev/scalar at %s = %.2fx, want ≥ 2x (BENCH_PR8.json acceptance)",
-				label, med[i])
+		for li, l := range lines {
+			for ci := range chunks {
+				ratios[li][ci] = append(ratios[li][ci], byLabel[l.over][ci]/byLabel[l.base][ci])
+			}
 		}
 	}
-	t.Logf("pipe writev/scalar medians: 64KiB %.2fx, 1MiB %.2fx", med[0], med[1])
+	for li, l := range lines {
+		for ci, c := range chunks {
+			sort.Float64s(ratios[li][ci])
+			med := ratios[li][ci][runs/2]
+			t.Logf("%s / %s at %d KiB: median %.2fx of %.2f", l.over, l.base, c>>10, med, ratios[li][ci])
+			if med < l.floor[ci] {
+				t.Errorf("%s / %s at %d KiB = %.2fx, want ≥ %.1fx", l.over, l.base, c>>10, med, l.floor[ci])
+			}
+		}
+	}
 }
 
 // TestShapeFSBench checks fsbench's structural claims rather than raw

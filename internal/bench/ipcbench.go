@@ -21,6 +21,15 @@ import (
 // the experiment fails if any payload byte crosses the copied ledger
 // while splice is the mover.
 func IPCBench(s Scale) (*Table, error) {
+	t, _, err := ipcBench(s)
+	return t, err
+}
+
+// ipcBench is IPCBench that also returns, for every cell of the table
+// (net[row][chunk]), the libos.NetStats delta of that measurement: the
+// syscall and byte ledgers are exact where the MB/s are wall clock, so
+// they are what the always-on test asserts.
+func ipcBench(s Scale) (*Table, [][]libos.NetSnapshot, error) {
 	t := &Table{
 		Title:   "ipcbench — zero-copy data plane (Occlum): scalar vs vectored vs splice",
 		Columns: make([]string, len(s.IPCChunks)),
@@ -31,7 +40,7 @@ func IPCBench(s Scale) (*Table, error) {
 	}
 	k, err := workloads.NewOcclumKernel(s.kernelSpec())
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	defer k.Sys.OS.Shutdown()
 
@@ -43,10 +52,10 @@ func IPCBench(s Scale) (*Table, error) {
 	}{{"/bin/ipcdrain-s", false}, {"/bin/ipcdrain-v", true}} {
 		prog, err := buildIPCDrain(d.vectored)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if err := k.InstallProgram(d.path, prog); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 
@@ -62,8 +71,10 @@ func IPCBench(s Scale) (*Table, error) {
 		{"sock writev", "sock", true},
 		{"pipe→sock splice", "splice", false},
 	}
+	var net [][]libos.NetSnapshot
 	for mi, m := range modes {
 		row := Row{Label: m.label}
+		var rowNet []libos.NetSnapshot
 		for ci, chunk := range s.IPCChunks {
 			port := uint16(9500 + mi*len(s.IPCChunks) + ci)
 			path := fmt.Sprintf("/bin/ipc%d-%d", mi, ci)
@@ -80,19 +91,19 @@ func IPCBench(s Scale) (*Table, error) {
 			case "splice":
 				fill, ferr := buildIPCFill(s.IPCTotal, chunk)
 				if ferr != nil {
-					return nil, ferr
+					return nil, nil, ferr
 				}
 				fillPath := fmt.Sprintf("/bin/ipcfill%d", ci)
 				if err := k.InstallProgram(fillPath, fill); err != nil {
-					return nil, err
+					return nil, nil, err
 				}
 				prog, err = buildIPCSplice(s.IPCTotal, chunk, port, fillPath)
 			}
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			if err := k.InstallProgram(path, prog); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			var drained chan error
 			if m.kind != "pipe" {
@@ -102,26 +113,27 @@ func IPCBench(s Scale) (*Table, error) {
 			start := time.Now()
 			status, rerr := workloads.RunToCompletion(k, path, nil, io.Discard)
 			if rerr != nil || status != 0 {
-				return nil, fmt.Errorf("ipcbench %s chunk %d: status %d err %v",
+				return nil, nil, fmt.Errorf("ipcbench %s chunk %d: status %d err %v",
 					m.label, chunk, status, rerr)
 			}
 			if drained != nil {
 				if err := <-drained; err != nil {
-					return nil, fmt.Errorf("ipcbench %s chunk %d: %w", m.label, chunk, err)
+					return nil, nil, fmt.Errorf("ipcbench %s chunk %d: %w", m.label, chunk, err)
 				}
 			}
 			elapsed := time.Since(start)
+			d := libos.NetStats().Sub(net0)
+			rowNet = append(rowNet, d)
 			if m.kind == "splice" {
 				// The zero-copy invariant, enforced on every run: with
 				// a vectored filler and a splice mover no payload byte
 				// may be staged. (The copied ledger counts only data
 				// bytes, so the control plane cannot perturb it.)
-				d := libos.NetStats().Sub(net0)
 				if d.Splices == 0 {
-					return nil, fmt.Errorf("ipcbench splice chunk %d: no splice syscalls recorded", chunk)
+					return nil, nil, fmt.Errorf("ipcbench splice chunk %d: no splice syscalls recorded", chunk)
 				}
 				if d.BytesCopied != 0 {
-					return nil, fmt.Errorf("ipcbench splice chunk %d: %d bytes staged through the copy path, want 0",
+					return nil, nil, fmt.Errorf("ipcbench splice chunk %d: %d bytes staged through the copy path, want 0",
 						chunk, d.BytesCopied)
 				}
 			}
@@ -129,8 +141,9 @@ func IPCBench(s Scale) (*Table, error) {
 				float64(s.IPCTotal)/(1<<20)/elapsed.Seconds())
 		}
 		t.Rows = append(t.Rows, row)
+		net = append(net, rowNet)
 	}
-	return t, nil
+	return t, net, nil
 }
 
 // hostDrain dials the SIP's listening port from the host side and reads

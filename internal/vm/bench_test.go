@@ -123,15 +123,15 @@ func BenchmarkMultiBlockLoop(b *testing.B) {
 // ---------------------------------------------------------------------
 // Trace-tier A/B: the same microbenchmarks with superblock formation
 // disabled, so BENCH_PR6.json can record interleaved trace-off /
-// trace-on medians from one binary (the PR2 methodology; TracesEnabled
+// trace-on medians from one binary (the PR2 methodology; tracesEnabled
 // is read only on the cold promotion path, so flipping it is free).
 // ---------------------------------------------------------------------
 
 // benchTraces runs f with superblock formation forced on or off.
 func benchTraces(b *testing.B, on bool, f func(*testing.B)) {
-	old := TracesEnabled
-	TracesEnabled = on
-	defer func() { TracesEnabled = old }()
+	old := tracesEnabled
+	tracesEnabled = on
+	defer func() { tracesEnabled = old }()
 	f(b)
 }
 
@@ -203,9 +203,9 @@ func TestTraceSpeedupRegression(t *testing.T) {
 		}),
 	}
 	measure := func(img *asm.Image, on bool) float64 {
-		old := TracesEnabled
-		TracesEnabled = on
-		defer func() { TracesEnabled = old }()
+		old := tracesEnabled
+		tracesEnabled = on
+		defer func() { tracesEnabled = old }()
 		c := loadImage(t, img, 4096)
 		entry, sp := c.PC, c.Regs[isa.SP]
 		run := func() time.Duration {

@@ -6,21 +6,28 @@ package vm
 // captured, so the cached execution path pays one indirect call per
 // instruction instead of re-walking the ~60-case exec switch and
 // re-reading operand fields. Step keeps the switch as the bit-exact
-// slow path; the randomized differential tests hold the two paths to
+// reference; the randomized differential tests hold the two to
 // state-for-state equality.
 //
-// Inside a block, PC and the cycle counter are dead state: the
-// dispatch loops in run and runNoBudget (vm.go) batch Cycles and
-// materialize PC only at block exit, so plain fall-through handlers
-// touch neither. The invariants that make the architectural state
-// exact at every observation point:
+// Conditional branches are not written out per condition. takenMask
+// holds one 8-bit truth table per flag branch, computed from
+// isa.Op.EvalCond, and every closure that decides a flag branch — the
+// plain Jcc handler, the fused compare+branch block tail, the trace
+// tier's seam guards (trace.go) — is the same few lines indexing its
+// table with the packed flag byte. TestBranchTablesExhaustive walks all
+// 8 branches × 8 flag states × both predicted directions.
+//
+// Inside a block, PC and the cycle counter are dead state: the dispatch
+// loop (run, vm.go) batches Cycles and materializes PC only at block
+// exit, so plain fall-through handlers touch neither. The invariants
+// that make the architectural state exact at every observation point:
 //
 //   - control-transfer handlers set PC themselves (they are always the
 //     last instruction of a block);
 //   - stopping handlers restore PC before raising (pageFaultPC etc.
 //     leave PC at the faulting instruction, halted at its successor,
 //     matching exec);
-//   - the dispatch loops add the retired-instruction count (including
+//   - the dispatch loop adds the retired-instruction count (including
 //     a stopping instruction) to Cycles on every exit path.
 
 import (
@@ -54,201 +61,101 @@ func compile(in *isa.Inst, pc, next uint64) handler {
 	return f(in, pc, next)
 }
 
+// takenMask[op] is the truth table of flag branch op: bit f is set iff
+// the branch is taken under packed flags f (flagZF | flagLTS | flagLTU).
+// The complement is the table of the opposite prediction. Zero for ops
+// that read no flags.
+var takenMask [isa.NumOps]uint8
+
+func init() {
+	for op := range takenMask {
+		if !isa.Op(op).ReadsFlags() {
+			continue
+		}
+		for f := uint8(0); f < 8; f++ {
+			if isa.Op(op).EvalCond(f&flagZF != 0, f&flagLTS != 0, f&flagLTU != 0) {
+				takenMask[op] |= 1 << f
+			}
+		}
+	}
+}
+
+// holds looks packed flags f up in truth table mask. Written as a bit
+// test so that it compiles to one BT instruction; f never exceeds 7,
+// and a wider value would read a zero bit: not taken.
+func holds(mask, f uint8) bool { return uint32(mask)&(1<<(f&31)) != 0 }
+
+// decide computes the flag byte of cmp a, b and looks it up in mask: the
+// body of every fused compare+branch. (mask comes first so that a
+// closure captures it beside its one-byte register indices, not in a
+// padded word of its own after an 8-byte immediate.)
+func decide(mask uint8, a, b uint64) (f uint8, ok bool) {
+	f = cmpFlags(a, b)
+	return f, holds(mask, f)
+}
+
+// flagBranch compiles a flag branch: taken iff its table holds over the
+// current flags. The operands are captured as one 16-byte struct, with
+// the rel32 displacement kept as encoded rather than folded into a
+// second 8-byte target, so the closure stays in the 24-byte allocation
+// class of the two-word capture it replaces. Every translated Jcc gets
+// one, and alloc_kib_per_op is an exact count: at 32 bytes fish read
+// +0.03%, every run.
+func flagBranch(in *isa.Inst, pc, next uint64) handler {
+	b := struct {
+		next uint64
+		rel  int32
+		mask uint8
+	}{next, int32(in.Imm), takenMask[in.Op]}
+	return func(c *CPU) bool {
+		if holds(b.mask, c.flags) {
+			c.PC = b.next + uint64(int64(b.rel))
+		} else {
+			c.PC = b.next
+		}
+		return false
+	}
+}
+
 // fuseCmpBranch macro-fuses a compare + conditional-branch pair — the
 // tail of most loop blocks — into one handler: one dispatch instead of
-// two, with the branch decided on the just-computed comparison instead
+// two, with the branch decided on the just-computed flag byte instead
 // of a round trip through the stored flags. The flags are still set
 // (they are architectural state), and both instructions are stop-free,
 // which is what lets the run loop substitute the fused tail only for
 // whole-block execution. Returns nil when the pair has no fused form.
-// Every fused closure is checked against its unfused handler pair over
-// an operand grid by TestFusedCmpBranchMatchesUnfused.
+// Checked against the unfused handler pair over an operand grid by
+// TestFusedCmpBranchMatchesUnfused.
 func fuseCmpBranch(cmp, br *isa.Inst, brNext uint64) handler {
+	if !br.Op.ReadsFlags() {
+		return nil
+	}
+	mask, r1 := takenMask[br.Op], cmp.R1&15
 	target, next := brNext+uint64(br.Imm), brNext
 	switch cmp.Op {
 	case isa.OpCmpRI:
-		r1, v := cmp.R1&15, uint64(cmp.Imm)
-		switch br.Op {
-		case isa.OpJe:
-			return func(c *CPU) bool {
-				a := c.Regs[r1]
-				c.setCmp(a, v)
-				if a == v {
-					c.PC = target
-				} else {
-					c.PC = next
-				}
-				return false
+		v := uint64(cmp.Imm)
+		return func(c *CPU) bool {
+			f, taken := decide(mask, c.Regs[r1], v)
+			c.flags = f
+			if taken {
+				c.PC = target
+			} else {
+				c.PC = next
 			}
-		case isa.OpJne:
-			return func(c *CPU) bool {
-				a := c.Regs[r1]
-				c.setCmp(a, v)
-				if a != v {
-					c.PC = target
-				} else {
-					c.PC = next
-				}
-				return false
-			}
-		case isa.OpJl:
-			return func(c *CPU) bool {
-				a := c.Regs[r1]
-				c.setCmp(a, v)
-				if int64(a) < int64(v) {
-					c.PC = target
-				} else {
-					c.PC = next
-				}
-				return false
-			}
-		case isa.OpJle:
-			return func(c *CPU) bool {
-				a := c.Regs[r1]
-				c.setCmp(a, v)
-				if int64(a) <= int64(v) {
-					c.PC = target
-				} else {
-					c.PC = next
-				}
-				return false
-			}
-		case isa.OpJg:
-			return func(c *CPU) bool {
-				a := c.Regs[r1]
-				c.setCmp(a, v)
-				if int64(a) > int64(v) {
-					c.PC = target
-				} else {
-					c.PC = next
-				}
-				return false
-			}
-		case isa.OpJge:
-			return func(c *CPU) bool {
-				a := c.Regs[r1]
-				c.setCmp(a, v)
-				if int64(a) >= int64(v) {
-					c.PC = target
-				} else {
-					c.PC = next
-				}
-				return false
-			}
-		case isa.OpJb:
-			return func(c *CPU) bool {
-				a := c.Regs[r1]
-				c.setCmp(a, v)
-				if a < v {
-					c.PC = target
-				} else {
-					c.PC = next
-				}
-				return false
-			}
-		case isa.OpJae:
-			return func(c *CPU) bool {
-				a := c.Regs[r1]
-				c.setCmp(a, v)
-				if a >= v {
-					c.PC = target
-				} else {
-					c.PC = next
-				}
-				return false
-			}
+			return false
 		}
 	case isa.OpCmpRR:
-		r1, r2 := cmp.R1&15, cmp.R2&15
-		switch br.Op {
-		case isa.OpJe:
-			return func(c *CPU) bool {
-				a, v := c.Regs[r1], c.Regs[r2]
-				c.setCmp(a, v)
-				if a == v {
-					c.PC = target
-				} else {
-					c.PC = next
-				}
-				return false
+		r2 := cmp.R2 & 15
+		return func(c *CPU) bool {
+			f, taken := decide(mask, c.Regs[r1], c.Regs[r2])
+			c.flags = f
+			if taken {
+				c.PC = target
+			} else {
+				c.PC = next
 			}
-		case isa.OpJne:
-			return func(c *CPU) bool {
-				a, v := c.Regs[r1], c.Regs[r2]
-				c.setCmp(a, v)
-				if a != v {
-					c.PC = target
-				} else {
-					c.PC = next
-				}
-				return false
-			}
-		case isa.OpJl:
-			return func(c *CPU) bool {
-				a, v := c.Regs[r1], c.Regs[r2]
-				c.setCmp(a, v)
-				if int64(a) < int64(v) {
-					c.PC = target
-				} else {
-					c.PC = next
-				}
-				return false
-			}
-		case isa.OpJle:
-			return func(c *CPU) bool {
-				a, v := c.Regs[r1], c.Regs[r2]
-				c.setCmp(a, v)
-				if int64(a) <= int64(v) {
-					c.PC = target
-				} else {
-					c.PC = next
-				}
-				return false
-			}
-		case isa.OpJg:
-			return func(c *CPU) bool {
-				a, v := c.Regs[r1], c.Regs[r2]
-				c.setCmp(a, v)
-				if int64(a) > int64(v) {
-					c.PC = target
-				} else {
-					c.PC = next
-				}
-				return false
-			}
-		case isa.OpJge:
-			return func(c *CPU) bool {
-				a, v := c.Regs[r1], c.Regs[r2]
-				c.setCmp(a, v)
-				if int64(a) >= int64(v) {
-					c.PC = target
-				} else {
-					c.PC = next
-				}
-				return false
-			}
-		case isa.OpJb:
-			return func(c *CPU) bool {
-				a, v := c.Regs[r1], c.Regs[r2]
-				c.setCmp(a, v)
-				if a < v {
-					c.PC = target
-				} else {
-					c.PC = next
-				}
-				return false
-			}
-		case isa.OpJae:
-			return func(c *CPU) bool {
-				a, v := c.Regs[r1], c.Regs[r2]
-				c.setCmp(a, v)
-				if a >= v {
-					c.PC = target
-				} else {
-					c.PC = next
-				}
-				return false
-			}
+			return false
 		}
 	}
 	return nil
@@ -299,6 +206,31 @@ func compileEA(m isa.MemRef, next uint64) func(c *CPU) uint64 {
 	}
 	mm := m
 	return func(c *CPU) uint64 { return c.ea(mm, next) }
+}
+
+// compileRet compiles ret/reti. At the block tier (predicted 0: no
+// return site is address 0, it follows a call) it transfers to whatever
+// address it popped. As a trace seam whose matching call is earlier in
+// the same trace, the popped address is checked against the statically
+// predicted return site: a match continues straight into the return-site
+// slots (the PC write is dead there), anything else — a mismatched call
+// stack — side-exits to wherever the return really went. The load is
+// architectural, faults and all, and SP is popped either way: the ret
+// retired.
+func compileRet(in *isa.Inst, pc, predicted uint64) handler {
+	pop := 8 + uint64(in.Imm)
+	return func(c *CPU) bool {
+		target, f := c.Mem.Load(c.Regs[isa.SP], 8)
+		if f != nil {
+			return c.pageFaultPC(f, pc)
+		}
+		c.Regs[isa.SP] += pop
+		c.PC = target
+		if predicted == 0 || target == predicted {
+			return false
+		}
+		return c.sideExit(target)
+	}
 }
 
 func init() {
@@ -516,100 +448,14 @@ func init() {
 	}
 
 	// Direct branches: the target folds to a constant at translate
-	// time. Each condition gets its own closure reading the flags
-	// directly — deliberately not calling isa.Op.EvalCond on the hot
-	// path — and TestCompiledBranchesMatchEvalCond exhaustively pins
-	// every closure to that reference definition.
+	// time; the eight flag branches share flagBranch.
 	compilers[isa.OpJmp] = func(in *isa.Inst, pc, next uint64) handler {
 		target := next + uint64(in.Imm)
 		return func(c *CPU) bool { c.PC = target; return false }
 	}
-	compilers[isa.OpJe] = func(in *isa.Inst, pc, next uint64) handler {
-		target := next + uint64(in.Imm)
-		return func(c *CPU) bool {
-			if c.ZF {
-				c.PC = target
-			} else {
-				c.PC = next
-			}
-			return false
-		}
-	}
-	compilers[isa.OpJne] = func(in *isa.Inst, pc, next uint64) handler {
-		target := next + uint64(in.Imm)
-		return func(c *CPU) bool {
-			if !c.ZF {
-				c.PC = target
-			} else {
-				c.PC = next
-			}
-			return false
-		}
-	}
-	compilers[isa.OpJl] = func(in *isa.Inst, pc, next uint64) handler {
-		target := next + uint64(in.Imm)
-		return func(c *CPU) bool {
-			if c.LTS {
-				c.PC = target
-			} else {
-				c.PC = next
-			}
-			return false
-		}
-	}
-	compilers[isa.OpJle] = func(in *isa.Inst, pc, next uint64) handler {
-		target := next + uint64(in.Imm)
-		return func(c *CPU) bool {
-			if c.LTS || c.ZF {
-				c.PC = target
-			} else {
-				c.PC = next
-			}
-			return false
-		}
-	}
-	compilers[isa.OpJg] = func(in *isa.Inst, pc, next uint64) handler {
-		target := next + uint64(in.Imm)
-		return func(c *CPU) bool {
-			if !c.LTS && !c.ZF {
-				c.PC = target
-			} else {
-				c.PC = next
-			}
-			return false
-		}
-	}
-	compilers[isa.OpJge] = func(in *isa.Inst, pc, next uint64) handler {
-		target := next + uint64(in.Imm)
-		return func(c *CPU) bool {
-			if !c.LTS {
-				c.PC = target
-			} else {
-				c.PC = next
-			}
-			return false
-		}
-	}
-	compilers[isa.OpJb] = func(in *isa.Inst, pc, next uint64) handler {
-		target := next + uint64(in.Imm)
-		return func(c *CPU) bool {
-			if c.LTU {
-				c.PC = target
-			} else {
-				c.PC = next
-			}
-			return false
-		}
-	}
-	compilers[isa.OpJae] = func(in *isa.Inst, pc, next uint64) handler {
-		target := next + uint64(in.Imm)
-		return func(c *CPU) bool {
-			if !c.LTU {
-				c.PC = target
-			} else {
-				c.PC = next
-			}
-			return false
+	for op := range takenMask {
+		if isa.Op(op).ReadsFlags() {
+			compilers[op] = flagBranch
 		}
 	}
 	compilers[isa.OpLoop] = func(in *isa.Inst, pc, next uint64) handler {
@@ -680,18 +526,7 @@ func init() {
 	compilers[isa.OpJmpM] = jmpCallM(false)
 	compilers[isa.OpCallM] = jmpCallM(true)
 
-	ret := func(in *isa.Inst, pc, next uint64) handler {
-		pop := 8 + uint64(in.Imm)
-		return func(c *CPU) bool {
-			target, f := c.Mem.Load(c.Regs[isa.SP], 8)
-			if f != nil {
-				return c.pageFaultPC(f, pc)
-			}
-			c.Regs[isa.SP] += pop
-			c.PC = target
-			return false
-		}
-	}
+	ret := func(in *isa.Inst, pc, next uint64) handler { return compileRet(in, pc, 0) }
 	compilers[isa.OpRet] = ret
 	compilers[isa.OpRetI] = ret
 

@@ -100,7 +100,7 @@ func diffCompareAt(t *testing.T, seed int64, fast, slow *CPU, dataBase uint64, d
 		t.Fatalf("seed %d: state differs:\nrun:  pc=%#x cycles=%d regs=%v\nstep: pc=%#x cycles=%d regs=%v",
 			seed, fast.PC, fast.Cycles, fast.Regs, slow.PC, slow.Cycles, slow.Regs)
 	}
-	if fast.ZF != slow.ZF || fast.LTS != slow.LTS || fast.LTU != slow.LTU {
+	if fast.flags != slow.flags {
 		t.Fatalf("seed %d: flags differ", seed)
 	}
 	if fast.Bnd != slow.Bnd {
@@ -185,7 +185,7 @@ func TestRandomizedStepMatchesRun(t *testing.T) {
 }
 
 // TestRandomizedRunToCompletion re-runs a subset of seeds with no
-// budget at all (the runNoBudget loop with fused tails) against Step,
+// budget at all (whole blocks only, so always the fused tails) against Step,
 // stopping runaway programs by injecting a halt... they cannot be
 // stopped externally, so instead compare only programs that stop on
 // their own within the cycle cap under the budgeted loop first.
@@ -279,7 +279,7 @@ func diffDriveSliced(t *testing.T, seed int64, mk func() *CPU, dataBase uint64, 
 		}
 		if !done && !sdone {
 			if fast.Cycles != slow.Cycles || fast.Regs != slow.Regs || fast.PC != slow.PC ||
-				fast.ZF != slow.ZF || fast.LTS != slow.LTS || fast.LTU != slow.LTU {
+				fast.flags != slow.flags {
 				t.Fatalf("seed %d: boundary state diverged at cycle %d (step at %d)",
 					seed, fast.Cycles, slow.Cycles)
 			}
@@ -301,8 +301,8 @@ func diffDriveSliced(t *testing.T, seed int64, mk func() *CPU, dataBase uint64, 
 	diffCompareAt(t, seed, fast, slow, dataBase, dataSize)
 }
 
-// diffDriveFull drives fast with no budget (the fused runNoBudget loop,
-// where traces chain freely) against a bounded Step loop.
+// diffDriveFull drives fast with no budget (nothing is ever clipped, so
+// fused tails and traces chain freely) against a bounded Step loop.
 func diffDriveFull(t *testing.T, seed int64, mk func() *CPU, dataBase uint64, dataSize int) {
 	t.Helper()
 	fast, slow := mk(), mk()
@@ -615,7 +615,7 @@ func TestTraceDifferentialSMCCallee(t *testing.T) {
 	}
 	// The program must actually have exercised the trace tier and its
 	// invalidation path, or the battery proves nothing.
-	if !TracesEnabled {
+	if !tracesEnabled {
 		return
 	}
 	mk, _, _ := diffImage(t, 0, true, smcCalleeProgram)
@@ -698,7 +698,7 @@ func TestTraceDifferentialHostPatch(t *testing.T) {
 		}
 		diffStops(t, seed, stFast, stSlow)
 		diffCompareAt(t, seed, fast, slow, db, ds)
-		if TracesEnabled {
+		if tracesEnabled {
 			if s := fast.CacheStats(); s.Traces == 0 {
 				t.Fatalf("seed %d: stats = %v: loop never promoted", seed, s)
 			}

@@ -80,7 +80,7 @@ func FuzzTraceInvalidation(f *testing.F) {
 		compare := func(tag string) {
 			t.Helper()
 			if fast.Regs != slow.Regs || fast.PC != slow.PC || fast.Cycles != slow.Cycles ||
-				fast.ZF != slow.ZF || fast.LTS != slow.LTS || fast.LTU != slow.LTU {
+				fast.flags != slow.flags {
 				t.Fatalf("%s: stale translation executed: fast pc=%#x cycles=%d regs=%v, step pc=%#x cycles=%d regs=%v",
 					tag, fast.PC, fast.Cycles, fast.Regs, slow.PC, slow.Cycles, slow.Regs)
 			}

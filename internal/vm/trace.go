@@ -1,7 +1,7 @@
 package vm
 
-// Trace-level superblocks: the top rung of the DBT optimization ladder
-// (ROADMAP item 1), above block chaining and threaded dispatch.
+// Trace-level superblocks: the top rung of the DBT optimization ladder,
+// above block chaining and threaded dispatch.
 //
 // Per-block profile counters (block.heat) promote hot chains into
 // superblocks — single translation units spanning multiple basic blocks.
@@ -10,8 +10,10 @@ package vm
 // one-bit execution history of the warm-up), and loop back edges keep
 // appending components up to the instruction cap: natural unrolling.
 //
-// Inside a trace, every interior block seam is compiled into a guard:
-// the branch condition is evaluated, and execution either continues
+// A trace adds no instruction semantics of its own. Its slots are the
+// component blocks' compiled handlers; only the interior seams differ,
+// and each seam is a guard built from the branch truth tables of
+// compile.go: the condition is evaluated, and execution either continues
 // (predicted direction — with no PC write, since PC materialization is
 // batched to trace exits) or side-exits back to the block cache with PC
 // and flags exactly architectural. Two cross-block optimizations run
@@ -22,8 +24,8 @@ package vm
 //     comparison re-derived from the registers;
 //   - dead flag-computation elimination: a flag write whose value is
 //     overwritten before any reader, any stop-capable instruction, and
-//     any possible trace exit is elided (the slot stays — cycle
-//     accounting is by slot index — but does no work).
+//     any possible trace exit is elided (its instruction count folds
+//     into the next emitted slot, so cycle accounting stays exact).
 //
 // Invalidation composes with the page-generation scheme of mem.Paged:
 // a trace records one mem.Span per component block and is valid while
@@ -59,12 +61,12 @@ const (
 	maxTraceInsts = 64
 )
 
-// TracesEnabled gates hot-path superblock formation. It is read only on
-// the (cold) promotion path, so flipping it between runs gives an
-// in-process A/B of the trace tier over identical block-tier code — the
-// basis of the BENCH_PR6.json methodology and the CI regression smoke.
+// tracesEnabled gates superblock formation for the package's own tests:
+// it is read only on the (cold) promotion path, so flipping it between
+// runs gives an in-process A/B of the trace tier over identical
+// block-tier code (TestTraceSpeedupRegression, TestTraceDisabledMatches).
 // Existing traces are not torn down when it is cleared.
-var TracesEnabled = true
+var tracesEnabled = true
 
 // stopSideExit is the private stop sentinel a seam guard leaves in
 // c.stop when trace execution departs the predicted path: the trace
@@ -90,8 +92,8 @@ type trace struct {
 	// accounting stays bit-exact at every stop.
 	cum []uint64
 	// ninsts is the total instruction count of the trace (== cum of the
-	// last slot): what a full completion retires, and the bound the
-	// budgeted loop checks before entering.
+	// last slot): what a full completion retires, and the bound run
+	// checks against the remaining budget before entering.
 	ninsts uint64
 	// spans are the component blocks' code ranges with their decode
 	// generations, deduplicated. The trace is valid while every span is
@@ -194,7 +196,7 @@ func (c *CPU) traceExit(t *trace, pc uint64) *block {
 // may materialize a longer hot path later, and the next threshold
 // crossing retries.
 func (c *CPU) promote(b *block) bool {
-	if !TracesEnabled {
+	if !tracesEnabled {
 		b.heat = 0
 		return false
 	}
@@ -375,9 +377,8 @@ func (c *CPU) buildTrace(head *block) *trace {
 		switch {
 		case fused[i]:
 			// A fused guard re-derives its comparison from the
-			// registers (reads no flags) and architecturally overwrites
-			// the flags — on a side exit it materializes its own — so
-			// prior flag values die here.
+			// registers (reads no flags) and overwrites the flags on
+			// both of its paths, so prior flag values die here.
 			live = false
 		case op.ReadsFlags() || op.CanStop():
 			live = true
@@ -404,7 +405,7 @@ func (c *CPU) buildTrace(head *block) *trace {
 		s := &slots[i]
 		switch {
 		case fused[i] && s.seam:
-			emit(fusedSeamGuard(slots[i-1].in, s.in, s.taken, liveAfter[i], s.next))
+			emit(fusedSeamGuard(slots[i-1].in, s.in, s.taken, s.next))
 		case fused[i]:
 			emit(finalFused)
 		case i+1 < ns && fused[i+1]:
@@ -414,9 +415,12 @@ func (c *CPU) buildTrace(head *block) *trace {
 			case s.in.Op == isa.OpJmp:
 				pending++ // PC materialization batched to exits
 			case s.in.Op == isa.OpCall:
-				emit(traceCall(s.in, s.pc, s.next))
+				// The block's own handler: it pushes the return address
+				// (architectural) and primes the RAS; its PC write is
+				// dead here, the trace continues into the callee.
+				emit(s.base)
 			case s.ret:
-				emit(traceRet(s.in, s.pc, s.retPC))
+				emit(compileRet(s.in, s.pc, s.retPC))
 			case s.in.Op.IsCondBranch():
 				emit(seamGuard(s.in, s.taken, s.next))
 			default:
@@ -483,182 +487,35 @@ func (c *CPU) sideExit(pc uint64) bool {
 	return true
 }
 
-// guardPred is the canonical predicate a guard CONTINUES on. Each flag
-// branch maps to the predicate under which it is taken (branchPred),
-// and the set is closed under negation (negPred), so predicting the
-// not-taken direction just flips to the complement — every guard body
-// is a single positive comparison, fully inlined in its closure (a
-// nested predicate call per slot would cost as much as the dispatch the
-// guard exists to save).
-type guardPred uint8
-
-const (
-	pEQ  guardPred = iota // a == v      | ZF
-	pNE                   // a != v      | !ZF
-	pLTs                  // a <s v      | LTS
-	pLEs                  // a <=s v     | LTS || ZF
-	pGTs                  // a >s v      | !LTS && !ZF
-	pGEs                  // a >=s v     | !LTS
-	pLTu                  // a <u v      | LTU
-	pGEu                  // a >=u v     | !LTU
-)
-
-// branchPred maps a flag branch to the predicate under which it is
-// taken. Pinned to the reference isa.Op.EvalCond semantics by
-// TestGuardPredsMatchEvalCond.
-func branchPred(op isa.Op) guardPred {
-	switch op {
-	case isa.OpJe:
-		return pEQ
-	case isa.OpJne:
-		return pNE
-	case isa.OpJl:
-		return pLTs
-	case isa.OpJle:
-		return pLEs
-	case isa.OpJg:
-		return pGTs
-	case isa.OpJge:
-		return pGEs
-	case isa.OpJb:
-		return pLTu
-	case isa.OpJae:
-		return pGEu
+// guardMask is the truth table a guard over conditional branch br
+// CONTINUES on, with the PC it side-exits to otherwise: the branch's own
+// table and its fall-through when the taken edge is predicted, the
+// complement and its target when the fall-through is.
+func guardMask(br *isa.Inst, taken bool, next uint64) (mask uint8, exitPC uint64) {
+	if taken {
+		return takenMask[br.Op], next
 	}
-	panic("vm: not a flag branch: " + op.String())
-}
-
-func negPred(p guardPred) guardPred {
-	switch p {
-	case pEQ:
-		return pNE
-	case pNE:
-		return pEQ
-	case pLTs:
-		return pGEs
-	case pLEs:
-		return pGTs
-	case pGTs:
-		return pLEs
-	case pGEs:
-		return pLTs
-	case pLTu:
-		return pGEu
-	}
-	return pLTu // pGEu
-}
-
-// predHoldsCmp evaluates p over compare operands — the reference the
-// guard closures are tested against (and the slow path for nothing: it
-// is never called from compiled code).
-func predHoldsCmp(p guardPred, a, v uint64) bool {
-	switch p {
-	case pEQ:
-		return a == v
-	case pNE:
-		return a != v
-	case pLTs:
-		return int64(a) < int64(v)
-	case pLEs:
-		return int64(a) <= int64(v)
-	case pGTs:
-		return int64(a) > int64(v)
-	case pGEs:
-		return int64(a) >= int64(v)
-	case pLTu:
-		return a < v
-	}
-	return a >= v // pGEu
+	return ^takenMask[br.Op], next + uint64(br.Imm)
 }
 
 // seamGuard compiles a conditional branch at an interior block seam:
 // execution continues (no PC write — batched to the exit) on the
 // predicted direction and side-exits to the other target otherwise.
 // The flags were set earlier (a dead pair would have been fused), so
-// the guard branches on them directly.
+// a flag branch is decided on them directly.
 func seamGuard(in *isa.Inst, taken bool, next uint64) handler {
-	target := next + uint64(in.Imm)
-	if in.Op == isa.OpLoop {
-		if taken {
-			return func(c *CPU) bool {
-				c.Regs[isa.R1]--
-				if c.Regs[isa.R1] != 0 {
-					return false
-				}
-				return c.sideExit(next)
-			}
-		}
+	mask, exitPC := guardMask(in, taken, next)
+	if in.Op == isa.OpLoop { // register-based: no table, same exits
 		return func(c *CPU) bool {
 			c.Regs[isa.R1]--
-			if c.Regs[isa.R1] == 0 {
-				return false
-			}
-			return c.sideExit(target)
-		}
-	}
-	p, exitPC := branchPred(in.Op), next
-	if !taken {
-		p, exitPC = negPred(p), target
-	}
-	return flagGuard(p, exitPC)
-}
-
-// flagGuard returns the closure continuing iff p holds over the current
-// flags, side-exiting to exitPC otherwise.
-func flagGuard(p guardPred, exitPC uint64) handler {
-	switch p {
-	case pEQ:
-		return func(c *CPU) bool {
-			if c.ZF {
-				return false
-			}
-			return c.sideExit(exitPC)
-		}
-	case pNE:
-		return func(c *CPU) bool {
-			if !c.ZF {
-				return false
-			}
-			return c.sideExit(exitPC)
-		}
-	case pLTs:
-		return func(c *CPU) bool {
-			if c.LTS {
-				return false
-			}
-			return c.sideExit(exitPC)
-		}
-	case pLEs:
-		return func(c *CPU) bool {
-			if c.LTS || c.ZF {
-				return false
-			}
-			return c.sideExit(exitPC)
-		}
-	case pGTs:
-		return func(c *CPU) bool {
-			if !c.LTS && !c.ZF {
-				return false
-			}
-			return c.sideExit(exitPC)
-		}
-	case pGEs:
-		return func(c *CPU) bool {
-			if !c.LTS {
-				return false
-			}
-			return c.sideExit(exitPC)
-		}
-	case pLTu:
-		return func(c *CPU) bool {
-			if c.LTU {
+			if (c.Regs[isa.R1] != 0) == taken {
 				return false
 			}
 			return c.sideExit(exitPC)
 		}
 	}
-	return func(c *CPU) bool { // pGEu
-		if !c.LTU {
+	return func(c *CPU) bool {
+		if holds(mask, c.flags) {
 			return false
 		}
 		return c.sideExit(exitPC)
@@ -666,373 +523,33 @@ func flagGuard(p guardPred, exitPC uint64) handler {
 }
 
 // fusedSeamGuard macro-fuses a cmp + conditional-branch pair at an
-// interior seam. On the predicted path it writes neither PC (batched)
-// nor — when the flags are dead — the flags; a side exit materializes
-// the comparison first, so the architectural state is exact the moment
-// the trace is left.
-func fusedSeamGuard(cmp, br *isa.Inst, taken, flagsLive bool, next uint64) handler {
-	p, exitPC := branchPred(br.Op), next
-	if !taken {
-		p, exitPC = negPred(p), next+uint64(br.Imm)
-	}
+// interior seam: the flag byte is computed from the registers, stored
+// (the flags are architectural the moment the trace is left, and a
+// second closure that skipped the one-byte store when the flags are
+// dead measured under 1% on guard-only loops — EXPERIMENTS.md), and the
+// guard decided on it. PC is not written on the predicted path.
+func fusedSeamGuard(cmp, br *isa.Inst, taken bool, next uint64) handler {
+	mask, exitPC := guardMask(br, taken, next)
+	r1 := cmp.R1 & 15
 	if cmp.Op == isa.OpCmpRI {
-		return fusedGuardRI(p, cmp.R1&15, uint64(cmp.Imm), flagsLive, exitPC)
-	}
-	return fusedGuardRR(p, cmp.R1&15, cmp.R2&15, flagsLive, exitPC)
-}
-
-// fusedGuardRI builds the cmp-immediate fused guard for predicate p.
-// One specialized closure per (predicate, liveness): the comparison is
-// inline, and a dead-flag guard touches the flags only on the exit
-// path. Held to predHoldsCmp (and through it to isa.Op.EvalCond) by
-// TestGuardPredsMatchEvalCond and the differential battery.
-func fusedGuardRI(p guardPred, r1 isa.Reg, v uint64, live bool, exitPC uint64) handler {
-	switch p {
-	case pEQ:
-		if live {
-			return func(c *CPU) bool {
-				a := c.Regs[r1]
-				c.setCmp(a, v)
-				if a == v {
-					return false
-				}
-				return c.sideExit(exitPC)
-			}
-		}
+		v := uint64(cmp.Imm)
 		return func(c *CPU) bool {
-			a := c.Regs[r1]
-			if a == v {
-				return false
-			}
-			c.setCmp(a, v)
-			return c.sideExit(exitPC)
-		}
-	case pNE:
-		if live {
-			return func(c *CPU) bool {
-				a := c.Regs[r1]
-				c.setCmp(a, v)
-				if a != v {
-					return false
-				}
-				return c.sideExit(exitPC)
-			}
-		}
-		return func(c *CPU) bool {
-			a := c.Regs[r1]
-			if a != v {
-				return false
-			}
-			c.setCmp(a, v)
-			return c.sideExit(exitPC)
-		}
-	case pLTs:
-		if live {
-			return func(c *CPU) bool {
-				a := c.Regs[r1]
-				c.setCmp(a, v)
-				if int64(a) < int64(v) {
-					return false
-				}
-				return c.sideExit(exitPC)
-			}
-		}
-		return func(c *CPU) bool {
-			a := c.Regs[r1]
-			if int64(a) < int64(v) {
-				return false
-			}
-			c.setCmp(a, v)
-			return c.sideExit(exitPC)
-		}
-	case pLEs:
-		if live {
-			return func(c *CPU) bool {
-				a := c.Regs[r1]
-				c.setCmp(a, v)
-				if int64(a) <= int64(v) {
-					return false
-				}
-				return c.sideExit(exitPC)
-			}
-		}
-		return func(c *CPU) bool {
-			a := c.Regs[r1]
-			if int64(a) <= int64(v) {
-				return false
-			}
-			c.setCmp(a, v)
-			return c.sideExit(exitPC)
-		}
-	case pGTs:
-		if live {
-			return func(c *CPU) bool {
-				a := c.Regs[r1]
-				c.setCmp(a, v)
-				if int64(a) > int64(v) {
-					return false
-				}
-				return c.sideExit(exitPC)
-			}
-		}
-		return func(c *CPU) bool {
-			a := c.Regs[r1]
-			if int64(a) > int64(v) {
-				return false
-			}
-			c.setCmp(a, v)
-			return c.sideExit(exitPC)
-		}
-	case pGEs:
-		if live {
-			return func(c *CPU) bool {
-				a := c.Regs[r1]
-				c.setCmp(a, v)
-				if int64(a) >= int64(v) {
-					return false
-				}
-				return c.sideExit(exitPC)
-			}
-		}
-		return func(c *CPU) bool {
-			a := c.Regs[r1]
-			if int64(a) >= int64(v) {
-				return false
-			}
-			c.setCmp(a, v)
-			return c.sideExit(exitPC)
-		}
-	case pLTu:
-		if live {
-			return func(c *CPU) bool {
-				a := c.Regs[r1]
-				c.setCmp(a, v)
-				if a < v {
-					return false
-				}
-				return c.sideExit(exitPC)
-			}
-		}
-		return func(c *CPU) bool {
-			a := c.Regs[r1]
-			if a < v {
-				return false
-			}
-			c.setCmp(a, v)
-			return c.sideExit(exitPC)
-		}
-	}
-	if live { // pGEu
-		return func(c *CPU) bool {
-			a := c.Regs[r1]
-			c.setCmp(a, v)
-			if a >= v {
+			f, ok := decide(mask, c.Regs[r1], v)
+			c.flags = f
+			if ok {
 				return false
 			}
 			return c.sideExit(exitPC)
 		}
 	}
+	r2 := cmp.R2 & 15
 	return func(c *CPU) bool {
-		a := c.Regs[r1]
-		if a >= v {
+		f, ok := decide(mask, c.Regs[r1], c.Regs[r2])
+		c.flags = f
+		if ok {
 			return false
 		}
-		c.setCmp(a, v)
 		return c.sideExit(exitPC)
-	}
-}
-
-// fusedGuardRR is fusedGuardRI with the right operand read from a
-// register at each execution.
-func fusedGuardRR(p guardPred, r1, r2 isa.Reg, live bool, exitPC uint64) handler {
-	switch p {
-	case pEQ:
-		if live {
-			return func(c *CPU) bool {
-				a, v := c.Regs[r1], c.Regs[r2]
-				c.setCmp(a, v)
-				if a == v {
-					return false
-				}
-				return c.sideExit(exitPC)
-			}
-		}
-		return func(c *CPU) bool {
-			a, v := c.Regs[r1], c.Regs[r2]
-			if a == v {
-				return false
-			}
-			c.setCmp(a, v)
-			return c.sideExit(exitPC)
-		}
-	case pNE:
-		if live {
-			return func(c *CPU) bool {
-				a, v := c.Regs[r1], c.Regs[r2]
-				c.setCmp(a, v)
-				if a != v {
-					return false
-				}
-				return c.sideExit(exitPC)
-			}
-		}
-		return func(c *CPU) bool {
-			a, v := c.Regs[r1], c.Regs[r2]
-			if a != v {
-				return false
-			}
-			c.setCmp(a, v)
-			return c.sideExit(exitPC)
-		}
-	case pLTs:
-		if live {
-			return func(c *CPU) bool {
-				a, v := c.Regs[r1], c.Regs[r2]
-				c.setCmp(a, v)
-				if int64(a) < int64(v) {
-					return false
-				}
-				return c.sideExit(exitPC)
-			}
-		}
-		return func(c *CPU) bool {
-			a, v := c.Regs[r1], c.Regs[r2]
-			if int64(a) < int64(v) {
-				return false
-			}
-			c.setCmp(a, v)
-			return c.sideExit(exitPC)
-		}
-	case pLEs:
-		if live {
-			return func(c *CPU) bool {
-				a, v := c.Regs[r1], c.Regs[r2]
-				c.setCmp(a, v)
-				if int64(a) <= int64(v) {
-					return false
-				}
-				return c.sideExit(exitPC)
-			}
-		}
-		return func(c *CPU) bool {
-			a, v := c.Regs[r1], c.Regs[r2]
-			if int64(a) <= int64(v) {
-				return false
-			}
-			c.setCmp(a, v)
-			return c.sideExit(exitPC)
-		}
-	case pGTs:
-		if live {
-			return func(c *CPU) bool {
-				a, v := c.Regs[r1], c.Regs[r2]
-				c.setCmp(a, v)
-				if int64(a) > int64(v) {
-					return false
-				}
-				return c.sideExit(exitPC)
-			}
-		}
-		return func(c *CPU) bool {
-			a, v := c.Regs[r1], c.Regs[r2]
-			if int64(a) > int64(v) {
-				return false
-			}
-			c.setCmp(a, v)
-			return c.sideExit(exitPC)
-		}
-	case pGEs:
-		if live {
-			return func(c *CPU) bool {
-				a, v := c.Regs[r1], c.Regs[r2]
-				c.setCmp(a, v)
-				if int64(a) >= int64(v) {
-					return false
-				}
-				return c.sideExit(exitPC)
-			}
-		}
-		return func(c *CPU) bool {
-			a, v := c.Regs[r1], c.Regs[r2]
-			if int64(a) >= int64(v) {
-				return false
-			}
-			c.setCmp(a, v)
-			return c.sideExit(exitPC)
-		}
-	case pLTu:
-		if live {
-			return func(c *CPU) bool {
-				a, v := c.Regs[r1], c.Regs[r2]
-				c.setCmp(a, v)
-				if a < v {
-					return false
-				}
-				return c.sideExit(exitPC)
-			}
-		}
-		return func(c *CPU) bool {
-			a, v := c.Regs[r1], c.Regs[r2]
-			if a < v {
-				return false
-			}
-			c.setCmp(a, v)
-			return c.sideExit(exitPC)
-		}
-	}
-	if live { // pGEu
-		return func(c *CPU) bool {
-			a, v := c.Regs[r1], c.Regs[r2]
-			c.setCmp(a, v)
-			if a >= v {
-				return false
-			}
-			return c.sideExit(exitPC)
-		}
-	}
-	return func(c *CPU) bool {
-		a, v := c.Regs[r1], c.Regs[r2]
-		if a >= v {
-			return false
-		}
-		c.setCmp(a, v)
-		return c.sideExit(exitPC)
-	}
-}
-
-// traceCall compiles a direct call at an interior seam: the return
-// address is pushed (architectural) and the RAS primed, but PC is not
-// written — the trace continues straight into the callee.
-func traceCall(in *isa.Inst, pc, next uint64) handler {
-	site := &retSite{}
-	return func(c *CPU) bool {
-		if f := c.Mem.Store(c.Regs[isa.SP]-8, 8, next); f != nil {
-			return c.pageFaultPC(f, pc)
-		}
-		c.Regs[isa.SP] -= 8
-		c.rasPush(next, site)
-		return false
-	}
-}
-
-// traceRet compiles a return whose matching call is earlier in the same
-// trace: the return target is loaded (architecturally, faults and all)
-// and checked against the statically predicted return site; a matching
-// return continues straight into the return-site slots, anything else —
-// a mismatched call stack — side-exits to wherever the return really
-// went, with SP already popped (the ret retired either way).
-func traceRet(in *isa.Inst, pc, predicted uint64) handler {
-	pop := 8 + uint64(in.Imm)
-	return func(c *CPU) bool {
-		target, f := c.Mem.Load(c.Regs[isa.SP], 8)
-		if f != nil {
-			return c.pageFaultPC(f, pc)
-		}
-		c.Regs[isa.SP] += pop
-		if target == predicted {
-			return false
-		}
-		return c.sideExit(target)
 	}
 }
 

@@ -8,6 +8,7 @@ package vm
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -33,7 +34,7 @@ func hotLoopImage(t *testing.T, trips int64) *asm.Image {
 }
 
 func TestTraceFormationShape(t *testing.T) {
-	if !TracesEnabled {
+	if !tracesEnabled {
 		t.Skip("traces disabled")
 	}
 	c := loadImage(t, hotLoopImage(t, 1000), 4096)
@@ -97,11 +98,12 @@ func TestTraceFormationShape(t *testing.T) {
 	}
 }
 
-// TestGuardPredsMatchEvalCond pins the guard-predicate algebra — and
-// every compiled guard closure — to the reference isa.Op.EvalCond
-// semantics over randomized compare operands, including the negated
-// (fall-through-predicted) variants and the dead-flag guards' exit-path
-// flag materialization.
+// TestGuardPredsMatchEvalCond pins every compiled guard closure to the
+// reference isa.Op.EvalCond semantics over randomized compare operands,
+// for both predicted directions: the continue/exit decision, the exit
+// PC, and the flags, which a fused guard leaves architectural (matching
+// setCmp) on both paths — so they are exact wherever they can be
+// observed, whether or not anything downstream reads them.
 func TestGuardPredsMatchEvalCond(t *testing.T) {
 	branches := []isa.Op{isa.OpJe, isa.OpJne, isa.OpJl, isa.OpJle, isa.OpJg, isa.OpJge, isa.OpJb, isa.OpJae}
 	r := rand.New(rand.NewSource(42))
@@ -118,59 +120,57 @@ func TestGuardPredsMatchEvalCond(t *testing.T) {
 		}
 	}
 	m := mem.NewPaged(0x1000, mem.PageSize)
-	const exitPC = 0xdead0
+	const next, disp = 0xdead0, 0x40
 	for _, op := range branches {
-		p := branchPred(op)
-		np := negPred(p)
+		br := isa.Inst{Op: op, Imm: disp}
 		for trial := 0; trial < 200; trial++ {
 			a, v := operand(), operand()
 			zf, lts, ltu := a == v, int64(a) < int64(v), a < v
-			want := op.EvalCond(zf, lts, ltu)
-			if got := predHoldsCmp(p, a, v); got != want {
-				t.Fatalf("%v: predHoldsCmp(%v, %#x, %#x) = %v, EvalCond = %v", op, p, a, v, got, want)
+			isTaken := op.EvalCond(zf, lts, ltu)
+			ref := New(m)
+			ref.setCmp(a, v)
+			if got := ref.cond(op); got != isTaken {
+				t.Fatalf("%v: packed flags of cmp(%#x, %#x) give %v, EvalCond = %v", op, a, v, got, isTaken)
 			}
-			if got := predHoldsCmp(np, a, v); got == want {
-				t.Fatalf("%v: negPred(%v) not a complement at (%#x, %#x)", op, p, a, v)
-			}
-
-			// flagGuard: continues iff the predicate holds over flags
-			// set by the architectural compare.
-			c := New(m)
-			c.setCmp(a, v)
-			if stopped := flagGuard(p, exitPC)(c); stopped == want {
-				t.Fatalf("%v: flagGuard(%v) stopped=%v with pred=%v", op, p, stopped, want)
-			} else if stopped {
-				if c.stop.Reason != stopSideExit || c.PC != exitPC {
-					t.Fatalf("%v: side exit stop=%v pc=%#x", op, c.stop, c.PC)
+			for _, taken := range []bool{true, false} {
+				// The guard continues iff the branch goes the predicted
+				// way, and otherwise leaves for the other successor.
+				want := isTaken == taken
+				exitPC := uint64(next)
+				if !taken {
+					exitPC = next + disp
 				}
-			}
 
-			// Fused guards, RI and RR, live and dead flags: same
-			// continue/exit decision, and flags must be architectural
-			// (matching setCmp) whenever they can be observed — always
-			// for live, on the exit path for dead.
-			for _, live := range []bool{true, false} {
+				// seamGuard: decided on flags set by the architectural
+				// compare.
+				c := New(m)
+				c.setCmp(a, v)
+				if stopped := seamGuard(&br, taken, next)(c); stopped == want {
+					t.Fatalf("%v: seamGuard(taken=%v) stopped=%v with pred=%v", op, taken, stopped, want)
+				} else if stopped {
+					if c.stop.Reason != stopSideExit || c.PC != exitPC {
+						t.Fatalf("%v: side exit stop=%v pc=%#x", op, c.stop, c.PC)
+					}
+				}
+
+				// Fused guards, RI and RR.
 				for _, ri := range []bool{true, false} {
 					c := New(m)
 					c.Regs[isa.R3], c.Regs[isa.R4] = a, v
-					var g handler
+					cmp := isa.Inst{Op: isa.OpCmpRR, R1: isa.R3, R2: isa.R4}
 					if ri {
-						g = fusedGuardRI(p, isa.R3, v, live, exitPC)
-					} else {
-						g = fusedGuardRR(p, isa.R3, isa.R4, live, exitPC)
+						cmp = isa.Inst{Op: isa.OpCmpRI, R1: isa.R3, Imm: int64(v)}
 					}
-					stopped := g(c)
+					stopped := fusedSeamGuard(&cmp, &br, taken, next)(c)
 					if stopped == want {
-						t.Fatalf("%v: fused(ri=%v live=%v) stopped=%v with pred=%v", op, ri, live, stopped, want)
+						t.Fatalf("%v: fused(ri=%v taken=%v) stopped=%v with pred=%v", op, ri, taken, stopped, want)
 					}
 					if stopped && (c.stop.Reason != stopSideExit || c.PC != exitPC) {
 						t.Fatalf("%v: fused side exit stop=%v pc=%#x", op, c.stop, c.PC)
 					}
-					if live || stopped {
-						if c.ZF != zf || c.LTS != lts || c.LTU != ltu {
-							t.Fatalf("%v: fused(ri=%v live=%v stopped=%v) flags %v/%v/%v, want %v/%v/%v",
-								op, ri, live, stopped, c.ZF, c.LTS, c.LTU, zf, lts, ltu)
-						}
+					if c.flags != ref.flags {
+						t.Fatalf("%v: fused(ri=%v stopped=%v) flags %03b, want %03b",
+							op, ri, stopped, c.flags, ref.flags)
 					}
 				}
 			}
@@ -184,7 +184,7 @@ func TestGuardPredsMatchEvalCond(t *testing.T) {
 // tier's, move under the workloads that exercise them, and all appear
 // in the CacheStats string and the global aggregation.
 func TestShapeVMStats(t *testing.T) {
-	if !TracesEnabled {
+	if !tracesEnabled {
 		t.Skip("traces disabled")
 	}
 	ResetGlobalCacheStats()
@@ -214,7 +214,8 @@ func TestShapeVMStats(t *testing.T) {
 	if st := c2.Run(0); st.Reason != StopTrap {
 		t.Fatalf("stop = %v", st)
 	}
-	if s2 := c2.CacheStats(); s2.RASHits == 0 {
+	s2 := c2.CacheStats()
+	if s2.RASHits == 0 {
 		t.Fatalf("call/ret stats = %v: RAS never hit", s2)
 	}
 
@@ -252,10 +253,22 @@ func TestShapeVMStats(t *testing.T) {
 	}
 
 	// Global aggregation (what -vmstats actually prints) must have
-	// absorbed all three CPUs' counters at their Run returns.
+	// absorbed all three CPUs' counters at their Run returns — every
+	// field of them: the totals since the reset are exactly the sums,
+	// which fails for any field CacheStats.counters does not list.
 	g := GlobalCacheStats()
-	if g.Traces < s.Traces || g.TraceHits < s.TraceHits || g.RASHits == 0 || g.ICHits == 0 || g.ICMisses == 0 {
-		t.Fatalf("global stats = %v: per-CPU counters not aggregated", g)
+	gv := reflect.ValueOf(g)
+	if gv.NumField() != numCounters {
+		t.Fatalf("CacheStats has %d fields, counters() lists %d", gv.NumField(), numCounters)
+	}
+	for i := 0; i < gv.NumField(); i++ {
+		var want uint64
+		for _, cs := range []CacheStats{s, s2, s3} {
+			want += reflect.ValueOf(cs).Field(i).Uint()
+		}
+		if got := gv.Field(i).Uint(); got != want {
+			t.Errorf("global %s = %d, want %d (sum over the three CPUs)", gv.Type().Field(i).Name, got, want)
+		}
 	}
 }
 
@@ -264,7 +277,7 @@ func TestShapeVMStats(t *testing.T) {
 // not the contents, is the signal): the next entry must sever the
 // trace, retranslate, and still produce the architectural result.
 func TestTraceSeverOnRemap(t *testing.T) {
-	if !TracesEnabled {
+	if !tracesEnabled {
 		t.Skip("traces disabled")
 	}
 	img := hotLoopImage(t, 1000)
@@ -299,7 +312,7 @@ func TestTraceSeverOnRemap(t *testing.T) {
 // for a serializing jump after SMC for the same reason). The patch
 // must never be lost and never take more than one window to land.
 func TestTraceSMCBoundedStaleness(t *testing.T) {
-	if !TracesEnabled {
+	if !tracesEnabled {
 		t.Skip("traces disabled")
 	}
 	const trips = 600
@@ -352,7 +365,7 @@ func TestTracePreemptPrompt(t *testing.T) {
 	if st := c.Run(2000); st.Reason != StopCycles {
 		t.Fatalf("warmup stop = %v", st)
 	}
-	if TracesEnabled {
+	if tracesEnabled {
 		if s := c.CacheStats(); s.Traces == 0 {
 			t.Fatalf("stats = %v: loop not promoted after warmup", s)
 		}
@@ -378,14 +391,14 @@ func TestTracePreemptPrompt(t *testing.T) {
 	}
 }
 
-// TestTraceDisabledMatches: with TracesEnabled off, no superblock forms
+// TestTraceDisabledMatches: with tracesEnabled off, no superblock forms
 // and the program result is identical — the A/B knob the benchmarks
 // rely on must be behavior-neutral.
 func TestTraceDisabledMatches(t *testing.T) {
 	run := func(on bool) (uint64, CacheStats) {
-		old := TracesEnabled
-		TracesEnabled = on
-		defer func() { TracesEnabled = old }()
+		old := tracesEnabled
+		tracesEnabled = on
+		defer func() { tracesEnabled = old }()
 		c := loadImage(t, hotLoopImage(t, 800), 4096)
 		if st := c.Run(0); st.Reason != StopTrap {
 			t.Fatalf("stop = %v", st)

@@ -13,6 +13,18 @@
 // instrumentation inserts extra instructions, the SPECint-style overhead
 // figures (paper Figure 7) fall out of cycle counts deterministically.
 //
+// # Two definitions of the instruction set
+//
+// Instruction semantics are written twice and no more. The exec switch
+// behind Step is the reference: one instruction at a time, uncached,
+// every architectural effect spelled out. The compiled handlers
+// (compile.go) are the fast path: each decoded instruction specialized
+// once into a closure over its operands. The randomized differential
+// battery holds the two to state-for-state equality, and everything
+// built on top — block tails, trace guards — is assembled from the
+// compiled handlers and from one branch-predicate table that is derived
+// from isa.Op.EvalCond and checked against it exhaustively.
+//
 // # Translation cache
 //
 // Run executes through a basic-block translation cache: the first time
@@ -25,14 +37,15 @@
 // generation.
 //
 // On top of the cache sits the classic DBT optimization ladder:
-// threaded dispatch (each instruction is specialized at translate time
-// into a per-op handler closure — one indirect call on the cached path
-// instead of the exec switch, with the compare+branch block tail
-// macro-fused; see compile.go) and block chaining (each block lazily
-// caches pointers to its fall-through and direct-branch successor
-// blocks, so hot loops run block-to-block without re-entering the
-// cache map; every chained transition revalidates the target's
-// generation, severing links to flushed translations).
+// threaded dispatch (one indirect call per instruction on the cached
+// path instead of the exec switch, with the compare+branch block tail
+// macro-fused), block chaining (each block lazily caches pointers to its
+// fall-through and direct-branch successor blocks, so hot loops run
+// block-to-block without re-entering the cache map; every chained
+// transition revalidates the target's generation, severing links to
+// flushed translations) and trace-level superblocks (trace.go). One
+// dispatch loop, run, drives all of it; Run(0) is that loop with the
+// largest budget a uint64 holds.
 //
 // Blocks are invalidated through the page-granular generation counters of
 // mem.Paged: each block snapshots the global generation before decoding
@@ -53,6 +66,7 @@ package vm
 
 import (
 	"fmt"
+	"math"
 	"sync/atomic"
 
 	"repro/internal/isa"
@@ -281,69 +295,42 @@ func (s CacheStats) String() string {
 		s.RASHits, s.ICHits, s.ICMisses, rate)
 }
 
-func (s CacheStats) sub(o CacheStats) CacheStats {
-	return CacheStats{
-		Blocks:     s.Blocks - o.Blocks,
-		Hits:       s.Hits - o.Hits,
-		Misses:     s.Misses - o.Misses,
-		Flushes:    s.Flushes - o.Flushes,
-		Chains:     s.Chains - o.Chains,
-		Threaded:   s.Threaded - o.Threaded,
-		Traces:     s.Traces - o.Traces,
-		TraceHits:  s.TraceHits - o.TraceHits,
-		TraceExits: s.TraceExits - o.TraceExits,
-		TraceInsts: s.TraceInsts - o.TraceInsts,
-		RASHits:    s.RASHits - o.RASHits,
-		ICHits:     s.ICHits - o.ICHits,
-		ICMisses:   s.ICMisses - o.ICMisses,
+// numCounters is the number of CacheStats fields.
+const numCounters = 13
+
+// counters lists the address of every field, in declaration order. It
+// is the only place that enumerates them: the process-wide totals, their
+// reset and the per-Run publish all walk this array.
+func (s *CacheStats) counters() [numCounters]*uint64 {
+	return [numCounters]*uint64{
+		&s.Blocks, &s.Hits, &s.Misses, &s.Flushes, &s.Chains, &s.Threaded,
+		&s.Traces, &s.TraceHits, &s.TraceExits, &s.TraceInsts,
+		&s.RASHits, &s.ICHits, &s.ICMisses,
 	}
 }
 
 // globalStats aggregates cache counters across every CPU in the process,
 // so benchmark drivers can report totals without owning the CPUs (each
-// simulated kernel creates its own harts internally).
-var globalStats struct {
-	blocks, hits, misses, flushes, chains, threaded atomic.Uint64
-	traces, traceHits, traceExits, traceInsts       atomic.Uint64
-	rasHits, icHits, icMisses                       atomic.Uint64
-}
+// simulated kernel creates its own harts internally). Indexed as
+// CacheStats.counters.
+var globalStats [numCounters]atomic.Uint64
 
 // GlobalCacheStats returns the process-wide translation-cache totals,
 // accumulated from every CPU at each Run return.
 func GlobalCacheStats() CacheStats {
-	return CacheStats{
-		Blocks:     globalStats.blocks.Load(),
-		Hits:       globalStats.hits.Load(),
-		Misses:     globalStats.misses.Load(),
-		Flushes:    globalStats.flushes.Load(),
-		Chains:     globalStats.chains.Load(),
-		Threaded:   globalStats.threaded.Load(),
-		Traces:     globalStats.traces.Load(),
-		TraceHits:  globalStats.traceHits.Load(),
-		TraceExits: globalStats.traceExits.Load(),
-		TraceInsts: globalStats.traceInsts.Load(),
-		RASHits:    globalStats.rasHits.Load(),
-		ICHits:     globalStats.icHits.Load(),
-		ICMisses:   globalStats.icMisses.Load(),
+	var s CacheStats
+	for i, p := range s.counters() {
+		*p = globalStats[i].Load()
 	}
+	return s
 }
 
 // ResetGlobalCacheStats zeroes the process-wide totals (between
 // benchmark experiments).
 func ResetGlobalCacheStats() {
-	globalStats.blocks.Store(0)
-	globalStats.hits.Store(0)
-	globalStats.misses.Store(0)
-	globalStats.flushes.Store(0)
-	globalStats.chains.Store(0)
-	globalStats.threaded.Store(0)
-	globalStats.traces.Store(0)
-	globalStats.traceHits.Store(0)
-	globalStats.traceExits.Store(0)
-	globalStats.traceInsts.Store(0)
-	globalStats.rasHits.Store(0)
-	globalStats.icHits.Store(0)
-	globalStats.icMisses.Store(0)
+	for i := range globalStats {
+		globalStats[i].Store(0)
+	}
 }
 
 // CPU is one OVM hart. It is not safe for concurrent use; each SGX thread
@@ -356,9 +343,11 @@ type CPU struct {
 	Regs [isa.NumRegs]uint64
 	// PC is the program counter.
 	PC uint64
-	// ZF, LTS, LTU are the comparison flags: equal, signed-less and
-	// unsigned-less, set by cmp/test.
-	ZF, LTS, LTU bool
+	// flags holds the comparison flags set by cmp/test, packed as
+	// flagZF | flagLTS | flagLTU: the byte that indexes the branch truth
+	// tables (compile.go), so a compare is one store and a branch one
+	// bit test. Nothing outside the package reads the flags.
+	flags uint8
 	// Bnd is the MPX bound register file.
 	Bnd mpx.File
 	// Cycles counts retired instructions.
@@ -404,7 +393,7 @@ func New(m *mem.Paged) *CPU {
 func (c *CPU) Reset() {
 	c.Regs = [isa.NumRegs]uint64{}
 	c.PC, c.Cycles = 0, 0
-	c.ZF, c.LTS, c.LTU = false, false, false
+	c.flags = 0
 	c.Bnd = mpx.File{}
 }
 
@@ -440,24 +429,13 @@ func (c *CPU) takePreempt() bool {
 // process-wide totals. Called once per Run return, so the atomics stay
 // off the per-instruction and per-block paths.
 func (c *CPU) publishStats() {
-	d := c.stats.sub(c.published)
-	if d == (CacheStats{}) {
-		return
+	pub := c.published.counters()
+	for i, p := range c.stats.counters() {
+		if d := *p - *pub[i]; d != 0 {
+			globalStats[i].Add(d)
+			*pub[i] = *p
+		}
 	}
-	globalStats.blocks.Add(d.Blocks)
-	globalStats.hits.Add(d.Hits)
-	globalStats.misses.Add(d.Misses)
-	globalStats.flushes.Add(d.Flushes)
-	globalStats.chains.Add(d.Chains)
-	globalStats.threaded.Add(d.Threaded)
-	globalStats.traces.Add(d.Traces)
-	globalStats.traceHits.Add(d.TraceHits)
-	globalStats.traceExits.Add(d.TraceExits)
-	globalStats.traceInsts.Add(d.TraceInsts)
-	globalStats.rasHits.Add(d.RASHits)
-	globalStats.icHits.Add(d.ICHits)
-	globalStats.icMisses.Add(d.ICMisses)
-	c.published = c.stats
 }
 
 // fetch decodes the single instruction at addr, applying the
@@ -492,8 +470,8 @@ func (c *CPU) fetch(addr uint64) (isa.Inst, int, *mem.Fault, error) {
 // which severs links to flushed translations. Returns nil when pc has
 // no translation (the caller falls back to Step). This is the single
 // copy of the validate-or-relink protocol; only the two-line fast
-// check is inlined at the call sites in run and runNoBudget, where a
-// helper call per block transition is measurable.
+// check is inlined at the call sites in run, where a helper call per
+// block transition is measurable.
 func (c *CPU) chainVia(link **block, pc uint64) *block {
 	if nb := *link; nb != nil && c.blockValid(nb) {
 		c.stats.Chains++
@@ -639,153 +617,29 @@ func (c *CPU) translate(pc uint64) *block {
 // the reason for stopping. After StopTrap the PC addresses the instruction
 // after the trap, so resuming continues past it.
 func (c *CPU) Run(maxCycles uint64) Stop {
-	var st Stop
 	if maxCycles == 0 {
-		st = c.runNoBudget()
-	} else {
-		st = c.run(maxCycles)
+		// No budget is the largest budget: every kernel in the tree runs
+		// its harts in bounded slices, so a separate unbudgeted loop ran
+		// on no workload (EXPERIMENTS.md, "One dispatch loop").
+		maxCycles = math.MaxUint64
 	}
+	st := c.run(maxCycles)
 	c.publishStats()
 	return st
 }
 
-// runNoBudget is the cached execution loop without a cycle budget
-// (maxCycles == 0) — the common case: harts run until the next
-// trap/exception. It is run with the budget arithmetic and clip logic
-// stripped from the per-block path (worth ~5% on hot loops); the two
-// loops are kept in lockstep, and the randomized differential tests
-// drive both (random budgets there, Run(0) here) against Step.
-func (c *CPU) runNoBudget() Stop {
-	var b *block
-	if c.takePreempt() {
-		return Stop{Reason: StopPreempt, PC: c.PC}
-	}
-	for {
-		if b == nil {
-			if c.takePreempt() {
-				return Stop{Reason: StopPreempt, PC: c.PC}
-			}
-			b = c.lookup(c.PC)
-			if b == nil {
-				if stop, done := c.Step(); done {
-					return stop
-				}
-				continue
-			}
-		}
-		// Trace tier: a promoted block enters its superblock. The fast
-		// check is one atomic load (the okGen memo); the slow path polls
-		// preemption BEFORE revalidating, because revalidation advances
-		// the memo and would otherwise absorb the generation bump that
-		// RequestPreempt relies on to get the hart off its fast paths.
-		if t := b.trace; t != nil {
-			if c.Mem.Generation() != t.okGen {
-				if c.takePreempt() {
-					return Stop{Reason: StopPreempt, PC: c.PC}
-				}
-				if !c.traceValid(t) {
-					// Some page under the trace moved; b itself may be
-					// stale too, so relink through the map.
-					c.severTrace(b)
-					b = nil
-					continue
-				}
-			}
-			c.stats.TraceHits++
-			if st, done := c.runTrace(t); done {
-				return st
-			}
-			pc := c.PC
-			if pc == t.anchor {
-				// Hot self-loop: re-enter through the fast check with no
-				// map traffic. A pending preemption bumped the
-				// generation, so it cannot spin here.
-				continue
-			}
-			if c.takePreempt() {
-				return Stop{Reason: StopPreempt, PC: pc}
-			}
-			b = c.traceExit(t, pc)
-			if b == nil {
-				if stop, done := c.Step(); done {
-					return stop
-				}
-			}
-			continue
-		} else if b.heat++; b.heat == traceHotThreshold && c.promote(b) {
-			continue
-		}
-		ops := b.fastOps
-		for i := 0; i < len(ops); i++ {
-			if ops[i](c) {
-				c.Cycles += uint64(i + 1)
-				c.stats.Threaded += uint64(i + 1)
-				return c.stop
-			}
-		}
-		n := len(b.insts)
-		c.Cycles += uint64(n)
-		c.stats.Threaded += uint64(n)
-		if !b.lastSetsPC {
-			c.PC = b.nexts[n-1]
-		}
-		// Block chaining: the inline check covers the hot case (linked
-		// successor, no mutation anywhere since its last validation —
-		// one atomic load); chainVia holds the shared validate-or-
-		// relink slow path. Indirect targets take the map. A pending
-		// preemption bumps the generation, so it lands in these slow
-		// branches — the poll costs the chained fast path nothing.
-		pc := c.PC
-		switch {
-		case b.hasTaken && pc == b.takenPC:
-			if nb := b.takenNext; nb != nil && c.Mem.Generation() == nb.okGen {
-				c.stats.Chains++
-				b = nb
-				continue
-			}
-			if c.takePreempt() {
-				return Stop{Reason: StopPreempt, PC: pc}
-			}
-			b = c.chainVia(&b.takenNext, pc)
-		case b.hasFall && pc == b.fallPC:
-			if nb := b.fallNext; nb != nil && c.Mem.Generation() == nb.okGen {
-				c.stats.Chains++
-				b = nb
-				continue
-			}
-			if c.takePreempt() {
-				return Stop{Reason: StopPreempt, PC: pc}
-			}
-			b = c.chainVia(&b.fallNext, pc)
-		default:
-			if c.takePreempt() {
-				return Stop{Reason: StopPreempt, PC: pc}
-			}
-			// Returns and indirect transfers probe the RAS / inline
-			// cache before the map (trace.go).
-			b = c.indirect(b, pc)
-		}
-		if b == nil {
-			if stop, done := c.Step(); done {
-				return stop
-			}
-		}
-	}
-}
-
-// run is the cached execution loop with a cycle budget: threaded
-// dispatch inside blocks, chained transitions between them. The
-// block-execution loop is inlined here (rather than a runBlock helper)
-// because its per-block overhead is on the critical path of every hot
-// loop.
+// run is the cached execution loop — the only one: threaded dispatch
+// inside blocks, chained transitions between them, superblocks where a
+// chain ran hot. The block-execution loop is inlined here (rather than
+// a runBlock helper) because its per-block overhead is on the critical
+// path of every hot loop.
 //
 // PC and Cycles are dead state inside a block: handlers only write PC
 // when they transfer control or stop (see compile.go), so the loop
 // batches the cycle count and materializes the fall-through PC at block
 // exit — architectural state is exact at every point a caller can
 // observe it.
-func (c *CPU) run(maxCycles uint64) Stop {
-	budget := maxCycles // Run routes maxCycles == 0 to runNoBudget
+func (c *CPU) run(budget uint64) Stop {
 	var b *block
 	if c.takePreempt() {
 		return Stop{Reason: StopPreempt, PC: c.PC}
@@ -804,17 +658,23 @@ func (c *CPU) run(maxCycles uint64) Stop {
 				continue
 			}
 		}
-		// Trace tier, as in runNoBudget — but a superblock is entered
-		// only when it fits the remaining budget whole, so a clipped
-		// prefix always runs at the block tier and Run(maxCycles)
-		// semantics stay exact. The retired count is taken as the Cycles
-		// delta (a side exit retires only a prefix of the slots).
+		// Trace tier: a promoted block enters its superblock — but only
+		// when it fits the remaining budget whole, so a clipped prefix
+		// always runs at the block tier and Run(maxCycles) semantics stay
+		// exact. The fast validity check is one atomic load (the okGen
+		// memo); the slow path polls preemption BEFORE revalidating,
+		// because revalidation advances the memo and would otherwise
+		// absorb the generation bump that RequestPreempt relies on to get
+		// the hart off its fast paths. The retired count is taken as the
+		// Cycles delta (a side exit retires only a prefix of the slots).
 		if t := b.trace; t != nil && t.ninsts <= budget {
 			if c.Mem.Generation() != t.okGen {
 				if c.takePreempt() {
 					return Stop{Reason: StopPreempt, PC: c.PC}
 				}
 				if !c.traceValid(t) {
+					// Some page under the trace moved; b itself may be
+					// stale too, so relink through the map.
 					c.severTrace(b)
 					b = nil
 					continue
@@ -828,7 +688,11 @@ func (c *CPU) run(maxCycles uint64) Stop {
 			budget -= c.Cycles - c0
 			pc := c.PC
 			if pc == t.anchor {
-				continue // the loop head re-checks the budget
+				// Hot self-loop: re-enter through the fast check with no
+				// map traffic (the loop head re-checks the budget). A
+				// pending preemption bumped the generation, so it cannot
+				// spin here.
+				continue
 			}
 			if budget == 0 {
 				break
@@ -890,8 +754,12 @@ func (c *CPU) run(maxCycles uint64) Stop {
 			// translate, or count a transition that will not execute.
 			break
 		}
-		// Block chaining, as in runNoBudget — including the preempt
-		// poll on the slow transition branches.
+		// Block chaining: the inline check covers the hot case (linked
+		// successor, no mutation anywhere since its last validation —
+		// one atomic load); chainVia holds the shared validate-or-
+		// relink slow path. Indirect targets take the map. A pending
+		// preemption bumps the generation, so it lands in these slow
+		// branches — the poll costs the chained fast path nothing.
 		pc := c.PC
 		switch {
 		case b.hasTaken && pc == b.takenPC:
@@ -1219,23 +1087,35 @@ func (c *CPU) exec(in *isa.Inst, pc, next uint64) bool {
 	return false
 }
 
-func (c *CPU) setCmp(a, b uint64) {
-	c.ZF = a == b
-	c.LTS = int64(a) < int64(b)
-	c.LTU = a < b
+// Packed comparison flags: the bits of CPU.flags.
+const (
+	flagZF  = 1 << iota // operands equal
+	flagLTS             // signed less-than
+	flagLTU             // unsigned less-than
+)
+
+// bit converts a comparison result to 0 or 1 (compiled branch-free).
+func bit(b bool) uint8 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
-func (c *CPU) setTest(v uint64) {
-	c.ZF = v == 0
-	c.LTS = int64(v) < 0
-	c.LTU = false
+// cmpFlags is the flag byte cmp a, b produces.
+func cmpFlags(a, b uint64) uint8 {
+	return bit(a == b)*flagZF | bit(int64(a) < int64(b))*flagLTS | bit(a < b)*flagLTU
 }
+
+func (c *CPU) setCmp(a, b uint64) { c.flags = cmpFlags(a, b) }
+
+func (c *CPU) setTest(v uint64) { c.flags = bit(v == 0)*flagZF | bit(int64(v) < 0)*flagLTS }
 
 // cond evaluates a conditional branch against the flags, deferring to
 // the reference definition in isa.Op.EvalCond. The compiled branch
-// handlers inline their conditions instead (one fewer switch on the
-// hot path); TestCompiledBranchesMatchEvalCond holds them to the same
-// semantics exhaustively.
+// handlers look the same answer up in a truth table built from that
+// definition (takenMask, compile.go).
 func (c *CPU) cond(op isa.Op) bool {
-	return op.EvalCond(c.ZF, c.LTS, c.LTU)
+	f := c.flags
+	return op.EvalCond(f&flagZF != 0, f&flagLTS != 0, f&flagLTU != 0)
 }

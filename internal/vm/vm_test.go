@@ -2,6 +2,7 @@ package vm
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/asm"
@@ -625,7 +626,7 @@ func TestStepMatchesRun(t *testing.T) {
 		t.Fatalf("state differs:\nrun:  regs=%v pc=%#x cycles=%d\nstep: regs=%v pc=%#x cycles=%d",
 			fast.Regs, fast.PC, fast.Cycles, slow.Regs, slow.PC, slow.Cycles)
 	}
-	if fast.ZF != slow.ZF || fast.LTS != slow.LTS || fast.LTU != slow.LTU {
+	if fast.flags != slow.flags {
 		t.Fatal("flags differ between Run and Step execution")
 	}
 }
@@ -839,32 +840,138 @@ var condOps = []isa.Op{isa.OpJe, isa.OpJne, isa.OpJl, isa.OpJle, isa.OpJg, isa.O
 
 // TestCompiledBranchesMatchEvalCond exhaustively pins every compiled
 // conditional-branch handler to the reference semantics in
-// isa.Op.EvalCond, over all flag combinations. The handlers inline
-// their conditions for speed; this test is what keeps them from
-// drifting.
+// isa.Op.EvalCond, over all flag combinations. The handlers look their
+// condition up in a truth table; this test is what keeps table and
+// lookup from drifting.
 func TestCompiledBranchesMatchEvalCond(t *testing.T) {
 	const pc, next, disp = 0x1000, 0x1005, 0x40
 	for _, op := range condOps {
-		in := isa.Inst{Op: op, Imm: disp}
-		h := compile(&in, pc, next)
-		for _, zf := range []bool{false, true} {
-			for _, lts := range []bool{false, true} {
-				for _, ltu := range []bool{false, true} {
-					c := New(mem.NewPaged(0, mem.PageSize))
-					c.ZF, c.LTS, c.LTU = zf, lts, ltu
-					if h(c) {
-						t.Fatalf("%s: branch handler stopped the hart", op)
-					}
-					want := uint64(next)
-					if op.EvalCond(zf, lts, ltu) {
-						want = next + disp
-					}
-					if c.PC != want {
-						t.Errorf("%s(zf=%v lts=%v ltu=%v): pc=%#x want %#x", op, zf, lts, ltu, c.PC, want)
-					}
+		// Backward and forward displacements: the handler keeps the
+		// rel32 as encoded.
+		for _, rel := range []int64{disp, -disp} {
+			in := isa.Inst{Op: op, Imm: rel}
+			h := compile(&in, pc, next)
+			for f := uint8(0); f < 8; f++ {
+				zf, lts, ltu := f&flagZF != 0, f&flagLTS != 0, f&flagLTU != 0
+				c := New(mem.NewPaged(0, mem.PageSize))
+				c.flags = f
+				if h(c) {
+					t.Fatalf("%s: branch handler stopped the hart", op)
+				}
+				want := uint64(next)
+				if op.EvalCond(zf, lts, ltu) {
+					want = uint64(next + rel)
+				}
+				if c.PC != want {
+					t.Errorf("%s(zf=%v lts=%v ltu=%v): pc=%#x want %#x", op, zf, lts, ltu, c.PC, want)
+				}
+				if c.flags != f {
+					t.Errorf("%s: branch handler changed the flags", op)
 				}
 			}
 		}
+	}
+}
+
+// TestBranchTablesExhaustive walks the whole domain of the branch
+// predicates — 8 flag branches × 8 packed flag states × both predicted
+// directions — and checks that the truth table, the compiled Jcc
+// handler and the seam guard all agree with isa.Op.EvalCond. The table
+// is derived, not typed in; this is the proof that the derivation and
+// the three lookups built on it are the reference definition.
+func TestBranchTablesExhaustive(t *testing.T) {
+	const pc, next, disp = 0x2000, 0x2005, 0x30
+	for _, op := range condOps {
+		in := isa.Inst{Op: op, Imm: disp}
+		jcc := compile(&in, pc, next)
+		for f := uint8(0); f < 8; f++ {
+			ref := op.EvalCond(f&flagZF != 0, f&flagLTS != 0, f&flagLTU != 0)
+			if got := holds(takenMask[op], f); got != ref {
+				t.Errorf("%s flags=%03b: table says taken=%v, EvalCond %v", op, f, got, ref)
+			}
+			c := New(mem.NewPaged(0, mem.PageSize))
+			c.flags = f
+			if jcc(c) || (c.PC == next+disp) != ref || (c.PC == next) == ref {
+				t.Errorf("%s flags=%03b: compiled handler pc=%#x, EvalCond %v", op, f, c.PC, ref)
+			}
+			for _, taken := range []bool{true, false} {
+				mask, exitPC := guardMask(&in, taken, next)
+				if got := holds(mask, f); got != (ref == taken) {
+					t.Errorf("%s flags=%03b predict-taken=%v: guard table continues=%v", op, f, taken, got)
+				}
+				wantExit := uint64(next) // predicted taken, branch falls through
+				if !taken {
+					wantExit = next + disp
+				}
+				if exitPC != wantExit {
+					t.Errorf("%s predict-taken=%v: exit pc %#x, want %#x", op, taken, exitPC, wantExit)
+				}
+				c := New(mem.NewPaged(0, mem.PageSize))
+				c.flags, c.PC = f, 0xbad
+				stopped := seamGuard(&in, taken, next)(c)
+				switch {
+				case stopped == (ref == taken):
+					t.Errorf("%s flags=%03b predict-taken=%v: seam guard stopped=%v", op, f, taken, stopped)
+				case stopped && (c.stop.Reason != stopSideExit || c.PC != wantExit):
+					t.Errorf("%s flags=%03b predict-taken=%v: side exit stop=%v pc=%#x", op, f, taken, c.stop, c.PC)
+				case !stopped && c.PC != 0xbad:
+					t.Errorf("%s flags=%03b predict-taken=%v: continuing guard wrote pc", op, f, taken)
+				}
+				if c.flags != f {
+					t.Errorf("%s: seam guard changed the flags", op)
+				}
+			}
+		}
+	}
+	for op, mask := range takenMask {
+		if !isa.Op(op).ReadsFlags() && mask != 0 {
+			t.Errorf("%s reads no flags but has truth table %08b", isa.Op(op), mask)
+		}
+	}
+}
+
+// TestBranchClosureSizes pins the allocation size class of each closure
+// built from the branch truth tables. Every translated branch allocates
+// one, so a captured word that spills into the next class shows up in
+// alloc_kib_per_op on the spawn-heavy workloads; the classes below are
+// the ones the hand-written closures these replaced had (the flag seam
+// guard alone grew, 16 → 24, and only traces allocate it). The layout of
+// a closure's captures is the compiler's, so this is what notices if a
+// harmless-looking edit or a toolchain change moves it.
+func TestBranchClosureSizes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's own allocations land in TotalAlloc")
+	}
+	const next = 0x1005
+	br := isa.Inst{Op: isa.OpJl, Imm: 0x40}
+	ri := isa.Inst{Op: isa.OpCmpRI, R1: isa.R2, Imm: 7}
+	rr := isa.Inst{Op: isa.OpCmpRR, R1: isa.R2, R2: isa.R3}
+	ret := isa.Inst{Op: isa.OpRet}
+	for _, tc := range []struct {
+		name string
+		mk   func() handler
+		want uint64
+	}{
+		{"jcc", func() handler { return compile(&br, 0x1000, next) }, 24},
+		{"fused branch ri", func() handler { return fuseCmpBranch(&ri, &br, next) }, 48},
+		{"fused branch rr", func() handler { return fuseCmpBranch(&rr, &br, next) }, 32},
+		{"seam guard", func() handler { return seamGuard(&br, true, next) }, 24},
+		{"fused guard ri", func() handler { return fusedSeamGuard(&ri, &br, true, next) }, 32},
+		{"fused guard rr", func() handler { return fusedSeamGuard(&rr, &br, false, next) }, 24},
+		{"ret", func() handler { return compile(&ret, 0x1000, next) }, 32},
+	} {
+		const n = 1000
+		keep := make([]handler, n)
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for i := range keep {
+			keep[i] = tc.mk()
+		}
+		runtime.ReadMemStats(&m1)
+		if got := (m1.TotalAlloc - m0.TotalAlloc) / n; got != tc.want {
+			t.Errorf("%s: %d bytes per closure, want %d", tc.name, got, tc.want)
+		}
+		runtime.KeepAlive(keep)
 	}
 }
 
@@ -907,7 +1014,7 @@ func TestFusedCmpBranchMatchesUnfused(t *testing.T) {
 					if fc.PC != uc.PC {
 						t.Errorf("%s+%s a=%#x b=%#x: pc %#x vs %#x", cmpOp, br, a, bv, fc.PC, uc.PC)
 					}
-					if fc.ZF != uc.ZF || fc.LTS != uc.LTS || fc.LTU != uc.LTU {
+					if fc.flags != uc.flags {
 						t.Errorf("%s+%s a=%#x b=%#x: flags differ", cmpOp, br, a, bv)
 					}
 				}
