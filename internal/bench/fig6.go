@@ -144,6 +144,14 @@ func buildDrain() (*asm.Program, error) {
 // Fig6bPipe measures pipe throughput across chunk sizes (paper: Occlum ≈
 // Linux, both >3× Graphene-SGX whose pipes encrypt every message).
 func Fig6bPipe(s Scale) (*Table, error) {
+	t, _, err := fig6bPipe(s)
+	return t, err
+}
+
+// fig6bPipe is Fig6bPipe that also returns each row's libos.NetStats
+// delta: the byte ledgers are exact where the MB/s are wall clock, so
+// they are what the always-on test asserts.
+func fig6bPipe(s Scale) (*Table, []libos.NetSnapshot, error) {
 	t := &Table{
 		Title:   "Figure 6b — pipe throughput by buffer size",
 		Columns: make([]string, len(s.PipeBufs)),
@@ -154,37 +162,40 @@ func Fig6bPipe(s Scale) (*Table, error) {
 	}
 	kernels, err := workloads.AllKernels(s.kernelSpec())
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
+	var net []libos.NetSnapshot
 	for _, k := range kernels {
 		drain, err := buildDrain()
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if err := k.InstallProgram("/bin/drain", drain); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		row := Row{Label: k.Name()}
+		net0 := libos.NetStats()
 		for bi, bs := range s.PipeBufs {
 			pump, err := buildPipePump(s.PipeTotal, bs)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			path := fmt.Sprintf("/bin/pump%d", bi)
 			if err := k.InstallProgram(path, pump); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			start := time.Now()
 			status, err := workloads.RunToCompletion(k, path, nil, io.Discard)
 			if err != nil || status != 0 {
-				return nil, fmt.Errorf("%s buf %d: status %d err %v", k.Name(), bs, status, err)
+				return nil, nil, fmt.Errorf("%s buf %d: status %d err %v", k.Name(), bs, status, err)
 			}
 			mbps := float64(s.PipeTotal) / (1 << 20) / time.Since(start).Seconds()
 			row.Values = append(row.Values, mbps)
 		}
 		t.Rows = append(t.Rows, row)
+		net = append(net, libos.NetStats().Sub(net0))
 	}
-	return t, nil
+	return t, net, nil
 }
 
 // buildFileIO builds the Figure 6c/6d measurement program: sequential

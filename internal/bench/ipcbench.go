@@ -13,11 +13,11 @@ import (
 )
 
 // IPCBench measures the zero-copy data plane on the Occlum kernel:
-// bytes/s through a pipe and through a loopback socket, moved by the
-// scalar copy path, by the vectored lending path (a 4-span gather per
-// chunk — the natural writev shape, where the scalar equivalent is four
-// write calls), and by splice (pipe→socket without the payload ever
-// entering guest-visible staging). The splice rows are self-checking:
+// bytes/s through a pipe and through a loopback socket, moved by four
+// scalar writes per chunk, by one 4-span writev per chunk (the natural
+// gather shape; both lend through the same body, so the rows differ in
+// calls, not copies), and by splice (pipe→socket without the payload
+// ever entering guest memory). The splice rows are self-checking:
 // the experiment fails if any payload byte crosses the copied ledger
 // while splice is the mover.
 func IPCBench(s Scale) (*Table, error) {
@@ -213,8 +213,8 @@ func emitScalarQuarters(b *asm.Builder, fd isa.Reg, bufSym string, chunk int, sy
 }
 
 // buildIPCDrain builds the pipe sink: close the inherited write end,
-// then read fd60 to EOF in 64 KiB transfers — through the staging read
-// path, or through a single-span readv (a lent view: one copy fewer).
+// then read fd60 to EOF in 64 KiB transfers, by scalar read or by the
+// single-span readv it is the same as.
 func buildIPCDrain(vectored bool) (*asm.Program, error) {
 	const buf = 64 << 10
 	b := asm.NewBuilder()

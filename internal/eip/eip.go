@@ -29,6 +29,7 @@ import (
 	"repro/internal/mem"
 	"repro/internal/oelf"
 	"repro/internal/sgx"
+	"repro/internal/sysdispatch"
 	"repro/internal/vm"
 )
 
@@ -125,9 +126,7 @@ type Proc struct {
 	encl *sgx.Enclave
 	cpu  *vm.CPU
 
-	fdmu   sync.Mutex
-	fds    map[int]fdesc
-	nextFD int
+	fds *sysdispatch.FDTable
 
 	heapPtr, heapEnd   uint64
 	dataBase, dataSize uint64
@@ -140,6 +139,43 @@ type Proc struct {
 
 // PID returns the process id.
 func (p *Proc) PID() int { return p.pid }
+
+// PPID returns the parent process id.
+func (p *Proc) PPID() int { return p.ppid }
+
+// FDs implements sysdispatch.Kernel.
+func (p *Proc) FDs() *sysdispatch.FDTable { return p.fds }
+
+// ReadUser implements sysdispatch.Kernel. It is the copy-out half of the
+// OCALL cost model: a host-delegated operation cannot be handed enclave
+// memory, so every argument buffer is copied out of the enclave into an
+// untrusted one (and results copied back by WriteUser) — the
+// EENTER/EEXIT marshalling the paper's Lighttpd benchmark measures.
+func (p *Proc) ReadUser(addr, n uint64) ([]byte, error) {
+	if !p.inData(addr, n) {
+		return nil, errFault
+	}
+	b, err := p.cpu.Mem.ReadDirect(addr, int(n))
+	if err != nil {
+		return nil, err
+	}
+	return append([]byte(nil), b...), nil
+}
+
+// WriteUser implements sysdispatch.Kernel: the copy-in half.
+func (p *Proc) WriteUser(addr uint64, b []byte) error {
+	if !p.inData(addr, uint64(len(b))) || p.cpu.Mem.WriteAt(addr, b) != nil {
+		return errFault
+	}
+	return nil
+}
+
+var errFault = errors.New("eip: user pointer outside the process image")
+
+func (p *Proc) inData(addr, n uint64) bool {
+	end := addr + n
+	return addr >= p.dataBase && end >= addr && end <= p.dataBase+p.dataSize
+}
 
 // Cycles returns retired instructions.
 func (p *Proc) Cycles() uint64 { return p.cycles }
@@ -265,7 +301,7 @@ func (g *Graphene) Spawn(path string, argv []string, opt SpawnOpt) (*Proc, error
 	g.nextPID++
 	p := &Proc{
 		g: g, pid: pid, encl: encl, cpu: vm.New(encl.Paged),
-		fds: make(map[int]fdesc), nextFD: 3,
+		fds:      sysdispatch.NewFDTable(),
 		dataBase: dataBase, dataSize: dataSize,
 		done: make(chan struct{}),
 	}
@@ -278,18 +314,16 @@ func (g *Graphene) Spawn(path string, argv []string, opt SpawnOpt) (*Proc, error
 	// fd inheritance: descriptors are re-established in the child; pipe
 	// ends keep flowing through their (encrypted) untrusted queues.
 	if opt.Parent != nil {
-		opt.Parent.fdmu.Lock()
-		for fd, d := range opt.Parent.fds {
-			p.fds[fd] = d.clone()
-			if fd >= p.nextFD {
-				p.nextFD = fd + 1
-			}
-		}
-		opt.Parent.fdmu.Unlock()
+		p.fds.InheritFrom(opt.Parent.fds)
 	} else {
-		p.fds[0] = wrapOF(opt.Stdin)
-		p.fds[1] = wrapOF(opt.Stdout)
-		p.fds[2] = wrapOF(opt.Stderr)
+		for i, of := range []*libos.OpenFile{opt.Stdin, opt.Stdout, opt.Stderr} {
+			if of == nil {
+				of = libos.NewDiscardFile()
+			} else {
+				of.Ref()
+			}
+			p.fds.Set(i, of)
+		}
 	}
 
 	_, _, err = libos.SetupUserStack(encl.Paged, p.cpu, codeBase-mem.PageSize,
@@ -334,12 +368,7 @@ func (p *Proc) run() {
 }
 
 func (p *Proc) exit(status int) {
-	p.fdmu.Lock()
-	for fd, d := range p.fds {
-		d.close()
-		delete(p.fds, fd)
-	}
-	p.fdmu.Unlock()
+	p.fds.CloseAll()
 	p.encl.Destroy()
 	g := p.g
 	g.mu.Lock()

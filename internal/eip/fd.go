@@ -8,8 +8,6 @@ import (
 	"errors"
 	"io"
 	"sync"
-
-	"repro/internal/libos"
 )
 
 // seal encrypts-and-authenticates data with AES-GCM under a key derived
@@ -48,49 +46,22 @@ func open(key32 [32]byte, ad, sealed []byte) ([]byte, error) {
 	return gcm.Open(nil, sealed[:gcm.NonceSize()], sealed[gcm.NonceSize():], ad)
 }
 
-// fdesc is an EIP file descriptor.
-type fdesc interface {
-	read(p []byte) (int, error)
-	write(p []byte) (int, error)
-	close()
-	clone() fdesc
-}
-
-// ofFD adapts a libos.OpenFile (writer stdio, discard, host sockets).
-type ofFD struct{ of *libos.OpenFile }
-
-func wrapOF(of *libos.OpenFile) fdesc {
-	if of == nil {
-		of = libos.NewDiscardFile()
-	} else {
-		of.Ref()
-	}
-	return &ofFD{of: of}
-}
-
-func (d *ofFD) read(p []byte) (int, error)  { return d.of.Read(p) }
-func (d *ofFD) write(p []byte) (int, error) { return d.of.Write(p) }
-func (d *ofFD) close()                      { d.of.Unref() }
-func (d *ofFD) clone() fdesc                { d.of.Ref(); return &ofFD{of: d.of} }
-
 // roFile is an open read-only protected file, fully unsealed at open (the
-// per-open decryption cost of protected files).
-type roFile struct {
-	data []byte
-	off  int
-}
+// per-open decryption cost of protected files). It is the fs.Node behind
+// a libos.OpenFile, which supplies the offset and reference count.
+type roFile struct{ data []byte }
 
-func (d *roFile) read(p []byte) (int, error) {
-	if d.off >= len(d.data) {
-		return 0, io.EOF
+func (f roFile) ReadAt(p []byte, off int64) (int, error) {
+	if off >= int64(len(f.data)) {
+		return 0, nil
 	}
-	n := copy(p, d.data[d.off:])
-	d.off += n
-	return n, nil
+	return copy(p, f.data[off:]), nil
 }
-func (d *roFile) write([]byte) (int, error) { return 0, errors.New("eip: read-only filesystem") }
-func (d *roFile) close()                    {}
-func (d *roFile) clone() fdesc              { return &roFile{data: d.data} }
+func (roFile) WriteAt([]byte, int64) (int, error) {
+	return 0, errors.New("eip: read-only filesystem")
+}
+func (f roFile) Size() int64 { return int64(len(f.data)) }
+func (roFile) Close() error  { return nil }
 
 // encPipe is the EIP pipe: a queue of AES-GCM sealed messages standing in
 // untrusted memory between two enclaves. Every write seals; every read
@@ -105,22 +76,25 @@ type encPipe struct {
 	residue []byte   // unsealed bytes not yet consumed
 	rClosed bool
 	wClosed bool
-	readers int
-	writers int
 }
 
-func newEncPipe(key [32]byte) *encPipe {
-	ep := &encPipe{key: key, readers: 1, writers: 1}
+// newEncPipe returns the two ends of a fresh pipe, one reference each.
+func newEncPipe(key [32]byte) (r, w *encPipeEnd) {
+	ep := &encPipe{key: key}
 	ep.cond = sync.NewCond(&ep.mu)
-	return ep
+	return &encPipeEnd{p: ep, refs: 1}, &encPipeEnd{p: ep, refs: 1, writing: true}
 }
 
+// encPipeEnd is one end of an encPipe as a sysdispatch.File: shared by
+// dup2 and spawn inheritance through Ref, and closed — EOF for the
+// reader, broken pipe for the writer — when the last fd drops it.
 type encPipeEnd struct {
 	p       *encPipe
 	writing bool
+	refs    int // guarded by p.mu
 }
 
-func (e *encPipeEnd) read(p []byte) (int, error) {
+func (e *encPipeEnd) Read(p []byte) (int, error) {
 	if e.writing {
 		return 0, errors.New("eip: write end")
 	}
@@ -153,7 +127,7 @@ func (e *encPipeEnd) read(p []byte) (int, error) {
 
 const encPipeMaxQueue = 64
 
-func (e *encPipeEnd) write(p []byte) (int, error) {
+func (e *encPipeEnd) Write(p []byte) (int, error) {
 	if !e.writing {
 		return 0, errors.New("eip: read end")
 	}
@@ -174,32 +148,27 @@ func (e *encPipeEnd) write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-func (e *encPipeEnd) close() {
-	ep := e.p
-	ep.mu.Lock()
-	if e.writing {
-		ep.writers--
-		if ep.writers <= 0 {
-			ep.wClosed = true
-		}
-	} else {
-		ep.readers--
-		if ep.readers <= 0 {
-			ep.rClosed = true
-		}
-	}
-	ep.cond.Broadcast()
-	ep.mu.Unlock()
+func (e *encPipeEnd) Seek(int64, int) (int64, error) {
+	return 0, errors.New("eip: pipe is not seekable")
 }
 
-func (e *encPipeEnd) clone() fdesc {
+func (e *encPipeEnd) Ref() {
+	e.p.mu.Lock()
+	e.refs++
+	e.p.mu.Unlock()
+}
+
+func (e *encPipeEnd) Unref() {
 	ep := e.p
 	ep.mu.Lock()
-	if e.writing {
-		ep.writers++
-	} else {
-		ep.readers++
+	defer ep.mu.Unlock()
+	if e.refs--; e.refs > 0 {
+		return
 	}
-	ep.mu.Unlock()
-	return &encPipeEnd{p: ep, writing: e.writing}
+	if e.writing {
+		ep.wClosed = true
+	} else {
+		ep.rClosed = true
+	}
+	ep.cond.Broadcast()
 }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/fs"
 	"repro/internal/hostos"
 	"repro/internal/ring"
+	"repro/internal/sysdispatch"
 	"repro/internal/timerwheel"
 )
 
@@ -422,6 +423,46 @@ func (of *OpenFile) ConnectHost(h *hostos.Host, port uint16) error {
 	of.conn = conn
 	of.mu.Unlock()
 	return nil
+}
+
+// RegisterHostSockets installs socket/bind/listen/accept/connect for the
+// baseline kernels (native Linux, EIP): their processes own a goroutine,
+// so accept blocks inside the handler where sysAccept parks, and their
+// socket descriptions are OpenFiles over the kernel's loopback host.
+func RegisterHostSockets(t *sysdispatch.Table, hostOf func(sysdispatch.Kernel) *hostos.Host) {
+	onSock := func(f func(k sysdispatch.Kernel, of *OpenFile, port uint16) int64) sysdispatch.Handler {
+		return func(k sysdispatch.Kernel, a *[5]uint64) sysdispatch.Result {
+			file, _ := k.FDs().Get(int(int64(a[0])))
+			of, ok := file.(*OpenFile)
+			if !ok {
+				return sysdispatch.Errno(EBADF)
+			}
+			return sysdispatch.Ok(f(k, of, uint16(a[1])))
+		}
+	}
+	t.Register(SysSocket, sysdispatch.SocketHandler(func(sysdispatch.Kernel) sysdispatch.File {
+		return NewSocketFile()
+	}))
+	t.Register(SysBind, onSock(func(k sysdispatch.Kernel, of *OpenFile, port uint16) int64 {
+		if of.BindHost(hostOf(k), port) != nil {
+			return -EACCES
+		}
+		return 0
+	}))
+	t.Register(SysListen, sysdispatch.Listen)
+	t.Register(SysAccept, onSock(func(k sysdispatch.Kernel, of *OpenFile, _ uint16) int64 {
+		nf, err := of.AcceptHost()
+		if err != nil {
+			return -EIO
+		}
+		return int64(k.FDs().Install(nf))
+	}))
+	t.Register(SysConnect, onSock(func(k sysdispatch.Kernel, of *OpenFile, port uint16) int64 {
+		if of.ConnectHost(hostOf(k), port) != nil {
+			return -ECONNREFUSED
+		}
+		return 0
+	}))
 }
 
 // pipeBuf is the shared ring behind a pipe. It serves two waiting

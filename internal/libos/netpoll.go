@@ -38,7 +38,8 @@ var netStats struct {
 	// syscalls, and the two byte ledgers every data syscall feeds —
 	// bytesLent moved via borrowed views (guest loans, ring runs, image
 	// cache blocks: no staging buffer), bytesCopied staged through a
-	// per-syscall temp buffer (the scalar read/write paths).
+	// per-syscall temp buffer (sendfile from a non-image node; scalar
+	// read/write lend, exactly as readv/writev do).
 	writevs, readvs, sendfiles, splices atomic.Uint64
 	bytesLent, bytesCopied              atomic.Uint64
 	// Backpressure counters: reaps counts idle connections closed by
@@ -115,9 +116,11 @@ type NetSnapshot struct {
 	Writevs, Readvs, Sendfiles, Splices uint64
 	// BytesLent counts payload bytes moved through borrowed views —
 	// guest-memory loans, ring-to-ring splice runs, image-cache blocks —
-	// without a staging copy. BytesCopied counts payload bytes staged
-	// through a temp buffer (the scalar paths). The splice pipe→socket
-	// path must report BytesCopied = 0.
+	// without a staging copy; every read/write/send/recv and
+	// readv/writev byte is one. BytesCopied counts payload bytes staged
+	// through a temp buffer, which only sendfile from a non-image node
+	// still does: a pipeline of reads, writes and splices must report
+	// BytesCopied = 0.
 	BytesLent, BytesCopied uint64
 	// Reaps counts idle connections closed by the wheel-driven reaper;
 	// Sheds counts inbound connections refused under run-queue

@@ -2,9 +2,9 @@ package libos
 
 import (
 	"errors"
-	"io"
 
 	"repro/internal/fs"
+	"repro/internal/mem"
 	"repro/internal/sysdispatch"
 )
 
@@ -132,168 +132,26 @@ func (p *Proc) getFD(fd int) (*OpenFile, bool) {
 	return of, ok
 }
 
-// sysWrite is the SIP write(2)/send(2): pipes and sockets park when the
-// ring is full, resuming where they left off (cursys.prog) so no byte is
-// sent twice; O_NONBLOCK sockets return the partial count or EAGAIN
-// instead of parking. Other descriptions complete or fail immediately.
+// sysWrite is the SIP write(2)/send(2): the one-span case of writev,
+// through the same lending body (writeSpans). A count above MaxUserBuf
+// fails the loan: EFAULT.
 func sysWrite(k sysdispatch.Kernel, a *[5]uint64) sysdispatch.Result {
 	p := k.(*Proc)
-	fd, buf, n := int(int64(a[0])), a[1], a[2]
-	of, ok := p.getFD(fd)
+	of, ok := p.getFD(int(int64(a[0])))
 	if !ok {
 		return sysdispatch.Errno(EBADF)
 	}
-	if of.kind == kindSock {
-		return p.sockSend(of, buf, n)
-	}
-	if of.kind == kindPipeW {
-		// Copy only the unsent remainder out of the user buffer: a
-		// partially drained write re-dispatches once per ring-full of
-		// progress, and re-copying the whole buffer each retry would
-		// be O(n²/cap).
-		cur := p.cursys
-		rem, err := p.readUserBytes(buf+uint64(cur.prog), n-uint64(cur.prog))
-		if err != nil {
-			return sysdispatch.Errno(EFAULT)
-		}
-		wn, closed := of.pipe.tryWrite(rem, p.unpark)
-		cur.prog += int64(wn)
-		netStats.bytesCopied.Add(uint64(wn))
-		if closed {
-			if cur.prog == 0 {
-				return sysdispatch.Errno(EPIPE)
-			}
-			return sysdispatch.Ok(cur.prog)
-		}
-		if cur.prog < int64(n) {
-			return sysdispatch.ParkedResult
-		}
-		return sysdispatch.Ok(cur.prog)
-	}
-	data, err := p.readUserBytes(buf, n)
-	if err != nil {
-		return sysdispatch.Errno(EFAULT)
-	}
-	wn, werr := of.Write(data)
-	if werr != nil && wn == 0 {
-		return sysdispatch.Errno(EPIPE)
-	}
-	netStats.bytesCopied.Add(uint64(wn))
-	return sysdispatch.Ok(int64(wn))
+	return p.writeSpans(of, []sysdispatch.Iovec{{Base: a[1], Len: a[2]}})
 }
 
-// sysRead is the SIP read(2)/recv(2): pipe and socket reads park until
-// data or close (O_NONBLOCK sockets return EAGAIN instead); nodes use
-// the immediate path.
+// sysRead is the SIP read(2)/recv(2): the one-span case of readv.
 func sysRead(k sysdispatch.Kernel, a *[5]uint64) sysdispatch.Result {
 	p := k.(*Proc)
-	fd, buf, n := int(int64(a[0])), a[1], a[2]
-	of, ok := p.getFD(fd)
+	of, ok := p.getFD(int(int64(a[0])))
 	if !ok {
 		return sysdispatch.Errno(EBADF)
 	}
-	if n > sysdispatch.MaxUserBuf || !p.inData(buf, n) {
-		return sysdispatch.Errno(EFAULT)
-	}
-	tmp := make([]byte, n)
-	var rn int
-	switch of.kind {
-	case kindPipeR:
-		var eof, parked bool
-		rn, eof, parked = of.pipe.tryRead(tmp, p.unpark)
-		if parked {
-			return sysdispatch.ParkedResult
-		}
-		if eof {
-			return sysdispatch.Ok(0)
-		}
-	case kindSock:
-		of.mu.Lock()
-		conn := of.conn
-		of.mu.Unlock()
-		if conn == nil {
-			return sysdispatch.Errno(ENOTCONN)
-		}
-		wait := p.unpark
-		if of.nonblock.Load() {
-			wait = nil
-		}
-		var eof, wouldBlock bool
-		rn, eof, wouldBlock = conn.TryRead(tmp, wait)
-		if rn > 0 {
-			of.touch()
-		}
-		if wouldBlock {
-			if wait == nil {
-				netStats.eagains.Add(1)
-				return sysdispatch.Errno(EAGAIN)
-			}
-			netStats.recvParks.Add(1)
-			return sysdispatch.ParkedResult
-		}
-		if eof {
-			return sysdispatch.Ok(0)
-		}
-	default:
-		var err error
-		rn, err = of.Read(tmp)
-		if err != nil && err != io.EOF && rn == 0 {
-			return sysdispatch.Errno(EIO)
-		}
-	}
-	if rn > 0 {
-		if werr := p.writeUserBytes(buf, tmp[:rn]); werr != nil {
-			return sysdispatch.Errno(EFAULT)
-		}
-		netStats.bytesCopied.Add(uint64(rn))
-	}
-	return sysdispatch.Ok(int64(rn))
-}
-
-// sockSend is the socket half of sysWrite: like pipe writes it copies
-// only the unsent remainder each retry (cursys.prog) and parks when the
-// peer's receive buffer is full; O_NONBLOCK returns the partial count,
-// or EAGAIN when nothing fit.
-func (p *Proc) sockSend(of *OpenFile, buf, n uint64) sysdispatch.Result {
-	of.mu.Lock()
-	conn := of.conn
-	of.mu.Unlock()
-	if conn == nil {
-		return sysdispatch.Errno(ENOTCONN)
-	}
-	cur := p.cursys
-	rem, err := p.readUserBytes(buf+uint64(cur.prog), n-uint64(cur.prog))
-	if err != nil {
-		return sysdispatch.Errno(EFAULT)
-	}
-	wait := p.unpark
-	if of.nonblock.Load() {
-		wait = nil
-	}
-	wn, closed, wouldBlock := conn.TryWrite(rem, wait)
-	cur.prog += int64(wn)
-	netStats.bytesCopied.Add(uint64(wn))
-	if wn > 0 {
-		of.touch()
-	}
-	if closed {
-		if cur.prog == 0 {
-			return sysdispatch.Errno(EPIPE)
-		}
-		return sysdispatch.Ok(cur.prog)
-	}
-	if wouldBlock {
-		if wait == nil {
-			if cur.prog > 0 {
-				return sysdispatch.Ok(cur.prog)
-			}
-			netStats.eagains.Add(1)
-			return sysdispatch.Errno(EAGAIN)
-		}
-		netStats.sendParks.Add(1)
-		return sysdispatch.ParkedResult
-	}
-	return sysdispatch.Ok(cur.prog)
+	return p.readSpans(of, []sysdispatch.Iovec{{Base: a[1], Len: a[2]}})
 }
 
 func sysOpen(k sysdispatch.Kernel, path string, flags uint64) (sysdispatch.File, int64) {
@@ -335,9 +193,15 @@ func sysMmap(k sysdispatch.Kernel, a *[5]uint64) sysdispatch.Result {
 	addr := p.heapPtr
 	p.heapPtr += length
 	// mmap must return zeroed pages even if a previous user of this
-	// heap range dirtied them within this process lifetime.
-	zero := make([]byte, length)
-	if f := p.os.enclave.WriteAt(addr, zero); f != nil {
+	// heap range dirtied them within this process lifetime. Cleared in
+	// place through a write loan: the permission check and exec-stamp
+	// of WriteAt, without staging a zero buffer the size of the mapping.
+	v, f := p.os.enclave.ViewBytes(addr, int(length), mem.AccessWrite)
+	if f != nil {
+		return sysdispatch.Errno(ENOMEM)
+	}
+	clear(v.B)
+	if !v.CommitWrite(len(v.B)) {
 		return sysdispatch.Errno(ENOMEM)
 	}
 	return sysdispatch.Ok(int64(addr))

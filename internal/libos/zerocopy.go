@@ -7,13 +7,14 @@ package libos
 // Copy discipline (the numbers -netstats reports as bytes-lent vs
 // bytes-copied):
 //
-//   - readv/writev lend the guest spans in place (mem.ViewBytes) and
-//     move them with exactly one copy, guest memory ↔ ring/file. The
-//     scalar read/write paths stage through a per-syscall temp buffer
-//     and pay two.
+//   - read/write/send/recv and readv/writev share one body per
+//     direction (readSpans/writeSpans; a scalar call is a one-span
+//     vector). It lends the guest spans in place (mem.ViewBytes) and
+//     moves them with exactly one copy, guest memory ↔ ring/file.
 //   - sendfile lends verified image-cache blocks straight into the
 //     socket ring: zero guest-memory traffic, one in-enclave copy into
-//     the ring. Non-image nodes fall back to a staging read.
+//     the ring. Non-image nodes fall back to a staging read — the only
+//     bytes-copied traffic left.
 //   - splice moves bytes ring-to-ring through the pipe's borrow API:
 //     no guest memory, no staging buffer — bytes-copied stays 0.
 //
@@ -25,8 +26,8 @@ package libos
 // publishing bytes under a dead mapping.
 
 import (
-	"encoding/binary"
 	"io"
+	"sync/atomic"
 
 	"repro/internal/fs"
 	"repro/internal/hostos"
@@ -35,10 +36,10 @@ import (
 )
 
 // viewUserBytes lends [addr, addr+n) of the calling SIP's data region
-// as a mem.View — the zero-copy replacement for readUserBytes'
+// as a mem.View — the data path's replacement for readUserBytes'
 // copy-out. The domain-region check is the same; page permissions are
-// additionally enforced by the loan (the scalar path's ReadDirect is
-// blind to them), so a span over unmapped guard pages faults here.
+// additionally enforced by the loan (readUserBytes' ReadDirect is blind
+// to them), so a span over unmapped guard pages faults here.
 func (p *Proc) viewUserBytes(addr, n uint64, access mem.Access) (mem.View, bool) {
 	if n > sysdispatch.MaxUserBuf || !p.inData(addr, n) {
 		return mem.View{}, false
@@ -50,95 +51,69 @@ func (p *Proc) viewUserBytes(addr, n uint64, access mem.Access) (mem.View, bool)
 	return v, true
 }
 
-type iovec struct {
-	base, n uint64
-}
-
-// readIov unmarshals an iovec array (16-byte {base, len} entries) from
-// guest memory, enforcing the spine's IovMax and MaxUserBuf caps on
-// the count and the summed length. Span addresses are validated lazily
-// at use, giving the Linux partial-progress semantics for a fault in
-// the middle of the array.
-func (p *Proc) readIov(ptr, cnt uint64) ([]iovec, int64) {
-	if cnt > sysdispatch.IovMax {
-		return nil, -EINVAL
-	}
-	if cnt == 0 {
-		return nil, 0
-	}
-	raw, err := p.readUserBytes(ptr, cnt*sysdispatch.IovEntrySize)
-	if err != nil {
-		return nil, -EFAULT
-	}
-	iov := make([]iovec, cnt)
-	var total uint64
-	for i := range iov {
-		e := raw[i*sysdispatch.IovEntrySize:]
-		iov[i] = iovec{base: binary.LittleEndian.Uint64(e), n: binary.LittleEndian.Uint64(e[8:])}
-		total += iov[i].n
-		if iov[i].n > sysdispatch.MaxUserBuf || total > sysdispatch.MaxUserBuf {
-			return nil, -EINVAL
-		}
-	}
-	return iov, 0
-}
-
-func iovTotal(iov []iovec) int64 {
-	var t int64
-	for _, v := range iov {
-		t += int64(v.n)
-	}
-	return t
-}
-
-// sysWritev is writev(fd, iovPtr, iovCnt): gather-write the iovec spans
-// in order, lending each span from guest memory instead of staging it.
-// Partial progress composes with the park/resume protocol exactly as
-// sysWrite does — cursys.prog records bytes already queued, and every
-// re-dispatch re-lends only the unsent remainder — and with O_NONBLOCK
-// on sockets (partial count, or EAGAIN when nothing fit). A fault
-// address in the middle of the array returns the bytes written before
-// it, or EFAULT when it comes first.
+// sysWritev is writev(fd, iovPtr, iovCnt); sysReadv is readv. Both
+// unmarshal the iovec array and run the span bodies below, counting a
+// completed call (any result the guest sees that is not an error) in
+// the writevs/readvs ledger — scalar calls run the same bodies and are
+// not counted.
 func sysWritev(k sysdispatch.Kernel, a *[5]uint64) sysdispatch.Result {
-	p := k.(*Proc)
+	return vectored(k.(*Proc), a, (*Proc).writeSpans, &netStats.writevs)
+}
+
+func sysReadv(k sysdispatch.Kernel, a *[5]uint64) sysdispatch.Result {
+	return vectored(k.(*Proc), a, (*Proc).readSpans, &netStats.readvs)
+}
+
+func vectored(p *Proc, a *[5]uint64,
+	spans func(*Proc, *OpenFile, []sysdispatch.Iovec) sysdispatch.Result, calls *atomic.Uint64) sysdispatch.Result {
 	of, ok := p.getFD(int(int64(a[0])))
 	if !ok {
 		return sysdispatch.Errno(EBADF)
 	}
-	iov, e := p.readIov(a[1], a[2])
+	iov, e := sysdispatch.ReadIovec(p, a[1], a[2])
 	if e != 0 {
 		return sysdispatch.Ok(e)
 	}
+	r := spans(p, of, iov)
+	if !r.Parked && r.Ret >= 0 {
+		calls.Add(1)
+	}
+	return r
+}
+
+// writeSpans is the one write path of the LibOS: gather-write the spans
+// in order to a socket, pipe or node, lending each span from guest
+// memory instead of staging it. Pipes and sockets park when the ring is
+// full, and partial progress composes with the park/resume protocol —
+// cursys.prog records bytes already queued, and every re-dispatch
+// re-lends only the unsent remainder, so no byte is sent twice. An
+// O_NONBLOCK socket returns the partial count, or EAGAIN when nothing
+// fit. A faulting span returns the bytes written before it, or EFAULT
+// when it comes first.
+func (p *Proc) writeSpans(of *OpenFile, iov []sysdispatch.Iovec) sysdispatch.Result {
 	if of.kind != kindSock && of.kind != kindPipeW && of.kind != kindNode {
 		return sysdispatch.Errno(EBADF)
 	}
-	var conn = of.connLocked()
+	conn := of.connLocked()
 	if of.kind == kindSock && conn == nil {
 		return sysdispatch.Errno(ENOTCONN)
 	}
 	cur := p.cursys
-	total := iovTotal(iov)
 	wait := p.unpark
 	if of.kind == kindSock && of.nonblock.Load() {
 		wait = nil
 	}
-
-	done := func(r sysdispatch.Result) sysdispatch.Result {
-		netStats.writevs.Add(1)
-		return r
-	}
-	skip := cur.prog
+	skip := uint64(cur.prog)
 	for _, seg := range iov {
-		if skip >= int64(seg.n) {
-			skip -= int64(seg.n)
+		if skip >= seg.Len {
+			skip -= seg.Len
 			continue
 		}
-		addr, n := seg.base+uint64(skip), seg.n-uint64(skip)
+		v, ok := p.viewUserBytes(seg.Base+skip, seg.Len-skip, mem.AccessRead)
 		skip = 0
-		v, ok := p.viewUserBytes(addr, n, mem.AccessRead)
 		if !ok {
 			if cur.prog > 0 {
-				return done(sysdispatch.Ok(cur.prog))
+				break
 			}
 			return sysdispatch.Errno(EFAULT)
 		}
@@ -164,7 +139,7 @@ func sysWritev(k sysdispatch.Kernel, a *[5]uint64) sysdispatch.Result {
 		cur.prog += int64(wn)
 		if closed {
 			if cur.prog > 0 {
-				return done(sysdispatch.Ok(cur.prog))
+				break
 			}
 			return sysdispatch.Errno(EPIPE)
 		}
@@ -175,7 +150,7 @@ func sysWritev(k sysdispatch.Kernel, a *[5]uint64) sysdispatch.Result {
 			}
 			if wait == nil {
 				if cur.prog > 0 {
-					return done(sysdispatch.Ok(cur.prog))
+					break
 				}
 				netStats.eagains.Add(1)
 				return sysdispatch.Errno(EAGAIN)
@@ -184,29 +159,17 @@ func sysWritev(k sysdispatch.Kernel, a *[5]uint64) sysdispatch.Result {
 			return sysdispatch.ParkedResult
 		}
 	}
-	if cur.prog != total {
-		// A node write came up short without erroring; report what went.
-		return done(sysdispatch.Ok(cur.prog))
-	}
-	return done(sysdispatch.Ok(total))
+	return sysdispatch.Ok(cur.prog)
 }
 
-// sysReadv is readv(fd, iovPtr, iovCnt): scatter-read into the iovec
+// readSpans is the one read path of the LibOS: scatter-read into the
 // spans, lending each span writable and committing the fill through
 // the loan protocol (a span remapped mid-fill fails EFAULT instead of
-// landing bytes under the new mapping). Like scalar read it returns as
-// soon as at least one byte arrived; it parks (or EAGAINs under
-// O_NONBLOCK) only when nothing is available.
-func sysReadv(k sysdispatch.Kernel, a *[5]uint64) sysdispatch.Result {
-	p := k.(*Proc)
-	of, ok := p.getFD(int(int64(a[0])))
-	if !ok {
-		return sysdispatch.Errno(EBADF)
-	}
-	iov, e := p.readIov(a[1], a[2])
-	if e != 0 {
-		return sysdispatch.Ok(e)
-	}
+// landing bytes under the new mapping). It returns as soon as at least
+// one byte arrived and parks (or EAGAINs under O_NONBLOCK) only when
+// nothing is available; empty spans are skipped, so a zero-length read
+// returns 0 without waiting.
+func (p *Proc) readSpans(of *OpenFile, iov []sysdispatch.Iovec) sysdispatch.Result {
 	if of.kind != kindSock && of.kind != kindPipeR && of.kind != kindNode {
 		return sysdispatch.Errno(EBADF)
 	}
@@ -217,18 +180,14 @@ func sysReadv(k sysdispatch.Kernel, a *[5]uint64) sysdispatch.Result {
 	nonblock := of.kind == kindSock && of.nonblock.Load()
 
 	var total int64
-	done := func() sysdispatch.Result {
-		netStats.readvs.Add(1)
-		return sysdispatch.Ok(total)
-	}
 	for _, seg := range iov {
-		if seg.n == 0 {
+		if seg.Len == 0 {
 			continue
 		}
-		v, ok := p.viewUserBytes(seg.base, seg.n, mem.AccessWrite)
+		v, ok := p.viewUserBytes(seg.Base, seg.Len, mem.AccessWrite)
 		if !ok {
 			if total > 0 {
-				return done()
+				break
 			}
 			return sysdispatch.Errno(EFAULT)
 		}
@@ -256,15 +215,15 @@ func sysReadv(k sysdispatch.Kernel, a *[5]uint64) sysdispatch.Result {
 			rn, rerr = of.Read(v.B)
 			if rerr != nil && rerr != io.EOF && rn == 0 {
 				if total > 0 {
-					return done()
+					return sysdispatch.Ok(total)
 				}
 				return sysdispatch.Errno(EIO)
 			}
-			eof = rerr == io.EOF || rn < len(v.B)
+			eof = rerr == io.EOF
 		}
 		if stall {
 			if total > 0 {
-				return done()
+				break
 			}
 			if nonblock {
 				netStats.eagains.Add(1)
@@ -286,7 +245,7 @@ func sysReadv(k sysdispatch.Kernel, a *[5]uint64) sysdispatch.Result {
 			break
 		}
 	}
-	return done()
+	return sysdispatch.Ok(total)
 }
 
 // sysSendfile is sendfile(outfd, infd, off, count): pump file bytes to

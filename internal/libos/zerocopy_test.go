@@ -13,6 +13,7 @@ import (
 	"repro/internal/hostos"
 	"repro/internal/isa"
 	"repro/internal/libos"
+	"repro/internal/sysdispatch"
 	"repro/internal/ulib"
 )
 
@@ -676,5 +677,159 @@ func TestSendfileImageToSocket(t *testing.T) {
 	}
 	if nd.BytesCopied != 0 {
 		t.Fatalf("sendfile staged %d bytes through copies, want 0", nd.BytesCopied)
+	}
+}
+
+// TestScalarReadWriteEdges drives the scalar calls through the span
+// bodies they now share with readv/writev, one guest program checking
+// every row of a table of (call, fd, buffer, count) → result: a
+// zero-length read never waits, descriptions of the wrong kind or
+// direction are EBADF (the POSIX answer, and readv/writev's), an
+// oversized count or a pointer outside the data region is EFAULT, and
+// a pipe without a reader is EPIPE. The exit
+// status names the first failing row. It then writes 200 KiB to a
+// 64 KiB pipe in one call — park, resume, park — and the drain child
+// must receive every byte exactly once.
+func TestScalarReadWriteEdges(t *testing.T) {
+	const port = 7871
+	const outside = 1 << 40 // far outside any domain's data region
+	payload := pat(0x3c, 200<<10)
+	// Registers holding each fd for the table's lifetime.
+	const (
+		pipeR, pipeW = isa.R6, isa.R7
+		listener     = isa.R8
+		conn         = isa.R9 // connected, nothing to receive
+		epoll        = isa.R10
+		noReader     = isa.R11 // write end of a pipe whose reader closed
+		unopened     = isa.R4
+	)
+	cases := []struct {
+		name string
+		no   int64
+		fd   isa.Reg
+		addr int64 // 0: the program's buffer
+		n    int64
+		want int64
+	}{
+		{"read n=0 on an empty pipe", libos.SysRead, pipeR, 0, 0, 0},
+		{"recv n=0 on an empty socket", libos.SysRecv, conn, 0, 0, 0},
+		{"write n=0", libos.SysWrite, pipeW, 0, 0, 0},
+		{"read on an unopened fd", libos.SysRead, unopened, 0, 8, -libos.EBADF},
+		{"write on an unopened fd", libos.SysWrite, unopened, 0, 8, -libos.EBADF},
+		{"read on a pipe's write end", libos.SysRead, pipeW, 0, 8, -libos.EBADF},
+		{"write on a pipe's read end", libos.SysWrite, pipeR, 0, 8, -libos.EBADF},
+		{"read on a listener", libos.SysRead, listener, 0, 8, -libos.EBADF},
+		{"write on a listener", libos.SysWrite, listener, 0, 8, -libos.EBADF},
+		{"read on an epoll fd", libos.SysRead, epoll, 0, 8, -libos.EBADF},
+		{"write on an epoll fd", libos.SysWrite, epoll, 0, 8, -libos.EBADF},
+		{"read n > MaxUserBuf", libos.SysRead, pipeR, 0, sysdispatch.MaxUserBuf + 1, -libos.EFAULT},
+		{"write n > MaxUserBuf", libos.SysWrite, pipeW, 0, sysdispatch.MaxUserBuf + 1, -libos.EFAULT},
+		{"read into a pointer outside the data region", libos.SysRead, pipeR, outside, 8, -libos.EFAULT},
+		{"write from a pointer outside the data region", libos.SysWrite, pipeW, outside, 8, -libos.EFAULT},
+		{"write to a pipe whose reader closed", libos.SysWrite, noReader, 0, 8, -libos.EPIPE},
+	}
+
+	var out syncBuffer
+	sys, tc := bootSmall(t, 4, 2, 0, nil)
+	defer sys.OS.Shutdown()
+	drain := buildProg(t, func(b *asm.Builder) {
+		b.Zero("buf", 4096)
+		b.Entry("_start")
+		ulib.Prologue(b)
+		b.MovRI(isa.R1, 61)
+		ulib.Syscall(b, libos.SysClose)
+		b.Label("loop")
+		b.LeaData(isa.R2, "buf")
+		b.MovRI(isa.R3, 4096)
+		ulib.Read(b, 60, isa.R2, isa.R3)
+		b.CmpI(isa.R0, 0)
+		b.Jle("done")
+		b.MovRR(isa.R3, isa.R0)
+		b.LeaData(isa.R2, "buf")
+		ulib.Write(b, 1, isa.R2, isa.R3)
+		b.Jmp("loop")
+		b.Label("done")
+		b.Nop()
+		ulib.Exit(b, 0)
+	})
+	prog := buildProg(t, func(b *asm.Builder) {
+		b.Bytes("buf", payload)
+		b.Zero("fds", 16)
+		b.String("drain", "/bin/drain")
+		b.Entry("_start")
+		ulib.Prologue(b)
+		loadFDs := func(r, w isa.Reg) {
+			ulib.Pipe2(b, "fds")
+			b.LoadData(r, "fds")
+			b.LeaData(w, "fds")
+			b.Load(w, isa.Mem(w, 8))
+		}
+		loadFDs(pipeR, pipeW)
+		loadFDs(isa.R1, noReader)
+		ulib.Syscall(b, libos.SysClose)
+		ulib.Socket(b)
+		b.MovRR(listener, isa.R0)
+		ulib.Bind(b, listener, port)
+		ulib.ListenSock(b, listener)
+		ulib.Socket(b)
+		b.MovRR(conn, isa.R0)
+		ulib.Connect(b, conn, port)
+		ulib.EpCreate(b)
+		b.MovRR(epoll, isa.R0)
+		b.MovRI(unopened, 999)
+		for i, c := range cases {
+			b.MovRR(isa.R1, c.fd)
+			if c.addr == 0 {
+				b.LeaData(isa.R2, "buf")
+			} else {
+				b.MovRI(isa.R2, c.addr)
+			}
+			b.MovRI(isa.R3, c.n)
+			ulib.Syscall(b, c.no)
+			b.CmpI(isa.R0, int32(c.want))
+			b.Jne(fmt.Sprintf("fail%d", i))
+		}
+		// One 200 KiB write into the 64 KiB ring, drained by a child.
+		b.MovRI(isa.R5, 60)
+		ulib.Dup2(b, pipeR, isa.R5)
+		ulib.Close(b, pipeR)
+		b.MovRI(isa.R5, 61)
+		ulib.Dup2(b, pipeW, isa.R5)
+		ulib.Close(b, pipeW)
+		ulib.Close(b, noReader)
+		ulib.SpawnPath(b, "drain", 10, "", 0)
+		b.MovRR(isa.R6, isa.R0)
+		b.MovRI(isa.R1, 60)
+		ulib.Syscall(b, libos.SysClose)
+		ulib.WriteStr(b, 61, "buf", int64(len(payload)))
+		b.CmpI(isa.R0, int32(len(payload)))
+		b.Jne(fmt.Sprintf("fail%d", len(cases)))
+		b.MovRI(isa.R1, 61)
+		ulib.Syscall(b, libos.SysClose)
+		ulib.Wait4(b, isa.R6)
+		ulib.Exit(b, 0)
+		for i := 0; i <= len(cases); i++ {
+			b.Label(fmt.Sprintf("fail%d", i))
+			b.Nop()
+			ulib.Exit(b, int64(i+1))
+		}
+	})
+	for path, p := range map[string]*asm.Program{"/bin/drain": drain, "/bin/edges": prog} {
+		if err := sys.Install(tc, path, path, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p, err := sys.OS.Spawn("/bin/edges", nil, libos.SpawnOpt{Stdout: libos.NewWriterFile(&out)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	switch status := waitTimeout(t, p, 30*time.Second, "scalar edge-case SIP"); {
+	case status == len(cases)+1:
+		t.Fatal("200 KiB write to a 64 KiB pipe did not report every byte written")
+	case status != 0:
+		t.Fatalf("%s: wrong result (exit status %d)", cases[status-1].name, status)
+	}
+	if got := out.snapshot(); !bytes.Equal(got, payload) {
+		t.Fatalf("drain received %d bytes, want the %d written, each once", len(got), len(payload))
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"repro/internal/asm"
+	"repro/internal/hostos"
 	"repro/internal/isa"
 	"repro/internal/libos"
 	"repro/internal/mem"
@@ -102,29 +103,7 @@ func newSysTable() *sysdispatch.Table {
 	t.Register(libos.SysFutex, func(k sysdispatch.Kernel, a *[5]uint64) sysdispatch.Result {
 		return sysdispatch.Ok(k.(*Proc).sysFutex(a[0], a[1], a[2]))
 	})
-	t.Register(libos.SysSocket, sysdispatch.SocketHandler(func(sysdispatch.Kernel) sysdispatch.File {
-		return libos.NewSocketFile()
-	}))
-	t.Register(libos.SysBind, withOF(func(p *Proc, of *libos.OpenFile, a *[5]uint64) int64 {
-		if err := of.BindHost(p.l.host, uint16(a[1])); err != nil {
-			return -libos.EACCES
-		}
-		return 0
-	}))
-	t.Register(libos.SysListen, sysdispatch.Listen)
-	t.Register(libos.SysAccept, withOF(func(p *Proc, of *libos.OpenFile, _ *[5]uint64) int64 {
-		nf, err := of.AcceptHost()
-		if err != nil {
-			return -libos.EIO
-		}
-		return int64(p.fds.Install(nf))
-	}))
-	t.Register(libos.SysConnect, withOF(func(p *Proc, of *libos.OpenFile, a *[5]uint64) int64 {
-		if err := of.ConnectHost(p.l.host, uint16(a[1])); err != nil {
-			return -libos.ECONNREFUSED
-		}
-		return 0
-	}))
+	libos.RegisterHostSockets(t, func(k sysdispatch.Kernel) *hostos.Host { return k.(*Proc).l.host })
 	t.Register(libos.SysLseek, sysdispatch.Lseek)
 	t.Register(libos.SysClock, sysdispatch.Clock)
 	t.Register(libos.SysYield, func(sysdispatch.Kernel, *[5]uint64) sysdispatch.Result {
@@ -149,23 +128,6 @@ func newSysTable() *sysdispatch.Table {
 		return sysdispatch.Ok(0)
 	})
 	return t
-}
-
-// withOF adapts a handler over the baseline's socket descriptions
-// (which are libos.OpenFile, shared with the LibOS fd layer).
-func withOF(f func(p *Proc, of *libos.OpenFile, a *[5]uint64) int64) sysdispatch.Handler {
-	return func(k sysdispatch.Kernel, a *[5]uint64) sysdispatch.Result {
-		p := k.(*Proc)
-		file, ok := p.fds.Get(int(int64(a[0])))
-		if !ok {
-			return sysdispatch.Errno(libos.EBADF)
-		}
-		of, ok := file.(*libos.OpenFile)
-		if !ok {
-			return sysdispatch.Errno(libos.EBADF)
-		}
-		return sysdispatch.Ok(f(p, of, a))
-	}
 }
 
 // syscall dispatches one trap through the shared table. Returns true

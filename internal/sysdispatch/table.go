@@ -281,59 +281,38 @@ func SocketHandler(newSock func(k Kernel) File) Handler {
 	}
 }
 
-// BlockingRead is the shared read(2)/recv(2) for kernels whose processes
-// own a goroutine and may block inside the handler. Parking kernels
-// register their own read handler instead.
-func BlockingRead(k Kernel, a *[5]uint64) Result {
-	fd, buf, n := int(int64(a[0])), a[1], a[2]
-	if n > MaxUserBuf {
-		return Errno(EINVAL)
-	}
-	f, ok := k.FDs().Get(fd)
-	if !ok {
-		return Errno(EBADF)
-	}
-	tmp := make([]byte, n)
-	rn, err := f.Read(tmp)
-	if err != nil && err != io.EOF && rn == 0 {
-		return Errno(EIO)
-	}
-	if rn > 0 {
-		if k.WriteUser(buf, tmp[:rn]) != nil {
-			return Errno(EFAULT)
-		}
-	}
-	return Ok(int64(rn))
-}
+// Iovec is one {base, len} span of user memory. A scalar read or write
+// is the one-span case of the vectored transfer, in every kernel.
+type Iovec struct{ Base, Len uint64 }
 
 // ReadIovec unmarshals an iovec array (IovEntrySize-byte {base, len}
 // little-endian entries) from user memory, enforcing IovMax on the
 // count and MaxUserBuf on each span and on the summed length. The
-// spans themselves are validated lazily when dereferenced.
-func ReadIovec(k Kernel, ptr, cnt uint64) (base, length []uint64, e int64) {
+// spans themselves are validated lazily when dereferenced, giving the
+// Linux partial-progress semantics for a fault in the middle of the
+// array.
+func ReadIovec(k Kernel, ptr, cnt uint64) ([]Iovec, int64) {
 	if cnt > IovMax {
-		return nil, nil, -EINVAL
+		return nil, -EINVAL
 	}
 	if cnt == 0 {
-		return nil, nil, 0
+		return nil, 0
 	}
 	raw, err := k.ReadUser(ptr, cnt*IovEntrySize)
 	if err != nil {
-		return nil, nil, -EFAULT
+		return nil, -EFAULT
 	}
-	base = make([]uint64, cnt)
-	length = make([]uint64, cnt)
+	iov := make([]Iovec, cnt)
 	var total uint64
-	for i := range base {
+	for i := range iov {
 		ent := raw[i*IovEntrySize:]
-		base[i] = le64(ent)
-		length[i] = le64(ent[8:])
-		total += length[i]
-		if length[i] > MaxUserBuf || total > MaxUserBuf {
-			return nil, nil, -EINVAL
+		iov[i] = Iovec{Base: le64(ent), Len: le64(ent[8:])}
+		total += iov[i].Len
+		if iov[i].Len > MaxUserBuf || total > MaxUserBuf {
+			return nil, -EINVAL
 		}
 	}
-	return base, length, 0
+	return iov, 0
 }
 
 func le64(b []byte) uint64 {
@@ -341,25 +320,48 @@ func le64(b []byte) uint64 {
 		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
 }
 
-// BlockingReadv is the shared readv(2) for goroutine-per-process
-// kernels: scatter the blocking File.Read stream across the iovec
-// spans, returning at the first short fill (byte-identical to a scalar
-// read loop over the same spans).
-func BlockingReadv(k Kernel, a *[5]uint64) Result {
+// BlockingRead, BlockingWrite, BlockingReadv and BlockingWritev are the
+// shared read(2)/recv(2), write(2)/send(2), readv(2) and writev(2) for
+// kernels whose processes own a goroutine and may block inside the
+// handler (parking kernels register their own). All four run the same
+// two span loops; the scalar calls pass their buffer as the only span.
+func BlockingRead(k Kernel, a *[5]uint64) Result   { return blocking(k, a, false, false) }
+func BlockingWrite(k Kernel, a *[5]uint64) Result  { return blocking(k, a, false, true) }
+func BlockingReadv(k Kernel, a *[5]uint64) Result  { return blocking(k, a, true, false) }
+func BlockingWritev(k Kernel, a *[5]uint64) Result { return blocking(k, a, true, true) }
+
+func blocking(k Kernel, a *[5]uint64, vectored, write bool) Result {
 	f, ok := k.FDs().Get(int(int64(a[0])))
 	if !ok {
 		return Errno(EBADF)
 	}
-	base, length, e := ReadIovec(k, a[1], a[2])
-	if e != 0 {
-		return Ok(e)
+	// The loops are called directly, not through a func value, so the
+	// scalar call's one span stays on the stack.
+	iov := []Iovec{{Base: a[1], Len: a[2]}}
+	if vectored {
+		var e int64
+		if iov, e = ReadIovec(k, a[1], a[2]); e != 0 {
+			return Ok(e)
+		}
+	} else if a[2] > MaxUserBuf {
+		return Errno(EINVAL)
 	}
+	if write {
+		return writeSpans(k, f, iov)
+	}
+	return readSpans(k, f, iov)
+}
+
+// readSpans scatters the blocking File.Read stream across the spans,
+// returning at the first short fill. Empty spans are skipped, so a
+// zero-length read returns 0 without waiting for data.
+func readSpans(k Kernel, f File, iov []Iovec) Result {
 	var total int64
-	for i := range base {
-		if length[i] == 0 {
+	for _, v := range iov {
+		if v.Len == 0 {
 			continue
 		}
-		tmp := make([]byte, length[i])
+		tmp := make([]byte, v.Len)
 		rn, err := f.Read(tmp)
 		if err != nil && err != io.EOF && rn == 0 {
 			if total > 0 {
@@ -368,7 +370,7 @@ func BlockingReadv(k Kernel, a *[5]uint64) Result {
 			return Errno(EIO)
 		}
 		if rn > 0 {
-			if k.WriteUser(base[i], tmp[:rn]) != nil {
+			if k.WriteUser(v.Base, tmp[:rn]) != nil {
 				if total > 0 {
 					break
 				}
@@ -383,25 +385,16 @@ func BlockingReadv(k Kernel, a *[5]uint64) Result {
 	return Ok(total)
 }
 
-// BlockingWritev is the shared writev(2) counterpart of BlockingReadv:
-// gather the iovec spans through blocking File.Write calls in order,
-// reporting partial progress when a later span faults or comes up
-// short.
-func BlockingWritev(k Kernel, a *[5]uint64) Result {
-	f, ok := k.FDs().Get(int(int64(a[0])))
-	if !ok {
-		return Errno(EBADF)
-	}
-	base, length, e := ReadIovec(k, a[1], a[2])
-	if e != 0 {
-		return Ok(e)
-	}
+// writeSpans gathers the spans through blocking File.Write calls in
+// order, reporting partial progress when a later span faults or comes
+// up short.
+func writeSpans(k Kernel, f File, iov []Iovec) Result {
 	var total int64
-	for i := range base {
-		if length[i] == 0 {
+	for _, v := range iov {
+		if v.Len == 0 {
 			continue
 		}
-		data, err := k.ReadUser(base[i], length[i])
+		data, err := k.ReadUser(v.Base, v.Len)
 		if err != nil {
 			if total > 0 {
 				break
@@ -421,28 +414,6 @@ func BlockingWritev(k Kernel, a *[5]uint64) Result {
 		}
 	}
 	return Ok(total)
-}
-
-// BlockingWrite is the shared write(2)/send(2) counterpart of
-// BlockingRead.
-func BlockingWrite(k Kernel, a *[5]uint64) Result {
-	fd, buf, n := int(int64(a[0])), a[1], a[2]
-	if n > MaxUserBuf {
-		return Errno(EINVAL)
-	}
-	f, ok := k.FDs().Get(fd)
-	if !ok {
-		return Errno(EBADF)
-	}
-	data, err := k.ReadUser(buf, n)
-	if err != nil {
-		return Errno(EFAULT)
-	}
-	wn, werr := f.Write(data)
-	if werr != nil && wn == 0 {
-		return Errno(EPIPE)
-	}
-	return Ok(int64(wn))
 }
 
 // --- File-descriptor table -----------------------------------------------
