@@ -2,54 +2,119 @@ package bench
 
 import (
 	"repro/internal/fs"
+	"repro/internal/mem"
 	"repro/internal/mmdsfi"
 	"repro/internal/workloads/specint"
 
 	"bytes"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 )
 
-// TestShapeFig6aSpawn checks the paper's central result: Occlum spawn is
-// orders of magnitude cheaper than Graphene-SGX spawn and scales with
-// binary size, while Linux is flat-ish and Graphene is flat-and-huge.
+// TestShapeFig6aSpawn asserts what is exact about Figure 6a, on the
+// Occlum kernel's own spawn counters. However many times a binary is
+// spawned it is read through the encrypted FS and verified once, on the
+// first spawn (the paper's size-proportional cost, now paid per binary);
+// every spawn, first or repeat, loads the whole image into its domain;
+// and an exit scrubs the pages the SIP's image and stack dirtied, not the
+// domain reserved for it. That Graphene pays an enclave per spawn and
+// Occlum's first spawn grows with size are wall clock:
+// TestFig6aSpawnRegression.
 func TestShapeFig6aSpawn(t *testing.T) {
-	if raceEnabled {
-		t.Skip("wall-clock shape distorted by race instrumentation")
-	}
-	tab, err := Fig6aSpawn(Quick())
+	s := Quick()
+	tab, counts, err := fig6aSpawn(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	byLabel := map[string][]float64{}
+	var labels []string
 	for _, r := range tab.Rows {
-		byLabel[r.Label] = r.Values
+		labels = append(labels, r.Label)
+		if len(r.Values) != len(s.SpawnSizes) {
+			t.Errorf("row %q has %d values, want %d", r.Label, len(r.Values), len(s.SpawnSizes))
+		}
 	}
-	linux, occ, gra := byLabel["Linux"], byLabel["Occlum"], byLabel["Graphene-SGX"]
-	if len(linux) != 3 || len(occ) != 3 || len(gra) != 3 {
-		t.Fatalf("rows missing: %v", byLabel)
+	if want := []string{"Linux", "Occlum (first spawn)", "Occlum", "Graphene-SGX"}; !slices.Equal(labels, want) {
+		t.Fatalf("rows %q, want %q", labels, want)
 	}
-	// The paper's headline: for small binaries Graphene pays the full
-	// enclave-creation price while Occlum reuses a preallocated domain
-	// (6,600× in the paper; the factor here depends on the configured
-	// enclave size, but must be large).
-	if gra[0] < occ[0]*10 {
-		t.Errorf("small binary: Graphene %.3fms only %.1fx Occlum %.3fms — enclave cost missing",
-			gra[0], gra[0]/occ[0], occ[0])
+	if len(counts) != len(s.SpawnSizes) {
+		t.Fatalf("%d Occlum count records, want %d", len(counts), len(s.SpawnSizes))
 	}
-	// Occlum's spawn grows with binary size (no demand paging in an
-	// enclave), Figure 6a's second observation.
-	if !(occ[2] > occ[0]*2) {
-		t.Errorf("Occlum spawn not size-proportional: %v", occ)
+	spec := s.kernelSpec()
+	domainPages := (spec.DomainCode + spec.DomainData) / mem.PageSize
+	for i, sb := range s.SpawnSizes {
+		first, rep := counts[i].First, counts[i].Repeat
+		image := first.ImageBytesLoaded
+		if image < uint64(sb.Pad) || first.ImageBytesRead <= image {
+			t.Errorf("%s: first spawn loaded %d bytes and read %d, for %d bytes of padding", sb.Name, image, first.ImageBytesRead, sb.Pad)
+		}
+		if first.ImagesVerified != 1 || first.ImageCacheHits != 0 || first.Exits != 1 {
+			t.Errorf("%s: first spawn %+v, want 1 verify, 0 hits, 1 exit", sb.Name, first)
+		}
+		if rep.ImagesVerified != 0 || rep.ImageBytesRead != 0 || rep.ImageCacheHits != spawnRepeats || rep.Exits != spawnRepeats {
+			t.Errorf("%s: %d repeat spawns %+v, want 0 verifies, 0 bytes read, all hits", sb.Name, spawnRepeats, rep)
+		}
+		if rep.ImageBytesLoaded != spawnRepeats*image {
+			t.Errorf("%s: repeat spawns loaded %d bytes, want %d x %d", sb.Name, rep.ImageBytesLoaded, spawnRepeats, image)
+		}
+		// Code, data, trampoline and the auxv/stack top: the image's
+		// pages plus a small constant, per exit.
+		if perExit, bound := (first.PagesScrubbed+rep.PagesScrubbed)/(1+spawnRepeats), image/mem.PageSize+16; perExit > bound {
+			t.Errorf("%s: %d pages scrubbed per exit, want ≤ %d", sb.Name, perExit, bound)
+		}
 	}
-	// Graphene's spawn is dominated by the (size-independent) enclave
-	// creation: the large binary costs at most a few times the small.
-	if gra[2] > gra[0]*10 {
-		t.Errorf("Graphene spawn unexpectedly size-dominated: %v", gra)
+	if small := counts[0].Repeat.PagesScrubbed / spawnRepeats; small*64 > domainPages {
+		t.Errorf("smallest binary: %d pages scrubbed per exit of a %d-page domain, want ≪", small, domainPages)
 	}
-	t.Logf("spawn ms: linux=%v occlum=%v graphene=%v", linux, occ, gra)
+}
+
+// TestFig6aSpawnRegression holds Figure 6a's wall-clock shape on the
+// medians of 5 runs: Graphene-SGX pays an enclave creation per spawn
+// (≥ 10x Occlum on the smallest binary; 6,600x in the paper, the factor
+// here depends on the configured enclave size) and is therefore not
+// size-dominated (largest ≤ 10x smallest), while Occlum's first spawn
+// grows with binary size (no demand paging in an enclave: largest > 2x
+// smallest). Wall clock, so it only runs when OCCLUM_BENCH_REGRESS=1.
+func TestFig6aSpawnRegression(t *testing.T) {
+	if os.Getenv("OCCLUM_BENCH_REGRESS") == "" {
+		t.Skip("set OCCLUM_BENCH_REGRESS=1 to run the bench smoke")
+	}
+	if raceEnabled {
+		t.Skip("wall-clock ratios are not meaningful under the race detector")
+	}
+	const runs = 5
+	var graOverOcc, occGrowth, graGrowth []float64
+	for run := 0; run < runs; run++ {
+		tab, err := Fig6aSpawn(Quick())
+		if err != nil {
+			t.Fatal(err)
+		}
+		byLabel := map[string][]float64{}
+		for _, r := range tab.Rows {
+			byLabel[r.Label] = r.Values
+		}
+		first, occ, gra := byLabel["Occlum (first spawn)"], byLabel["Occlum"], byLabel["Graphene-SGX"]
+		last := len(occ) - 1
+		graOverOcc = append(graOverOcc, gra[0]/occ[0])
+		occGrowth = append(occGrowth, first[last]/first[0])
+		graGrowth = append(graGrowth, gra[last]/gra[0])
+	}
+	for _, r := range [][]float64{graOverOcc, occGrowth, graGrowth} {
+		sort.Float64s(r)
+	}
+	t.Logf("medians of %d: Graphene/Occlum smallest %.1fx of %.1f; Occlum first spawn largest/smallest %.1fx of %.1f; Graphene largest/smallest %.1fx of %.1f",
+		runs, graOverOcc[runs/2], graOverOcc, occGrowth[runs/2], occGrowth, graGrowth[runs/2], graGrowth)
+	if graOverOcc[runs/2] < 10 {
+		t.Errorf("smallest binary: Graphene-SGX only %.1fx Occlum — enclave cost missing", graOverOcc[runs/2])
+	}
+	if occGrowth[runs/2] <= 2 {
+		t.Errorf("Occlum first spawn not size-proportional: largest only %.1fx smallest", occGrowth[runs/2])
+	}
+	if graGrowth[runs/2] > 10 {
+		t.Errorf("Graphene-SGX spawn unexpectedly size-dominated: largest %.1fx smallest", graGrowth[runs/2])
+	}
 }
 
 // TestShapeFig6bPipe asserts what is exact about Figure 6b: all three

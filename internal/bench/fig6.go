@@ -26,10 +26,32 @@ func buildTrivial(pad int) (*asm.Program, error) {
 	return b.Finish()
 }
 
+// spawnRepeats is how many timed spawns follow the first one.
+const spawnRepeats = 3
+
+// spawnCounts is what one Figure 6a binary cost the Occlum kernel in
+// exact counts: First for the spawn right after install, Repeat summed
+// over the spawnRepeats timed spawns that follow.
+type spawnCounts struct {
+	First, Repeat libos.SpawnSnapshot
+}
+
 // Fig6aSpawn measures process-creation latency for three binary sizes
 // (paper: Occlum 97 µs → 63 ms scaling with size; Linux ≈ 170 µs flat;
-// Graphene-SGX 0.64–0.89 s dominated by enclave creation).
+// Graphene-SGX 0.64–0.89 s dominated by enclave creation). Occlum gets
+// two rows: its first spawn of a binary reads the whole image through
+// the encrypted FS and verifies it — the paper's size-proportional cost —
+// and every later spawn of the unchanged file loads the cached image.
 func Fig6aSpawn(s Scale) (*Table, error) {
+	t, _, err := fig6aSpawn(s)
+	return t, err
+}
+
+// fig6aSpawn is Fig6aSpawn that also returns, per binary size, the
+// Occlum kernel's libos.SpawnStats deltas: the counts are exact where the
+// milliseconds are wall clock, so they are what the always-on test
+// asserts.
+func fig6aSpawn(s Scale) (*Table, []spawnCounts, error) {
 	t := &Table{
 		Title:   "Figure 6a — process creation latency by binary size",
 		Columns: make([]string, len(s.SpawnSizes)),
@@ -40,40 +62,65 @@ func Fig6aSpawn(s Scale) (*Table, error) {
 	}
 	kernels, err := workloads.AllKernels(s.kernelSpec())
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
+	var counts []spawnCounts
 	for _, k := range kernels {
-		row := Row{Label: k.Name()}
+		occ, _ := k.(*workloads.OcclumKernel)
+		first, row := Row{Label: k.Name() + " (first spawn)"}, Row{Label: k.Name()}
 		for _, sb := range s.SpawnSizes {
 			prog, err := buildTrivial(sb.Pad)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			path := "/bin/" + sb.Name
 			if err := k.InstallProgram(path, prog); err != nil {
-				return nil, fmt.Errorf("%s %s: %w", k.Name(), sb.Name, err)
+				return nil, nil, fmt.Errorf("%s %s: %w", k.Name(), sb.Name, err)
 			}
-			// Warm once (fills the native page cache, as the
-			// paper's measurements do), then take the best of 3.
-			if _, err := workloads.RunToCompletion(k, path, nil, nil); err != nil {
-				return nil, err
-			}
-			best := time.Duration(1 << 62)
-			for i := 0; i < 3; i++ {
+			spawn := func() (time.Duration, error) {
 				start := time.Now()
 				status, err := workloads.RunToCompletion(k, path, nil, nil)
 				if err != nil || status != 0 {
-					return nil, fmt.Errorf("%s: status %d err %v", k.Name(), status, err)
+					return 0, fmt.Errorf("%s: status %d err %v", k.Name(), status, err)
 				}
-				if d := time.Since(start); d < best {
-					best = d
+				return time.Since(start), nil
+			}
+			var c spawnCounts
+			var s0 libos.SpawnSnapshot
+			if occ != nil {
+				s0 = occ.Sys.OS.SpawnStats()
+			}
+			// Warm once (fills the native page cache, as the paper's
+			// measurements do; on Occlum, the one spawn that verifies),
+			// then take the best of the repeats.
+			d, err := spawn()
+			if err != nil {
+				return nil, nil, err
+			}
+			first.Values = append(first.Values, ms(d))
+			if occ != nil {
+				c.First = occ.Sys.OS.SpawnStats().Sub(s0)
+			}
+			best := time.Duration(1 << 62)
+			for i := 0; i < spawnRepeats; i++ {
+				d, err := spawn()
+				if err != nil {
+					return nil, nil, err
 				}
+				best = min(best, d)
 			}
 			row.Values = append(row.Values, ms(best))
+			if occ != nil {
+				c.Repeat = occ.Sys.OS.SpawnStats().Sub(s0).Sub(c.First)
+				counts = append(counts, c)
+			}
+		}
+		if occ != nil {
+			t.Rows = append(t.Rows, first)
 		}
 		t.Rows = append(t.Rows, row)
 	}
-	return t, nil
+	return t, counts, nil
 }
 
 // buildPipePump builds the Figure 6b measurement program: it creates a

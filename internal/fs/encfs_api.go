@@ -96,6 +96,16 @@ func (r *Regular) Size() int64 {
 // Close releases the handle (data durability needs Sync).
 func (r *Regular) Close() error { return nil }
 
+// Version implements Versioned: the inode's mutation count, read under
+// the lock every mutation holds.
+func (r *Regular) Version() FileVersion {
+	r.fs.mu.Lock()
+	defer r.fs.mu.Unlock()
+	return FileVersion{FS: r.fs, Ino: r.ino, Gen: r.fs.vers[r.ino]}
+}
+
+var _ Versioned = (*Regular)(nil)
+
 // Mkdir creates a directory.
 func (fs *EncFS) Mkdir(p string) error {
 	fs.mu.Lock()

@@ -97,6 +97,13 @@ type EncFS struct {
 	cache    map[int]*cpage
 	cacheCap int
 
+	// vers[ino] counts the mutations of an inode since mount: every
+	// write, truncate, free and allocation bumps it, and it is never
+	// reset, so (ino, vers[ino]) never names two different contents —
+	// not even across unlink and reuse of the inode number. In memory
+	// only: it versions what this mount has served, for Regular.Version.
+	vers []uint64
+
 	// stats for /proc and tests
 	reads, writes, hits uint64
 }
@@ -125,6 +132,7 @@ func Mkfs(store *BlockStore) error {
 		dataStart:   1 + bitmapBlks + inodeBlks,
 		cache:       make(map[int]*cpage),
 		cacheCap:    1024,
+		vers:        make([]uint64, defaultInodes+1),
 	}
 	// Superblock.
 	sb := make([]byte, BlockSize)
@@ -160,9 +168,10 @@ func Mount(store *BlockStore) (*EncFS, error) {
 		return nil, fmt.Errorf("%w: bad superblock", ErrBadKey)
 	}
 	bitmapBlks, inodeBlks := geometry(store.MaxBlocks())
+	numInodes := int(binary.LittleEndian.Uint32(sb[8:]))
 	return &EncFS{
 		store:       store,
-		numInodes:   int(binary.LittleEndian.Uint32(sb[8:])),
+		numInodes:   numInodes,
 		bitmapStart: 1,
 		bitmapBlks:  bitmapBlks,
 		inodeStart:  1 + bitmapBlks,
@@ -170,6 +179,7 @@ func Mount(store *BlockStore) (*EncFS, error) {
 		dataStart:   1 + bitmapBlks + inodeBlks,
 		cache:       make(map[int]*cpage),
 		cacheCap:    1024,
+		vers:        make([]uint64, numInodes+1),
 	}, nil
 }
 
@@ -292,7 +302,11 @@ func (fs *EncFS) readInode(ino int) (inode, error) {
 	return unmarshalInode(p.data[off : off+inodeSize]), nil
 }
 
+// writeInode stores an inode and bumps its version: size, block
+// pointers, allocation and freeing all pass through here, so no change of
+// a file's extent or identity can leave its version standing.
 func (fs *EncFS) writeInode(ino int, in *inode) error {
+	fs.vers[ino]++
 	blk := fs.inodeStart + (ino-1)/inodesPerBlk
 	p, err := fs.getBlock(blk)
 	if err != nil {
@@ -426,6 +440,9 @@ func (fs *EncFS) readAtLocked(ino int, p []byte, off int64) (int, error) {
 }
 
 func (fs *EncFS) writeAtLocked(ino int, p []byte, off int64) (int, error) {
+	// Bumped before the first byte lands, not only by the writeInode at
+	// the end: a write that fails midway has still changed the content.
+	fs.vers[ino]++
 	in, err := fs.readInode(ino)
 	if err != nil {
 		return 0, err

@@ -604,6 +604,7 @@ func (ifs *ImageFS) resolve(p string) (int, error) {
 // imageNode is an open file on the image layer.
 type imageNode struct {
 	ifs *ImageFS
+	ino int
 	in  imgInode
 }
 
@@ -648,6 +649,12 @@ func (n *imageNode) WriteAt(p []byte, off int64) (int, error) {
 func (n *imageNode) Size() int64  { return int64(n.in.size) }
 func (n *imageNode) Close() error { return nil }
 
+// Version implements Versioned. The image is immutable, so one
+// generation serves for the life of the mount.
+func (n *imageNode) Version() FileVersion { return FileVersion{FS: n.ifs, Ino: n.ino} }
+
+var _ Versioned = (*imageNode)(nil)
+
 // Open opens a file or directory read-only; any writable flag fails
 // with ErrReadOnly (the union layer turns that into a copy-up).
 func (ifs *ImageFS) Open(p string, flags OpenFlag) (Node, error) {
@@ -662,7 +669,7 @@ func (ifs *ImageFS) Open(p string, flags OpenFlag) (Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &imageNode{ifs: ifs, in: in}, nil
+	return &imageNode{ifs: ifs, ino: ino, in: in}, nil
 }
 
 // Mkdir always fails: the image is immutable.

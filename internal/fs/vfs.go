@@ -58,6 +58,28 @@ type BorrowReader interface {
 	ReadBorrow(off int64, max int) ([]byte, error)
 }
 
+// FileVersion names the content of one file at one moment: two equal
+// FileVersions, taken from nodes of a running system, mean byte-identical
+// content. FS is the filesystem instance that holds the file (identity,
+// never dereferenced), Ino its inode there, and Gen a count that moves on
+// every change to that inode's content or identity and is never reused.
+type FileVersion struct {
+	FS  FileSystem
+	Ino int
+	Gen uint64
+}
+
+// Versioned is the optional content-version capability of a Node; the
+// LibOS loader keys its verified-image cache on it. Filesystems whose
+// content is synthesized per open (devfs, procfs) do not implement it,
+// and their files are loaded uncached. A union mount hands out the
+// answering layer's own node for read-only opens, so the version is that
+// layer's and a copy-up — which moves the answer to the upper layer —
+// changes it.
+type Versioned interface {
+	Version() FileVersion
+}
+
 // FileSystem is one mountable filesystem.
 type FileSystem interface {
 	Open(path string, flags OpenFlag) (Node, error)

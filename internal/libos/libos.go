@@ -20,11 +20,13 @@
 package libos
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/fs"
@@ -151,8 +153,60 @@ type Occlum struct {
 	encfs *fs.EncFS
 	store *fs.BlockStore
 
+	// images caches what the loader verified, by file version.
+	images *imageCache
+	stats  spawnStats
+
 	// BootStats records the cost of enclave creation.
 	BootStats BootStats
+}
+
+// spawnStats counts what spawn and exit cost this LibOS, in units that
+// repeat exactly from run to run.
+type spawnStats struct {
+	imagesVerified, imageCacheHits   atomic.Uint64
+	imageBytesRead, imageBytesLoaded atomic.Uint64
+	pagesScrubbed, exits             atomic.Uint64
+}
+
+// SpawnSnapshot is a plain-value copy of the spawn/exit counters.
+type SpawnSnapshot struct {
+	// ImagesVerified counts binaries read, parsed and signature-checked;
+	// ImageCacheHits counts spawns served from the verified-image cache
+	// instead.
+	ImagesVerified, ImageCacheHits uint64
+	// ImageBytesRead counts file bytes the loader read through the
+	// filesystem (cache misses only); ImageBytesLoaded counts code+data
+	// bytes copied into domains (every spawn).
+	ImageBytesRead, ImageBytesLoaded uint64
+	// PagesScrubbed counts domain pages zeroed at teardown (the dirty
+	// ones); Exits counts teardowns.
+	PagesScrubbed, Exits uint64
+}
+
+// Sub returns the counter deltas since an earlier snapshot.
+func (s SpawnSnapshot) Sub(prev SpawnSnapshot) SpawnSnapshot {
+	return SpawnSnapshot{
+		ImagesVerified:   s.ImagesVerified - prev.ImagesVerified,
+		ImageCacheHits:   s.ImageCacheHits - prev.ImageCacheHits,
+		ImageBytesRead:   s.ImageBytesRead - prev.ImageBytesRead,
+		ImageBytesLoaded: s.ImageBytesLoaded - prev.ImageBytesLoaded,
+		PagesScrubbed:    s.PagesScrubbed - prev.PagesScrubbed,
+		Exits:            s.Exits - prev.Exits,
+	}
+}
+
+// SpawnStats returns this LibOS's spawn/exit counters (also rendered at
+// /proc/occlum).
+func (o *Occlum) SpawnStats() SpawnSnapshot {
+	return SpawnSnapshot{
+		ImagesVerified:   o.stats.imagesVerified.Load(),
+		ImageCacheHits:   o.stats.imageCacheHits.Load(),
+		ImageBytesRead:   o.stats.imageBytesRead.Load(),
+		ImageBytesLoaded: o.stats.imageBytesLoaded.Load(),
+		PagesScrubbed:    o.stats.pagesScrubbed.Load(),
+		Exits:            o.stats.exits.Load(),
+	}
 }
 
 // BootStats reports what enclave creation cost.
@@ -210,6 +264,7 @@ func Boot(platform *sgx.Platform, host *hostos.Host, cfg Config) (*Occlum, error
 		procs:      make(map[int]*Proc),
 		nextPID:    1,
 		waitWakers: make(map[int][]func()),
+		images:     newImageCache(uint64(cfg.NumDomains) * (cfg.DomainCodeSize + cfg.DomainDataSize)),
 	}
 
 	// Preallocate domains: code pages RWX (the loader rewrites them;
@@ -403,15 +458,33 @@ func (o *Occlum) allocDomain() (*Domain, error) {
 	return nil, ErrNoDomains
 }
 
+// checkTeardownZero makes every freeDomain re-read the whole domain and
+// panic on a nonzero byte (CheckTeardownZero).
+var checkTeardownZero atomic.Bool
+
+// CheckTeardownZero turns on, for every LibOS in the process, a full
+// read-back of each domain at the end of freeDomain: a byte the dirty-page
+// scrub left behind panics with its address. It costs a pass over the
+// whole reservation per exit — the very cost the scrub avoids — so it is
+// for test batteries, which call it from TestMain.
+func CheckTeardownZero(on bool) { checkTeardownZero.Store(on) }
+
 func (o *Occlum) freeDomain(d *Domain) {
 	// Scrub both regions so the next SIP cannot observe stale data —
-	// inter-process isolation across domain reuse.
-	zero := make([]byte, mem.PageSize)
-	for off := uint64(0); off < d.CodeSize; off += mem.PageSize {
-		_ = o.enclave.WriteDirect(d.CodeBase+off, zero)
-	}
-	for off := uint64(0); off < d.DataSize; off += mem.PageSize {
-		_ = o.enclave.WriteDirect(d.DataBase+off, zero)
+	// inter-process isolation across domain reuse. Only pages written
+	// since the last scrub can hold any; the rest are zero already.
+	for _, r := range [2][2]uint64{{d.CodeBase, d.CodeSize}, {d.DataBase, d.DataSize}} {
+		n, err := o.enclave.ScrubDirty(r[0], r[1])
+		if err != nil {
+			panic(fmt.Sprintf("libos: domain %d outside the enclave: %v", d.ID, err))
+		}
+		o.stats.pagesScrubbed.Add(uint64(n))
+		if checkTeardownZero.Load() {
+			b, _ := o.enclave.ReadDirect(r[0], int(r[1]))
+			if rest := bytes.TrimLeft(b, "\x00"); len(rest) != 0 {
+				panic(fmt.Sprintf("libos: domain %d freed with byte %#x at %#x", d.ID, rest[0], r[0]+uint64(len(b)-len(rest))))
+			}
+		}
 	}
 	o.mu.Lock()
 	d.inUse = false

@@ -144,7 +144,7 @@ type SpawnOpt struct {
 // (Config.NumThreads harts) can be live at once — the point of the M:N
 // refactor.
 func (o *Occlum) Spawn(path string, argv []string, opt SpawnOpt) (*Proc, error) {
-	bin, err := o.loadBinary(path)
+	img, err := o.loadBinary(path)
 	if err != nil {
 		return nil, err
 	}
@@ -189,7 +189,7 @@ func (o *Occlum) Spawn(path string, argv []string, opt SpawnOpt) (*Proc, error) 
 		p.fds.Set(2, stdio(opt.Stderr))
 	}
 
-	if err := o.loadIntoDomain(dom, bin, append([]string{path}, argv...), p); err != nil {
+	if err := o.loadIntoDomain(dom, img, append([]string{path}, argv...), p); err != nil {
 		p.teardown(127)
 		return nil, err
 	}
@@ -355,6 +355,7 @@ func (p *Proc) teardown(status int) {
 	}
 	p.fds.CloseAll()
 	p.os.freeDomain(p.dom)
+	p.os.stats.exits.Add(1)
 
 	o := p.os
 	o.mu.Lock()

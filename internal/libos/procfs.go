@@ -50,6 +50,10 @@ func (pf *procFS) render(p string) ([]byte, error) {
 		o.mu.Unlock()
 		return []byte(fmt.Sprintf("Domains: %d\nDomainsUsed: %d\nEPCPages: %d\n",
 			n, used, pf.os.enclave.PagesAdded())), nil
+	case len(comps) == 1 && comps[0] == "occlum":
+		s := pf.os.SpawnStats()
+		return []byte(fmt.Sprintf("ImagesVerified: %d\nImageCacheHits: %d\nImageBytesRead: %d\nImageBytesLoaded: %d\nPagesScrubbed: %d\nExits: %d\n",
+			s.ImagesVerified, s.ImageCacheHits, s.ImageBytesRead, s.ImageBytesLoaded, s.PagesScrubbed, s.Exits)), nil
 	case len(comps) == 1 && comps[0] == "cpuinfo":
 		return []byte("model name: OVM virtual hart\nfeatures: mpx sgx mmdsfi\n"), nil
 	case len(comps) == 2 && comps[1] == "status":
@@ -83,11 +87,12 @@ func (pf *procFS) Mkdir(string) error { return fs.ErrReadOnly }
 // Unlink is not supported on procfs.
 func (pf *procFS) Unlink(string) error { return fs.ErrReadOnly }
 
-// ReadDir lists /proc: meminfo, cpuinfo and one directory per process.
+// ReadDir lists /proc: meminfo, cpuinfo, occlum (the spawn/exit counters)
+// and one directory per process.
 func (pf *procFS) ReadDir(p string) ([]fs.FileInfo, error) {
 	clean := path.Clean("/" + p)
 	if clean == "/" {
-		out := []fs.FileInfo{{Name: "meminfo"}, {Name: "cpuinfo"}}
+		out := []fs.FileInfo{{Name: "meminfo"}, {Name: "cpuinfo"}, {Name: "occlum"}}
 		pids := pf.os.Procs()
 		sort.Ints(pids)
 		for _, pid := range pids {

@@ -36,6 +36,15 @@ const (
 	PermRWX = PermR | PermW | PermX
 )
 
+// permDirty is the per-page dirty bit. It lives in the permission word
+// beside R/W/X because Store already loads that word: the fast path
+// tests one more bit of a value it has in a register. It is not a
+// permission — PermAt, check and Fault.Unmapped mask it out, and Map
+// preserves it — and it obeys one invariant at every instant: a page
+// whose bit is clear holds only zero bytes. Every writer therefore
+// marks BEFORE it writes, and only ScrubDirty, after zeroing, clears.
+const permDirty = 1 << 3
+
 // String renders the permission like "rwx".
 func (p Perm) String() string {
 	s := []byte("---")
@@ -101,10 +110,11 @@ var ErrRange = errors.New("mem: address out of range")
 type Paged struct {
 	base uint64
 	data []byte
-	// perms holds one permission word per page; 0 means unmapped. The
-	// elements are atomic because SIP harts in one enclave share a Paged
-	// with the LibOS: a hart's permission check (check, stampExec) can
-	// race a concurrent Map from another thread.
+	// perms holds one permission word per page: the Perm bits (none set
+	// means unmapped) plus permDirty. The elements are atomic because SIP
+	// harts in one enclave share a Paged with the LibOS: a hart's
+	// permission check (check, stampExec) can race a concurrent Map from
+	// another thread.
 	perms []atomic.Uint32
 	// wx counts pages currently mapped writable+executable. While it is
 	// zero — the overwhelmingly common case outside the loader — no
@@ -168,8 +178,9 @@ func (m *Paged) Limit() uint64 { return m.base + uint64(len(m.data)) }
 
 // Generation returns the global mutation counter. It increases whenever
 // the mapping is changed (Map), contents are changed through trusted
-// interfaces (WriteDirect), or an untrusted store hits an executable
-// page — every event after which previously decoded code may be stale.
+// interfaces (WriteDirect, ScrubDirty), or an untrusted store hits an
+// executable page — every event after which previously decoded code may
+// be stale.
 func (m *Paged) Generation() uint64 { return m.gen.Load() }
 
 // BumpGeneration advances the global mutation counter without stamping
@@ -319,6 +330,7 @@ func (m *Paged) Map(addr uint64, n uint64, perm Perm) error {
 		return fmt.Errorf("%w: map [%#x,+%#x)", ErrRange, addr, n)
 	}
 	first, last := m.pageIndex(addr), m.pageIndex(addr+n-1)
+	perm &= PermRWX
 	isWX := perm&PermW != 0 && perm&PermX != 0
 	if isWX {
 		// Count the pages before their permissions become visible: a
@@ -328,8 +340,15 @@ func (m *Paged) Map(addr uint64, n uint64, perm Perm) error {
 	}
 	var wasWX int64
 	for i := first; i <= last; i++ {
-		old := Perm(m.perms[i].Swap(uint32(perm)))
-		if old&PermW != 0 && old&PermX != 0 {
+		// The dirty bit is content state, not mapping state: it survives
+		// any remap (a store racing the swap may set it in between, hence
+		// the CAS loop), so unmap/remap cannot hide a written page from
+		// ScrubDirty.
+		old := m.perms[i].Load()
+		for !m.perms[i].CompareAndSwap(old, uint32(perm)|old&permDirty) {
+			old = m.perms[i].Load()
+		}
+		if Perm(old)&PermW != 0 && Perm(old)&PermX != 0 {
 			wasWX++
 		}
 	}
@@ -349,7 +368,7 @@ func (m *Paged) PermAt(addr uint64) Perm {
 	if !m.Contains(addr, 1) {
 		return 0
 	}
-	return Perm(m.perms[m.pageIndex(addr)].Load())
+	return Perm(m.perms[m.pageIndex(addr)].Load()) & PermRWX
 }
 
 // check validates an n-byte access at addr for the given access kind.
@@ -376,7 +395,7 @@ func (m *Paged) check(addr uint64, n int, access Access) *Fault {
 			return &Fault{
 				Addr:     max64(addr, m.base+uint64(i)*PageSize),
 				Access:   access,
-				Unmapped: p == 0,
+				Unmapped: p&PermRWX == 0,
 			}
 		}
 	}
@@ -445,7 +464,8 @@ func (m *Paged) Store(addr uint64, n int, v uint64) *Fault {
 	// concurrent Map made the page executable in between.
 	if n == 8 {
 		if pg, ok := m.inOnePage(off, 8); ok {
-			if Perm(m.perms[pg].Load())&PermW != 0 {
+			if pw := m.perms[pg].Load(); Perm(pw)&PermW != 0 {
+				m.markPage(pg, pw)
 				b := m.data[off : off+8]
 				b[0], b[1], b[2], b[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
 				b[4], b[5], b[6], b[7] = byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56)
@@ -455,7 +475,8 @@ func (m *Paged) Store(addr uint64, n int, v uint64) *Fault {
 		}
 	} else if n == 1 {
 		if pg, ok := m.inOnePage(off, 1); ok {
-			if Perm(m.perms[pg].Load())&PermW != 0 {
+			if pw := m.perms[pg].Load(); Perm(pw)&PermW != 0 {
+				m.markPage(pg, pw)
 				m.data[off] = byte(v)
 				m.stampExec(addr, n)
 				return nil
@@ -466,6 +487,7 @@ func (m *Paged) Store(addr uint64, n int, v uint64) *Fault {
 	if f := m.check(addr, n, AccessWrite); f != nil {
 		return f
 	}
+	m.markDirty(addr, n)
 	if n == 1 {
 		m.data[off] = byte(v)
 	} else {
@@ -512,6 +534,7 @@ func (m *Paged) WriteAt(addr uint64, b []byte) *Fault {
 	if f := m.check(addr, len(b), AccessWrite); f != nil {
 		return f
 	}
+	m.markDirty(addr, len(b))
 	copy(m.data[addr-m.base:], b)
 	m.stampExec(addr, len(b))
 	return nil
@@ -520,11 +543,11 @@ func (m *Paged) WriteAt(addr uint64, b []byte) *Fault {
 // View is a borrowed slice of guest memory: B aliases the backing store
 // directly, so reads and writes through it touch the guest's bytes with
 // no staging copy. The loan is permission-checked at creation and
-// generation-stamped: any remap (Map), trusted write (WriteDirect), or
-// exec-page store landing on the span after the loan was taken raises
-// the span's generation above the loan's snapshot, and Revoked reports
-// it. Plain data stores do not revoke a loan — they are exactly the
-// traffic loans exist to carry.
+// generation-stamped: any remap (Map), trusted write (WriteDirect,
+// ScrubDirty), or exec-page store landing on the span after the loan was
+// taken raises the span's generation above the loan's snapshot, and
+// Revoked reports it. Plain data stores do not revoke a loan — they are
+// exactly the traffic loans exist to carry.
 //
 // Lifetime rules (the "loan protocol"):
 //
@@ -571,6 +594,11 @@ func (m *Paged) ViewBytes(addr uint64, n int, access Access) (View, *Fault) {
 	gen := m.GenerationOf(addr, n)
 	if f := m.check(addr, n, access); f != nil {
 		return View{}, f
+	}
+	if access == AccessWrite {
+		// The holder writes through B with no further call into Paged
+		// until CommitWrite, so the whole span is marked up front.
+		m.markDirty(addr, n)
 	}
 	off := addr - m.base
 	return View{
@@ -630,7 +658,72 @@ func (m *Paged) WriteDirect(addr uint64, b []byte) error {
 	if len(b) == 0 {
 		return nil
 	}
+	m.markDirty(addr, len(b))
 	copy(m.data[addr-m.base:], b)
 	m.stamp(m.pageIndex(addr), m.pageIndex(addr+uint64(len(b))-1))
 	return nil
+}
+
+// markDirty sets the dirty bit of every page [addr, addr+n) overlaps
+// (n > 0, range already validated). Writers call it before they write.
+func (m *Paged) markDirty(addr uint64, n int) {
+	first, last := m.pageIndex(addr), m.pageIndex(addr+uint64(n)-1)
+	for i := first; i <= last; i++ {
+		m.markPage(i, m.perms[i].Load())
+	}
+}
+
+// markPage sets page pg's dirty bit given its permission word pw as the
+// caller just loaded it: one atomic Or on a page's first write, a
+// register test on every later one.
+func (m *Paged) markPage(pg int, pw uint32) {
+	if pw&permDirty == 0 {
+		m.perms[pg].Or(permDirty)
+	}
+}
+
+// ScrubDirty zeroes exactly the dirty pages overlapping [addr, addr+n),
+// clears their dirty bits, and returns how many pages that was. Pages
+// whose bit is clear hold only zeros already (see permDirty) and are not
+// touched — not even read — so scrubbing a domain costs what its last
+// tenant wrote, not what was reserved for it.
+//
+// Each scrubbed page is zeroed, then unmarked, then stamped, all stamps
+// sharing one stamping window and one generation: to translation caches
+// and outstanding loans the scrub is one trusted write over those pages,
+// exactly as if WriteDirect had zeroed them. Clean pages are not
+// stamped; nothing about them changed.
+//
+// The caller must own the range: a store racing the scrub can land
+// between the zeroing and the unmarking and be left unmarked. The LibOS
+// scrubs a domain only after its SIP is dead.
+func (m *Paged) ScrubDirty(addr, n uint64) (int, error) {
+	if n == 0 {
+		return 0, nil
+	}
+	if !m.Contains(addr, 1) || !m.Contains(addr+n-1, 1) {
+		return 0, fmt.Errorf("%w: scrub [%#x,+%#x)", ErrRange, addr, n)
+	}
+	first, last := m.pageIndex(addr), m.pageIndex(addr+n-1)
+	var g uint64
+	scrubbed := 0
+	for i := first; i <= last; i++ {
+		if m.perms[i].Load()&permDirty == 0 {
+			continue
+		}
+		clear(m.data[i*PageSize : (i+1)*PageSize])
+		m.perms[i].And(^uint32(permDirty))
+		if scrubbed == 0 {
+			// Open the stamping window before the counter bump, as in
+			// stamp.
+			m.stamping.Add(1)
+			g = m.gen.Add(1)
+		}
+		storeMax(&m.pageGen[i], g)
+		scrubbed++
+	}
+	if scrubbed > 0 {
+		m.stamping.Add(-1)
+	}
+	return scrubbed, nil
 }

@@ -17,6 +17,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 
 	"repro/internal/asm"
 )
@@ -53,43 +54,62 @@ func FromImage(name string, img *asm.Image) *Binary {
 	return &Binary{Image: *img, Name: name}
 }
 
+// headerLen is the fixed prefix of an encoded binary: magic plus nine
+// little-endian words.
+const headerLen = 4 + 36
+
+// header encodes the fixed prefix: magic, version, segment lengths and
+// the layout facts.
+func (b *Binary) header() [headerLen]byte {
+	var hdr [headerLen]byte
+	copy(hdr[:4], Magic[:])
+	h := hdr[4:]
+	binary.LittleEndian.PutUint32(h[0:], Version)
+	binary.LittleEndian.PutUint32(h[4:], uint32(len(b.Name)))
+	binary.LittleEndian.PutUint32(h[8:], uint32(len(b.Image.Code)))
+	binary.LittleEndian.PutUint32(h[12:], uint32(len(b.Image.Data)))
+	binary.LittleEndian.PutUint32(h[16:], b.Image.BSS)
+	binary.LittleEndian.PutUint32(h[20:], b.Image.Entry)
+	binary.LittleEndian.PutUint32(h[24:], b.Image.GuardSize)
+	// h[28:36] reserved, zero.
+	return hdr
+}
+
+// bodyLen is the encoded length of everything the signature covers.
+func (b *Binary) bodyLen() int {
+	return headerLen + len(b.Name) + len(b.Image.Code) + len(b.Image.Data)
+}
+
 // Size returns the total encoded size, a stand-in for on-disk binary size
 // (used by the spawn benchmarks, where load time scales with binary size).
 func (b *Binary) Size() int {
-	return len(b.marshalBody()) + len(b.Sig) + 16
+	return b.bodyLen() + len(b.Sig) + 16
 }
 
 // Digest computes the SHA-256 digest of everything the signature covers:
-// the name, geometry and full code/data contents.
+// the name, geometry and full code/data contents — the encoded binary
+// minus its signature, streamed into the hasher segment by segment so a
+// verify allocates nothing proportional to the image.
 func (b *Binary) Digest() [32]byte {
-	return sha256.Sum256(b.marshalBody())
-}
-
-func (b *Binary) marshalBody() []byte {
-	var buf bytes.Buffer
-	buf.Write(Magic[:])
-	var hdr [36]byte
-	binary.LittleEndian.PutUint32(hdr[0:], Version)
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(len(b.Name)))
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(len(b.Image.Code)))
-	binary.LittleEndian.PutUint32(hdr[12:], uint32(len(b.Image.Data)))
-	binary.LittleEndian.PutUint32(hdr[16:], b.Image.BSS)
-	binary.LittleEndian.PutUint32(hdr[20:], b.Image.Entry)
-	binary.LittleEndian.PutUint32(hdr[24:], b.Image.GuardSize)
-	binary.LittleEndian.PutUint32(hdr[28:], 0) // reserved
-	binary.LittleEndian.PutUint32(hdr[32:], 0) // reserved
-	buf.Write(hdr[:])
-	buf.WriteString(b.Name)
-	buf.Write(b.Image.Code)
-	buf.Write(b.Image.Data)
-	return buf.Bytes()
+	h := sha256.New()
+	hdr := b.header()
+	h.Write(hdr[:])
+	io.WriteString(h, b.Name)
+	h.Write(b.Image.Code)
+	h.Write(b.Image.Data)
+	var d [32]byte
+	h.Sum(d[:0])
+	return d
 }
 
 // Marshal encodes the binary, including the signature (if any).
 func (b *Binary) Marshal() []byte {
-	body := b.marshalBody()
-	out := make([]byte, 0, len(body)+4+len(b.Sig))
-	out = append(out, body...)
+	hdr := b.header()
+	out := make([]byte, 0, b.bodyLen()+4+len(b.Sig))
+	out = append(out, hdr[:]...)
+	out = append(out, b.Name...)
+	out = append(out, b.Image.Code...)
+	out = append(out, b.Image.Data...)
 	out = binary.LittleEndian.AppendUint32(out, uint32(len(b.Sig)))
 	out = append(out, b.Sig...)
 	return out
@@ -97,7 +117,7 @@ func (b *Binary) Marshal() []byte {
 
 // Unmarshal parses an encoded binary.
 func Unmarshal(data []byte) (*Binary, error) {
-	if len(data) < 40 || !bytes.Equal(data[:4], Magic[:]) {
+	if len(data) < headerLen || !bytes.Equal(data[:4], Magic[:]) {
 		return nil, fmt.Errorf("%w: bad magic", ErrBadFormat)
 	}
 	h := data[4:]
@@ -111,7 +131,7 @@ func Unmarshal(data []byte) (*Binary, error) {
 	bss := binary.LittleEndian.Uint32(h[16:])
 	entry := binary.LittleEndian.Uint32(h[20:])
 	guard := binary.LittleEndian.Uint32(h[24:])
-	off := 4 + 36
+	off := headerLen
 	need := off + nameLen + codeLen + dataLen + 4
 	if len(data) < need || nameLen < 0 || codeLen < 0 || dataLen < 0 {
 		return nil, fmt.Errorf("%w: truncated", ErrBadFormat)

@@ -1,6 +1,8 @@
 package oelf
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -108,5 +110,38 @@ func TestSizeReflectsContents(t *testing.T) {
 	big.Image.Code = make([]byte, 100000)
 	if big.Size() <= small.Size() {
 		t.Fatal("size should grow with code")
+	}
+}
+
+// TestDigestIsMarshalMinusSignature pins what Digest hashes: the encoded
+// binary up to, not including, the signature — so every binary signed
+// before Digest streamed its segments still verifies. The golden value
+// is the digest the marshal-then-hash implementation gave for sample().
+func TestDigestIsMarshalMinusSignature(t *testing.T) {
+	k := NewSigningKey("test")
+	signed := sample()
+	k.Sign(signed)
+	empty := FromImage("", &asm.Image{})
+	big := sample()
+	big.Name = "a-longer-name/with/slashes"
+	big.Image.Code = make([]byte, 3*4096+17)
+	big.Image.Data = make([]byte, 70000)
+	for i := range big.Image.Data {
+		big.Image.Data[i] = byte(i * 7)
+	}
+	big.Image.Entry = 4096
+	for _, b := range []*Binary{sample(), signed, empty, big} {
+		enc := b.Marshal()
+		body := enc[:len(enc)-4-len(b.Sig)]
+		if got, want := b.Digest(), sha256.Sum256(body); got != want {
+			t.Errorf("%q: Digest %x, sha256(Marshal minus signature) %x", b.Name, got, want)
+		}
+		if got, want := b.Size(), len(body)+len(b.Sig)+16; got != want {
+			t.Errorf("%q: Size %d, want %d", b.Name, got, want)
+		}
+	}
+	const golden = "26267cce587fb95430989011466668db93edc1d4bf655904792de7ee9a03058d"
+	if got := fmt.Sprintf("%x", sample().Digest()); got != golden {
+		t.Errorf("sample digest %s, want %s", got, golden)
 	}
 }
