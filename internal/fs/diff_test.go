@@ -411,17 +411,31 @@ func (d *diffState) applyOps(n int) {
 	}
 }
 
+// diffCacheCaps are the page-cache sizes the differentials run at: the
+// production one, and two so small that nearly every getBlock evicts — a
+// *cpage held across a getBlock or allocBlock shows up as a divergence
+// there (the fileBlock/truncateLocked lost update did).
+var diffCacheCaps = []struct {
+	suffix string
+	cap    int
+}{{"", 0}, {"-cap3", 3}, {"-cap16", 16}}
+
 func TestDifferentialEncFS(t *testing.T) {
 	for _, seed := range []int64{1, 7, 20260729} {
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			efs, _, _ := newFS(t, 16384)
-			d := &diffState{t: t, rng: rand.New(rand.NewSource(seed)), fs: efs, model: newModel()}
-			d.run(1500)
-			if err := efs.Fsck(); err != nil {
-				t.Fatalf("fsck after differential: %v", err)
-			}
-			t.Logf("%d ops diverged nowhere (seed %d)", d.ops, seed)
-		})
+		for _, cc := range diffCacheCaps {
+			t.Run(fmt.Sprintf("seed%d%s", seed, cc.suffix), func(t *testing.T) {
+				efs, _, _ := newFS(t, 16384)
+				if cc.cap != 0 {
+					efs.cacheCap = cc.cap
+				}
+				d := &diffState{t: t, rng: rand.New(rand.NewSource(seed)), fs: efs, model: newModel()}
+				d.run(1500)
+				if err := efs.Fsck(); err != nil {
+					t.Fatalf("fsck after differential: %v", err)
+				}
+				t.Logf("%d ops diverged nowhere (seed %d)", d.ops, seed)
+			})
+		}
 	}
 }
 
@@ -475,28 +489,33 @@ func seedLowerImage(t *testing.T, rng *rand.Rand, model *mnode) (*ImageFS, *host
 
 func TestDifferentialUnionFS(t *testing.T) {
 	for _, seed := range []int64{3, 11, 404} {
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(seed))
-			model := newModel()
-			lower, h := seedLowerImage(t, rng, model)
-			store, err := CreateStore(h, "enc.img", KeyFromString("diff"), 16384)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := Mkfs(store); err != nil {
-				t.Fatal(err)
-			}
-			upper, err := Mount(store)
-			if err != nil {
-				t.Fatal(err)
-			}
-			u := NewUnionFS(upper, lower)
-			d := &diffState{t: t, rng: rng, fs: u, model: model, union: true}
-			d.run(1500)
-			if err := upper.Fsck(); err != nil {
-				t.Fatalf("fsck of upper layer after differential: %v", err)
-			}
-			t.Logf("%d union ops diverged nowhere (seed %d)", d.ops, seed)
-		})
+		for _, cc := range diffCacheCaps {
+			t.Run(fmt.Sprintf("seed%d%s", seed, cc.suffix), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(seed))
+				model := newModel()
+				lower, h := seedLowerImage(t, rng, model)
+				store, err := CreateStore(h, "enc.img", KeyFromString("diff"), 16384)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := Mkfs(store); err != nil {
+					t.Fatal(err)
+				}
+				upper, err := Mount(store)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if cc.cap != 0 {
+					upper.cacheCap = cc.cap
+				}
+				u := NewUnionFS(upper, lower)
+				d := &diffState{t: t, rng: rng, fs: u, model: model, union: true}
+				d.run(1500)
+				if err := upper.Fsck(); err != nil {
+					t.Fatalf("fsck of upper layer after differential: %v", err)
+				}
+				t.Logf("%d union ops diverged nowhere (seed %d)", d.ops, seed)
+			})
+		}
 	}
 }

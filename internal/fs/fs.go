@@ -94,8 +94,16 @@ type EncFS struct {
 	inodeBlks   int
 	dataStart   int
 
+	// The page cache. cache maps a device block to its frame; frames
+	// holds every frame ever made, in CLOCK order, and free those of them
+	// that map no block. A miss at cacheCap evicts one page and refills
+	// its frame; only the allocation path makes new frames, and it is
+	// not bounded (DESIGN.md, "EncFS page cache").
 	cache    map[int]*cpage
 	cacheCap int
+	frames   []*cpage
+	free     []*cpage
+	hand     int
 
 	// vers[ino] counts the mutations of an inode since mount: every
 	// write, truncate, free and allocation bumps it, and it is never
@@ -108,9 +116,14 @@ type EncFS struct {
 	reads, writes, hits uint64
 }
 
+// cpage is one page-cache frame. A *cpage is valid until the next
+// getBlock or allocBlock: either may evict the page and hand its frame
+// to another block. Take what you need from it, or fetch it again.
 type cpage struct {
 	data  []byte
-	dirty bool
+	blk   int  // device block mapped here; -1 on the free list
+	dirty bool // written back on eviction or Sync
+	ref   bool // CLOCK reference bit: set by a hit, cleared by the hand
 }
 
 func geometry(maxBlocks int) (bitmapBlks, inodeBlks int) {
@@ -188,32 +201,90 @@ func Mount(store *BlockStore) (*EncFS, error) {
 func (fs *EncFS) getBlock(i int) (*cpage, error) {
 	if p, ok := fs.cache[i]; ok {
 		fs.hits++
+		p.ref = true
 		return p, nil
 	}
-	if len(fs.cache) >= fs.cacheCap {
-		if err := fs.flushCacheLocked(); err != nil {
+	for len(fs.cache) >= fs.cacheCap {
+		if err := fs.evictOne(); err != nil {
 			return nil, err
 		}
-		fs.cache = make(map[int]*cpage)
 	}
-	data, err := fs.store.ReadBlock(i)
-	if err != nil {
+	p := fs.takeFrame()
+	if err := fs.store.ReadBlockInto(i, p.data); err != nil {
+		fs.free = append(fs.free, p)
 		return nil, err
 	}
 	fs.reads++
-	p := &cpage{data: data}
-	fs.cache[i] = p
+	fs.mapFrame(p, i)
 	return p, nil
 }
 
+// evictOne advances the CLOCK hand to the next mapped page not
+// referenced since the hand last passed, writes it back if dirty — it
+// and no other — and frees its frame.
+func (fs *EncFS) evictOne() error {
+	for {
+		p := fs.frames[fs.hand]
+		fs.hand = (fs.hand + 1) % len(fs.frames)
+		if p.blk < 0 {
+			continue
+		}
+		if p.ref {
+			p.ref = false
+			continue
+		}
+		if err := fs.writeBack(p); err != nil {
+			return err
+		}
+		fs.unmapFrame(p)
+		return nil
+	}
+}
+
+func (fs *EncFS) writeBack(p *cpage) error {
+	if !p.dirty {
+		return nil
+	}
+	if err := fs.store.WriteBlock(p.blk, p.data); err != nil {
+		return err
+	}
+	fs.writes++
+	p.dirty = false
+	return nil
+}
+
+// takeFrame returns an unmapped frame: a freed one before a new one.
+func (fs *EncFS) takeFrame() *cpage {
+	if n := len(fs.free); n > 0 {
+		p := fs.free[n-1]
+		fs.free = fs.free[:n-1]
+		return p
+	}
+	p := &cpage{data: make([]byte, BlockSize), blk: -1}
+	fs.frames = append(fs.frames, p)
+	return p
+}
+
+func (fs *EncFS) mapFrame(p *cpage, blk int) {
+	p.blk = blk
+	fs.cache[blk] = p
+}
+
+// unmapFrame drops p's page without writing it back.
+func (fs *EncFS) unmapFrame(p *cpage) {
+	delete(fs.cache, p.blk)
+	p.blk, p.dirty, p.ref = -1, false, false
+	fs.free = append(fs.free, p)
+}
+
+// flushCacheLocked writes back every dirty page, in frame order: the
+// same call sequence produces the same host write sequence.
 func (fs *EncFS) flushCacheLocked() error {
-	for i, p := range fs.cache {
-		if p.dirty {
-			if err := fs.store.WriteBlock(i, p.data); err != nil {
+	for _, p := range fs.frames {
+		if p.blk >= 0 {
+			if err := fs.writeBack(p); err != nil {
 				return err
 			}
-			fs.writes++
-			p.dirty = false
 		}
 	}
 	return nil
@@ -273,9 +344,12 @@ func (fs *EncFS) allocBlock() (int, error) {
 					}
 					p.data[i] |= 1 << bit
 					p.dirty = true
-					// Fresh blocks read as zero.
-					zp := &cpage{data: make([]byte, BlockSize), dirty: true}
-					fs.cache[block] = zp
+					// Fresh blocks read as zero. Not bounded by
+					// cacheCap: see the cache fields.
+					zp := fs.takeFrame()
+					clear(zp.data)
+					zp.dirty = true
+					fs.mapFrame(zp, block)
 					return block, nil
 				}
 			}
@@ -285,7 +359,9 @@ func (fs *EncFS) allocBlock() (int, error) {
 }
 
 func (fs *EncFS) freeBlock(block int) error {
-	delete(fs.cache, block)
+	if p, ok := fs.cache[block]; ok {
+		fs.unmapFrame(p)
+	}
 	return fs.setBitmap(block, false)
 }
 
@@ -345,6 +421,10 @@ func (fs *EncFS) fileBlock(in *inode, fb int, alloc bool) (int, error) {
 		if ptr == 0 && alloc {
 			nb, err := fs.allocBlock()
 			if err != nil {
+				return 0, err
+			}
+			// allocBlock may have evicted the table page: fetch it again.
+			if p, err = fs.getBlock(tableBlk); err != nil {
 				return 0, err
 			}
 			binary.LittleEndian.PutUint32(p.data[idx*4:], uint32(nb))
@@ -475,6 +555,22 @@ func (fs *EncFS) writeAtLocked(ino int, p []byte, off int64) (int, error) {
 	return total, nil
 }
 
+// level1Tables returns the level-1 table blocks a double-indirect block
+// points at.
+func (fs *EncFS) level1Tables(dblIndir int) ([]int, error) {
+	p, err := fs.getBlock(dblIndir)
+	if err != nil {
+		return nil, err
+	}
+	var l1s []int
+	for i := 0; i < ptrsPerBlk; i++ {
+		if l1 := binary.LittleEndian.Uint32(p.data[i*4:]); l1 != 0 {
+			l1s = append(l1s, int(l1))
+		}
+	}
+	return l1s, nil
+}
+
 // truncateLocked frees all blocks of the inode and zeroes its size.
 func (fs *EncFS) truncateLocked(ino int) error {
 	in, err := fs.readInode(ino)
@@ -499,17 +595,15 @@ func (fs *EncFS) truncateLocked(ino int) error {
 		}
 	}
 	if in.dblIndir != 0 {
-		// Free the level-1 tables too.
-		p, err := fs.getBlock(int(in.dblIndir))
+		// Free the level-1 tables too; freeBlock fetches the bitmap, so
+		// their pointers are copied out of the page first.
+		l1s, err := fs.level1Tables(int(in.dblIndir))
 		if err != nil {
 			return err
 		}
-		for i := 0; i < ptrsPerBlk; i++ {
-			l1 := binary.LittleEndian.Uint32(p.data[i*4:])
-			if l1 != 0 {
-				if err := fs.freeBlock(int(l1)); err != nil {
-					return err
-				}
+		for _, l1 := range l1s {
+			if err := fs.freeBlock(l1); err != nil {
+				return err
 			}
 		}
 		if err := fs.freeBlock(int(in.dblIndir)); err != nil {

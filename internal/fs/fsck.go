@@ -60,15 +60,13 @@ func (fs *EncFS) Fsck() error {
 			if err := claim(int(in.dblIndir), ino); err != nil {
 				return err
 			}
-			p, err := fs.getBlock(int(in.dblIndir))
+			l1s, err := fs.level1Tables(int(in.dblIndir))
 			if err != nil {
 				return err
 			}
-			for i := 0; i < ptrsPerBlk; i++ {
-				if l1 := binary.LittleEndian.Uint32(p.data[i*4:]); l1 != 0 {
-					if err := claim(int(l1), ino); err != nil {
-						return err
-					}
+			for _, l1 := range l1s {
+				if err := claim(l1, ino); err != nil {
+					return err
 				}
 			}
 		}

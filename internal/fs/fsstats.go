@@ -15,6 +15,7 @@ var fsStats struct {
 	scrubbedBlocks atomic.Uint64
 	repairedShards atomic.Uint64
 	rebuiltShards  atomic.Uint64
+	decodedStripes atomic.Uint64
 }
 
 // StatCounters is a snapshot of the filesystem counters.
@@ -41,6 +42,11 @@ type StatCounters struct {
 	// RebuiltShards counts shards recreated by offline Repair (the
 	// lost-backing-file recovery path); a subset of RepairedShards.
 	RebuiltShards uint64
+	// DecodedStripes counts stripes the clean-stripe fast path could not
+	// serve — a data shard missing or crc-bad, or a concatenation that
+	// failed its MAC — and that went to Reed–Solomon reconstruction. An
+	// intact device reads with this at zero.
+	DecodedStripes uint64
 }
 
 // Stats returns the current global filesystem counters.
@@ -54,6 +60,7 @@ func Stats() StatCounters {
 		ScrubbedBlocks: fsStats.scrubbedBlocks.Load(),
 		RepairedShards: fsStats.repairedShards.Load(),
 		RebuiltShards:  fsStats.rebuiltShards.Load(),
+		DecodedStripes: fsStats.decodedStripes.Load(),
 	}
 }
 
@@ -68,5 +75,6 @@ func (s StatCounters) Sub(prev StatCounters) StatCounters {
 		ScrubbedBlocks: s.ScrubbedBlocks - prev.ScrubbedBlocks,
 		RepairedShards: s.RepairedShards - prev.RepairedShards,
 		RebuiltShards:  s.RebuiltShards - prev.RebuiltShards,
+		DecodedStripes: s.DecodedStripes - prev.DecodedStripes,
 	}
 }

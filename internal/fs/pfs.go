@@ -28,6 +28,7 @@
 package fs
 
 import (
+	"bytes"
 	"crypto/aes"
 	"crypto/cipher"
 	"crypto/hmac"
@@ -35,6 +36,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash"
 	"hash/crc32"
 	"sync"
 
@@ -124,9 +126,6 @@ func KeyFromString(s string) Key {
 type BlockStore struct {
 	mu        sync.Mutex
 	host      *hostos.Host
-	name      string
-	aesKey    []byte
-	macKey    []byte
 	maxBlocks int
 	k, m      int
 	rs        *rsCode
@@ -145,12 +144,65 @@ type BlockStore struct {
 	scrubGen     uint64
 	scrubPassGen uint64
 	scrubClean   bool
+
+	// Scratch, owned under mu: what a block through the store would
+	// otherwise re-create (file names, cipher, keyed MAC) or allocate
+	// (cells, ciphertext, parity). A slice handed out of it — the
+	// ciphertext readStripe returns — is valid only until the next call
+	// into the store.
+	names  []string     // the k+m shard file names
+	block  cipher.Block // AES under the derived encryption key
+	mac    hash.Hash    // HMAC-SHA256 under the derived MAC key; Reset per use
+	nonce  [16]byte     // block index ‖ version: the CTR IV and the MAC prefix
+	sum    [sha256.Size]byte
+	cells  []byte   // the k+m cells of the stripe being read
+	raw    [][]byte // per-file shard views into cells (nil: unreadable)
+	crcOK  []bool
+	ct     []byte   // one stripe payload: assembled on read, encrypted on write
+	shards [][]byte // encodeStripe's k data views + m parity views
+	cell   []byte   // one outgoing cell (pad bytes stay zero)
+	table  []byte   // one serialised version table; rootMAC's buffer too
 }
 
-func deriveKeys(k Key) (aesKey, macKey []byte) {
-	a := sha256.Sum256(append([]byte("enc:"), k[:]...))
-	m := sha256.Sum256(append([]byte("mac:"), k[:]...))
-	return a[:16], m[:]
+// newStore builds the in-memory half of a store: geometry, derived keys
+// and the scratch the data path runs in.
+func newStore(h *hostos.Host, name string, key Key, maxBlocks, k, m int) (*BlockStore, error) {
+	rs, err := newRS(k, m)
+	if err != nil {
+		return nil, err
+	}
+	aesKey := sha256.Sum256(append([]byte("enc:"), key[:]...))
+	macKey := sha256.Sum256(append([]byte("mac:"), key[:]...))
+	block, err := aes.NewCipher(aesKey[:16])
+	if err != nil {
+		panic(err) // key length is fixed; cannot fail
+	}
+	s := &BlockStore{
+		host: h, maxBlocks: maxBlocks, k: k, m: m, rs: rs,
+		versions:     make([]uint64, maxBlocks),
+		slots:        make([]uint8, maxBlocks),
+		macs:         make([][32]byte, maxBlocks),
+		epochWritten: make([]bool, maxBlocks),
+		block:        block,
+		mac:          hmac.New(sha256.New, macKey[:]),
+		names:        make([]string, k+m),
+		raw:          make([][]byte, k+m),
+		crcOK:        make([]bool, k+m),
+		ct:           make([]byte, BlockSize),
+		shards:       make([][]byte, k+m),
+	}
+	ss := s.shardSize()
+	s.cells = make([]byte, (k+m)*s.cellSize())
+	s.cell = make([]byte, s.cellSize())
+	s.table = make([]byte, s.tableStripes()*BlockSize)
+	parity := make([]byte, m*ss)
+	for f := range s.names {
+		s.names[f] = shardFile(name, f)
+		if f >= k {
+			s.shards[f] = parity[(f-k)*ss : (f-k+1)*ss]
+		}
+	}
+	return s, nil
 }
 
 // --- Geometry -------------------------------------------------------------
@@ -159,8 +211,11 @@ func (s *BlockStore) shardSize() int { return BlockSize / s.k }
 func (s *BlockStore) cellSize() int  { return s.shardSize() + 8 }
 func (s *BlockStore) nFiles() int    { return s.k + s.m }
 
+// shardFile is the host name of shard file f of image name.
+func shardFile(name string, f int) string { return fmt.Sprintf("%s.s%d", name, f) }
+
 // fileName returns the host name of shard file f.
-func (s *BlockStore) fileName(f int) string { return fmt.Sprintf("%s.s%d", s.name, f) }
+func (s *BlockStore) fileName(f int) string { return s.names[f] }
 
 // tableStripes is the stripe count of ONE table slot.
 func (s *BlockStore) tableStripes() int {
@@ -186,18 +241,14 @@ func (s *BlockStore) Geometry() (k, m int) { return s.k, s.m }
 
 // BackingFiles lists the host files the store stripes across.
 func (s *BlockStore) BackingFiles() []string {
-	out := make([]string, s.nFiles())
-	for f := range out {
-		out[f] = s.fileName(f)
-	}
-	return out
+	return append([]string(nil), s.names...)
 }
 
 // StoreExists reports whether a striped image by this name is present on
 // the host (any shard file suffices — missing ones are repairable).
 func StoreExists(h *hostos.Host, name string) bool {
 	for f := 0; f < 64; f++ {
-		if h.FileSize(fmt.Sprintf("%s.s%d", name, f)) > 0 {
+		if h.FileSize(shardFile(name, f)) > 0 {
 			return true
 		}
 	}
@@ -222,20 +273,11 @@ func CreateStoreGeom(h *hostos.Host, name string, key Key, maxBlocks, k, m int) 
 	if k < 1 || m < 1 || BlockSize%k != 0 {
 		return nil, fmt.Errorf("fs: bad stripe geometry k=%d m=%d", k, m)
 	}
-	rs, err := newRS(k, m)
+	s, err := newStore(h, name, key, maxBlocks, k, m)
 	if err != nil {
 		return nil, err
 	}
-	aesKey, macKey := deriveKeys(key)
-	s := &BlockStore{
-		host: h, name: name, aesKey: aesKey, macKey: macKey,
-		maxBlocks: maxBlocks, k: k, m: m, rs: rs,
-		versions:     make([]uint64, maxBlocks),
-		slots:        make([]uint8, maxBlocks),
-		macs:         make([][32]byte, maxBlocks),
-		epochWritten: make([]bool, maxBlocks),
-		epoch:        1,
-	}
+	s.epoch = 1
 	h.DropFiles(name + ".s*")
 	for f := 0; f < s.nFiles(); f++ {
 		s.host.WriteFileAt(s.fileName(f), 0, s.fileHeader(f))
@@ -271,12 +313,11 @@ func (s *BlockStore) commitRecord(epoch uint64, root [32]byte) []byte {
 }
 
 func (s *BlockStore) recMAC(fields []byte) [32]byte {
-	mac := hmac.New(sha256.New, s.macKey)
-	mac.Write([]byte("commit:"))
-	mac.Write(fields)
-	var out [32]byte
-	mac.Sum(out[:0])
-	return out
+	s.mac.Reset()
+	s.mac.Write([]byte("commit:"))
+	s.mac.Write(fields)
+	s.mac.Sum(s.sum[:0])
+	return s.sum
 }
 
 // openGeometry scans the shard files for one valid header to learn the
@@ -284,7 +325,7 @@ func (s *BlockStore) recMAC(fields []byte) [32]byte {
 func openGeometry(h *hostos.Host, name string) (k, m, maxBlocks int, err error) {
 	for f := 0; f < 64; f++ {
 		hdr := make([]byte, fileHeaderSize)
-		n, rerr := h.ReadFileAt(fmt.Sprintf("%s.s%d", name, f), 0, hdr)
+		n, rerr := h.ReadFileAt(shardFile(name, f), 0, hdr)
 		if rerr != nil || n < fileHeaderSize {
 			continue
 		}
@@ -313,18 +354,9 @@ func OpenStore(h *hostos.Host, name string, key Key) (*BlockStore, error) {
 	if err != nil {
 		return nil, err
 	}
-	rs, err := newRS(k, m)
+	s, err := newStore(h, name, key, maxBlocks, k, m)
 	if err != nil {
 		return nil, ErrBadKey
-	}
-	aesKey, macKey := deriveKeys(key)
-	s := &BlockStore{
-		host: h, name: name, aesKey: aesKey, macKey: macKey,
-		maxBlocks: maxBlocks, k: k, m: m, rs: rs,
-		versions:     make([]uint64, maxBlocks),
-		slots:        make([]uint8, maxBlocks),
-		macs:         make([][32]byte, maxBlocks),
-		epochWritten: make([]bool, maxBlocks),
 	}
 
 	// Collect every valid commit record, newest epoch first. Records are
@@ -390,16 +422,15 @@ func OpenStore(h *hostos.Host, name string, key Key) (*BlockStore, error) {
 func (s *BlockStore) loadTable(epoch uint64, wantRoot [32]byte) bool {
 	slot := int(epoch & 1)
 	T := s.tableStripes()
-	table := make([]byte, T*BlockSize)
 	for j := 0; j < T; j++ {
 		pay, err := s.readStripe(slot*T+j, nil)
 		if err != nil {
 			return false
 		}
-		copy(table[j*BlockSize:], pay)
+		copy(s.table[j*BlockSize:], pay)
 	}
 	for i := 0; i < s.maxBlocks; i++ {
-		e := table[i*macEntrySize:]
+		e := s.table[i*macEntrySize:]
 		s.versions[i] = binary.LittleEndian.Uint64(e)
 		s.slots[i] = uint8(binary.LittleEndian.Uint64(e[8:]) & 1)
 		copy(s.macs[i][:], e[16:48])
@@ -436,90 +467,123 @@ func (s *BlockStore) Epoch() uint64 {
 	return s.epoch
 }
 
+// rootMAC authenticates (epoch, every block's version, slot and MAC). It
+// serialises into s.table, so a caller is done with the table image
+// there before it asks for the root.
 func (s *BlockStore) rootMAC() [32]byte {
-	mac := hmac.New(sha256.New, s.macKey)
-	var e [8]byte
-	binary.LittleEndian.PutUint64(e[:], s.epoch)
-	mac.Write(e[:])
+	buf := s.table[:0]
+	buf = binary.LittleEndian.AppendUint64(buf, s.epoch)
 	for i := range s.versions {
-		binary.LittleEndian.PutUint64(e[:], s.versions[i])
-		mac.Write(e[:])
-		mac.Write([]byte{s.slots[i]})
-		mac.Write(s.macs[i][:])
+		buf = binary.LittleEndian.AppendUint64(buf, s.versions[i])
+		buf = append(buf, s.slots[i])
+		buf = append(buf, s.macs[i][:]...)
 	}
-	var out [32]byte
-	mac.Sum(out[:0])
-	return out
+	s.mac.Reset()
+	s.mac.Write(buf)
+	s.mac.Sum(s.sum[:0])
+	return s.sum
+}
+
+// fillTable serialises the in-memory version table into s.table.
+func (s *BlockStore) fillTable() {
+	for i := 0; i < s.maxBlocks; i++ {
+		e := s.table[i*macEntrySize:]
+		binary.LittleEndian.PutUint64(e, s.versions[i])
+		binary.LittleEndian.PutUint64(e[8:], uint64(s.slots[i]))
+		copy(e[16:], s.macs[i][:])
+	}
 }
 
 // --- Stripe I/O -----------------------------------------------------------
 
+// encodeStripe points s.shards at payload's k data shards and fills the
+// m scratch parity shards behind them.
+func (s *BlockStore) encodeStripe(payload []byte) {
+	ss := s.shardSize()
+	for d := 0; d < s.k; d++ {
+		s.shards[d] = payload[d*ss : (d+1)*ss]
+	}
+	s.rs.encode(s.shards)
+}
+
 // writeStripe splits a BlockSize payload into k data shards, encodes m
 // parity shards, and writes one crc-trailed cell per backing file.
 func (s *BlockStore) writeStripe(st int, payload []byte) {
-	ss := s.shardSize()
-	shards := make([][]byte, s.nFiles())
-	for d := 0; d < s.k; d++ {
-		shards[d] = payload[d*ss : (d+1)*ss]
-	}
-	for p := 0; p < s.m; p++ {
-		shards[s.k+p] = make([]byte, ss)
-	}
-	s.rs.encode(shards)
-	for f := 0; f < s.nFiles(); f++ {
-		s.writeCell(f, st, shards[f])
+	s.encodeStripe(payload)
+	for f, shard := range s.shards {
+		s.writeCell(f, st, shard)
 	}
 }
 
-// writeCell writes one shard cell (payload + crc trailer).
+// fillCell builds shard's cell (payload + crc trailer) in s.cell.
+func (s *BlockStore) fillCell(shard []byte) {
+	copy(s.cell, shard)
+	binary.LittleEndian.PutUint32(s.cell[s.shardSize():], crc32.ChecksumIEEE(shard))
+}
+
+// writeCell writes one shard cell.
 func (s *BlockStore) writeCell(f, st int, shard []byte) {
-	cell := make([]byte, s.cellSize())
-	copy(cell, shard)
-	binary.LittleEndian.PutUint32(cell[s.shardSize():], crc32.ChecksumIEEE(shard))
-	s.host.WriteFileAt(s.fileName(f), s.cellOff(st), cell)
+	s.fillCell(shard)
+	s.host.WriteFileAt(s.fileName(f), s.cellOff(st), s.cell)
 }
 
-// readStripe reassembles stripe st's payload, repairing as it goes.
+// readStripe reassembles stripe st's payload, repairing as it goes. The
+// result may live in scratch: it is valid until the next store call.
 //
-// Shards are classified by the crc32 locator: missing files, short
-// reads and crc mismatches are excluded, and the payload is
-// reconstructed from any k survivors. verify is the authenticity gate —
-// for block stripes it checks the per-block HMAC against the MAC table;
-// nil (table stripes during open) defers to the caller's root-MAC
-// check. A payload that fails verify is NEVER served: if the crc-guided
-// decode does not authenticate (a tamperer can forge crc trailers), a
-// bounded search over k-subsets of the readable shards looks for any
-// combination that does. Only after the payload authenticates are bad
-// shards rewritten in place (repair-on-read) — so repair can restore
-// accidental damage but can never launder adversarial bytes into the
-// device.
+// All k+m cells are read and classified by the crc32 locator — parity
+// too, or parity rot would go unseen until the day it is needed. When
+// every data shard passes crc the payload is their concatenation: no
+// decode. Otherwise missing files, short reads and crc mismatches are
+// excluded and the payload is reconstructed from any k survivors. verify
+// is the authenticity gate — for block stripes it checks the per-block
+// HMAC against the MAC table; nil (table stripes during open) defers to
+// the caller's root-MAC check. A payload that fails verify is NEVER
+// served: if neither the concatenation nor the crc-guided decode
+// authenticates (a tamperer can forge crc trailers), a bounded search
+// over k-subsets of the readable shards looks for any combination that
+// does. Only after the payload authenticates are bad shards rewritten in
+// place (repair-on-read) — so repair can restore accidental damage but
+// can never launder adversarial bytes into the device.
 func (s *BlockStore) readStripe(st int, verify func([]byte) bool) ([]byte, error) {
 	n := s.nFiles()
-	ss := s.shardSize()
-	raw := make([][]byte, n) // full-length shard payloads (nil: unreadable)
-	crcOK := make([]bool, n)
-	nCrcOK := 0
+	ss, cs := s.shardSize(), s.cellSize()
+	raw, crcOK := s.raw, s.crcOK // raw[f]: full-length shard payload (nil: unreadable)
+	nCrcOK, dataOK := 0, true
 	for f := 0; f < n; f++ {
-		cell := make([]byte, s.cellSize())
+		cell := s.cells[f*cs : (f+1)*cs]
+		raw[f], crcOK[f] = nil, false
 		cnt, err := s.host.ReadFileAt(s.fileName(f), s.cellOff(st), cell)
-		if err != nil || cnt < s.cellSize() {
-			continue // missing file, truncated file, or short read
+		if err == nil && cnt == cs { // else: missing file, truncated file, or short read
+			raw[f] = cell[:ss]
+			if binary.LittleEndian.Uint32(cell[ss:]) == crc32.ChecksumIEEE(raw[f]) {
+				crcOK[f] = true
+				nCrcOK++
+			}
 		}
-		raw[f] = cell[:ss]
-		if binary.LittleEndian.Uint32(cell[ss:]) == crc32.ChecksumIEEE(raw[f]) {
-			crcOK[f] = true
-			nCrcOK++
+		if f < s.k && !crcOK[f] {
+			dataOK = false
 		}
 	}
 
-	// First attempt: trust the crc locators.
-	if nCrcOK >= s.k {
+	// First attempt: trust the crc locators. With every data shard clean
+	// the code is systematic, so the payload needs no decode.
+	if dataOK {
+		for d := 0; d < s.k; d++ {
+			copy(s.ct[d*ss:], raw[d])
+		}
+		if verify == nil || verify(s.ct) {
+			s.repairFrom(st, s.ct, crcOK)
+			return s.ct, nil
+		}
+	}
+	fsStats.decodedStripes.Add(1)
+	if !dataOK && nCrcOK >= s.k {
 		if pay, ok := s.tryDecode(raw, crcOK, verify); ok {
 			s.repairFrom(st, pay, crcOK)
 			return pay, nil
 		}
 	}
-	// The crc-guided decode failed authentication (or too few shards
+	// The crc-guided payload failed authentication (or too few shards
 	// passed crc): search k-subsets of everything readable. This covers
 	// a tamperer who fixed up crc trailers over corrupted shards.
 	if verify != nil {
@@ -560,7 +624,8 @@ func popcount(x int) int {
 
 // tryDecode reconstructs the stripe payload from the shards selected by
 // use, then authenticates it with verify (nil accepts — the caller
-// authenticates the assembled whole separately).
+// authenticates the assembled whole separately). The degraded path: it
+// allocates what it needs.
 func (s *BlockStore) tryDecode(raw [][]byte, use []bool, verify func([]byte) bool) ([]byte, bool) {
 	shards := make([][]byte, s.nFiles())
 	present := make([]bool, s.nFiles())
@@ -588,55 +653,40 @@ func (s *BlockStore) tryDecode(raw [][]byte, use []bool, verify func([]byte) boo
 // authenticated decode (trusted[f] == false), re-deriving it from the
 // verified payload. Called only after verify passed.
 func (s *BlockStore) repairFrom(st int, payload []byte, trusted []bool) {
-	nBad := 0
-	for _, ok := range trusted {
-		if !ok {
-			nBad++
+	encoded := false
+	for f, ok := range trusted {
+		if ok {
+			continue
 		}
-	}
-	if nBad == 0 {
-		return
-	}
-	ss := s.shardSize()
-	shards := make([][]byte, s.nFiles())
-	for d := 0; d < s.k; d++ {
-		shards[d] = payload[d*ss : (d+1)*ss]
-	}
-	for p := 0; p < s.m; p++ {
-		shards[s.k+p] = make([]byte, ss)
-	}
-	s.rs.encode(shards)
-	for f := 0; f < s.nFiles(); f++ {
-		if !trusted[f] {
-			s.writeCell(f, st, shards[f])
-			fsStats.repairedShards.Add(1)
+		if !encoded {
+			s.encodeStripe(payload)
+			encoded = true
 		}
+		s.writeCell(f, st, s.shards[f])
+		fsStats.repairedShards.Add(1)
 	}
 }
 
 // --- Block I/O ------------------------------------------------------------
 
+// setNonce loads (block, version) — the CTR IV and the MAC prefix.
+func (s *BlockStore) setNonce(i int, version uint64) {
+	binary.LittleEndian.PutUint64(s.nonce[0:], uint64(i))
+	binary.LittleEndian.PutUint64(s.nonce[8:], version)
+}
+
 func (s *BlockStore) keystream(i int, version uint64, dst, src []byte) {
-	block, err := aes.NewCipher(s.aesKey)
-	if err != nil {
-		panic(err) // key length is fixed; cannot fail
-	}
-	var iv [16]byte
-	binary.LittleEndian.PutUint64(iv[0:], uint64(i))
-	binary.LittleEndian.PutUint64(iv[8:], version)
-	cipher.NewCTR(block, iv[:]).XORKeyStream(dst, src)
+	s.setNonce(i, version)
+	cipher.NewCTR(s.block, s.nonce[:]).XORKeyStream(dst, src)
 }
 
 func (s *BlockStore) blockMAC(i int, version uint64, ct []byte) [32]byte {
-	mac := hmac.New(sha256.New, s.macKey)
-	var e [16]byte
-	binary.LittleEndian.PutUint64(e[0:], uint64(i))
-	binary.LittleEndian.PutUint64(e[8:], version)
-	mac.Write(e[:])
-	mac.Write(ct)
-	var out [32]byte
-	mac.Sum(out[:0])
-	return out
+	s.setNonce(i, version)
+	s.mac.Reset()
+	s.mac.Write(s.nonce[:])
+	s.mac.Write(ct)
+	s.mac.Sum(s.sum[:0])
+	return s.sum
 }
 
 // WriteBlock encrypts and stores one block (padded/truncated to
@@ -649,8 +699,6 @@ func (s *BlockStore) WriteBlock(i int, data []byte) error {
 	if i < 0 || i >= s.maxBlocks {
 		return fmt.Errorf("fs: block %d out of range", i)
 	}
-	pt := make([]byte, BlockSize)
-	copy(pt, data)
 	if !s.epochWritten[i] {
 		s.slots[i] ^= 1
 		s.epochWritten[i] = true
@@ -659,41 +707,65 @@ func (s *BlockStore) WriteBlock(i int, data []byte) error {
 	// the CTR IV, and rewriting a slot under a reused IV would be a
 	// two-time pad.
 	s.versions[i]++
-	ct := make([]byte, BlockSize)
-	s.keystream(i, s.versions[i], ct, pt)
-	s.macs[i] = s.blockMAC(i, s.versions[i], ct)
-	s.writeStripe(s.blockStripe(i, s.slots[i]), ct)
+	// A full block encrypts straight from the caller's buffer; a short
+	// one is zero-padded in scratch and encrypted in place.
+	if len(data) >= BlockSize {
+		data = data[:BlockSize]
+	} else {
+		clear(s.ct[copy(s.ct, data):])
+		data = s.ct
+	}
+	s.keystream(i, s.versions[i], s.ct, data)
+	s.macs[i] = s.blockMAC(i, s.versions[i], s.ct)
+	s.writeStripe(s.blockStripe(i, s.slots[i]), s.ct)
 	s.dirtyHdr = true
 	s.mutated()
 	return nil
 }
 
-// ReadBlock fetches, verifies and decrypts one block, transparently
-// repairing up to m lost or corrupted shards of its stripe. A
-// never-written block reads as zeros.
+// ReadBlock fetches, verifies and decrypts one block into a buffer the
+// caller owns, transparently repairing up to m lost or corrupted shards
+// of its stripe. A never-written block reads as zeros.
 func (s *BlockStore) ReadBlock(i int) ([]byte, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.readBlockLocked(i)
+	dst := make([]byte, BlockSize)
+	if err := s.ReadBlockInto(i, dst); err != nil {
+		return nil, err
+	}
+	return dst, nil
 }
 
-func (s *BlockStore) readBlockLocked(i int) ([]byte, error) {
+// ReadBlockInto is ReadBlock into dst, which must hold BlockSize bytes.
+func (s *BlockStore) ReadBlockInto(i int, dst []byte) error {
+	if len(dst) < BlockSize {
+		return fmt.Errorf("fs: ReadBlockInto: buffer of %d bytes, need %d", len(dst), BlockSize)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.readBlockLocked(i, dst[:BlockSize])
+}
+
+// readBlockLocked verifies block i (repairing its stripe) and, given a
+// dst, decrypts into it. The MAC is over the ciphertext, so a nil dst —
+// the scrubber — authenticates without decrypting.
+func (s *BlockStore) readBlockLocked(i int, dst []byte) error {
 	if i < 0 || i >= s.maxBlocks {
-		return nil, fmt.Errorf("fs: block %d out of range", i)
+		return fmt.Errorf("fs: block %d out of range", i)
 	}
 	if s.versions[i] == 0 {
-		return make([]byte, BlockSize), nil
+		clear(dst)
+		return nil
 	}
 	ct, err := s.readStripe(s.blockStripe(i, s.slots[i]), func(ct []byte) bool {
 		want := s.blockMAC(i, s.versions[i], ct)
 		return hmac.Equal(want[:], s.macs[i][:])
 	})
 	if err != nil {
-		return nil, fmt.Errorf("%w: block %d", ErrCorrupt, i)
+		return fmt.Errorf("%w: block %d", ErrCorrupt, i)
 	}
-	pt := make([]byte, BlockSize)
-	s.keystream(i, s.versions[i], pt, ct)
-	return pt, nil
+	if dst != nil {
+		s.keystream(i, s.versions[i], dst, ct)
+	}
+	return nil
 }
 
 // Flush commits the version table and root MAC. Data blocks are written
@@ -710,15 +782,9 @@ func (s *BlockStore) Flush() error {
 	s.epoch++
 	slot := int(s.epoch & 1)
 	T := s.tableStripes()
-	table := make([]byte, T*BlockSize)
-	for i := 0; i < s.maxBlocks; i++ {
-		e := table[i*macEntrySize:]
-		binary.LittleEndian.PutUint64(e, s.versions[i])
-		binary.LittleEndian.PutUint64(e[8:], uint64(s.slots[i]))
-		copy(e[16:], s.macs[i][:])
-	}
+	s.fillTable()
 	for j := 0; j < T; j++ {
-		s.writeStripe(slot*T+j, table[j*BlockSize:(j+1)*BlockSize])
+		s.writeStripe(slot*T+j, s.table[j*BlockSize:(j+1)*BlockSize])
 	}
 	rec := s.commitRecord(s.epoch, s.rootMAC())
 	for f := 0; f < s.nFiles(); f++ {
@@ -766,7 +832,7 @@ func (s *BlockStore) ScrubStep(n int) (worked bool, err error) {
 		if s.versions[i] == 0 {
 			continue
 		}
-		if _, rerr := s.readBlockLocked(i); rerr != nil && err == nil {
+		if rerr := s.readBlockLocked(i, nil); rerr != nil && err == nil {
 			err = rerr
 		}
 		fsStats.scrubbedBlocks.Add(1)
@@ -796,49 +862,33 @@ func (s *BlockStore) ScrubStep(n int) (worked bool, err error) {
 func (s *BlockStore) scrubTableLocked() error {
 	slot := int(s.epoch & 1)
 	T := s.tableStripes()
-	ss := s.shardSize()
-	table := make([]byte, T*BlockSize)
-	for i := 0; i < s.maxBlocks; i++ {
-		e := table[i*macEntrySize:]
-		binary.LittleEndian.PutUint64(e, s.versions[i])
-		binary.LittleEndian.PutUint64(e[8:], uint64(s.slots[i]))
-		copy(e[16:], s.macs[i][:])
-	}
+	cs := s.cellSize()
+	s.fillTable()
 	for j := 0; j < T; j++ {
 		st := slot*T + j
-		pay := table[j*BlockSize : (j+1)*BlockSize]
-		shards := make([][]byte, s.nFiles())
-		for d := 0; d < s.k; d++ {
-			shards[d] = pay[d*ss : (d+1)*ss]
-		}
-		for p := 0; p < s.m; p++ {
-			shards[s.k+p] = make([]byte, ss)
-		}
-		s.rs.encode(shards)
-		for f := 0; f < s.nFiles(); f++ {
-			cell := make([]byte, s.cellSize())
-			cnt, rerr := s.host.ReadFileAt(s.fileName(f), s.cellOff(st), cell)
-			want := make([]byte, s.cellSize())
-			copy(want, shards[f])
-			binary.LittleEndian.PutUint32(want[ss:], crc32.ChecksumIEEE(shards[f]))
-			if rerr != nil || cnt < s.cellSize() || string(cell) != string(want) {
-				s.host.WriteFileAt(s.fileName(f), s.cellOff(st), want)
+		s.encodeStripe(s.table[j*BlockSize : (j+1)*BlockSize])
+		for f, shard := range s.shards {
+			s.fillCell(shard)
+			got := s.cells[:cs]
+			cnt, rerr := s.host.ReadFileAt(s.fileName(f), s.cellOff(st), got)
+			if rerr != nil || cnt < cs || !bytes.Equal(got, s.cell) {
+				s.host.WriteFileAt(s.fileName(f), s.cellOff(st), s.cell)
 				fsStats.repairedShards.Add(1)
 			}
 		}
 	}
 	rec := s.commitRecord(s.epoch, s.rootMAC())
+	got := s.cells[:commitRecordSize]
 	for f := 0; f < s.nFiles(); f++ {
-		got := make([]byte, commitRecordSize)
 		cnt, rerr := s.host.ReadFileAt(s.fileName(f), fileHeaderSize+slot*commitRecordSize, got)
-		if rerr != nil || cnt < commitRecordSize || string(got) != string(rec) {
+		if rerr != nil || cnt < commitRecordSize || !bytes.Equal(got, rec) {
 			s.host.WriteFileAt(s.fileName(f), fileHeaderSize+slot*commitRecordSize, rec)
 			fsStats.repairedShards.Add(1)
 		}
 		hdr := s.fileHeader(f)
-		gotHdr := make([]byte, fileHeaderSize)
+		gotHdr := got[:fileHeaderSize]
 		cnt, rerr = s.host.ReadFileAt(s.fileName(f), 0, gotHdr)
-		if rerr != nil || cnt < fileHeaderSize || string(gotHdr) != string(hdr) {
+		if rerr != nil || cnt < fileHeaderSize || !bytes.Equal(gotHdr, hdr) {
 			s.host.WriteFileAt(s.fileName(f), 0, hdr)
 			fsStats.repairedShards.Add(1)
 		}
@@ -883,7 +933,7 @@ func (s *BlockStore) Repair() (rebuilt int, err error) {
 		if s.versions[i] == 0 {
 			continue
 		}
-		if _, rerr := s.readBlockLocked(i); rerr != nil && err == nil {
+		if rerr := s.readBlockLocked(i, nil); rerr != nil && err == nil {
 			err = rerr
 		}
 	}

@@ -51,25 +51,21 @@ func gfInv(a byte) byte {
 	return gfExp[255-int(gfLog[a])]
 }
 
-// mulAddSlice: dst[i] ^= c * src[i] — the inner loop of encode/decode, via
-// a per-coefficient 256-entry product table.
-func mulAddSlice(c byte, src, dst []byte) {
-	if c == 0 {
-		return
-	}
-	if c == 1 {
-		for i, s := range src {
-			dst[i] ^= s
-		}
-		return
-	}
-	logC := int(gfLog[c])
-	var table [256]byte
+// mulTable is the 256-entry product table of one coefficient:
+// mulTable(c)[x] = c·x.
+func mulTable(c byte) (t [256]byte) {
 	for x := 1; x < 256; x++ {
-		table[x] = gfExp[logC+int(gfLog[x])]
+		t[x] = gfMul(c, byte(x))
 	}
+	return t
+}
+
+// mulAddSlice: dst[i] ^= c * src[i], with c given as its product table —
+// the inner loop of encode/decode.
+func mulAddSlice(t *[256]byte, src, dst []byte) {
+	dst = dst[:len(src)]
 	for i, s := range src {
-		dst[i] ^= table[s]
+		dst[i] ^= t[s]
 	}
 }
 
@@ -83,6 +79,9 @@ type rsCode struct {
 	// k×k submatrix stays invertible, so ANY k surviving shards
 	// reconstruct the stripe.
 	mat [][]byte
+	// parity[p][d] is the product table of mat[k+p][d], built once so
+	// encode pays one lookup per byte and no per-call setup.
+	parity [][][256]byte
 }
 
 func newRS(k, m int) (*rsCode, error) {
@@ -106,7 +105,14 @@ func newRS(k, m int) (*rsCode, error) {
 		return nil, err
 	}
 	mat := gfMatMul(v, inv)
-	return &rsCode{k: k, m: m, mat: mat}, nil
+	parity := make([][][256]byte, m)
+	for p := range parity {
+		parity[p] = make([][256]byte, k)
+		for d := range parity[p] {
+			parity[p][d] = mulTable(mat[k+p][d])
+		}
+	}
+	return &rsCode{k: k, m: m, mat: mat, parity: parity}, nil
 }
 
 func gfPow(a byte, n int) byte {
@@ -189,11 +195,9 @@ func gfMatInvert(m [][]byte) ([][]byte, error) {
 func (c *rsCode) encode(shards [][]byte) {
 	for p := 0; p < c.m; p++ {
 		out := shards[c.k+p]
-		for i := range out {
-			out[i] = 0
-		}
+		clear(out)
 		for d := 0; d < c.k; d++ {
-			mulAddSlice(c.mat[c.k+p][d], shards[d], out)
+			mulAddSlice(&c.parity[p][d], shards[d], out)
 		}
 	}
 }
@@ -214,6 +218,9 @@ func (c *rsCode) reconstruct(shards [][]byte, present []bool) error {
 	}
 	if nPresent < c.k {
 		return fmt.Errorf("fs: rs: only %d of %d shards present, need %d", nPresent, c.k+c.m, c.k)
+	}
+	if nPresent == c.k+c.m {
+		return nil
 	}
 
 	// Select the first k present shards and the matching rows of the
@@ -237,7 +244,11 @@ func (c *rsCode) reconstruct(shards [][]byte, present []bool) error {
 		}
 		out := make([]byte, size)
 		for t := 0; t < c.k; t++ {
-			mulAddSlice(dec[d][t], rows[t], out)
+			if dec[d][t] == 0 {
+				continue
+			}
+			tbl := mulTable(dec[d][t])
+			mulAddSlice(&tbl, rows[t], out)
 		}
 		shards[d] = out
 	}
@@ -248,7 +259,7 @@ func (c *rsCode) reconstruct(shards [][]byte, present []bool) error {
 		}
 		out := make([]byte, size)
 		for d := 0; d < c.k; d++ {
-			mulAddSlice(c.mat[c.k+p][d], shards[d], out)
+			mulAddSlice(&c.parity[p][d], shards[d], out)
 		}
 		shards[c.k+p] = out
 	}

@@ -136,9 +136,22 @@ func (h *Host) WriteFileAt(name string, off int, p []byte) {
 	}
 	f := h.files[name]
 	if need := off + len(p); need > len(f) {
-		nf := make([]byte, need)
-		copy(nf, f)
-		f = nf
+		// Capacity grows geometrically (at most 25 % slack), so a file
+		// built by ascending writes is copied O(1) times per byte, not
+		// once per write. Only len is ever the file: the slack is
+		// invisible to every reader, and the part of it a sparse write
+		// exposes is cleared.
+		old := len(f)
+		if need > cap(f) {
+			nf := make([]byte, need, need+need/4)
+			copy(nf, f)
+			f = nf
+		} else {
+			f = f[:need]
+			if off > old {
+				clear(f[old:off])
+			}
+		}
 	}
 	copy(f[off:], p)
 	h.files[name] = f

@@ -3,6 +3,7 @@ package hostos
 import (
 	"bytes"
 	"io"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -29,6 +30,55 @@ func TestFileStorage(t *testing.T) {
 	h.RemoveFile("img")
 	if _, err := h.ReadFile("img"); err == nil {
 		t.Fatal("removed file should be gone")
+	}
+}
+
+// TestWriteFileAtGrowthIsAmortised: a file built by ascending block
+// writes is copied a constant number of times per byte (the allocator's
+// ledger says so, no clock involved), and the capacity behind that is
+// never visible: every reader and every fault sees len.
+func TestWriteFileAtGrowthIsAmortised(t *testing.T) {
+	const writes, chunk = 2048, 4096
+	const final = writes * chunk
+	h := New()
+	buf := bytes.Repeat([]byte{0xAB}, chunk)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < writes; i++ {
+		h.WriteFileAt("grow", i*chunk, buf)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 6*final {
+		t.Errorf("growing to %d bytes in %d writes allocated %d bytes (%.1f×), want ≤ 6×",
+			final, writes, got, float64(got)/final)
+	}
+	if n := h.FileSize("grow"); n != final {
+		t.Fatalf("FileSize = %d, want %d", n, final)
+	}
+	if data, _ := h.ReadFile("grow"); len(data) != final || !bytes.Equal(data[final-chunk:], buf) {
+		t.Fatalf("ReadFile returned %d bytes, want %d ending in the last write", len(data), final)
+	}
+
+	// A write that leaves slack, then a sparse write inside it: the gap
+	// reads zero, and nothing past len can be read, flipped or rotted.
+	h.WriteFileAt("sp", 0, buf)
+	h.WriteFileAt("sp", chunk+900, []byte{7})
+	const size = chunk + 901
+	got := make([]byte, size+64)
+	if n, _ := h.ReadFileAt("sp", 0, got); n != size {
+		t.Fatalf("ReadFileAt saw %d bytes, want %d", n, size)
+	}
+	if !bytes.Equal(got[chunk:chunk+900], make([]byte, 900)) || got[chunk+900] != 7 {
+		t.Fatal("the tail a sparse write exposed does not read zero")
+	}
+	if h.FileSize("sp") != size || len(h.CopyFiles("sp")["sp"]) != size {
+		t.Fatalf("FileSize %d / CopyFiles %d, want %d", h.FileSize("sp"), len(h.CopyFiles("sp")["sp"]), size)
+	}
+	if err := h.FlipBit("sp", size); err == nil {
+		t.Fatal("FlipBit reached past the end of the file")
+	}
+	if n := h.CorruptFiles("sp", size, 0, 8, 1); n != 0 {
+		t.Fatalf("CorruptFiles flipped %d bits past the end of the file", n)
 	}
 }
 
