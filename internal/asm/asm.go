@@ -255,11 +255,6 @@ func (b *Builder) StoreB(m isa.MemRef, src isa.Reg) *Builder {
 	return b.I(isa.Inst{Op: isa.OpStoreB, R1: src, Mem: m})
 }
 
-// Lea emits lea dst, mem.
-func (b *Builder) Lea(dst isa.Reg, m isa.MemRef) *Builder {
-	return b.I(isa.Inst{Op: isa.OpLea, R1: dst, Mem: m})
-}
-
 // LeaData emits lea dst, <sym>: the address of a data symbol, resolved at
 // link time into a PC-relative operand.
 func (b *Builder) LeaData(dst isa.Reg, sym string) *Builder {
@@ -315,9 +310,6 @@ func (b *Builder) MulI(dst isa.Reg, imm int32) *Builder { return b.AluI(isa.OpMu
 
 // Div emits div dst, src (signed).
 func (b *Builder) Div(dst, src isa.Reg) *Builder { return b.Alu(isa.OpDivRR, dst, src) }
-
-// Mod emits mod dst, src (signed).
-func (b *Builder) Mod(dst, src isa.Reg) *Builder { return b.Alu(isa.OpModRR, dst, src) }
 
 // And emits and dst, src.
 func (b *Builder) And(dst, src isa.Reg) *Builder { return b.Alu(isa.OpAndRR, dst, src) }
@@ -380,12 +372,6 @@ func (b *Builder) Jg(label string) *Builder { return b.Jcc(isa.OpJg, label) }
 
 // Jge emits jge label.
 func (b *Builder) Jge(label string) *Builder { return b.Jcc(isa.OpJge, label) }
-
-// Jb emits jb label.
-func (b *Builder) Jb(label string) *Builder { return b.Jcc(isa.OpJb, label) }
-
-// Jae emits jae label.
-func (b *Builder) Jae(label string) *Builder { return b.Jcc(isa.OpJae, label) }
 
 // Call emits call label (direct).
 func (b *Builder) Call(label string) *Builder {

@@ -1,74 +1,31 @@
 package hostos
 
 import (
-	"io"
 	"sync"
 
 	"repro/internal/ring"
 )
 
-// Ready is a readiness bitmask for a stream endpoint, the host-side truth
-// that poll/epoll answers are computed from. Bits are level-triggered:
-// they describe current state, not edges, so a consumer that re-scans
-// after a partial read sees ReadyIn again as long as data remains.
-type Ready uint32
+// Ready is the readiness bitmask of a connection or listener; the bits
+// are the stream's (ring.Ready), level-triggered.
+type Ready = ring.Ready
 
 // Readiness bits.
 const (
-	// ReadyIn: a read would not block (buffered data, or EOF/shutdown
-	// pending — EOF is readable, as in poll(2)).
-	ReadyIn Ready = 1 << iota
-	// ReadyOut: a write of at least one byte would not block (buffer
-	// space, or a closed direction where the write fails immediately —
-	// failing fast is "ready" in poll terms).
-	ReadyOut
-	// ReadyHup: the peer closed its write direction; reads drain
-	// whatever is buffered and then return EOF.
-	ReadyHup
-	// ReadyErr: the peer closed its read direction; writes fail with
-	// ErrClosedPipe (EPIPE).
-	ReadyErr
+	ReadyIn  = ring.ReadyIn
+	ReadyOut = ring.ReadyOut
+	ReadyHup = ring.ReadyHup // the peer closed its write direction
+	ReadyErr = ring.ReadyErr // the peer closed its read direction
 )
 
 // Conn is one end of an in-memory duplex byte stream, the host-delegated
 // TCP connection of the paper's networking model (§6: network I/O is
-// redirected to the host and is not secret by default).
+// redirected to the host and is not secret by default): two
+// ring.Streams, one per direction, each end reading the one its peer
+// writes.
 type Conn struct {
-	rd *stream
-	wr *stream
-}
-
-// watchSet is the persistent readiness-subscription registry shared by
-// streams and listeners: id-keyed callbacks that survive wakes until
-// cancelled. The owner guards every method with its own lock; snapshot
-// results are invoked only after that lock is released (callbacks take
-// foreign locks — an epoll set's, the scheduler's).
-type watchSet struct {
-	m      map[int]func()
-	nextID int
-}
-
-func (w *watchSet) add(fn func()) (id int) {
-	if w.m == nil {
-		w.m = make(map[int]func())
-	}
-	id = w.nextID
-	w.nextID++
-	w.m[id] = fn
-	return id
-}
-
-func (w *watchSet) remove(id int) { delete(w.m, id) }
-
-func (w *watchSet) snapshot() []func() {
-	if len(w.m) == 0 {
-		return nil
-	}
-	out := make([]func(), 0, len(w.m))
-	for _, fn := range w.m {
-		out = append(out, fn)
-	}
-	return out
+	rd *ring.Stream
+	wr *ring.Stream
 }
 
 // Listener accepts loopback connections on a port.
@@ -88,7 +45,7 @@ type Listener struct {
 	// watch holds persistent readiness subscriptions (epoll interest):
 	// unlike waiters, these survive wakes and fire on every arrival and
 	// on close, until cancelled.
-	watch  watchSet
+	watch  ring.WatchSet
 	closed bool
 	// max bounds queued-but-unaccepted connections, like listen(2)'s
 	// backlog: the guest's listen() argument, clamped to BacklogCap.
@@ -161,7 +118,7 @@ func (h *Host) Dial(port uint16) (*Conn, error) {
 	l.cond.Broadcast()
 	waiters := l.waiters
 	l.waiters = nil
-	watch := l.watch.snapshot()
+	watch := l.watch.Snapshot()
 	l.mu.Unlock()
 	for _, w := range waiters {
 		w()
@@ -230,11 +187,11 @@ func (l *Listener) Readiness() Ready {
 // the listener; it is expected to only flip scheduler state (Unpark).
 func (l *Listener) Subscribe(fn func()) (cancel func()) {
 	l.mu.Lock()
-	id := l.watch.add(fn)
+	id := l.watch.Add(fn)
 	l.mu.Unlock()
 	return func() {
 		l.mu.Lock()
-		l.watch.remove(id)
+		l.watch.Remove(id)
 		l.mu.Unlock()
 	}
 }
@@ -250,7 +207,7 @@ func (l *Listener) Close() {
 	l.cond.Broadcast()
 	waiters := l.waiters
 	l.waiters = nil
-	watch := l.watch.snapshot()
+	watch := l.watch.Snapshot()
 	l.mu.Unlock()
 	sh := l.host.listenerShardFor(l.port)
 	sh.mu.Lock()
@@ -265,86 +222,72 @@ func (l *Listener) Close() {
 }
 
 func connPair() (*Conn, *Conn) {
-	s1, s2 := newStream(), newStream()
+	s1, s2 := ring.NewStream(streamCap), ring.NewStream(streamCap)
 	return &Conn{rd: s1, wr: s2}, &Conn{rd: s2, wr: s1}
 }
 
+// streamCap is the per-stream (so per-connection, per-direction) buffer
+// cap, like a socket's SO_RCVBUF: the most the ring will ever allocate.
+const streamCap = 256 << 10
+
+// StreamCap reports the per-stream buffer cap, the hard bound on bytes
+// a connection direction can hold for a slow reader.
+func StreamCap() int { return streamCap }
+
+// Streams returns the stream this end reads and the one it writes — the
+// LibOS holds a connected socket as exactly these, as it holds a pipe
+// end as one of them.
+func (c *Conn) Streams() (rd, wr *ring.Stream) { return c.rd, c.wr }
+
 // Read reads from the connection, blocking until data, EOF, or a local
 // shutdown of the read direction.
-func (c *Conn) Read(p []byte) (int, error) { return c.rd.read(p) }
+func (c *Conn) Read(p []byte) (int, error) { return c.rd.Read(p) }
 
 // Write writes to the connection, blocking while the peer's receive
 // buffer is full.
-func (c *Conn) Write(p []byte) (int, error) { return c.wr.write(p) }
+func (c *Conn) Write(p []byte) (int, error) { return c.wr.Write(p) }
 
 // TryRead is the non-blocking read for parking callers: it drains
 // buffered data if any, reports eof when the direction is finished, and
 // otherwise registers wait (nil for a pure O_NONBLOCK probe) and reports
 // wouldBlock.
 func (c *Conn) TryRead(p []byte, wait func()) (n int, eof, wouldBlock bool) {
-	return c.rd.tryRead(p, wait)
+	return c.rd.TryRead(p, wait)
 }
 
 // TryWrite appends as much of p as fits in the peer's receive buffer.
 // closed reports a dead direction (EPIPE); wouldBlock reports that not
 // all of p fit, with wait registered for the next drain (when non-nil).
 func (c *Conn) TryWrite(p []byte, wait func()) (n int, closed, wouldBlock bool) {
-	return c.wr.tryWrite(p, wait)
+	return c.wr.TryWrite(p, wait)
 }
 
 // CloseRead shuts down the read direction (shutdown(SHUT_RD)): buffered
 // data is discarded, future local reads return EOF, and peer writes fail
 // with ErrClosedPipe.
-func (c *Conn) CloseRead() { c.rd.closeRead() }
+func (c *Conn) CloseRead() { c.rd.CloseRead() }
 
 // CloseWrite shuts down the write direction (shutdown(SHUT_WR)): the
 // peer drains whatever is buffered and then reads EOF; the peer's own
 // write direction is untouched — the classic TCP half-close.
-func (c *Conn) CloseWrite() { c.wr.closeWrite() }
+func (c *Conn) CloseWrite() { c.wr.CloseWrite() }
 
 // Close closes both directions. Data already written remains readable by
-// the peer (closeWrite semantics on the outgoing stream); only the
+// the peer (CloseWrite semantics on the outgoing stream); only the
 // incoming stream's undelivered data is dropped.
 func (c *Conn) Close() {
-	c.rd.closeRead()
-	c.wr.closeWrite()
+	c.rd.CloseRead()
+	c.wr.CloseWrite()
 }
 
 // BufAlloc reports the bytes of ring buffer actually allocated for
 // this end's two directions — the connection's real buffer footprint,
 // which lazy rings keep near the high-water mark of queued data rather
 // than at 2×StreamCap. Slowloris tests assert this stays bounded.
-func (c *Conn) BufAlloc() int {
-	c.rd.mu.Lock()
-	n := c.rd.rb.Alloc()
-	c.rd.mu.Unlock()
-	c.wr.mu.Lock()
-	n += c.wr.rb.Alloc()
-	c.wr.mu.Unlock()
-	return n
-}
+func (c *Conn) BufAlloc() int { return c.rd.Alloc() + c.wr.Alloc() }
 
 // Readiness reports the connection's poll state.
-func (c *Conn) Readiness() Ready {
-	var r Ready
-	c.rd.mu.Lock()
-	if c.rd.rb.Len() > 0 || c.rd.wClosed || c.rd.rClosed {
-		r |= ReadyIn
-	}
-	if c.rd.wClosed {
-		r |= ReadyHup
-	}
-	c.rd.mu.Unlock()
-	c.wr.mu.Lock()
-	if c.wr.rb.Free() > 0 || c.wr.rClosed || c.wr.wClosed {
-		r |= ReadyOut
-	}
-	if c.wr.rClosed {
-		r |= ReadyErr
-	}
-	c.wr.mu.Unlock()
-	return r
-}
+func (c *Conn) Readiness() Ready { return c.rd.ReadReady() | c.wr.WriteReady() }
 
 // Subscribe registers a persistent callback fired on every readiness
 // edge in either direction (empty→nonempty for reads, full→space for
@@ -363,260 +306,6 @@ func (c *Conn) Subscribe(fn func()) (cancel func()) {
 // write stream), so the unsubscribed direction still delivers its
 // close edges — just not its data edges.
 func (c *Conn) SubscribeDir(read, write bool, fn func()) (cancel func()) {
-	var cancels []func()
-	if read {
-		cancels = append(cancels, c.rd.subscribe(fn))
-	} else {
-		cancels = append(cancels, c.rd.subscribeClose(fn))
-	}
-	if write {
-		cancels = append(cancels, c.wr.subscribe(fn))
-	} else {
-		cancels = append(cancels, c.wr.subscribeClose(fn))
-	}
-	return func() {
-		for _, cf := range cancels {
-			cf()
-		}
-	}
-}
-
-// stream is a bounded in-memory byte queue with independent read-side and
-// write-side shutdown, one-shot waiter lists for parked SIPs, and
-// persistent watchers for readiness subscriptions (poll/epoll interest).
-//
-// Storage is a fixed-capacity ring: the cap is a hard per-connection
-// memory bound. A slow (or stalled) reader backpressures its writer at
-// exactly Cap queued bytes — the append-grown slice this replaces
-// regrew without bound and pinned consumed prefixes alive via
-// `buf = buf[n:]`, so one slow reader could balloon the host heap.
-// The ring allocates its buffer lazily and releases it on a complete
-// drain past a keep threshold, so 100k idle connections cost what they
-// queue, not 2×Cap each.
-type stream struct {
-	mu   sync.Mutex
-	cond *sync.Cond
-	rb   *ring.Ring
-	// rClosed: the consuming end shut down (shutdown(RD) or close);
-	// buffered data is discarded and writers fail with ErrClosedPipe.
-	rClosed bool
-	// wClosed: the producing end shut down (shutdown(WR) or close);
-	// readers drain the buffer and then see EOF.
-	wClosed bool
-	// rWait/wWait are one-shot wake callbacks from parked readers and
-	// writers; every relevant state change drains and invokes the whole
-	// list (broadcast; retriers re-register if still blocked).
-	rWait []func()
-	wWait []func()
-	// watch holds persistent readiness subscriptions; closeWatch holds
-	// watchers interested only in this direction's shutdown edges (the
-	// cross-direction half of a filtered subscription).
-	watch      watchSet
-	closeWatch watchSet
-}
-
-// streamCap is the per-stream (so per-connection, per-direction) buffer
-// cap, like a socket's SO_RCVBUF: the most the ring will ever allocate.
-const streamCap = 256 << 10
-
-// StreamCap reports the per-stream buffer cap, the hard bound on bytes
-// a connection direction can hold for a slow reader.
-func StreamCap() int { return streamCap }
-
-func newStream() *stream {
-	s := &stream{rb: ring.New(streamCap)}
-	s.cond = sync.NewCond(&s.mu)
-	return s
-}
-
-func (s *stream) subscribe(fn func()) (cancel func()) {
-	s.mu.Lock()
-	id := s.watch.add(fn)
-	s.mu.Unlock()
-	return func() {
-		s.mu.Lock()
-		s.watch.remove(id)
-		s.mu.Unlock()
-	}
-}
-
-// subscribeClose registers a watcher fired only by closeRead/closeWrite
-// on this stream, never by data edges.
-func (s *stream) subscribeClose(fn func()) (cancel func()) {
-	s.mu.Lock()
-	id := s.closeWatch.add(fn)
-	s.mu.Unlock()
-	return func() {
-		s.mu.Lock()
-		s.closeWatch.remove(id)
-		s.mu.Unlock()
-	}
-}
-
-// wakeReadersLocked drains the one-shot reader waiters; the caller runs
-// the returned callbacks (one-shot and persistent) outside s.mu —
-// watcher callbacks take foreign locks (an epoll set's, the
-// scheduler's), and the reverse order (epoll scan → Readiness → s.mu)
-// would deadlock.
-func (s *stream) wakeReadersLocked() []func() {
-	s.cond.Broadcast()
-	ws := s.rWait
-	s.rWait = nil
-	return append(ws, s.watch.snapshot()...)
-}
-
-func (s *stream) wakeWritersLocked() []func() {
-	s.cond.Broadcast()
-	ws := s.wWait
-	s.wWait = nil
-	return append(ws, s.watch.snapshot()...)
-}
-
-func runAll(fns []func()) {
-	for _, f := range fns {
-		f()
-	}
-}
-
-func (s *stream) read(p []byte) (int, error) {
-	s.mu.Lock()
-	for s.rb.Len() == 0 && !s.wClosed && !s.rClosed {
-		s.cond.Wait()
-	}
-	if s.rb.Len() == 0 {
-		s.mu.Unlock()
-		return 0, io.EOF
-	}
-	wasFull := s.rb.Free() == 0
-	n := s.rb.Read(p)
-	var wake []func()
-	if wasFull && n > 0 {
-		wake = s.wakeWritersLocked()
-	}
-	s.mu.Unlock()
-	runAll(wake)
-	return n, nil
-}
-
-// tryRead is the non-blocking read. With a non-nil wait it registers a
-// one-shot waiter under the same critical section as the emptiness
-// check, so no write can slip between them unseen. An empty p probes:
-// data present returns (0, false, false) — "readable, took nothing".
-func (s *stream) tryRead(p []byte, wait func()) (n int, eof, wouldBlock bool) {
-	s.mu.Lock()
-	if s.rClosed {
-		s.mu.Unlock()
-		return 0, true, false
-	}
-	if s.rb.Len() == 0 {
-		if s.wClosed {
-			s.mu.Unlock()
-			return 0, true, false
-		}
-		if wait != nil {
-			s.rWait = append(s.rWait, wait)
-		}
-		s.mu.Unlock()
-		return 0, false, true
-	}
-	wasFull := s.rb.Free() == 0
-	n = s.rb.Read(p)
-	var wake []func()
-	if wasFull && n > 0 {
-		wake = s.wakeWritersLocked()
-	}
-	s.mu.Unlock()
-	runAll(wake)
-	return n, false, false
-}
-
-func (s *stream) write(p []byte) (int, error) {
-	s.mu.Lock()
-	total := 0
-	for len(p) > 0 {
-		for s.rb.Free() == 0 && !s.rClosed && !s.wClosed {
-			s.cond.Wait()
-		}
-		if s.rClosed || s.wClosed {
-			s.mu.Unlock()
-			return total, io.ErrClosedPipe
-		}
-		wasEmpty := s.rb.Len() == 0
-		n := s.rb.Write(p)
-		p = p[n:]
-		total += n
-		var wake []func()
-		if wasEmpty {
-			wake = s.wakeReadersLocked()
-		}
-		s.mu.Unlock()
-		runAll(wake)
-		s.mu.Lock()
-	}
-	s.mu.Unlock()
-	return total, nil
-}
-
-// tryWrite queues what fits. If anything is left over it registers wait
-// (when non-nil) and reports wouldBlock; the parked caller resumes from
-// its recorded progress, so no byte is sent twice. An empty p probes
-// writability: a full ring registers wait and reports wouldBlock, space
-// reports (0, false, false) — the splice path uses this to park on the
-// socket side without lending it any bytes yet.
-func (s *stream) tryWrite(p []byte, wait func()) (n int, closed, wouldBlock bool) {
-	s.mu.Lock()
-	if s.rClosed || s.wClosed {
-		s.mu.Unlock()
-		return 0, true, false
-	}
-	if len(p) == 0 {
-		if s.rb.Free() == 0 {
-			if wait != nil {
-				s.wWait = append(s.wWait, wait)
-			}
-			s.mu.Unlock()
-			return 0, false, true
-		}
-		s.mu.Unlock()
-		return 0, false, false
-	}
-	var wake []func()
-	wasEmpty := s.rb.Len() == 0
-	n = s.rb.Write(p)
-	if n > 0 && wasEmpty {
-		wake = s.wakeReadersLocked()
-	}
-	if n < len(p) {
-		if wait != nil {
-			s.wWait = append(s.wWait, wait)
-		}
-		wouldBlock = true
-	}
-	s.mu.Unlock()
-	runAll(wake)
-	return n, false, wouldBlock
-}
-
-// closeRead is the consuming end's shutdown: pending data can never be
-// delivered, so it is dropped, and both sides are woken (readers to see
-// EOF, writers to fail with ErrClosedPipe).
-func (s *stream) closeRead() {
-	s.mu.Lock()
-	s.rClosed = true
-	s.rb.Consume(s.rb.Len())
-	wake := append(s.wakeReadersLocked(), s.wakeWritersLocked()...)
-	wake = append(wake, s.closeWatch.snapshot()...)
-	s.mu.Unlock()
-	runAll(wake)
-}
-
-// closeWrite is the producing end's shutdown: buffered data stays
-// readable; once drained, readers see EOF.
-func (s *stream) closeWrite() {
-	s.mu.Lock()
-	s.wClosed = true
-	wake := append(s.wakeReadersLocked(), s.wakeWritersLocked()...)
-	wake = append(wake, s.closeWatch.snapshot()...)
-	s.mu.Unlock()
-	runAll(wake)
+	cr, cw := c.rd.Subscribe(read, fn), c.wr.Subscribe(write, fn)
+	return func() { cr(); cw() }
 }

@@ -18,12 +18,11 @@ import (
 type fileKind uint8
 
 const (
-	kindNode fileKind = iota // VFS node (regular file or device)
-	kindPipeR
-	kindPipeW
-	kindSock     // connected socket (host Conn)
-	kindListener // listening socket
-	kindEpoll    // epoll interest set (readiness multiplexer)
+	kindNode     fileKind = iota // VFS node (regular file or device)
+	kindPipe                     // one end of a pipe: rd or wr, never both
+	kindSock                     // socket: rd and wr once connected, neither before
+	kindListener                 // listening socket
+	kindEpoll                    // epoll interest set (readiness multiplexer)
 )
 
 // OpenFile is an open file description, shared between fds (dup) and
@@ -36,10 +35,11 @@ type OpenFile struct {
 	flags  fs.OpenFlag
 	node   fs.Node
 	offset int64
-	pipe   *pipeBuf
-	conn   *hostos.Conn
+	// rd/wr are the byte streams the description reads and writes: a
+	// pipe end holds one, a connected socket both (a hostos.Conn's).
+	// Written under mu (connect), so read through streams().
+	rd, wr *ring.Stream
 	lis    *hostos.Listener
-	port   uint16
 	ep     *epollSet
 	// nonblock is the O_NONBLOCK status flag (fcntl F_SETFL). Like the
 	// rest of the description it is shared across dup and spawn
@@ -102,11 +102,7 @@ func (of *OpenFile) unref() {
 	switch of.kind {
 	case kindNode:
 		_ = of.node.Close()
-	case kindPipeR:
-		of.pipe.closeRead()
-	case kindPipeW:
-		of.pipe.closeWrite()
-	case kindSock:
+	case kindPipe, kindSock:
 		of.reapStop.Store(true)
 		of.mu.Lock()
 		reap := of.reap
@@ -114,15 +110,35 @@ func (of *OpenFile) unref() {
 		if reap != nil {
 			reap.Cancel()
 		}
-		if of.conn != nil {
-			of.conn.Close()
-		}
+		of.closeStreams()
 	case kindListener:
 		if of.lis != nil {
 			of.lis.Close()
 		}
 	case kindEpoll:
 		of.ep.close()
+	}
+}
+
+// streams snapshots the description's two streams under of.mu (nil for
+// a direction it does not have: a pipe's other end, an unconnected
+// socket, anything that is not a stream).
+func (of *OpenFile) streams() (rd, wr *ring.Stream) {
+	of.mu.Lock()
+	defer of.mu.Unlock()
+	return of.rd, of.wr
+}
+
+// closeStreams shuts down the directions the description holds: the
+// peer drains what was written and then reads EOF, and writes fail
+// EPIPE; undelivered inbound data is dropped.
+func (of *OpenFile) closeStreams() {
+	rd, wr := of.streams()
+	if rd != nil {
+		rd.CloseRead()
+	}
+	if wr != nil {
+		wr.CloseWrite()
 	}
 }
 
@@ -159,9 +175,9 @@ func (of *OpenFile) reapCheck() {
 	}
 	idle := time.Since(time.Unix(0, of.lastActive.Load()))
 	of.mu.Lock()
-	t, conn := of.reap, of.conn
+	t := of.reap
 	of.mu.Unlock()
-	if t == nil || conn == nil {
+	if t == nil {
 		return
 	}
 	if idle < of.reapTimeout {
@@ -171,7 +187,7 @@ func (of *OpenFile) reapCheck() {
 	// Idled out: close both directions. The guest's next read sees
 	// EOF/HUP and its write sees EPIPE; parked waiters are woken by the
 	// close's readiness broadcast.
-	conn.Close()
+	of.closeStreams()
 	netStats.reaps.Add(1)
 }
 
@@ -197,16 +213,19 @@ func (of *OpenFile) Readiness() uint32 {
 	case kindNode:
 		// Regular files and devices never block.
 		return PollIn | PollOut
-	case kindPipeR, kindPipeW:
-		return of.pipe.readiness(of.kind == kindPipeR)
-	case kindSock:
-		of.mu.Lock()
-		conn := of.conn
-		of.mu.Unlock()
-		if conn == nil {
-			return PollNval
+	case kindPipe, kindSock:
+		rd, wr := of.streams()
+		if rd == nil && wr == nil {
+			return PollNval // unconnected socket
 		}
-		return mapReady(conn.Readiness())
+		var r ring.Ready
+		if rd != nil {
+			r |= rd.ReadReady()
+		}
+		if wr != nil {
+			r |= wr.WriteReady()
+		}
+		return mapReady(r)
 	case kindListener:
 		return mapReady(of.lis.Readiness())
 	case kindEpoll:
@@ -219,28 +238,33 @@ func (of *OpenFile) Readiness() uint32 {
 
 // SubscribeReady registers a persistent callback fired whenever the
 // description's readiness may have changed for the requested events,
-// returning a cancel function. Sockets subscribe per direction: an
+// returning a cancel function. Streams subscribe per direction: an
 // EPOLLIN-only watcher is not woken by the peer draining its send
-// buffer. ok=false reports a description that cannot be waited on
-// (regular files, which are always ready, epoll sets — nesting is not
-// supported — and unconnected sockets).
+// buffer (close edges are never filtered). ok=false reports a
+// description that cannot be waited on (regular files, which are always
+// ready, epoll sets — nesting is not supported — and unconnected
+// sockets).
 func (of *OpenFile) SubscribeReady(fn func(), events uint32) (cancel func(), ok bool) {
 	switch of.kind {
-	case kindPipeR, kindPipeW:
-		return of.pipe.subscribe(fn), true
-	case kindSock:
-		of.mu.Lock()
-		conn := of.conn
-		of.mu.Unlock()
-		if conn == nil {
-			return nil, false
-		}
+	case kindPipe, kindSock:
+		rd, wr := of.streams()
 		read := events&(PollIn|PollHup) != 0
 		write := events&(PollOut|PollErr) != 0
 		if !read && !write {
 			read, write = true, true
 		}
-		return conn.SubscribeDir(read, write, fn), true
+		cancels := make([]func(), 0, 2)
+		if rd != nil {
+			cancels = append(cancels, rd.Subscribe(read, fn))
+		}
+		if wr != nil {
+			cancels = append(cancels, wr.Subscribe(write, fn))
+		}
+		return func() {
+			for _, c := range cancels {
+				c()
+			}
+		}, len(cancels) > 0
 	case kindListener:
 		return of.lis.Subscribe(fn), true
 	}
@@ -281,10 +305,10 @@ func (of *OpenFile) Read(p []byte) (int, error) {
 			return 0, io.EOF
 		}
 		return n, err
-	case kindPipeR:
-		return of.pipe.read(p)
-	case kindSock:
-		return of.conn.Read(p)
+	case kindPipe, kindSock:
+		if rd, _ := of.streams(); rd != nil {
+			return rd.Read(p)
+		}
 	}
 	return 0, errors.New("libos: fd not readable")
 }
@@ -301,10 +325,10 @@ func (of *OpenFile) Write(p []byte) (int, error) {
 		of.offset = off + int64(n)
 		of.mu.Unlock()
 		return n, err
-	case kindPipeW:
-		return of.pipe.write(p)
-	case kindSock:
-		return of.conn.Write(p)
+	case kindPipe, kindSock:
+		if _, wr := of.streams(); wr != nil {
+			return wr.Write(p)
+		}
 	}
 	return 0, errors.New("libos: fd not writable")
 }
@@ -345,10 +369,16 @@ func (o *Occlum) consoleFile() *OpenFile {
 // that is a plain in-enclave memory copy, no encryption involved
 // (Table 1).
 func NewPipe() (r, w *OpenFile) {
-	pb := newPipeBuf(64 << 10)
-	r = &OpenFile{refs: 1, kind: kindPipeR, pipe: pb}
-	w = &OpenFile{refs: 1, kind: kindPipeW, pipe: pb}
-	return
+	s := ring.NewStream(64 << 10)
+	return &OpenFile{refs: 1, kind: kindPipe, rd: s}, &OpenFile{refs: 1, kind: kindPipe, wr: s}
+}
+
+// newConnFile wraps an established host connection as a socket
+// description.
+func newConnFile(conn *hostos.Conn) *OpenFile {
+	of := &OpenFile{refs: 1, kind: kindSock}
+	of.rd, of.wr = conn.Streams()
+	return of
 }
 
 // OpenNodeFile wraps a VFS node for host-side stdio plumbing in tests and
@@ -392,7 +422,6 @@ func (of *OpenFile) BindHost(h *hostos.Host, port uint16) error {
 	of.mu.Lock()
 	of.kind = kindListener
 	of.lis = lis
-	of.port = port
 	of.mu.Unlock()
 	return nil
 }
@@ -407,7 +436,7 @@ func (of *OpenFile) AcceptHost() (*OpenFile, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &OpenFile{refs: 1, kind: kindSock, conn: conn}, nil
+	return newConnFile(conn), nil
 }
 
 // ConnectHost dials a host loopback port.
@@ -420,7 +449,7 @@ func (of *OpenFile) ConnectHost(h *hostos.Host, port uint16) error {
 		return err
 	}
 	of.mu.Lock()
-	of.conn = conn
+	of.rd, of.wr = conn.Streams()
 	of.mu.Unlock()
 	return nil
 }
@@ -463,279 +492,4 @@ func RegisterHostSockets(t *sysdispatch.Table, hostOf func(sysdispatch.Kernel) *
 		}
 		return 0
 	}))
-}
-
-// pipeBuf is the shared ring behind a pipe. It serves two waiting
-// styles at once: the baselines' goroutine-per-process kernels block on
-// the condvar, while SIPs under the M:N scheduler use the try* calls,
-// registering a one-shot wake callback instead of blocking a hart. Every
-// state change broadcasts to both: woken parked SIPs retry and
-// re-register if they lose the race, so the callback lists need no
-// precise accounting (a stale callback is a spurious unpark, which the
-// retry protocol absorbs).
-//
-// Storage is a fixed-capacity ring.Ring, and the ring's borrow API is
-// surfaced through borrowOut/borrowIn: splice moves bytes between a
-// pipe and a socket by peeking one ring and reserving in the other, and
-// the vectored syscalls write guest loans straight into the ring — one
-// copy, no staging buffer. Both run their callback under pb.mu, which
-// extends the documented lock order: pb.mu → stream.mu (the callback
-// calls Conn.TryRead/TryWrite) is taken by splice, and nothing anywhere
-// takes stream.mu → pb.mu — streams know nothing about pipes.
-type pipeBuf struct {
-	mu       sync.Mutex
-	cond     *sync.Cond
-	rb       *ring.Ring
-	rClosed  bool
-	wClosed  bool
-	rWaiters []func() // parked readers, woken by writes and closes
-	wWaiters []func() // parked writers, woken by reads and closes
-	// watch holds persistent readiness subscriptions (poll/epoll
-	// interest); unlike the waiter lists they survive wakes and fire on
-	// every state change until cancelled.
-	watch   map[int]func()
-	watchID int
-}
-
-func newPipeBuf(capacity int) *pipeBuf {
-	pb := &pipeBuf{rb: ring.New(capacity)}
-	pb.cond = sync.NewCond(&pb.mu)
-	return pb
-}
-
-// wakeReaders/wakeWriters run under pb.mu; the callbacks only flip
-// scheduler or epoll-set state (Unpark, epollSet.markReady), neither of
-// which re-enters the pipe. The lock order pb.mu → ep.mu is safe for
-// the same reason hostos documents for streams: epoll scans query
-// readiness only AFTER dropping ep.mu (epollSet.popCandidates), so
-// nothing ever takes pb.mu while holding ep.mu. Any future epoll-side
-// change that calls into a pipe under ep.mu inverts this and deadlocks.
-func (pb *pipeBuf) wakeReaders() {
-	pb.cond.Broadcast()
-	for _, w := range pb.rWaiters {
-		w()
-	}
-	pb.rWaiters = nil
-	for _, w := range pb.watch {
-		w()
-	}
-}
-
-func (pb *pipeBuf) wakeWriters() {
-	pb.cond.Broadcast()
-	for _, w := range pb.wWaiters {
-		w()
-	}
-	pb.wWaiters = nil
-	for _, w := range pb.watch {
-		w()
-	}
-}
-
-// subscribe registers a persistent readiness watcher.
-func (pb *pipeBuf) subscribe(fn func()) (cancel func()) {
-	pb.mu.Lock()
-	if pb.watch == nil {
-		pb.watch = make(map[int]func())
-	}
-	id := pb.watchID
-	pb.watchID++
-	pb.watch[id] = fn
-	pb.mu.Unlock()
-	return func() {
-		pb.mu.Lock()
-		delete(pb.watch, id)
-		pb.mu.Unlock()
-	}
-}
-
-// readiness computes the poll state of one pipe end.
-func (pb *pipeBuf) readiness(readEnd bool) uint32 {
-	pb.mu.Lock()
-	defer pb.mu.Unlock()
-	var r uint32
-	if readEnd {
-		if pb.rb.Len() > 0 || pb.wClosed {
-			r |= PollIn
-		}
-		if pb.wClosed {
-			r |= PollHup
-		}
-		return r
-	}
-	if pb.rb.Free() > 0 || pb.rClosed {
-		r |= PollOut
-	}
-	if pb.rClosed {
-		r |= PollErr
-	}
-	return r
-}
-
-func (pb *pipeBuf) read(p []byte) (int, error) {
-	pb.mu.Lock()
-	defer pb.mu.Unlock()
-	for pb.rb.Len() == 0 && !pb.wClosed {
-		pb.cond.Wait()
-	}
-	if pb.rb.Len() == 0 {
-		return 0, io.EOF
-	}
-	n := pb.rb.Read(p)
-	pb.wakeWriters()
-	return n, nil
-}
-
-// tryRead is the non-blocking read for parking callers. When the pipe is
-// empty and writers remain, it registers wait and reports parked; the
-// emptiness check and the registration share one critical section, so no
-// write can slip between them unseen.
-func (pb *pipeBuf) tryRead(p []byte, wait func()) (n int, eof, parked bool) {
-	pb.mu.Lock()
-	defer pb.mu.Unlock()
-	if pb.rb.Len() == 0 {
-		if pb.wClosed {
-			return 0, true, false
-		}
-		if wait != nil {
-			pb.rWaiters = append(pb.rWaiters, wait)
-		}
-		return 0, false, true
-	}
-	n = pb.rb.Read(p)
-	pb.wakeWriters()
-	return n, false, false
-}
-
-func (pb *pipeBuf) write(p []byte) (int, error) {
-	pb.mu.Lock()
-	defer pb.mu.Unlock()
-	total := 0
-	for len(p) > 0 {
-		for pb.rb.Free() == 0 && !pb.rClosed {
-			pb.cond.Wait()
-		}
-		if pb.rClosed {
-			return total, errors.New("libos: broken pipe")
-		}
-		n := pb.rb.Write(p)
-		p = p[n:]
-		total += n
-		pb.wakeReaders()
-	}
-	return total, nil
-}
-
-// tryWrite copies as much of p as fits into the ring. If anything is
-// left over it registers wait and the caller parks, resuming from its
-// recorded progress — so a large write drains in chunks without ever
-// blocking a hart or duplicating bytes.
-func (pb *pipeBuf) tryWrite(p []byte, wait func()) (n int, closed bool) {
-	pb.mu.Lock()
-	defer pb.mu.Unlock()
-	if pb.rClosed {
-		return 0, true
-	}
-	n = pb.rb.Write(p)
-	if n > 0 {
-		pb.wakeReaders()
-	}
-	if n < len(p) && wait != nil {
-		pb.wWaiters = append(pb.wWaiters, wait)
-	}
-	return n, false
-}
-
-// borrowOut lends the pipe's queued bytes to sink without copying them
-// out: sink is called (under pb.mu) with successive borrowed runs from
-// the ring and returns how many bytes it took; taken bytes are
-// consumed. It stops when the ring drains, sink stalls (takes less
-// than a full run), or max bytes have moved. When the pipe is empty it
-// reports eof (write end closed) or registers wait and reports parked
-// (nil wait: pure probe, the O_NONBLOCK path). This is the pipe→socket
-// splice primitive: sink feeds a Conn's ring, so no guest memory and no
-// staging buffer ever sees the bytes.
-func (pb *pipeBuf) borrowOut(max int, sink func([]byte) int, wait func()) (n int, eof, parked bool) {
-	pb.mu.Lock()
-	defer pb.mu.Unlock()
-	if pb.rb.Len() == 0 {
-		if pb.wClosed {
-			return 0, true, false
-		}
-		if wait != nil {
-			pb.rWaiters = append(pb.rWaiters, wait)
-		}
-		return 0, false, true
-	}
-	for n < max {
-		run := pb.rb.Peek(max - n)
-		if run == nil {
-			break
-		}
-		took := sink(run)
-		pb.rb.Consume(took)
-		n += took
-		if took < len(run) {
-			break
-		}
-	}
-	if n > 0 {
-		pb.wakeWriters()
-	}
-	return n, false, false
-}
-
-// borrowIn lends the pipe's free space to source without staging:
-// source is called (under pb.mu) with successive reserved runs and
-// returns how many bytes it produced; produced bytes are committed. It
-// stops when the ring fills, source stalls, or max bytes have moved.
-// When the ring is full it registers wait and reports parked (nil
-// wait: pure probe). closed reports a broken pipe (read end gone) —
-// checked first, like tryWrite. This is both the socket→pipe splice
-// primitive (source drains a Conn's ring) and the writev-to-pipe path
-// (source copies from a guest loan — the one permitted copy).
-func (pb *pipeBuf) borrowIn(max int, source func([]byte) int, wait func()) (n int, closed, parked bool) {
-	pb.mu.Lock()
-	defer pb.mu.Unlock()
-	if pb.rClosed {
-		return 0, true, false
-	}
-	if pb.rb.Free() == 0 {
-		if wait != nil {
-			pb.wWaiters = append(pb.wWaiters, wait)
-		}
-		return 0, false, true
-	}
-	for n < max {
-		run := pb.rb.Reserve(max - n)
-		if run == nil {
-			break
-		}
-		got := source(run)
-		pb.rb.Commit(got)
-		n += got
-		if got < len(run) {
-			break
-		}
-	}
-	if n > 0 {
-		pb.wakeReaders()
-	}
-	return n, false, false
-}
-
-func (pb *pipeBuf) closeRead() {
-	pb.mu.Lock()
-	pb.rClosed = true
-	pb.wakeReaders()
-	pb.wakeWriters()
-	pb.mu.Unlock()
-}
-
-func (pb *pipeBuf) closeWrite() {
-	pb.mu.Lock()
-	pb.wClosed = true
-	pb.wakeReaders()
-	pb.wakeWriters()
-	pb.mu.Unlock()
 }

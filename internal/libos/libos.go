@@ -343,23 +343,6 @@ func (o *Occlum) wheelFor(pid int) *timerwheel.Wheel {
 	return o.wheels[(uint64(pid)*0x9e3779b97f4a7c15>>33)%uint64(len(o.wheels))]
 }
 
-// Wheels exposes the per-hart timer wheels (tests assert the ≤1 host
-// timer per hart bound through them).
-func (o *Occlum) Wheels() []*timerwheel.Wheel { return o.wheels }
-
-// WheelStats sums activity across this LibOS's wheels.
-func (o *Occlum) WheelStats() timerwheel.Stats {
-	var t timerwheel.Stats
-	for _, w := range o.wheels {
-		s := w.Stats()
-		t.Arms += s.Arms
-		t.Fires += s.Fires
-		t.Cancels += s.Cancels
-		t.Cascades += s.Cascades
-	}
-	return t
-}
-
 func (o *Occlum) mountFilesystems() error {
 	var store *fs.BlockStore
 	var err error

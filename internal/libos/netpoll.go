@@ -199,11 +199,13 @@ func (s NetSnapshot) Sub(o NetSnapshot) NetSnapshot {
 // lock (waiters are the few SIPs parked in epoll_wait, not the many
 // watched fds).
 //
-// Lock ordering: readiness callbacks run while the watched resource's
-// lock is held (a stream's, a pipe's, a listener's) and take a shard
-// lock, so nothing here may call back into a watched description while
-// holding one — scans pop the candidate list first and query readiness
-// unlocked. Shard locks never nest with each other or with wmu.
+// Lock ordering: no readiness callback runs under a resource lock —
+// streams and listeners collect their wake lists under their own lock
+// and run them after it drops — so markReady takes a shard lock holding
+// nothing. The scans keep the other half of the rule: they pop the
+// candidate list first and query readiness (which takes the resource's
+// lock) holding no shard lock. Shard locks never nest with each other
+// or with wmu.
 type epollSet struct {
 	shards [epShards]epShard
 	closed atomic.Bool
@@ -465,20 +467,18 @@ func sysShutdown(k sysdispatch.Kernel, a *[5]uint64) sysdispatch.Result {
 	if !ok || of.kind != kindSock {
 		return sysdispatch.Errno(EBADF)
 	}
-	of.mu.Lock()
-	conn := of.conn
-	of.mu.Unlock()
-	if conn == nil {
+	rd, wr := of.streams()
+	if rd == nil {
 		return sysdispatch.Errno(ENOTCONN)
 	}
 	switch a[1] {
 	case ShutRd:
-		conn.CloseRead()
+		rd.CloseRead()
 	case ShutWr:
-		conn.CloseWrite()
+		wr.CloseWrite()
 	case ShutRdWr:
-		conn.CloseRead()
-		conn.CloseWrite()
+		rd.CloseRead()
+		wr.CloseWrite()
 	default:
 		return sysdispatch.Errno(EINVAL)
 	}
@@ -617,8 +617,8 @@ func sysEpCtl(k sysdispatch.Kernel, a *[5]uint64) sysdispatch.Result {
 		if !ok {
 			return sysdispatch.Errno(EBADF)
 		}
-		// Subscribe outside the shard lock (lock order: resource lock →
-		// shard lock).
+		// Subscribe outside the shard lock (resource and shard locks
+		// never nest).
 		cancel, subbed := tf.SubscribeReady(func() { ep.markReady(fd) }, events)
 		if !subbed {
 			return sysdispatch.Errno(EPERM) // not pollable (regular file, epoll)

@@ -356,15 +356,9 @@ func sysBind(k sysdispatch.Kernel, a *[5]uint64) sysdispatch.Result {
 	if !ok || of.kind != kindSock {
 		return sysdispatch.Errno(EBADF)
 	}
-	lis, err := p.os.host.Listen(uint16(a[1]))
-	if err != nil {
+	if of.BindHost(p.os.host, uint16(a[1])) != nil {
 		return sysdispatch.Errno(EACCES)
 	}
-	of.mu.Lock()
-	of.kind = kindListener
-	of.lis = lis
-	of.port = uint16(a[1])
-	of.mu.Unlock()
 	return sysdispatch.Ok(0)
 }
 
@@ -408,7 +402,7 @@ func sysAccept(k sysdispatch.Kernel, a *[5]uint64) sysdispatch.Result {
 			netStats.sheds.Add(1)
 			continue
 		}
-		nf := &OpenFile{refs: 1, kind: kindSock, conn: conn}
+		nf := newConnFile(conn)
 		if d := o.cfg.IdleTimeout; d > 0 {
 			nf.armIdleReap(o.wheelFor(p.pid), d)
 		}
@@ -422,12 +416,8 @@ func sysConnect(k sysdispatch.Kernel, a *[5]uint64) sysdispatch.Result {
 	if !ok || of.kind != kindSock {
 		return sysdispatch.Errno(EBADF)
 	}
-	conn, err := p.os.host.Dial(uint16(a[1]))
-	if err != nil {
+	if of.ConnectHost(p.os.host, uint16(a[1])) != nil {
 		return sysdispatch.Errno(ECONNREFUSED)
 	}
-	of.mu.Lock()
-	of.conn = conn
-	of.mu.Unlock()
 	return sysdispatch.Ok(0)
 }

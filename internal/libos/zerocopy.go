@@ -2,7 +2,7 @@ package libos
 
 // This file is the LibOS half of the zero-copy data plane: vectored
 // read/write over guest-memory loans, sendfile from the ImageFS
-// verified page cache, and splice between pipe and socket rings.
+// verified page cache, and splice between stream rings.
 //
 // Copy discipline (the numbers -netstats reports as bytes-lent vs
 // bytes-copied):
@@ -15,8 +15,9 @@ package libos
 //     socket ring: zero guest-memory traffic, one in-enclave copy into
 //     the ring. Non-image nodes fall back to a staging read — the only
 //     bytes-copied traffic left.
-//   - splice moves bytes ring-to-ring through the pipe's borrow API:
-//     no guest memory, no staging buffer — bytes-copied stays 0.
+//   - splice moves bytes ring-to-ring (ring.Move) between any two
+//     stream ends, pipe or socket: no guest memory, no staging buffer —
+//     bytes-copied stays 0.
 //
 // Loan lifetime: a loan never crosses a park. A parked syscall
 // re-dispatches from scratch and re-takes its loans, so the only
@@ -30,8 +31,8 @@ import (
 	"sync/atomic"
 
 	"repro/internal/fs"
-	"repro/internal/hostos"
 	"repro/internal/mem"
+	"repro/internal/ring"
 	"repro/internal/sysdispatch"
 )
 
@@ -82,25 +83,22 @@ func vectored(p *Proc, a *[5]uint64,
 }
 
 // writeSpans is the one write path of the LibOS: gather-write the spans
-// in order to a socket, pipe or node, lending each span from guest
-// memory instead of staging it. Pipes and sockets park when the ring is
-// full, and partial progress composes with the park/resume protocol —
-// cursys.prog records bytes already queued, and every re-dispatch
-// re-lends only the unsent remainder, so no byte is sent twice. An
-// O_NONBLOCK socket returns the partial count, or EAGAIN when nothing
-// fit. A faulting span returns the bytes written before it, or EFAULT
-// when it comes first.
+// in order to a stream (pipe or socket) or a node, lending each span
+// from guest memory instead of staging it. A stream parks the caller
+// when its ring is full, and partial progress composes with the
+// park/resume protocol — cursys.prog records bytes already queued, and
+// every re-dispatch re-lends only the unsent remainder, so no byte is
+// sent twice. Under O_NONBLOCK it returns the partial count, or EAGAIN
+// when nothing fit. A faulting span returns the bytes written before
+// it, or EFAULT when it comes first.
 func (p *Proc) writeSpans(of *OpenFile, iov []sysdispatch.Iovec) sysdispatch.Result {
-	if of.kind != kindSock && of.kind != kindPipeW && of.kind != kindNode {
-		return sysdispatch.Errno(EBADF)
-	}
-	conn := of.connLocked()
-	if of.kind == kindSock && conn == nil {
-		return sysdispatch.Errno(ENOTCONN)
+	_, wr := of.streams()
+	if wr == nil && of.kind != kindNode {
+		return sysdispatch.Errno(noStream(of))
 	}
 	cur := p.cursys
 	wait := p.unpark
-	if of.kind == kindSock && of.nonblock.Load() {
+	if of.nonblock.Load() {
 		wait = nil
 	}
 	skip := uint64(cur.prog)
@@ -121,16 +119,12 @@ func (p *Proc) writeSpans(of *OpenFile, iov []sysdispatch.Iovec) sysdispatch.Res
 			wn                 int
 			closed, wouldBlock bool
 		)
-		switch of.kind {
-		case kindSock:
-			wn, closed, wouldBlock = conn.TryWrite(v.B, wait)
+		if wr != nil {
+			wn, closed, wouldBlock = wr.TryWrite(v.B, wait)
 			if wn > 0 {
 				of.touch()
 			}
-		case kindPipeW:
-			wn, closed = of.pipe.tryWrite(v.B, p.unpark)
-			wouldBlock = wn < len(v.B)
-		case kindNode:
+		} else {
 			var werr error
 			wn, werr = of.Write(v.B)
 			closed = werr != nil && wn == 0
@@ -144,10 +138,6 @@ func (p *Proc) writeSpans(of *OpenFile, iov []sysdispatch.Iovec) sysdispatch.Res
 			return sysdispatch.Errno(EPIPE)
 		}
 		if wouldBlock {
-			if of.kind == kindPipeW {
-				// Pipes always park; the waiter is already registered.
-				return sysdispatch.ParkedResult
-			}
 			if wait == nil {
 				if cur.prog > 0 {
 					break
@@ -155,11 +145,23 @@ func (p *Proc) writeSpans(of *OpenFile, iov []sysdispatch.Iovec) sysdispatch.Res
 				netStats.eagains.Add(1)
 				return sysdispatch.Errno(EAGAIN)
 			}
-			netStats.sendParks.Add(1)
+			if of.kind == kindSock {
+				netStats.sendParks.Add(1)
+			}
 			return sysdispatch.ParkedResult
 		}
 	}
 	return sysdispatch.Ok(cur.prog)
+}
+
+// noStream is the errno for a data call on a description that lacks the
+// stream direction it needs: an unconnected socket is ENOTCONN, anything
+// else (a pipe's other end, a listener, an epoll fd) EBADF.
+func noStream(of *OpenFile) int64 {
+	if of.kind == kindSock {
+		return ENOTCONN
+	}
+	return EBADF
 }
 
 // readSpans is the one read path of the LibOS: scatter-read into the
@@ -170,14 +172,11 @@ func (p *Proc) writeSpans(of *OpenFile, iov []sysdispatch.Iovec) sysdispatch.Res
 // nothing is available; empty spans are skipped, so a zero-length read
 // returns 0 without waiting.
 func (p *Proc) readSpans(of *OpenFile, iov []sysdispatch.Iovec) sysdispatch.Result {
-	if of.kind != kindSock && of.kind != kindPipeR && of.kind != kindNode {
-		return sysdispatch.Errno(EBADF)
+	rd, _ := of.streams()
+	if rd == nil && of.kind != kindNode {
+		return sysdispatch.Errno(noStream(of))
 	}
-	conn := of.connLocked()
-	if of.kind == kindSock && conn == nil {
-		return sysdispatch.Errno(ENOTCONN)
-	}
-	nonblock := of.kind == kindSock && of.nonblock.Load()
+	nonblock := of.nonblock.Load()
 
 	var total int64
 	for _, seg := range iov {
@@ -202,15 +201,12 @@ func (p *Proc) readSpans(of *OpenFile, iov []sysdispatch.Iovec) sysdispatch.Resu
 			rn         int
 			eof, stall bool
 		)
-		switch of.kind {
-		case kindPipeR:
-			rn, eof, stall = of.pipe.tryRead(v.B, wait)
-		case kindSock:
-			rn, eof, stall = conn.TryRead(v.B, wait)
+		if rd != nil {
+			rn, eof, stall = rd.TryRead(v.B, wait)
 			if rn > 0 {
 				of.touch()
 			}
-		case kindNode:
+		} else {
 			var rerr error
 			rn, rerr = of.Read(v.B)
 			if rerr != nil && rerr != io.EOF && rn == 0 {
@@ -249,16 +245,17 @@ func (p *Proc) readSpans(of *OpenFile, iov []sysdispatch.Iovec) sysdispatch.Resu
 }
 
 // sysSendfile is sendfile(outfd, infd, off, count): pump file bytes to
-// a socket without guest memory in the path. Image-backed nodes lend
-// verified page-cache blocks directly into the socket ring (counted as
-// bytes-lent; lazy Merkle verification is untouched — a warm file
-// re-verifies nothing); other nodes stage through a bounded temp
-// buffer (bytes-copied). Returns the short count when the socket
-// backpressures, parks (or EAGAINs) only when nothing was sent.
+// a stream (socket or pipe) without guest memory in the path.
+// Image-backed nodes lend verified page-cache blocks directly into the
+// stream's ring (counted as bytes-lent; lazy Merkle verification is
+// untouched — a warm file re-verifies nothing); other nodes stage
+// through a bounded temp buffer (bytes-copied). Returns the short count
+// when the stream backpressures, parks (or EAGAINs) only when nothing
+// was sent.
 func sysSendfile(k sysdispatch.Kernel, a *[5]uint64) sysdispatch.Result {
 	p := k.(*Proc)
 	oof, ok := p.getFD(int(int64(a[0])))
-	if !ok || oof.kind != kindSock {
+	if !ok {
 		return sysdispatch.Errno(EBADF)
 	}
 	inof, ok := p.getFD(int(int64(a[1])))
@@ -269,9 +266,9 @@ func sysSendfile(k sysdispatch.Kernel, a *[5]uint64) sysdispatch.Result {
 	if off < 0 || count < 0 {
 		return sysdispatch.Errno(EINVAL)
 	}
-	conn := oof.connLocked()
-	if conn == nil {
-		return sysdispatch.Errno(ENOTCONN)
+	_, wr := oof.streams()
+	if wr == nil {
+		return sysdispatch.Errno(noStream(oof))
 	}
 	wait := p.unpark
 	if oof.nonblock.Load() {
@@ -313,7 +310,7 @@ func sysSendfile(k sysdispatch.Kernel, a *[5]uint64) sysdispatch.Result {
 		if sent > 0 {
 			w = nil
 		}
-		wn, closed, wouldBlock := conn.TryWrite(chunk, w)
+		wn, closed, wouldBlock := wr.TryWrite(chunk, w)
 		if borrow {
 			netStats.bytesLent.Add(uint64(wn))
 		} else {
@@ -337,7 +334,9 @@ func sysSendfile(k sysdispatch.Kernel, a *[5]uint64) sysdispatch.Result {
 				netStats.eagains.Add(1)
 				return sysdispatch.Errno(EAGAIN)
 			}
-			netStats.sendParks.Add(1)
+			if oof.kind == kindSock {
+				netStats.sendParks.Add(1)
+			}
 			return sysdispatch.ParkedResult
 		}
 	}
@@ -345,13 +344,14 @@ func sysSendfile(k sysdispatch.Kernel, a *[5]uint64) sysdispatch.Result {
 	return sysdispatch.Ok(sent)
 }
 
-// sysSplice is splice(fdIn, fdOut, count): move up to count bytes
-// between a pipe and a socket with the bytes never entering guest
-// memory — the pipe ring lends runs that are copied once into (or
-// filled once from) the socket ring. It returns as soon as at least
-// one byte moved; with nothing movable it parks on whichever side
-// stalled (pipe-empty/socket-full for pipe→socket, and conversely), or
-// returns EAGAIN when either description is O_NONBLOCK.
+// sysSplice is splice(fdIn, fdOut, count): move up to count bytes from
+// the stream fdIn reads to the stream fdOut writes — pipe or socket on
+// either side — with the bytes never entering guest memory: one
+// ring.Move, ring to ring. It returns as soon as at least one byte
+// moved and 0 at source EOF; with nothing movable it parks on
+// whichever side stalled (source empty or sink full), or returns EAGAIN
+// when either description is O_NONBLOCK. Splicing a pipe into itself,
+// or a node on either side, is EINVAL.
 func sysSplice(k sysdispatch.Kernel, a *[5]uint64) sysdispatch.Result {
 	p := k.(*Proc)
 	inof, ok := p.getFD(int(int64(a[0])))
@@ -363,131 +363,48 @@ func sysSplice(k sysdispatch.Kernel, a *[5]uint64) sysdispatch.Result {
 		return sysdispatch.Errno(EBADF)
 	}
 	count := int64(a[2])
-	if count < 0 {
+	if count < 0 || inof.kind == kindNode || outof.kind == kindNode {
 		return sysdispatch.Errno(EINVAL)
 	}
 	if count == 0 {
 		return sysdispatch.Ok(0)
 	}
+	src, _ := inof.streams()
+	if src == nil {
+		return sysdispatch.Errno(noStream(inof))
+	}
+	_, dst := outof.streams()
+	if dst == nil {
+		return sysdispatch.Errno(noStream(outof))
+	}
+	if src == dst {
+		return sysdispatch.Errno(EINVAL)
+	}
 	wait := p.unpark
 	if inof.nonblock.Load() || outof.nonblock.Load() {
 		wait = nil
 	}
-	done := func(n int64) sysdispatch.Result {
-		netStats.splices.Add(1)
-		return sysdispatch.Ok(n)
+	n, st := ring.Move(dst, src, int(count), wait)
+	switch st {
+	case ring.DstClosed:
+		return sysdispatch.Errno(EPIPE)
+	case ring.SrcEmpty, ring.DstFull:
+		if wait == nil {
+			netStats.eagains.Add(1)
+			return sysdispatch.Errno(EAGAIN)
+		}
+		if st == ring.SrcEmpty && inof.kind == kindSock {
+			netStats.recvParks.Add(1)
+		} else if st == ring.DstFull && outof.kind == kindSock {
+			netStats.sendParks.Add(1)
+		}
+		return sysdispatch.ParkedResult
 	}
-
-	switch {
-	case inof.kind == kindPipeR && outof.kind == kindSock:
-		conn := outof.connLocked()
-		if conn == nil {
-			return sysdispatch.Errno(ENOTCONN)
-		}
-		for {
-			var sinkClosed bool
-			moved, eof, parked := inof.pipe.borrowOut(int(count), func(run []byte) int {
-				wn, closed, _ := conn.TryWrite(run, nil)
-				if closed {
-					sinkClosed = true
-				}
-				return wn
-			}, wait)
-			if moved > 0 {
-				netStats.bytesLent.Add(uint64(moved))
-				outof.touch()
-				return done(int64(moved))
-			}
-			if eof {
-				return done(0)
-			}
-			if parked {
-				if wait == nil {
-					netStats.eagains.Add(1)
-					return sysdispatch.Errno(EAGAIN)
-				}
-				netStats.recvParks.Add(1)
-				return sysdispatch.ParkedResult
-			}
-			if sinkClosed {
-				return sysdispatch.Errno(EPIPE)
-			}
-			// Pipe has data but the socket ring is full: wait for the
-			// peer to drain it (an empty TryWrite probes writability and
-			// registers the waiter atomically with the fullness check).
-			_, closed, wouldBlock := conn.TryWrite(nil, wait)
-			if closed {
-				return sysdispatch.Errno(EPIPE)
-			}
-			if wouldBlock {
-				if wait == nil {
-					netStats.eagains.Add(1)
-					return sysdispatch.Errno(EAGAIN)
-				}
-				netStats.sendParks.Add(1)
-				return sysdispatch.ParkedResult
-			}
-			// Space appeared between the two calls — retry the move.
-		}
-	case inof.kind == kindSock && outof.kind == kindPipeW:
-		conn := inof.connLocked()
-		if conn == nil {
-			return sysdispatch.Errno(ENOTCONN)
-		}
-		for {
-			var srcEOF bool
-			moved, closed, parked := outof.pipe.borrowIn(int(count), func(run []byte) int {
-				rn, eof, _ := conn.TryRead(run, nil)
-				if eof {
-					srcEOF = true
-				}
-				return rn
-			}, wait)
-			if closed {
-				return sysdispatch.Errno(EPIPE)
-			}
-			if moved > 0 {
-				netStats.bytesLent.Add(uint64(moved))
-				inof.touch()
-				return done(int64(moved))
-			}
-			if parked {
-				// Pipe ring full.
-				if wait == nil {
-					netStats.eagains.Add(1)
-					return sysdispatch.Errno(EAGAIN)
-				}
-				netStats.sendParks.Add(1)
-				return sysdispatch.ParkedResult
-			}
-			if srcEOF {
-				return done(0)
-			}
-			// Pipe has room but the socket is empty: wait for data.
-			_, eof, wouldBlock := conn.TryRead(nil, wait)
-			if eof {
-				return done(0)
-			}
-			if wouldBlock {
-				if wait == nil {
-					netStats.eagains.Add(1)
-					return sysdispatch.Errno(EAGAIN)
-				}
-				netStats.recvParks.Add(1)
-				return sysdispatch.ParkedResult
-			}
-			// Data appeared between the two calls — retry the move.
-		}
+	if n > 0 {
+		netStats.bytesLent.Add(uint64(n))
+		inof.touch()
+		outof.touch()
 	}
-	return sysdispatch.Errno(EINVAL)
-}
-
-// connLocked snapshots of.conn under of.mu (nil for non-sockets).
-func (of *OpenFile) connLocked() *hostos.Conn {
-	if of.kind != kindSock {
-		return nil
-	}
-	of.mu.Lock()
-	defer of.mu.Unlock()
-	return of.conn
+	netStats.splices.Add(1)
+	return sysdispatch.Ok(int64(n))
 }

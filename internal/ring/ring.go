@@ -1,6 +1,7 @@
-// Package ring provides the fixed-capacity byte ring underneath the
-// LibOS pipe and host stream buffers — the storage half of the
-// zero-copy data plane.
+// Package ring provides the bounded byte queue of the zero-copy data
+// plane: Ring, the fixed-capacity storage, and Stream (stream.go), the
+// one synchronized owner of a Ring — a LibOS pipe is one Stream, a host
+// connection is two.
 //
 // The ring's native API is lending, not copying: Peek borrows the next
 // contiguous run of readable bytes and Consume retires them; Reserve
@@ -18,9 +19,8 @@
 // mostly-idle connections therefore pays for the bytes actually queued,
 // not for 2×256 KiB of pre-provisioned stream buffer per connection.
 //
-// A Ring is not synchronized; the owner (pipeBuf, stream) guards it
-// with its own mutex and must hold that lock across a whole
-// borrow–use–retire sequence.
+// A Ring is not synchronized; its owner (Stream) guards it with its own
+// mutex and holds that lock across a whole borrow–use–retire sequence.
 package ring
 
 const (

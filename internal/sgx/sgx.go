@@ -196,18 +196,12 @@ func (e *Enclave) EInit() (Measurement, error) {
 	return e.measurement, nil
 }
 
-// Initialized reports whether EInit has completed.
-func (e *Enclave) Initialized() bool { return e.initialized }
-
 // Measurement returns the enclave's MRENCLAVE. It is only meaningful after
 // EInit.
 func (e *Enclave) Measurement() Measurement { return e.measurement }
 
 // PagesAdded returns the number of EPC pages committed to this enclave.
 func (e *Enclave) PagesAdded() uint64 { return e.pagesAdded }
-
-// NumThreads returns the number of thread control structures.
-func (e *Enclave) NumThreads() int { return len(e.ssa) }
 
 // SSAFor returns the state save area of thread tcs.
 func (e *Enclave) SSAFor(tcs int) *SSA { return &e.ssa[tcs] }

@@ -77,16 +77,21 @@ var confCommon = []struct {
 	{"syscall 1000 (above SysMax)", -libos.ENOSYS},
 }
 
-var confSurfaceCalls = []string{"mkdir", "unlink", "lseek", "rename", "fsync"}
+var confSurfaceCalls = []string{"mkdir", "unlink", "lseek", "rename", "fsync",
+	"read on an unconnected socket", "write on an unconnected socket"}
 
 // confSurface: Occlum has the full writable VFS; the native baseline
 // models a flat plaintext namespace without directories (mkdir/unlink
 // unregistered); the EIP filesystem is sealed and read-only (Table 1)
-// and its lseek/rename/fsync are not modeled.
+// and its lseek/rename/fsync are not modeled. A socket that was never
+// connected has no stream to read or write: Occlum's span bodies say
+// ENOTCONN, the baselines' map the description's error to EIO/EPIPE —
+// an errno on every kernel, where the baselines used to nil-dereference
+// and take the host process down.
 var confSurface = map[string][]int64{
-	"Occlum":       {0, -libos.ENOENT, 3, -libos.ENOENT, 0},
-	"Linux":        {-libos.ENOSYS, -libos.ENOSYS, 3, -libos.ENOENT, 0},
-	"Graphene-SGX": {-libos.EACCES, -libos.EACCES, -libos.ENOSYS, -libos.ENOSYS, -libos.ENOSYS},
+	"Occlum":       {0, -libos.ENOENT, 3, -libos.ENOENT, 0, -libos.ENOTCONN, -libos.ENOTCONN},
+	"Linux":        {-libos.ENOSYS, -libos.ENOSYS, 3, -libos.ENOENT, 0, -libos.EIO, -libos.EPIPE},
+	"Graphene-SGX": {-libos.EACCES, -libos.EACCES, -libos.ENOSYS, -libos.ENOSYS, -libos.ENOSYS, -libos.EIO, -libos.EPIPE},
 }
 
 func buildConformParent(childPath, inputPath string) (*asm.Program, error) {
@@ -193,6 +198,15 @@ func buildConformParent(childPath, inputPath string) (*asm.Program, error) {
 	b.MovRI(isa.R1, 1)
 	ulib.Syscall(b, libos.SysFsync)
 	log()
+	ulib.Socket(b)
+	b.MovRR(isa.R6, isa.R0)
+	for _, no := range []int64{libos.SysRead, libos.SysWrite} {
+		b.MovRR(isa.R1, isa.R6)
+		b.LeaData(isa.R2, "buf")
+		b.MovRI(isa.R3, 8)
+		ulib.Syscall(b, no)
+		log()
+	}
 	ulib.Exit(b, 7)
 	b.Label("fail")
 	b.Nop()
