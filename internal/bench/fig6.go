@@ -245,47 +245,6 @@ func fig6bPipe(s Scale) (*Table, []libos.NetSnapshot, error) {
 	return t, net, nil
 }
 
-// buildFileIO builds the Figure 6c/6d measurement program: sequential
-// writes (write=true) or reads over total bytes with the given buffer.
-func buildFileIO(path string, total, buf int, write bool) (*asm.Program, error) {
-	b := asm.NewBuilder()
-	b.String("path", path)
-	b.Zero("buf", buf)
-	b.Entry("_start")
-	ulib.Prologue(b)
-	flags := int64(libos.ORdOnly)
-	if write {
-		flags = libos.ORdWr | libos.OCreate | libos.OTrunc
-	}
-	ulib.OpenPath(b, "path", int64(len(path)), flags)
-	b.MovRR(isa.R7, isa.R0)
-	b.CmpI(isa.R7, 0)
-	b.Jl("fail")
-	b.MovRI(isa.R8, int64(total/buf))
-	b.Label("loop")
-	b.MovRR(isa.R1, isa.R7)
-	b.LeaData(isa.R2, "buf")
-	b.MovRI(isa.R3, int64(buf))
-	if write {
-		ulib.Syscall(b, libos.SysWrite)
-	} else {
-		ulib.Syscall(b, libos.SysRead)
-	}
-	// Every transfer must move the full buffer (EOF or a read-only FS
-	// shows up as a short or failed transfer → exit 1).
-	b.CmpI(isa.R0, int32(buf))
-	b.Jne("fail")
-	b.SubI(isa.R8, 1)
-	b.CmpI(isa.R8, 0)
-	b.Jg("loop")
-	ulib.Close(b, isa.R7)
-	ulib.Exit(b, 0)
-	b.Label("fail")
-	b.Nop()
-	ulib.Exit(b, 1)
-	return b.Finish()
-}
-
 // Fig6cdFileIO measures sequential file I/O throughput on Linux ext4 vs
 // Occlum's encrypted FS (paper: Occlum 39% below ext4 on reads, 18% on
 // writes; Graphene-SGX excluded — no writable FS). write selects 6d.
@@ -326,7 +285,7 @@ func Fig6cdFileIO(s Scale, write bool) (*Table, error) {
 			if err := k.WriteInput(file, content); err != nil {
 				return nil, err
 			}
-			prog, err := buildFileIO(file, s.FileTotal, bs, write)
+			prog, err := workloads.BuildSeqFileIO(file, s.FileTotal, bs, write)
 			if err != nil {
 				return nil, err
 			}

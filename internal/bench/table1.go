@@ -76,7 +76,7 @@ func Table1(s Scale, w io.Writer) error {
 	_ = occ.WriteInput("/data/prepared", nil)
 	_ = gra.WriteInput("/data/prepared", nil)
 	writable := func(k workloads.Kernel) bool {
-		prog, err := buildFileIO("/data/t1probe", 4096, 4096, true)
+		prog, err := workloads.BuildSeqFileIO("/data/t1probe", 4096, 4096, true)
 		if err != nil {
 			return false
 		}

@@ -3,58 +3,50 @@
 // no MMDSFI instrumentation, a plaintext filesystem ("ext4"), and cheap
 // process creation backed by a binary page cache (the analog of demand
 // paging, which makes Linux's spawn time insensitive to binary size —
-// Figure 6a).
+// Figure 6a). It is a baseline.Model: the kernel itself is
+// internal/baseline's.
 package linuxsim
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 
-	"repro/internal/asm"
+	"repro/internal/baseline"
 	"repro/internal/hostos"
 	"repro/internal/libos"
 	"repro/internal/mem"
 	"repro/internal/oelf"
 	"repro/internal/sysdispatch"
-	"repro/internal/vm"
+)
+
+// Process image geometry.
+const (
+	base      = 0x400000
+	stackSize = 256 << 10
+	heapSize  = 4 << 20
 )
 
 // Linux is one simulated native kernel.
 type Linux struct {
-	host *hostos.Host
+	*baseline.Kernel
 
 	mu       sync.Mutex
-	procCond *sync.Cond
 	files    map[string][]byte       // plaintext "ext4"
 	binCache map[string]*oelf.Binary // page cache of parsed binaries
-	procs    map[int]*Proc
-	nextPID  int
-
-	// Config
-	stackSize uint64
-	heapSize  uint64
-	slice     uint64
 }
+
+// Proc is one native process.
+type Proc = baseline.Proc
+
+// SpawnOpt mirrors libos.SpawnOpt for the baseline.
+type SpawnOpt = baseline.SpawnOpt
 
 // New creates a kernel over the given host network substrate.
 func New(host *hostos.Host) *Linux {
-	l := &Linux{
-		host:      host,
-		files:     make(map[string][]byte),
-		binCache:  make(map[string]*oelf.Binary),
-		procs:     make(map[int]*Proc),
-		nextPID:   1,
-		stackSize: 256 << 10,
-		heapSize:  4 << 20,
-		slice:     1 << 20,
-	}
-	l.procCond = sync.NewCond(&l.mu)
+	l := &Linux{files: make(map[string][]byte), binCache: make(map[string]*oelf.Binary)}
+	l.Kernel = baseline.New(host, l)
 	return l
 }
-
-// Host returns the network substrate.
-func (l *Linux) Host() *hostos.Host { return l.host }
 
 // WriteFile installs a plaintext file.
 func (l *Linux) WriteFile(path string, data []byte) {
@@ -70,9 +62,13 @@ func (l *Linux) ReadFile(path string) ([]byte, error) {
 	defer l.mu.Unlock()
 	f, ok := l.files[path]
 	if !ok {
-		return nil, fmt.Errorf("linuxsim: %s: no such file", path)
+		return nil, noFile(path)
 	}
 	return append([]byte(nil), f...), nil
+}
+
+func noFile(path string) error {
+	return fmt.Errorf("linuxsim: %s: %w", path, baseline.ErrNotExist)
 }
 
 // InstallBinary writes a marshaled binary to the plain filesystem.
@@ -80,65 +76,8 @@ func (l *Linux) InstallBinary(path string, bin *oelf.Binary) {
 	l.WriteFile(path, bin.Marshal())
 }
 
-// Proc is one native process.
-type Proc struct {
-	l    *Linux
-	pid  int
-	ppid int
-	cpu  *vm.CPU
-
-	fds *sysdispatch.FDTable
-
-	heapBase, heapEnd, heapPtr uint64
-	dataBase, dataSize         uint64
-
-	exited bool
-	status int
-	done   chan struct{}
-	cycles uint64
-}
-
-// PID returns the process ID.
-func (p *Proc) PID() int { return p.pid }
-
-// PPID returns the parent process ID.
-func (p *Proc) PPID() int { return p.ppid }
-
-// Cycles returns retired instructions.
-func (p *Proc) Cycles() uint64 { return p.cycles }
-
-// ReadUser implements sysdispatch.Kernel: native processes have no
-// domain bounds, only page permissions.
-func (p *Proc) ReadUser(addr, n uint64) ([]byte, error) {
-	b, err := p.cpu.Mem.ReadDirect(addr, int(n))
-	if err != nil {
-		return nil, err
-	}
-	return append([]byte(nil), b...), nil
-}
-
-// WriteUser implements sysdispatch.Kernel.
-func (p *Proc) WriteUser(addr uint64, b []byte) error {
-	if f := p.cpu.Mem.WriteAt(addr, b); f != nil {
-		return errors.New("linuxsim: fault")
-	}
-	return nil
-}
-
-// FDs implements sysdispatch.Kernel.
-func (p *Proc) FDs() *sysdispatch.FDTable { return p.fds }
-
-// Wait blocks for exit and returns the status.
-func (p *Proc) Wait() int {
-	<-p.done
-	return p.status
-}
-
-// SpawnOpt mirrors libos.SpawnOpt for the baseline.
-type SpawnOpt struct {
-	Parent                *Proc
-	Stdin, Stdout, Stderr *libos.OpenFile
-}
+// Sync is a no-op (plaintext FS has no deferred integrity state).
+func (l *Linux) Sync() error { return nil }
 
 // lookupBinary consults the page cache, parsing at most once per file —
 // the demand-paging analog that keeps Linux spawn time flat.
@@ -150,7 +89,7 @@ func (l *Linux) lookupBinary(path string) (*oelf.Binary, error) {
 	}
 	raw, ok := l.files[path]
 	if !ok {
-		return nil, fmt.Errorf("linuxsim: %s: no such file", path)
+		return nil, noFile(path)
 	}
 	b, err := oelf.Unmarshal(raw)
 	if err != nil {
@@ -160,121 +99,26 @@ func (l *Linux) lookupBinary(path string) (*oelf.Binary, error) {
 	return b, nil
 }
 
-// Spawn creates a process running the binary at path (posix_spawn via
-// vfork+execve in the paper's measurements).
-func (l *Linux) Spawn(path string, argv []string, opt SpawnOpt) (*Proc, error) {
+// Load implements baseline.Model — process creation is cheap (Table 1):
+// posix_spawn via vfork+execve in the paper's measurements, here a cached
+// parse and two page mappings. A native process has no domain bounds,
+// only page permissions, so all of it is user memory.
+func (l *Linux) Load(path string, _ []string, _ *Proc) (*baseline.Image, error) {
 	bin, err := l.lookupBinary(path)
 	if err != nil {
 		return nil, err
 	}
-	img := &bin.Image
-
-	const base = 0x400000
-	trampSpan := uint64(mem.PageSize)
-	codeBase := uint64(base) + trampSpan
-	dataBase := codeBase + img.CodeSpan() + uint64(img.GuardSize)
-	dataSize := (img.MinDataSize() + l.heapSize + l.stackSize + mem.PageSize - 1) / mem.PageSize * mem.PageSize
-	as := mem.NewPaged(base, trampSpan+img.CodeSpan()+uint64(img.GuardSize)+dataSize+mem.PageSize)
-
-	if err := as.Map(base, trampSpan+img.CodeSpan(), mem.PermRX); err != nil {
+	img := baseline.Place(&bin.Image, base, heapSize, stackSize)
+	img.Mem = mem.NewPaged(base, img.DataBase+img.DataSize+mem.PageSize-base)
+	img.UserBase, img.UserSize = base, img.Mem.Size()
+	if err := img.Mem.Map(base, mem.PageSize+bin.Image.CodeSpan(), mem.PermRX); err != nil {
 		return nil, err
 	}
-	if err := loadTrampoline(as, base); err != nil {
+	if err := img.Mem.Map(img.DataBase, img.DataSize, mem.PermRW); err != nil {
 		return nil, err
 	}
-	if err := as.WriteDirect(codeBase, img.Code); err != nil {
-		return nil, err
-	}
-	if err := as.Map(dataBase, dataSize, mem.PermRW); err != nil {
-		return nil, err
-	}
-	if err := as.WriteDirect(dataBase, img.Data); err != nil {
-		return nil, err
-	}
-
-	l.mu.Lock()
-	pid := l.nextPID
-	l.nextPID++
-	p := &Proc{
-		l: l, pid: pid, cpu: vm.New(as),
-		fds:      sysdispatch.NewFDTable(),
-		dataBase: dataBase, dataSize: dataSize,
-		done: make(chan struct{}),
-	}
-	if opt.Parent != nil {
-		p.ppid = opt.Parent.pid
-	}
-	l.procs[pid] = p
-	l.mu.Unlock()
-
-	if opt.Parent != nil {
-		p.fds.InheritFrom(opt.Parent.fds)
-	} else {
-		for i, of := range []*libos.OpenFile{opt.Stdin, opt.Stdout, opt.Stderr} {
-			if of == nil {
-				of = libos.NewDiscardFile()
-			} else {
-				of.Ref()
-			}
-			p.fds.Set(i, of)
-		}
-	}
-
-	if err := setupStack(p, as, base, img, append([]string{path}, argv...),
-		dataBase, dataSize, l.stackSize, &p.heapBase, &p.heapEnd); err != nil {
-		return nil, err
-	}
-	p.heapPtr = p.heapBase
-
-	go p.run()
-	return p, nil
+	return img, nil
 }
 
-var errTooSmall = errors.New("linuxsim: address space too small")
-
-func (p *Proc) run() {
-	for {
-		stop := p.cpu.Run(p.l.slice)
-		p.cycles = p.cpu.Cycles
-		switch stop.Reason {
-		case vm.StopCycles, vm.StopPreempt:
-			continue
-		case vm.StopTrap:
-			if p.syscall() {
-				return
-			}
-		default:
-			p.exit(128 + libos.SIGSEGV)
-			return
-		}
-	}
-}
-
-func (p *Proc) exit(status int) {
-	p.fds.CloseAll()
-	l := p.l
-	l.mu.Lock()
-	p.exited = true
-	p.status = status
-	close(p.done)
-	l.procCond.Broadcast()
-	l.mu.Unlock()
-}
-
-// Procs returns live pids.
-func (l *Linux) Procs() []int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	var out []int
-	for pid, p := range l.procs {
-		if !p.exited {
-			out = append(out, pid)
-		}
-	}
-	return out
-}
-
-// Sync is a no-op (plaintext FS has no deferred integrity state).
-func (l *Linux) Sync() error { return nil }
-
-var _ = asm.DefaultGuardSize // geometry shared with the toolchain
+// NewPipe implements baseline.Model — IPC is cheap: the kernel's pipe.
+func (l *Linux) NewPipe(*Proc) (r, w sysdispatch.File) { return libos.NewPipe() }

@@ -4,14 +4,12 @@
 // argument-marshalling halves of the handlers that are common across
 // kernels.
 //
-// Before this package existed, internal/libos and internal/linuxsim each
-// carried a ~400-line switch over the same syscall numbers, duplicating
-// the marshalling (path strings, argv blocks, status write-backs, fd
-// bookkeeping) and drifting on every new syscall. Now each kernel builds
-// one Table at init, registering either a spine-provided handler (where
-// only the semantics primitive differs, injected as a closure) or its own
-// handler (where the whole operation is kernel-specific, e.g. signals in
-// the LibOS), and its trap path shrinks to one Dispatch call.
+// Each kernel builds one Table, registering either a spine-provided
+// handler (where only the semantics primitive differs, injected as a
+// closure) or its own handler (where the whole operation is
+// kernel-specific, e.g. signals in the LibOS), and its trap path is one
+// Dispatch call. There are two builders: the LibOS, and
+// internal/baseline for the goroutine-per-process kernels.
 package sysdispatch
 
 // Syscall numbers. The calling convention (trampoline call with the

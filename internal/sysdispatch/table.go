@@ -56,7 +56,8 @@ type Kernel interface {
 type Handler func(k Kernel, a *[5]uint64) Result
 
 // Table maps syscall numbers to handlers. Build one per kernel type at
-// init and treat it as immutable afterwards.
+// init (the LibOS) or per kernel instance (internal/baseline) and treat
+// it as immutable afterwards.
 type Table struct {
 	h [SysMax]Handler
 }
@@ -76,6 +77,9 @@ func (t *Table) Register(no int, h Handler) {
 	}
 	t.h[no] = h
 }
+
+// Has reports whether a handler is registered for no.
+func (t *Table) Has(no int) bool { return no >= 0 && no < SysMax && t.h[no] != nil }
 
 // Dispatch runs the handler for no, or fails with -ENOSYS.
 func (t *Table) Dispatch(k Kernel, no uint64, a *[5]uint64) Result {

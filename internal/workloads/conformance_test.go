@@ -67,6 +67,8 @@ var confCommon = []struct {
 	{"close(w)", 0},
 	{"close(61) in the parent", 0},
 	{"wait4 status word (90: the child's writes came up short)", 5},
+	{"wait4 again: the child was reaped", -libos.ECHILD},
+	{"spawn of a path that does not exist", -libos.ENOENT},
 	{"read(60, 10)", int64(len(confScalar))},
 	{"readv(60, [4, 4, 100]) — short final span", int64(len(confVector))},
 	{"read(60) at EOF: the writer exited", 0},
@@ -149,6 +151,10 @@ func buildConformParent(childPath, inputPath string) (*asm.Program, error) {
 	b.Cmp(isa.R0, isa.R6)
 	b.Jne("fail")
 	ulib.WriteStr(b, 1, "rec", 8)
+	ulib.Wait4(b, isa.R6)
+	log()
+	ulib.SpawnPath(b, "nope", 5, "", 0)
+	log()
 
 	readBuf(int64(len(confScalar)))
 	for i, span := range [][2]int32{{10, 4}, {14, 4}, {18, 100}} {

@@ -84,18 +84,17 @@ func NewOcclumKernel(spec KernelSpec) (*OcclumKernel, error) {
 }
 
 // NewLinuxKernel creates the native baseline.
-func NewLinuxKernel(spec KernelSpec) *LinuxKernel {
-	return &LinuxKernel{L: linuxsim.New(hostos.New()), TC: core.NewToolchain()}
+func NewLinuxKernel(spec KernelSpec) *BaselineKernel {
+	l := linuxsim.New(hostos.New())
+	return &BaselineKernel{Kernel: l.Kernel, TC: core.NewToolchain(), name: "Linux", write: l.WriteFile}
 }
 
 // NewEIPKernel creates the Graphene-SGX-like baseline.
-func NewEIPKernel(spec KernelSpec) *EIPKernel {
+func NewEIPKernel(spec KernelSpec) *BaselineKernel {
 	cfg := eip.DefaultConfig()
 	cfg.EnclaveSize = spec.EIPEnclaveSize
-	return &EIPKernel{
-		G:  eip.New(sgx.NewPlatform(8<<30), hostos.New(), cfg),
-		TC: core.NewToolchain(),
-	}
+	g := eip.New(sgx.NewPlatform(8<<30), hostos.New(), cfg)
+	return &BaselineKernel{Kernel: g.Kernel, TC: core.NewToolchain(), name: "Graphene-SGX", write: g.InstallFile}
 }
 
 // AllKernels builds the three systems for a comparison run.

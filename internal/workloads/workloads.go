@@ -10,11 +10,10 @@ import (
 	"io"
 
 	"repro/internal/asm"
+	"repro/internal/baseline"
 	"repro/internal/core"
-	"repro/internal/eip"
 	"repro/internal/hostos"
 	"repro/internal/libos"
-	"repro/internal/linuxsim"
 )
 
 // Proc is a spawned process on any of the three systems.
@@ -75,80 +74,45 @@ func (k *OcclumKernel) Spawn(path string, argv []string, stdout io.Writer) (Proc
 // Host implements Kernel.
 func (k *OcclumKernel) Host() *hostos.Host { return k.Sys.Host }
 
-// --- Linux adapter -----------------------------------------------------------
+// --- Baseline adapter --------------------------------------------------------
 
-// LinuxKernel adapts the native baseline.
-type LinuxKernel struct {
-	L  *linuxsim.Linux
-	TC *core.Toolchain
+// BaselineKernel adapts either goroutine-per-process baseline: native
+// Linux or the enclave-per-process Graphene-SGX.
+type BaselineKernel struct {
+	*baseline.Kernel // Host is the Kernel's own
+	TC               *core.Toolchain
+
+	name string
+	// write installs a file at image-preparation time (on EIP, the
+	// only time: its protected FS is read-only afterwards).
+	write func(path string, data []byte)
 }
 
 // Name implements Kernel.
-func (k *LinuxKernel) Name() string { return "Linux" }
+func (k *BaselineKernel) Name() string { return k.name }
 
-// InstallProgram links without instrumentation (native execution).
-func (k *LinuxKernel) InstallProgram(path string, prog *asm.Program) error {
+// InstallProgram links without instrumentation (native execution;
+// Graphene applies no SFI).
+func (k *BaselineKernel) InstallProgram(path string, prog *asm.Program) error {
 	bin, err := k.TC.CompileUnverified(path, prog)
 	if err != nil {
 		return err
 	}
-	k.L.InstallBinary(path, bin)
+	k.write(path, bin.Marshal())
 	return nil
 }
 
-// WriteInput writes to the plaintext filesystem.
-func (k *LinuxKernel) WriteInput(path string, data []byte) error {
-	k.L.WriteFile(path, data)
+// WriteInput implements Kernel.
+func (k *BaselineKernel) WriteInput(path string, data []byte) error {
+	k.write(path, data)
 	return nil
 }
 
-// Spawn starts a native process.
-func (k *LinuxKernel) Spawn(path string, argv []string, stdout io.Writer) (Proc, error) {
-	opt := linuxsim.SpawnOpt{}
+// Spawn starts a process (on EIP, creating a fresh enclave).
+func (k *BaselineKernel) Spawn(path string, argv []string, stdout io.Writer) (Proc, error) {
+	opt := baseline.SpawnOpt{}
 	if stdout != nil {
 		opt.Stdout = libos.NewWriterFile(stdout)
 	}
-	return k.L.Spawn(path, argv, opt)
+	return k.Kernel.Spawn(path, argv, opt)
 }
-
-// Host implements Kernel.
-func (k *LinuxKernel) Host() *hostos.Host { return k.L.Host() }
-
-// --- EIP (Graphene-SGX-like) adapter ------------------------------------------
-
-// EIPKernel adapts the enclave-per-process baseline.
-type EIPKernel struct {
-	G  *eip.Graphene
-	TC *core.Toolchain
-}
-
-// Name implements Kernel.
-func (k *EIPKernel) Name() string { return "Graphene-SGX" }
-
-// InstallProgram links without instrumentation (Graphene applies no SFI).
-func (k *EIPKernel) InstallProgram(path string, prog *asm.Program) error {
-	bin, err := k.TC.CompileUnverified(path, prog)
-	if err != nil {
-		return err
-	}
-	k.G.InstallBinary(path, bin)
-	return nil
-}
-
-// WriteInput seals into the read-only protected FS.
-func (k *EIPKernel) WriteInput(path string, data []byte) error {
-	k.G.InstallFile(path, data)
-	return nil
-}
-
-// Spawn starts an EIP (creating a fresh enclave).
-func (k *EIPKernel) Spawn(path string, argv []string, stdout io.Writer) (Proc, error) {
-	opt := eip.SpawnOpt{}
-	if stdout != nil {
-		opt.Stdout = libos.NewWriterFile(stdout)
-	}
-	return k.G.Spawn(path, argv, opt)
-}
-
-// Host implements Kernel.
-func (k *EIPKernel) Host() *hostos.Host { return k.G.Host() }
