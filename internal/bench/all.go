@@ -79,9 +79,9 @@ func Run(name string, s Scale, w io.Writer) error {
 	}
 	if err == nil && FSStats {
 		d := fs.Stats().Sub(fsBefore)
-		fmt.Fprintf(w, "  [fs: verified=%d verify-hits=%d read-aheads=%d copy-ups=%d whiteouts=%d scrubbed=%d repaired=%d rebuilt=%d decoded=%d]\n",
+		fmt.Fprintf(w, "  [fs: verified=%d verify-hits=%d read-aheads=%d copy-ups=%d whiteouts=%d scrubbed=%d repaired=%d rebuilt=%d decoded=%d table-stripes=%d]\n",
 			d.VerifiedBlocks, d.VerifyHits, d.ReadAheads, d.CopyUps, d.Whiteouts,
-			d.ScrubbedBlocks, d.RepairedShards, d.RebuiltShards, d.DecodedStripes)
+			d.ScrubbedBlocks, d.RepairedShards, d.RebuiltShards, d.DecodedStripes, d.TableStripesWritten)
 	}
 	return err
 }

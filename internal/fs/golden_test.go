@@ -76,6 +76,8 @@ func TestRSGoldenBytes(t *testing.T) {
 		{4, 2, 1024, "b0f00851770f66df5b5b370b81a92fd4810b5fa0905f4c24330cb57916f6f199"},
 		{1, 1, 4096, "4c52bc3665c36139475ef1095cc65774dcd929c3c45c244bce058936e1d9b4aa"},
 		{8, 3, 512, "6a5a687fd8f8c1bf8d0b0c122697e019a6aa942fc95cd69d43d42f83968558e3"},
+		// m > 8, pinned on the commit before the one-pass kernel.
+		{4, 9, 256, "47dfa9164d55d5fa8f10db37b16ea742fd61822d59e144cf9de61a9a774715e5"},
 	} {
 		if got := rsGoldenDigest(t, g.k, g.m, g.size); got != g.want {
 			t.Errorf("rs %d+%d: digest %s, parent commit produced %s", g.k, g.m, got, g.want)

@@ -72,6 +72,7 @@ const (
 // the root MAC in a commit record).
 const (
 	fileHeaderSize   = 32
+	fileHeaderIdxOff = 12 // fileIdx: the only field that differs between files
 	commitRecordSize = 96
 	shardDataStart   = fileHeaderSize + 2*commitRecordSize // 224
 )
@@ -138,6 +139,21 @@ type BlockStore struct {
 	epochWritten []bool
 	dirtyHdr     bool
 
+	// Table commit of what changed. stripeChanged[j] is the epoch whose
+	// commit first carries table stripe j's current bytes (the epoch after
+	// the one in which an entry in it was last written; 0: as loaded).
+	// slotWhole[a] is the epoch whose table A/B table slot a is known to
+	// hold in every stripe, 0 when unknown: after CreateStore, for the
+	// slot OpenStore did not load, and while a Flush is writing into it.
+	// Invariant: slot a's stripe j already holds what the next commit
+	// would write there iff slotWhole[a] != 0 and stripeChanged[j] <=
+	// slotWhole[a]; Flush writes exactly the other stripes.
+	stripeChanged []uint64
+	slotWhole     [2]uint64
+	// root is the committed root MAC: what the newest commit record on
+	// disk carries. Valid whenever !dirtyHdr.
+	root [32]byte
+
 	// Scrub cursor state: gen counts mutations; a full pass over an
 	// unchanged store latches clean until the next mutation.
 	scrubCursor  int
@@ -195,6 +211,7 @@ func newStore(h *hostos.Host, name string, key Key, maxBlocks, k, m int) (*Block
 	s.cells = make([]byte, (k+m)*s.cellSize())
 	s.cell = make([]byte, s.cellSize())
 	s.table = make([]byte, s.tableStripes()*BlockSize)
+	s.stripeChanged = make([]uint64, s.tableStripes())
 	parity := make([]byte, m*ss)
 	for f := range s.names {
 		s.names[f] = shardFile(name, f)
@@ -294,7 +311,7 @@ func (s *BlockStore) fileHeader(f int) []byte {
 	copy(hdr, pfsMagic[:])
 	binary.LittleEndian.PutUint16(hdr[8:], uint16(s.k))
 	binary.LittleEndian.PutUint16(hdr[10:], uint16(s.m))
-	binary.LittleEndian.PutUint16(hdr[12:], uint16(f))
+	binary.LittleEndian.PutUint16(hdr[fileHeaderIdxOff:], uint16(f))
 	binary.LittleEndian.PutUint64(hdr[16:], uint64(s.maxBlocks))
 	return hdr
 }
@@ -436,8 +453,15 @@ func (s *BlockStore) loadTable(epoch uint64, wantRoot [32]byte) bool {
 		copy(s.macs[i][:], e[16:48])
 	}
 	s.epoch = epoch
-	got := s.rootMAC()
-	return hmac.Equal(got[:], wantRoot[:])
+	s.root = s.rootMAC()
+	if !hmac.Equal(s.root[:], wantRoot[:]) {
+		return false
+	}
+	// Every stripe of this slot was just read (and repaired) and the
+	// whole authenticated; nothing is known about the other slot, which a
+	// torn newer commit may have half-overwritten.
+	s.slotWhole[slot], s.slotWhole[slot^1] = epoch, 0
+	return true
 }
 
 // OpenStoreAt opens an existing protected image and additionally checks
@@ -628,14 +652,12 @@ func popcount(x int) int {
 // allocates what it needs.
 func (s *BlockStore) tryDecode(raw [][]byte, use []bool, verify func([]byte) bool) ([]byte, bool) {
 	shards := make([][]byte, s.nFiles())
-	present := make([]bool, s.nFiles())
 	for f, ok := range use {
 		if ok {
-			shards[f] = append([]byte(nil), raw[f]...)
-			present[f] = true
+			shards[f] = raw[f] // reconstruct only reads what is present
 		}
 	}
-	if err := s.rs.reconstruct(shards, present); err != nil {
+	if err := s.rs.reconstruct(shards, use); err != nil {
 		return nil, false
 	}
 	pay := make([]byte, BlockSize)
@@ -717,6 +739,10 @@ func (s *BlockStore) WriteBlock(i int, data []byte) error {
 	}
 	s.keystream(i, s.versions[i], s.ct, data)
 	s.macs[i] = s.blockMAC(i, s.versions[i], s.ct)
+	// The entry reaches disk with the next commit; a 48-byte entry can
+	// straddle two 4 KiB table stripes.
+	s.stripeChanged[i*macEntrySize/BlockSize] = s.epoch + 1
+	s.stripeChanged[(i*macEntrySize+macEntrySize-1)/BlockSize] = s.epoch + 1
 	s.writeStripe(s.blockStripe(i, s.slots[i]), s.ct)
 	s.dirtyHdr = true
 	s.mutated()
@@ -776,6 +802,12 @@ func (s *BlockStore) readBlockLocked(i int, dst []byte) error {
 // commit or this one fully intact — torn stripes only ever hit
 // uncommitted slots, and a torn record fails its own HMAC and is
 // ignored by open.
+//
+// The commit costs what changed: of the T table stripes only those whose
+// entries changed since the target slot was last whole are written (see
+// stripeChanged / slotWhole). A crash between those writes leaves the
+// target slot a mix of two tables, which is what it always was mid-Flush:
+// the committed table is the other slot's.
 func (s *BlockStore) Flush() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -783,16 +815,24 @@ func (s *BlockStore) Flush() error {
 	slot := int(s.epoch & 1)
 	T := s.tableStripes()
 	s.fillTable()
+	// The slot holds the table of two commits ago; only stripes that have
+	// changed since need writing. Until the last of them lands the slot
+	// is neither table.
+	whole := s.slotWhole[slot]
+	s.slotWhole[slot] = 0
 	for j := 0; j < T; j++ {
-		s.writeStripe(slot*T+j, s.table[j*BlockSize:(j+1)*BlockSize])
+		if whole == 0 || s.stripeChanged[j] > whole {
+			s.writeStripe(slot*T+j, s.table[j*BlockSize:(j+1)*BlockSize])
+			fsStats.tableStripesWritten.Add(1)
+		}
 	}
-	rec := s.commitRecord(s.epoch, s.rootMAC())
+	s.slotWhole[slot] = s.epoch
+	s.root = s.rootMAC()
+	rec := s.commitRecord(s.epoch, s.root)
 	for f := 0; f < s.nFiles(); f++ {
 		s.host.WriteFileAt(s.fileName(f), fileHeaderSize+slot*commitRecordSize, rec)
 	}
-	for i := range s.epochWritten {
-		s.epochWritten[i] = false
-	}
+	clear(s.epochWritten)
 	s.dirtyHdr = false
 	s.mutated()
 	return nil
@@ -857,8 +897,11 @@ func (s *BlockStore) ScrubStep(n int) (worked bool, err error) {
 // scrubTableLocked re-derives the committed table stripes, commit record
 // and file headers from in-memory state and rewrites any on-disk shard
 // that disagrees. Unlike block scrubbing this needs no parity decode:
-// memory holds the authenticated truth. Caller holds s.mu and has
-// checked !s.dirtyHdr.
+// memory holds the authenticated truth. It covers all T stripes, not the
+// ones the last Flush wrote: a slot that has just become the committed
+// one holds stripes last written two or more commits ago that nothing
+// read while it was inactive, and this pass is what bounds their
+// exposure to rot. Caller holds s.mu and has checked !s.dirtyHdr.
 func (s *BlockStore) scrubTableLocked() error {
 	slot := int(s.epoch & 1)
 	T := s.tableStripes()
@@ -877,7 +920,8 @@ func (s *BlockStore) scrubTableLocked() error {
 			}
 		}
 	}
-	rec := s.commitRecord(s.epoch, s.rootMAC())
+	rec := s.commitRecord(s.epoch, s.root)
+	hdr := s.fileHeader(0)
 	got := s.cells[:commitRecordSize]
 	for f := 0; f < s.nFiles(); f++ {
 		cnt, rerr := s.host.ReadFileAt(s.fileName(f), fileHeaderSize+slot*commitRecordSize, got)
@@ -885,7 +929,7 @@ func (s *BlockStore) scrubTableLocked() error {
 			s.host.WriteFileAt(s.fileName(f), fileHeaderSize+slot*commitRecordSize, rec)
 			fsStats.repairedShards.Add(1)
 		}
-		hdr := s.fileHeader(f)
+		binary.LittleEndian.PutUint16(hdr[fileHeaderIdxOff:], uint16(f))
 		gotHdr := got[:fileHeaderSize]
 		cnt, rerr = s.host.ReadFileAt(s.fileName(f), 0, gotHdr)
 		if rerr != nil || cnt < fileHeaderSize || !bytes.Equal(gotHdr, hdr) {

@@ -1,6 +1,9 @@
 package fs
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // This file implements the Reed–Solomon erasure code beneath the
 // BlockStore's striped layout (pfs.go): GF(2^8) arithmetic and a
@@ -51,21 +54,174 @@ func gfInv(a byte) byte {
 	return gfExp[255-int(gfLog[a])]
 }
 
-// mulTable is the 256-entry product table of one coefficient:
-// mulTable(c)[x] = c·x.
-func mulTable(c byte) (t [256]byte) {
-	for x := 1; x < 256; x++ {
-		t[x] = gfMul(c, byte(x))
+// pairTab is the product table of one matrix column against a pair of
+// matrix rows: pairTab[x] holds c0·x in bits 0–7 and c1·x in bits 8–15,
+// so one lookup of an input byte yields that byte's contribution to both
+// output rows. (A lone last row leaves the high byte zero.)
+type pairTab [256]uint16
+
+// gfTables is a coefficient matrix compiled for mul: per pair of rows,
+// the columns in blocks of four pairTabs. The first block takes the
+// cols mod 4 columns that do not fill a block (zero tables pad three
+// columns up to four), so every later block is full.
+type gfTables struct {
+	rows  int
+	first int            // columns in each pair's first block, 1..4
+	pairs [][][4]pairTab // pairs[r/2][block]
+}
+
+// newGFTables compiles mat (rows × cols coefficients).
+func newGFTables(mat [][]byte) *gfTables {
+	rows, cols := len(mat), len(mat[0])
+	nb := (cols + 3) / 4
+	first := cols - 4*(nb-1)
+	t := &gfTables{rows: rows, first: first, pairs: make([][][4]pairTab, (rows+1)/2)}
+	for p := range t.pairs {
+		t.pairs[p] = make([][4]pairTab, nb)
+	}
+	for r, row := range mat {
+		for d, c := range row {
+			b, j := 0, d
+			if d >= first {
+				b, j = 1+(d-first)/4, (d-first)%4
+			}
+			tab := &t.pairs[r/2][b][j]
+			for x := 1; x < 256; x++ {
+				tab[x] |= uint16(gfMul(c, byte(x))) << (8 * uint(r&1))
+			}
+		}
 	}
 	return t
 }
 
-// mulAddSlice: dst[i] ^= c * src[i], with c given as its product table —
-// the inner loop of encode/decode.
-func mulAddSlice(t *[256]byte, src, dst []byte) {
-	dst = dst[:len(src)]
-	for i, s := range src {
-		dst[i] ^= t[s]
+// mul is the one multiply kernel: out[r] = Σ_d mat[r][d]·in[d] over
+// GF(2^8), for equal-length shards. A pass folds up to four inputs into
+// up to two outputs: each input byte is read once per pass, the products
+// are XOR-combined in a register and each output byte is stored once.
+// With cols ≤ 4 and rows ≤ 2 (the store's 4+2) one pass is the whole
+// multiply — no clear, no read-modify-write; more rows are more passes
+// over the same inputs, and columns past the first block XOR into the
+// outputs the first block stored.
+//
+// The loops live in leaf functions of fixed arity because that is what
+// the compiler keeps in registers (DESIGN.md, "RS kernel", has the
+// measurements): one loop with the arities behind in-loop switches
+// spills every pointer, a run-time shift to serve any row pair from a
+// wider table costs 16–34 %, and an accumulator array between a gather
+// and a scatter loop lost to the byte-at-a-time kernel on 1+1 and 2+1.
+func (t *gfTables) mul(in, out [][]byte) {
+	last := in[0] // a padded fourth column multiplies any shard by zero
+	if t.first == 4 {
+		last = in[3]
+	}
+	for r := 0; r < t.rows; r += 2 {
+		blk := t.pairs[r/2]
+		if r+1 < t.rows {
+			switch t.first {
+			case 1:
+				set1x2(&blk[0], in[0], out[r], out[r+1])
+			case 2:
+				set2x2(&blk[0], in[0], in[1], out[r], out[r+1])
+			default:
+				set4x2(&blk[0], in[0], in[1], in[2], last, out[r], out[r+1])
+			}
+			for b, d := 1, t.first; b < len(blk); b, d = b+1, d+4 {
+				xor4x2(&blk[b], in[d], in[d+1], in[d+2], in[d+3], out[r], out[r+1])
+			}
+			continue
+		}
+		switch t.first { // a lone last row
+		case 1:
+			set1x1(&blk[0], in[0], out[r])
+		case 2:
+			set2x1(&blk[0], in[0], in[1], out[r])
+		default:
+			set4x1(&blk[0], in[0], in[1], in[2], last, out[r])
+		}
+		for b, d := 1, t.first; b < len(blk); b, d = b+1, d+4 {
+			xor4x1(&blk[b], in[d], in[d+1], in[d+2], in[d+3], out[r])
+		}
+	}
+}
+
+// The leaves. Taking each table's address up front hoists the nil check
+// out of the loop, and reslicing to one length drops the bounds checks.
+// noinline: the small ones fit the inliner's budget, and inlined into mul
+// beside seven other loops their index spills to the stack (1+1 then
+// loses to the kernel this replaced).
+
+//go:noinline
+func set1x1(t *[4]pairTab, s0, o0 []byte) {
+	t0, o0 := &t[0], o0[:len(s0)]
+	for i, x := range s0 {
+		o0[i] = byte(t0[x])
+	}
+}
+
+//go:noinline
+func set1x2(t *[4]pairTab, s0, o0, o1 []byte) {
+	t0, o0, o1 := &t[0], o0[:len(s0)], o1[:len(s0)]
+	for i, x := range s0 {
+		a := t0[x]
+		o0[i], o1[i] = byte(a), byte(a>>8)
+	}
+}
+
+//go:noinline
+func set2x1(t *[4]pairTab, s0, s1, o0 []byte) {
+	t0, t1 := &t[0], &t[1]
+	s1, o0 = s1[:len(s0)], o0[:len(s0)]
+	for i, x := range s0 {
+		o0[i] = byte(t0[x] ^ t1[s1[i]])
+	}
+}
+
+//go:noinline
+func set2x2(t *[4]pairTab, s0, s1, o0, o1 []byte) {
+	t0, t1 := &t[0], &t[1]
+	s1, o0, o1 = s1[:len(s0)], o0[:len(s0)], o1[:len(s0)]
+	for i, x := range s0 {
+		a := t0[x] ^ t1[s1[i]]
+		o0[i], o1[i] = byte(a), byte(a>>8)
+	}
+}
+
+//go:noinline
+func set4x1(t *[4]pairTab, s0, s1, s2, s3, o0 []byte) {
+	t0, t1, t2, t3 := &t[0], &t[1], &t[2], &t[3]
+	s1, s2, s3, o0 = s1[:len(s0)], s2[:len(s0)], s3[:len(s0)], o0[:len(s0)]
+	for i, x := range s0 {
+		o0[i] = byte(t0[x] ^ t1[s1[i]] ^ t2[s2[i]] ^ t3[s3[i]])
+	}
+}
+
+//go:noinline
+func set4x2(t *[4]pairTab, s0, s1, s2, s3, o0, o1 []byte) {
+	t0, t1, t2, t3 := &t[0], &t[1], &t[2], &t[3]
+	s1, s2, s3, o0, o1 = s1[:len(s0)], s2[:len(s0)], s3[:len(s0)], o0[:len(s0)], o1[:len(s0)]
+	for i, x := range s0 {
+		a := t0[x] ^ t1[s1[i]] ^ t2[s2[i]] ^ t3[s3[i]]
+		o0[i], o1[i] = byte(a), byte(a>>8)
+	}
+}
+
+//go:noinline
+func xor4x1(t *[4]pairTab, s0, s1, s2, s3, o0 []byte) {
+	t0, t1, t2, t3 := &t[0], &t[1], &t[2], &t[3]
+	s1, s2, s3, o0 = s1[:len(s0)], s2[:len(s0)], s3[:len(s0)], o0[:len(s0)]
+	for i, x := range s0 {
+		o0[i] ^= byte(t0[x] ^ t1[s1[i]] ^ t2[s2[i]] ^ t3[s3[i]])
+	}
+}
+
+//go:noinline
+func xor4x2(t *[4]pairTab, s0, s1, s2, s3, o0, o1 []byte) {
+	t0, t1, t2, t3 := &t[0], &t[1], &t[2], &t[3]
+	s1, s2, s3, o0, o1 = s1[:len(s0)], s2[:len(s0)], s3[:len(s0)], o0[:len(s0)], o1[:len(s0)]
+	for i, x := range s0 {
+		a := t0[x] ^ t1[s1[i]] ^ t2[s2[i]] ^ t3[s3[i]]
+		o0[i] ^= byte(a)
+		o1[i] ^= byte(a >> 8)
 	}
 }
 
@@ -79,9 +235,23 @@ type rsCode struct {
 	// k×k submatrix stays invertible, so ANY k surviving shards
 	// reconstruct the stripe.
 	mat [][]byte
-	// parity[p][d] is the product table of mat[k+p][d], built once so
-	// encode pays one lookup per byte and no per-call setup.
-	parity [][][256]byte
+	// enc is the m parity rows of mat compiled for mul.
+	enc *gfTables
+	// dec is the decode compiled for the last erasure pattern seen. A
+	// dropped or rotting backing file repeats one pattern for every
+	// stripe, so one entry is the whole cache. It makes reconstruct (not
+	// encode) unsafe for concurrent use; the store calls both under its
+	// lock.
+	dec *decodePlan
+}
+
+// decodePlan rebuilds one erasure pattern: every lost shard, data or
+// parity, is a fixed linear combination of the k survivors chosen.
+type decodePlan struct {
+	present []bool
+	from    []int // the k surviving shards read
+	lost    []int // the shards rebuilt, in tab's row order
+	tab     *gfTables
 }
 
 func newRS(k, m int) (*rsCode, error) {
@@ -105,14 +275,7 @@ func newRS(k, m int) (*rsCode, error) {
 		return nil, err
 	}
 	mat := gfMatMul(v, inv)
-	parity := make([][][256]byte, m)
-	for p := range parity {
-		parity[p] = make([][256]byte, k)
-		for d := range parity[p] {
-			parity[p][d] = mulTable(mat[k+p][d])
-		}
-	}
-	return &rsCode{k: k, m: m, mat: mat, parity: parity}, nil
+	return &rsCode{k: k, m: m, mat: mat, enc: newGFTables(mat[k:])}, nil
 }
 
 func gfPow(a byte, n int) byte {
@@ -193,20 +356,13 @@ func gfMatInvert(m [][]byte) ([][]byte, error) {
 // hold k+m equal-length slices; the first k are inputs, the last m are
 // overwritten.
 func (c *rsCode) encode(shards [][]byte) {
-	for p := 0; p < c.m; p++ {
-		out := shards[c.k+p]
-		clear(out)
-		for d := 0; d < c.k; d++ {
-			mulAddSlice(&c.parity[p][d], shards[d], out)
-		}
-	}
+	c.enc.mul(shards[:c.k], shards[c.k:])
 }
 
 // reconstruct rebuilds every shard whose present flag is false, from
 // any k present shards. shards[i] may be nil when !present[i]; all
-// present shards must share one length. On success every slot of
-// shards is populated and internally consistent (parity re-encoded
-// from the reconstructed data).
+// present shards must share one length and are only read. On success
+// every slot of shards is populated and internally consistent.
 func (c *rsCode) reconstruct(shards [][]byte, present []bool) error {
 	nPresent := 0
 	size := 0
@@ -222,46 +378,53 @@ func (c *rsCode) reconstruct(shards [][]byte, present []bool) error {
 	if nPresent == c.k+c.m {
 		return nil
 	}
-
-	// Select the first k present shards and the matching rows of the
-	// encoding matrix; invert to get data back.
-	rows := make([][]byte, 0, c.k)
-	sub := make([][]byte, 0, c.k)
-	for i := 0; i < c.k+c.m && len(rows) < c.k; i++ {
-		if present[i] {
-			rows = append(rows, shards[i])
-			sub = append(sub, append([]byte(nil), c.mat[i]...))
+	if c.dec == nil || !slices.Equal(c.dec.present, present) {
+		plan, err := c.planDecode(present)
+		if err != nil {
+			return err
 		}
+		c.dec = plan
 	}
-	dec, err := gfMatInvert(sub)
-	if err != nil {
-		return err // cannot happen for an MDS matrix; defensive
+	in := make([][]byte, c.k)
+	for t, i := range c.dec.from {
+		in[t] = shards[i]
 	}
-	// Rebuild missing data shards.
-	for d := 0; d < c.k; d++ {
-		if present[d] {
-			continue
-		}
-		out := make([]byte, size)
-		for t := 0; t < c.k; t++ {
-			if dec[d][t] == 0 {
-				continue
-			}
-			tbl := mulTable(dec[d][t])
-			mulAddSlice(&tbl, rows[t], out)
-		}
-		shards[d] = out
+	out := make([][]byte, len(c.dec.lost))
+	buf := make([]byte, len(out)*size)
+	for r, i := range c.dec.lost {
+		out[r] = buf[r*size : (r+1)*size : (r+1)*size]
+		shards[i] = out[r]
 	}
-	// Rebuild missing parity from the (now complete) data shards.
-	for p := 0; p < c.m; p++ {
-		if present[c.k+p] {
-			continue
-		}
-		out := make([]byte, size)
-		for d := 0; d < c.k; d++ {
-			mulAddSlice(&c.parity[p][d], shards[d], out)
-		}
-		shards[c.k+p] = out
-	}
+	c.dec.tab.mul(in, out)
 	return nil
+}
+
+// planDecode compiles the decode for one erasure pattern. The first k
+// present shards and the matching rows of the encoding matrix give the
+// data back by inversion; a lost parity shard is its encoding row
+// applied to that, so one matrix over the survivors rebuilds data and
+// parity alike — the same field arithmetic, hence the same bytes, as
+// rebuilding the data first and re-encoding parity from it.
+func (c *rsCode) planDecode(present []bool) (*decodePlan, error) {
+	p := &decodePlan{present: slices.Clone(present)}
+	sub := make([][]byte, 0, c.k)
+	for i, ok := range present {
+		switch {
+		case !ok:
+			p.lost = append(p.lost, i)
+		case len(p.from) < c.k:
+			p.from = append(p.from, i)
+			sub = append(sub, c.mat[i])
+		}
+	}
+	inv, err := gfMatInvert(sub)
+	if err != nil {
+		return nil, err // cannot happen for an MDS matrix; defensive
+	}
+	rows := make([][]byte, len(p.lost))
+	for r, i := range p.lost {
+		rows[r] = c.mat[i]
+	}
+	p.tab = newGFTables(gfMatMul(rows, inv))
+	return p, nil
 }

@@ -2,6 +2,7 @@ package fs
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -144,17 +145,44 @@ func TestRSBadGeometry(t *testing.T) {
 	}
 }
 
-func BenchmarkRSEncode4x2(b *testing.B) {
-	c, _ := newRS(4, 2)
-	shards := make([][]byte, 6)
+// testShards builds k+m shards of size random bytes — the parity shards
+// too, since the kernel must overwrite, never accumulate into, its
+// outputs. contiguous lays them out as the store does (what
+// encodeStripe hands the kernel): views of one buffer, parity behind the
+// data; otherwise every shard is its own allocation.
+func testShards(rng *rand.Rand, k, m, size int, contiguous bool) [][]byte {
+	shards := make([][]byte, k+m)
+	buf := make([]byte, (k+m)*size)
+	rng.Read(buf)
 	for i := range shards {
-		shards[i] = make([]byte, 1024)
-		rand.New(rand.NewSource(int64(i))).Read(shards[i])
+		if contiguous {
+			shards[i] = buf[i*size : (i+1)*size : (i+1)*size]
+		} else {
+			shards[i] = append([]byte(nil), buf[i*size:(i+1)*size]...)
+		}
 	}
-	b.SetBytes(4 * 1024)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.encode(shards)
+	return shards
+}
+
+// BenchmarkRSEncode sweeps geometries (k not a multiple of 4 and m != 2
+// included) in both layouts: a kernel tuned on one shape must not tax
+// the others.
+func BenchmarkRSEncode(b *testing.B) {
+	for _, g := range [][2]int{{1, 1}, {2, 1}, {4, 2}, {5, 3}, {8, 3}, {10, 4}, {4, 9}} {
+		k, m := g[0], g[1]
+		c, err := newRS(k, m)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, layout := range []string{"store", "separate"} {
+			shards := testShards(rand.New(rand.NewSource(1)), k, m, BlockSize/k, layout == "store")
+			b.Run(fmt.Sprintf("%d+%d/%s", k, m, layout), func(b *testing.B) {
+				b.SetBytes(int64(k * len(shards[0])))
+				for i := 0; i < b.N; i++ {
+					c.encode(shards)
+				}
+			})
+		}
 	}
 }
 
