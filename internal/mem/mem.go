@@ -11,6 +11,7 @@
 package mem
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync/atomic"
@@ -116,13 +117,6 @@ type Paged struct {
 	// permission check (check, stampExec) can race a concurrent Map from
 	// another thread.
 	perms []atomic.Uint32
-	// wx counts pages currently mapped writable+executable. While it is
-	// zero — the overwhelmingly common case outside the loader — no
-	// untrusted store can touch an executable page (stores need PermW),
-	// so stampExec reduces to this single counter check. Map publishes
-	// increments BEFORE the permission words and decrements after, so a
-	// store that observes a W+X mapping can never see a zero counter.
-	wx atomic.Int64
 
 	// gen is a monotonic sequence number of code-affecting mutations:
 	// mapping changes, trusted writes, and stores that hit an executable
@@ -283,12 +277,6 @@ func storeMax(p *uint64, g uint64) {
 // writable+executable mapping — self-modifying code, as in a LibOS
 // loader pool — invalidate exactly the pages written.
 func (m *Paged) stampExec(addr uint64, n int) {
-	if m.wx.Load() == 0 {
-		// No writable+executable page exists, and the store already
-		// passed its write-permission check — it cannot have touched an
-		// executable page. One counter load instead of a page scan.
-		return
-	}
 	if n <= 0 {
 		return
 	}
@@ -331,14 +319,6 @@ func (m *Paged) Map(addr uint64, n uint64, perm Perm) error {
 	}
 	first, last := m.pageIndex(addr), m.pageIndex(addr+n-1)
 	perm &= PermRWX
-	isWX := perm&PermW != 0 && perm&PermX != 0
-	if isWX {
-		// Count the pages before their permissions become visible: a
-		// concurrent store that observes the new W+X mapping must not
-		// pass stampExec's zero-counter fast path.
-		m.wx.Add(int64(last - first + 1))
-	}
-	var wasWX int64
 	for i := first; i <= last; i++ {
 		// The dirty bit is content state, not mapping state: it survives
 		// any remap (a store racing the swap may set it in between, hence
@@ -348,15 +328,6 @@ func (m *Paged) Map(addr uint64, n uint64, perm Perm) error {
 		for !m.perms[i].CompareAndSwap(old, uint32(perm)|old&permDirty) {
 			old = m.perms[i].Load()
 		}
-		if Perm(old)&PermW != 0 && Perm(old)&PermX != 0 {
-			wasWX++
-		}
-	}
-	// Pages that were already W+X are either double-counted (isWX) or
-	// no longer W+X; either way their old count comes off now, after
-	// the permission words are published.
-	if wasWX > 0 {
-		m.wx.Add(-wasWX)
 	}
 	m.stamp(first, last)
 	return nil
@@ -409,93 +380,139 @@ func max64(a, b uint64) uint64 {
 	return b
 }
 
-// inOnePage reports whether [off, off+n) lies inside the data slice and
-// within a single page, and returns the page index. It is the guard of
-// the single-page fast paths: callers substitute one bounds compare and
-// one permission load for the general Contains + per-page loop. An off
-// that underflowed (addr below base) wraps to a huge value and fails the
+// onePage reports whether the n bytes (n > 0) at offset off lie inside
+// the data slice and within a single page: the one guard of every
+// single-page fast path. data is whole pages, so an in-range start that
+// does not straddle a page end has an in-range end; an off that
+// underflowed (addr below base) wraps to a huge value and fails the
 // length compare.
-func (m *Paged) inOnePage(off uint64, n uint64) (int, bool) {
-	if off >= uint64(len(m.data)) || uint64(len(m.data))-off < n {
-		return 0, false
-	}
-	pg := off >> pageShift
-	if (off+n-1)>>pageShift != pg {
-		return 0, false
-	}
-	return int(pg), true
+func (m *Paged) onePage(off, n uint64) bool {
+	return off < uint64(len(m.data)) && off&(PageSize-1)+n <= PageSize
 }
 
-// Load reads an n-byte little-endian value (n must be 1 or 8) at addr,
-// checking read permission on every page touched.
-func (m *Paged) Load(addr uint64, n int) (uint64, *Fault) {
+// Load8, Load1, Store8 and Store1 are each the whole fast path of one
+// sized access and nothing else: one page, and the permission present in
+// the page's word as read for THIS access (nothing is remembered between
+// accesses). A store further needs the page already dirty and not
+// executable. On anything else they report false, declining with no side
+// effect, and the caller falls through to Load or Store, which check
+// every page, mark, stamp and materialise the Fault. The loads and the
+// two store steps are small enough to inline (CI checks it).
+
+// Load8 reads the 8-byte little-endian value at addr.
+func (m *Paged) Load8(addr uint64) (uint64, bool) {
 	off := addr - m.base
-	if n == 8 {
-		if pg, ok := m.inOnePage(off, 8); ok && Perm(m.perms[pg].Load())&PermR != 0 {
-			b := m.data[off : off+8]
-			return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-				uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56, nil
+	if !m.onePage(off, 8) || m.perms[off>>pageShift].Load()&uint32(PermR) == 0 {
+		return 0, false
+	}
+	return binary.LittleEndian.Uint64(m.data[off:]), true
+}
+
+// Load1 reads the byte at addr.
+func (m *Paged) Load1(addr uint64) (uint64, bool) {
+	off := addr - m.base
+	if !m.onePage(off, 1) || m.perms[off>>pageShift].Load()&uint32(PermR) == 0 {
+		return 0, false
+	}
+	return uint64(m.data[off]), true
+}
+
+// storable is the permission word of a page a sized store may write
+// without marking or stamping it: writable, dirty, not executable.
+const storable = uint32(PermW) | permDirty
+
+// storeAccepts is the first step of a sized store: one page, storable.
+func (m *Paged) storeAccepts(off, n uint64) bool {
+	return m.onePage(off, n) && m.perms[off>>pageShift].Load()&(storable|uint32(PermX)) == storable
+}
+
+// storeDone is its last step, after the bytes are written: re-read the
+// page's word, as stampExec does, and stamp if PermX is there now. A Map
+// that made the page executable after storeAccepts read the word
+// publishes the new word before it stamps, so either this re-read sees
+// PermX or the Map's own stamp follows the write; trusting the first read
+// would leave such a store unstamped (TestStoreVsMapExecInterleavings).
+func (m *Paged) storeDone(addr, off uint64, n int) {
+	if m.perms[off>>pageShift].Load()&uint32(PermX) != 0 {
+		m.stampExec(addr, n)
+	}
+}
+
+// Store8 writes v as 8 little-endian bytes at addr.
+func (m *Paged) Store8(addr, v uint64) bool {
+	off := addr - m.base
+	if !m.storeAccepts(off, 8) {
+		return false
+	}
+	binary.LittleEndian.PutUint64(m.data[off:], v)
+	m.storeDone(addr, off, 8)
+	return true
+}
+
+// Store1 writes the low byte of v at addr.
+func (m *Paged) Store1(addr, v uint64) bool {
+	off := addr - m.base
+	if !m.storeAccepts(off, 1) {
+		return false
+	}
+	m.data[off] = byte(v)
+	m.storeDone(addr, off, 1)
+	return true
+}
+
+// Load reads an n-byte little-endian value (n must be 1 or 8: anything
+// else is a caller bug and panics) at addr, checking read permission on
+// every page touched.
+func (m *Paged) Load(addr uint64, n int) (uint64, *Fault) {
+	switch n {
+	case 8:
+		if v, ok := m.Load8(addr); ok {
+			return v, nil
 		}
-	} else if n == 1 {
-		if pg, ok := m.inOnePage(off, 1); ok && Perm(m.perms[pg].Load())&PermR != 0 {
-			return uint64(m.data[off]), nil
+	case 1:
+		if v, ok := m.Load1(addr); ok {
+			return v, nil
 		}
+	default:
+		panic(fmt.Sprintf("mem: Load of %d bytes: size must be 1 or 8", n))
 	}
 	// Slow path: cross-page accesses and fault materialization.
 	if f := m.check(addr, n, AccessRead); f != nil {
 		return 0, f
 	}
-	if n == 1 {
-		return uint64(m.data[off]), nil
-	}
-	b := m.data[off : off+8]
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56, nil
+	var b [8]byte
+	copy(b[:n], m.data[addr-m.base:])
+	return binary.LittleEndian.Uint64(b[:]), nil
 }
 
-// Store writes an n-byte little-endian value (n must be 1 or 8) at addr,
-// checking write permission on every page touched. The store is atomic
-// with respect to faults: nothing is written if any byte would fault.
+// Store writes an n-byte little-endian value (n must be 1 or 8, as for
+// Load) at addr, checking write permission on every page touched. The
+// store is atomic with respect to faults: nothing is written if any
+// byte would fault. Its fast path is Store8's and Store1's three steps
+// in this frame, not a call to them.
 func (m *Paged) Store(addr uint64, n int, v uint64) *Fault {
 	off := addr - m.base
-	// Both fast paths still run stampExec after the write (one counter
-	// load in the common no-W+X case): gating it on the permission
-	// word loaded *before* the write would drop the stamp when a
-	// concurrent Map made the page executable in between.
-	if n == 8 {
-		if pg, ok := m.inOnePage(off, 8); ok {
-			if pw := m.perms[pg].Load(); Perm(pw)&PermW != 0 {
-				m.markPage(pg, pw)
-				b := m.data[off : off+8]
-				b[0], b[1], b[2], b[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
-				b[4], b[5], b[6], b[7] = byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56)
-				m.stampExec(addr, n)
-				return nil
-			}
-		}
-	} else if n == 1 {
-		if pg, ok := m.inOnePage(off, 1); ok {
-			if pw := m.perms[pg].Load(); Perm(pw)&PermW != 0 {
-				m.markPage(pg, pw)
-				m.data[off] = byte(v)
-				m.stampExec(addr, n)
-				return nil
-			}
-		}
-	}
-	// Slow path: cross-page accesses and fault materialization.
-	if f := m.check(addr, n, AccessWrite); f != nil {
-		return f
-	}
-	m.markDirty(addr, n)
-	if n == 1 {
+	switch {
+	case n == 8 && m.storeAccepts(off, 8):
+		binary.LittleEndian.PutUint64(m.data[off:], v)
+	case n == 1 && m.storeAccepts(off, 1):
 		m.data[off] = byte(v)
-	} else {
-		b := m.data[off : off+8]
-		b[0], b[1], b[2], b[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
-		b[4], b[5], b[6], b[7] = byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56)
+	case n != 1 && n != 8:
+		panic(fmt.Sprintf("mem: Store of %d bytes: size must be 1 or 8", n))
+	default:
+		// Slow path: cross-page stores, a page's first write (marking),
+		// executable pages (stamping) and fault materialization.
+		if f := m.check(addr, n, AccessWrite); f != nil {
+			return f
+		}
+		m.markDirty(addr, n)
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], v)
+		copy(m.data[off:], b[:n])
+		m.stampExec(addr, n)
+		return nil
 	}
-	m.stampExec(addr, n)
+	m.storeDone(addr, off, n)
 	return nil
 }
 
@@ -503,10 +520,8 @@ func (m *Paged) Store(addr uint64, n int, v uint64) *Fault {
 // permission, for instruction decode.
 func (m *Paged) Fetch(addr uint64, n int) ([]byte, *Fault) {
 	off := addr - m.base
-	if n > 0 {
-		if pg, ok := m.inOnePage(off, uint64(n)); ok && Perm(m.perms[pg].Load())&PermX != 0 {
-			return m.data[off : off+uint64(n)], nil
-		}
+	if n > 0 && m.onePage(off, uint64(n)) && m.perms[off>>pageShift].Load()&uint32(PermX) != 0 {
+		return m.data[off : off+uint64(n)], nil
 	}
 	if f := m.check(addr, n, AccessExec); f != nil {
 		return nil, f

@@ -212,8 +212,12 @@ func TestConcurrentMapStoreRace(t *testing.T) {
 	// the LibOS, so a hart's Store (which reads page permissions in its
 	// check and in stampExec) can race a concurrent Map rewriting those
 	// permissions. Page permissions must therefore be atomically
-	// accessed. The Map flips a page between RW and RWX so both the
-	// stampExec fast path (wx == 0) and the per-page X scan race it.
+	// accessed. The Map flips a page between RW and RWX, so the stores
+	// — through the general entry and through Store8 and Store1 with a
+	// handler's fall-through — meet every state of the word: accepted,
+	// declined as executable, and turned executable between the sized
+	// entry's two reads. (What must hold in each of those orders is
+	// checked one step at a time by TestStoreVsMapExecInterleavings.)
 	m := NewPaged(0, 8*PageSize)
 	if err := m.Map(0, 8*PageSize, PermRW); err != nil {
 		t.Fatal(err)
@@ -240,7 +244,16 @@ func TestConcurrentMapStoreRace(t *testing.T) {
 			// Store into the page being remapped: permission checks and
 			// exec stamping race the Map. (The data bytes themselves are
 			// only touched by this goroutine.)
-			if f := m.Store(2*PageSize+64, 8, uint64(i)); f != nil {
+			var f *Fault
+			switch i % 3 {
+			case 0:
+				f = m.Store(2*PageSize+64, 8, uint64(i))
+			case 1:
+				f = storeVia(m, 2*PageSize+64, 8, uint64(i))
+			default:
+				f = storeVia(m, 2*PageSize+72, 1, uint64(i))
+			}
+			if f != nil {
 				t.Errorf("store: %v", f)
 				return
 			}
@@ -251,12 +264,12 @@ func TestConcurrentMapStoreRace(t *testing.T) {
 		for i := 0; i < iters; i++ {
 			// An unrelated data page: exercises the single-page fast
 			// paths while the mapping mutates elsewhere.
-			if f := m.Store(4*PageSize, 8, uint64(i)); f != nil {
+			if f := storeVia(m, 4*PageSize, 8, uint64(i)); f != nil {
 				t.Errorf("store: %v", f)
 				return
 			}
-			if _, f := m.Load(4*PageSize, 8); f != nil {
-				t.Errorf("load: %v", f)
+			if v, f := loadVia(m, 4*PageSize, 8); f != nil || v != uint64(i) {
+				t.Errorf("load: %#x, %v", v, f)
 				return
 			}
 		}
@@ -264,53 +277,34 @@ func TestConcurrentMapStoreRace(t *testing.T) {
 	wg.Wait()
 }
 
-func TestWXCounterTracksMappings(t *testing.T) {
-	// The stampExec fast path depends on wx counting exactly the
-	// writable+executable pages through arbitrary remap sequences.
-	m := NewPaged(0, 8*PageSize)
-	check := func(want int64, when string) {
-		t.Helper()
-		if got := m.wx.Load(); got != want {
-			t.Fatalf("%s: wx = %d, want %d", when, got, want)
-		}
-	}
-	check(0, "fresh")
-	if err := m.Map(0, 2*PageSize, PermRWX); err != nil {
-		t.Fatal(err)
-	}
-	check(2, "map 2 pages rwx")
-	if err := m.Map(0, 2*PageSize, PermRWX); err != nil {
-		t.Fatal(err)
-	}
-	check(2, "idempotent remap rwx")
-	if err := m.Map(PageSize, PageSize, PermRX); err != nil {
-		t.Fatal(err)
-	}
-	check(1, "downgrade one page to rx")
-	if err := m.Map(0, 4*PageSize, PermRW); err != nil {
-		t.Fatal(err)
-	}
-	check(0, "downgrade all to rw")
-
-	// With no W+X page, a store must not bump any generation even when
-	// an executable (but read-only) page exists.
-	if err := m.Map(6*PageSize, PageSize, PermRX); err != nil {
-		t.Fatal(err)
-	}
-	g := m.Generation()
-	if f := m.Store(0, 8, 1); f != nil {
-		t.Fatal(f)
-	}
-	if m.Generation() != g {
-		t.Fatal("store with wx == 0 bumped the generation")
-	}
-}
-
 func TestSinglePageFastPathFaults(t *testing.T) {
 	// The fast paths must fall back to full fault materialization for
 	// every non-trivial case: unmapped pages, permission violations,
 	// page-straddling accesses, and out-of-range addresses.
 	m := newTest(t) // pages 0-3 RW, pages 8-9 RX
+	// Each of these is declined by the sized entries, touching nothing,
+	// before the general entry materializes its fault or takes the slow
+	// path.
+	before := snapshot(m)
+	for _, a := range []uint64{m.Base() + 5*PageSize, m.Base() + 8*PageSize, m.Base() - 8, m.Limit()} {
+		if m.Store8(a, 1) || m.Store1(a, 1) {
+			t.Fatalf("sized store at %#x accepted", a)
+		}
+	}
+	for _, a := range []uint64{m.Base() + 5*PageSize, m.Base() - 1, m.Limit(), m.Limit() - 7} {
+		if _, ok := m.Load8(a); ok {
+			t.Fatalf("Load8 at %#x accepted", a)
+		}
+	}
+	if _, ok := m.Load1(m.Limit()); ok {
+		t.Fatal("Load1 at the limit accepted")
+	}
+	if _, ok := m.Load8(m.Base() + PageSize - 4); ok || m.Store8(m.Base()+PageSize-4, 1) {
+		t.Fatal("a sized entry accepted a page-straddling access")
+	}
+	if d := before.diff(view(m)); d != "" {
+		t.Fatalf("declining changed %s", d)
+	}
 	if f := m.Store(m.Base()+5*PageSize, 8, 1); f == nil || !f.Unmapped {
 		t.Fatalf("store to unmapped: fault = %v", f)
 	}

@@ -9,7 +9,9 @@ import (
 
 // TestScrubDirtyProperty drives a Paged with a seeded random mix of
 // every way bytes can land in it — 1- and 8-byte Store (page-straddling
-// included), WriteAt, WriteDirect, write loans with CommitWrite — between
+// included), directly and as a handler does it (Store8 or Store1, then
+// Store when that declines), WriteAt, WriteDirect, write loans with
+// CommitWrite — between
 // remaps to other permissions, unmaps and remaps, against a shadow copy
 // and a model set of touched pages. It then checks the contract
 // freeDomain rests on: ScrubDirty zeroes exactly the touched pages of the
@@ -73,7 +75,11 @@ func TestScrubDirtyProperty(t *testing.T) {
 					off = (1+rng.Intn(npages-1))*PageSize - 1 - rng.Intn(7)
 				}
 				v := rng.Uint64()
-				f := m.Store(base+uint64(off), n, v)
+				store := m.Store
+				if rng.Intn(2) == 0 {
+					store = func(addr uint64, n int, v uint64) *Fault { return storeVia(m, addr, n, v) }
+				}
+				f := store(base+uint64(off), n, v)
 				if ok := writable(off, n); ok != (f == nil) {
 					t.Fatalf("seed %d op %d: Store(%#x,%d) fault=%v, model writable=%v", seed, op, off, n, f, ok)
 				}
@@ -200,6 +206,23 @@ func TestScrubDirtyProperty(t *testing.T) {
 			if got := m.PermAt(base + uint64(pg)*PageSize); got != PermR {
 				t.Fatalf("seed %d: scrub changed page %d permission to %v", seed, pg, got)
 			}
+		}
+
+		// The first store after a scrub must go through the marking path:
+		// the sized entries decline a clean page, the general entry marks
+		// it, and only then do they accept — so the next scrub finds it.
+		at := base + uint64(dirtyPg)*PageSize + 16
+		if err := m.Map(at, 1, PermRW); err != nil {
+			t.Fatal(err)
+		}
+		if m.Store8(at, 1) || m.Store1(at, 1) || !bytes.Equal(all, make([]byte, size)) {
+			t.Fatalf("seed %d: a sized store accepted scrubbed (clean) page %d", seed, dirtyPg)
+		}
+		if f := storeVia(m, at, 8, 7); f != nil || !m.Store8(at+8, 7) || !m.Store1(at+16, 7) {
+			t.Fatalf("seed %d: stores after the marking store: fault %v", seed, f)
+		}
+		if n, _ := m.ScrubDirty(base, size); n != 1 || !bytes.Equal(all, make([]byte, size)) {
+			t.Fatalf("seed %d: scrub after one page's stores cleared %d pages, want 1, and all zero", seed, n)
 		}
 	}
 }

@@ -186,6 +186,36 @@ func (c *CPU) divideFaultPC(pc uint64) bool {
 	return true
 }
 
+// Memory handlers pick a sized mem.Paged entry (Load8, Load1, Store8,
+// Store1) at translate time; the loads inline, so a hit costs its checks
+// and no call. When the entry declines (cross-page, unmapped, permission,
+// a page's first store, an executable page) they fall through to the
+// general Load and Store, which exec always uses.
+
+// loadSlow finishes a plain load whose sized entry declined.
+func (c *CPU) loadSlow(r isa.Reg, a uint64, size int, pc uint64) bool {
+	v, f := c.Mem.Load(a, size)
+	if f != nil {
+		return c.pageFaultPC(f, pc)
+	}
+	c.Regs[r] = v
+	return false
+}
+
+// storeSlow finishes a store whose sized entry declined: true if stopped.
+func (c *CPU) storeSlow(a uint64, size int, v, pc uint64) bool {
+	if f := c.Mem.Store(a, size, v); f != nil {
+		return c.pageFaultPC(f, pc)
+	}
+	return false
+}
+
+// baseDisp splits the hot operand shape [base+disp], whose handlers
+// skip even the ea closure.
+func baseDisp(m isa.MemRef) (base isa.Reg, d uint64, hot bool) {
+	return m.Base & 15, uint64(int64(m.Disp)), !m.HasIndex() && !m.IsAbs() && !m.IsPCRel()
+}
+
 // compileEA specializes effective-address computation for the
 // memory-operand shapes of Figure 4: absolute and PC-relative operands
 // fold to constants at translate time, the common base+disp form reads
@@ -220,9 +250,12 @@ func compileEA(m isa.MemRef, next uint64) func(c *CPU) uint64 {
 func compileRet(in *isa.Inst, pc, predicted uint64) handler {
 	pop := 8 + uint64(in.Imm)
 	return func(c *CPU) bool {
-		target, f := c.Mem.Load(c.Regs[isa.SP], 8)
-		if f != nil {
-			return c.pageFaultPC(f, pc)
+		target, ok := c.Mem.Load8(c.Regs[isa.SP])
+		if !ok {
+			var f *mem.Fault
+			if target, f = c.Mem.Load(c.Regs[isa.SP], 8); f != nil {
+				return c.pageFaultPC(f, pc)
+			}
 		}
 		c.Regs[isa.SP] += pop
 		c.PC = target
@@ -243,58 +276,78 @@ func init() {
 		return func(c *CPU) bool { c.Regs[r1] = c.Regs[r2]; return false }
 	}
 
-	loadOf := func(size int) compilerFunc {
-		return func(in *isa.Inst, pc, next uint64) handler {
-			r1 := in.R1 & 15
-			// The hot shape [base+disp] skips even the ea closure.
-			if m := in.Mem; !m.HasIndex() && !m.IsAbs() && !m.IsPCRel() {
-				base, d := m.Base&15, uint64(int64(m.Disp))
-				return func(c *CPU) bool {
-					v, f := c.Mem.Load(c.Regs[base]+d, size)
-					if f != nil {
-						return c.pageFaultPC(f, pc)
-					}
+	compilers[isa.OpLoad] = func(in *isa.Inst, pc, next uint64) handler {
+		r1 := in.R1 & 15
+		if base, d, hot := baseDisp(in.Mem); hot {
+			return func(c *CPU) bool {
+				a := c.Regs[base] + d
+				if v, ok := c.Mem.Load8(a); ok {
 					c.Regs[r1] = v
 					return false
 				}
+				return c.loadSlow(r1, a, 8, pc)
 			}
-			ea := compileEA(in.Mem, next)
-			return func(c *CPU) bool {
-				v, f := c.Mem.Load(ea(c), size)
-				if f != nil {
-					return c.pageFaultPC(f, pc)
-				}
+		}
+		ea := compileEA(in.Mem, next)
+		return func(c *CPU) bool {
+			a := ea(c)
+			if v, ok := c.Mem.Load8(a); ok {
 				c.Regs[r1] = v
 				return false
 			}
+			return c.loadSlow(r1, a, 8, pc)
 		}
 	}
-	compilers[isa.OpLoad] = loadOf(8)
-	compilers[isa.OpLoadB] = loadOf(1)
-
-	storeOf := func(size int) compilerFunc {
-		return func(in *isa.Inst, pc, next uint64) handler {
-			r1 := in.R1 & 15
-			if m := in.Mem; !m.HasIndex() && !m.IsAbs() && !m.IsPCRel() {
-				base, d := m.Base&15, uint64(int64(m.Disp))
-				return func(c *CPU) bool {
-					if f := c.Mem.Store(c.Regs[base]+d, size, c.Regs[r1]); f != nil {
-						return c.pageFaultPC(f, pc)
-					}
+	compilers[isa.OpLoadB] = func(in *isa.Inst, pc, next uint64) handler {
+		r1 := in.R1 & 15
+		if base, d, hot := baseDisp(in.Mem); hot {
+			return func(c *CPU) bool {
+				a := c.Regs[base] + d
+				if v, ok := c.Mem.Load1(a); ok {
+					c.Regs[r1] = v
 					return false
 				}
-			}
-			ea := compileEA(in.Mem, next)
-			return func(c *CPU) bool {
-				if f := c.Mem.Store(ea(c), size, c.Regs[r1]); f != nil {
-					return c.pageFaultPC(f, pc)
-				}
-				return false
+				return c.loadSlow(r1, a, 1, pc)
 			}
 		}
+		ea := compileEA(in.Mem, next)
+		return func(c *CPU) bool {
+			a := ea(c)
+			if v, ok := c.Mem.Load1(a); ok {
+				c.Regs[r1] = v
+				return false
+			}
+			return c.loadSlow(r1, a, 1, pc)
+		}
 	}
-	compilers[isa.OpStore] = storeOf(8)
-	compilers[isa.OpStoreB] = storeOf(1)
+	compilers[isa.OpStore] = func(in *isa.Inst, pc, next uint64) handler {
+		r1 := in.R1 & 15
+		if base, d, hot := baseDisp(in.Mem); hot {
+			return func(c *CPU) bool {
+				a, v := c.Regs[base]+d, c.Regs[r1]
+				return !c.Mem.Store8(a, v) && c.storeSlow(a, 8, v, pc)
+			}
+		}
+		ea := compileEA(in.Mem, next)
+		return func(c *CPU) bool {
+			a, v := ea(c), c.Regs[r1]
+			return !c.Mem.Store8(a, v) && c.storeSlow(a, 8, v, pc)
+		}
+	}
+	compilers[isa.OpStoreB] = func(in *isa.Inst, pc, next uint64) handler {
+		r1 := in.R1 & 15
+		if base, d, hot := baseDisp(in.Mem); hot {
+			return func(c *CPU) bool {
+				a, v := c.Regs[base]+d, c.Regs[r1]
+				return !c.Mem.Store1(a, v) && c.storeSlow(a, 1, v, pc)
+			}
+		}
+		ea := compileEA(in.Mem, next)
+		return func(c *CPU) bool {
+			a, v := ea(c), c.Regs[r1]
+			return !c.Mem.Store1(a, v) && c.storeSlow(a, 1, v, pc)
+		}
+	}
 
 	compilers[isa.OpLea] = func(in *isa.Inst, pc, next uint64) handler {
 		r1, ea := in.R1&15, compileEA(in.Mem, next)
@@ -303,29 +356,34 @@ func init() {
 	compilers[isa.OpPush] = func(in *isa.Inst, pc, next uint64) handler {
 		r1 := in.R1 & 15
 		return func(c *CPU) bool {
-			if f := c.Mem.Store(c.Regs[isa.SP]-8, 8, c.Regs[r1]); f != nil {
-				return c.pageFaultPC(f, pc)
+			a, v := c.Regs[isa.SP]-8, c.Regs[r1]
+			if !c.Mem.Store8(a, v) && c.storeSlow(a, 8, v, pc) {
+				return true
 			}
-			c.Regs[isa.SP] -= 8
+			c.Regs[isa.SP] = a
 			return false
 		}
 	}
 	compilers[isa.OpPushI] = func(in *isa.Inst, pc, next uint64) handler {
 		v := uint64(in.Imm)
 		return func(c *CPU) bool {
-			if f := c.Mem.Store(c.Regs[isa.SP]-8, 8, v); f != nil {
-				return c.pageFaultPC(f, pc)
+			a := c.Regs[isa.SP] - 8
+			if !c.Mem.Store8(a, v) && c.storeSlow(a, 8, v, pc) {
+				return true
 			}
-			c.Regs[isa.SP] -= 8
+			c.Regs[isa.SP] = a
 			return false
 		}
 	}
 	compilers[isa.OpPop] = func(in *isa.Inst, pc, next uint64) handler {
 		r1 := in.R1 & 15
 		return func(c *CPU) bool {
-			v, f := c.Mem.Load(c.Regs[isa.SP], 8)
-			if f != nil {
-				return c.pageFaultPC(f, pc)
+			v, ok := c.Mem.Load8(c.Regs[isa.SP])
+			if !ok {
+				var f *mem.Fault
+				if v, f = c.Mem.Load(c.Regs[isa.SP], 8); f != nil {
+					return c.pageFaultPC(f, pc)
+				}
 			}
 			c.Regs[isa.SP] += 8
 			c.Regs[r1] = v
@@ -476,10 +534,11 @@ func init() {
 		// return-target translation (trace.go).
 		site := &retSite{}
 		return func(c *CPU) bool {
-			if f := c.Mem.Store(c.Regs[isa.SP]-8, 8, next); f != nil {
-				return c.pageFaultPC(f, pc)
+			a := c.Regs[isa.SP] - 8
+			if !c.Mem.Store8(a, next) && c.storeSlow(a, 8, next, pc) {
+				return true
 			}
-			c.Regs[isa.SP] -= 8
+			c.Regs[isa.SP] = a
 			c.rasPush(next, site)
 			c.PC = target
 			return false
@@ -493,10 +552,11 @@ func init() {
 		r1 := in.R1 & 15
 		site := &retSite{}
 		return func(c *CPU) bool {
-			if f := c.Mem.Store(c.Regs[isa.SP]-8, 8, next); f != nil {
-				return c.pageFaultPC(f, pc)
+			a := c.Regs[isa.SP] - 8
+			if !c.Mem.Store8(a, next) && c.storeSlow(a, 8, next, pc) {
+				return true
 			}
-			c.Regs[isa.SP] -= 8
+			c.Regs[isa.SP] = a
 			c.rasPush(next, site)
 			c.PC = c.Regs[r1]
 			return false
@@ -507,15 +567,20 @@ func init() {
 			ea := compileEA(in.Mem, next)
 			site := &retSite{}
 			return func(c *CPU) bool {
-				target, f := c.Mem.Load(ea(c), 8)
-				if f != nil {
-					return c.pageFaultPC(f, pc)
-				}
-				if call {
-					if f := c.Mem.Store(c.Regs[isa.SP]-8, 8, next); f != nil {
+				a := ea(c)
+				target, ok := c.Mem.Load8(a)
+				if !ok {
+					var f *mem.Fault
+					if target, f = c.Mem.Load(a, 8); f != nil {
 						return c.pageFaultPC(f, pc)
 					}
-					c.Regs[isa.SP] -= 8
+				}
+				if call {
+					a = c.Regs[isa.SP] - 8
+					if !c.Mem.Store8(a, next) && c.storeSlow(a, 8, next, pc) {
+						return true
+					}
+					c.Regs[isa.SP] = a
 					c.rasPush(next, site)
 				}
 				c.PC = target
@@ -549,22 +614,20 @@ func init() {
 		}
 	}
 	compilers[isa.OpBndCLM] = func(in *isa.Inst, pc, next uint64) handler {
-		bnd, ea := in.Bnd, compileEA(in.Mem, next)
-		return func(c *CPU) bool {
-			if !c.Bnd.CheckLower(bnd, ea(c)) {
-				return c.boundFaultPC(pc)
-			}
-			return false
+		bnd := in.Bnd
+		if base, d, hot := baseDisp(in.Mem); hot {
+			return func(c *CPU) bool { return !c.Bnd.CheckLower(bnd, c.Regs[base]+d) && c.boundFaultPC(pc) }
 		}
+		ea := compileEA(in.Mem, next)
+		return func(c *CPU) bool { return !c.Bnd.CheckLower(bnd, ea(c)) && c.boundFaultPC(pc) }
 	}
 	compilers[isa.OpBndCUM] = func(in *isa.Inst, pc, next uint64) handler {
-		bnd, ea := in.Bnd, compileEA(in.Mem, next)
-		return func(c *CPU) bool {
-			if !c.Bnd.CheckUpper(bnd, ea(c)) {
-				return c.boundFaultPC(pc)
-			}
-			return false
+		bnd := in.Bnd
+		if base, d, hot := baseDisp(in.Mem); hot {
+			return func(c *CPU) bool { return !c.Bnd.CheckUpper(bnd, c.Regs[base]+d) && c.boundFaultPC(pc) }
 		}
+		ea := compileEA(in.Mem, next)
+		return func(c *CPU) bool { return !c.Bnd.CheckUpper(bnd, ea(c)) && c.boundFaultPC(pc) }
 	}
 	compilers[isa.OpBndMk] = func(in *isa.Inst, pc, next uint64) handler {
 		bnd, ea := in.Bnd, compileEA(in.Mem, next)

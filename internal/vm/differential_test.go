@@ -628,6 +628,146 @@ func TestTraceDifferentialSMCCallee(t *testing.T) {
 	}
 }
 
+// memEdgeProgram is the memory-heavy row: a hot loop whose accesses sit
+// on the edges the sized mem.Paged entries decline, so the compiled
+// handlers' fall-through to the general Load and Store runs beside their
+// hits, against Step, which only ever uses the general entries. Word
+// and byte accesses in both operand shapes ([base+disp] and indexed)
+// land on and across a page end inside a three-page array; push, pop,
+// call and ret run with SP moved onto that page end and four bytes
+// above it (their slot then straddles); every iteration patches a function in the SIP's own RWX code (a
+// store the sized entries must refuse: the page is executable), reads
+// the patched bytes back and runs them; and the program ends in a trap
+// or in an access that straddles into the unmapped page above the stack
+// — a fault the sized entry cannot raise and the general one must.
+func memEdgeProgram(r *rand.Rand, b *asm.Builder) {
+	bodyRegs := [...]isa.Reg{isa.R0, isa.R2, isa.R3, isa.R4, isa.R5}
+	reg := func() isa.Reg { return bodyRegs[r.Intn(len(bodyRegs))] }
+	trips := 100 + r.Intn(100)
+	// r9 = a page end inside arr, r7 = a small index, r6 = "f",
+	// r10 = the real SP while it is moved, r11 = the top of the stack.
+	edge := func(n int32) isa.MemRef {
+		disp := int32(r.Intn(24)) - 16 // -16..7: before, across and after the page end
+		if r.Intn(3) == 0 {
+			return isa.MemSIB(isa.R9, isa.R7, uint8(n), disp-n)
+		}
+		return isa.Mem(isa.R9, disp)
+	}
+	b.Entry("_start")
+	b.Jmp("computef")
+	b.Label("main")
+	for _, rg := range bodyRegs {
+		b.MovRI(rg, int64(r.Uint64()))
+	}
+	b.MovRR(isa.R11, isa.SP)
+	b.LeaData(isa.R9, "arr")
+	b.AddI(isa.R9, mem.PageSize-1)
+	b.AndI(isa.R9, -mem.PageSize)
+	b.AddI(isa.R9, mem.PageSize) // a page end with a mapped page on each side
+	b.MovRI(isa.R7, 1)
+	b.MovRI(isa.R8, 0)
+	b.Label("loop")
+	for k := 6 + r.Intn(8); k > 0; k-- {
+		switch r.Intn(8) {
+		case 0:
+			b.Store(edge(8), reg())
+		case 1:
+			b.Load(reg(), edge(8))
+		case 2:
+			b.StoreB(edge(1), reg())
+		case 3:
+			b.LoadB(reg(), edge(1))
+		case 4: // stack ops at and across the page end
+			b.MovRR(isa.R10, isa.SP)
+			b.MovRR(isa.SP, isa.R9)
+			b.AddI(isa.SP, int32(4*r.Intn(3))) // at +4 the slot at SP-8 straddles the page end
+			switch r.Intn(3) {
+			case 0:
+				b.Push(reg()).Pop(reg())
+			case 1:
+				b.I(isa.Inst{Op: isa.OpPushI, Imm: int64(int32(r.Uint32()))}).Pop(reg())
+			default:
+				b.Call("leaf")
+			}
+			b.MovRR(isa.SP, isa.R10)
+		case 5: // patch f's movri immediate in RWX code, read it back, run it
+			b.StoreB(isa.Mem(isa.R6, 2+int32(r.Intn(8))), reg())
+			b.Load(reg(), isa.Mem(isa.R6, 2))
+			b.CallR(isa.R6)
+			b.Add(reg(), isa.R1)
+		default:
+			b.AddI(reg(), int32(r.Intn(1<<12)))
+		}
+	}
+	b.AddI(isa.R8, 1)
+	b.CmpI(isa.R8, int32(trips))
+	b.Jl("loop")
+	switch r.Intn(6) { // r11 is the top of the stack: the page above is unmapped
+	case 0:
+		b.Load(isa.R0, isa.Mem(isa.R11, -4))
+	case 4:
+		b.LoadB(isa.R0, isa.Mem(isa.R11, 0))
+	case 1:
+		b.Store(isa.Mem(isa.R11, -4), isa.R0)
+	case 2:
+		b.StoreB(isa.Mem(isa.R11, 0), isa.R0)
+	case 3:
+		b.AddI(isa.SP, 4).Push(isa.R0)
+	}
+	b.Trap()
+	b.Func("leaf")
+	b.AddI(isa.R0, 1)
+	b.Ret()
+	// f sits on its own code page, as in smcCalleeProgram: patching it
+	// must not stamp the hot loop's page.
+	for i := 0; i < 4200; i++ {
+		b.Nop()
+	}
+	b.Label("computef")
+	b.Call("getpc")
+	b.AddI(isa.R6, 11) // r6 = "f"
+	b.Jmp("main")
+	b.Func("f")
+	b.MovRI(isa.R1, 1)
+	b.Ret()
+	b.Func("getpc")
+	b.Load(isa.R6, isa.Mem(isa.SP, 0))
+	b.Ret()
+	b.Zero("arr", 3*mem.PageSize)
+}
+
+func TestTraceDifferentialMemEdges(t *testing.T) {
+	const numSeeds = 40
+	for seed := int64(0); seed < numSeeds; seed++ {
+		mk, db, ds := diffImage(t, seed, true, memEdgeProgram)
+		diffDriveSliced(t, seed, mk, db, ds)
+		diffDriveFull(t, seed, mk, db, ds)
+	}
+	if !tracesEnabled {
+		return
+	}
+	// The row must have engaged the trace tier and its invalidation
+	// path, and ended in both ways, or it proves less than it says.
+	faults := 0
+	for seed := int64(0); seed < numSeeds; seed++ {
+		mk, _, _ := diffImage(t, seed, true, memEdgeProgram)
+		c := mk()
+		st := c.Run(0)
+		if st.Reason != StopTrap && (st.Reason != StopException || st.Fault == nil) {
+			t.Fatalf("seed %d: stop = %v", seed, st)
+		}
+		if st.Fault != nil {
+			faults++
+		}
+		if s := c.CacheStats(); s.Traces == 0 {
+			t.Fatalf("seed %d: stats = %v: want promoted traces", seed, s)
+		}
+	}
+	if faults == 0 || faults == numSeeds {
+		t.Fatalf("%d of %d programs ended in a page fault: want some of each ending", faults, numSeeds)
+	}
+}
+
 // TestTraceDifferentialHostPatch patches the body of a promoted trace
 // through the trusted WriteDirect interface at a run boundary — both
 // memories identically — and requires the resumed runs to stay
