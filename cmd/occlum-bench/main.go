@@ -5,14 +5,14 @@
 //
 //	occlum-bench [-scale quick|full] [-vmstats] [-schedstats] [-netstats] [-fsstats] [-cpuprofile f] [-memprofile f] [experiment ...]
 //
-// With no arguments, all experiments run. Experiments: fig5a fig5b fig5c
-// fig6a fig6b fig6c fig6d fig7a fig7b ripe table1 c10k fsbench. With -vmstats,
-// each experiment also reports the OVM translation-cache counters
-// (blocks decoded, hits, misses, flushes, chained transitions,
-// threaded-dispatch instructions, superblocks formed, trace
-// hits/exits, instructions retired inside traces, return-address-stack
-// hits, and indirect-jump inline-cache hits/misses) aggregated over
-// every simulated hart, with trace hits distinguished from block hits.
+// With no arguments, all experiments run. Experiments (bench.Experiments):
+// fig5a fig5b fig5c fig6a fig6b fig6c fig6d fig7a fig7b ripe table1 c10k
+// fsbench recovery ipcbench. With -vmstats, each experiment also reports
+// the OVM translation-cache counters (blocks decoded, hits, misses,
+// flushes, chained transitions, threaded-dispatch instructions,
+// superblocks formed, trace hits/exits, instructions retired inside
+// traces, and the block hit rate) aggregated over every simulated hart,
+// with trace hits distinguished from block hits.
 // With -schedstats, each experiment reports the M:N scheduler counters
 // (parks, unparks, steals, preemptions, yields and hart utilization)
 // aggregated over every Occlum hart pool. With -netstats, each
@@ -20,10 +20,10 @@
 // parks, poll/epoll_wait calls and parks, EAGAIN returns) plus the
 // timer-wheel and backpressure counters (wheel arms/fires/cancels/
 // cascades, idle-reaped and shed connections, suppressed stale timer
-// wakes). With
-// -fsstats, each experiment reports the filesystem counters (image
-// blocks Merkle-verified, verified-cache hits, read-aheads, copy-ups,
-// whiteouts).
+// wakes). With -fsstats, each experiment reports the filesystem
+// counters (image blocks Merkle-verified, verified-cache hits,
+// read-aheads, copy-ups, whiteouts, blocks scrubbed, shards repaired
+// and rebuilt, stripes decoded, table stripes written).
 // -cpuprofile and -memprofile write pprof profiles covering the
 // selected experiments, so interpreter-perf work can profile the hot
 // path without editing code (the memory profile is written at exit,
@@ -53,7 +53,7 @@ func realMain() int {
 	vmStats := flag.Bool("vmstats", false, "report OVM translation-cache counters per experiment")
 	schedStats := flag.Bool("schedstats", false, "report M:N scheduler counters per experiment")
 	netStats := flag.Bool("netstats", false, "report readiness/network counters per experiment")
-	fsStats := flag.Bool("fsstats", false, "report filesystem counters (verify/copy-up/read-ahead) per experiment")
+	fsStats := flag.Bool("fsstats", false, "report filesystem counters (verify/copy-up/read-ahead/scrub/repair/decode/table stripes) per experiment")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to `file`")
 	memProfile := flag.String("memprofile", "", "write an allocation profile to `file` at exit")
 	flag.Parse()

@@ -21,9 +21,9 @@ var Experiments = []string{
 // VMStats, when true, makes Run report the OVM translation-cache
 // counters (blocks decoded, hits, misses, flushes, chained
 // transitions, threaded-dispatch instructions, superblocks formed,
-// trace hits/exits and instructions retired inside traces, RAS hits,
-// and indirect-jump inline-cache hits/misses) accumulated across
-// every simulated hart during each experiment. Trace hits are counted
+// trace hits/exits and instructions retired inside traces, and the
+// block hit rate) accumulated across every simulated hart during each
+// experiment. Trace hits are counted
 // separately from block hits, so the split between the two dispatch
 // tiers is visible per experiment. Enabled by occlum-bench -vmstats.
 var VMStats bool
@@ -46,9 +46,10 @@ var NetStats bool
 
 // FSStats, when true, makes Run report the filesystem counters (image
 // blocks Merkle-verified, verified-cache hits, read-aheads, copy-ups,
-// whiteouts, plus the self-healing store's scrubbed blocks and
-// repaired/rebuilt shards) accumulated across every mounted filesystem
-// during each experiment. Enabled by occlum-bench -fsstats.
+// whiteouts, plus the self-healing store's scrubbed blocks,
+// repaired/rebuilt shards, decoded stripes and table stripes written)
+// accumulated across every mounted filesystem during each experiment.
+// Enabled by occlum-bench -fsstats.
 var FSStats bool
 
 // Run executes one named experiment at the given scale, printing its

@@ -127,30 +127,14 @@ func fig6aSpawn(s Scale) (*Table, []spawnCounts, error) {
 // pipe, spawns a drain process, pumps total bytes through in chunks of
 // the given size, and waits.
 func buildPipePump(total, chunk int) (*asm.Program, error) {
+	const drainPath = "/bin/drain"
 	b := asm.NewBuilder()
 	b.Zero("pfds", 16)
 	b.Zero("chunk", chunk)
-	b.String("drain", "/bin/drain")
+	b.String("drain", drainPath)
 	b.Entry("_start")
 	ulib.Prologue(b)
-	ulib.Pipe2(b, "pfds")
-	// fd60 ← read end (drain's input), fd61 ← write end.
-	b.LoadData(isa.R6, "pfds")
-	b.MovRR(isa.R1, isa.R6)
-	b.MovRI(isa.R2, workloads.FilterIn)
-	ulib.Syscall(b, libos.SysDup2)
-	ulib.Close(b, isa.R6)
-	b.LeaData(isa.R6, "pfds")
-	b.Load(isa.R6, isa.Mem(isa.R6, 8))
-	b.MovRR(isa.R1, isa.R6)
-	b.MovRI(isa.R2, workloads.FilterOut)
-	ulib.Syscall(b, libos.SysDup2)
-	ulib.Close(b, isa.R6)
-	ulib.SpawnPath(b, "drain", 10, "", 0)
-	b.MovRR(isa.R9, isa.R0) // drain pid
-	// The parent no longer needs the read end.
-	b.MovRI(isa.R1, workloads.FilterIn)
-	ulib.Syscall(b, libos.SysClose)
+	pipeToDrain(b, drainPath, isa.R9)
 	// Pump.
 	b.MovRI(isa.R8, int64(total/chunk))
 	b.Label("pump")
@@ -166,6 +150,31 @@ func buildPipePump(total, chunk int) (*asm.Program, error) {
 	ulib.Wait4(b, isa.R9)
 	ulib.Exit(b, 0)
 	return b.Finish()
+}
+
+// pipeToDrain emits the prologue of both pipe pumps (this one and
+// buildIPCPipePump): pipe2 into the 16-byte data symbol "pfds", dup2
+// the read end to workloads.FilterIn (the drain's input) and the write
+// end to workloads.FilterOut, spawn the drain at data symbol "drain"
+// (drainPath is its contents) with its pid left in pid, and close the
+// parent's read end.
+func pipeToDrain(b *asm.Builder, drainPath string, pid isa.Reg) {
+	ulib.Pipe2(b, "pfds")
+	b.LoadData(isa.R6, "pfds")
+	b.MovRR(isa.R1, isa.R6)
+	b.MovRI(isa.R2, workloads.FilterIn)
+	ulib.Syscall(b, libos.SysDup2)
+	ulib.Close(b, isa.R6)
+	b.LeaData(isa.R6, "pfds")
+	b.Load(isa.R6, isa.Mem(isa.R6, 8))
+	b.MovRR(isa.R1, isa.R6)
+	b.MovRI(isa.R2, workloads.FilterOut)
+	ulib.Syscall(b, libos.SysDup2)
+	ulib.Close(b, isa.R6)
+	ulib.SpawnPath(b, "drain", int64(len(drainPath)), "", 0)
+	b.MovRR(pid, isa.R0)
+	b.MovRI(isa.R1, workloads.FilterIn)
+	ulib.Syscall(b, libos.SysClose)
 }
 
 // buildDrain builds the pipe sink: close the inherited write end, then

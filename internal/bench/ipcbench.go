@@ -258,23 +258,7 @@ func buildIPCPipePump(total, chunk int, vectored bool, drainPath string) (*asm.P
 	b.String("drain", drainPath)
 	b.Entry("_start")
 	ulib.Prologue(b)
-	ulib.Pipe2(b, "pfds")
-	// fd60 ← read end (the drain's input), fd61 ← write end.
-	b.LoadData(isa.R6, "pfds")
-	b.MovRR(isa.R1, isa.R6)
-	b.MovRI(isa.R2, workloads.FilterIn)
-	ulib.Syscall(b, libos.SysDup2)
-	ulib.Close(b, isa.R6)
-	b.LeaData(isa.R6, "pfds")
-	b.Load(isa.R6, isa.Mem(isa.R6, 8))
-	b.MovRR(isa.R1, isa.R6)
-	b.MovRI(isa.R2, workloads.FilterOut)
-	ulib.Syscall(b, libos.SysDup2)
-	ulib.Close(b, isa.R6)
-	ulib.SpawnPath(b, "drain", int64(len(drainPath)), "", 0)
-	b.MovRR(isa.R10, isa.R0) // drain pid
-	b.MovRI(isa.R1, workloads.FilterIn)
-	ulib.Syscall(b, libos.SysClose)
+	pipeToDrain(b, drainPath, isa.R10)
 	if vectored {
 		emitGather(b, "iov", "chunk", chunk)
 	}

@@ -1,69 +1,13 @@
 package isa
 
-// Flag-liveness metadata: the per-op contract the vm's trace optimizer
-// builds on when it elides dead flag computations across block seams.
-//
-// The contract (relied on by internal/vm, pinned by TestFlagMetadata and
-// the vm's randomized differential battery):
-//
-//   - The comparison flags (ZF, LTS, LTU) are written ONLY by ops for
-//     which WritesFlags reports true, and each such op overwrites all
-//     three — there is no partial flag update in the ISA.
-//   - The flags are read ONLY by ops for which ReadsFlags reports true
-//     (the flag-based conditional branches; loop is register-based and
-//     reads none).
-//   - An op for which CanStop reports false retires unconditionally: it
-//     cannot fault, trap, or otherwise stop the hart, so no observer can
-//     see the architectural state "at" that instruction.
-//
-// Together these justify the optimizer's dead-flag rule: a flag write is
-// dead — its stores may be elided — exactly when every path from it to
-// the next flag write is free of ReadsFlags ops, CanStop ops, and
-// translation-unit exits (each of which exposes the flags).
-
-// WritesFlags reports whether op writes the comparison flags. Every
-// writer overwrites all three flags unconditionally.
-func (op Op) WritesFlags() bool {
-	switch op {
-	case OpCmpRR, OpTestRR, OpCmpRI:
-		return true
-	}
-	return false
-}
-
 // ReadsFlags reports whether op reads the comparison flags: the
 // flag-based conditional branches. OpLoop branches on a register and
-// reads no flags.
+// reads no flags. The vm builds its branch truth tables and its
+// compare+branch fusion over exactly this set (pinned by
+// TestFlagMetadata).
 func (op Op) ReadsFlags() bool {
 	switch op {
 	case OpJe, OpJne, OpJl, OpJle, OpJg, OpJge, OpJb, OpJae:
-		return true
-	}
-	return false
-}
-
-// CanStop reports whether executing op can stop the hart — by raising a
-// hardware exception (#PF from any explicit or implicit memory access,
-// #DE from div/mod, #BR from a bound check, #UD from an undefined
-// instruction) or by an architectural stop (trap/halt/eexit). Ops for
-// which this reports false always retire and fall through (or branch),
-// so the architectural state at their boundary is never observable
-// mid-translation-unit.
-func (op Op) CanStop() bool {
-	if k, _ := op.MemUse(); k == MemLoad || k == MemStore || k == MemScatter {
-		return true // explicit memory access: #PF
-	}
-	if _, ok := op.HasImplicitStackAccess(); ok {
-		return true // implicit stack access: #PF
-	}
-	switch op {
-	case OpDivRR, OpModRR: // #DE
-		return true
-	case OpBndCL, OpBndCU, OpBndCLM, OpBndCUM: // #BR
-		return true
-	case OpHalt, OpTrap, OpEExit: // architectural stops
-		return true
-	case OpEAccept, OpEModPE: // #UD under the SGX 1.0 model
 		return true
 	}
 	return false

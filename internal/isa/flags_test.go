@@ -2,18 +2,9 @@ package isa
 
 import "testing"
 
-// TestFlagMetadata pins the flag-liveness contract (flags.go) to the
-// opcode space: the writer and reader sets are exactly the documented
-// ones, and CanStop covers every op whose interpreter case can raise or
-// stop (cross-checked structurally against the other op metadata).
+// TestFlagMetadata pins ReadsFlags (flags.go) to the opcode space: the
+// readers are exactly the documented ones.
 func TestFlagMetadata(t *testing.T) {
-	writers := map[Op]bool{OpCmpRR: true, OpTestRR: true, OpCmpRI: true}
-	for op := Op(1); op < opMax; op++ {
-		if got, want := op.WritesFlags(), writers[op]; got != want {
-			t.Errorf("%v.WritesFlags() = %v, want %v", op, got, want)
-		}
-	}
-
 	for op := Op(1); op < opMax; op++ {
 		// The readers are exactly the flag-based conditional branches:
 		// every cond branch except the register-based loop.
@@ -31,42 +22,6 @@ func TestFlagMetadata(t *testing.T) {
 		}
 		if varies != op.ReadsFlags() {
 			t.Errorf("%v: EvalCond varies=%v but ReadsFlags=%v", op, varies, op.ReadsFlags())
-		}
-	}
-
-	// CanStop: structural cross-check. Memory users (explicit, scatter,
-	// or implicit stack) can #PF; div/mod can #DE; bound checks can #BR;
-	// the stop/undefined instructions end the hart. Everything else must
-	// report false — the dead-flag optimizer elides flag stores across
-	// those ops.
-	for op := Op(1); op < opMax; op++ {
-		want := false
-		if k, _ := op.MemUse(); k == MemLoad || k == MemStore || k == MemScatter {
-			want = true
-		}
-		if _, ok := op.HasImplicitStackAccess(); ok {
-			want = true
-		}
-		switch op {
-		case OpDivRR, OpModRR, OpBndCL, OpBndCU, OpBndCLM, OpBndCUM,
-			OpHalt, OpTrap, OpEExit, OpEAccept, OpEModPE:
-			want = true
-		}
-		if got := op.CanStop(); got != want {
-			t.Errorf("%v.CanStop() = %v, want %v", op, got, want)
-		}
-	}
-
-	// Spot-check the ops the optimizer leans on hardest.
-	for _, op := range []Op{OpMovRI, OpMovRR, OpAddRR, OpAddRI, OpCmpRI, OpCmpRR,
-		OpTestRR, OpNeg, OpNot, OpLea, OpNop, OpCFILabel, OpJmp, OpJle, OpLoop} {
-		if op.CanStop() {
-			t.Errorf("%v.CanStop() = true, want false", op)
-		}
-	}
-	for _, op := range []Op{OpLoad, OpStore, OpPush, OpPop, OpCall, OpRet, OpDivRR, OpBndCL, OpTrap} {
-		if !op.CanStop() {
-			t.Errorf("%v.CanStop() = false, want true", op)
 		}
 	}
 }

@@ -97,7 +97,6 @@ const (
 	ESPIPE       = sysdispatch.ESPIPE
 	EPIPE        = sysdispatch.EPIPE
 	ENOSYS       = sysdispatch.ENOSYS
-	ENOTDIRE     = ENOTDIR
 	ENOTEMPTY    = sysdispatch.ENOTEMPTY
 	ENOTCONN     = sysdispatch.ENOTCONN
 	ECONNREFUSED = sysdispatch.ECONNREFUSED

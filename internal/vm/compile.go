@@ -12,10 +12,10 @@ package vm
 // Conditional branches are not written out per condition. takenMask
 // holds one 8-bit truth table per flag branch, computed from
 // isa.Op.EvalCond, and every closure that decides a flag branch — the
-// plain Jcc handler, the fused compare+branch block tail, the trace
-// tier's seam guards (trace.go) — is the same few lines indexing its
-// table with the packed flag byte. TestBranchTablesExhaustive walks all
-// 8 branches × 8 flag states × both predicted directions.
+// plain Jcc handler, and the trace tier's fused final pair and seam
+// guards (trace.go) — is the same few lines indexing its table with the
+// packed flag byte. TestBranchTablesExhaustive walks all 8 branches × 8
+// flag states × both predicted directions.
 //
 // Inside a block, PC and the cycle counter are dead state: the dispatch
 // loop (run, vm.go) batches Cycles and materializes PC only at block
@@ -118,14 +118,13 @@ func flagBranch(in *isa.Inst, pc, next uint64) handler {
 }
 
 // fuseCmpBranch macro-fuses a compare + conditional-branch pair — the
-// tail of most loop blocks — into one handler: one dispatch instead of
-// two, with the branch decided on the just-computed flag byte instead
-// of a round trip through the stored flags. The flags are still set
-// (they are architectural state), and both instructions are stop-free,
-// which is what lets the run loop substitute the fused tail only for
-// whole-block execution. Returns nil when the pair has no fused form.
-// Checked against the unfused handler pair over an operand grid by
-// TestFusedCmpBranchMatchesUnfused.
+// final pair of most loop traces — into one handler: one dispatch
+// instead of two, with the branch decided on the just-computed flag
+// byte instead of a round trip through the stored flags. The flags are
+// still set (they are architectural state), and both instructions are
+// stop-free, so fusing them moves no stop point. Returns nil when the
+// pair has no fused form. Checked against the unfused handler pair over
+// an operand grid by TestFusedCmpBranchMatchesUnfused.
 func fuseCmpBranch(cmp, br *isa.Inst, brNext uint64) handler {
 	if !br.Op.ReadsFlags() {
 		return nil
@@ -530,16 +529,12 @@ func init() {
 	}
 	compilers[isa.OpCall] = func(in *isa.Inst, pc, next uint64) handler {
 		target := next + uint64(in.Imm)
-		// Each compiled call site carries its own RAS cache slot for the
-		// return-target translation (trace.go).
-		site := &retSite{}
 		return func(c *CPU) bool {
 			a := c.Regs[isa.SP] - 8
 			if !c.Mem.Store8(a, next) && c.storeSlow(a, 8, next, pc) {
 				return true
 			}
 			c.Regs[isa.SP] = a
-			c.rasPush(next, site)
 			c.PC = target
 			return false
 		}
@@ -550,14 +545,12 @@ func init() {
 	}
 	compilers[isa.OpCallR] = func(in *isa.Inst, pc, next uint64) handler {
 		r1 := in.R1 & 15
-		site := &retSite{}
 		return func(c *CPU) bool {
 			a := c.Regs[isa.SP] - 8
 			if !c.Mem.Store8(a, next) && c.storeSlow(a, 8, next, pc) {
 				return true
 			}
 			c.Regs[isa.SP] = a
-			c.rasPush(next, site)
 			c.PC = c.Regs[r1]
 			return false
 		}
@@ -565,7 +558,6 @@ func init() {
 	jmpCallM := func(call bool) compilerFunc {
 		return func(in *isa.Inst, pc, next uint64) handler {
 			ea := compileEA(in.Mem, next)
-			site := &retSite{}
 			return func(c *CPU) bool {
 				a := ea(c)
 				target, ok := c.Mem.Load8(a)
@@ -581,7 +573,6 @@ func init() {
 						return true
 					}
 					c.Regs[isa.SP] = a
-					c.rasPush(next, site)
 				}
 				c.PC = target
 				return false

@@ -5,7 +5,7 @@ package vm
 // programs drawn from the full opcode space — including programs whose
 // branches land mid-instruction and decode garbage, whose memory
 // operands fault, and whose execution is sliced by arbitrary cycle
-// budgets (exercising the budget-clipped, non-fused dispatch path).
+// budgets (exercising the budget-clipped dispatch path).
 
 import (
 	"fmt"
@@ -185,7 +185,7 @@ func TestRandomizedStepMatchesRun(t *testing.T) {
 }
 
 // TestRandomizedRunToCompletion re-runs a subset of seeds with no
-// budget at all (whole blocks only, so always the fused tails) against Step,
+// budget at all (whole blocks only) against Step,
 // stopping runaway programs by injecting a halt... they cannot be
 // stopped externally, so instead compare only programs that stop on
 // their own within the cycle cap under the budgeted loop first.
@@ -226,7 +226,8 @@ func TestRandomizedRunToCompletion(t *testing.T) {
 // ---------------------------------------------------------------------
 // Trace-aware battery: structured random programs shaped so the trace
 // tier actually engages (hot loops well past traceHotThreshold, jump
-// tables behind indirect jumps, call/ret towers deeper than the RAS,
+// tables behind indirect jumps, call/ret towers deeper than any trace's
+// static call stack, back-to-back flag writers across seams,
 // self-modifying stores into promoted traces), all held bit-exact —
 // registers, flags, memory, and cycle counts — against the Step
 // reference, under both budget slices and free runs, and across
@@ -302,7 +303,7 @@ func diffDriveSliced(t *testing.T, seed int64, mk func() *CPU, dataBase uint64, 
 }
 
 // diffDriveFull drives fast with no budget (nothing is ever clipped, so
-// fused tails and traces chain freely) against a bounded Step loop.
+// blocks and traces chain freely) against a bounded Step loop.
 func diffDriveFull(t *testing.T, seed int64, mk func() *CPU, dataBase uint64, dataSize int) {
 	t.Helper()
 	fast, slow := mk(), mk()
@@ -434,9 +435,9 @@ func TestTraceDifferentialHotLoops(t *testing.T) {
 }
 
 // jumpTableProgram dispatches a hot loop through a jump table built at
-// runtime (the getpc idiom), exercising the indirect-exit inline cache:
-// a single target stays monomorphic (hits), alternating targets thrash
-// it (misses) — both must be invisible architecturally.
+// runtime (the getpc idiom): indirect exits from blocks and traces,
+// through one target or alternating between 2 or 4, each resolved
+// through the cache map.
 func jumpTableProgram(r *rand.Rand, b *asm.Builder) {
 	ntargets := 1 << r.Intn(3) // 1, 2, or 4
 	trips := 80 + r.Intn(140)
@@ -483,11 +484,13 @@ func TestTraceDifferentialJumpTables(t *testing.T) {
 	}
 }
 
-// callTowerProgram recurses deeper than the return-address stack from
-// inside a hot loop: the RAS wraps every descent, so ret transitions
-// mix hits, cold misses, and overwritten entries.
+// callTowerProgram recurses from inside a hot loop deeper than
+// buildTrace's static call stack can reach: a trace holds at most
+// maxTraceInsts instructions, so at most that many calls, and every
+// descent is longer. A ret seam pairs only with a call inside its
+// trace; every other ret resolves through the map.
 func callTowerProgram(r *rand.Rand, b *asm.Builder) {
-	depth := rasSize + 8 + r.Intn(60)
+	depth := maxTraceInsts + 8 + r.Intn(60)
 	trips := 70 + r.Intn(40)
 	b.Entry("_start")
 	b.MovRI(isa.R0, 0)
@@ -520,9 +523,9 @@ func TestTraceDifferentialCallTowers(t *testing.T) {
 }
 
 // retMispredictProgram hijacks every fourth return by overwriting the
-// return address on the stack (longjmp-shaped control flow): the RAS
-// prediction and any in-trace ret guard must side-exit to where the
-// return really went, with SP and flags exactly architectural.
+// return address on the stack (longjmp-shaped control flow): the
+// in-trace ret seam's guard must side-exit to where the return really
+// went, with SP and flags exactly architectural.
 func retMispredictProgram(r *rand.Rand, b *asm.Builder) {
 	trips := 100 + r.Intn(100)
 	b.Entry("_start")
@@ -561,6 +564,99 @@ func TestTraceDifferentialRetMispredict(t *testing.T) {
 		mk, db, ds := diffImage(t, seed, false, retMispredictProgram)
 		diffDriveSliced(t, seed, mk, db, ds)
 		diffDriveFull(t, seed, mk, db, ds)
+	}
+}
+
+// flagWriterProgram is the flag-writer row: a hot loop whose segments
+// are runs of back-to-back flag writers — cmp; test; cmp, then one more
+// random writer — each overwriting the flags of the last, with a jmp
+// seam inside the run half the time. A run ends in a flag branch to a
+// later segment (a seam guard, or a fused pair), in a memory access (a
+// slot that can stop), or in nothing, so its flags flow into the next
+// run's writers across the seam. One dead writer sits before the fused
+// final pair and one live writer before the trap. Every write retires
+// in its own slot; the row holds the flags bit-exact against Step at
+// every slice boundary and stop.
+func flagWriterProgram(r *rand.Rand, b *asm.Builder) {
+	bodyRegs := [...]isa.Reg{isa.R0, isa.R2, isa.R3, isa.R4, isa.R5}
+	reg := func() isa.Reg { return bodyRegs[r.Intn(len(bodyRegs))] }
+	conds := []isa.Op{isa.OpJe, isa.OpJne, isa.OpJl, isa.OpJle, isa.OpJg, isa.OpJge, isa.OpJb, isa.OpJae}
+	writer := func() {
+		switch r.Intn(3) {
+		case 0:
+			b.CmpI(reg(), int32(r.Intn(512)))
+		case 1:
+			b.Cmp(reg(), reg())
+		default:
+			b.Test(reg(), isa.R8) // the trip count's bits: ZF flips
+		}
+	}
+	trips := 200 + r.Intn(200)
+
+	b.Entry("_start")
+	for _, rg := range bodyRegs {
+		b.MovRI(rg, int64(r.Intn(512)))
+	}
+	b.LeaData(isa.R9, "arr")
+	b.MovRI(isa.R8, 0)
+	b.Label("loop")
+	nseg := 2 + r.Intn(3)
+	for s := 0; s < nseg; s++ {
+		b.Label(fmt.Sprintf("seg%d", s))
+		b.Alu(isa.OpXorRR, reg(), isa.R8) // operands flip every trip: both directions run
+		b.CmpI(reg(), int32(r.Intn(512)))
+		b.Test(reg(), reg())
+		if r.Intn(2) == 0 {
+			b.Jmp(fmt.Sprintf("mid%d", s))
+			b.Label(fmt.Sprintf("mid%d", s))
+		}
+		b.Cmp(reg(), reg())
+		writer()
+		switch r.Intn(3) {
+		case 0:
+			b.Jcc(conds[r.Intn(len(conds))], fmt.Sprintf("seg%d", s+1))
+			b.XorI(reg(), int32(r.Intn(1<<16)))
+		case 1:
+			b.Store(isa.Mem(isa.R9, int32(8*r.Intn(63))), reg())
+		}
+	}
+	b.Label(fmt.Sprintf("seg%d", nseg))
+	writer()
+	b.AddI(isa.R8, 1)
+	b.CmpI(isa.R8, int32(trips))
+	b.Jl("loop")
+	writer()
+	b.Trap()
+	b.Zero("arr", 512)
+}
+
+func TestTraceDifferentialFlagWriters(t *testing.T) {
+	const numSeeds = 30
+	for seed := int64(0); seed < numSeeds; seed++ {
+		mk, db, ds := diffImage(t, seed, false, flagWriterProgram)
+		diffDriveSliced(t, seed, mk, db, ds)
+		diffDriveFull(t, seed, mk, db, ds)
+	}
+	if !tracesEnabled {
+		return
+	}
+	// The row must run mostly inside traces and leave them through seam
+	// guards on the written flags, not only at the loop's final trip.
+	exits := uint64(0)
+	for seed := int64(0); seed < numSeeds; seed++ {
+		mk, _, _ := diffImage(t, seed, false, flagWriterProgram)
+		c := mk()
+		if st := c.Run(0); st.Reason != StopTrap {
+			t.Fatalf("seed %d: stop = %v", seed, st)
+		}
+		s := c.CacheStats()
+		if s.TraceInsts*2 < s.Threaded {
+			t.Fatalf("seed %d: stats = %v: want the loop to run mostly inside traces", seed, s)
+		}
+		exits += s.TraceExits
+	}
+	if exits <= 2*numSeeds {
+		t.Fatalf("%d side exits over %d programs: the guards never fail mid-loop", exits, numSeeds)
 	}
 }
 

@@ -16,16 +16,10 @@ package vm
 // compile.go: the condition is evaluated, and execution either continues
 // (predicted direction — with no PC write, since PC materialization is
 // batched to trace exits) or side-exits back to the block cache with PC
-// and flags exactly architectural. Two cross-block optimizations run
-// over each trace, justified by the isa flag-liveness contract
-// (internal/isa/flags.go):
-//
-//   - macro-fusion of cmp + conditional-branch pairs at seams, with the
-//     comparison re-derived from the registers;
-//   - dead flag-computation elimination: a flag write whose value is
-//     overwritten before any reader, any stop-capable instruction, and
-//     any possible trace exit is elided (its instruction count folds
-//     into the next emitted slot, so cycle accounting stays exact).
+// and flags exactly architectural. One cross-block optimization runs
+// over each trace: macro-fusion of a cmp into the conditional branch
+// after it — at a seam or as the final pair — with the comparison
+// re-derived from the registers.
 //
 // Invalidation composes with the page-generation scheme of mem.Paged:
 // a trace records one mem.Span per component block and is valid while
@@ -35,12 +29,10 @@ package vm
 // RequestPreempt's generation bump forces the entry check off its fast
 // path, so a preemption lands at the next trace exit.
 //
-// For indirect exits the trace tier adds two predictors: a return-
-// address stack (compiled calls push the return PC plus a per-call-site
-// block-cache slot; ret transitions pop it) and a per-block monomorphic
-// inline cache for register/memory-indirect targets. Both are pure
-// prediction — every hit is revalidated against the generation scheme
-// before it executes, so architectural state never depends on them.
+// A trace exit that is not a chained direct successor — a return, an
+// indirect transfer, a diverged target — resolves through the block
+// cache map, as a block exit does. Every specialisation here is kept on
+// a measurement (DESIGN.md, "What stays, what went").
 
 import (
 	"repro/internal/isa"
@@ -80,10 +72,9 @@ type trace struct {
 	// anchor is the PC of the head block — the only entry point.
 	anchor uint64
 	// ops are the compiled slots, in program order. A slot usually
-	// covers one instruction, but elided work — jmp seams, dead flag
-	// writes, the cmp half of a fused guard — is folded into the NEXT
-	// emitted slot instead of burning a dispatch, so a slot may cover
-	// several instructions.
+	// covers one instruction, but elided work — jmp seams, the cmp half
+	// of a fused guard — is folded into the NEXT emitted slot instead of
+	// burning a dispatch, so a slot may cover several instructions.
 	ops []handler
 	// cum[j] is the total instruction count through slot j: when slot j
 	// stops or side-exits, exactly cum[j] instructions of the trace have
@@ -108,9 +99,9 @@ type trace struct {
 	// trace retires.
 	lastSetsPC bool
 	exitPC     uint64
-	// tail is the final component block: its exit metadata (chain
-	// pointers, RAS, inline cache) steers the transition when the whole
-	// trace retires somewhere other than back to the anchor.
+	// tail is the final component block: its chain pointers steer the
+	// transition when the whole trace retires somewhere other than back
+	// to the anchor.
 	tail *block
 	// nblocks counts the component blocks, unroll repeats included.
 	nblocks int
@@ -175,10 +166,10 @@ func (c *CPU) severTrace(b *block) {
 }
 
 // traceExit resolves the next block after a completed superblock whose
-// exit did not return to the anchor, using the tail component's exit
-// metadata: chained direct successors, the RAS for returns, the inline
-// cache for indirect transfers. Returns nil when pc has no translation
-// (the caller falls back to Step).
+// exit did not return to the anchor: through the tail component's chain
+// pointers for its direct successors, else through the cache map.
+// Returns nil when pc has no translation (the caller falls back to
+// Step).
 func (c *CPU) traceExit(t *trace, pc uint64) *block {
 	tb := t.tail
 	switch {
@@ -187,7 +178,7 @@ func (c *CPU) traceExit(t *trace, pc uint64) *block {
 	case tb.hasFall && pc == tb.fallPC:
 		return c.chainVia(&tb.fallNext, pc)
 	default:
-		return c.indirect(tb, pc)
+		return c.lookup(pc)
 	}
 }
 
@@ -340,7 +331,7 @@ func (c *CPU) buildTrace(head *block) *trace {
 	}
 	ns := len(slots)
 
-	// Phase 3a: macro-fusion marking. A cmp immediately before a
+	// Phase 3: macro-fusion marking. A cmp immediately before a
 	// flag-reading seam guard — or before the final terminator — fuses
 	// into the branch slot; the cmp slot becomes a counted no-op, so the
 	// slot count still equals the instruction count.
@@ -357,41 +348,15 @@ func (c *CPU) buildTrace(head *block) *trace {
 		if slots[i].seam {
 			fused[i] = true
 		} else if i == ns-1 {
-			// Final pair: reuse the block tier's fused full branch (it
-			// sets flags and PC on both paths).
-			if f := fuseCmpBranch(cmp, br, slots[i].next); f != nil {
-				fused[i], finalFused = true, f
-			}
+			// Final pair: the fused full branch (it sets flags and PC on
+			// both paths).
+			fused[i], finalFused = true, fuseCmpBranch(cmp, br, slots[i].next)
 		}
 	}
 
-	// Phase 3b: dead flag-computation elimination — backward liveness.
-	// "live" means the current flag values may be observed downstream:
-	// by a reader, by a stop-capable instruction exposing architectural
-	// state, by a possible side exit, or by the trace ending.
-	liveAfter := make([]bool, ns)
-	live := true // the trace end exposes state
-	for i := ns - 1; i >= 0; i-- {
-		liveAfter[i] = live
-		op := slots[i].in.Op
-		switch {
-		case fused[i]:
-			// A fused guard re-derives its comparison from the
-			// registers (reads no flags) and overwrites the flags on
-			// both of its paths, so prior flag values die here.
-			live = false
-		case op.ReadsFlags() || op.CanStop():
-			live = true
-		case slots[i].seam && op.IsCondBranch():
-			live = true // a loop guard's side exit exposes the flags
-		case op.WritesFlags():
-			live = false
-		}
-	}
-
-	// Phase 4: emit slots. Elided work — jmp seams, dead flag writes,
-	// the cmp half of a fused guard — is FOLDED into the next emitted
-	// slot (pending → cum) instead of occupying a dispatch of its own.
+	// Phase 4: emit slots. Elided work — jmp seams, the cmp half of a
+	// fused guard — is FOLDED into the next emitted slot (pending → cum)
+	// instead of occupying a dispatch of its own.
 	ops := make([]handler, 0, ns)
 	cum := make([]uint64, 0, ns)
 	total, pending := uint64(0), uint64(0)
@@ -415,9 +380,9 @@ func (c *CPU) buildTrace(head *block) *trace {
 			case s.in.Op == isa.OpJmp:
 				pending++ // PC materialization batched to exits
 			case s.in.Op == isa.OpCall:
-				// The block's own handler: it pushes the return address
-				// (architectural) and primes the RAS; its PC write is
-				// dead here, the trace continues into the callee.
+				// The block's own handler: it pushes the return address;
+				// its PC write is dead here, the trace continues into the
+				// callee.
 				emit(s.base)
 			case s.ret:
 				emit(compileRet(s.in, s.pc, s.retPC))
@@ -426,15 +391,12 @@ func (c *CPU) buildTrace(head *block) *trace {
 			default:
 				return nil // unreachable: phase 1 chains direct exits and rets only
 			}
-		case s.in.Op.WritesFlags() && !liveAfter[i]:
-			pending++ // dead flag computation
 		default:
 			emit(s.base)
 		}
 	}
-	// The final instruction always emits (it is never a seam, never the
-	// cmp of a fused pair, and liveAfter is true at the trace end), so
-	// nothing stays pending.
+	// The final instruction always emits (it is never a seam and never
+	// the cmp of a fused pair), so nothing stays pending.
 	if pending != 0 || total != uint64(ns) {
 		return nil
 	}
@@ -501,8 +463,8 @@ func guardMask(br *isa.Inst, taken bool, next uint64) (mask uint8, exitPC uint64
 // seamGuard compiles a conditional branch at an interior block seam:
 // execution continues (no PC write — batched to the exit) on the
 // predicted direction and side-exits to the other target otherwise.
-// The flags were set earlier (a dead pair would have been fused), so
-// a flag branch is decided on them directly.
+// The flags were set earlier (a cmp right before the branch would have
+// been fused), so a flag branch is decided on them directly.
 func seamGuard(in *isa.Inst, taken bool, next uint64) handler {
 	mask, exitPC := guardMask(in, taken, next)
 	if in.Op == isa.OpLoop { // register-based: no table, same exits
@@ -551,88 +513,4 @@ func fusedSeamGuard(cmp, br *isa.Inst, taken bool, next uint64) handler {
 		}
 		return c.sideExit(exitPC)
 	}
-}
-
-// Return-address stack: a fixed-depth predictor for ret transitions.
-// Compiled call handlers push the return PC together with a per-call-
-// site cache slot (filled lazily at the first ret-side miss); the ret
-// transition pops and, when the prediction holds, skips the block-cache
-// map entirely. Pure prediction: every hit is revalidated (epoch +
-// generation) before use.
-const rasSize = 64
-
-// retSite is a call site's cached return-target translation, epoch-
-// guarded so an overflow flush cannot keep a discarded cluster alive
-// through RAS references.
-type retSite struct {
-	blk   *block
-	epoch uint64
-}
-
-type rasEntry struct {
-	retPC uint64
-	site  *retSite
-}
-
-func (c *CPU) rasPush(retPC uint64, site *retSite) {
-	c.ras[c.rasPos&(rasSize-1)] = rasEntry{retPC: retPC, site: site}
-	c.rasPos++
-	if c.rasDepth < rasSize {
-		c.rasDepth++
-	}
-}
-
-// rasConsult pops the RAS at a ret transition to pc. It returns the
-// predicted block when the prediction is current, else nil plus the
-// call site's cache slot for the caller to refill after its map lookup.
-// A mispredicted entry (longjmp-style control flow) is consumed.
-func (c *CPU) rasConsult(pc uint64) (*block, *retSite) {
-	if c.rasDepth == 0 {
-		return nil, nil
-	}
-	c.rasDepth--
-	c.rasPos--
-	e := c.ras[c.rasPos&(rasSize-1)]
-	if e.retPC != pc {
-		return nil, nil
-	}
-	s := e.site
-	if s.epoch == c.epoch {
-		if nb := s.blk; nb != nil && c.blockValid(nb) {
-			c.stats.RASHits++
-			return nb, s
-		}
-	}
-	return nil, s
-}
-
-// indirect resolves a transition with no chained successor — returns,
-// register/memory-indirect transfers, or a direct exit whose target
-// diverged — through the predictors before the cache map. Returns nil
-// when pc has no translation.
-func (c *CPU) indirect(b *block, pc uint64) *block {
-	if b.exitRet {
-		nb, site := c.rasConsult(pc)
-		if nb != nil {
-			return nb
-		}
-		nb = c.lookup(pc)
-		if nb != nil && site != nil {
-			*site = retSite{blk: nb, epoch: c.epoch}
-		}
-		return nb
-	}
-	if b.exitIndirect {
-		if nb := b.icNext; nb != nil && pc == b.icPC && b.icEpoch == c.epoch && c.blockValid(nb) {
-			c.stats.ICHits++
-			return nb
-		}
-		c.stats.ICMisses++
-		nb := c.lookup(pc)
-		if nb != nil {
-			b.icPC, b.icNext, b.icEpoch = pc, nb, c.epoch
-		}
-		return nb
-	}
-	return c.lookup(pc)
 }

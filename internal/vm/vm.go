@@ -21,7 +21,7 @@
 // (compile.go) are the fast path: each decoded instruction specialized
 // once into a closure over its operands. The randomized differential
 // battery holds the two to state-for-state equality, and everything
-// built on top — block tails, trace guards — is assembled from the
+// built on top — trace guards and fused pairs — is assembled from the
 // compiled handlers and from one branch-predicate table that is derived
 // from isa.Op.EvalCond and checked against it exhaustively.
 //
@@ -38,12 +38,12 @@
 //
 // On top of the cache sits the classic DBT optimization ladder:
 // threaded dispatch (one indirect call per instruction on the cached
-// path instead of the exec switch, with the compare+branch block tail
-// macro-fused), block chaining (each block lazily caches pointers to its
-// fall-through and direct-branch successor blocks, so hot loops run
-// block-to-block without re-entering the cache map; every chained
-// transition revalidates the target's generation, severing links to
-// flushed translations) and trace-level superblocks (trace.go). One
+// path instead of the exec switch), block chaining (each block lazily
+// caches pointers to its fall-through and direct-branch successor
+// blocks, so hot loops run block-to-block without re-entering the cache
+// map; every chained transition revalidates the target's generation,
+// severing links to flushed translations) and trace-level superblocks
+// (trace.go). One
 // dispatch loop, run, drives all of it; Run(0) is that loop with the
 // largest budget a uint64 holds.
 //
@@ -191,13 +191,6 @@ type block struct {
 	// operands, so the cached path pays one indirect call instead of
 	// the exec switch (see compile.go).
 	ops []handler
-	// fastOps is the dispatch array for whole-block execution: ops,
-	// except that a compare + conditional-branch tail is macro-fused
-	// into one handler (one dispatch instead of two, and the branch
-	// decision rides on the just-computed flags). Both fused ops are
-	// stop-free, so only the unclipped path may use fastOps; a
-	// budget-clipped prefix executes ops and stays exact.
-	fastOps []handler
 	// lastSetsPC records that the final instruction is a control
 	// transfer whose handler writes PC itself; otherwise the run loop
 	// materializes the fall-through PC when the whole block retires.
@@ -228,18 +221,6 @@ type block struct {
 	// resets heat, so the anchor re-heats over fresh translations.
 	heat  uint32
 	trace *trace
-
-	// Exit classification for the indirect predictors: a ret exit
-	// consults the return-address stack, a register/memory-indirect exit
-	// the inline cache below.
-	exitRet, exitIndirect bool
-
-	// Monomorphic inline cache: the last indirect target taken from this
-	// block and its translation, epoch-guarded (CPU.epoch) so an
-	// overflow flush cannot keep a discarded cluster reachable.
-	icPC    uint64
-	icNext  *block
-	icEpoch uint64
 }
 
 // CacheStats counts translation-cache events. All counters are
@@ -275,10 +256,10 @@ type CacheStats struct {
 	TraceHits  uint64
 	TraceExits uint64
 	TraceInsts uint64
-	// RASHits counts ret transitions resolved by the return-address
-	// stack; ICHits/ICMisses count indirect transitions probed against
-	// the per-block inline cache.
-	RASHits  uint64
+	// ICHits and ICMisses are always zero: the inline cache they counted
+	// is gone, and they stay only because benchmarks/occlumbench/
+	// counters.go reads them (renaming its metrics is the benchmark
+	// PR's to do).
 	ICHits   uint64
 	ICMisses uint64
 }
@@ -289,14 +270,13 @@ func (s CacheStats) String() string {
 	if n := s.Hits + s.Misses + s.Chains; n > 0 {
 		rate = 100 * float64(s.Hits+s.Chains) / float64(n)
 	}
-	return fmt.Sprintf("blocks=%d hits=%d misses=%d flushes=%d chains=%d threaded=%d traces=%d trace-hits=%d trace-exits=%d trace-insts=%d ras-hits=%d ic-hits=%d ic-misses=%d hit-rate=%.2f%%",
+	return fmt.Sprintf("blocks=%d hits=%d misses=%d flushes=%d chains=%d threaded=%d traces=%d trace-hits=%d trace-exits=%d trace-insts=%d hit-rate=%.2f%%",
 		s.Blocks, s.Hits, s.Misses, s.Flushes, s.Chains, s.Threaded,
-		s.Traces, s.TraceHits, s.TraceExits, s.TraceInsts,
-		s.RASHits, s.ICHits, s.ICMisses, rate)
+		s.Traces, s.TraceHits, s.TraceExits, s.TraceInsts, rate)
 }
 
 // numCounters is the number of CacheStats fields.
-const numCounters = 13
+const numCounters = 12
 
 // counters lists the address of every field, in declaration order. It
 // is the only place that enumerates them: the process-wide totals, their
@@ -305,7 +285,7 @@ func (s *CacheStats) counters() [numCounters]*uint64 {
 	return [numCounters]*uint64{
 		&s.Blocks, &s.Hits, &s.Misses, &s.Flushes, &s.Chains, &s.Threaded,
 		&s.Traces, &s.TraceHits, &s.TraceExits, &s.TraceInsts,
-		&s.RASHits, &s.ICHits, &s.ICMisses,
+		&s.ICHits, &s.ICMisses,
 	}
 }
 
@@ -370,17 +350,6 @@ type CPU struct {
 	stats     CacheStats
 	published CacheStats // portion of stats already added to the globals
 	stop      Stop       // set by exec when it stops the hart
-
-	// Return-address stack (trace.go): a circular predictor stack pushed
-	// by compiled call handlers and popped at ret transitions. Pure
-	// prediction — never consulted without revalidation.
-	ras      [rasSize]rasEntry
-	rasPos   uint64
-	rasDepth int
-	// epoch invalidates every retSite and inline-cache entry wholesale
-	// when the overflow flush discards the block map: cached *block
-	// references from an older epoch are never followed.
-	epoch uint64
 }
 
 // New creates a CPU over m with zeroed state.
@@ -561,14 +530,9 @@ func (c *CPU) translate(pc uint64) *block {
 		b.ops[i] = compile(&b.insts[i], ipc, b.nexts[i])
 		ipc = b.nexts[i]
 	}
-	b.fastOps = b.ops
-	if k := len(b.insts) - 2; k >= 0 {
-		if f := fuseCmpBranch(&b.insts[k], &b.insts[k+1], b.nexts[k+1]); f != nil {
-			b.fastOps = append(append(make([]handler, 0, k+1), b.ops[:k]...), f)
-		}
-	}
 	// Chain metadata: the static successors control can reach when the
-	// whole block retires.
+	// whole block retires. Returns and indirect transfers have none and
+	// go through lookup; stop instructions have no successor at all.
 	last := &b.insts[len(b.insts)-1]
 	b.lastSetsPC = last.Op.IsControlTransfer()
 	switch {
@@ -581,31 +545,20 @@ func (c *CPU) translate(pc uint64) *block {
 		if last.Op.IsCondBranch() {
 			b.hasFall, b.fallPC = true, addr
 		}
-	case last.Op == isa.OpRet || last.Op == isa.OpRetI:
-		b.exitRet = true
-	case last.Op == isa.OpJmpR || last.Op == isa.OpCallR ||
-		last.Op == isa.OpJmpM || last.Op == isa.OpCallM:
-		b.exitIndirect = true
 	}
-	// Indirect transfers and returns go through the RAS / inline-cache
-	// predictors (trace.go) and then lookup; stop instructions have no
-	// successor at all.
 	if len(c.blocks) >= maxBlocks {
 		// Sever every chain pointer and trace along with the map: a
 		// discarded cluster that stayed generation-valid could otherwise
 		// keep executing (and keep itself alive) through its own links,
-		// defeating the memory bound this flush exists to enforce. The
-		// epoch bump does the same for the RAS call-site slots and
-		// inline caches, which hold *block references outside the map.
+		// defeating the memory bound this flush exists to enforce. Chain
+		// links, traces and the map are the only holders of a *block.
 		// The block the run loop currently holds relinks through lookup
 		// on its next transition.
 		for _, ob := range c.blocks {
-			ob.fallNext, ob.takenNext = nil, nil
-			ob.trace, ob.icNext = nil, nil
+			ob.fallNext, ob.takenNext, ob.trace = nil, nil, nil
 		}
 		c.stats.Flushes += uint64(len(c.blocks))
 		clear(c.blocks)
-		c.epoch++
 	}
 	c.blocks[pc] = b
 	c.stats.Blocks++
@@ -719,15 +672,10 @@ func (c *CPU) run(budget uint64) Stop {
 		// unexecuted instruction — Run(maxCycles) semantics are exact.
 		n := len(b.insts)
 		clipped := uint64(n) > budget
-		var ops []handler
 		if clipped {
 			n = int(budget)
-			ops = b.ops[:n] // never the fused array: exact clipping
-		} else {
-			ops = b.fastOps
 		}
-		// A fused tail sits in the last slot and cannot stop, so the
-		// slot index i of any stop equals its instruction index.
+		ops := b.ops[:n]
 		for i := 0; i < len(ops); i++ {
 			if ops[i](c) {
 				// The stopping instruction retired (exec counts it
@@ -757,9 +705,9 @@ func (c *CPU) run(budget uint64) Stop {
 		// Block chaining: the inline check covers the hot case (linked
 		// successor, no mutation anywhere since its last validation —
 		// one atomic load); chainVia holds the shared validate-or-
-		// relink slow path. Indirect targets take the map. A pending
-		// preemption bumps the generation, so it lands in these slow
-		// branches — the poll costs the chained fast path nothing.
+		// relink slow path. Returns and indirect targets take the map. A
+		// pending preemption bumps the generation, so it lands in these
+		// slow branches — the poll costs the chained fast path nothing.
 		pc := c.PC
 		switch {
 		case b.hasTaken && pc == b.takenPC:
@@ -786,9 +734,7 @@ func (c *CPU) run(budget uint64) Stop {
 			if c.takePreempt() {
 				return Stop{Reason: StopPreempt, PC: pc}
 			}
-			// Returns and indirect transfers probe the RAS / inline
-			// cache before the map (trace.go).
-			b = c.indirect(b, pc)
+			b = c.lookup(pc)
 		}
 		if b == nil && budget > 0 {
 			budget--
