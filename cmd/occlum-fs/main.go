@@ -1,8 +1,8 @@
 // Command occlum-fs is the offline maintenance tool for the striped
-// encrypted filesystem: it loads the store's backing files
-// (<image>.s0, <image>.s1, …) from the host filesystem, runs the
-// requested operation inside the trusted FS stack, and writes any
-// repaired shards back out.
+// encrypted filesystem: it opens the store's backing files (<image>.s0,
+// <image>.s1, …) in place, as a hostos.Dir over the image's directory,
+// and runs the requested operation inside the trusted FS stack. Repairs
+// are written straight to those files.
 //
 // Modes:
 //
@@ -18,114 +18,92 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"path/filepath"
 
 	"repro/internal/fs"
 	"repro/internal/hostos"
 )
 
+const usage = "usage: occlum-fs [-image occlum.img] [-key seed] info|scrub|repair|fsck"
+
+// errUsage reports a malformed command line (exit status 2).
+var errUsage = errors.New(usage)
+
 func main() {
-	image := flag.String("image", "occlum.img", "store name: backing files are <image>.s0, <image>.s1, …")
-	keySeed := flag.String("key", "occlum-default", "filesystem key seed (must match the LibOS configuration)")
-	flag.Parse()
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: occlum-fs [-image occlum.img] [-key seed] info|scrub|repair|fsck")
-		os.Exit(2)
-	}
-	mode := flag.Arg(0)
-
-	// Pull the on-disk backing files into the simulated untrusted host
-	// the FS stack runs against.
-	host := hostos.New()
-	loaded := 0
-	for f := 0; f < 64; f++ {
-		name := fmt.Sprintf("%s.s%d", *image, f)
-		raw, err := os.ReadFile(name)
-		if err != nil {
-			continue
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "occlum-fs:", err)
+		if errors.Is(err, errUsage) {
+			os.Exit(2)
 		}
-		host.WriteFile(name, raw)
-		loaded++
+		os.Exit(1)
 	}
-	if loaded == 0 {
-		fatal(fmt.Errorf("no backing files %s.s* found", *image))
-	}
-	if !fs.StoreExists(host, *image) {
-		fatal(fmt.Errorf("%s.s* is not a block store", *image))
-	}
+}
 
-	key := fs.KeyFromString(*keySeed)
-	store, err := fs.OpenStore(host, *image, key)
+// run executes one occlum-fs command line, printing its report to stdout.
+func run(args []string, stdout io.Writer) error {
+	flags := flag.NewFlagSet("occlum-fs", flag.ContinueOnError)
+	image := flags.String("image", "occlum.img", "store name: backing files are <image>.s0, <image>.s1, …")
+	keySeed := flags.String("key", "occlum-default", "filesystem key seed (must match the LibOS configuration)")
+	if err := flags.Parse(args); err != nil {
+		return errUsage
+	}
+	if flags.NArg() != 1 {
+		return errUsage
+	}
+	mode := flags.Arg(0)
+
+	disk, name := hostos.Dir(filepath.Dir(*image)), filepath.Base(*image)
+	if !fs.StoreExists(disk, name) {
+		return fmt.Errorf("no block store %s.s* found", *image)
+	}
+	store, err := fs.OpenStore(disk, name, fs.KeyFromString(*keySeed))
 	if err != nil {
-		fatal(fmt.Errorf("open: %w", err))
+		return fmt.Errorf("open: %w", err)
 	}
 
 	switch mode {
 	case "info":
 		k, m := store.Geometry()
-		fmt.Printf("%s: %d+%d striped store, epoch %d, %d blocks max\n",
+		fmt.Fprintf(stdout, "%s: %d+%d striped store, epoch %d, %d blocks max\n",
 			*image, k, m, store.Epoch(), store.MaxBlocks())
-		for _, name := range store.BackingFiles() {
-			size := host.FileSize(name)
+		for _, f := range store.BackingFiles() {
+			size := disk.FileSize(f)
 			health := "ok"
-			if _, err := os.Stat(name); err != nil {
-				health = "MISSING on disk"
-			} else if size == 0 {
-				health = "EMPTY"
+			if size == 0 {
+				health = "MISSING"
 			}
-			fmt.Printf("  %-20s %10d bytes  %s\n", name, size, health)
+			fmt.Fprintf(stdout, "  %-20s %10d bytes  %s\n", f, size, health)
 		}
 	case "scrub":
 		before := fs.Stats()
 		blocks, err := store.Scrub()
 		if err != nil {
-			fatal(fmt.Errorf("scrub: %w", err))
+			return fmt.Errorf("scrub: %w", err)
 		}
-		d := fs.Stats().Sub(before)
-		fmt.Printf("%s: scrubbed %d blocks, repaired %d shards\n", *image, blocks, d.RepairedShards)
-		if d.RepairedShards > 0 {
-			writeBack(host, store)
-		}
+		fmt.Fprintf(stdout, "%s: scrubbed %d blocks, repaired %d shards\n",
+			*image, blocks, fs.Stats().Sub(before).RepairedShards)
 	case "repair":
 		rebuilt, err := store.Repair()
 		if err != nil {
-			fatal(fmt.Errorf("repair: %w", err))
+			return fmt.Errorf("repair: %w", err)
 		}
-		fmt.Printf("%s: rebuilt %d shards\n", *image, rebuilt)
-		if rebuilt > 0 {
-			writeBack(host, store)
-		}
+		fmt.Fprintf(stdout, "%s: rebuilt %d shards\n", *image, rebuilt)
 	case "fsck":
 		efs, err := fs.Mount(store)
 		if err != nil {
-			fatal(fmt.Errorf("mount: %w", err))
+			return fmt.Errorf("mount: %w", err)
 		}
 		if err := efs.Fsck(); err != nil {
-			fatal(fmt.Errorf("fsck: %w", err))
+			return fmt.Errorf("fsck: %w", err)
 		}
-		fmt.Printf("%s: clean\n", *image)
+		fmt.Fprintf(stdout, "%s: clean\n", *image)
 	default:
-		fmt.Fprintf(os.Stderr, "occlum-fs: unknown mode %q\n", mode)
-		os.Exit(2)
+		return fmt.Errorf("%w (unknown mode %q)", errUsage, mode)
 	}
-}
-
-// writeBack flushes every (possibly repaired) backing file to disk.
-func writeBack(host *hostos.Host, store *fs.BlockStore) {
-	for _, name := range store.BackingFiles() {
-		raw, err := host.ReadFile(name)
-		if err != nil {
-			continue // shard file the store never wrote
-		}
-		if err := os.WriteFile(name, raw, 0o644); err != nil {
-			fatal(err)
-		}
-	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "occlum-fs:", err)
-	os.Exit(1)
+	return nil
 }

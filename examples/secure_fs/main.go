@@ -23,6 +23,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fs"
 	"repro/internal/hostos"
+	"repro/internal/hostos/hostfault"
 	"repro/internal/isa"
 	"repro/internal/libos"
 	"repro/internal/sgx"
@@ -202,7 +203,7 @@ func main() {
 
 	// A hostile host flips ONE bit in the image blob's data region: the
 	// next read through a fresh boot fails closed at the Merkle check.
-	if err := host.FlipBit("base.img", fs.BlockSize+100); err != nil {
+	if err := hostfault.FlipBit(host, "base.img", fs.BlockSize+100); err != nil {
 		log.Fatal(err)
 	}
 	var out3 bytes.Buffer

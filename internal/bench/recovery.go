@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/fs"
 	"repro/internal/hostos"
+	"repro/internal/hostos/hostfault"
 )
 
 // Recovery measures the self-healing storage layer on its own: the cost
@@ -72,7 +73,7 @@ func Recovery(s Scale) (*Table, error) {
 	// 3: degraded read — one backing file deleted; every stripe decodes
 	// from the surviving shards and heals the hole as it goes.
 	lost := store.BackingFiles()[1]
-	h.DropFiles(lost)
+	hostfault.DropFiles(h, lost)
 	before := fs.Stats()
 	start = time.Now()
 	if err := readAll(); err != nil {
@@ -85,7 +86,7 @@ func Recovery(s Scale) (*Table, error) {
 	addRow("Degraded read + heal", time.Since(start), healed)
 
 	// 4: offline rebuild of a lost backing file via Repair.
-	h.DropFiles(store.BackingFiles()[3])
+	hostfault.DropFiles(h, store.BackingFiles()[3])
 	before = fs.Stats()
 	start = time.Now()
 	rebuilt, err := store.Repair()
@@ -121,7 +122,7 @@ func Recovery(s Scale) (*Table, error) {
 	ref := store.BackingFiles()[0]
 	dataStart := h.FileSize(ref) - blocks*2048
 	for _, name := range store.BackingFiles()[4:6] {
-		h.CorruptFiles(name, dataStart, h.FileSize(name), blocks/2, 11)
+		hostfault.CorruptFiles(h, name, dataStart, h.FileSize(name), blocks/2, 11)
 	}
 	before = fs.Stats()
 	start = time.Now()

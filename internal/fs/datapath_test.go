@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/hostos"
+	"repro/internal/hostos/hostfault"
 )
 
 // This file pins the protected store's data path by count, not by clock:
@@ -68,7 +69,7 @@ func TestDecodedStripesCountsTheFastPath(t *testing.T) {
 	flipped := 0
 	for i := 0; i < n; i += 4 {
 		off := s.cellOff(s.blockStripe(i, s.slots[i])) + 17
-		if err := h.FlipBit(s.fileName(s.k+1), off); err != nil {
+		if err := hostfault.FlipBit(h, s.fileName(s.k+1), off); err != nil {
 			t.Fatal(err)
 		}
 		flipped++
@@ -98,12 +99,12 @@ func TestDecodedStripesCountsTheFastPath(t *testing.T) {
 // repairs nothing.
 func TestFastPathNeverServesForgedData(t *testing.T) {
 	h, s, want := newSeqStore(t, 2)
-	pristine := h.CopyFiles("seq.s*")
+	pristine := hostfault.CopyFiles(h, "seq.s*")
 	ss := s.shardSize()
 	off := s.cellOff(s.blockStripe(1, s.slots[1]))
 	sentinel := bytes.Repeat([]byte{0xA5}, BlockSize)
 	for mask := 1; mask < 1<<s.k; mask++ {
-		h.PutFiles(pristine)
+		hostfault.PutFiles(h, pristine)
 		for d := 0; d < s.k; d++ {
 			if mask&(1<<d) == 0 {
 				continue
@@ -115,7 +116,7 @@ func TestFastPathNeverServesForgedData(t *testing.T) {
 			binary.LittleEndian.PutUint32(cell[ss:], crc32.ChecksumIEEE(cell[:ss]))
 			h.WriteFileAt(s.fileName(d), off, cell)
 		}
-		forged := h.CopyFiles("seq.s*")
+		forged := hostfault.CopyFiles(h, "seq.s*")
 		dst := append([]byte(nil), sentinel...)
 		err := s.ReadBlockInto(1, dst)
 		switch {
@@ -129,7 +130,7 @@ func TestFastPathNeverServesForgedData(t *testing.T) {
 			if !bytes.Equal(dst, sentinel) {
 				t.Fatalf("mask %04b: a failed read wrote into dst", mask)
 			}
-			for name, data := range h.CopyFiles("seq.s*") {
+			for name, data := range hostfault.CopyFiles(h, "seq.s*") {
 				if !bytes.Equal(data, forged[name]) {
 					t.Fatalf("mask %04b: a failed read rewrote %s", mask, name)
 				}

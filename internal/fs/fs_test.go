@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/hostos"
+	"repro/internal/hostos/hostfault"
 )
 
 func newFS(t testing.TB, blocks int) (*EncFS, *hostos.Host, Key) {
@@ -94,7 +95,7 @@ func TestBlockStoreTamperDetected(t *testing.T) {
 	_, m := s.Geometry()
 	off := s.cellOff(s.blockStripe(1, s.slots[1])) + 100
 	for f := 0; f <= m; f++ {
-		if err := h.FlipBit(s.BackingFiles()[f], off); err != nil {
+		if err := hostfault.FlipBit(h, s.BackingFiles()[f], off); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -109,11 +110,11 @@ func TestBlockStoreReplayDetected(t *testing.T) {
 	s, _ := CreateStore(h, "dev", key, 4)
 	_ = s.WriteBlock(1, []byte("version-one"))
 	_ = s.Flush()
-	old := h.CopyFiles("dev.s*")
+	old := hostfault.CopyFiles(h, "dev.s*")
 	_ = s.WriteBlock(1, []byte("version-two"))
 	_ = s.Flush()
 	// Host rolls every backing file back to the old version.
-	h.PutFiles(old)
+	hostfault.PutFiles(h, old)
 	if s2, err := OpenStore(h, "dev", key); err == nil {
 		// Rolling back everything including the commit records yields a
 		// consistent old image — full rollback needs monotonic
@@ -131,13 +132,13 @@ func TestBlockStoreReplayDetected(t *testing.T) {
 	_ = s.WriteBlock(1, []byte("version-three"))
 	_ = s.Flush()
 	dataStart := s.cellOff(s.blockStripe(0, 0))
-	cur := h.CopyFiles("dev.s*")
+	cur := hostfault.CopyFiles(h, "dev.s*")
 	for name, curBytes := range cur {
 		if oldBytes, ok := old[name]; ok && len(oldBytes) > dataStart && len(curBytes) > dataStart {
 			copy(curBytes[dataStart:], oldBytes[dataStart:])
 		}
 	}
-	h.PutFiles(cur)
+	hostfault.PutFiles(h, cur)
 	s3, err := OpenStore(h, "dev", key)
 	if err != nil {
 		t.Fatal(err)

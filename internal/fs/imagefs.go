@@ -307,7 +307,7 @@ func ImageRoot(blob []byte) ([32]byte, error) {
 // sequential reads pull a read-ahead window through the verifier in one
 // pass.
 type ImageFS struct {
-	host *hostos.Host
+	host hostos.Disk
 	name string
 
 	nBlocks  int
@@ -321,6 +321,7 @@ type ImageFS struct {
 	// verifications stop at the nearest trusted ancestor.
 	trusted map[int][32]byte
 	cache   map[int][]byte
+	node    [32]byte // nodeHash's read buffer
 }
 
 var _ FileSystem = (*ImageFS)(nil)
@@ -329,7 +330,7 @@ var _ FileSystem = (*ImageFS)(nil)
 // pinning root as the only trusted input. Everything else — superblock,
 // inodes, dirents, data, even the stored Merkle nodes — is untrusted
 // until a verification path reaches the root.
-func MountImage(h *hostos.Host, name string, root [32]byte) (*ImageFS, error) {
+func MountImage(h hostos.Disk, name string, root [32]byte) (*ImageFS, error) {
 	hdr := make([]byte, 16)
 	if n, err := h.ReadFileAt(name, 0, hdr); err != nil || n < len(hdr) {
 		return nil, fmt.Errorf("%w: truncated image", ErrBadKey)
@@ -364,12 +365,12 @@ func MountImage(h *hostos.Host, name string, root [32]byte) (*ImageFS, error) {
 	return ifs, nil
 }
 
+// nodeHash reads stored Merkle node idx. Caller holds ifs.mu.
 func (ifs *ImageFS) nodeHash(idx int) ([32]byte, error) {
-	var h [32]byte
-	if n, err := ifs.host.ReadFileAt(ifs.name, ifs.treeOff+(idx-2)*32, h[:]); err != nil || n < 32 {
-		return h, fmt.Errorf("%w: merkle node %d missing", ErrCorrupt, idx)
+	if n, err := ifs.host.ReadFileAt(ifs.name, ifs.treeOff+(idx-2)*32, ifs.node[:]); err != nil || n < 32 {
+		return [32]byte{}, fmt.Errorf("%w: merkle node %d missing", ErrCorrupt, idx)
 	}
-	return h, nil
+	return ifs.node, nil
 }
 
 // verifyBlock checks block i's data against the pinned root, walking up

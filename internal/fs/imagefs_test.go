@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/hostos"
+	"repro/internal/hostos/hostfault"
 )
 
 // buildTestImage packs a representative tree: nested dirs, an empty
@@ -174,7 +175,7 @@ func TestImageTamperAnyBit(t *testing.T) {
 	for off := 0; off < len(blob); off += step {
 		h := hostos.New()
 		h.WriteFile("base.img", blob)
-		if err := h.FlipBit("base.img", off); err != nil {
+		if err := hostfault.FlipBit(h, "base.img", off); err != nil {
 			t.Fatal(err)
 		}
 		ifs, err := MountImage(h, "base.img", root)

@@ -29,6 +29,7 @@ package fs
 
 import (
 	"bytes"
+	"cmp"
 	"crypto/aes"
 	"crypto/cipher"
 	"crypto/hmac"
@@ -57,6 +58,10 @@ const (
 	defaultDataShards   = 4
 	defaultParityShards = 2
 )
+
+// maxShardFiles bounds k+m: open and create look at no shard file past
+// it.
+const maxShardFiles = 64
 
 // Per-backing-file layout:
 //
@@ -124,9 +129,16 @@ func KeyFromString(s string) Key {
 // rewriting the bad shards in place (repair-on-read). The scrubber
 // (ScrubStep) walks stripes incrementally doing the same in the
 // background, and Repair rebuilds whole lost backing files offline.
+//
+// Failure: the store is fail-stop. The first host write or Sync error
+// from WriteBlock, Flush, Repair or a scrub is returned and latched in
+// failed; from then on every mutating call and ScrubStep returns it
+// until the store is reopened. Reads keep serving (the MAC gate still
+// holds).
 type BlockStore struct {
 	mu        sync.Mutex
-	host      *hostos.Host
+	host      hostos.Disk
+	failed    error
 	maxBlocks int
 	k, m      int
 	rs        *rsCode
@@ -182,7 +194,7 @@ type BlockStore struct {
 
 // newStore builds the in-memory half of a store: geometry, derived keys
 // and the scratch the data path runs in.
-func newStore(h *hostos.Host, name string, key Key, maxBlocks, k, m int) (*BlockStore, error) {
+func newStore(h hostos.Disk, name string, key Key, maxBlocks, k, m int) (*BlockStore, error) {
 	rs, err := newRS(k, m)
 	if err != nil {
 		return nil, err
@@ -263,8 +275,8 @@ func (s *BlockStore) BackingFiles() []string {
 
 // StoreExists reports whether a striped image by this name is present on
 // the host (any shard file suffices — missing ones are repairable).
-func StoreExists(h *hostos.Host, name string) bool {
-	for f := 0; f < 64; f++ {
+func StoreExists(h hostos.Disk, name string) bool {
+	for f := 0; f < maxShardFiles; f++ {
 		if h.FileSize(shardFile(name, f)) > 0 {
 			return true
 		}
@@ -277,17 +289,17 @@ func StoreExists(h *hostos.Host, name string) bool {
 // CreateStore formats a new protected image with capacity maxBlocks and
 // the default 4+2 erasure-code geometry, destroying any previous content
 // under the same name.
-func CreateStore(h *hostos.Host, name string, key Key, maxBlocks int) (*BlockStore, error) {
+func CreateStore(h hostos.Disk, name string, key Key, maxBlocks int) (*BlockStore, error) {
 	return CreateStoreGeom(h, name, key, maxBlocks, defaultDataShards, defaultParityShards)
 }
 
 // CreateStoreGeom formats a new protected image striped as k data + m
 // parity shards per stripe. k must divide BlockSize.
-func CreateStoreGeom(h *hostos.Host, name string, key Key, maxBlocks, k, m int) (*BlockStore, error) {
+func CreateStoreGeom(h hostos.Disk, name string, key Key, maxBlocks, k, m int) (*BlockStore, error) {
 	if maxBlocks <= 0 {
 		return nil, fmt.Errorf("fs: maxBlocks must be positive")
 	}
-	if k < 1 || m < 1 || BlockSize%k != 0 {
+	if k < 1 || m < 1 || k+m > maxShardFiles || BlockSize%k != 0 {
 		return nil, fmt.Errorf("fs: bad stripe geometry k=%d m=%d", k, m)
 	}
 	s, err := newStore(h, name, key, maxBlocks, k, m)
@@ -295,9 +307,15 @@ func CreateStoreGeom(h *hostos.Host, name string, key Key, maxBlocks, k, m int) 
 		return nil, err
 	}
 	s.epoch = 1
-	h.DropFiles(name + ".s*")
+	for f := 0; f < maxShardFiles; f++ {
+		if err := h.RemoveFile(shardFile(name, f)); err != nil {
+			return nil, fmt.Errorf("fs: create: %w", err)
+		}
+	}
 	for f := 0; f < s.nFiles(); f++ {
-		s.host.WriteFileAt(s.fileName(f), 0, s.fileHeader(f))
+		if err := h.WriteFileAt(s.fileName(f), 0, s.fileHeader(f)); err != nil {
+			return nil, fmt.Errorf("fs: create: %w", err)
+		}
 	}
 	if err := s.Flush(); err != nil {
 		return nil, err
@@ -339,8 +357,8 @@ func (s *BlockStore) recMAC(fields []byte) [32]byte {
 
 // openGeometry scans the shard files for one valid header to learn the
 // stripe geometry (any surviving file can supply it).
-func openGeometry(h *hostos.Host, name string) (k, m, maxBlocks int, err error) {
-	for f := 0; f < 64; f++ {
+func openGeometry(h hostos.Disk, name string) (k, m, maxBlocks int, err error) {
+	for f := 0; f < maxShardFiles; f++ {
 		hdr := make([]byte, fileHeaderSize)
 		n, rerr := h.ReadFileAt(shardFile(name, f), 0, hdr)
 		if rerr != nil || n < fileHeaderSize {
@@ -352,7 +370,7 @@ func openGeometry(h *hostos.Host, name string) (k, m, maxBlocks int, err error) 
 		k = int(binary.LittleEndian.Uint16(hdr[8:]))
 		m = int(binary.LittleEndian.Uint16(hdr[10:]))
 		maxBlocks = int(binary.LittleEndian.Uint64(hdr[16:]))
-		if k < 1 || m < 1 || BlockSize%k != 0 || maxBlocks <= 0 || maxBlocks > 1<<24 {
+		if k < 1 || m < 1 || k+m > maxShardFiles || BlockSize%k != 0 || maxBlocks <= 0 || maxBlocks > 1<<24 {
 			continue
 		}
 		return k, m, maxBlocks, nil
@@ -366,7 +384,7 @@ func openGeometry(h *hostos.Host, name string) (k, m, maxBlocks int, err error) 
 // shards from parity), and verifies the root MAC. Up to m lost or
 // corrupted shards per stripe — including whole missing backing
 // files — are tolerated and repaired in place.
-func OpenStore(h *hostos.Host, name string, key Key) (*BlockStore, error) {
+func OpenStore(h hostos.Disk, name string, key Key) (*BlockStore, error) {
 	k, m, maxBlocks, err := openGeometry(h, name)
 	if err != nil {
 		return nil, err
@@ -440,7 +458,7 @@ func (s *BlockStore) loadTable(epoch uint64, wantRoot [32]byte) bool {
 	slot := int(epoch & 1)
 	T := s.tableStripes()
 	for j := 0; j < T; j++ {
-		pay, err := s.readStripe(slot*T+j, nil)
+		pay, _, err := s.readStripe(slot*T+j, nil)
 		if err != nil {
 			return false
 		}
@@ -470,7 +488,7 @@ func (s *BlockStore) loadTable(epoch uint64, wantRoot [32]byte) bool {
 // here). Without the witness, a host that rolls records, MAC table and
 // data back to an older fully-consistent snapshot is undetectable; with
 // it, any stale epoch fails closed.
-func OpenStoreAt(h *hostos.Host, name string, key Key, wantEpoch uint64) (*BlockStore, error) {
+func OpenStoreAt(h hostos.Disk, name string, key Key, wantEpoch uint64) (*BlockStore, error) {
 	s, err := OpenStore(h, name, key)
 	if err != nil {
 		return nil, err
@@ -531,12 +549,16 @@ func (s *BlockStore) encodeStripe(payload []byte) {
 }
 
 // writeStripe splits a BlockSize payload into k data shards, encodes m
-// parity shards, and writes one crc-trailed cell per backing file.
-func (s *BlockStore) writeStripe(st int, payload []byte) {
+// parity shards, and writes one crc-trailed cell per backing file. It
+// stops at the first failed write.
+func (s *BlockStore) writeStripe(st int, payload []byte) error {
 	s.encodeStripe(payload)
 	for f, shard := range s.shards {
-		s.writeCell(f, st, shard)
+		if err := s.writeCell(f, st, shard); err != nil {
+			return err
+		}
 	}
+	return nil
 }
 
 // fillCell builds shard's cell (payload + crc trailer) in s.cell.
@@ -546,9 +568,9 @@ func (s *BlockStore) fillCell(shard []byte) {
 }
 
 // writeCell writes one shard cell.
-func (s *BlockStore) writeCell(f, st int, shard []byte) {
+func (s *BlockStore) writeCell(f, st int, shard []byte) error {
 	s.fillCell(shard)
-	s.host.WriteFileAt(s.fileName(f), s.cellOff(st), s.cell)
+	return s.host.WriteFileAt(s.fileName(f), s.cellOff(st), s.cell)
 }
 
 // readStripe reassembles stripe st's payload, repairing as it goes. The
@@ -567,8 +589,10 @@ func (s *BlockStore) writeCell(f, st int, shard []byte) {
 // over k-subsets of the readable shards looks for any combination that
 // does. Only after the payload authenticates are bad shards rewritten in
 // place (repair-on-read) — so repair can restore accidental damage but
-// can never launder adversarial bytes into the device.
-func (s *BlockStore) readStripe(st int, verify func([]byte) bool) ([]byte, error) {
+// can never launder adversarial bytes into the device. A rewrite the
+// host refuses comes back as repairErr beside a payload that is still
+// good: the shard stays bad for the next scrub pass to retry.
+func (s *BlockStore) readStripe(st int, verify func([]byte) bool) (pay []byte, repairErr, err error) {
 	n := s.nFiles()
 	ss, cs := s.shardSize(), s.cellSize()
 	raw, crcOK := s.raw, s.crcOK // raw[f]: full-length shard payload (nil: unreadable)
@@ -596,15 +620,13 @@ func (s *BlockStore) readStripe(st int, verify func([]byte) bool) ([]byte, error
 			copy(s.ct[d*ss:], raw[d])
 		}
 		if verify == nil || verify(s.ct) {
-			s.repairFrom(st, s.ct, crcOK)
-			return s.ct, nil
+			return s.ct, s.repairFrom(st, s.ct, crcOK), nil
 		}
 	}
 	fsStats.decodedStripes.Add(1)
 	if !dataOK && nCrcOK >= s.k {
 		if pay, ok := s.tryDecode(raw, crcOK, verify); ok {
-			s.repairFrom(st, pay, crcOK)
-			return pay, nil
+			return pay, s.repairFrom(st, pay, crcOK), nil
 		}
 	}
 	// The crc-guided payload failed authentication (or too few shards
@@ -629,13 +651,12 @@ func (s *BlockStore) readStripe(st int, verify func([]byte) bool) ([]byte, error
 					}
 				}
 				if pay, ok := s.tryDecode(raw, sel, verify); ok {
-					s.repairFrom(st, pay, sel)
-					return pay, nil
+					return pay, s.repairFrom(st, pay, sel), nil
 				}
 			}
 		}
 	}
-	return nil, fmt.Errorf("%w: stripe %d unrecoverable", ErrCorrupt, st)
+	return nil, nil, fmt.Errorf("%w: stripe %d unrecoverable", ErrCorrupt, st)
 }
 
 func popcount(x int) int {
@@ -673,8 +694,9 @@ func (s *BlockStore) tryDecode(raw [][]byte, use []bool, verify func([]byte) boo
 
 // repairFrom rewrites every shard of stripe st that was NOT part of the
 // authenticated decode (trusted[f] == false), re-deriving it from the
-// verified payload. Called only after verify passed.
-func (s *BlockStore) repairFrom(st int, payload []byte, trusted []bool) {
+// verified payload. Called only after verify passed. Every shard is
+// tried; the first failed write is returned.
+func (s *BlockStore) repairFrom(st int, payload []byte, trusted []bool) (err error) {
 	encoded := false
 	for f, ok := range trusted {
 		if ok {
@@ -684,9 +706,13 @@ func (s *BlockStore) repairFrom(st int, payload []byte, trusted []bool) {
 			s.encodeStripe(payload)
 			encoded = true
 		}
-		s.writeCell(f, st, s.shards[f])
+		if werr := s.writeCell(f, st, s.shards[f]); werr != nil {
+			err = cmp.Or(err, werr)
+			continue
+		}
 		fsStats.repairedShards.Add(1)
 	}
+	return err
 }
 
 // --- Block I/O ------------------------------------------------------------
@@ -718,6 +744,9 @@ func (s *BlockStore) blockMAC(i int, version uint64, ct []byte) [32]byte {
 func (s *BlockStore) WriteBlock(i int, data []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.failed != nil {
+		return s.failed
+	}
 	if i < 0 || i >= s.maxBlocks {
 		return fmt.Errorf("fs: block %d out of range", i)
 	}
@@ -743,10 +772,22 @@ func (s *BlockStore) WriteBlock(i int, data []byte) error {
 	// straddle two 4 KiB table stripes.
 	s.stripeChanged[i*macEntrySize/BlockSize] = s.epoch + 1
 	s.stripeChanged[(i*macEntrySize+macEntrySize-1)/BlockSize] = s.epoch + 1
-	s.writeStripe(s.blockStripe(i, s.slots[i]), s.ct)
+	err := s.writeStripe(s.blockStripe(i, s.slots[i]), s.ct)
 	s.dirtyHdr = true
 	s.mutated()
-	return nil
+	return s.fail("write block", err)
+}
+
+// fail latches the store's first host write error, wrapped with op, and
+// returns the latched error (nil for a nil err). Caller holds s.mu.
+func (s *BlockStore) fail(op string, err error) error {
+	if err == nil {
+		return nil
+	}
+	if s.failed == nil {
+		s.failed = fmt.Errorf("fs: %s: %w", op, err)
+	}
+	return s.failed
 }
 
 // ReadBlock fetches, verifies and decrypts one block into a buffer the
@@ -767,31 +808,33 @@ func (s *BlockStore) ReadBlockInto(i int, dst []byte) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.readBlockLocked(i, dst[:BlockSize])
+	_, err := s.readBlockLocked(i, dst[:BlockSize])
+	return err
 }
 
 // readBlockLocked verifies block i (repairing its stripe) and, given a
 // dst, decrypts into it. The MAC is over the ciphertext, so a nil dst —
-// the scrubber — authenticates without decrypting.
-func (s *BlockStore) readBlockLocked(i int, dst []byte) error {
+// the scrubber — authenticates without decrypting. repairErr is a
+// refused repair-on-read rewrite; the block read is good regardless.
+func (s *BlockStore) readBlockLocked(i int, dst []byte) (repairErr, err error) {
 	if i < 0 || i >= s.maxBlocks {
-		return fmt.Errorf("fs: block %d out of range", i)
+		return nil, fmt.Errorf("fs: block %d out of range", i)
 	}
 	if s.versions[i] == 0 {
 		clear(dst)
-		return nil
+		return nil, nil
 	}
-	ct, err := s.readStripe(s.blockStripe(i, s.slots[i]), func(ct []byte) bool {
+	ct, repairErr, err := s.readStripe(s.blockStripe(i, s.slots[i]), func(ct []byte) bool {
 		want := s.blockMAC(i, s.versions[i], ct)
 		return hmac.Equal(want[:], s.macs[i][:])
 	})
 	if err != nil {
-		return fmt.Errorf("%w: block %d", ErrCorrupt, i)
+		return nil, fmt.Errorf("%w: block %d", ErrCorrupt, i)
 	}
 	if dst != nil {
 		s.keystream(i, s.versions[i], dst, ct)
 	}
-	return nil
+	return repairErr, nil
 }
 
 // Flush commits the version table and root MAC. Data blocks are written
@@ -808,9 +851,17 @@ func (s *BlockStore) readBlockLocked(i int, dst []byte) error {
 // stripeChanged / slotWhole). A crash between those writes leaves the
 // target slot a mix of two tables, which is what it always was mid-Flush:
 // the committed table is the other slot's.
+//
+// Two Sync barriers order the commit: every shard file is synced after
+// the stripe writes and before the records, and again after them. A
+// failed write or Sync fail-stops the store: epoch has already moved
+// to the new slot, so a later Flush would write into the committed one.
 func (s *BlockStore) Flush() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.failed != nil {
+		return s.failed
+	}
 	s.epoch++
 	slot := int(s.epoch & 1)
 	T := s.tableStripes()
@@ -822,19 +873,39 @@ func (s *BlockStore) Flush() error {
 	s.slotWhole[slot] = 0
 	for j := 0; j < T; j++ {
 		if whole == 0 || s.stripeChanged[j] > whole {
-			s.writeStripe(slot*T+j, s.table[j*BlockSize:(j+1)*BlockSize])
+			if err := s.writeStripe(slot*T+j, s.table[j*BlockSize:(j+1)*BlockSize]); err != nil {
+				return s.fail("flush", err)
+			}
 			fsStats.tableStripesWritten.Add(1)
 		}
+	}
+	if err := s.syncAll(); err != nil {
+		return s.fail("flush", err)
 	}
 	s.slotWhole[slot] = s.epoch
 	s.root = s.rootMAC()
 	rec := s.commitRecord(s.epoch, s.root)
 	for f := 0; f < s.nFiles(); f++ {
-		s.host.WriteFileAt(s.fileName(f), fileHeaderSize+slot*commitRecordSize, rec)
+		if err := s.host.WriteFileAt(s.fileName(f), fileHeaderSize+slot*commitRecordSize, rec); err != nil {
+			return s.fail("flush", err)
+		}
+	}
+	if err := s.syncAll(); err != nil {
+		return s.fail("flush", err)
 	}
 	clear(s.epochWritten)
 	s.dirtyHdr = false
 	s.mutated()
+	return nil
+}
+
+// syncAll makes every shard file's writes durable.
+func (s *BlockStore) syncAll() error {
+	for _, name := range s.names {
+		if err := s.host.Sync(name); err != nil {
+			return err
+		}
+	}
 	return nil
 }
 
@@ -855,10 +926,14 @@ func (s *BlockStore) mutated() {
 //
 // Returns whether any work was done, and the first unrecoverable error
 // encountered (scrubbing continues past errors so one dead stripe does
-// not shadow the rest).
+// not shadow the rest). A repair write the host refuses fail-stops the
+// store, like one from Flush.
 func (s *BlockStore) ScrubStep(n int) (worked bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.failed != nil {
+		return false, s.failed
+	}
 	if s.scrubClean {
 		return false, nil
 	}
@@ -872,9 +947,11 @@ func (s *BlockStore) ScrubStep(n int) (worked bool, err error) {
 		if s.versions[i] == 0 {
 			continue
 		}
-		if rerr := s.readBlockLocked(i, nil); rerr != nil && err == nil {
-			err = rerr
+		repairErr, rerr := s.readBlockLocked(i, nil)
+		if repairErr != nil {
+			return true, s.fail("scrub", repairErr)
 		}
+		err = cmp.Or(err, rerr)
 		fsStats.scrubbedBlocks.Add(1)
 	}
 	if s.scrubCursor >= s.maxBlocks {
@@ -882,8 +959,8 @@ func (s *BlockStore) ScrubStep(n int) (worked bool, err error) {
 		// meaningful when memory matches disk), then decide cleanliness.
 		worked = true
 		if !s.dirtyHdr {
-			if rerr := s.scrubTableLocked(); rerr != nil && err == nil {
-				err = rerr
+			if werr := s.scrubTableLocked(); werr != nil {
+				return true, s.fail("scrub", werr)
 			}
 		}
 		s.scrubCursor = 0
@@ -896,60 +973,61 @@ func (s *BlockStore) ScrubStep(n int) (worked bool, err error) {
 
 // scrubTableLocked re-derives the committed table stripes, commit record
 // and file headers from in-memory state and rewrites any on-disk shard
-// that disagrees. Unlike block scrubbing this needs no parity decode:
-// memory holds the authenticated truth. It covers all T stripes, not the
-// ones the last Flush wrote: a slot that has just become the committed
-// one holds stripes last written two or more commits ago that nothing
-// read while it was inactive, and this pass is what bounds their
-// exposure to rot. Caller holds s.mu and has checked !s.dirtyHdr.
+// that disagrees, returning the first refused write. Unlike block
+// scrubbing this needs no parity decode: memory holds the authenticated
+// truth. It covers all T stripes, not the ones the last Flush wrote: a
+// slot that has just become the committed one holds stripes last written
+// two or more commits ago that nothing read while it was inactive, and
+// this pass is what bounds their exposure to rot. Caller holds s.mu and
+// has checked !s.dirtyHdr.
 func (s *BlockStore) scrubTableLocked() error {
 	slot := int(s.epoch & 1)
 	T := s.tableStripes()
-	cs := s.cellSize()
 	s.fillTable()
 	for j := 0; j < T; j++ {
 		st := slot*T + j
 		s.encodeStripe(s.table[j*BlockSize : (j+1)*BlockSize])
 		for f, shard := range s.shards {
 			s.fillCell(shard)
-			got := s.cells[:cs]
-			cnt, rerr := s.host.ReadFileAt(s.fileName(f), s.cellOff(st), got)
-			if rerr != nil || cnt < cs || !bytes.Equal(got, s.cell) {
-				s.host.WriteFileAt(s.fileName(f), s.cellOff(st), s.cell)
-				fsStats.repairedShards.Add(1)
+			if err := s.rewrite(f, s.cellOff(st), s.cell); err != nil {
+				return err
 			}
 		}
 	}
 	rec := s.commitRecord(s.epoch, s.root)
 	hdr := s.fileHeader(0)
-	got := s.cells[:commitRecordSize]
 	for f := 0; f < s.nFiles(); f++ {
-		cnt, rerr := s.host.ReadFileAt(s.fileName(f), fileHeaderSize+slot*commitRecordSize, got)
-		if rerr != nil || cnt < commitRecordSize || !bytes.Equal(got, rec) {
-			s.host.WriteFileAt(s.fileName(f), fileHeaderSize+slot*commitRecordSize, rec)
-			fsStats.repairedShards.Add(1)
-		}
 		binary.LittleEndian.PutUint16(hdr[fileHeaderIdxOff:], uint16(f))
-		gotHdr := got[:fileHeaderSize]
-		cnt, rerr = s.host.ReadFileAt(s.fileName(f), 0, gotHdr)
-		if rerr != nil || cnt < fileHeaderSize || !bytes.Equal(gotHdr, hdr) {
-			s.host.WriteFileAt(s.fileName(f), 0, hdr)
-			fsStats.repairedShards.Add(1)
+		if err := cmp.Or(s.rewrite(f, fileHeaderSize+slot*commitRecordSize, rec), s.rewrite(f, 0, hdr)); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
+// rewrite puts want at off in shard file f unless it is already there.
+// Caller holds s.mu.
+func (s *BlockStore) rewrite(f, off int, want []byte) error {
+	got := s.cells[:len(want)]
+	cnt, err := s.host.ReadFileAt(s.fileName(f), off, got)
+	if err == nil && cnt == len(want) && bytes.Equal(got, want) {
+		return nil
+	}
+	if err := s.host.WriteFileAt(s.fileName(f), off, want); err != nil {
+		return err
+	}
+	fsStats.repairedShards.Add(1)
+	return nil
+}
+
 // Scrub runs ScrubStep to completion: one full verify-and-repair pass
 // over every committed block plus the table. Returns blocks scrubbed
-// and the first unrecoverable error.
+// and the first error.
 func (s *BlockStore) Scrub() (blocks int, err error) {
 	before := fsStats.scrubbedBlocks.Load()
 	for {
 		worked, serr := s.ScrubStep(64)
-		if serr != nil && err == nil {
-			err = serr
-		}
+		err = cmp.Or(err, serr)
 		if !worked {
 			return int(fsStats.scrubbedBlocks.Load() - before), err
 		}
@@ -962,26 +1040,31 @@ func (s *BlockStore) Scrub() (blocks int, err error) {
 // walks all committed stripes re-verifying (and re-writing) shards
 // against the MAC table. Returns the number of shards rebuilt. The store
 // must be freshly opened or flushed (no uncommitted writes), because
-// repair re-derives on-disk state from the last commit.
+// repair re-derives on-disk state from the last commit. A refused write
+// fail-stops the store, like one from Flush.
 func (s *BlockStore) Repair() (rebuilt int, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.failed != nil {
+		return 0, s.failed
+	}
 	if s.dirtyHdr {
 		return 0, fmt.Errorf("fs: repair requires a clean (flushed) store")
 	}
 	before := fsStats.repairedShards.Load()
-	if rerr := s.scrubTableLocked(); rerr != nil {
-		err = rerr
-	}
-	for i := 0; i < s.maxBlocks; i++ {
+	werr := s.scrubTableLocked()
+	for i := 0; werr == nil && i < s.maxBlocks; i++ {
 		if s.versions[i] == 0 {
 			continue
 		}
-		if rerr := s.readBlockLocked(i, nil); rerr != nil && err == nil {
-			err = rerr
-		}
+		var rerr error
+		werr, rerr = s.readBlockLocked(i, nil)
+		err = cmp.Or(err, rerr)
 	}
 	rebuilt = int(fsStats.repairedShards.Load() - before)
 	fsStats.rebuiltShards.Add(uint64(rebuilt))
+	if werr != nil {
+		return rebuilt, s.fail("repair", werr)
+	}
 	return rebuilt, err
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/hostos"
+	"repro/internal/hostos/hostfault"
 )
 
 // A Flush writes the table stripes that changed since its A/B table slot
@@ -161,7 +162,7 @@ const scriptBlocks = 400
 
 // runCommits replays commits [0, n) of the script on a fresh store and
 // returns it with the model (generation per block, 0: never written).
-func runCommits(t *testing.T, h *hostos.Host, key Key, n int) (*BlockStore, []int) {
+func runCommits(t *testing.T, h hostos.Disk, key Key, n int) (*BlockStore, []int) {
 	t.Helper()
 	s, err := CreateStore(h, "img", key, scriptBlocks)
 	if err != nil {
@@ -218,12 +219,12 @@ func TestCrashAtEveryWriteAcrossTableCommits(t *testing.T) {
 	cuts := 0
 	for c := 0; c < len(commitScript); c++ {
 		for cut := 0; ; cut++ {
-			h := hostos.New()
+			h := hostfault.New(hostos.New())
 			s, model := runCommits(t, h, key, c)
 			prev := append([]int(nil), model...)
 			prevEpoch := s.Epoch()
 
-			h.Inject("img.s*", hostos.CrashAfter(cut))
+			h.Inject("img.s*", hostfault.CrashAfter(cut))
 			applyCommit(t, s, model, c)
 			if err := s.Flush(); err != nil {
 				t.Fatal(err)
@@ -272,7 +273,7 @@ func TestCrashAtEveryWriteAcrossTableCommits(t *testing.T) {
 func rotTableStripe(h *hostos.Host, s *BlockStore, slot, j, n int) {
 	off := s.cellOff(slot*s.tableStripes() + j)
 	for f := 0; f < n; f++ {
-		h.CorruptFiles(s.fileName(f), off, off+s.shardSize(), 8, int64(f)+7)
+		hostfault.CorruptFiles(h, s.fileName(f), off, off+s.shardSize(), 8, int64(f)+7)
 	}
 }
 
@@ -366,5 +367,46 @@ func TestScrubHealsAStripeTheCommitDidNotWrite(t *testing.T) {
 	checkModel(t, s2, model, "after scrub")
 	if d := Stats().Sub(before); d.RepairedShards != 0 {
 		t.Fatalf("reopen after the scrub still repaired %d shards", d.RepairedShards)
+	}
+}
+
+// opLog is a Disk that records the order of writes and Syncs: "w" for a
+// stripe cell, "r" for a commit record, "s" for a Sync.
+type opLog struct {
+	hostos.Disk
+	ops []byte
+}
+
+func (l *opLog) WriteFileAt(name string, off int, p []byte) error {
+	op := byte('w')
+	if off >= fileHeaderSize && off < shardDataStart {
+		op = 'r'
+	}
+	l.ops = append(l.ops, op)
+	return l.Disk.WriteFileAt(name, off, p)
+}
+
+func (l *opLog) Sync(name string) error {
+	l.ops = append(l.ops, 's')
+	return l.Disk.Sync(name)
+}
+
+// TestFlushSyncBarriers: Flush syncs every shard file after the table
+// stripes and before the commit records, and again after the records.
+func TestFlushSyncBarriers(t *testing.T) {
+	l := &opLog{Disk: hostos.New()}
+	s, err := CreateStore(l, "img", KeyFromString("barrier"), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.WriteBlock(3, []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	l.ops = l.ops[:0]
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := string(l.ops), "wwwwwwssssssrrrrrrssssss"; got != want {
+		t.Fatalf("Flush issued %s, want %s (one table stripe over 6 files, sync, records, sync)", got, want)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/hostos"
+	"repro/internal/hostos/hostfault"
 )
 
 // This file is the BlockStore half of the tamper battery the image
@@ -60,14 +61,14 @@ func wantBlock(t *testing.T, s *BlockStore, i int) {
 // parity), and so must a read through a fresh open of the damaged image.
 func TestBlockStoreBitFlipAnyShardRepaired(t *testing.T) {
 	h, s, key := newTamperStore(t)
-	pristine := h.CopyFiles("dev.s*")
+	pristine := hostfault.CopyFiles(h, "dev.s*")
 	ss := s.shardSize()
 	for blk := 0; blk < 8; blk++ {
 		for _, within := range []int{0, 1, ss / 2, ss - 1} {
 			for f := 0; f < s.nFiles(); f++ {
-				h.PutFiles(pristine)
+				hostfault.PutFiles(h, pristine)
 				off := s.cellOff(s.blockStripe(blk, s.slots[blk])) + within
-				if err := h.FlipBit(s.fileName(f), off); err != nil {
+				if err := hostfault.FlipBit(h, s.fileName(f), off); err != nil {
 					t.Fatal(err)
 				}
 				before := Stats().RepairedShards
@@ -79,8 +80,8 @@ func TestBlockStoreBitFlipAnyShardRepaired(t *testing.T) {
 				wantBlock(t, s, blk)
 
 				// Same through a fresh mount of the damaged image.
-				h.PutFiles(pristine)
-				_ = h.FlipBit(s.fileName(f), off)
+				hostfault.PutFiles(h, pristine)
+				_ = hostfault.FlipBit(h, s.fileName(f), off)
 				s2, err := OpenStore(h, "dev", key)
 				if err != nil {
 					t.Fatalf("block %d file %d: open: %v", blk, f, err)
@@ -89,7 +90,7 @@ func TestBlockStoreBitFlipAnyShardRepaired(t *testing.T) {
 			}
 		}
 	}
-	h.PutFiles(pristine)
+	hostfault.PutFiles(h, pristine)
 }
 
 // TestBlockStoreBeyondParityFailsClosed: damage to m+1 shards of one
@@ -100,7 +101,7 @@ func TestBlockStoreBeyondParityFailsClosed(t *testing.T) {
 	_, m := s.Geometry()
 	off := s.cellOff(s.blockStripe(5, s.slots[5])) + 7
 	for f := 0; f <= m; f++ {
-		if err := h.FlipBit(s.fileName(f), off); err != nil {
+		if err := hostfault.FlipBit(h, s.fileName(f), off); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -196,7 +197,7 @@ func TestBlockStoreForgedCRCRepaired(t *testing.T) {
 // mix.
 func TestBlockStoreStaleEpochRollback(t *testing.T) {
 	h, s, key := newTamperStore(t)
-	oldImage := h.CopyFiles("dev.s*")
+	oldImage := hostfault.CopyFiles(h, "dev.s*")
 	oldEpoch := s.Epoch()
 
 	if err := s.WriteBlock(3, []byte("new generation")); err != nil {
@@ -211,8 +212,8 @@ func TestBlockStoreStaleEpochRollback(t *testing.T) {
 	}
 
 	// Host rolls records, table and data back wholesale.
-	h.DropFiles("dev.s*")
-	h.PutFiles(oldImage)
+	hostfault.DropFiles(h, "dev.s*")
+	hostfault.PutFiles(h, oldImage)
 	if _, err := OpenStoreAt(h, "dev", key, trustedEpoch); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("stale epoch with witness: err = %v, want ErrCorrupt", err)
 	}
@@ -234,13 +235,13 @@ func TestBlockStoreStaleEpochRollback(t *testing.T) {
 	// it — is detectable even without a witness: the stale table's MACs
 	// bind the old versions. Corrupt both slots of block 3 beyond the
 	// parity's reach so neither generation's ciphertext survives.
-	h.DropFiles("dev.s*")
-	h.PutFiles(oldImage)
+	hostfault.DropFiles(h, "dev.s*")
+	hostfault.PutFiles(h, oldImage)
 	_, m := s.Geometry()
 	for _, slot := range []uint8{0, 1} {
 		off := s.cellOff(s.blockStripe(3, slot)) + 10
 		for f := 0; f <= m; f++ {
-			_ = h.FlipBit(s.fileName(f), off)
+			_ = hostfault.FlipBit(h, s.fileName(f), off)
 		}
 	}
 	s3, err := OpenStore(h, "dev", key)
@@ -258,13 +259,13 @@ func TestBlockStoreStaleEpochRollback(t *testing.T) {
 // never as zero-fill or a panic).
 func TestBlockStoreTruncatedOneFile(t *testing.T) {
 	h, s, key := newTamperStore(t)
-	pristine := h.CopyFiles("dev.s*")
+	pristine := hostfault.CopyFiles(h, "dev.s*")
 	size := h.FileSize(s.fileName(1))
 	cuts := []int{0, fileHeaderSize - 1, fileHeaderSize + 3,
 		fileHeaderSize + commitRecordSize + 8, shardDataStart - 1,
 		shardDataStart + 3, size / 2, size - 1}
 	for _, cut := range cuts {
-		h.PutFiles(pristine)
+		hostfault.PutFiles(h, pristine)
 		trunc := append([]byte(nil), pristine[s.fileName(1)][:cut]...)
 		h.RemoveFile(s.fileName(1))
 		h.WriteFile(s.fileName(1), trunc)
@@ -276,7 +277,7 @@ func TestBlockStoreTruncatedOneFile(t *testing.T) {
 			wantBlock(t, s2, blk)
 		}
 	}
-	h.PutFiles(pristine)
+	hostfault.PutFiles(h, pristine)
 	_ = s
 }
 
@@ -370,7 +371,7 @@ func TestBlockStoreScrubHealsRot(t *testing.T) {
 	// data area.
 	dataStart := s.cellOff(s.blockStripe(0, 0))
 	for f := 0; f < m; f++ {
-		h.CorruptFiles(s.fileName(f), dataStart, 0, 32, int64(f)+1)
+		hostfault.CorruptFiles(h, s.fileName(f), dataStart, 0, 32, int64(f)+1)
 	}
 	before := Stats()
 	var worked bool
@@ -414,10 +415,10 @@ func TestBlockStoreScrubHealsRot(t *testing.T) {
 // restore truth; it can never invent it.
 func TestBlockStoreRepairNeverLaunders(t *testing.T) {
 	h, s, _ := newTamperStore(t)
-	pristine := h.CopyFiles("dev.s*")
+	pristine := hostfault.CopyFiles(h, "dev.s*")
 	ss := s.shardSize()
 	for trial := 0; trial < 64; trial++ {
-		h.PutFiles(pristine)
+		hostfault.PutFiles(h, pristine)
 		// Corrupt a pseudo-random subset of shards of block trial%8, with
 		// pseudo-random crc forgery.
 		blk := trial % 8

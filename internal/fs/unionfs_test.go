@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/hostos"
+	"repro/internal/hostos/hostfault"
 )
 
 // newUnion builds the LibOS root mount shape: a fresh EncFS upper over
@@ -670,7 +671,7 @@ func TestUnionUpperCorruptionFailsClosed(t *testing.T) {
 	dataStart := store.cellOff(store.blockStripe(0, 0))
 	for _, name := range store.BackingFiles() {
 		for off := dataStart; off < h.FileSize(name); off += 512 {
-			_ = h.FlipBit(name, off)
+			_ = hostfault.FlipBit(h, name, off)
 		}
 	}
 	store2, err := OpenStore(h, "enc.img", key)

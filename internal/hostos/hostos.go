@@ -12,6 +12,8 @@ package hostos
 import (
 	"errors"
 	"fmt"
+	"path"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -39,11 +41,11 @@ type listenerShard struct {
 	m  map[uint16]*Listener
 }
 
-// Host is one untrusted host OS instance.
+// Host is one untrusted host OS instance. Its files are an in-memory
+// Disk.
 type Host struct {
-	mu        sync.Mutex // guards files, faults, shm
+	mu        sync.Mutex // guards files, shm
 	files     map[string][]byte
-	faults    []*injection
 	shm       map[string][]byte
 	futexes   [tableShards]futexShard
 	listeners [tableShards]listenerShard
@@ -79,10 +81,35 @@ func (h *Host) listenerShardFor(port uint16) *listenerShard {
 	return &h.listeners[port&(tableShards-1)]
 }
 
-// Storage errors.
+// Disk is the host storage the encrypted filesystem runs on: named
+// files read and written at offsets. Every byte it returns is untrusted,
+// and every write can fail. *Host implements it in memory, Dir over a
+// directory of real files.
+type Disk interface {
+	// ReadFileAt reads up to len(p) bytes at off, returning the count.
+	// Callers must treat a short read as missing data, never as zeros.
+	ReadFileAt(name string, off int, p []byte) (int, error)
+	// WriteFileAt overwrites [off, off+len(p)) of a file, creating and
+	// growing it as needed.
+	WriteFileAt(name string, off int, p []byte) error
+	// FileSize returns the size of a file (0 if absent).
+	FileSize(name string) int
+	// RemoveFile deletes a file; removing an absent file is not an error.
+	RemoveFile(name string) error
+	// Sync makes the file's completed writes durable.
+	Sync(name string) error
+}
+
+var _ Disk = (*Host)(nil)
+
+// Errors. A Disk wraps its errors with the file name.
 var (
 	// ErrNoFile reports a missing host file.
 	ErrNoFile = errors.New("hostos: no such file")
+	// ErrNoSpace reports a write the host refused for lack of space.
+	ErrNoSpace = errors.New("hostos: no space left on device")
+	// ErrIO reports any other failed host storage operation.
+	ErrIO = errors.New("hostos: i/o error")
 	// ErrPortInUse reports a taken listen port.
 	ErrPortInUse = errors.New("hostos: port in use")
 	// ErrConnRefused reports dialing a port with no listener.
@@ -93,15 +120,11 @@ var (
 )
 
 // WriteFile stores (or replaces) a host file. The host sees — and may
-// tamper with — every byte. Armed write faults (fault.go) apply.
+// tamper with — every byte.
 func (h *Host) WriteFile(name string, data []byte) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	p, ok := h.applyWriteFaults(name, data)
-	if !ok {
-		return
-	}
-	h.files[name] = append([]byte(nil), p...)
+	h.files[name] = append([]byte(nil), data...)
 }
 
 // ReadFile returns a copy of a host file.
@@ -115,25 +138,37 @@ func (h *Host) ReadFile(name string) ([]byte, error) {
 	return append([]byte(nil), data...), nil
 }
 
+// Names returns the sorted names of stored files matching pattern (a
+// path.Match glob, or an exact name).
+func (h *Host) Names(pattern string) []string {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	var names []string
+	for name := range h.files {
+		if ok, err := path.Match(pattern, name); name == pattern || (err == nil && ok) {
+			names = append(names, name)
+		}
+	}
+	slices.Sort(names)
+	return names
+}
+
 // RemoveFile deletes a host file.
-func (h *Host) RemoveFile(name string) {
+func (h *Host) RemoveFile(name string) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	delete(h.files, name)
+	return nil
 }
 
+// Sync is a no-op: memory is as durable as this host gets.
+func (h *Host) Sync(string) error { return nil }
+
 // WriteFileAt overwrites the range [off, off+len(p)) of a host file,
-// growing it as needed. This is the block-device write the encrypted
-// filesystem uses. Armed write faults (fault.go) apply: a crashed
-// budget drops the write silently, a torn write persists only a
-// prefix, bit-rot lands flipped bits.
-func (h *Host) WriteFileAt(name string, off int, p []byte) {
+// growing it as needed. It never fails.
+func (h *Host) WriteFileAt(name string, off int, p []byte) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	p, ok := h.applyWriteFaults(name, p)
-	if !ok {
-		return
-	}
 	f := h.files[name]
 	if need := off + len(p); need > len(f) {
 		// Capacity grows geometrically (at most 25 % slack), so a file
@@ -155,29 +190,21 @@ func (h *Host) WriteFileAt(name string, off int, p []byte) {
 	}
 	copy(f[off:], p)
 	h.files[name] = f
+	return nil
 }
 
 // ReadFileAt reads up to len(p) bytes at off, returning the count.
-// Armed read faults (fault.go) apply: a short read returns fewer bytes
-// than stored, read latency delays the return. Callers must treat a
-// short read as missing data, never as zeros.
 func (h *Host) ReadFileAt(name string, off int, p []byte) (int, error) {
 	h.mu.Lock()
+	defer h.mu.Unlock()
 	f, ok := h.files[name]
 	if !ok {
-		h.mu.Unlock()
 		return 0, fmt.Errorf("%w: %s", ErrNoFile, name)
 	}
-	n := 0
-	if off < len(f) {
-		n = copy(p, f[off:])
+	if off >= len(f) {
+		return 0, nil
 	}
-	n, delay := h.applyReadFaults(name, n)
-	h.mu.Unlock()
-	if delay > 0 {
-		time.Sleep(delay)
-	}
-	return n, nil
+	return copy(p, f[off:]), nil
 }
 
 // FileSize returns the size of a host file (0 if absent).

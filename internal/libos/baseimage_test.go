@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fs"
 	"repro/internal/hostos"
+	"repro/internal/hostos/hostfault"
 	"repro/internal/isa"
 	"repro/internal/libos"
 	"repro/internal/sgx"
@@ -142,7 +143,7 @@ func TestBaseImageTamperFailsClosed(t *testing.T) {
 	for _, off := range []int{100, fs.BlockSize + 64, len(blob) - fs.BlockSize} {
 		host := hostos.New()
 		host.WriteFile("base.img", blob)
-		if err := host.FlipBit("base.img", off); err != nil {
+		if err := hostfault.FlipBit(host, "base.img", off); err != nil {
 			t.Fatal(err)
 		}
 		var out bytes.Buffer

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/fs"
+	"repro/internal/hostos/hostfault"
 )
 
 // waitFS polls the package-global fs counters until cond sees the delta
@@ -69,7 +70,7 @@ func TestIdleScrubberHealsRot(t *testing.T) {
 	rotted := 0
 	for _, name := range files[1:3] {
 		size := host.FileSize(name)
-		rotted += host.CorruptFiles(name, size-8192, size, 64, 7)
+		rotted += hostfault.CorruptFiles(host, name, size-8192, size, 64, 7)
 	}
 	if rotted == 0 {
 		t.Fatal("fixture corrupted no bits")

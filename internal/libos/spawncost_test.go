@@ -15,6 +15,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fs"
 	"repro/internal/hostos"
+	"repro/internal/hostos/hostfault"
 	"repro/internal/isa"
 	"repro/internal/libos"
 	"repro/internal/mem"
@@ -544,7 +545,7 @@ func TestImageCacheOutlivesTheStore(t *testing.T) {
 
 	mustRun(t, os, "/bin/x", 11)
 	for _, name := range os.Store().BackingFiles() {
-		if sys.Host.CorruptFiles(name, 0, 0, 1<<16, 3) == 0 {
+		if hostfault.CorruptFiles(sys.Host, name, 0, 0, 1<<16, 3) == 0 {
 			t.Fatalf("fixture corrupted nothing in %s", name)
 		}
 	}

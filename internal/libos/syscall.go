@@ -4,6 +4,7 @@ import (
 	"errors"
 
 	"repro/internal/fs"
+	"repro/internal/hostos"
 	"repro/internal/mem"
 	"repro/internal/sysdispatch"
 )
@@ -107,6 +108,10 @@ func errno(err error) int64 {
 		return -EINVAL
 	case errors.Is(err, fs.ErrReservedName):
 		return -EACCES
+	case errors.Is(err, hostos.ErrNoSpace):
+		return -ENOSPC
+	case errors.Is(err, hostos.ErrIO):
+		return -EIO
 	default:
 		return -EIO
 	}
