@@ -23,7 +23,8 @@
 // wakes). With -fsstats, each experiment reports the filesystem
 // counters (image blocks Merkle-verified, verified-cache hits,
 // read-aheads, copy-ups, whiteouts, blocks scrubbed, shards repaired
-// and rebuilt, stripes decoded, table stripes written).
+// and rebuilt, stripes decoded, table stripes written, crc mismatches,
+// tag failures).
 // -cpuprofile and -memprofile write pprof profiles covering the
 // selected experiments, so interpreter-perf work can profile the hot
 // path without editing code (the memory profile is written at exit,
@@ -53,7 +54,7 @@ func realMain() int {
 	vmStats := flag.Bool("vmstats", false, "report OVM translation-cache counters per experiment")
 	schedStats := flag.Bool("schedstats", false, "report M:N scheduler counters per experiment")
 	netStats := flag.Bool("netstats", false, "report readiness/network counters per experiment")
-	fsStats := flag.Bool("fsstats", false, "report filesystem counters (verify/copy-up/read-ahead/scrub/repair/decode/table stripes) per experiment")
+	fsStats := flag.Bool("fsstats", false, "report filesystem counters (verify/copy-up/read-ahead/scrub/repair/decode/table stripes/crc mismatches/tag failures) per experiment")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to `file`")
 	memProfile := flag.String("memprofile", "", "write an allocation profile to `file` at exit")
 	flag.Parse()

@@ -6,15 +6,19 @@
 //
 // Modes:
 //
-//	info    print geometry, epoch and per-file health without writing
-//	scrub   verify every committed block, rewriting rotted shards
-//	repair  rebuild every damaged or missing shard — including an
-//	        entire deleted backing file — from Reed–Solomon parity
-//	fsck    full metadata check of the encrypted filesystem on top
+//	info     print format, cipher, geometry, epoch and per-file health
+//	         without writing
+//	scrub    verify every committed block, rewriting rotted shards
+//	repair   rebuild every damaged or missing shard — including an
+//	         entire deleted backing file — from Reed–Solomon parity
+//	fsck     full metadata check of the encrypted filesystem on top
+//	upgrade  copy the store SRC, in any format, block by block into a new
+//	         current-format store DST (a v3 store is read-only until then)
 //
 // Usage:
 //
 //	occlum-fs [-image occlum.img] [-key seed] info|scrub|repair|fsck
+//	occlum-fs [-key seed] upgrade SRC DST
 package main
 
 import (
@@ -29,7 +33,7 @@ import (
 	"repro/internal/hostos"
 )
 
-const usage = "usage: occlum-fs [-image occlum.img] [-key seed] info|scrub|repair|fsck"
+const usage = "usage: occlum-fs [-image occlum.img] [-key seed] info|scrub|repair|fsck\n       occlum-fs [-key seed] upgrade SRC DST"
 
 // errUsage reports a malformed command line (exit status 2).
 var errUsage = errors.New(usage)
@@ -52,25 +56,29 @@ func run(args []string, stdout io.Writer) error {
 	if err := flags.Parse(args); err != nil {
 		return errUsage
 	}
+	key := fs.KeyFromString(*keySeed)
+	if flags.Arg(0) == "upgrade" {
+		if flags.NArg() != 3 {
+			return errUsage
+		}
+		return upgrade(flags.Arg(1), flags.Arg(2), key, stdout)
+	}
 	if flags.NArg() != 1 {
 		return errUsage
 	}
 	mode := flags.Arg(0)
 
-	disk, name := hostos.Dir(filepath.Dir(*image)), filepath.Base(*image)
-	if !fs.StoreExists(disk, name) {
-		return fmt.Errorf("no block store %s.s* found", *image)
-	}
-	store, err := fs.OpenStore(disk, name, fs.KeyFromString(*keySeed))
+	store, disk, err := open(*image, key)
 	if err != nil {
-		return fmt.Errorf("open: %w", err)
+		return err
 	}
 
 	switch mode {
 	case "info":
 		k, m := store.Geometry()
-		fmt.Fprintf(stdout, "%s: %d+%d striped store, epoch %d, %d blocks max\n",
-			*image, k, m, store.Epoch(), store.MaxBlocks())
+		version, cipher := store.Format()
+		fmt.Fprintf(stdout, "%s: format v%d, %s, %d+%d striped store, epoch %d, %d blocks max\n",
+			*image, version, cipher, k, m, store.Epoch(), store.MaxBlocks())
 		for _, f := range store.BackingFiles() {
 			size := disk.FileSize(f)
 			health := "ok"
@@ -105,5 +113,40 @@ func run(args []string, stdout io.Writer) error {
 	default:
 		return fmt.Errorf("%w (unknown mode %q)", errUsage, mode)
 	}
+	return nil
+}
+
+// open opens the store whose backing files are image.s*, in place.
+func open(image string, key fs.Key) (*fs.BlockStore, hostos.Dir, error) {
+	disk, name := hostos.Dir(filepath.Dir(image)), filepath.Base(image)
+	if !fs.StoreExists(disk, name) {
+		return nil, "", fmt.Errorf("no block store %s.s* found", image)
+	}
+	store, err := fs.OpenStore(disk, name, key)
+	if err != nil {
+		return nil, "", fmt.Errorf("open %s: %w", image, err)
+	}
+	return store, disk, nil
+}
+
+// upgrade copies the store src into a new store dst. The copy is never
+// in place, and dst must not exist: creating it removes what it held.
+func upgrade(src, dst string, key fs.Key, stdout io.Writer) error {
+	store, _, err := open(src, key)
+	if err != nil {
+		return err
+	}
+	disk, name := hostos.Dir(filepath.Dir(dst)), filepath.Base(dst)
+	if fs.StoreExists(disk, name) {
+		return fmt.Errorf("upgrade: %s.s* exists; the copy goes to a new store", dst)
+	}
+	from, _ := store.Format()
+	out, copied, err := fs.Upgrade(store, disk, name, key)
+	if err != nil {
+		return err
+	}
+	to, cipher := out.Format()
+	fmt.Fprintf(stdout, "%s (format v%d) -> %s (format v%d, %s): %d blocks copied, epoch %d\n",
+		src, from, dst, to, cipher, copied, out.Epoch())
 	return nil
 }

@@ -69,6 +69,79 @@ func TestRepairRebuildsDeletedFileOnDisk(t *testing.T) {
 	if n := strings.Count(out, "  ok\n"); n != 6 || strings.Contains(out, "MISSING") {
 		t.Fatalf("info lists %d healthy files, want 6:\n%s", n, out)
 	}
+	if !strings.Contains(out, "format v4, AES-128-GCM,") {
+		t.Fatalf("info does not name format v4 and its cipher:\n%s", out)
+	}
+}
+
+// TestInfoAndUpgradeV3OnDisk: the package's v3 fixture, copied to real
+// files, is reported as format v3; upgrade copies it into a v4 store
+// beside it that reads block for block the same, leaves the v3 files
+// alone, and refuses to overwrite an existing store.
+func TestInfoAndUpgradeV3OnDisk(t *testing.T) {
+	dir := t.TempDir()
+	fixture, err := filepath.Glob("../../internal/fs/testdata/v3/v3.img.s*")
+	if err != nil || len(fixture) != 6 {
+		t.Fatalf("v3 fixture: %d files (%v)", len(fixture), err)
+	}
+	for _, p := range fixture {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, filepath.Base(p)), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	src, dst := filepath.Join(dir, "v3.img"), filepath.Join(dir, "v4.img")
+	const key = "v3-fixture"
+
+	out := runOK(t, "-key", key, "-image", src, "info")
+	if !strings.Contains(out, "format v3, AES-128-CTR + HMAC-SHA256 (read-only),") {
+		t.Fatalf("info on the v3 fixture:\n%s", out)
+	}
+	out = runOK(t, "-key", key, "upgrade", src, dst)
+	if !strings.Contains(out, "(format v3) -> "+dst+" (format v4, AES-128-GCM): 12 blocks copied") {
+		t.Fatalf("upgrade printed %q", out)
+	}
+	if out := runOK(t, "-key", key, "-image", dst, "info"); !strings.Contains(out, "format v4, AES-128-GCM,") {
+		t.Fatalf("info on the upgraded store:\n%s", out)
+	}
+	for _, p := range fixture {
+		orig, _ := os.ReadFile(p)
+		now, err := os.ReadFile(filepath.Join(dir, filepath.Base(p)))
+		if err != nil || !bytes.Equal(orig, now) {
+			t.Fatalf("upgrade changed %s", filepath.Base(p))
+		}
+	}
+
+	disk := hostos.Dir(dir)
+	old, err := fs.OpenStore(disk, "v3.img", fs.KeyFromString(key))
+	if err != nil {
+		t.Fatal(err)
+	}
+	up, err := fs.OpenStore(disk, "v4.img", fs.KeyFromString(key))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < old.MaxBlocks(); i++ {
+		a, err := old.ReadBlock(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := up.ReadBlock(i)
+		if err != nil || !bytes.Equal(a, b) {
+			t.Fatalf("block %d differs after upgrade (%v)", i, err)
+		}
+	}
+
+	var buf bytes.Buffer
+	if err := run([]string{"-key", key, "upgrade", src, dst}, &buf); err == nil {
+		t.Fatal("upgrade overwrote an existing store")
+	}
+	if err := run([]string{"upgrade", src}, &buf); !errors.Is(err, errUsage) {
+		t.Fatalf("upgrade with one path: %v, want a usage error", err)
+	}
 }
 
 // TestUsageErrors: a bad command line is a usage error, and a directory

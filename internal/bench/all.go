@@ -47,7 +47,8 @@ var NetStats bool
 // FSStats, when true, makes Run report the filesystem counters (image
 // blocks Merkle-verified, verified-cache hits, read-aheads, copy-ups,
 // whiteouts, plus the self-healing store's scrubbed blocks,
-// repaired/rebuilt shards, decoded stripes and table stripes written)
+// repaired/rebuilt shards, decoded stripes, table stripes written, crc
+// mismatches and tag failures)
 // accumulated across every mounted filesystem during each experiment.
 // Enabled by occlum-bench -fsstats.
 var FSStats bool
@@ -80,9 +81,10 @@ func Run(name string, s Scale, w io.Writer) error {
 	}
 	if err == nil && FSStats {
 		d := fs.Stats().Sub(fsBefore)
-		fmt.Fprintf(w, "  [fs: verified=%d verify-hits=%d read-aheads=%d copy-ups=%d whiteouts=%d scrubbed=%d repaired=%d rebuilt=%d decoded=%d table-stripes=%d]\n",
+		fmt.Fprintf(w, "  [fs: verified=%d verify-hits=%d read-aheads=%d copy-ups=%d whiteouts=%d scrubbed=%d repaired=%d rebuilt=%d decoded=%d table-stripes=%d crc-mismatches=%d tag-failures=%d]\n",
 			d.VerifiedBlocks, d.VerifyHits, d.ReadAheads, d.CopyUps, d.Whiteouts,
-			d.ScrubbedBlocks, d.RepairedShards, d.RebuiltShards, d.DecodedStripes, d.TableStripesWritten)
+			d.ScrubbedBlocks, d.RepairedShards, d.RebuiltShards, d.DecodedStripes, d.TableStripesWritten,
+			d.CRCMismatches, d.TagFailures)
 	}
 	return err
 }

@@ -93,7 +93,7 @@ func TestBlockStoreTamperDetected(t *testing.T) {
 	// Host flips a bit inside block 1's live stripe cell in m+1 backing
 	// files — one more than the erasure code can reconstruct.
 	_, m := s.Geometry()
-	off := s.cellOff(s.blockStripe(1, s.slots[1])) + 100
+	off := s.cellOff(s.blockStripe(1, s.slot(1))) + 100
 	for f := 0; f <= m; f++ {
 		if err := hostfault.FlipBit(h, s.BackingFiles()[f], off); err != nil {
 			t.Fatal(err)

@@ -17,6 +17,8 @@ var fsStats struct {
 	rebuiltShards       atomic.Uint64
 	decodedStripes      atomic.Uint64
 	tableStripesWritten atomic.Uint64
+	crcMismatches       atomic.Uint64
+	tagFailures         atomic.Uint64
 }
 
 // StatCounters is a snapshot of the filesystem counters.
@@ -53,6 +55,16 @@ type StatCounters struct {
 	// few; the first commit into a slot whose content is unknown (after
 	// create or open) writes the whole table.
 	TableStripesWritten uint64
+	// CRCMismatches counts shard cells read whole whose crc32 trailer
+	// did not match their payload (CHECKSUM_MISMATCH): rot, a torn write,
+	// or a tamperer who did not fix the trailer up. Missing files and
+	// short reads are not counted.
+	CRCMismatches uint64
+	// TagFailures counts block payloads that failed to open under their
+	// GCM tag (DATA_CORRUPTED), v3's HMAC included: a crc-clean payload
+	// whose bytes are not the block's, and every k-subset the recovery
+	// search tried and rejected. An intact device reads with this at zero.
+	TagFailures uint64
 }
 
 // Stats returns the current global filesystem counters.
@@ -68,6 +80,8 @@ func Stats() StatCounters {
 		RebuiltShards:       fsStats.rebuiltShards.Load(),
 		DecodedStripes:      fsStats.decodedStripes.Load(),
 		TableStripesWritten: fsStats.tableStripesWritten.Load(),
+		CRCMismatches:       fsStats.crcMismatches.Load(),
+		TagFailures:         fsStats.tagFailures.Load(),
 	}
 }
 
@@ -84,5 +98,7 @@ func (s StatCounters) Sub(prev StatCounters) StatCounters {
 		RebuiltShards:       s.RebuiltShards - prev.RebuiltShards,
 		DecodedStripes:      s.DecodedStripes - prev.DecodedStripes,
 		TableStripesWritten: s.TableStripesWritten - prev.TableStripesWritten,
+		CRCMismatches:       s.CRCMismatches - prev.CRCMismatches,
+		TagFailures:         s.TagFailures - prev.TagFailures,
 	}
 }

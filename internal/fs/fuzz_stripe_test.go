@@ -44,7 +44,7 @@ func FuzzStripeRecover(f *testing.F) {
 		}
 
 		ss := s.shardSize()
-		off := s.cellOff(s.blockStripe(0, s.slots[0]))
+		off := s.cellOff(s.blockStripe(0, s.slot(0)))
 		for f := 0; f < s.nFiles() && f < len(plan); f++ {
 			name := s.fileName(f)
 			cell := make([]byte, ss+8)

@@ -5,15 +5,17 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math/rand"
+	randv2 "math/rand/v2"
 	"testing"
 
 	"repro/internal/hostos"
 )
 
-// The hashes in this file were pinned on the commit before the
+// The RS hashes in this file were pinned on the commit before the
 // allocation-free stripe path (PR 19's tree): they hold the RS kernel's
-// output and the on-disk format still, whatever the data path does to
-// get there.
+// output, whatever the data path does to get there. The store hashes
+// pin on-disk format v4, written with a seeded nonce source; the v3
+// format is pinned by the fixture in testdata/v3 (v3_test.go).
 
 // rsGoldenDigest hashes encode's output and the full shard set after
 // every single- and double-erasure reconstruct, over a seeded corpus.
@@ -87,7 +89,7 @@ func TestRSGoldenBytes(t *testing.T) {
 
 // storeGoldenDigest runs a fixed script against a fresh store and hashes
 // every shard file: create, write (full and short blocks), flush,
-// rewrite, flush.
+// rewrite, flush. The nonces come from a fixed seed, so the bytes repeat.
 func storeGoldenDigest(t *testing.T, k, m int) string {
 	t.Helper()
 	h := hostos.New()
@@ -95,6 +97,7 @@ func storeGoldenDigest(t *testing.T, k, m int) string {
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.nonces = randv2.NewChaCha8([32]byte{'g', 'o', 'l', 'd', 'e', 'n'})
 	rng := rand.New(rand.NewSource(42))
 	write := func(i, n int) {
 		data := make([]byte, n)
@@ -136,11 +139,11 @@ func TestStoreGoldenImage(t *testing.T) {
 		k, m int
 		want string
 	}{
-		{4, 2, "971baf82e45e7edb476b2f17d0bb3fd785ecc3a9f42a327cfa6481039b063a80"},
-		{1, 1, "35c45d9a6eda1f659ea2e479bb6319b8b73f14279511eb55366252352a0b2a6d"},
+		{4, 2, "edf5fabf9f132e312393726028b57f91c92b917b87562ba75b2de23f15319b15"},
+		{1, 1, "fc598eb615c8f2d96fdd3809198a1d5e77c75d58cc015f0948ee960370650dfd"},
 	} {
 		if got := storeGoldenDigest(t, g.k, g.m); got != g.want {
-			t.Errorf("store %d+%d: shard files hash to %s, parent commit produced %s", g.k, g.m, got, g.want)
+			t.Errorf("store %d+%d: shard files hash to %s, format v4 pinned %s", g.k, g.m, got, g.want)
 		}
 	}
 }

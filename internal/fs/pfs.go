@@ -5,15 +5,19 @@
 //
 //   - BlockStore (this file): the analog of Intel SGX Protected FS — an
 //     encrypted, integrity-protected block device kept in untrusted host
-//     storage. Every block is AES-CTR encrypted and HMAC-authenticated
-//     with a per-write version (anti-replay); a root MAC over the version
-//     table authenticates the whole device. A/B block slots plus an
-//     atomic commit-record protocol make Sync crash-consistent. Beneath
-//     the integrity layer, every block is striped across k+m host files
-//     with Reed–Solomon parity (rs.go), so the device self-heals from
-//     the loss or rot of up to m shards per stripe — including an entire
-//     deleted backing file — without ever serving a byte that has not
-//     re-passed MAC verification.
+//     storage. Every write seals its block with AES-128-GCM under a fresh
+//     random 96-bit nonce, bound to the block index; the nonce and the
+//     16-byte tag live in the block's version-table entry, and a root MAC
+//     over epoch ‖ table authenticates the whole device (anti-replay: an
+//     old ciphertext does not open under the current entry). A/B block
+//     slots plus an atomic commit-record protocol make Sync
+//     crash-consistent. Beneath the integrity layer, every block is
+//     striped across k+m host files with Reed–Solomon parity (rs.go), so
+//     the device self-heals from the loss or rot of up to m shards per
+//     stripe — including an entire deleted backing file — without ever
+//     serving a byte that has not re-passed its tag. Stores in the
+//     previous format (v3: AES-CTR + HMAC-SHA256) open read-only
+//     (pfs_v3.go).
 //   - EncFS (fs.go): a full Unix-like filesystem (superblock, inodes,
 //     directories, a shared page cache) built on the block store. Because
 //     a single LibOS instance owns it, it is writable and consistent
@@ -33,12 +37,14 @@ import (
 	"crypto/aes"
 	"crypto/cipher"
 	"crypto/hmac"
+	crand "crypto/rand"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash"
 	"hash/crc32"
+	"math/rand/v2"
 	"sync"
 
 	"repro/internal/hostos"
@@ -47,9 +53,23 @@ import (
 // BlockSize is the payload size of one protected block.
 const BlockSize = 4096
 
-// macEntrySize is the on-disk size of one version-table entry:
-// version(8) + slot(8) + MAC(32).
-const macEntrySize = 48
+// A version-table entry is 32 bytes on disk and in memory:
+//
+//	[0,12)  the GCM nonce of the block's last seal
+//	[12,28) its tag
+//	[28]    flags: flagSlot (the A/B stripe slot), flagWritten
+//	[29,32) zero
+//
+// 128 entries fill a 4 KiB table stripe exactly, so no entry straddles
+// two stripes.
+const (
+	entrySize   = 32
+	nonceSize   = 12
+	tagSize     = 16
+	entryFlags  = nonceSize + tagSize
+	flagSlot    = 1
+	flagWritten = 2 // unset: never written, reads as zeros
+)
 
 // Default erasure-code geometry: 4 data + 2 parity shards per stripe.
 // With shardSize = BlockSize/k, one block slot is exactly one stripe, so
@@ -71,10 +91,10 @@ const maxShardFiles = 64
 //
 // The crc32 trailer is a *locator* for accidental corruption (bit-rot,
 // torn writes, truncation) — it decides which shards the decoder
-// excludes, nothing more. Authenticity always comes from the MAC table:
-// no assembled or reconstructed payload is served or written back until
-// it re-verifies against the per-block HMAC (or, for the table itself,
-// the root MAC in a commit record).
+// excludes, nothing more. Authenticity always comes from the version
+// table: no assembled or reconstructed payload is served or written back
+// until it opens under the block's GCM tag (or, for the table itself,
+// matches the root MAC in a commit record).
 const (
 	fileHeaderSize   = 32
 	fileHeaderIdxOff = 12 // fileIdx: the only field that differs between files
@@ -82,10 +102,16 @@ const (
 	shardDataStart   = fileHeaderSize + 2*commitRecordSize // 224
 )
 
-var pfsMagic = [8]byte{'O', 'C', 'P', 'F', 'S', 0, 0, 3}
+// pfsMagic opens every shard file's header; its last byte is the format
+// version.
+var pfsMagic = [8]byte{'O', 'C', 'P', 'F', 'S', 0, 0, 4}
 
 // Integrity errors.
 var (
+	// ErrOldFormat reports a write to a store in an older on-disk format.
+	// Such a store reads, scrubs and repairs, but its blocks can no longer
+	// be sealed; Upgrade (occlum-fs upgrade) copies it into a new one.
+	ErrOldFormat = errors.New("fs: store is in an old format and read-only (occlum-fs upgrade copies it)")
 	// ErrCorrupt reports failed decryption or integrity verification —
 	// the untrusted host tampered with the image, or more shards are
 	// lost than the parity can reconstruct.
@@ -111,11 +137,19 @@ func KeyFromString(s string) Key {
 // BlockStore is an encrypted, integrity-protected block device striped
 // across k+m untrusted host files ("name.s0" … "name.s<k+m-1>").
 //
+// Sealing: WriteBlock seals the block with AES-128-GCM, with the block
+// index as associated data, under a nonce drawn from a per-store ChaCha8
+// stream seeded from crypto/rand at create and open. The nonce is
+// stored in the block's table entry beside the tag, never derived from
+// state the host can roll back, so it does not repeat across a crash, a
+// rollback or a re-create under the same key (DESIGN.md, "Crash
+// consistency").
+//
 // Crash consistency: every block owns two on-disk stripe slots (A/B).
 // The first write to a block after a Flush flips its slot, so the
-// ciphertext the last-committed MAC table references is never
-// overwritten mid-epoch; rewrites within the same epoch land on the same
-// (uncommitted) slot. Flush writes the MAC table into the A/B table
+// ciphertext the last-committed table references is never overwritten
+// mid-epoch; rewrites within the same epoch land on the same
+// (uncommitted) slot. Flush writes the version table into the A/B table
 // slot for the new epoch and then publishes it with per-file commit
 // records (epoch + root MAC, self-authenticated by an HMAC): a crash
 // cutting the write sequence at any point leaves the previous committed
@@ -124,16 +158,16 @@ func KeyFromString(s string) Key {
 // Durability: each 4 KiB stripe (a block slot, or one table chunk) is
 // split into k data shards and m Reed–Solomon parity shards, one per
 // backing file, each with a crc32 locator trailer. Reads exclude
-// crc-bad/short/missing shards, reconstruct from any k survivors,
-// re-verify the result against the MAC table, and only then serve it —
-// rewriting the bad shards in place (repair-on-read). The scrubber
-// (ScrubStep) walks stripes incrementally doing the same in the
-// background, and Repair rebuilds whole lost backing files offline.
+// crc-bad/short/missing shards, reconstruct from any k survivors, open
+// the result under its tag, and only then serve it — rewriting the bad
+// shards in place (repair-on-read). The scrubber (ScrubStep) walks
+// stripes incrementally doing the same in the background, and Repair
+// rebuilds whole lost backing files offline.
 //
 // Failure: the store is fail-stop. The first host write or Sync error
 // from WriteBlock, Flush, Repair or a scrub is returned and latched in
 // failed; from then on every mutating call and ScrubStep returns it
-// until the store is reopened. Reads keep serving (the MAC gate still
+// until the store is reopened. Reads keep serving (the tag gate still
 // holds).
 type BlockStore struct {
 	mu        sync.Mutex
@@ -143,9 +177,12 @@ type BlockStore struct {
 	k, m      int
 	rs        *rsCode
 	epoch     uint64
-	versions  []uint64
-	slots     []uint8
-	macs      [][32]byte
+	// table is the version table's image, T stripes of BlockSize: the
+	// bytes Flush writes and the root MAC covers are these.
+	table []byte
+	esize int // one entry's size: entrySize, or v3EntrySize
+	// v3 is non-nil for a store in format v3, which opens read-only.
+	v3 *v3Reader
 	// epochWritten marks blocks already flipped to their shadow slot
 	// this epoch; cleared by Flush.
 	epochWritten []bool
@@ -175,49 +212,61 @@ type BlockStore struct {
 
 	// Scratch, owned under mu: what a block through the store would
 	// otherwise re-create (file names, cipher, keyed MAC) or allocate
-	// (cells, ciphertext, parity). A slice handed out of it — the
-	// ciphertext readStripe returns — is valid only until the next call
-	// into the store.
-	names  []string     // the k+m shard file names
-	block  cipher.Block // AES under the derived encryption key
-	mac    hash.Hash    // HMAC-SHA256 under the derived MAC key; Reset per use
-	nonce  [16]byte     // block index ‖ version: the CTR IV and the MAC prefix
+	// (cells, ciphertext, plaintext, parity). A slice handed out of it —
+	// the ciphertext readStripe returns — is valid only until the next
+	// call into the store.
+	names  []string    // the k+m shard file names
+	aead   cipher.AEAD // AES-128-GCM under the derived sealing key
+	nonces *rand.ChaCha8
+	mac    hash.Hash // HMAC-SHA256 for the root MAC and commit records; Reset per use
 	sum    [sha256.Size]byte
+	word   [8]byte  // a seal's associated data (the block index), or the root MAC's epoch
 	cells  []byte   // the k+m cells of the stripe being read
 	raw    [][]byte // per-file shard views into cells (nil: unreadable)
 	crcOK  []bool
-	ct     []byte   // one stripe payload: assembled on read, encrypted on write
+	ct     []byte   // one stripe payload, with tagSize spare capacity: assembled on read, sealed on write
+	pt     []byte   // one opened block
 	shards [][]byte // encodeStripe's k data views + m parity views
 	cell   []byte   // one outgoing cell (pad bytes stay zero)
-	table  []byte   // one serialised version table; rootMAC's buffer too
 }
 
 // newStore builds the in-memory half of a store: geometry, derived keys
-// and the scratch the data path runs in.
-func newStore(h hostos.Disk, name string, key Key, maxBlocks, k, m int) (*BlockStore, error) {
+// and the scratch the data path runs in. A v3 store gets the v3 verifier
+// instead of a sealing key.
+func newStore(h hostos.Disk, name string, key Key, maxBlocks, k, m int, v3 bool) (*BlockStore, error) {
 	rs, err := newRS(k, m)
 	if err != nil {
 		return nil, err
 	}
-	aesKey := sha256.Sum256(append([]byte("enc:"), key[:]...))
-	macKey := sha256.Sum256(append([]byte("mac:"), key[:]...))
-	block, err := aes.NewCipher(aesKey[:16])
-	if err != nil {
-		panic(err) // key length is fixed; cannot fail
-	}
 	s := &BlockStore{
 		host: h, maxBlocks: maxBlocks, k: k, m: m, rs: rs,
-		versions:     make([]uint64, maxBlocks),
-		slots:        make([]uint8, maxBlocks),
-		macs:         make([][32]byte, maxBlocks),
 		epochWritten: make([]bool, maxBlocks),
-		block:        block,
-		mac:          hmac.New(sha256.New, macKey[:]),
 		names:        make([]string, k+m),
 		raw:          make([][]byte, k+m),
 		crcOK:        make([]bool, k+m),
-		ct:           make([]byte, BlockSize),
+		ct:           make([]byte, BlockSize, BlockSize+tagSize),
+		pt:           make([]byte, BlockSize),
 		shards:       make([][]byte, k+m),
+	}
+	if v3 {
+		s.initV3(key)
+	} else {
+		// The labels differ from v3's, so no v3 record, table or
+		// ciphertext authenticates under a v4 store's keys.
+		sealKey := sha256.Sum256(append([]byte("gcm:"), key[:]...))
+		macKey := sha256.Sum256(append([]byte("root:"), key[:]...))
+		block, err := aes.NewCipher(sealKey[:16])
+		if err != nil {
+			panic(err) // key length is fixed; cannot fail
+		}
+		if s.aead, err = cipher.NewGCM(block); err != nil {
+			panic(err) // AES has GCM's block size; cannot fail
+		}
+		var seed [32]byte
+		crand.Read(seed[:]) // never fails (crypto/rand)
+		s.nonces = rand.NewChaCha8(seed)
+		s.mac = hmac.New(sha256.New, macKey[:])
+		s.esize = entrySize
 	}
 	ss := s.shardSize()
 	s.cells = make([]byte, (k+m)*s.cellSize())
@@ -248,7 +297,26 @@ func (s *BlockStore) fileName(f int) string { return s.names[f] }
 
 // tableStripes is the stripe count of ONE table slot.
 func (s *BlockStore) tableStripes() int {
-	return (s.maxBlocks*macEntrySize + BlockSize - 1) / BlockSize
+	return (s.maxBlocks*s.esize + BlockSize - 1) / BlockSize
+}
+
+// entry is block i's version-table entry: a view into the table image.
+func (s *BlockStore) entry(i int) []byte { return s.table[i*s.esize : (i+1)*s.esize] }
+
+// slot is the A/B stripe slot of block i's newest ciphertext.
+func (s *BlockStore) slot(i int) uint8 {
+	if s.v3 != nil {
+		return v3Slot(s.entry(i))
+	}
+	return s.entry(i)[entryFlags] & flagSlot
+}
+
+// written reports whether block i was ever written.
+func (s *BlockStore) written(i int) bool {
+	if s.v3 != nil {
+		return v3Written(s.entry(i))
+	}
+	return s.entry(i)[entryFlags]&flagWritten != 0
 }
 
 // blockStripe maps (block, A/B slot) to its stripe index: the two table
@@ -302,7 +370,7 @@ func CreateStoreGeom(h hostos.Disk, name string, key Key, maxBlocks, k, m int) (
 	if k < 1 || m < 1 || k+m > maxShardFiles || BlockSize%k != 0 {
 		return nil, fmt.Errorf("fs: bad stripe geometry k=%d m=%d", k, m)
 	}
-	s, err := newStore(h, name, key, maxBlocks, k, m)
+	s, err := newStore(h, name, key, maxBlocks, k, m, false)
 	if err != nil {
 		return nil, err
 	}
@@ -327,6 +395,8 @@ func CreateStoreGeom(h hostos.Disk, name string, key Key, maxBlocks, k, m int) (
 func (s *BlockStore) fileHeader(f int) []byte {
 	hdr := make([]byte, fileHeaderSize)
 	copy(hdr, pfsMagic[:])
+	version, _ := s.Format()
+	hdr[7] = byte(version)
 	binary.LittleEndian.PutUint16(hdr[8:], uint16(s.k))
 	binary.LittleEndian.PutUint16(hdr[10:], uint16(s.m))
 	binary.LittleEndian.PutUint16(hdr[fileHeaderIdxOff:], uint16(f))
@@ -356,15 +426,17 @@ func (s *BlockStore) recMAC(fields []byte) [32]byte {
 }
 
 // openGeometry scans the shard files for one valid header to learn the
-// stripe geometry (any surviving file can supply it).
-func openGeometry(h hostos.Disk, name string) (k, m, maxBlocks int, err error) {
+// format version and stripe geometry (any surviving file can supply
+// them). The header is not authenticated: a host that changes the
+// version byte gets a store whose keys nothing on disk opens under.
+func openGeometry(h hostos.Disk, name string) (version, k, m, maxBlocks int, err error) {
 	for f := 0; f < maxShardFiles; f++ {
 		hdr := make([]byte, fileHeaderSize)
 		n, rerr := h.ReadFileAt(shardFile(name, f), 0, hdr)
 		if rerr != nil || n < fileHeaderSize {
 			continue
 		}
-		if string(hdr[:8]) != string(pfsMagic[:]) {
+		if string(hdr[:7]) != string(pfsMagic[:7]) || hdr[7] != formatV3 && hdr[7] != pfsMagic[7] {
 			continue
 		}
 		k = int(binary.LittleEndian.Uint16(hdr[8:]))
@@ -373,23 +445,24 @@ func openGeometry(h hostos.Disk, name string) (k, m, maxBlocks int, err error) {
 		if k < 1 || m < 1 || k+m > maxShardFiles || BlockSize%k != 0 || maxBlocks <= 0 || maxBlocks > 1<<24 {
 			continue
 		}
-		return k, m, maxBlocks, nil
+		return int(hdr[7]), k, m, maxBlocks, nil
 	}
-	return 0, 0, 0, ErrBadKey
+	return 0, 0, 0, 0, ErrBadKey
 }
 
 // OpenStore opens an existing protected image: it finds the
 // newest self-authenticated commit record across all shard files,
-// reads that epoch's MAC table (repairing rotted or missing table
+// reads that epoch's version table (repairing rotted or missing table
 // shards from parity), and verifies the root MAC. Up to m lost or
 // corrupted shards per stripe — including whole missing backing
-// files — are tolerated and repaired in place.
+// files — are tolerated and repaired in place. A v3 image opens
+// read-only: WriteBlock and Flush return ErrOldFormat.
 func OpenStore(h hostos.Disk, name string, key Key) (*BlockStore, error) {
-	k, m, maxBlocks, err := openGeometry(h, name)
+	version, k, m, maxBlocks, err := openGeometry(h, name)
 	if err != nil {
 		return nil, err
 	}
-	s, err := newStore(h, name, key, maxBlocks, k, m)
+	s, err := newStore(h, name, key, maxBlocks, k, m, version == formatV3)
 	if err != nil {
 		return nil, ErrBadKey
 	}
@@ -451,9 +524,9 @@ func OpenStore(h hostos.Disk, name string, key Key) (*BlockStore, error) {
 	return nil, ErrCorrupt
 }
 
-// loadTable reads the MAC table from epoch's A/B table slot (with shard
-// repair) and installs it if the root MAC matches. Caller holds no lock
-// (open path) — the store is not yet shared.
+// loadTable reads the version table from epoch's A/B table slot (with
+// shard repair) and keeps it if the root MAC matches. Caller holds no
+// lock (open path) — the store is not yet shared.
 func (s *BlockStore) loadTable(epoch uint64, wantRoot [32]byte) bool {
 	slot := int(epoch & 1)
 	T := s.tableStripes()
@@ -464,14 +537,12 @@ func (s *BlockStore) loadTable(epoch uint64, wantRoot [32]byte) bool {
 		}
 		copy(s.table[j*BlockSize:], pay)
 	}
-	for i := 0; i < s.maxBlocks; i++ {
-		e := s.table[i*macEntrySize:]
-		s.versions[i] = binary.LittleEndian.Uint64(e)
-		s.slots[i] = uint8(binary.LittleEndian.Uint64(e[8:]) & 1)
-		copy(s.macs[i][:], e[16:48])
-	}
 	s.epoch = epoch
-	s.root = s.rootMAC()
+	if s.v3 != nil {
+		s.root = s.rootV3()
+	} else {
+		s.root = s.rootMAC()
+	}
 	if !hmac.Equal(s.root[:], wantRoot[:]) {
 		return false
 	}
@@ -485,7 +556,7 @@ func (s *BlockStore) loadTable(epoch uint64, wantRoot [32]byte) bool {
 // OpenStoreAt opens an existing protected image and additionally checks
 // the committed epoch against a trusted witness (an SGX monotonic
 // counter in the paper's deployment; the caller's in-enclave memory
-// here). Without the witness, a host that rolls records, MAC table and
+// here). Without the witness, a host that rolls records, version table and
 // data back to an older fully-consistent snapshot is undetectable; with
 // it, any stale epoch fails closed.
 func OpenStoreAt(h hostos.Disk, name string, key Key, wantEpoch uint64) (*BlockStore, error) {
@@ -509,31 +580,24 @@ func (s *BlockStore) Epoch() uint64 {
 	return s.epoch
 }
 
-// rootMAC authenticates (epoch, every block's version, slot and MAC). It
-// serialises into s.table, so a caller is done with the table image
-// there before it asks for the root.
+// rootMAC authenticates epoch ‖ the table image: every block's nonce,
+// tag and flags, exactly as Flush writes them.
 func (s *BlockStore) rootMAC() [32]byte {
-	buf := s.table[:0]
-	buf = binary.LittleEndian.AppendUint64(buf, s.epoch)
-	for i := range s.versions {
-		buf = binary.LittleEndian.AppendUint64(buf, s.versions[i])
-		buf = append(buf, s.slots[i])
-		buf = append(buf, s.macs[i][:]...)
-	}
+	binary.LittleEndian.PutUint64(s.word[:], s.epoch)
 	s.mac.Reset()
-	s.mac.Write(buf)
+	s.mac.Write(s.word[:])
+	s.mac.Write(s.table)
 	s.mac.Sum(s.sum[:0])
 	return s.sum
 }
 
-// fillTable serialises the in-memory version table into s.table.
-func (s *BlockStore) fillTable() {
-	for i := 0; i < s.maxBlocks; i++ {
-		e := s.table[i*macEntrySize:]
-		binary.LittleEndian.PutUint64(e, s.versions[i])
-		binary.LittleEndian.PutUint64(e[8:], uint64(s.slots[i]))
-		copy(e[16:], s.macs[i][:])
+// Format reports the store's on-disk format version and its block
+// cipher. Only the current version, 4, is writable.
+func (s *BlockStore) Format() (version int, cipher string) {
+	if s.v3 != nil {
+		return formatV3, "AES-128-CTR + HMAC-SHA256 (read-only)"
 	}
+	return int(pfsMagic[7]), "AES-128-GCM"
 }
 
 // --- Stripe I/O -----------------------------------------------------------
@@ -575,15 +639,17 @@ func (s *BlockStore) writeCell(f, st int, shard []byte) error {
 
 // readStripe reassembles stripe st's payload, repairing as it goes. The
 // result may live in scratch: it is valid until the next store call.
+// Every payload it builds or returns has tagSize bytes of spare
+// capacity, where open puts the tag.
 //
 // All k+m cells are read and classified by the crc32 locator — parity
 // too, or parity rot would go unseen until the day it is needed. When
 // every data shard passes crc the payload is their concatenation: no
 // decode. Otherwise missing files, short reads and crc mismatches are
 // excluded and the payload is reconstructed from any k survivors. verify
-// is the authenticity gate — for block stripes it checks the per-block
-// HMAC against the MAC table; nil (table stripes during open) defers to
-// the caller's root-MAC check. A payload that fails verify is NEVER
+// is the authenticity gate — for block stripes it opens the payload
+// under the block's table entry; nil (table stripes during open) defers
+// to the caller's root-MAC check. A payload that fails verify is NEVER
 // served: if neither the concatenation nor the crc-guided decode
 // authenticates (a tamperer can forge crc trailers), a bounded search
 // over k-subsets of the readable shards looks for any combination that
@@ -606,6 +672,8 @@ func (s *BlockStore) readStripe(st int, verify func([]byte) bool) (pay []byte, r
 			if binary.LittleEndian.Uint32(cell[ss:]) == crc32.ChecksumIEEE(raw[f]) {
 				crcOK[f] = true
 				nCrcOK++
+			} else {
+				fsStats.crcMismatches.Add(1)
 			}
 		}
 		if f < s.k && !crcOK[f] {
@@ -681,7 +749,7 @@ func (s *BlockStore) tryDecode(raw [][]byte, use []bool, verify func([]byte) boo
 	if err := s.rs.reconstruct(shards, use); err != nil {
 		return nil, false
 	}
-	pay := make([]byte, BlockSize)
+	pay := make([]byte, BlockSize, BlockSize+tagSize)
 	ss := s.shardSize()
 	for d := 0; d < s.k; d++ {
 		copy(pay[d*ss:], shards[d])
@@ -717,62 +785,77 @@ func (s *BlockStore) repairFrom(st int, payload []byte, trusted []bool) (err err
 
 // --- Block I/O ------------------------------------------------------------
 
-// setNonce loads (block, version) — the CTR IV and the MAC prefix.
-func (s *BlockStore) setNonce(i int, version uint64) {
-	binary.LittleEndian.PutUint64(s.nonce[0:], uint64(i))
-	binary.LittleEndian.PutUint64(s.nonce[8:], version)
+// seal draws a fresh nonce into block i's entry, seals data (BlockSize
+// bytes) into s.ct under it with the block index as associated data, and
+// puts the tag in the entry beside the nonce. It returns the ciphertext.
+// data may be s.ct itself: GCM seals in place.
+func (s *BlockStore) seal(i int, data []byte) []byte {
+	e := s.entry(i)
+	binary.LittleEndian.PutUint64(e, s.nonces.Uint64())
+	binary.LittleEndian.PutUint32(e[8:nonceSize], uint32(s.nonces.Uint64()))
+	binary.LittleEndian.PutUint64(s.word[:], uint64(i))
+	sealed := s.aead.Seal(s.ct[:0], e[:nonceSize], data, s.word[:])
+	copy(e[nonceSize:entryFlags], sealed[BlockSize:])
+	return sealed[:BlockSize]
 }
 
-func (s *BlockStore) keystream(i int, version uint64, dst, src []byte) {
-	s.setNonce(i, version)
-	cipher.NewCTR(s.block, s.nonce[:]).XORKeyStream(dst, src)
+// open authenticates ct, a payload readStripe assembled for block i,
+// against the block's table entry and decrypts it into s.pt. GCM clears
+// its output when the tag fails, so it opens into scratch, never into a
+// caller's buffer. A failed open counts a tag failure.
+func (s *BlockStore) open(i int, ct []byte) bool {
+	var ok bool
+	if s.v3 != nil {
+		ok = s.openV3(i, ct)
+	} else {
+		e := s.entry(i)
+		sealed := ct[:BlockSize+tagSize]
+		copy(sealed[BlockSize:], e[nonceSize:entryFlags])
+		binary.LittleEndian.PutUint64(s.word[:], uint64(i))
+		_, err := s.aead.Open(s.pt[:0], e[:nonceSize], sealed, s.word[:])
+		ok = err == nil
+	}
+	if !ok {
+		fsStats.tagFailures.Add(1)
+	}
+	return ok
 }
 
-func (s *BlockStore) blockMAC(i int, version uint64, ct []byte) [32]byte {
-	s.setNonce(i, version)
-	s.mac.Reset()
-	s.mac.Write(s.nonce[:])
-	s.mac.Write(ct)
-	s.mac.Sum(s.sum[:0])
-	return s.sum
-}
-
-// WriteBlock encrypts and stores one block (padded/truncated to
+// WriteBlock seals and stores one block (padded/truncated to
 // BlockSize). The version table is updated in memory; Flush persists it.
 // The first write of a block after a Flush lands on its shadow slot, so
-// the last-committed ciphertext survives until the next commit.
+// the last-committed ciphertext survives until the next commit. A v3
+// store returns ErrOldFormat.
 func (s *BlockStore) WriteBlock(i int, data []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.v3 != nil {
+		return ErrOldFormat
+	}
 	if s.failed != nil {
 		return s.failed
 	}
 	if i < 0 || i >= s.maxBlocks {
 		return fmt.Errorf("fs: block %d out of range", i)
 	}
+	flags := &s.entry(i)[entryFlags]
 	if !s.epochWritten[i] {
-		s.slots[i] ^= 1
+		*flags ^= flagSlot
 		s.epochWritten[i] = true
 	}
-	// The version still bumps on every write (not once per epoch): it is
-	// the CTR IV, and rewriting a slot under a reused IV would be a
-	// two-time pad.
-	s.versions[i]++
-	// A full block encrypts straight from the caller's buffer; a short
-	// one is zero-padded in scratch and encrypted in place.
+	*flags |= flagWritten
+	// A full block seals straight from the caller's buffer; a short one
+	// is zero-padded in scratch and sealed in place.
 	if len(data) >= BlockSize {
 		data = data[:BlockSize]
 	} else {
 		clear(s.ct[copy(s.ct, data):])
 		data = s.ct
 	}
-	s.keystream(i, s.versions[i], s.ct, data)
-	s.macs[i] = s.blockMAC(i, s.versions[i], s.ct)
-	// The entry reaches disk with the next commit; a 48-byte entry can
-	// straddle two 4 KiB table stripes.
-	s.stripeChanged[i*macEntrySize/BlockSize] = s.epoch + 1
-	s.stripeChanged[(i*macEntrySize+macEntrySize-1)/BlockSize] = s.epoch + 1
-	err := s.writeStripe(s.blockStripe(i, s.slots[i]), s.ct)
+	ct := s.seal(i, data)
+	// The entry reaches disk with the next commit.
+	s.stripeChanged[i*entrySize/BlockSize] = s.epoch + 1
+	err := s.writeStripe(s.blockStripe(i, *flags&flagSlot), ct)
 	s.dirtyHdr = true
 	s.mutated()
 	return s.fail("write block", err)
@@ -802,6 +885,7 @@ func (s *BlockStore) ReadBlock(i int) ([]byte, error) {
 }
 
 // ReadBlockInto is ReadBlock into dst, which must hold BlockSize bytes.
+// A failed read leaves dst untouched.
 func (s *BlockStore) ReadBlockInto(i int, dst []byte) error {
 	if len(dst) < BlockSize {
 		return fmt.Errorf("fs: ReadBlockInto: buffer of %d bytes, need %d", len(dst), BlockSize)
@@ -812,28 +896,26 @@ func (s *BlockStore) ReadBlockInto(i int, dst []byte) error {
 	return err
 }
 
-// readBlockLocked verifies block i (repairing its stripe) and, given a
-// dst, decrypts into it. The MAC is over the ciphertext, so a nil dst —
-// the scrubber — authenticates without decrypting. repairErr is a
-// refused repair-on-read rewrite; the block read is good regardless.
+// readBlockLocked opens block i (repairing its stripe) and, given a dst,
+// copies the plaintext there once it has authenticated. The scrubber
+// passes a nil dst: it opens into scratch and keeps nothing. repairErr
+// is a refused repair-on-read rewrite; the block read is good
+// regardless.
 func (s *BlockStore) readBlockLocked(i int, dst []byte) (repairErr, err error) {
 	if i < 0 || i >= s.maxBlocks {
 		return nil, fmt.Errorf("fs: block %d out of range", i)
 	}
-	if s.versions[i] == 0 {
+	if !s.written(i) {
 		clear(dst)
 		return nil, nil
 	}
-	ct, repairErr, err := s.readStripe(s.blockStripe(i, s.slots[i]), func(ct []byte) bool {
-		want := s.blockMAC(i, s.versions[i], ct)
-		return hmac.Equal(want[:], s.macs[i][:])
+	_, repairErr, err = s.readStripe(s.blockStripe(i, s.slot(i)), func(ct []byte) bool {
+		return s.open(i, ct)
 	})
 	if err != nil {
 		return nil, fmt.Errorf("%w: block %d", ErrCorrupt, i)
 	}
-	if dst != nil {
-		s.keystream(i, s.versions[i], dst, ct)
-	}
+	copy(dst, s.pt)
 	return repairErr, nil
 }
 
@@ -856,16 +938,19 @@ func (s *BlockStore) readBlockLocked(i int, dst []byte) (repairErr, err error) {
 // the stripe writes and before the records, and again after them. A
 // failed write or Sync fail-stops the store: epoch has already moved
 // to the new slot, so a later Flush would write into the committed one.
+// A v3 store returns ErrOldFormat.
 func (s *BlockStore) Flush() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.v3 != nil {
+		return ErrOldFormat
+	}
 	if s.failed != nil {
 		return s.failed
 	}
 	s.epoch++
 	slot := int(s.epoch & 1)
 	T := s.tableStripes()
-	s.fillTable()
 	// The slot holds the table of two commits ago; only stripes that have
 	// changed since need writing. Until the last of them lands the slot
 	// is neither table.
@@ -917,8 +1002,8 @@ func (s *BlockStore) mutated() {
 
 // --- Scrub and repair -----------------------------------------------------
 
-// ScrubStep verifies up to n blocks' committed stripes against the MAC
-// table, repairing any rotted or missing shards it finds, and advances a
+// ScrubStep opens up to n blocks' committed stripes under their tags,
+// repairing any rotted or missing shards it finds, and advances a
 // persistent cursor. When a full pass completes with no concurrent
 // mutation, the store latches clean and ScrubStep returns false until
 // the next WriteBlock/Flush — so an idle LibOS eventually goes quiet
@@ -944,7 +1029,7 @@ func (s *BlockStore) ScrubStep(n int) (worked bool, err error) {
 		i := s.scrubCursor
 		s.scrubCursor++
 		worked = true
-		if s.versions[i] == 0 {
+		if !s.written(i) {
 			continue
 		}
 		repairErr, rerr := s.readBlockLocked(i, nil)
@@ -983,7 +1068,6 @@ func (s *BlockStore) ScrubStep(n int) (worked bool, err error) {
 func (s *BlockStore) scrubTableLocked() error {
 	slot := int(s.epoch & 1)
 	T := s.tableStripes()
-	s.fillTable()
 	for j := 0; j < T; j++ {
 		st := slot*T + j
 		s.encodeStripe(s.table[j*BlockSize : (j+1)*BlockSize])
@@ -1038,7 +1122,7 @@ func (s *BlockStore) Scrub() (blocks int, err error) {
 // — the offline recovery path after losing an entire backing file. It
 // restores file headers and the commit record on every shard file, then
 // walks all committed stripes re-verifying (and re-writing) shards
-// against the MAC table. Returns the number of shards rebuilt. The store
+// against the version table. Returns the number of shards rebuilt. The store
 // must be freshly opened or flushed (no uncommitted writes), because
 // repair re-derives on-disk state from the last commit. A refused write
 // fail-stops the store, like one from Flush.
@@ -1054,7 +1138,7 @@ func (s *BlockStore) Repair() (rebuilt int, err error) {
 	before := fsStats.repairedShards.Load()
 	werr := s.scrubTableLocked()
 	for i := 0; werr == nil && i < s.maxBlocks; i++ {
-		if s.versions[i] == 0 {
+		if !s.written(i) {
 			continue
 		}
 		var rerr error

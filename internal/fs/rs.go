@@ -12,7 +12,7 @@ import (
 //
 // The code is the *durability* layer only. It reconstructs bytes; it
 // never authenticates them. Every reconstructed stripe is re-verified
-// against the MAC table before a single byte leaves the BlockStore, so
+// against the version table (its block's GCM tag) before a single byte leaves the BlockStore, so
 // parity can repair accidental corruption but cannot launder tampered
 // data into "recovered" data.
 

@@ -42,7 +42,7 @@ func writeRange(t *testing.T, s *BlockStore, lo, n, gen int) {
 func TestFlushWritesTheTableStripesThatChanged(t *testing.T) {
 	h := hostos.New()
 	key := KeyFromString("table-commit")
-	const maxBlocks = 16384 // the benchmark's device: T = 192 table stripes
+	const maxBlocks = 16384 // the benchmark's device: T = 128 table stripes
 	before := Stats()
 	s, err := CreateStore(h, "img", key, maxBlocks)
 	if err != nil {
@@ -66,31 +66,32 @@ func TestFlushWritesTheTableStripesThatChanged(t *testing.T) {
 	if got := flushedStripes(t, s); got != T {
 		t.Fatalf("first commit after reopen wrote %d table stripes, want all %d", got, T)
 	}
-	// 512 entries of 48 bytes are 6 stripes' worth, 7 when they straddle.
+	// 512 entries of 32 bytes are 4 stripes' worth; 1000..1511 is
+	// unaligned, so it spans stripes 7..11.
 	writeRange(t, s, 1000, 512, 3)
-	if got := flushedStripes(t, s); got < 6 || got > 16 {
-		t.Fatalf("commit of 512 rewritten contiguous blocks wrote %d table stripes, want 6..16 of %d", got, T)
+	if got := flushedStripes(t, s); got != 5 {
+		t.Fatalf("commit of 512 rewritten contiguous blocks wrote %d table stripes, want 5 of %d", got, T)
 	}
-	// Somewhere else: this slot last held the table of two commits ago,
-	// so the stripes of the previous commit's range go out again with
-	// this commit's.
+	// Somewhere else (stripes 70..74): this slot last held the table of
+	// two commits ago, so the stripes of the previous commit's range go
+	// out again with this commit's.
 	writeRange(t, s, 9000, 512, 4)
-	if got := flushedStripes(t, s); got < 12 || got > 16 {
-		t.Fatalf("commit after moving to another range wrote %d table stripes, want 12..16", got)
+	if got := flushedStripes(t, s); got != 10 {
+		t.Fatalf("commit after moving to another range wrote %d table stripes, want 10", got)
 	}
 	// Nothing written: the other slot still lacks the last range.
-	if got := flushedStripes(t, s); got < 6 || got > 8 {
-		t.Fatalf("empty commit wrote %d table stripes, want the previous commit's 6..8", got)
+	if got := flushedStripes(t, s); got != 5 {
+		t.Fatalf("empty commit wrote %d table stripes, want the previous commit's 5", got)
 	}
 	if got := flushedStripes(t, s); got != 0 {
 		t.Fatalf("second empty commit wrote %d table stripes, want 0", got)
 	}
 
-	// An entry that straddles two stripes marks both: entry 85 occupies
-	// table bytes [4080, 4128).
-	writeRange(t, s, 85, 1, 5)
-	if got := flushedStripes(t, s); got != 2 {
-		t.Fatalf("commit of one straddling entry wrote %d table stripes, want 2", got)
+	// 128 entries fill a stripe exactly: the last entry of stripe 0,
+	// table bytes [4064, 4096), marks stripe 0 alone.
+	writeRange(t, s, 127, 1, 5)
+	if got := flushedStripes(t, s); got != 1 {
+		t.Fatalf("commit of one entry at a stripe's end wrote %d table stripes, want 1", got)
 	}
 
 	// And all of it is what a fresh open reads back.
@@ -98,7 +99,7 @@ func TestFlushWritesTheTableStripesThatChanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range []struct{ i, gen int }{{1000, 3}, {1511, 3}, {9000, 4}, {9511, 4}, {85, 5}} {
+	for _, c := range []struct{ i, gen int }{{1000, 3}, {1511, 3}, {9000, 4}, {9511, 4}, {127, 5}} {
 		got, err := s2.ReadBlock(c.i)
 		if err != nil || !bytes.Equal(got, blockFill(c.i, c.gen)) {
 			t.Fatalf("block %d after reopen: err %v, generation %d want %d", c.i, err, got[0], c.gen)
@@ -147,18 +148,18 @@ func TestSyncOfARewrittenFileWritesFewTableStripes(t *testing.T) {
 
 // commitScript is a run of consecutive commits on one live store (no
 // reopen in between, so the slots stay known) in which different table
-// stripes are dirty in different epochs. With maxBlocks = 400 the table
-// is 5 stripes of 85⅓ entries.
+// stripes are dirty in different epochs. With maxBlocks = 640 the table
+// is 5 stripes of 128 entries.
 var commitScript = [][]int{
-	{0, 1, 2, 399},    // stripes 0 and 4
-	{100, 101, 200},   // stripes 1 and 2
-	{3, 300},          // stripes 0 and 3: 1 and 2 changed last epoch, not this one
-	{},                // nothing: 0 and 3 changed last epoch, not this one
-	{85, 170},         // 85 straddles stripes 0|1, 170 straddles 1|2
-	{399, 0, 256, 42}, // stripes 4, 0 and 3
+	{0, 1, 2, 639},       // stripes 0 and 4
+	{130, 131, 300},      // stripes 1 and 2
+	{3, 400},             // stripes 0 and 3: 1 and 2 changed last epoch, not this one
+	{},                   // nothing: 0 and 3 changed last epoch, not this one
+	{127, 128, 255, 256}, // both sides of the 0|1 and 1|2 boundaries
+	{639, 0, 384, 42},    // stripes 4, 0 and 3
 }
 
-const scriptBlocks = 400
+const scriptBlocks = 640
 
 // runCommits replays commits [0, n) of the script on a fresh store and
 // returns it with the model (generation per block, 0: never written).

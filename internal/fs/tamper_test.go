@@ -17,12 +17,12 @@ import (
 //
 //   - accidental damage to at most m shards of a stripe (bit-rot, torn
 //     or truncated cells, a whole deleted backing file) is repaired
-//     transparently, and only after the reconstruction re-verifies
-//     against the MAC table;
+//     transparently, and only after the reconstruction opens under the
+//     block's tag; rot counts as a crc mismatch, not a tag failure;
 //   - damage beyond m shards, and any adversarial tampering — even one
 //     that keeps data, parity and crc trailers mutually consistent —
-//     fails closed with ErrCorrupt. Parity reconstructs bytes; it never
-//     authenticates them.
+//     fails closed with ErrCorrupt, and a forged crc shows as a tag
+//     failure. Parity reconstructs bytes; it never authenticates them.
 
 func newTamperStore(t *testing.T) (*hostos.Host, *BlockStore, Key) {
 	t.Helper()
@@ -67,17 +67,28 @@ func TestBlockStoreBitFlipAnyShardRepaired(t *testing.T) {
 		for _, within := range []int{0, 1, ss / 2, ss - 1} {
 			for f := 0; f < s.nFiles(); f++ {
 				hostfault.PutFiles(h, pristine)
-				off := s.cellOff(s.blockStripe(blk, s.slots[blk])) + within
+				off := s.cellOff(s.blockStripe(blk, s.slot(blk))) + within
 				if err := hostfault.FlipBit(h, s.fileName(f), off); err != nil {
 					t.Fatal(err)
 				}
-				before := Stats().RepairedShards
+				before := Stats()
 				wantBlock(t, s, blk)
-				if Stats().RepairedShards == before {
+				d := Stats().Sub(before)
+				if d.RepairedShards == 0 {
 					t.Fatalf("block %d file %d: flip was not repaired", blk, f)
 				}
-				// The repair must have stuck: pristine bytes again on disk.
+				if d.CRCMismatches != 1 || d.TagFailures != 0 {
+					t.Fatalf("block %d file %d: a rotted cell counted %d crc mismatches and %d tag failures, want 1 and 0",
+						blk, f, d.CRCMismatches, d.TagFailures)
+				}
+				// The repair must have stuck: pristine bytes again on disk,
+				// and an intact read counts nothing.
+				before = Stats()
 				wantBlock(t, s, blk)
+				if d := Stats().Sub(before); d.CRCMismatches != 0 || d.TagFailures != 0 {
+					t.Fatalf("block %d file %d: intact read counted %d crc mismatches and %d tag failures",
+						blk, f, d.CRCMismatches, d.TagFailures)
+				}
 
 				// Same through a fresh mount of the damaged image.
 				hostfault.PutFiles(h, pristine)
@@ -99,7 +110,7 @@ func TestBlockStoreBitFlipAnyShardRepaired(t *testing.T) {
 func TestBlockStoreBeyondParityFailsClosed(t *testing.T) {
 	h, s, key := newTamperStore(t)
 	_, m := s.Geometry()
-	off := s.cellOff(s.blockStripe(5, s.slots[5])) + 7
+	off := s.cellOff(s.blockStripe(5, s.slot(5))) + 7
 	for f := 0; f <= m; f++ {
 		if err := hostfault.FlipBit(h, s.fileName(f), off); err != nil {
 			t.Fatal(err)
@@ -144,7 +155,7 @@ func TestBlockStoreAdversarialConsistentTamper(t *testing.T) {
 		shards[k+p] = make([]byte, ss)
 	}
 	rs.encode(shards)
-	off := s.cellOff(s.blockStripe(2, s.slots[2]))
+	off := s.cellOff(s.blockStripe(2, s.slot(2)))
 	for f := 0; f < k+m; f++ {
 		cell := make([]byte, ss+8)
 		copy(cell, shards[f])
@@ -165,7 +176,7 @@ func TestBlockStoreAdversarialConsistentTamper(t *testing.T) {
 func TestBlockStoreForgedCRCRepaired(t *testing.T) {
 	h, s, _ := newTamperStore(t)
 	ss := s.shardSize()
-	off := s.cellOff(s.blockStripe(6, s.slots[6]))
+	off := s.cellOff(s.blockStripe(6, s.slot(6)))
 	cell := make([]byte, ss+8)
 	if n, err := h.ReadFileAt(s.fileName(1), off, cell); err != nil || n < len(cell) {
 		t.Fatal("short read of pristine cell")
@@ -174,10 +185,14 @@ func TestBlockStoreForgedCRCRepaired(t *testing.T) {
 	binary.LittleEndian.PutUint32(cell[ss:], crc32.ChecksumIEEE(cell[:ss]))
 	h.WriteFileAt(s.fileName(1), off, cell)
 
-	before := Stats().RepairedShards
+	before := Stats()
 	wantBlock(t, s, 6)
-	if Stats().RepairedShards == before {
+	d := Stats().Sub(before)
+	if d.RepairedShards == 0 {
 		t.Fatal("forged-crc shard was not repaired")
+	}
+	if d.TagFailures == 0 || d.CRCMismatches != 0 {
+		t.Fatalf("forged-crc cell counted %d tag failures and %d crc mismatches, want ≥ 1 and 0", d.TagFailures, d.CRCMismatches)
 	}
 	// Repair wrote honest bytes back over the forgery.
 	after := make([]byte, ss+8)
@@ -422,7 +437,7 @@ func TestBlockStoreRepairNeverLaunders(t *testing.T) {
 		// Corrupt a pseudo-random subset of shards of block trial%8, with
 		// pseudo-random crc forgery.
 		blk := trial % 8
-		off := s.cellOff(s.blockStripe(blk, s.slots[blk]))
+		off := s.cellOff(s.blockStripe(blk, s.slot(blk)))
 		seed := uint32(trial)*2654435761 + 1
 		for f := 0; f < s.nFiles(); f++ {
 			seed = seed*1664525 + 1013904223
