@@ -81,9 +81,10 @@ func C10KTable(s Scale) (*Table, error) {
 		})
 		// Churn rows at the 10k+ points: every connection re-dials once
 		// per churnStride rounds, so the steady connections' tail
-		// latency is measured while the accept/register/reap-arm path
-		// stays hot — the configuration where per-fd-table and
-		// timer-cancel contention would show.
+		// latency is measured while the accept, epoll-register and
+		// reap-arm/cancel paths stay hot. DESIGN.md "Lock inventory"
+		// has these rows with the fd, epoll, port and wheel tables
+		// sharded and unsharded.
 		if conns < 10000 {
 			continue
 		}

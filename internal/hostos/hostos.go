@@ -19,66 +19,37 @@ import (
 	"time"
 )
 
-// tableShards is the shard count for the host's hot connection-facing
-// tables (futex queues, listener ports). File and shm state stay under
-// the single coarse lock — they are cold paths. A power of two keeps
-// the shard pick a mask.
-const tableShards = 16
-
-// futexShard is one lock's worth of futex queues. Sharding by key
-// keeps a c100k park/unpark storm from serializing on one mutex: each
-// key hashes to a shard that owns its queues outright, the
-// message-passing-flavored ownership split the sharded tables use
-// throughout this stack.
-type futexShard struct {
-	mu sync.Mutex
-	q  map[uint64]*futexQueue
-}
-
-// listenerShard is one lock's worth of bound ports.
-type listenerShard struct {
-	mu sync.Mutex
-	m  map[uint16]*Listener
-}
-
 // Host is one untrusted host OS instance. Its files are an in-memory
 // Disk.
+//
+// Three locks, none nested in another: mu serves store I/O, futexMu
+// the futex queues (the guest's futex syscall), and listenMu the port
+// table (Listen, Dial, Close).
 type Host struct {
-	mu        sync.Mutex // guards files, shm
-	files     map[string][]byte
-	shm       map[string][]byte
-	futexes   [tableShards]futexShard
-	listeners [tableShards]listenerShard
+	mu    sync.Mutex // guards files, shm
+	files map[string][]byte
+	shm   map[string][]byte
+
+	futexMu sync.Mutex
+	futexes map[uint64][]*FutexReg // waiters per key, FIFO; no empty queues
+
+	listenMu  sync.Mutex
+	listeners map[uint16]*Listener
+
 	// activeTimers counts outstanding host timers (armed, not yet
-	// fired or cancelled). The timer wheel holds this at ≤1 per hart;
+	// fired or cancelled). The timer wheel holds this at ≤1 per LibOS;
 	// tests assert it.
 	activeTimers atomic.Int64
 }
 
 // New creates an empty host.
 func New() *Host {
-	h := &Host{
-		files: make(map[string][]byte),
-		shm:   make(map[string][]byte),
+	return &Host{
+		files:     make(map[string][]byte),
+		shm:       make(map[string][]byte),
+		futexes:   make(map[uint64][]*FutexReg),
+		listeners: make(map[uint16]*Listener),
 	}
-	for i := range h.futexes {
-		h.futexes[i].q = make(map[uint64]*futexQueue)
-	}
-	for i := range h.listeners {
-		h.listeners[i].m = make(map[uint16]*Listener)
-	}
-	return h
-}
-
-// futexShardFor picks the shard owning a futex key. The multiply
-// spreads low-entropy keys (guest addresses share alignment) across
-// shards before masking.
-func (h *Host) futexShardFor(key uint64) *futexShard {
-	return &h.futexes[(key*0x9e3779b97f4a7c15)>>58&(tableShards-1)]
-}
-
-func (h *Host) listenerShardFor(port uint16) *listenerShard {
-	return &h.listeners[port&(tableShards-1)]
 }
 
 // Disk is the host storage the encrypted filesystem runs on: named
@@ -216,10 +187,6 @@ func (h *Host) FileSize(name string) int {
 
 // --- Futex ---------------------------------------------------------------
 
-type futexQueue struct {
-	waiters []*FutexReg
-}
-
 // FutexReg is one registered futex waiter. Exactly one of two things
 // happens to a registration: FutexWake pops it and invokes its callback,
 // or the owner Cancels it. Cancel after a wake is a harmless no-op.
@@ -237,33 +204,27 @@ type FutexReg struct {
 // while parked) — a stale registration would otherwise swallow a wake
 // meant for a real waiter.
 func (h *Host) FutexSubscribe(key uint64, wake func()) *FutexReg {
-	sh := h.futexShardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	q := sh.q[key]
-	if q == nil {
-		q = &futexQueue{}
-		sh.q[key] = q
-	}
 	reg := &FutexReg{h: h, key: key, wake: wake}
-	q.waiters = append(q.waiters, reg)
+	h.futexMu.Lock()
+	h.futexes[key] = append(h.futexes[key], reg)
+	h.futexMu.Unlock()
 	return reg
 }
 
 // Cancel removes the registration if it has not been consumed by a wake.
+// A key's queue is deleted when its last waiter leaves.
 func (r *FutexReg) Cancel() {
-	sh := r.h.futexShardFor(r.key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	q := sh.q[r.key]
-	if q == nil {
-		return
-	}
-	for i, w := range q.waiters {
-		if w == r {
-			q.waiters = append(q.waiters[:i], q.waiters[i+1:]...)
-			return
-		}
+	h := r.h
+	h.futexMu.Lock()
+	defer h.futexMu.Unlock()
+	q := h.futexes[r.key]
+	i := slices.Index(q, r)
+	switch {
+	case i < 0:
+	case len(q) == 1:
+		delete(h.futexes, r.key)
+	default:
+		h.futexes[r.key] = slices.Delete(q, i, i+1)
 	}
 }
 
@@ -281,17 +242,18 @@ func (h *Host) FutexWait(key uint64) {
 // FutexWake wakes up to n waiters on key, returning how many were woken.
 // Callbacks run outside the host lock.
 func (h *Host) FutexWake(key uint64, n int) int {
-	sh := h.futexShardFor(key)
-	sh.mu.Lock()
-	q := sh.q[key]
-	var woken []*FutexReg
-	if q != nil {
-		for len(woken) < n && len(q.waiters) > 0 {
-			woken = append(woken, q.waiters[0])
-			q.waiters = q.waiters[1:]
-		}
+	h.futexMu.Lock()
+	q := h.futexes[key]
+	k := max(0, min(n, len(q)))
+	if k == len(q) {
+		delete(h.futexes, key)
+	} else {
+		h.futexes[key] = q[k:]
 	}
-	sh.mu.Unlock()
+	h.futexMu.Unlock()
+	// The woken prefix is never written again: later subscribes and
+	// cancels on key touch only q[k:] and beyond.
+	woken := q[:k]
 	for _, r := range woken {
 		r.wake()
 	}
@@ -308,7 +270,7 @@ func (h *Host) FutexWake(key uint64, n int) int {
 // fn idempotent (the parking protocol's latched wakes already are).
 //
 // Each outstanding timer is counted in ActiveTimers. The LibOS timer
-// wheel keeps this at one per hart regardless of how many guest
+// wheel keeps this at one per LibOS regardless of how many guest
 // deadlines are pending; c100k tests assert that bound.
 func (h *Host) Timer(d time.Duration, fn func()) (cancel func()) {
 	h.activeTimers.Add(1)

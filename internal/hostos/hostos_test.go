@@ -104,6 +104,42 @@ func TestFutex(t *testing.T) {
 	}
 }
 
+// TestFutexQueuesDeletedWhenEmpty checks that a key's queue goes when
+// its last waiter leaves, by wake or by cancel: the guest picks futex
+// addresses, so a queue per address ever used would grow without bound.
+func TestFutexQueuesDeletedWhenEmpty(t *testing.T) {
+	h := New()
+	const keys = 64
+	var regs [keys][2]*FutexReg
+	woken := 0
+	for k := range keys {
+		for j := range regs[k] {
+			regs[k][j] = h.FutexSubscribe(uint64(k)<<12, func() { woken++ })
+		}
+	}
+	for k := range keys {
+		key := uint64(k) << 12
+		switch {
+		case k%2 == 0: // wake half: one at a time, then cancel after the wake
+			h.FutexWake(key, 1)
+			if len(h.futexes[key]) != 1 || h.futexes[key][0] != regs[k][1] {
+				t.Fatalf("key %#x after waking one: queue %v, want the second waiter", key, h.futexes[key])
+			}
+			h.FutexWake(key, 1)
+			regs[k][0].Cancel()
+		default: // cancel half, second waiter first
+			regs[k][1].Cancel()
+			regs[k][0].Cancel()
+		}
+	}
+	if woken != keys {
+		t.Fatalf("woken = %d, want %d", woken, keys)
+	}
+	if len(h.futexes) != 0 {
+		t.Fatalf("%d futex queues left after every waiter went", len(h.futexes))
+	}
+}
+
 func TestNetConnectivity(t *testing.T) {
 	h := New()
 	l, err := h.Listen(8000)

@@ -64,15 +64,14 @@ const (
 
 // Listen binds a loopback port with the default backlog.
 func (h *Host) Listen(port uint16) (*Listener, error) {
-	sh := h.listenerShardFor(port)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if _, taken := sh.m[port]; taken {
+	h.listenMu.Lock()
+	defer h.listenMu.Unlock()
+	if _, taken := h.listeners[port]; taken {
 		return nil, ErrPortInUse
 	}
 	l := &Listener{host: h, port: port, max: BacklogDefault}
 	l.cond = sync.NewCond(&l.mu)
-	sh.m[port] = l
+	h.listeners[port] = l
 	return l, nil
 }
 
@@ -101,10 +100,9 @@ func (l *Listener) Backlog() int {
 
 // Dial connects to a listening loopback port.
 func (h *Host) Dial(port uint16) (*Conn, error) {
-	sh := h.listenerShardFor(port)
-	sh.mu.Lock()
-	l := sh.m[port]
-	sh.mu.Unlock()
+	h.listenMu.Lock()
+	l := h.listeners[port]
+	h.listenMu.Unlock()
 	if l == nil {
 		return nil, ErrConnRefused
 	}
@@ -209,10 +207,10 @@ func (l *Listener) Close() {
 	l.waiters = nil
 	watch := l.watch.Snapshot()
 	l.mu.Unlock()
-	sh := l.host.listenerShardFor(l.port)
-	sh.mu.Lock()
-	delete(sh.m, l.port)
-	sh.mu.Unlock()
+	h := l.host
+	h.listenMu.Lock()
+	delete(h.listeners, l.port)
+	h.listenMu.Unlock()
 	for _, w := range waiters {
 		w()
 	}

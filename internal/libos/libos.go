@@ -133,12 +133,12 @@ type Occlum struct {
 	enclave  *sgx.Enclave
 	host     *hostos.Host
 	sched    *sched.Scheduler
-	// wheels are the per-hart hierarchical timer wheels: every guest
+	// wheel is the instance's hierarchical timer wheel: every guest
 	// deadline (poll/epoll timeouts, idle reaping) is an O(1) wheel
-	// entry, and each wheel keeps at most ONE host timer outstanding —
-	// so host timer pressure is bounded by MaxThreads, not by the
-	// number of parked connections (the c100k property).
-	wheels []*timerwheel.Wheel
+	// entry, and the wheel keeps at most ONE host timer outstanding — so
+	// host timer pressure is one per LibOS, not one per parked
+	// connection (the c100k property).
+	wheel *timerwheel.Wheel
 
 	mu      sync.Mutex
 	domains []*Domain
@@ -219,11 +219,6 @@ type BootStats struct {
 var (
 	// ErrNoDomains reports domain exhaustion at spawn.
 	ErrNoDomains = errors.New("libos: no free MMDSFI domains")
-	// ErrNoThreads reported SGX TCS exhaustion at spawn under the old
-	// SIP-per-thread model. The M:N scheduler removed that limit (SIP
-	// concurrency is bounded by domains only); the variable remains so
-	// existing callers' errors.Is checks keep compiling.
-	ErrNoThreads = errors.New("libos: no free SGX threads")
 	// ErrTooBig reports a binary that does not fit a domain.
 	ErrTooBig = errors.New("libos: binary does not fit in a domain")
 	// ErrNotSigned reports a binary without a valid verifier signature.
@@ -308,13 +303,9 @@ func Boot(platform *sgx.Platform, host *hostos.Host, cfg Config) (*Occlum, error
 	// The hart pool starts last, once boot can no longer fail: one hart
 	// per TCS, multiplexing every SIP this enclave will ever run.
 	o.sched = sched.New(cfg.MaxThreads)
-	// One driven timer wheel per hart, each backed by a single host
-	// alarm (host.Timer); SIPs hash to a wheel by pid so deadline churn
-	// spreads across the per-wheel locks.
-	for i := 0; i < o.sched.NumHarts(); i++ {
-		o.wheels = append(o.wheels, timerwheel.New(wheelTick, host.Timer))
-	}
-	registerWheels(o.wheels)
+	// One driven timer wheel, backed by a single host alarm (host.Timer).
+	o.wheel = timerwheel.New(wheelTick, host.Timer)
+	registerWheel(o.wheel)
 	// Idle harts scrub the encrypted store in the background: each hook
 	// call verifies (and, where parity allows, repairs) a bounded window
 	// of stripes, so latent host bit-rot is found while the enclave still
@@ -336,12 +327,6 @@ const scrubWindow = 32
 // wheelTick is the timer-wheel resolution. 1ms matches poll(2)'s
 // millisecond timeout ABI, so no guest deadline loses precision.
 const wheelTick = time.Millisecond
-
-// wheelFor picks the timer wheel owning a SIP's deadlines. The
-// fibonacci multiply spreads consecutive pids across wheels.
-func (o *Occlum) wheelFor(pid int) *timerwheel.Wheel {
-	return o.wheels[(uint64(pid)*0x9e3779b97f4a7c15>>33)%uint64(len(o.wheels))]
-}
 
 func (o *Occlum) mountFilesystems() error {
 	var store *fs.BlockStore
@@ -408,7 +393,7 @@ func (o *Occlum) Sync() error {
 // Processes should have exited.
 func (o *Occlum) Shutdown() error {
 	err := o.encfs.Sync()
-	retireWheels(o.wheels)
+	retireWheel(o.wheel)
 	o.sched.Stop()
 	o.enclave.Destroy()
 	return err

@@ -134,8 +134,8 @@ func cpuBoundProg(b *asm.Builder) {
 // TestOversubscribedSIPs is the M:N acceptance test: with a 4-hart pool,
 // 64 concurrently live SIPs — CPU-bound, futex-blocked and pipe-blocked
 // in equal measure — all run to completion. Under the old
-// SIP-per-thread model this configuration failed at spawn #5 with
-// ErrNoThreads, and any blocked SIP held a hart hostage.
+// SIP-per-thread model this configuration failed at spawn #5 for lack
+// of a free SGX thread, and any blocked SIP held a hart hostage.
 func TestOversubscribedSIPs(t *testing.T) {
 	const (
 		harts      = 4

@@ -15,6 +15,7 @@ package libos
 
 import (
 	"encoding/binary"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -61,29 +62,22 @@ var wheelReg struct {
 	retired timerwheel.Stats
 }
 
-func registerWheels(ws []*timerwheel.Wheel) {
+func registerWheel(w *timerwheel.Wheel) {
 	wheelReg.mu.Lock()
-	wheelReg.live = append(wheelReg.live, ws...)
+	wheelReg.live = append(wheelReg.live, w)
 	wheelReg.mu.Unlock()
 }
 
-func retireWheels(ws []*timerwheel.Wheel) {
+func retireWheel(w *timerwheel.Wheel) {
 	wheelReg.mu.Lock()
 	defer wheelReg.mu.Unlock()
-	for _, w := range ws {
-		w.Stop()
-		s := w.Stats()
-		wheelReg.retired.Arms += s.Arms
-		wheelReg.retired.Fires += s.Fires
-		wheelReg.retired.Cancels += s.Cancels
-		wheelReg.retired.Cascades += s.Cascades
-		for i, l := range wheelReg.live {
-			if l == w {
-				wheelReg.live = append(wheelReg.live[:i], wheelReg.live[i+1:]...)
-				break
-			}
-		}
-	}
+	w.Stop()
+	s := w.Stats()
+	wheelReg.retired.Arms += s.Arms
+	wheelReg.retired.Fires += s.Fires
+	wheelReg.retired.Cancels += s.Cancels
+	wheelReg.retired.Cascades += s.Cascades
+	wheelReg.live = slices.DeleteFunc(wheelReg.live, func(l *timerwheel.Wheel) bool { return l == w })
 }
 
 func wheelTotals() timerwheel.Stats {
@@ -191,39 +185,31 @@ func (s NetSnapshot) Sub(o NetSnapshot) NetSnapshot {
 // 10k-connection interest list with 64 active connections costs 64
 // checks per wait, not 10k.
 //
-// The interest list and candidate set are sharded by fd: a readiness
-// edge (markReady, fired from the connection's own wake path) takes
-// only its fd's shard lock, so 100k connections hammering one epoll set
-// do not serialize on a single mutex — each shard owns its slice of the
-// readiness queue outright. The waiter list stays under its own small
-// lock (waiters are the few SIPs parked in epoll_wait, not the many
-// watched fds).
+// One mutex guards the interest list, the candidate set, the waiter
+// list and the closed flag. Its contenders are the readiness edges of
+// the set's watched connections and the few SIPs in epoll_ctl and
+// epoll_wait; every critical section is a few map operations.
 //
 // Lock ordering: no readiness callback runs under a resource lock —
 // streams and listeners collect their wake lists under their own lock
-// and run them after it drops — so markReady takes a shard lock holding
+// and run them after it drops — so markReady takes ep.mu holding
 // nothing. The scans keep the other half of the rule: they pop the
 // candidate list first and query readiness (which takes the resource's
-// lock) holding no shard lock. Shard locks never nest with each other
-// or with wmu.
+// lock) holding no ep.mu, and waiters and subscription cancels run after
+// ep.mu drops.
 type epollSet struct {
-	shards [epShards]epShard
-	closed atomic.Bool
-
-	wmu     sync.Mutex // guards waiters/nextID only
-	waiters map[int]func()
+	mu      sync.Mutex
+	closed  bool
+	items   map[int]*epItem
+	ready   map[int]struct{}
+	waiters []epWaiter // copy-on-write: a wake runs a snapshot after mu drops
 	nextID  int
 }
 
-// epShards is the interest-table shard count (power of two; fds are
-// dense small integers, so the low bits spread them evenly).
-const epShards = 16
-
-// epShard owns one slice of the interest list and its ready set.
-type epShard struct {
-	mu    sync.Mutex
-	items map[int]*epItem
-	ready map[int]struct{}
+// epWaiter is a parked epoll_wait caller's wake callback.
+type epWaiter struct {
+	id   int
+	wake func()
 }
 
 // epItem is one interest-list entry. It pins the open file description
@@ -238,111 +224,86 @@ type epItem struct {
 }
 
 func newEpollSet() *epollSet {
-	ep := &epollSet{waiters: make(map[int]func())}
-	for i := range ep.shards {
-		ep.shards[i].items = make(map[int]*epItem)
-		ep.shards[i].ready = make(map[int]struct{})
-	}
-	return ep
-}
-
-func (ep *epollSet) shardFor(fd int) *epShard {
-	return &ep.shards[uint(fd)&(epShards-1)]
+	return &epollSet{items: make(map[int]*epItem), ready: make(map[int]struct{})}
 }
 
 // markReady records a readiness edge for fd and wakes parked waiters.
 // The candidate set is conservative (a superset of the truly ready):
-// epoll_wait re-verifies against the level-triggered state. Only the
-// fd's own shard lock is taken, so concurrent edges on different
-// connections never contend.
+// epoll_wait re-verifies against the level-triggered state.
 func (ep *epollSet) markReady(fd int) {
-	sh := ep.shardFor(fd)
-	sh.mu.Lock()
-	if _, ok := sh.items[fd]; ok {
-		sh.ready[fd] = struct{}{}
+	ep.mu.Lock()
+	if _, ok := ep.items[fd]; ok {
+		ep.ready[fd] = struct{}{}
 	}
-	sh.mu.Unlock()
-	ep.wake()
+	ws := ep.waiters
+	ep.mu.Unlock()
+	wakeAll(ws)
 }
 
-// popCandidates drains every shard's candidate set, returning each
-// candidate with its interest mask and file. Candidates the caller
-// finds still ready must be pushed back with readd; a concurrent edge
-// during the scan simply re-adds the fd to the fresh set, so no
-// readiness is ever lost. Shards are drained one lock at a time —
-// epoll_wait tolerates the resulting not-quite-snapshot the same way it
-// tolerates edges arriving mid-scan.
+// popCandidates drains the candidate set, returning each candidate with
+// its interest mask and file. Candidates the caller finds still ready
+// must be pushed back with readd; a concurrent edge during the scan
+// simply re-adds the fd to the emptied set, so no readiness is ever
+// lost.
 func (ep *epollSet) popCandidates() []epCandidate {
+	ep.mu.Lock()
+	defer ep.mu.Unlock()
 	var out []epCandidate
-	for i := range ep.shards {
-		sh := &ep.shards[i]
-		sh.mu.Lock()
-		if len(sh.ready) == 0 {
-			sh.mu.Unlock()
-			continue
+	for fd := range ep.ready {
+		if it, ok := ep.items[fd]; ok {
+			out = append(out, epCandidate{fd: fd, ev: it.events, file: it.file})
 		}
-		for fd := range sh.ready {
-			if it, ok := sh.items[fd]; ok {
-				out = append(out, epCandidate{fd: fd, ev: it.events, file: it.file})
-			}
-		}
-		sh.ready = make(map[int]struct{})
-		sh.mu.Unlock()
 	}
+	clear(ep.ready)
 	return out
 }
 
 // readd pushes still-ready (or unverified) candidates back.
 func (ep *epollSet) readd(fds []int) {
+	ep.mu.Lock()
 	for _, fd := range fds {
-		sh := ep.shardFor(fd)
-		sh.mu.Lock()
-		if _, ok := sh.items[fd]; ok {
-			sh.ready[fd] = struct{}{}
+		if _, ok := ep.items[fd]; ok {
+			ep.ready[fd] = struct{}{}
 		}
-		sh.mu.Unlock()
 	}
+	ep.mu.Unlock()
 }
 
 // add installs an interest-list entry, failing on a closed set (EBADF)
-// or a duplicate fd (EEXIST). The closed check runs under the shard
-// lock: either this insert is visible to close's drain of the shard, or
-// the insert observes closed and rejects — no entry can slip in
-// unseen and leak its subscription.
+// or a duplicate fd (EEXIST). close sets closed and takes the items in
+// one critical section, so an entry is either taken by close or
+// rejected here — none can slip in unseen and leak its subscription.
 func (ep *epollSet) add(fd int, it *epItem) int64 {
-	sh := ep.shardFor(fd)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if ep.closed.Load() {
+	ep.mu.Lock()
+	defer ep.mu.Unlock()
+	if ep.closed {
 		return EBADF
 	}
-	if _, dup := sh.items[fd]; dup {
+	if _, dup := ep.items[fd]; dup {
 		return EEXIST
 	}
-	sh.items[fd] = it
+	ep.items[fd] = it
 	return 0
 }
 
 // del removes an entry, returning it for the caller to cancel outside
 // the lock.
 func (ep *epollSet) del(fd int) (*epItem, bool) {
-	sh := ep.shardFor(fd)
-	sh.mu.Lock()
-	it, ok := sh.items[fd]
+	ep.mu.Lock()
+	defer ep.mu.Unlock()
+	it, ok := ep.items[fd]
 	if ok {
-		delete(sh.items, fd)
-		delete(sh.ready, fd)
+		delete(ep.items, fd)
+		delete(ep.ready, fd)
 	}
-	sh.mu.Unlock()
 	return it, ok
 }
 
 // get looks an entry up (for EpCtlMod's re-subscribe).
 func (ep *epollSet) get(fd int) (*epItem, bool) {
-	sh := ep.shardFor(fd)
-	sh.mu.Lock()
-	it, ok := sh.items[fd]
-	sh.mu.Unlock()
+	ep.mu.Lock()
+	defer ep.mu.Unlock()
+	it, ok := ep.items[fd]
 	return it, ok
 }
 
@@ -350,15 +311,14 @@ func (ep *epollSet) get(fd int) (*epItem, bool) {
 // cancel to run outside the lock; ok=false reports the entry vanished
 // (removed concurrently).
 func (ep *epollSet) swap(fd int, events uint32, cancel func()) (old func(), ok bool) {
-	sh := ep.shardFor(fd)
-	sh.mu.Lock()
-	it, ok := sh.items[fd]
+	ep.mu.Lock()
+	defer ep.mu.Unlock()
+	it, ok := ep.items[fd]
 	if ok {
 		old = it.cancel
 		it.events = events
 		it.cancel = cancel
 	}
-	sh.mu.Unlock()
 	return old, ok
 }
 
@@ -368,42 +328,33 @@ type epCandidate struct {
 	file *OpenFile
 }
 
-// wake unparks every parked epoll_wait caller; they re-scan and park
-// again if their events have not arrived. Registrations are NOT
-// consumed by a wake (unlike the listener's one-shot accept waiters): a
-// parked epoll_wait re-dispatches without re-registering, so its waiter
-// must stay live until the syscall completes and its cancel runs —
-// clearing here would lose the second wake and hang the retry.
-func (ep *epollSet) wake() {
-	ep.wmu.Lock()
-	if len(ep.waiters) == 0 {
-		ep.wmu.Unlock()
-		return
-	}
-	ws := make([]func(), 0, len(ep.waiters))
-	for _, w := range ep.waiters {
-		ws = append(ws, w)
-	}
-	ep.wmu.Unlock()
+// wakeAll unparks parked epoll_wait callers; they re-scan and park
+// again if their events have not arrived.
+func wakeAll(ws []epWaiter) {
 	for _, w := range ws {
-		w()
+		w.wake()
 	}
 }
 
 // addWaiter registers a persistent wake callback for a parking
 // epoll_wait, returning its cancel (run by the dispatch loop when the
 // syscall completes and by teardown when the SIP dies, so no stale
-// waiter outlives its syscall).
+// waiter outlives its syscall). Registrations are NOT consumed by a
+// wake (unlike the listener's one-shot accept waiters): a parked
+// epoll_wait re-dispatches without re-registering, so its waiter must
+// stay live until the syscall completes — dropping it at a wake would
+// lose the second wake and hang the retry. Both sides replace the slice
+// rather than edit it, so a snapshot a wake is running never changes.
 func (ep *epollSet) addWaiter(fn func()) (cancel func()) {
-	ep.wmu.Lock()
+	ep.mu.Lock()
 	id := ep.nextID
 	ep.nextID++
-	ep.waiters[id] = fn
-	ep.wmu.Unlock()
+	ep.waiters = append(slices.Clip(ep.waiters), epWaiter{id, fn})
+	ep.mu.Unlock()
 	return func() {
-		ep.wmu.Lock()
-		delete(ep.waiters, id)
-		ep.wmu.Unlock()
+		ep.mu.Lock()
+		ep.waiters = slices.DeleteFunc(slices.Clone(ep.waiters), func(w epWaiter) bool { return w.id == id })
+		ep.mu.Unlock()
 	}
 }
 
@@ -411,27 +362,20 @@ func (ep *epollSet) addWaiter(fn func()) (cancel func()) {
 // every readiness subscription is cancelled and parked waiters are woken
 // (their retry fails with EBADF instead of sleeping forever).
 func (ep *epollSet) close() {
-	if !ep.closed.CompareAndSwap(false, true) {
+	ep.mu.Lock()
+	if ep.closed {
+		ep.mu.Unlock()
 		return
 	}
-	// closed is visible before any shard drain; add() checks it under
-	// the shard lock, so every entry is either drained here or rejected
-	// there.
-	var items []*epItem
-	for i := range ep.shards {
-		sh := &ep.shards[i]
-		sh.mu.Lock()
-		for _, it := range sh.items {
-			items = append(items, it)
-		}
-		sh.items = make(map[int]*epItem)
-		sh.ready = make(map[int]struct{})
-		sh.mu.Unlock()
-	}
+	ep.closed = true
+	items := ep.items
+	ep.items, ep.ready = make(map[int]*epItem), make(map[int]struct{})
+	ws := ep.waiters
+	ep.mu.Unlock()
 	for _, it := range items {
 		it.cancel()
 	}
-	ep.wake()
+	wakeAll(ws)
 }
 
 // --- Syscall handlers ----------------------------------------------------
@@ -488,15 +432,15 @@ func sysShutdown(k sysdispatch.Kernel, a *[5]uint64) sysdispatch.Result {
 // armTimeout installs the parking-side bookkeeping for a blocking
 // readiness wait: the given registration cancels plus, for finite
 // timeouts, a timer-wheel deadline whose firing latches cur.woken and
-// unparks the SIP. The wheel entry is an O(1) splice on the SIP's
-// per-hart wheel — no host timer is created per park; the wheel's one
-// host alarm covers every pending deadline. The combined cancel lands
-// in cur.cancel, which the dispatch loop runs on completion and
-// teardown runs on death — so neither subscriptions nor timers outlive
-// the syscall.
+// unparks the SIP. The wheel entry is an O(1) splice on the instance's
+// wheel — no host timer is created per park; the wheel's one host alarm
+// covers every pending deadline. The combined cancel lands in
+// cur.cancel, which the dispatch loop runs on completion and teardown
+// runs on death — so neither subscriptions nor timers outlive the
+// syscall.
 func (p *Proc) armTimeout(cur *blockedSys, cancels []func(), tmoMS int64) {
 	if tmoMS > 0 {
-		t := p.os.wheelFor(p.pid).Arm(time.Duration(tmoMS)*time.Millisecond, func() {
+		t := p.os.wheel.Arm(time.Duration(tmoMS)*time.Millisecond, func() {
 			p.timerWake(cur)
 		})
 		cancels = append(cancels, func() { t.Cancel() })
@@ -617,8 +561,8 @@ func sysEpCtl(k sysdispatch.Kernel, a *[5]uint64) sysdispatch.Result {
 		if !ok {
 			return sysdispatch.Errno(EBADF)
 		}
-		// Subscribe outside the shard lock (resource and shard locks
-		// never nest).
+		// Subscribe outside ep.mu (resource locks and ep.mu never
+		// nest).
 		cancel, subbed := tf.SubscribeReady(func() { ep.markReady(fd) }, events)
 		if !subbed {
 			return sysdispatch.Errno(EPERM) // not pollable (regular file, epoll)

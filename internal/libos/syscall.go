@@ -173,7 +173,7 @@ func sysSpawn(k sysdispatch.Kernel, path string, argv []string) int64 {
 	child, err := p.os.Spawn(path, argv, SpawnOpt{Parent: p})
 	if err != nil {
 		switch {
-		case errors.Is(err, ErrNoDomains), errors.Is(err, ErrNoThreads):
+		case errors.Is(err, ErrNoDomains):
 			return -EAGAIN
 		case errors.Is(err, fs.ErrNotExist):
 			return -ENOENT
@@ -409,7 +409,7 @@ func sysAccept(k sysdispatch.Kernel, a *[5]uint64) sysdispatch.Result {
 		}
 		nf := newConnFile(conn)
 		if d := o.cfg.IdleTimeout; d > 0 {
-			nf.armIdleReap(o.wheelFor(p.pid), d)
+			nf.armIdleReap(o.wheel, d)
 		}
 		return sysdispatch.Ok(int64(p.fds.Install(nf)))
 	}

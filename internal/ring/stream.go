@@ -75,7 +75,7 @@ func (w *WatchSet) Snapshot() []func() {
 // by full→space, everyone by a close — and no callback ever runs under
 // a stream lock: each operation collects its wake list under s.mu and
 // runs it after the lock drops, because callbacks take foreign locks
-// (an epoll shard's, the scheduler's) whose holders query stream
+// (an epoll set's, the scheduler's) whose holders query stream
 // readiness. The only lock taken while holding a stream's is another
 // stream's, by Move, in creation order. A woken waiter retries and
 // re-registers if it lost the race, so a stale callback is only a

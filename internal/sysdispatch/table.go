@@ -432,50 +432,30 @@ type File interface {
 	Unref()
 }
 
-// fdTableShards is the shard count of the descriptor table; a power of
-// two so the shard pick is a mask. Adjacent fds land in different
-// shards, so an event loop hammering Get on a handful of hot sockets
-// does not serialize on one lock.
-const fdTableShards = 16
-
-type fdShard struct {
-	mu    sync.RWMutex
-	files map[int]File
-}
-
 // FDTable is the per-process descriptor table: fd → open file
 // description, with POSIX lowest-free allocation at or above 3 (so dup2
 // targets never collide with fresh fds).
 //
-// The table is sharded by fd: lookups touch only their shard's RWMutex,
-// which is the hot path an epoll loop drives at c100k. Allocation order
-// lives behind a separate allocMu — a next-fd watermark plus a min-heap
-// of freed slots below it. Set and Dup2 can occupy arbitrary slots the
-// allocator never handed out, so Install re-checks occupancy per
-// candidate and skips stale ones; the heap self-heals (a slot may be
-// listed free while occupied, never the reverse).
+// One mutex guards the map and the allocator: a next-fd watermark plus
+// a min-heap of freed slots below it. A process's syscalls run on one
+// hart at a time, so the lock is uncontended in steady state. Set and
+// Dup2 can occupy arbitrary slots the allocator never handed out, so
+// Install re-checks occupancy per candidate and skips stale ones; the
+// heap self-heals (a slot may be listed free while occupied, never the
+// reverse).
 type FDTable struct {
-	shards [fdTableShards]fdShard
-
-	allocMu sync.Mutex
-	freed   []int // min-heap of freed fds below next
-	next    int   // every fd ≥ next is untouched by Install
+	mu    sync.Mutex
+	files map[int]File
+	freed []int // min-heap of freed fds below next
+	next  int   // every fd ≥ next is untouched by Install
 }
 
 // NewFDTable returns an empty table.
 func NewFDTable() *FDTable {
-	t := &FDTable{next: 3}
-	for i := range t.shards {
-		t.shards[i].files = make(map[int]File)
-	}
-	return t
+	return &FDTable{files: make(map[int]File), next: 3}
 }
 
-func (t *FDTable) shard(fd int) *fdShard {
-	return &t.shards[uint(fd)&(fdTableShards-1)]
-}
-
-// --- freed min-heap (lock: allocMu) --------------------------------------
+// --- freed min-heap (lock: mu) -------------------------------------------
 
 func (t *FDTable) heapPush(fd int) {
 	t.freed = append(t.freed, fd)
@@ -516,21 +496,19 @@ func (t *FDTable) heapPop() int {
 
 // Get looks up fd.
 func (t *FDTable) Get(fd int) (File, bool) {
-	sh := t.shard(fd)
-	sh.mu.RLock()
-	f, ok := sh.files[fd]
-	sh.mu.RUnlock()
+	t.mu.Lock()
+	f, ok := t.files[fd]
+	t.mu.Unlock()
 	return f, ok
 }
 
 // Set installs f at an explicit slot (stdio setup), dropping any
 // previous occupant's reference.
 func (t *FDTable) Set(fd int, f File) {
-	sh := t.shard(fd)
-	sh.mu.Lock()
-	old := sh.files[fd]
-	sh.files[fd] = f
-	sh.mu.Unlock()
+	t.mu.Lock()
+	old := t.files[fd]
+	t.files[fd] = f
+	t.mu.Unlock()
 	if old != nil {
 		old.Unref()
 	}
@@ -538,8 +516,8 @@ func (t *FDTable) Set(fd int, f File) {
 
 // Install places f in the lowest free slot at or above 3.
 func (t *FDTable) Install(f File) int {
-	t.allocMu.Lock()
-	defer t.allocMu.Unlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	for {
 		var fd int
 		if len(t.freed) > 0 && t.freed[0] < t.next {
@@ -548,60 +526,44 @@ func (t *FDTable) Install(f File) int {
 			fd = t.next
 			t.next++
 		}
-		sh := t.shard(fd)
-		sh.mu.Lock()
-		_, used := sh.files[fd]
-		if !used {
-			sh.files[fd] = f
-		}
-		sh.mu.Unlock()
-		if !used {
+		// A candidate occupied via Set/Dup2 is discarded.
+		if _, used := t.files[fd]; !used {
+			t.files[fd] = f
 			return fd
 		}
-		// Candidate occupied via Set/Dup2: discard and retry.
 	}
 }
 
 // Remove deletes fd, returning its file (caller unrefs).
 func (t *FDTable) Remove(fd int) (File, bool) {
-	sh := t.shard(fd)
-	sh.mu.Lock()
-	f, ok := sh.files[fd]
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	f, ok := t.files[fd]
 	if ok {
-		delete(sh.files, fd)
-	}
-	sh.mu.Unlock()
-	if ok {
-		t.allocMu.Lock()
+		delete(t.files, fd)
 		if fd < t.next {
 			t.heapPush(fd)
 		}
-		t.allocMu.Unlock()
 	}
 	return f, ok
 }
 
 // Dup2 implements dup2(2): newfd refers to oldfd's description.
 func (t *FDTable) Dup2(oldfd, newfd int) int64 {
-	oldsh := t.shard(oldfd)
-	oldsh.mu.RLock()
-	f, ok := oldsh.files[oldfd]
-	oldsh.mu.RUnlock()
+	t.mu.Lock()
+	f, ok := t.files[oldfd]
 	if !ok {
+		t.mu.Unlock()
 		return -EBADF
 	}
 	if oldfd == newfd {
+		t.mu.Unlock()
 		return int64(newfd)
 	}
-	// The description could be closed between the lookup and the ref;
-	// Ref on a still-referenced file is safe because the caller's fd
-	// pins it — the same guarantee Get-then-use relies on everywhere.
 	f.Ref()
-	newsh := t.shard(newfd)
-	newsh.mu.Lock()
-	old := newsh.files[newfd]
-	newsh.files[newfd] = f
-	newsh.mu.Unlock()
+	old := t.files[newfd]
+	t.files[newfd] = f
+	t.mu.Unlock()
 	if old != nil {
 		old.Unref()
 	}
@@ -610,56 +572,25 @@ func (t *FDTable) Dup2(oldfd, newfd int) int64 {
 
 // InheritFrom fills the table with references to every entry of the
 // parent's — the cheap fd inheritance of spawn (§6). The receiver must
-// be fresh and unshared.
+// be fresh and unshared, so only the parent's lock is taken.
 func (t *FDTable) InheritFrom(parent *FDTable) {
-	for i := range parent.shards {
-		psh, sh := &parent.shards[i], &t.shards[i]
-		psh.mu.RLock()
-		sh.mu.Lock()
-		for fd, f := range psh.files {
-			f.Ref()
-			sh.files[fd] = f
-		}
-		sh.mu.Unlock()
-		psh.mu.RUnlock()
+	parent.mu.Lock()
+	defer parent.mu.Unlock()
+	for fd, f := range parent.files {
+		f.Ref()
+		t.files[fd] = f
 	}
-	parent.allocMu.Lock()
-	t.allocMu.Lock()
 	t.next = parent.next
 	t.freed = append([]int(nil), parent.freed...)
-	t.allocMu.Unlock()
-	parent.allocMu.Unlock()
 }
 
 // CloseAll unrefs and drops every entry (process teardown).
 func (t *FDTable) CloseAll() {
-	var files []File
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.Lock()
-		for _, f := range sh.files {
-			files = append(files, f)
-		}
-		sh.files = make(map[int]File)
-		sh.mu.Unlock()
-	}
-	t.allocMu.Lock()
-	t.next, t.freed = 3, nil
-	t.allocMu.Unlock()
+	t.mu.Lock()
+	files := t.files
+	t.files, t.next, t.freed = make(map[int]File), 3, nil
+	t.mu.Unlock()
 	for _, f := range files {
 		f.Unref()
-	}
-}
-
-// Range calls f for each (fd, file) pair; one shard lock is held at a
-// time, so f must not call back into the table.
-func (t *FDTable) Range(f func(fd int, file File)) {
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.RLock()
-		for fd, file := range sh.files {
-			f(fd, file)
-		}
-		sh.mu.RUnlock()
 	}
 }

@@ -7,8 +7,8 @@
 // the cost: Arm and Cancel are O(1) pointer splices under one mutex,
 // and a single host alarm per wheel — re-armed to the earliest pending
 // deadline — is the only real timer the host ever sees. The LibOS runs
-// one wheel per hart, so a 4-hart kernel holds at most 4 host timers
-// no matter how many connections are parked.
+// one wheel, so it holds at most one host timer no matter how many
+// connections are parked.
 //
 // Geometry: 4 levels × 64 slots at a 1ms tick. Level 0 resolves single
 // ticks; each higher level is 64× coarser, so the horizon is 64^4

@@ -514,8 +514,8 @@ func RunC10K(k Kernel, port uint16, conns, rounds int) C10KResult {
 // ones while the rest keep serving. Churn is what separates "holds N
 // open connections" from "survives N connections' lifecycle" — it keeps
 // the accept path, epoll registration/removal and idle-reap arm/cancel
-// hot during the timed phase, which is where the tail latency of the
-// steady connections shows table-lock or timer-cancel contention.
+// hot during the timed phase, and reports the steady connections' tail
+// latency while they are.
 func RunC10KChurn(k Kernel, port uint16, conns, rounds, churnStride int) C10KResult {
 	return runC10K(k, port, conns, rounds, churnStride)
 }
