@@ -69,20 +69,20 @@ func TestRepairRebuildsDeletedFileOnDisk(t *testing.T) {
 	if n := strings.Count(out, "  ok\n"); n != 6 || strings.Contains(out, "MISSING") {
 		t.Fatalf("info lists %d healthy files, want 6:\n%s", n, out)
 	}
-	if !strings.Contains(out, "format v4, AES-128-GCM,") {
-		t.Fatalf("info does not name format v4 and its cipher:\n%s", out)
+	if !strings.Contains(out, "format v5, AES-128-GCM,") {
+		t.Fatalf("info does not name format v5 and its cipher:\n%s", out)
 	}
 }
 
-// TestInfoAndUpgradeV3OnDisk: the package's v3 fixture, copied to real
-// files, is reported as format v3; upgrade copies it into a v4 store
-// beside it that reads block for block the same, leaves the v3 files
-// alone, and refuses to overwrite an existing store.
-func TestInfoAndUpgradeV3OnDisk(t *testing.T) {
-	dir := t.TempDir()
-	fixture, err := filepath.Glob("../../internal/fs/testdata/v3/v3.img.s*")
+// copyFixture copies the fs package's fixture store testdata/<version>
+// to real files in a new temp dir, and returns the dir and the files it
+// copied from.
+func copyFixture(t *testing.T, version string) (dir string, fixture []string) {
+	t.Helper()
+	dir = t.TempDir()
+	fixture, err := filepath.Glob("../../internal/fs/testdata/" + version + "/" + version + ".img.s*")
 	if err != nil || len(fixture) != 6 {
-		t.Fatalf("v3 fixture: %d files (%v)", len(fixture), err)
+		t.Fatalf("%s fixture: %d files (%v)", version, len(fixture), err)
 	}
 	for _, p := range fixture {
 		data, err := os.ReadFile(p)
@@ -93,7 +93,29 @@ func TestInfoAndUpgradeV3OnDisk(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	src, dst := filepath.Join(dir, "v3.img"), filepath.Join(dir, "v4.img")
+	return dir, fixture
+}
+
+// assertUnchanged requires the copies in dir of the fixture's files to
+// be byte-identical to them.
+func assertUnchanged(t *testing.T, dir string, fixture []string, what string) {
+	t.Helper()
+	for _, p := range fixture {
+		orig, _ := os.ReadFile(p)
+		now, err := os.ReadFile(filepath.Join(dir, filepath.Base(p)))
+		if err != nil || !bytes.Equal(orig, now) {
+			t.Fatalf("%s changed %s", what, filepath.Base(p))
+		}
+	}
+}
+
+// TestInfoAndUpgradeV3OnDisk: the package's v3 fixture, copied to real
+// files, is reported as format v3; upgrade copies it into a
+// current-format store beside it that reads block for block the same,
+// leaves the v3 files alone, and refuses to overwrite an existing store.
+func TestInfoAndUpgradeV3OnDisk(t *testing.T) {
+	dir, fixture := copyFixture(t, "v3")
+	src, dst := filepath.Join(dir, "v3.img"), filepath.Join(dir, "new.img")
 	const key = "v3-fixture"
 
 	out := runOK(t, "-key", key, "-image", src, "info")
@@ -101,26 +123,20 @@ func TestInfoAndUpgradeV3OnDisk(t *testing.T) {
 		t.Fatalf("info on the v3 fixture:\n%s", out)
 	}
 	out = runOK(t, "-key", key, "upgrade", src, dst)
-	if !strings.Contains(out, "(format v3) -> "+dst+" (format v4, AES-128-GCM): 12 blocks copied") {
+	if !strings.Contains(out, "(format v3) -> "+dst+" (format v5, AES-128-GCM): 12 blocks copied") {
 		t.Fatalf("upgrade printed %q", out)
 	}
-	if out := runOK(t, "-key", key, "-image", dst, "info"); !strings.Contains(out, "format v4, AES-128-GCM,") {
+	if out := runOK(t, "-key", key, "-image", dst, "info"); !strings.Contains(out, "format v5, AES-128-GCM,") {
 		t.Fatalf("info on the upgraded store:\n%s", out)
 	}
-	for _, p := range fixture {
-		orig, _ := os.ReadFile(p)
-		now, err := os.ReadFile(filepath.Join(dir, filepath.Base(p)))
-		if err != nil || !bytes.Equal(orig, now) {
-			t.Fatalf("upgrade changed %s", filepath.Base(p))
-		}
-	}
+	assertUnchanged(t, dir, fixture, "upgrade")
 
 	disk := hostos.Dir(dir)
 	old, err := fs.OpenStore(disk, "v3.img", fs.KeyFromString(key))
 	if err != nil {
 		t.Fatal(err)
 	}
-	up, err := fs.OpenStore(disk, "v4.img", fs.KeyFromString(key))
+	up, err := fs.OpenStore(disk, "new.img", fs.KeyFromString(key))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,6 +158,21 @@ func TestInfoAndUpgradeV3OnDisk(t *testing.T) {
 	if err := run([]string{"upgrade", src}, &buf); !errors.Is(err, errUsage) {
 		t.Fatalf("upgrade with one path: %v, want a usage error", err)
 	}
+}
+
+// TestInfoV4OnDisk: the package's v4 fixture, copied to real files, is
+// reported as format v4 at its committed epoch, and info writes nothing.
+// (Its first commit migrates it to v5; fs.TestOpenV4Fixture has that.)
+func TestInfoV4OnDisk(t *testing.T) {
+	dir, fixture := copyFixture(t, "v4")
+	out := runOK(t, "-key", "v4-fixture", "-image", filepath.Join(dir, "v4.img"), "info")
+	if !strings.Contains(out, "format v4, AES-128-GCM, 4+2 striped store, epoch 4, 16 blocks max") {
+		t.Fatalf("info on the v4 fixture:\n%s", out)
+	}
+	if n := strings.Count(out, "  ok\n"); n != 6 {
+		t.Fatalf("info lists %d healthy files, want 6:\n%s", n, out)
+	}
+	assertUnchanged(t, dir, fixture, "info")
 }
 
 // TestUsageErrors: a bad command line is a usage error, and a directory

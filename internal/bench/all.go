@@ -81,10 +81,10 @@ func Run(name string, s Scale, w io.Writer) error {
 	}
 	if err == nil && FSStats {
 		d := fs.Stats().Sub(fsBefore)
-		fmt.Fprintf(w, "  [fs: verified=%d verify-hits=%d read-aheads=%d copy-ups=%d whiteouts=%d scrubbed=%d repaired=%d rebuilt=%d decoded=%d table-stripes=%d crc-mismatches=%d tag-failures=%d]\n",
+		fmt.Fprintf(w, "  [fs: verified=%d verify-hits=%d read-aheads=%d copy-ups=%d whiteouts=%d scrubbed=%d repaired=%d rebuilt=%d decoded=%d table-stripes=%d table-stripes-maced=%d crc-mismatches=%d tag-failures=%d]\n",
 			d.VerifiedBlocks, d.VerifyHits, d.ReadAheads, d.CopyUps, d.Whiteouts,
 			d.ScrubbedBlocks, d.RepairedShards, d.RebuiltShards, d.DecodedStripes, d.TableStripesWritten,
-			d.CRCMismatches, d.TagFailures)
+			d.TableStripesMACed, d.CRCMismatches, d.TagFailures)
 	}
 	return err
 }

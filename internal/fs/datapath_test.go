@@ -166,9 +166,10 @@ func TestReadBlockResultIsCallerOwned(t *testing.T) {
 	}
 }
 
-// TestStoreAllocationFloor gates what a block costs the allocator once
-// the store is warm: nothing. The AEAD, the nonce stream and every
-// buffer a block passes through are the store's own.
+// TestStoreAllocationFloor gates what a block, and a commit, cost the
+// allocator once the store is warm: nothing. The AEAD, the nonce stream,
+// the commit record, the MAC labels and every buffer a block passes
+// through are the store's own.
 func TestStoreAllocationFloor(t *testing.T) {
 	const n = 64
 	_, s, want := newSeqStore(t, n)
@@ -189,6 +190,17 @@ func TestStoreAllocationFloor(t *testing.T) {
 		i++
 	}); a != 0 {
 		t.Errorf("full-block WriteBlock: %.2f allocations per block, want 0", a)
+	}
+	if a := testing.AllocsPerRun(200, func() {
+		if err := s.WriteBlock(i%n, want[i%n]); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}); a != 0 {
+		t.Errorf("warm WriteBlock + Flush: %.2f allocations per commit, want 0", a)
 	}
 }
 

@@ -13,9 +13,11 @@ import (
 	"repro/internal/hostos/hostfault"
 )
 
-// This file holds the on-disk format's two promises: a seal's nonce
-// never repeats under a key, and a store written in the previous format
-// (v3) still opens, reads, scrubs, repairs and upgrades.
+// This file holds the on-disk format's promises: a seal's nonce never
+// repeats under a key; a store written in format v3 still opens, reads,
+// scrubs, repairs and upgrades; and a store written in format v4 opens
+// read-write and migrates to v5 in place with its first Flush, with a
+// crash anywhere in that Flush leaving exactly one of the two.
 
 // nonceLog records the nonce of every seal made under one key.
 type nonceLog map[[nonceSize]byte]string
@@ -128,9 +130,17 @@ const v3FixtureName = "v3.img"
 
 var v3FixtureKey = KeyFromString("v3-fixture")
 
+// The v4 fixture in testdata/v4 was written at the commit before format
+// v5 by v4's CreateStore(hostos.Dir(…), "v4.img", v4FixtureKey, 16)
+// (4+2) followed by v3FixtureScript(s.WriteBlock, s.Flush). It holds the
+// v3 fixture's blocks and commits epoch 4.
+const v4FixtureName = "v4.img"
+
+var v4FixtureKey = KeyFromString("v4-fixture")
+
 // v3FixtureScript is the golden script cut to 16 blocks: full and short
 // writes, a flush, rewrites (one twice in an epoch, one to zero length)
-// and a second flush.
+// and a second flush. Both fixtures were written by it.
 func v3FixtureScript(write func(i int, data []byte) error, flush func() error) error {
 	rng := rand.New(rand.NewSource(42))
 	w := func(i, n int) error {
@@ -186,12 +196,13 @@ func v3FixturePlain(t *testing.T) (blocks [][]byte, written int) {
 	return blocks, len(seen)
 }
 
-// loadV3Fixture copies testdata/v3 into an in-memory host.
-func loadV3Fixture(t *testing.T) *hostos.Host {
+// loadFixture copies the fixture store name in testdata/dir into an
+// in-memory host.
+func loadFixture(t *testing.T, dir, name string) *hostos.Host {
 	t.Helper()
-	paths, err := filepath.Glob(filepath.Join("testdata", "v3", v3FixtureName+".s*"))
+	paths, err := filepath.Glob(filepath.Join("testdata", dir, name+".s*"))
 	if err != nil || len(paths) != 6 {
-		t.Fatalf("v3 fixture: %d shard files (%v), want 6", len(paths), err)
+		t.Fatalf("%s fixture: %d shard files (%v), want 6", dir, len(paths), err)
 	}
 	h := hostos.New()
 	for _, p := range paths {
@@ -221,11 +232,11 @@ func checkBlocks(t *testing.T, s *BlockStore, want [][]byte, what string) {
 // TestOpenV3Fixture: the committed v3 store opens read-only and reads
 // bit-identical to its script; writes are refused with ErrOldFormat;
 // scrub and repair put back the fixture's own bytes, never new v3
-// ciphertext; Upgrade copies it into a v4 store that reads the same and
-// takes writes.
+// ciphertext; Upgrade copies it into a current-format store that reads
+// the same and takes writes.
 func TestOpenV3Fixture(t *testing.T) {
 	want, written := v3FixturePlain(t)
-	h := loadV3Fixture(t)
+	h := loadFixture(t, "v3", v3FixtureName)
 	pristine := hostfault.CopyFiles(h, v3FixtureName+".s*")
 	s, err := OpenStore(h, v3FixtureName, v3FixtureKey)
 	if err != nil {
@@ -294,8 +305,8 @@ func TestOpenV3Fixture(t *testing.T) {
 	delete(pristine, lost)
 	assertFiles(t, h, pristine, "after repair")
 
-	// Upgrade into v4; the v3 files are left as they were.
-	up, copied, err := Upgrade(s, h, "v4.img", v3FixtureKey)
+	// Upgrade into the current format; the v3 files are left as they were.
+	up, copied, err := Upgrade(s, h, "new.img", v3FixtureKey)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,11 +314,11 @@ func TestOpenV3Fixture(t *testing.T) {
 		t.Fatalf("upgrade copied %d blocks, want the %d written", copied, written)
 	}
 	assertFiles(t, h, pristine, "after upgrade")
-	up, err = OpenStore(h, "v4.img", v3FixtureKey)
+	up, err = OpenStore(h, "new.img", v3FixtureKey)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, _ := up.Format(); v != 4 {
+	if v, _ := up.Format(); v != formatV5 {
 		t.Fatalf("upgraded store is format %d", v)
 	}
 	checkBlocks(t, up, want, "upgraded read")
@@ -327,5 +338,157 @@ func assertFiles(t *testing.T, h *hostos.Host, files map[string][]byte, what str
 		if err != nil || !bytes.Equal(got, data) {
 			t.Fatalf("%s: %s differs from the fixture (%v)", what, name, err)
 		}
+	}
+}
+
+// wantFormat asserts the format and epoch s opened at.
+func wantFormat(t *testing.T, s *BlockStore, version int, epoch uint64, what string) {
+	t.Helper()
+	if v, _ := s.Format(); v != version || s.Epoch() != epoch {
+		t.Fatalf("%s: format %d at epoch %d, want %d at %d", what, v, s.Epoch(), version, epoch)
+	}
+}
+
+// TestOpenV4Fixture: the committed v4 store opens read-write and reads
+// bit-identical to its script. A scrub republishes its commit record
+// under the v4 label, with v4's root: the files come back byte for byte
+// and reopen as v4. Its first Flush commits v5 in place — the headers
+// say 5 and the record carries v5's label — and the reopened store reads
+// the same and takes writes.
+func TestOpenV4Fixture(t *testing.T) {
+	want, written := v3FixturePlain(t)
+	h := loadFixture(t, "v4", v4FixtureName)
+	pristine := hostfault.CopyFiles(h, v4FixtureName+".s*")
+	s, err := OpenStore(h, v4FixtureName, v4FixtureKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantFormat(t, s, formatV4, 4, "fixture")
+	checkBlocks(t, s, want, "v4 read")
+
+	// Rot a block cell, a committed table cell and one file's committed
+	// record; the scrub pass puts all three back as they were.
+	slot := int(s.Epoch() & 1)
+	for _, rot := range []struct{ f, off int }{
+		{1, s.cellOff(s.blockStripe(3, s.slot(3))) + 9},
+		{4, s.cellOff(slot*s.tableStripes()) + 5},
+		{0, fileHeaderSize + slot*commitRecordSize + 50},
+	} {
+		if err := hostfault.FlipBit(h, s.fileName(rot.f), rot.off); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := Stats()
+	if n, err := s.Scrub(); err != nil || n != written {
+		t.Fatalf("v4 scrub: %d blocks, %v; want %d and nil", n, err, written)
+	}
+	if d := Stats().Sub(before); d.RepairedShards != 3 {
+		t.Fatalf("v4 scrub repaired %d cells, want 3", d.RepairedShards)
+	}
+	assertFiles(t, h, pristine, "after scrub")
+	if s, err = OpenStore(h, v4FixtureName, v4FixtureKey); err != nil {
+		t.Fatal(err)
+	}
+	wantFormat(t, s, formatV4, 4, "reopen after scrub")
+
+	// The first Flush migrates: nothing changed, so it MACs no stripe,
+	// but its record is v5's.
+	before = Stats()
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if d := Stats().Sub(before); d.TableStripesMACed != 0 {
+		t.Fatalf("migrating Flush of an unchanged table MACed %d stripes, want 0", d.TableStripesMACed)
+	}
+	s2, err := OpenStore(h, v4FixtureName, v4FixtureKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantFormat(t, s2, formatV5, 5, "reopen after the first Flush")
+	checkBlocks(t, s2, want, "v5 read")
+	for _, name := range s2.BackingFiles() {
+		if data, _ := h.ReadFile(name); data[7] != formatV5 {
+			t.Fatalf("%s's header says format %d after the migration", name, data[7])
+		}
+	}
+	want[12] = blockFill(12, 1)
+	if err := s2.WriteBlock(12, want[12]); err != nil {
+		t.Fatal(err)
+	}
+	if err := s2.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	s3, err := OpenStore(h, v4FixtureName, v4FixtureKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantFormat(t, s3, formatV5, 6, "reopen after a v5 write")
+	checkBlocks(t, s3, want, "v5 read after a write")
+}
+
+// TestCrashAtEveryWriteOfTheV5Migration cuts the v4 fixture's first
+// Flush — headers, table stripe, records — at every host write, in both
+// cut modes. Each cut reopens to exactly the v4 commit (format 4, epoch
+// 4, the fixture's blocks) or the v5 one (format 5, epoch 5, with the
+// block written before the Flush), and the recovered store then commits
+// v5 and reopens to it. The record is the commit point: a torn v5
+// commit falls back to the v4 one.
+func TestCrashAtEveryWriteOfTheV5Migration(t *testing.T) {
+	v4, _ := v3FixturePlain(t)
+	v5 := append([][]byte(nil), v4...)
+	v5[12] = blockFill(12, 1)
+	fixture := hostfault.CopyFiles(loadFixture(t, "v4", v4FixtureName), v4FixtureName+".s*")
+	for _, mode := range cutModes {
+		t.Run(mode.name, func(t *testing.T) {
+			cuts := 0
+			for cut := 0; ; cut++ {
+				host := hostos.New()
+				hostfault.PutFiles(host, fixture)
+				h := hostfault.New(host)
+				s, err := OpenStore(h, v4FixtureName, v4FixtureKey)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := s.WriteBlock(12, v5[12]); err != nil {
+					t.Fatal(err)
+				}
+				h.Inject(v4FixtureName+".s*", mode.cut(cut))
+				err = s.Flush()
+				tripped := h.Heal(v4FixtureName + ".s*")
+				what := fmt.Sprintf("cut %d", cut)
+				checkCut(t, mode.name, what, s, tripped, err)
+
+				s2, err := OpenStore(h, v4FixtureName, v4FixtureKey)
+				if err != nil {
+					t.Fatalf("%s: reopen: %v", what, err)
+				}
+				want := v4
+				if s2.Epoch() == 5 {
+					wantFormat(t, s2, formatV5, 5, what)
+					want = v5
+				} else {
+					wantFormat(t, s2, formatV4, 4, what)
+				}
+				if !tripped && s2.Epoch() != 5 {
+					t.Fatalf("%s: an uncut migration did not commit", what)
+				}
+				checkBlocks(t, s2, want, what)
+
+				if err := s2.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				s3, err := OpenStore(h, v4FixtureName, v4FixtureKey)
+				if err != nil {
+					t.Fatalf("%s: reopen after recommit: %v", what, err)
+				}
+				wantFormat(t, s3, formatV5, s2.Epoch(), what+" + recommit")
+				checkBlocks(t, s3, want, what+" + recommit")
+				cuts++
+				if !tripped {
+					break
+				}
+			}
+			t.Logf("%d cut points of the v4 → v5 commit all consistent", cuts)
+		})
 	}
 }

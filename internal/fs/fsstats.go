@@ -17,6 +17,7 @@ var fsStats struct {
 	rebuiltShards       atomic.Uint64
 	decodedStripes      atomic.Uint64
 	tableStripesWritten atomic.Uint64
+	tableStripesMACed   atomic.Uint64
 	crcMismatches       atomic.Uint64
 	tagFailures         atomic.Uint64
 }
@@ -55,6 +56,12 @@ type StatCounters struct {
 	// few; the first commit into a slot whose content is unknown (after
 	// create or open) writes the whole table.
 	TableStripesWritten uint64
+	// TableStripesMACed counts table stripes whose MAC (Mⱼ, under the v5
+	// root) was computed: every stripe at create and for each v4 or v5
+	// commit open reads a table for, and at a Flush only the stripes
+	// whose entries changed since the previous Flush — never more than it
+	// wrote.
+	TableStripesMACed uint64
 	// CRCMismatches counts shard cells read whole whose crc32 trailer
 	// did not match their payload (CHECKSUM_MISMATCH): rot, a torn write,
 	// or a tamperer who did not fix the trailer up. Missing files and
@@ -80,6 +87,7 @@ func Stats() StatCounters {
 		RebuiltShards:       fsStats.rebuiltShards.Load(),
 		DecodedStripes:      fsStats.decodedStripes.Load(),
 		TableStripesWritten: fsStats.tableStripesWritten.Load(),
+		TableStripesMACed:   fsStats.tableStripesMACed.Load(),
 		CRCMismatches:       fsStats.crcMismatches.Load(),
 		TagFailures:         fsStats.tagFailures.Load(),
 	}
@@ -98,6 +106,7 @@ func (s StatCounters) Sub(prev StatCounters) StatCounters {
 		RebuiltShards:       s.RebuiltShards - prev.RebuiltShards,
 		DecodedStripes:      s.DecodedStripes - prev.DecodedStripes,
 		TableStripesWritten: s.TableStripesWritten - prev.TableStripesWritten,
+		TableStripesMACed:   s.TableStripesMACed - prev.TableStripesMACed,
 		CRCMismatches:       s.CRCMismatches - prev.CRCMismatches,
 		TagFailures:         s.TagFailures - prev.TagFailures,
 	}

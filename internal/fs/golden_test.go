@@ -14,8 +14,9 @@ import (
 // The RS hashes in this file were pinned on the commit before the
 // allocation-free stripe path (PR 19's tree): they hold the RS kernel's
 // output, whatever the data path does to get there. The store hashes
-// pin on-disk format v4, written with a seeded nonce source; the v3
-// format is pinned by the fixture in testdata/v3 (v3_test.go).
+// pin on-disk format v5, written with a seeded nonce source; formats v3
+// and v4 are pinned by the fixtures in testdata/v3 and testdata/v4
+// (format_test.go).
 
 // rsGoldenDigest hashes encode's output and the full shard set after
 // every single- and double-erasure reconstruct, over a seeded corpus.
@@ -139,11 +140,11 @@ func TestStoreGoldenImage(t *testing.T) {
 		k, m int
 		want string
 	}{
-		{4, 2, "edf5fabf9f132e312393726028b57f91c92b917b87562ba75b2de23f15319b15"},
-		{1, 1, "fc598eb615c8f2d96fdd3809198a1d5e77c75d58cc015f0948ee960370650dfd"},
+		{4, 2, "a2d9122c621d4c32df9c94db2eda767a7be69fcb5c9400f062e6bcde241f0178"},
+		{1, 1, "7c8f043a31ea75c6f1866a3ed9da631d6b47e1657fdf2c308e5a443a97598399"},
 	} {
 		if got := storeGoldenDigest(t, g.k, g.m); got != g.want {
-			t.Errorf("store %d+%d: shard files hash to %s, format v4 pinned %s", g.k, g.m, got, g.want)
+			t.Errorf("store %d+%d: shard files hash to %s, format v5 pinned %s", g.k, g.m, got, g.want)
 		}
 	}
 }

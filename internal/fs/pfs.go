@@ -8,16 +8,18 @@
 //     storage. Every write seals its block with AES-128-GCM under a fresh
 //     random 96-bit nonce, bound to the block index; the nonce and the
 //     16-byte tag live in the block's version-table entry, and a root MAC
-//     over epoch ‖ table authenticates the whole device (anti-replay: an
-//     old ciphertext does not open under the current entry). A/B block
+//     over epoch ‖ one MAC per table stripe authenticates the whole device
+//     (anti-replay: an old ciphertext does not open under the current
+//     entry), so a commit re-MACs only the stripes it changed. A/B block
 //     slots plus an atomic commit-record protocol make Sync
 //     crash-consistent. Beneath the integrity layer, every block is
 //     striped across k+m host files with Reed–Solomon parity (rs.go), so
 //     the device self-heals from the loss or rot of up to m shards per
 //     stripe — including an entire deleted backing file — without ever
-//     serving a byte that has not re-passed its tag. Stores in the
-//     previous format (v3: AES-CTR + HMAC-SHA256) open read-only
-//     (pfs_v3.go).
+//     serving a byte that has not re-passed its tag. Stores in format v4
+//     (one root MAC over the whole table) open read-write and commit v5
+//     from their next Flush; stores in format v3 (AES-CTR + HMAC-SHA256)
+//     open read-only (pfs_v3.go).
 //   - EncFS (fs.go): a full Unix-like filesystem (superblock, inodes,
 //     directories, a shared page cache) built on the block store. Because
 //     a single LibOS instance owns it, it is writable and consistent
@@ -102,9 +104,27 @@ const (
 	shardDataStart   = fileHeaderSize + 2*commitRecordSize // 224
 )
 
+// Formats v4 and v5 share keys, entries and layout; they differ only in
+// what a commit record's root authenticates (rootV4, rootV5), and each
+// record's MAC label says which.
+const (
+	formatV4 = 4
+	formatV5 = 5
+)
+
 // pfsMagic opens every shard file's header; its last byte is the format
 // version.
-var pfsMagic = [8]byte{'O', 'C', 'P', 'F', 'S', 0, 0, 4}
+var pfsMagic = [8]byte{'O', 'C', 'P', 'F', 'S', 0, 0, formatV5}
+
+// The labels that keep the MACs made under one store MAC key in
+// separate domains. Each domain's input has a fixed length, and no two
+// domains' lengths coincide.
+var (
+	labelRecord   = []byte("commit:")  // a v3 or v4 commit record
+	labelRecordV5 = []byte("commit5:") // a v5 commit record
+	labelStripe   = []byte("stripe")   // Mⱼ: "stripe" ‖ j ‖ table stripe j
+	labelRootV5   = []byte("root5")    // the v5 root: "root5" ‖ epoch ‖ M₀ ‖ … ‖ M_{T−1}
+)
 
 // Integrity errors.
 var (
@@ -151,9 +171,10 @@ func KeyFromString(s string) Key {
 // mid-epoch; rewrites within the same epoch land on the same
 // (uncommitted) slot. Flush writes the version table into the A/B table
 // slot for the new epoch and then publishes it with per-file commit
-// records (epoch + root MAC, self-authenticated by an HMAC): a crash
-// cutting the write sequence at any point leaves the previous committed
-// state fully recoverable, because nothing it references was touched.
+// records (epoch + root MAC, self-authenticated by an HMAC whose label
+// names the record's format): a crash cutting the write sequence at any
+// point leaves the previous committed state fully recoverable, because
+// nothing it references was touched.
 //
 // Durability: each 4 KiB stripe (a block slot, or one table chunk) is
 // split into k data shards and m Reed–Solomon parity shards, one per
@@ -183,6 +204,14 @@ type BlockStore struct {
 	esize int // one entry's size: entrySize, or v3EntrySize
 	// v3 is non-nil for a store in format v3, which opens read-only.
 	v3 *v3Reader
+	// format is the format of the commit the store loaded or last made:
+	// formatV3, formatV4 (a v4 store until its next Flush commits v5) or
+	// formatV5. Records and headers the store republishes carry it.
+	format int
+	// stripeMACs holds Mⱼ for the T table stripes, sha256.Size bytes
+	// each, over the in-memory table as of the last Flush or open: what
+	// the v5 root authenticates. Flush recomputes the changed ones.
+	stripeMACs []byte
 	// epochWritten marks blocks already flipped to their shadow slot
 	// this epoch; cleared by Flush.
 	epochWritten []bool
@@ -190,7 +219,8 @@ type BlockStore struct {
 
 	// Table commit of what changed. stripeChanged[j] is the epoch whose
 	// commit first carries table stripe j's current bytes (the epoch after
-	// the one in which an entry in it was last written; 0: as loaded).
+	// the one in which an entry in it was last written; 0: as loaded), so
+	// the Flush that commits epoch E re-MACs the stripes where it is E.
 	// slotWhole[a] is the epoch whose table A/B table slot a is known to
 	// hold in every stripe, 0 when unknown: after CreateStore, for the
 	// slot OpenStore did not load, and while a Flush is writing into it.
@@ -218,11 +248,14 @@ type BlockStore struct {
 	names  []string    // the k+m shard file names
 	aead   cipher.AEAD // AES-128-GCM under the derived sealing key
 	nonces *rand.ChaCha8
-	mac    hash.Hash // HMAC-SHA256 for the root MAC and commit records; Reset per use
+	mac    hash.Hash // HMAC-SHA256 for stripe MACs, the root MAC and commit records; Reset per use
 	sum    [sha256.Size]byte
-	word   [8]byte  // a seal's associated data (the block index), or the root MAC's epoch
-	cells  []byte   // the k+m cells of the stripe being read
-	raw    [][]byte // per-file shard views into cells (nil: unreadable)
+	// word is a seal's associated data (the block index), a stripe MAC's
+	// index, or the root MAC's epoch.
+	word   [8]byte
+	rec    [commitRecordSize]byte // the commit record being published
+	cells  []byte                 // the k+m cells of the stripe being read
+	raw    [][]byte               // per-file shard views into cells (nil: unreadable)
 	crcOK  []bool
 	ct     []byte   // one stripe payload, with tagSize spare capacity: assembled on read, sealed on write
 	pt     []byte   // one opened block
@@ -252,7 +285,7 @@ func newStore(h hostos.Disk, name string, key Key, maxBlocks, k, m int, v3 bool)
 		s.initV3(key)
 	} else {
 		// The labels differ from v3's, so no v3 record, table or
-		// ciphertext authenticates under a v4 store's keys.
+		// ciphertext authenticates under a v4 or v5 store's keys.
 		sealKey := sha256.Sum256(append([]byte("gcm:"), key[:]...))
 		macKey := sha256.Sum256(append([]byte("root:"), key[:]...))
 		block, err := aes.NewCipher(sealKey[:16])
@@ -267,12 +300,14 @@ func newStore(h hostos.Disk, name string, key Key, maxBlocks, k, m int, v3 bool)
 		s.nonces = rand.NewChaCha8(seed)
 		s.mac = hmac.New(sha256.New, macKey[:])
 		s.esize = entrySize
+		s.format = formatV5
 	}
 	ss := s.shardSize()
 	s.cells = make([]byte, (k+m)*s.cellSize())
 	s.cell = make([]byte, s.cellSize())
 	s.table = make([]byte, s.tableStripes()*BlockSize)
 	s.stripeChanged = make([]uint64, s.tableStripes())
+	s.stripeMACs = make([]byte, s.tableStripes()*sha256.Size)
 	parity := make([]byte, m*ss)
 	for f := range s.names {
 		s.names[f] = shardFile(name, f)
@@ -380,15 +415,29 @@ func CreateStoreGeom(h hostos.Disk, name string, key Key, maxBlocks, k, m int) (
 			return nil, fmt.Errorf("fs: create: %w", err)
 		}
 	}
-	for f := 0; f < s.nFiles(); f++ {
-		if err := h.WriteFileAt(s.fileName(f), 0, s.fileHeader(f)); err != nil {
-			return nil, fmt.Errorf("fs: create: %w", err)
-		}
+	if err := s.writeHeaders(); err != nil {
+		return nil, fmt.Errorf("fs: create: %w", err)
+	}
+	// Every stripe of the new table is new to the first commit, which
+	// MACs them all.
+	for j := range s.stripeChanged {
+		s.stripeChanged[j] = s.epoch + 1
 	}
 	if err := s.Flush(); err != nil {
 		return nil, err
 	}
 	return s, nil
+}
+
+// writeHeaders writes every shard file's header, stopping at the first
+// failed write.
+func (s *BlockStore) writeHeaders() error {
+	for f := 0; f < s.nFiles(); f++ {
+		if err := s.host.WriteFileAt(s.fileName(f), 0, s.fileHeader(f)); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // fileHeader serializes shard file f's header.
@@ -404,22 +453,29 @@ func (s *BlockStore) fileHeader(f int) []byte {
 	return hdr
 }
 
-// commitRecord serializes the commit record publishing (epoch, rootMAC).
-// The record authenticates itself with an HMAC, so open can tell a valid
-// record from torn or rotted bytes without trusting anything else.
+// commitRecord serializes, in scratch, the commit record publishing
+// (epoch, rootMAC) in the store's format. The record authenticates
+// itself with an HMAC, so open can tell a valid record from torn or
+// rotted bytes without trusting anything else, and the HMAC's label
+// tells open which root rule the record's root follows.
 func (s *BlockStore) commitRecord(epoch uint64, root [32]byte) []byte {
-	rec := make([]byte, commitRecordSize)
+	rec := s.rec[:]
 	binary.LittleEndian.PutUint64(rec[0:], epoch)
 	binary.LittleEndian.PutUint64(rec[8:], uint64(s.maxBlocks))
 	copy(rec[16:48], root[:])
-	mac := s.recMAC(rec[:48])
+	mac := s.recMAC(s.format, rec[:48])
 	copy(rec[48:80], mac[:])
 	return rec
 }
 
-func (s *BlockStore) recMAC(fields []byte) [32]byte {
+// recMAC is the MAC of a commit record's fields in format.
+func (s *BlockStore) recMAC(format int, fields []byte) [32]byte {
+	label := labelRecord
+	if format == formatV5 {
+		label = labelRecordV5
+	}
 	s.mac.Reset()
-	s.mac.Write([]byte("commit:"))
+	s.mac.Write(label)
 	s.mac.Write(fields)
 	s.mac.Sum(s.sum[:0])
 	return s.sum
@@ -427,8 +483,10 @@ func (s *BlockStore) recMAC(fields []byte) [32]byte {
 
 // openGeometry scans the shard files for one valid header to learn the
 // format version and stripe geometry (any surviving file can supply
-// them). The header is not authenticated: a host that changes the
-// version byte gets a store whose keys nothing on disk opens under.
+// them). The header is not authenticated. A host that swaps version 3
+// for 4 or 5, or back, gets a store whose keys nothing on disk opens
+// under; one that swaps 4 and 5 changes nothing, since those two share
+// keys and the records, not the header, say which root rule applies.
 func openGeometry(h hostos.Disk, name string) (version, k, m, maxBlocks int, err error) {
 	for f := 0; f < maxShardFiles; f++ {
 		hdr := make([]byte, fileHeaderSize)
@@ -436,7 +494,7 @@ func openGeometry(h hostos.Disk, name string) (version, k, m, maxBlocks int, err
 		if rerr != nil || n < fileHeaderSize {
 			continue
 		}
-		if string(hdr[:7]) != string(pfsMagic[:7]) || hdr[7] != formatV3 && hdr[7] != pfsMagic[7] {
+		if string(hdr[:7]) != string(pfsMagic[:7]) || hdr[7] < formatV3 || hdr[7] > formatV5 {
 			continue
 		}
 		k = int(binary.LittleEndian.Uint16(hdr[8:]))
@@ -455,7 +513,8 @@ func openGeometry(h hostos.Disk, name string) (version, k, m, maxBlocks int, err
 // reads that epoch's version table (repairing rotted or missing table
 // shards from parity), and verifies the root MAC. Up to m lost or
 // corrupted shards per stripe — including whole missing backing
-// files — are tolerated and repaired in place. A v3 image opens
+// files — are tolerated and repaired in place. A v4 image opens
+// read-write, and its next Flush commits v5 in place. A v3 image opens
 // read-only: WriteBlock and Flush return ErrOldFormat.
 func OpenStore(h hostos.Disk, name string, key Key) (*BlockStore, error) {
 	version, k, m, maxBlocks, err := openGeometry(h, name)
@@ -466,12 +525,19 @@ func OpenStore(h hostos.Disk, name string, key Key) (*BlockStore, error) {
 	if err != nil {
 		return nil, ErrBadKey
 	}
+	// The label a record's MAC verifies under is its format. A v3 store's
+	// records carry the v4 label under v3's key.
+	formats := []int{formatV5, formatV4}
+	if s.v3 != nil {
+		formats = []int{formatV3}
+	}
 
 	// Collect every valid commit record, newest epoch first. Records are
 	// per-file replicas: any one survivor publishes the commit.
 	type candidate struct {
-		epoch uint64
-		root  [32]byte
+		epoch  uint64
+		root   [32]byte
+		format int
 	}
 	var cands []candidate
 	seen := make(map[uint64]bool)
@@ -482,8 +548,14 @@ func OpenStore(h hostos.Disk, name string, key Key) (*BlockStore, error) {
 			if rerr != nil || n < commitRecordSize {
 				continue
 			}
-			want := s.recMAC(rec[:48])
-			if !hmac.Equal(want[:], rec[48:80]) {
+			format := 0
+			for _, fm := range formats {
+				if want := s.recMAC(fm, rec[:48]); hmac.Equal(want[:], rec[48:80]) {
+					format = fm
+					break
+				}
+			}
+			if format == 0 {
 				continue
 			}
 			epoch := binary.LittleEndian.Uint64(rec[0:])
@@ -495,8 +567,7 @@ func OpenStore(h hostos.Disk, name string, key Key) (*BlockStore, error) {
 			}
 			if !seen[epoch] {
 				seen[epoch] = true
-				var c candidate
-				c.epoch = epoch
+				c := candidate{epoch: epoch, format: format}
 				copy(c.root[:], rec[16:48])
 				cands = append(cands, c)
 			}
@@ -516,8 +587,7 @@ func OpenStore(h hostos.Disk, name string, key Key) (*BlockStore, error) {
 	// check the root MAC. Torn later commits simply fall through to the
 	// previous fully-committed epoch.
 	for _, c := range cands {
-		if s.loadTable(c.epoch, c.root) {
-			s.epoch = c.epoch
+		if s.loadTable(c.epoch, c.root, c.format) {
 			return s, nil
 		}
 	}
@@ -525,9 +595,11 @@ func OpenStore(h hostos.Disk, name string, key Key) (*BlockStore, error) {
 }
 
 // loadTable reads the version table from epoch's A/B table slot (with
-// shard repair) and keeps it if the root MAC matches. Caller holds no
-// lock (open path) — the store is not yet shared.
-func (s *BlockStore) loadTable(epoch uint64, wantRoot [32]byte) bool {
+// shard repair) and keeps it if the root MAC, by format's rule, matches.
+// It trusts nothing it did not just read: every stripe MAC is computed
+// from the stripes read here, v4's too, whose next Flush commits v5.
+// Caller holds no lock (open path) — the store is not yet shared.
+func (s *BlockStore) loadTable(epoch uint64, wantRoot [32]byte, format int) bool {
 	slot := int(epoch & 1)
 	T := s.tableStripes()
 	for j := 0; j < T; j++ {
@@ -538,14 +610,23 @@ func (s *BlockStore) loadTable(epoch uint64, wantRoot [32]byte) bool {
 		copy(s.table[j*BlockSize:], pay)
 	}
 	s.epoch = epoch
-	if s.v3 != nil {
+	if format != formatV3 {
+		for j := 0; j < T; j++ {
+			s.macStripe(j)
+		}
+	}
+	switch format {
+	case formatV3:
 		s.root = s.rootV3()
-	} else {
-		s.root = s.rootMAC()
+	case formatV4:
+		s.root = s.rootV4()
+	default:
+		s.root = s.rootV5()
 	}
 	if !hmac.Equal(s.root[:], wantRoot[:]) {
 		return false
 	}
+	s.format = format
 	// Every stripe of this slot was just read (and repaired) and the
 	// whole authenticated; nothing is known about the other slot, which a
 	// torn newer commit may have half-overwritten.
@@ -580,9 +661,10 @@ func (s *BlockStore) Epoch() uint64 {
 	return s.epoch
 }
 
-// rootMAC authenticates epoch ‖ the table image: every block's nonce,
-// tag and flags, exactly as Flush writes them.
-func (s *BlockStore) rootMAC() [32]byte {
+// rootV4 is format v4's root: one MAC over epoch ‖ the whole table
+// image. Only a v4 commit loaded by open is checked against it; nothing
+// commits it any more.
+func (s *BlockStore) rootV4() [32]byte {
 	binary.LittleEndian.PutUint64(s.word[:], s.epoch)
 	s.mac.Reset()
 	s.mac.Write(s.word[:])
@@ -591,13 +673,41 @@ func (s *BlockStore) rootMAC() [32]byte {
 	return s.sum
 }
 
-// Format reports the store's on-disk format version and its block
-// cipher. Only the current version, 4, is writable.
+// macStripe computes Mⱼ = MAC("stripe" ‖ j ‖ table stripe j) into its
+// place in stripeMACs. The index binds a stripe's MAC to its position
+// even where two stripes hold the same bytes (never-written entries are
+// zeros).
+func (s *BlockStore) macStripe(j int) {
+	binary.LittleEndian.PutUint64(s.word[:], uint64(j))
+	s.mac.Reset()
+	s.mac.Write(labelStripe)
+	s.mac.Write(s.word[:])
+	s.mac.Write(s.table[j*BlockSize : (j+1)*BlockSize])
+	s.mac.Sum(s.stripeMACs[j*sha256.Size : j*sha256.Size])
+	fsStats.tableStripesMACed.Add(1)
+}
+
+// rootV5 is format v5's root: MAC("root5" ‖ epoch ‖ M₀ ‖ … ‖ M_{T−1}),
+// over the stripe MACs as they stand. It reads 32 bytes per stripe
+// where rootV4 read 4096.
+func (s *BlockStore) rootV5() [32]byte {
+	binary.LittleEndian.PutUint64(s.word[:], s.epoch)
+	s.mac.Reset()
+	s.mac.Write(labelRootV5)
+	s.mac.Write(s.word[:])
+	s.mac.Write(s.stripeMACs)
+	s.mac.Sum(s.sum[:0])
+	return s.sum
+}
+
+// Format reports the format of the commit the store loaded or last made,
+// and its block cipher. v4 and v5 are writable, and a v4 store's next
+// Flush commits v5.
 func (s *BlockStore) Format() (version int, cipher string) {
 	if s.v3 != nil {
 		return formatV3, "AES-128-CTR + HMAC-SHA256 (read-only)"
 	}
-	return int(pfsMagic[7]), "AES-128-GCM"
+	return s.format, "AES-128-GCM"
 }
 
 // --- Stripe I/O -----------------------------------------------------------
@@ -932,7 +1042,13 @@ func (s *BlockStore) readBlockLocked(i int, dst []byte) (repairErr, err error) {
 // entries changed since the target slot was last whole are written (see
 // stripeChanged / slotWhole). A crash between those writes leaves the
 // target slot a mix of two tables, which is what it always was mid-Flush:
-// the committed table is the other slot's.
+// the committed table is the other slot's. The MAC work is what changed
+// since the last Flush, not since the slot was whole: the stripe MACs
+// of the entries written this epoch, then the root over all T of them.
+//
+// A v4 store's first Flush commits v5 in place: it rewrites the headers
+// with the stripes and publishes the record under v5's label. Until the
+// records land, open finds the v4 commit, as for any torn commit.
 //
 // Two Sync barriers order the commit: every shard file is synced after
 // the stripe writes and before the records, and again after them. A
@@ -956,6 +1072,12 @@ func (s *BlockStore) Flush() error {
 	// is neither table.
 	whole := s.slotWhole[slot]
 	s.slotWhole[slot] = 0
+	if s.format != formatV5 {
+		s.format = formatV5
+		if err := s.writeHeaders(); err != nil {
+			return s.fail("flush", err)
+		}
+	}
 	for j := 0; j < T; j++ {
 		if whole == 0 || s.stripeChanged[j] > whole {
 			if err := s.writeStripe(slot*T+j, s.table[j*BlockSize:(j+1)*BlockSize]); err != nil {
@@ -968,7 +1090,12 @@ func (s *BlockStore) Flush() error {
 		return s.fail("flush", err)
 	}
 	s.slotWhole[slot] = s.epoch
-	s.root = s.rootMAC()
+	for j := 0; j < T; j++ {
+		if s.stripeChanged[j] == s.epoch {
+			s.macStripe(j)
+		}
+	}
+	s.root = s.rootV5()
 	rec := s.commitRecord(s.epoch, s.root)
 	for f := 0; f < s.nFiles(); f++ {
 		if err := s.host.WriteFileAt(s.fileName(f), fileHeaderSize+slot*commitRecordSize, rec); err != nil {
@@ -1063,7 +1190,9 @@ func (s *BlockStore) ScrubStep(n int) (worked bool, err error) {
 // truth. It covers all T stripes, not the ones the last Flush wrote: a
 // slot that has just become the committed one holds stripes last written
 // two or more commits ago that nothing read while it was inactive, and
-// this pass is what bounds their exposure to rot. Caller holds s.mu and
+// this pass is what bounds their exposure to rot. The record and
+// headers it re-derives are in the committed format: a v4 store not yet
+// flushed keeps its v4 record, whose root is v4's. Caller holds s.mu and
 // has checked !s.dirtyHdr.
 func (s *BlockStore) scrubTableLocked() error {
 	slot := int(s.epoch & 1)

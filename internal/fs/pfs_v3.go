@@ -18,7 +18,7 @@ import (
 // (version, slot byte, MAC). This file is what is left of it: a verifier
 // that opens v3 stores read-only. Reads, scrub and repair work on them;
 // WriteBlock and Flush return ErrOldFormat, and Upgrade copies a v3
-// store block by block into a fresh v4 one. Nothing here encrypts: no
+// store block by block into a fresh current-format one. Nothing here encrypts: no
 // code path writes v3 ciphertext. (v3's nonce rule, a version bumped per
 // write, repeats after a crash before Flush; DESIGN.md, "Crash
 // consistency".)
@@ -83,12 +83,12 @@ func (s *BlockStore) rootV3() [32]byte {
 }
 
 // Upgrade copies every written block of src, a store of any format, into
-// a fresh v4 store named name on h — src's geometry and capacity, sealed
-// under key — and commits it. It returns the new store and the number of
-// blocks copied. The copy cannot be made in place: v4's smaller table
-// moves every block stripe's offset onto bytes the v3 commit still
-// references. CreateStore removes whatever name held, so name must not
-// be src's.
+// a fresh current-format store named name on h — src's geometry and
+// capacity, sealed under key — and commits it. It returns the new store
+// and the number of blocks copied. A v3 store cannot be migrated in
+// place: v4's smaller table moves every block stripe's offset onto bytes
+// the v3 commit still references. CreateStore removes whatever name
+// held, so name must not be src's.
 func Upgrade(src *BlockStore, h hostos.Disk, name string, key Key) (*BlockStore, int, error) {
 	k, m := src.Geometry()
 	dst, err := CreateStoreGeom(h, name, key, src.MaxBlocks(), k, m)

@@ -107,6 +107,74 @@ func TestFlushWritesTheTableStripesThatChanged(t *testing.T) {
 	}
 }
 
+// TestFlushMACsTheStripesThatChanged: the v5 root is a MAC over one MAC
+// per table stripe, and a Flush recomputes only the stripe MACs whose
+// entries changed since the previous Flush. Create and open MAC all T
+// (open trusts nothing it did not just read); a commit MACs exactly the
+// stripes its writes touched, and never more than it writes.
+func TestFlushMACsTheStripesThatChanged(t *testing.T) {
+	h := hostos.New()
+	key := KeyFromString("table-mac")
+	const maxBlocks = 16384 // the benchmark's device: T = 128 table stripes
+	before := Stats()
+	s, err := CreateStore(h, "img", key, maxBlocks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	T := s.tableStripes()
+	if got := int(Stats().Sub(before).TableStripesMACed); got != T {
+		t.Fatalf("CreateStore MACed %d table stripes, want all %d", got, T)
+	}
+	before = Stats()
+	if s, err = OpenStore(h, "img", key); err != nil {
+		t.Fatal(err)
+	}
+	if got := int(Stats().Sub(before).TableStripesMACed); got != T {
+		t.Fatalf("OpenStore MACed %d table stripes, want all %d", got, T)
+	}
+	// 1000..1511 spans stripes 7..11. This commit writes all T (the slot
+	// open did not load is unknown) and MACs 5.
+	writeRange(t, s, 1000, 512, 1)
+	before = Stats()
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if d := Stats().Sub(before); d.TableStripesMACed != 5 || int(d.TableStripesWritten) != T {
+		t.Fatalf("commit of blocks 1000..1511 MACed %d and wrote %d table stripes, want 5 and %d",
+			d.TableStripesMACed, d.TableStripesWritten, T)
+	}
+	before = Stats()
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got := Stats().Sub(before).TableStripesMACed; got != 0 {
+		t.Fatalf("empty commit MACed %d table stripes, want 0", got)
+	}
+
+	// Along the commit script, on a live store: MACed ≤ written, and
+	// MACed is exactly the stripes the commit's blocks fall in.
+	s2, err := CreateStore(hostos.New(), "img", key, scriptBlocks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for c, blocks := range commitScript {
+		applyCommit(t, s2, make([]int, scriptBlocks), c)
+		touched := map[int]bool{}
+		for _, i := range blocks {
+			touched[i*entrySize/BlockSize] = true
+		}
+		before := Stats()
+		if err := s2.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		d := Stats().Sub(before)
+		if int(d.TableStripesMACed) != len(touched) || d.TableStripesMACed > d.TableStripesWritten {
+			t.Fatalf("script commit %d MACed %d table stripes and wrote %d, want %d MACed and no more than written",
+				c, d.TableStripesMACed, d.TableStripesWritten, len(touched))
+		}
+	}
+}
+
 // TestSyncOfARewrittenFileWritesFewTableStripes is the same count where
 // the benchmark takes it: an EncFS file of 512 blocks rewritten in
 // place, then Sync.

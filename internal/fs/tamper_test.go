@@ -2,6 +2,7 @@ package fs
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
@@ -421,6 +422,89 @@ func TestBlockStoreScrubHealsRot(t *testing.T) {
 	if w, _ := s.ScrubStep(64); !w {
 		t.Fatal("scrub did not wake after a write")
 	}
+}
+
+// TestTableTamperNeverLoads forges the committed table with every crc
+// trailer kept honest, so the locator nominates the forged bytes and
+// only the v5 root stands between them and the table open loads:
+//
+//   - one byte changed in a stripe the last Flush did not write (open
+//     recomputes every stripe MAC from what it reads, not the ones the
+//     last commit made);
+//   - two stripes' cells swapped between positions.
+//
+// Either must make open fall back to the older commit or fail with
+// ErrCorrupt; neither may load the forged table.
+func TestTableTamperNeverLoads(t *testing.T) {
+	key := KeyFromString("table-tamper")
+	// cellAt reads stripe st's cell in file f.
+	cellAt := func(h *hostos.Host, s *BlockStore, f, st int) []byte {
+		cell := make([]byte, s.cellSize())
+		if n, err := h.ReadFileAt(s.fileName(f), s.cellOff(st), cell); err != nil || n < len(cell) {
+			t.Fatal("short read of a table cell")
+		}
+		return cell
+	}
+	rows := []struct {
+		name  string
+		forge func(h *hostos.Host, s *BlockStore, slot int)
+	}{
+		{"byte in a stripe the commit did not write", func(h *hostos.Host, s *BlockStore, slot int) {
+			st := slot*s.tableStripes() + 4
+			cell := cellAt(h, s, 0, st)
+			cell[100] ^= 0x40
+			binary.LittleEndian.PutUint32(cell[s.shardSize():], crc32.ChecksumIEEE(cell[:s.shardSize()]))
+			h.WriteFileAt(s.fileName(0), s.cellOff(st), cell)
+		}},
+		{"stripes swapped", func(h *hostos.Host, s *BlockStore, slot int) {
+			a, b := slot*s.tableStripes(), slot*s.tableStripes()+3
+			for f := 0; f < s.nFiles(); f++ {
+				ca, cb := cellAt(h, s, f, a), cellAt(h, s, f, b)
+				h.WriteFileAt(s.fileName(f), s.cellOff(a), cb)
+				h.WriteFileAt(s.fileName(f), s.cellOff(b), ca)
+			}
+		}},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			h := hostos.New()
+			s, model := runCommits(t, h, key, 2)
+			prev, prevEpoch := append([]int(nil), model...), s.Epoch()
+			// Commit 2 writes stripes 0..3 of its slot; stripe 4 there was
+			// last written two commits ago.
+			applyCommit(t, s, model, 2)
+			if got := flushedStripes(t, s); got != 4 {
+				t.Fatalf("commit wrote %d table stripes, want 0..3", got)
+			}
+			row.forge(h, s, int(s.Epoch()&1))
+			s2, err := OpenStore(h, "img", key)
+			if err != nil {
+				errAny(t, err, ErrCorrupt)
+				return
+			}
+			if s2.Epoch() != prevEpoch {
+				t.Fatalf("opened epoch %d over a forged table, want the fallback %d", s2.Epoch(), prevEpoch)
+			}
+			checkModel(t, s2, prev, "fallback open")
+		})
+	}
+
+	// A swap of two different stripes already changes the sequence the
+	// root covers. Where two stripes hold the same bytes (every
+	// never-written entry is zeros) there is nothing for the order to
+	// see; the index in Mⱼ is what still ties each stripe MAC to its
+	// position.
+	t.Run("stripes with the same bytes", func(t *testing.T) {
+		s, err := CreateStore(hostos.New(), "zero", key, scriptBlocks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := 1; j < s.tableStripes(); j++ {
+			if bytes.Equal(s.stripeMACs[:sha256.Size], s.stripeMACs[j*sha256.Size:(j+1)*sha256.Size]) {
+				t.Fatalf("all-zero stripes 0 and %d have the same MAC", j)
+			}
+		}
+	})
 }
 
 // TestBlockStoreRepairNeverLaunders is the property test for the repair
