@@ -18,9 +18,9 @@
 // aggregated over every Occlum hart pool. With -netstats, each
 // experiment reports the readiness-path counters (recv/send/accept
 // parks, poll/epoll_wait calls and parks, EAGAIN returns) plus the
-// timer-wheel and backpressure counters (wheel arms/fires/cancels/
-// cascades, idle-reaped and shed connections, suppressed stale timer
-// wakes). With -fsstats, each experiment reports the filesystem
+// timer and backpressure counters (deadline arms, fires and cancels,
+// idle-reaped and shed connections, suppressed stale timer wakes).
+// With -fsstats, each experiment reports the filesystem
 // counters (image blocks Merkle-verified, verified-cache hits,
 // read-aheads, copy-ups, whiteouts, blocks scrubbed, shards repaired
 // and rebuilt, stripes decoded, table stripes written, crc mismatches,
@@ -53,7 +53,7 @@ func realMain() int {
 	scaleName := flag.String("scale", "quick", "experiment scale: quick or full")
 	vmStats := flag.Bool("vmstats", false, "report OVM translation-cache counters per experiment")
 	schedStats := flag.Bool("schedstats", false, "report M:N scheduler counters per experiment")
-	netStats := flag.Bool("netstats", false, "report readiness/network counters per experiment")
+	netStats := flag.Bool("netstats", false, "report readiness/network counters (parks, polls, zero-copy bytes, timer arms/fires/cancels, reaps, sheds) per experiment")
 	fsStats := flag.Bool("fsstats", false, "report filesystem counters (verify/copy-up/read-ahead/scrub/repair/decode/table stripes/crc mismatches/tag failures) per experiment")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to `file`")
 	memProfile := flag.String("memprofile", "", "write an allocation profile to `file` at exit")

@@ -37,9 +37,9 @@ var SchedStats bool
 
 // NetStats, when true, makes Run report the readiness-path counters
 // (recv/send/accept parks, poll and epoll_wait calls and parks, EAGAIN
-// returns) plus the timer-wheel and backpressure counters (wheel
-// arms/fires/cancels/cascades, idle-reaped connections, shed
-// connections, suppressed stale timer wakes) accumulated across every
+// returns) plus the timer and backpressure counters (deadline
+// arms/fires/cancels, idle-reaped connections, shed connections,
+// suppressed stale timer wakes) accumulated across every
 // LibOS instance during each experiment. Enabled by occlum-bench
 // -netstats.
 var NetStats bool
@@ -76,8 +76,8 @@ func Run(name string, s Scale, w io.Writer) error {
 		fmt.Fprintf(w, "  [net: recv-parks=%d send-parks=%d accept-parks=%d polls=%d (%d parked) epwaits=%d (%d parked) eagains=%d writevs=%d readvs=%d sendfiles=%d splices=%d lent=%d copied=%d]\n",
 			d.RecvParks, d.SendParks, d.AcceptParks, d.Polls, d.PollParks, d.EpWaits, d.EpWaitParks, d.EAgains,
 			d.Writevs, d.Readvs, d.Sendfiles, d.Splices, d.BytesLent, d.BytesCopied)
-		fmt.Fprintf(w, "  [net/timers: wheel-arms=%d fires=%d cancels=%d cascades=%d reaps=%d sheds=%d stale-wakes=%d]\n",
-			d.WheelArms, d.WheelFires, d.WheelCancels, d.WheelCascades, d.Reaps, d.Sheds, d.StaleWakes)
+		fmt.Fprintf(w, "  [net/timers: timer-arms=%d fires=%d cancels=%d reaps=%d sheds=%d stale-wakes=%d]\n",
+			d.TimerArms, d.TimerFires, d.TimerCancels, d.Reaps, d.Sheds, d.StaleWakes)
 	}
 	if err == nil && FSStats {
 		d := fs.Stats().Sub(fsBefore)

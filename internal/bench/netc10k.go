@@ -41,7 +41,7 @@ func C10KTable(s Scale) (*Table, error) {
 		// A production-shaped server keeps an idle deadline on every
 		// connection. The timeout never fires here (every connection
 		// stays active), but each accept arms and each close cancels a
-		// wheel entry — the c10k numbers include that bookkeeping, and
+		// deadline — the c10k numbers include that bookkeeping, and
 		// -netstats shows it moving.
 		IdleTimeout: 60 * time.Second,
 	}
@@ -83,7 +83,7 @@ func C10KTable(s Scale) (*Table, error) {
 		// per churnStride rounds, so the steady connections' tail
 		// latency is measured while the accept, epoll-register and
 		// reap-arm/cancel paths stay hot. DESIGN.md "Lock inventory"
-		// has these rows with the fd, epoll, port and wheel tables
+		// has these rows with the fd, epoll, port and timer tables
 		// sharded and unsharded.
 		if conns < 10000 {
 			continue

@@ -37,8 +37,8 @@ type Host struct {
 	listeners map[uint16]*Listener
 
 	// activeTimers counts outstanding host timers (armed, not yet
-	// fired or cancelled). The timer wheel holds this at ≤1 per LibOS;
-	// tests assert it.
+	// fired or cancelled). A LibOS's deadline queue holds this at ≤1
+	// per LibOS; tests assert it.
 	activeTimers atomic.Int64
 }
 
@@ -269,8 +269,8 @@ func (h *Host) FutexWake(key uint64, n int) int {
 // harmless no-op; fn may race a concurrent cancel, so callers must make
 // fn idempotent (the parking protocol's latched wakes already are).
 //
-// Each outstanding timer is counted in ActiveTimers. The LibOS timer
-// wheel keeps this at one per LibOS regardless of how many guest
+// Each outstanding timer is counted in ActiveTimers. The LibOS deadline
+// queue keeps this at one per LibOS regardless of how many guest
 // deadlines are pending; c100k tests assert that bound.
 func (h *Host) Timer(d time.Duration, fn func()) (cancel func()) {
 	h.activeTimers.Add(1)

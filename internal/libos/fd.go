@@ -11,7 +11,7 @@ import (
 	"repro/internal/hostos"
 	"repro/internal/ring"
 	"repro/internal/sysdispatch"
-	"repro/internal/timerwheel"
+	"repro/internal/timers"
 )
 
 // fileKind discriminates open file descriptions.
@@ -48,13 +48,13 @@ type OpenFile struct {
 
 	// Idle reaping (accepted sockets under Config.IdleTimeout):
 	// lastActive is the UnixNano of the last data-plane I/O, reap the
-	// wheel deadline that closes the connection when it idles out, and
+	// deadline that closes the connection when it idles out, and
 	// reapStop latches teardown so a fire racing the close cannot
 	// re-arm. reapTimeout is written once before the fd is installed
 	// (happens-before via the FD table) and read-only after.
 	lastActive  atomic.Int64
-	reap        *timerwheel.Timer // guarded by mu
-	reapStop    atomic.Bool
+	reap        *timers.Timer // guarded by mu
+	reapStop    bool          // guarded by mu
 	reapTimeout time.Duration
 }
 
@@ -103,12 +103,12 @@ func (of *OpenFile) unref() {
 	case kindNode:
 		_ = of.node.Close()
 	case kindPipe, kindSock:
-		of.reapStop.Store(true)
 		of.mu.Lock()
+		of.reapStop = true
 		reap := of.reap
 		of.mu.Unlock()
 		if reap != nil {
-			reap.Cancel()
+			cancelTimer(reap)
 		}
 		of.closeStreams()
 	case kindListener:
@@ -151,37 +151,36 @@ func (of *OpenFile) touch() {
 	}
 }
 
-// armIdleReap starts the wheel-driven idle reaper for an accepted
-// socket: one wheel entry per connection, re-armed lazily. The fired
-// callback does NOT close an active connection — it measures the real
-// idle span and pushes the deadline out by what remains, so a busy
-// connection costs one O(1) re-arm per timeout period rather than one
-// per I/O (the kernel-timer trick that makes keep-alive scale).
-func (of *OpenFile) armIdleReap(w *timerwheel.Wheel, d time.Duration) {
+// armIdleReap starts the idle reaper for an accepted socket: one
+// deadline per connection, re-armed lazily. The fired callback does NOT
+// close an active connection — it measures the real idle span and
+// pushes the deadline out by what remains, so a busy connection costs
+// one re-arm per timeout period rather than one per I/O (the
+// kernel-timer trick that makes keep-alive scale).
+func (of *OpenFile) armIdleReap(q *timers.Queue, d time.Duration) {
 	of.reapTimeout = d
 	of.lastActive.Store(time.Now().UnixNano())
 	of.mu.Lock()
-	of.reap = w.Arm(d, of.reapCheck)
+	of.reap = armTimer(q, d, of.reapCheck)
 	of.mu.Unlock()
 }
 
-// reapCheck runs on wheel expiry (outside the wheel lock): close the
-// connection if it has truly idled out, otherwise re-arm for the
-// remaining window. reapStop closes the fire-vs-close race — a stale
-// fire after unref must not re-arm a dead description's timer.
+// reapCheck runs when the reap deadline fires (outside the queue lock):
+// close the connection if it has truly idled out, otherwise re-arm for
+// the remaining window. The reapStop check and the re-arm share one
+// of.mu critical section with unref's reapStop store, so a close either
+// lands first and this neither re-arms nor reaps, or lands after and
+// its cancel finds the re-armed timer queued — a dead description's
+// timer is never left armed.
 func (of *OpenFile) reapCheck() {
-	if of.reapStop.Load() {
-		return
-	}
 	idle := time.Since(time.Unix(0, of.lastActive.Load()))
 	of.mu.Lock()
-	t := of.reap
-	of.mu.Unlock()
-	if t == nil {
-		return
+	stopped := of.reapStop
+	if !stopped && idle < of.reapTimeout {
+		resetTimer(of.reap, of.reapTimeout-idle)
 	}
-	if idle < of.reapTimeout {
-		t.Reset(of.reapTimeout - idle)
+	of.mu.Unlock()
+	if stopped || idle < of.reapTimeout {
 		return
 	}
 	// Idled out: close both directions. The guest's next read sees

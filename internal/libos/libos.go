@@ -35,7 +35,7 @@ import (
 	"repro/internal/oelf"
 	"repro/internal/sched"
 	"repro/internal/sgx"
-	"repro/internal/timerwheel"
+	"repro/internal/timers"
 )
 
 // Config sizes the enclave and its domains.
@@ -88,9 +88,9 @@ type Config struct {
 	// preemption points (signal checks).
 	CycleSlice uint64
 	// IdleTimeout, when positive, reaps accepted sockets that have seen
-	// no I/O for this long: each accept arms a timer-wheel deadline
-	// that lazily re-arms while the connection stays active and closes
-	// the host connection once it idles out — the slowloris defense.
+	// no I/O for this long: each accept arms a deadline that lazily
+	// re-arms while the connection stays active and closes the host
+	// connection once it idles out — the slowloris defense.
 	IdleTimeout time.Duration
 	// ShedThreshold, when positive, is the run-queue depth past which
 	// the accept path sheds inbound connections (accept-and-close)
@@ -133,12 +133,12 @@ type Occlum struct {
 	enclave  *sgx.Enclave
 	host     *hostos.Host
 	sched    *sched.Scheduler
-	// wheel is the instance's hierarchical timer wheel: every guest
-	// deadline (poll/epoll timeouts, idle reaping) is an O(1) wheel
-	// entry, and the wheel keeps at most ONE host timer outstanding — so
-	// host timer pressure is one per LibOS, not one per parked
-	// connection (the c100k property).
-	wheel *timerwheel.Wheel
+	// timers is the instance's deadline queue: every guest deadline
+	// (poll/epoll timeouts, idle reaping) is one heap entry, and the
+	// queue keeps at most ONE host timer outstanding — so host timer
+	// pressure is one per LibOS, not one per parked connection (the
+	// c100k property).
+	timers *timers.Queue
 
 	mu      sync.Mutex
 	domains []*Domain
@@ -303,9 +303,8 @@ func Boot(platform *sgx.Platform, host *hostos.Host, cfg Config) (*Occlum, error
 	// The hart pool starts last, once boot can no longer fail: one hart
 	// per TCS, multiplexing every SIP this enclave will ever run.
 	o.sched = sched.New(cfg.MaxThreads)
-	// One driven timer wheel, backed by a single host alarm (host.Timer).
-	o.wheel = timerwheel.New(wheelTick, host.Timer)
-	registerWheel(o.wheel)
+	// One driven deadline queue, backed by a single host alarm (host.Timer).
+	o.timers = timers.New(host.Timer)
 	// Idle harts scrub the encrypted store in the background: each hook
 	// call verifies (and, where parity allows, repairs) a bounded window
 	// of stripes, so latent host bit-rot is found while the enclave still
@@ -323,10 +322,6 @@ func Boot(platform *sgx.Platform, host *hostos.Host, cfg Config) (*Occlum, error
 // enough that a freshly enqueued SIP waits at most one window behind
 // background verification.
 const scrubWindow = 32
-
-// wheelTick is the timer-wheel resolution. 1ms matches poll(2)'s
-// millisecond timeout ABI, so no guest deadline loses precision.
-const wheelTick = time.Millisecond
 
 func (o *Occlum) mountFilesystems() error {
 	var store *fs.BlockStore
@@ -393,7 +388,7 @@ func (o *Occlum) Sync() error {
 // Processes should have exited.
 func (o *Occlum) Shutdown() error {
 	err := o.encfs.Sync()
-	retireWheel(o.wheel)
+	o.timers.Stop()
 	o.sched.Stop()
 	o.enclave.Destroy()
 	return err

@@ -22,7 +22,7 @@ import (
 	"time"
 
 	"repro/internal/sysdispatch"
-	"repro/internal/timerwheel"
+	"repro/internal/timers"
 )
 
 // --- Network/readiness statistics ---------------------------------------
@@ -44,54 +44,39 @@ var netStats struct {
 	writevs, readvs, sendfiles, splices atomic.Uint64
 	bytesLent, bytesCopied              atomic.Uint64
 	// Backpressure counters: reaps counts idle connections closed by
-	// the wheel-driven reaper, sheds counts inbound connections refused
+	// the idle reaper, sheds counts inbound connections refused
 	// by the saturated accept path, staleWakes counts timer fires whose
 	// syscall had already completed (suppressed by the generation check
 	// in timerWake instead of wake-stealing a later park).
 	reaps, sheds, staleWakes atomic.Uint64
+	// Timer counters, kept at the LibOS's own arm, cancel and callback
+	// sites (armTimer, cancelTimer, resetTimer).
+	timerArms, timerFires, timerCancels atomic.Uint64
 }
 
-// --- Timer-wheel registry -------------------------------------------------
+// --- Timers ---------------------------------------------------------------
 
-// Live wheels are enumerated so NetStats can report process-wide wheel
-// activity; Shutdown folds a LibOS's final figures into the retired
-// accumulator (the sched.GlobalSnapshot pattern).
-var wheelReg struct {
-	mu      sync.Mutex
-	live    []*timerwheel.Wheel
-	retired timerwheel.Stats
+// armTimer arms fn on q for d from now, counting the arm here and the
+// fire when fn runs. cancelTimer counts a cancel only when it prevented
+// the fire, and resetTimer, called only from the timer's own callback,
+// counts its re-arm; so with no timer queued, arms = fires + cancels.
+func armTimer(q *timers.Queue, d time.Duration, fn func()) *timers.Timer {
+	netStats.timerArms.Add(1)
+	return q.Arm(d, func() {
+		netStats.timerFires.Add(1)
+		fn()
+	})
 }
 
-func registerWheel(w *timerwheel.Wheel) {
-	wheelReg.mu.Lock()
-	wheelReg.live = append(wheelReg.live, w)
-	wheelReg.mu.Unlock()
-}
-
-func retireWheel(w *timerwheel.Wheel) {
-	wheelReg.mu.Lock()
-	defer wheelReg.mu.Unlock()
-	w.Stop()
-	s := w.Stats()
-	wheelReg.retired.Arms += s.Arms
-	wheelReg.retired.Fires += s.Fires
-	wheelReg.retired.Cancels += s.Cancels
-	wheelReg.retired.Cascades += s.Cascades
-	wheelReg.live = slices.DeleteFunc(wheelReg.live, func(l *timerwheel.Wheel) bool { return l == w })
-}
-
-func wheelTotals() timerwheel.Stats {
-	wheelReg.mu.Lock()
-	defer wheelReg.mu.Unlock()
-	t := wheelReg.retired
-	for _, w := range wheelReg.live {
-		s := w.Stats()
-		t.Arms += s.Arms
-		t.Fires += s.Fires
-		t.Cancels += s.Cancels
-		t.Cascades += s.Cascades
+func cancelTimer(t *timers.Timer) {
+	if t.Cancel() {
+		netStats.timerCancels.Add(1)
 	}
-	return t
+}
+
+func resetTimer(t *timers.Timer, d time.Duration) {
+	netStats.timerArms.Add(1)
+	t.Reset(d)
 }
 
 // NetSnapshot is a plain-value copy of the readiness-path counters.
@@ -116,40 +101,39 @@ type NetSnapshot struct {
 	// still does: a pipeline of reads, writes and splices must report
 	// BytesCopied = 0.
 	BytesLent, BytesCopied uint64
-	// Reaps counts idle connections closed by the wheel-driven reaper;
+	// Reaps counts idle connections closed by the idle reaper;
 	// Sheds counts inbound connections refused under run-queue
 	// saturation; StaleWakes counts suppressed stale timer fires.
 	Reaps, Sheds, StaleWakes uint64
-	// WheelArms/Fires/Cancels/Cascades aggregate timer-wheel activity
-	// across every LibOS in the process (live and shut down).
-	WheelArms, WheelFires, WheelCancels, WheelCascades uint64
+	// TimerArms/Fires/Cancels count deadline-queue activity across every
+	// LibOS in the process: arms (a re-arm counts again), callbacks run,
+	// and cancels that prevented a fire.
+	TimerArms, TimerFires, TimerCancels uint64
 }
 
 // NetStats returns the current counter values.
 func NetStats() NetSnapshot {
-	wt := wheelTotals()
 	return NetSnapshot{
-		RecvParks:     netStats.recvParks.Load(),
-		SendParks:     netStats.sendParks.Load(),
-		AcceptParks:   netStats.acceptParks.Load(),
-		Polls:         netStats.polls.Load(),
-		PollParks:     netStats.pollParks.Load(),
-		EpWaits:       netStats.epWaits.Load(),
-		EpWaitParks:   netStats.epWaitParks.Load(),
-		EAgains:       netStats.eagains.Load(),
-		Writevs:       netStats.writevs.Load(),
-		Readvs:        netStats.readvs.Load(),
-		Sendfiles:     netStats.sendfiles.Load(),
-		Splices:       netStats.splices.Load(),
-		BytesLent:     netStats.bytesLent.Load(),
-		BytesCopied:   netStats.bytesCopied.Load(),
-		Reaps:         netStats.reaps.Load(),
-		Sheds:         netStats.sheds.Load(),
-		StaleWakes:    netStats.staleWakes.Load(),
-		WheelArms:     wt.Arms,
-		WheelFires:    wt.Fires,
-		WheelCancels:  wt.Cancels,
-		WheelCascades: wt.Cascades,
+		RecvParks:    netStats.recvParks.Load(),
+		SendParks:    netStats.sendParks.Load(),
+		AcceptParks:  netStats.acceptParks.Load(),
+		Polls:        netStats.polls.Load(),
+		PollParks:    netStats.pollParks.Load(),
+		EpWaits:      netStats.epWaits.Load(),
+		EpWaitParks:  netStats.epWaitParks.Load(),
+		EAgains:      netStats.eagains.Load(),
+		Writevs:      netStats.writevs.Load(),
+		Readvs:       netStats.readvs.Load(),
+		Sendfiles:    netStats.sendfiles.Load(),
+		Splices:      netStats.splices.Load(),
+		BytesLent:    netStats.bytesLent.Load(),
+		BytesCopied:  netStats.bytesCopied.Load(),
+		Reaps:        netStats.reaps.Load(),
+		Sheds:        netStats.sheds.Load(),
+		StaleWakes:   netStats.staleWakes.Load(),
+		TimerArms:    netStats.timerArms.Load(),
+		TimerFires:   netStats.timerFires.Load(),
+		TimerCancels: netStats.timerCancels.Load(),
 	}
 }
 
@@ -166,8 +150,8 @@ func (s NetSnapshot) Sub(o NetSnapshot) NetSnapshot {
 		BytesLent: s.BytesLent - o.BytesLent, BytesCopied: s.BytesCopied - o.BytesCopied,
 		Reaps: s.Reaps - o.Reaps, Sheds: s.Sheds - o.Sheds,
 		StaleWakes: s.StaleWakes - o.StaleWakes,
-		WheelArms:  s.WheelArms - o.WheelArms, WheelFires: s.WheelFires - o.WheelFires,
-		WheelCancels: s.WheelCancels - o.WheelCancels, WheelCascades: s.WheelCascades - o.WheelCascades,
+		TimerArms:  s.TimerArms - o.TimerArms, TimerFires: s.TimerFires - o.TimerFires,
+		TimerCancels: s.TimerCancels - o.TimerCancels,
 	}
 }
 
@@ -431,19 +415,19 @@ func sysShutdown(k sysdispatch.Kernel, a *[5]uint64) sysdispatch.Result {
 
 // armTimeout installs the parking-side bookkeeping for a blocking
 // readiness wait: the given registration cancels plus, for finite
-// timeouts, a timer-wheel deadline whose firing latches cur.woken and
-// unparks the SIP. The wheel entry is an O(1) splice on the instance's
-// wheel — no host timer is created per park; the wheel's one host alarm
-// covers every pending deadline. The combined cancel lands in
+// timeouts, a deadline whose firing latches cur.woken and unparks the
+// SIP. The deadline is one entry on the instance's queue — no host
+// timer is created per park; the queue's one host alarm covers every
+// pending deadline. The combined cancel lands in
 // cur.cancel, which the dispatch loop runs on completion and teardown
 // runs on death — so neither subscriptions nor timers outlive the
 // syscall.
 func (p *Proc) armTimeout(cur *blockedSys, cancels []func(), tmoMS int64) {
 	if tmoMS > 0 {
-		t := p.os.wheel.Arm(time.Duration(tmoMS)*time.Millisecond, func() {
+		t := armTimer(p.os.timers, time.Duration(tmoMS)*time.Millisecond, func() {
 			p.timerWake(cur)
 		})
-		cancels = append(cancels, func() { t.Cancel() })
+		cancels = append(cancels, func() { cancelTimer(t) })
 	}
 	cur.cancel = func() {
 		for _, c := range cancels {
@@ -452,8 +436,8 @@ func (p *Proc) armTimeout(cur *blockedSys, cancels []func(), tmoMS int64) {
 	}
 }
 
-// timerWake is the wheel callback for an expired syscall timeout.
-// Cancel-vs-fire races are inherent (the wheel collects a tick's slot
+// timerWake is the queue callback for an expired syscall timeout.
+// Cancel-vs-fire races are inherent (the queue collects due timers
 // before running callbacks, so a cancel can arrive too late): a stale
 // fire must not unpark the SIP, which may have completed that syscall
 // and re-parked in a LATER one — the unpark would be wake-stolen by the

@@ -502,6 +502,52 @@ func TestPollTimeoutExpires(t *testing.T) {
 	}
 }
 
+// TestPollTimeoutAfterIdleGap: a poll timeout is measured from the
+// moment of the poll, not from the last time the LibOS's timers ran. A
+// guest poll(200 ms) issued 300 ms after boot, on a listener nobody
+// dials, returns 0 no sooner than about 200 ms after the spawn.
+func TestPollTimeoutAfterIdleGap(t *testing.T) {
+	const port = 7718
+	sys, tc := bootSmall(t, 4, 2, 0, nil)
+	defer sys.OS.Shutdown()
+
+	prog := buildProg(t, func(b *asm.Builder) {
+		b.Zero("pfd", 24)
+		b.Entry("_start")
+		ulib.Prologue(b)
+		ulib.Socket(b)
+		b.MovRR(isa.R6, isa.R0)
+		ulib.Bind(b, isa.R6, port)
+		ulib.ListenSock(b, isa.R6)
+		b.StoreData("pfd", isa.R6)
+		b.LeaData(isa.R8, "pfd")
+		b.MovRI(isa.R7, libos.PollIn)
+		b.Store(isa.Mem(isa.R8, 8), isa.R7)
+		ulib.Poll(b, "pfd", 1, 200)
+		b.CmpI(isa.R0, 0)
+		b.Jne("bad")
+		ulib.Exit(b, 0)
+		b.Label("bad")
+		b.Nop()
+		ulib.Exit(b, 1)
+	})
+	if err := sys.Install(tc, "/bin/pollgap", "pollgap", prog); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(300 * time.Millisecond)
+	start := time.Now()
+	p, err := sys.OS.Spawn("/bin/pollgap", nil, libos.SpawnOpt{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if status := waitTimeout(t, p, 30*time.Second, "poll-gap SIP"); status != 0 {
+		t.Fatalf("SIP exit status = %d", status)
+	}
+	if got := time.Since(start); got < 190*time.Millisecond {
+		t.Fatalf("poll(200 ms) issued after an idle gap returned 0 after %v", got)
+	}
+}
+
 // TestNonblockRecvEAGAIN: fcntl(O_NONBLOCK) turns an empty-socket recv
 // into an immediate EAGAIN, and F_GETFL reads the flag back.
 func TestNonblockRecvEAGAIN(t *testing.T) {

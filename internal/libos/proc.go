@@ -49,7 +49,7 @@ type Proc struct {
 	cursys *blockedSys
 	// sysGen numbers syscall records (hart-owned, no atomics needed);
 	// liveGen publishes the generation of the record currently being
-	// dispatched or parked, and 0 between syscalls. Timer-wheel wake
+	// dispatched or parked, and 0 between syscalls. Timer wake
 	// callbacks compare their record's gen against liveGen before
 	// unparking, so a timeout armed by an already-completed syscall can
 	// never wake-steal the SIP out of a later park (see timerWake).
@@ -74,7 +74,7 @@ type blockedSys struct {
 	no      uint64
 	a       [5]uint64
 	retAddr uint64
-	// gen is this record's generation (Proc.sysGen at entry). Wheel
+	// gen is this record's generation (Proc.sysGen at entry). Timer
 	// timeout callbacks check it against Proc.liveGen so a stale timer
 	// — one whose cancel raced its fire — cannot unpark a SIP that
 	// already re-parked in a later syscall.

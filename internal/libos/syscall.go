@@ -409,7 +409,7 @@ func sysAccept(k sysdispatch.Kernel, a *[5]uint64) sysdispatch.Result {
 		}
 		nf := newConnFile(conn)
 		if d := o.cfg.IdleTimeout; d > 0 {
-			nf.armIdleReap(o.wheel, d)
+			nf.armIdleReap(o.timers, d)
 		}
 		return sysdispatch.Ok(int64(p.fds.Install(nf)))
 	}

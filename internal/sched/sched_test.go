@@ -207,11 +207,44 @@ func TestEnqueuePreemptsSaturatedHarts(t *testing.T) {
 	<-running.done
 }
 
+// selfWakeTask unparks its own G from inside its first Step and then
+// returns Park, so the wake always lands before the park commits.
+type selfWakeTask struct {
+	g     *G
+	steps int
+}
+
+func (t *selfWakeTask) Step() Status {
+	t.steps++
+	if t.steps > 1 {
+		return Done
+	}
+	t.g.Unpark()
+	return Park
+}
+
 func TestUnparkBeforeParkCommitIsAbsorbed(t *testing.T) {
-	// A task whose waiter fires immediately (wake-before-park): it must
-	// keep running, not deadlock.
+	// Deterministic: the Unpark runs while the task is still running, so
+	// only the latch re-check after the park commit can see it.
 	s := New(1)
 	defer s.Stop()
+	st := &selfWakeTask{}
+	sg := s.Prepare(st)
+	st.g = sg
+	s.Start(sg)
+	deadline := time.Now().Add(10 * time.Second)
+	for !sg.Done() {
+		if time.Now().After(deadline) {
+			t.Fatal("a wake that landed before the park commit was lost")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if parks := s.Snapshot().Parks; parks != 0 {
+		t.Fatalf("parks = %d, want 0: the latched wake should cancel the park", parks)
+	}
+
+	// Racy: a task whose waiter fires immediately from another goroutine
+	// (wake-before-park) must keep running, not deadlock.
 	pt := &parkTask{parked: make(chan struct{}), done: make(chan struct{})}
 	pt.remain.Store(1)
 	g := s.Go(pt)

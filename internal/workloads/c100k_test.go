@@ -15,9 +15,9 @@ import (
 // TestC100KHeldOpen is the c100k timer-consolidation acceptance test:
 // N connections held open on a 4-hart pool, every one carrying a live
 // idle-reap deadline, while the host-timer population stays at one —
-// the whole point of the LibOS's timer wheel. Before the wheel, every
-// armed deadline was its own host timer; at 100k held-open connections
-// that is 100k host timers, with the wheel it is 1.
+// the whole point of the LibOS's deadline queue. Before it, every armed
+// deadline was its own host timer; at 100k held-open connections that
+// is 100k host timers, with the queue it is 1.
 //
 // CI runs the quick scale (2000 connections, still ~500x more deadlines
 // than allowed host timers). Set OCCLUM_C100K=1 for the full 100k run
@@ -36,7 +36,7 @@ func TestC100KHeldOpen(t *testing.T) {
 	spec.Domains = workers + 2
 	spec.Harts = harts
 	// Long enough that nothing is reaped mid-test; the point is that
-	// every accepted connection HOLDS an armed wheel deadline.
+	// every accepted connection HOLDS an armed deadline.
 	spec.IdleTimeout = 10 * time.Minute
 	k, err := NewOcclumKernel(spec)
 	if err != nil {
@@ -100,19 +100,19 @@ func TestC100KHeldOpen(t *testing.T) {
 
 	// The acceptance assertion: conns live deadlines, ≤1 host timer.
 	// Idle reaping for every connection plus any poll/epoll timeouts all
-	// multiplex onto the wheel's single alarm.
+	// multiplex onto the queue's single alarm.
 	net := libos.NetStats().Sub(net0)
-	if net.WheelArms < uint64(conns) {
-		t.Fatalf("wheel arms = %d, want ≥ %d (one idle deadline per held connection)",
-			net.WheelArms, conns)
+	if net.TimerArms < uint64(conns) {
+		t.Fatalf("timer arms = %d, want ≥ %d (one idle deadline per held connection)",
+			net.TimerArms, conns)
 	}
 	active := k.Host().ActiveTimers()
 	if active > 1 {
-		t.Fatalf("host timers = %d with %d connections held, want ≤ 1 (one wheel per LibOS)",
+		t.Fatalf("host timers = %d with %d connections held, want ≤ 1 (one queue per LibOS)",
 			active, conns)
 	}
-	t.Logf("c100k: %d conns held, %d wheel deadlines armed, %d host timers (%d harts)",
-		conns, net.WheelArms, active, harts)
+	t.Logf("c100k: %d conns held, %d deadlines armed, %d host timers (%d harts)",
+		conns, net.TimerArms, active, harts)
 
 	for _, c := range cs {
 		if c != nil {
@@ -126,7 +126,7 @@ func TestC100KHeldOpen(t *testing.T) {
 }
 
 // TestSlowlorisReap: stalled connections (partial request, then
-// silence) are collected by the wheel-driven idle reaper while
+// silence) are collected by the idle reaper while
 // legitimate clients keep getting served with bounded tail latency and
 // bounded per-connection memory. CI runs this under -race.
 func TestSlowlorisReap(t *testing.T) {

@@ -30,8 +30,8 @@ type KernelSpec struct {
 	// root), pinned to BaseImageRoot.
 	BaseImageBlob []byte
 	BaseImageRoot [32]byte
-	// IdleTimeout, when positive, enables the Occlum kernel's
-	// wheel-driven idle reaper: accepted connections with no data
+	// IdleTimeout, when positive, enables the Occlum kernel's idle
+	// reaper: accepted connections with no data
 	// activity for this long are closed server-side.
 	IdleTimeout time.Duration
 	// ShedThreshold, when positive, enables accept-rate shedding: the
