@@ -17,6 +17,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/ring"
 )
 
 // Host is one untrusted host OS instance. Its files are an in-memory
@@ -24,7 +26,8 @@ import (
 //
 // Three locks, none nested in another: mu serves store I/O, futexMu
 // the futex queues (the guest's futex syscall), and listenMu the port
-// table (Listen, Dial, Close).
+// table (Listen, Dial, Close). The buffer pool's lock is a leaf taken
+// under a connection stream's.
 type Host struct {
 	mu    sync.Mutex // guards files, shm
 	files map[string][]byte
@@ -35,6 +38,12 @@ type Host struct {
 
 	listenMu  sync.Mutex
 	listeners map[uint16]*Listener
+
+	// connBufs recycles the ring buffers of this host's connections, so
+	// a dial/request/close cycle does not allocate and zero a fresh
+	// buffer per direction. It is the host's own: no enclave stream
+	// draws on it.
+	connBufs ring.Pool
 
 	// activeTimers counts outstanding host timers (armed, not yet
 	// fired or cancelled). A LibOS's deadline queue holds this at ≤1

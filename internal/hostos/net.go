@@ -106,7 +106,7 @@ func (h *Host) Dial(port uint16) (*Conn, error) {
 	if l == nil {
 		return nil, ErrConnRefused
 	}
-	a, b := connPair()
+	a, b := h.connPair()
 	l.mu.Lock()
 	if l.closed || len(l.backlog) >= l.max {
 		l.mu.Unlock()
@@ -139,6 +139,7 @@ func (l *Listener) Accept() (*Conn, error) {
 		return nil, ErrClosed
 	}
 	c := l.backlog[0]
+	l.backlog[0] = nil // the backing array must not keep c reachable
 	l.backlog = l.backlog[1:]
 	return c, nil
 }
@@ -154,6 +155,7 @@ func (l *Listener) TryAccept(wait func()) (c *Conn, ok, closed bool) {
 	defer l.mu.Unlock()
 	if len(l.backlog) > 0 {
 		c = l.backlog[0]
+		l.backlog[0] = nil
 		l.backlog = l.backlog[1:]
 		return c, true, false
 	}
@@ -219,8 +221,8 @@ func (l *Listener) Close() {
 	}
 }
 
-func connPair() (*Conn, *Conn) {
-	s1, s2 := ring.NewStream(streamCap), ring.NewStream(streamCap)
+func (h *Host) connPair() (*Conn, *Conn) {
+	s1, s2 := h.connBufs.NewStream(streamCap), h.connBufs.NewStream(streamCap)
 	return &Conn{rd: s1, wr: s2}, &Conn{rd: s2, wr: s1}
 }
 

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"io"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
+	"weak"
 )
 
 func pair(t *testing.T, h *Host, port uint16) (client, server *Conn) {
@@ -554,7 +556,9 @@ func TestActiveTimers(t *testing.T) {
 }
 
 // TestConnBufAlloc checks that an idle connection's buffer footprint is
-// near zero and that a drained burst releases its buffer.
+// near zero, that a drained burst releases its buffer, and that a
+// finished direction — read side closed, or write side closed and
+// drained — holds no buffer at all, however small.
 func TestConnBufAlloc(t *testing.T) {
 	h := New()
 	client, server := pair(t, h, 82)
@@ -573,5 +577,114 @@ func TestConnBufAlloc(t *testing.T) {
 	}
 	if n := server.BufAlloc(); n != 0 {
 		t.Fatalf("post-drain alloc = %d, want 0", n)
+	}
+
+	// Client → server: written, write-closed, drained.
+	client.Write([]byte("request"))
+	client.CloseWrite()
+	if _, err := io.ReadAll(server); err != nil {
+		t.Fatal(err)
+	}
+	// Server → client: written, never read, read-closed.
+	server.Write([]byte("response"))
+	client.CloseRead()
+	if n := client.BufAlloc() + server.BufAlloc(); n != 0 {
+		t.Fatalf("finished conn holds %d bytes", n)
+	}
+}
+
+// TestAcceptedConnNotPinnedByBacklog: once accepted and closed, a
+// connection is garbage; the listener's queue must not keep it
+// reachable through the backing array it was dequeued from.
+func TestAcceptedConnNotPinnedByBacklog(t *testing.T) {
+	accepts := []struct {
+		name   string
+		accept func(l *Listener) *Conn
+	}{
+		{"Accept", func(l *Listener) *Conn {
+			c, err := l.Accept()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return c
+		}},
+		{"TryAccept", func(l *Listener) *Conn {
+			c, ok, _ := l.TryAccept(nil)
+			if !ok {
+				t.Fatal("TryAccept found no queued conn")
+			}
+			return c
+		}},
+	}
+	for _, a := range accepts {
+		h := New()
+		l, err := h.Listen(83)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 2; i++ {
+			if _, err := h.Dial(83); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c := a.accept(l)
+		wc := weak.Make(c)
+		c.Close()
+		c = nil
+		runtime.GC()
+		if wc.Value() != nil {
+			l.mu.Lock()
+			n, capacity := len(l.backlog), cap(l.backlog)
+			l.mu.Unlock()
+			t.Fatalf("%s: accepted conn still reachable (backlog len %d cap %d)", a.name, n, capacity)
+		}
+		l.Close()
+	}
+}
+
+// TestConnAllocationFloor: with the host's buffer pool warm, a whole
+// connection — dial, accept, a 10 KiB response, read it, close both
+// ends — allocates its few small structs, not a ring buffer per
+// direction (the 10 KiB response alone used to grow a fresh 16 KiB
+// ring).
+func TestConnAllocationFloor(t *testing.T) {
+	h := New()
+	l, err := h.Listen(84)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	resp := bytes.Repeat([]byte("0123456789"), 1024)
+	got := make([]byte, len(resp))
+	cycle := func() {
+		client, err := h.Dial(84)
+		if err != nil {
+			t.Fatal(err)
+		}
+		server, err := l.Accept()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := server.Write(resp); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.ReadFull(client, got); err != nil {
+			t.Fatal(err)
+		}
+		client.Close()
+		server.Close()
+	}
+	for i := 0; i < 10; i++ {
+		cycle()
+	}
+	const cycles = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < cycles; i++ {
+		cycle()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / cycles; per >= 2<<10 {
+		t.Fatalf("a warm connection cycle allocates %d bytes, want < 2 KiB", per)
 	}
 }

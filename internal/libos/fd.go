@@ -366,9 +366,14 @@ func (o *Occlum) consoleFile() *OpenFile {
 
 // NewPipe creates a pipe pair in the LibOS — the SIP-to-SIP IPC channel
 // that is a plain in-enclave memory copy, no encryption involved
-// (Table 1).
-func NewPipe() (r, w *OpenFile) {
-	s := ring.NewStream(64 << 10)
+// (Table 1). Its ring buffer is allocated for it alone; a SIP's pipe2
+// draws on its LibOS instance's pool instead (newPipe).
+func NewPipe() (r, w *OpenFile) { return newPipe(nil) }
+
+// newPipe is NewPipe with the ring buffer taken from, and given back to,
+// bufs.
+func newPipe(bufs *ring.Pool) (r, w *OpenFile) {
+	s := bufs.NewStream(64 << 10)
 	return &OpenFile{refs: 1, kind: kindPipe, rd: s}, &OpenFile{refs: 1, kind: kindPipe, wr: s}
 }
 

@@ -33,6 +33,7 @@ import (
 	"repro/internal/hostos"
 	"repro/internal/mem"
 	"repro/internal/oelf"
+	"repro/internal/ring"
 	"repro/internal/sched"
 	"repro/internal/sgx"
 	"repro/internal/timers"
@@ -156,6 +157,10 @@ type Occlum struct {
 	// images caches what the loader verified, by file version.
 	images *imageCache
 	stats  spawnStats
+	// pipeBufs recycles the ring buffers of this instance's pipes. It
+	// is the instance's own, so a buffer that held enclave pipe bytes
+	// never backs another instance's pipe or a host connection.
+	pipeBufs ring.Pool
 
 	// BootStats records the cost of enclave creation.
 	BootStats BootStats

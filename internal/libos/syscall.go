@@ -35,8 +35,8 @@ func newSysTable() *sysdispatch.Table {
 	t.Register(SysWait4, sysdispatch.Wait4Handler(func(k sysdispatch.Kernel, pid int) (int, int, int64, bool) {
 		return k.(*Proc).sysWait4(pid)
 	}))
-	t.Register(SysPipe2, sysdispatch.Pipe2Handler(func(sysdispatch.Kernel) (sysdispatch.File, sysdispatch.File) {
-		r, w := NewPipe()
+	t.Register(SysPipe2, sysdispatch.Pipe2Handler(func(k sysdispatch.Kernel) (sysdispatch.File, sysdispatch.File) {
+		r, w := newPipe(&k.(*Proc).os.pipeBufs)
 		return r, w
 	}))
 	t.Register(SysDup2, sysdispatch.Dup2FD)

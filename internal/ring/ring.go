@@ -19,6 +19,14 @@
 // mostly-idle connections therefore pays for the bytes actually queued,
 // not for 2×256 KiB of pre-provisioned stream buffer per connection.
 //
+// Buffers are recycled through a Pool (pool.go) owned by whoever makes
+// the streams. A pooled ring pops a buffer of the size it needs before
+// it allocates one, and every buffer it lets go — outgrown, dropped on a
+// drain, or held when its Stream finishes — goes back. A Stream is
+// finished when its read side is closed, or its write side is closed
+// and it is drained: no byte can be queued in it again, so it returns
+// its buffer then, under its lock, with no run outstanding.
+//
 // A Ring is not synchronized; its owner (Stream) guards it with its own
 // mutex and holds that lock across a whole borrow–use–retire sequence.
 package ring
@@ -26,7 +34,8 @@ package ring
 const (
 	// minAlloc is the smallest backing buffer a ring allocates (unless
 	// its capacity is smaller still).
-	minAlloc = 1 << 10
+	minAlloc      = 1 << minAllocShift
+	minAllocShift = 10
 	// shrinkKeep is the largest backing buffer kept across a complete
 	// drain; bigger buffers are released so a burst does not pin its
 	// high-water mark for the life of an idle connection.
@@ -35,10 +44,11 @@ const (
 
 // Ring is a fixed-capacity FIFO byte queue.
 type Ring struct {
-	buf []byte
-	max int // configured capacity; len(buf) grows toward it lazily
-	r   int // index of the oldest unread byte
-	n   int // bytes currently queued
+	buf  []byte
+	pool *Pool // where buffers come from and go back to; nil allocates
+	max  int   // configured capacity; len(buf) grows toward it lazily
+	r    int   // index of the oldest unread byte
+	n    int   // bytes currently queued
 }
 
 // New returns an empty ring holding at most capacity bytes. No buffer
@@ -84,7 +94,10 @@ func (g *Ring) grow(need int) {
 	if size > g.max {
 		size = g.max
 	}
-	nb := make([]byte, size)
+	nb := g.pool.get(size)
+	if nb == nil {
+		nb = make([]byte, size)
+	}
 	if g.n > 0 {
 		first := len(g.buf) - g.r
 		if first > g.n {
@@ -93,7 +106,16 @@ func (g *Ring) grow(need int) {
 		copy(nb, g.buf[g.r:g.r+first])
 		copy(nb[first:], g.buf[:g.n-first])
 	}
+	g.pool.put(g.buf)
 	g.buf, g.r = nb, 0
+}
+
+// release lets the backing buffer go — back to the pool, if the ring has
+// one — leaving nothing allocated. The ring must be empty, with no run
+// it lent still in use.
+func (g *Ring) release() {
+	g.pool.put(g.buf)
+	g.buf, g.r = nil, 0
 }
 
 // Peek borrows the next contiguous run of readable bytes, at most max
@@ -131,7 +153,7 @@ func (g *Ring) Consume(k int) {
 	if g.n == 0 {
 		g.r = 0
 		if len(g.buf) > shrinkKeep {
-			g.buf = nil
+			g.release()
 		}
 	}
 }

@@ -76,16 +76,21 @@ func (w *WatchSet) Snapshot() []func() {
 // a stream lock: each operation collects its wake list under s.mu and
 // runs it after the lock drops, because callbacks take foreign locks
 // (an epoll set's, the scheduler's) whose holders query stream
-// readiness. The only lock taken while holding a stream's is another
-// stream's, by Move, in creation order. A woken waiter retries and
-// re-registers if it lost the race, so a stale callback is only a
-// spurious unpark.
+// readiness. The only locks taken while holding a stream's are another
+// stream's, by Move, in creation order, and its Pool's, a leaf. A woken
+// waiter retries and re-registers if it lost the race, so a stale
+// callback is only a spurious unpark.
 //
 // Storage is a fixed-capacity Ring: the cap is a hard memory bound. A
 // slow (or stalled) reader backpressures its writer at exactly Cap
 // queued bytes. The ring allocates its buffer lazily and releases it on
 // a complete drain past a keep threshold, so 100k idle connections cost
 // what they queue, not 2×Cap each.
+//
+// A finished stream — read side closed, or write side closed and
+// drained — can never queue a byte again, so it lets its buffer go at
+// once, under its lock: to its Pool if it was made by Pool.NewStream,
+// otherwise to the GC. Alloc is 0 from then on.
 type Stream struct {
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -114,10 +119,22 @@ type Stream struct {
 var streamSeq atomic.Uint64
 
 // NewStream returns an empty stream holding at most capacity bytes.
-func NewStream(capacity int) *Stream {
+func NewStream(capacity int) *Stream { return newStream(capacity, nil) }
+
+func newStream(capacity int, p *Pool) *Stream {
 	s := &Stream{rb: New(capacity), id: streamSeq.Add(1)}
+	s.rb.pool = p
 	s.cond = sync.NewCond(&s.mu)
 	return s
+}
+
+// releaseIfFinishedLocked lets the ring's buffer go once the stream is
+// finished. Nothing can grow the ring after that, and no run it lent
+// outlives s.mu, so the buffer is free to back another stream.
+func (s *Stream) releaseIfFinishedLocked() {
+	if s.rClosed || (s.wClosed && s.rb.Len() == 0) {
+		s.rb.release()
+	}
 }
 
 // Alloc reports the bytes of ring buffer actually allocated.
@@ -238,6 +255,7 @@ func (s *Stream) readLocked(p []byte, wait func()) (n int, eof, wouldBlock bool)
 		if n = s.rb.Read(p); wasFull && n > 0 {
 			wake = s.wakeWritersLocked()
 		}
+		s.releaseIfFinishedLocked()
 	}
 	s.mu.Unlock()
 	runAll(wake)
@@ -311,6 +329,7 @@ func (s *Stream) CloseWrite() {
 // closeLocked wakes everyone after a shutdown flag flipped, releasing
 // s.mu before the callbacks run.
 func (s *Stream) closeLocked() {
+	s.releaseIfFinishedLocked()
 	wake := append(s.wakeReadersLocked(), s.wakeWritersLocked()...)
 	wake = append(wake, s.closeWatch.Snapshot()...)
 	s.mu.Unlock()
@@ -382,6 +401,7 @@ func Move(dst, src *Stream, max int, wait func()) (n int, st MoveStatus) {
 			src.rb.Consume(k)
 			n += k
 		}
+		src.releaseIfFinishedLocked()
 		if srcWasFull {
 			wake = src.wakeWritersLocked()
 		}

@@ -50,55 +50,61 @@ func await(ch <-chan struct{}) bool {
 
 // TestStreamHalfClose: CloseWrite lets the reader drain every buffered
 // byte before EOF; CloseRead fails the writer — including one already
-// blocked on a full ring, which must be woken with the error.
+// blocked on a full ring, which must be woken with the error. Either way
+// the finished stream holds no buffer, pooled or not.
 func TestStreamHalfClose(t *testing.T) {
 	forEachCap(t, func(t *testing.T, capacity int) {
-		s := NewStream(capacity)
-		msg := bytes.Repeat([]byte("abcdefgh"), 512)
-		if _, err := s.Write(msg); err != nil {
-			t.Fatal(err)
-		}
-		s.CloseWrite()
-		if r := s.ReadReady(); r != ReadyIn|ReadyHup {
-			t.Fatalf("readiness after CloseWrite = %b", r)
-		}
-		got, err := io.ReadAll(readerFunc(s.Read))
-		if err != nil || !bytes.Equal(got, msg) {
-			t.Fatalf("drain after CloseWrite: %d bytes, %v", len(got), err)
-		}
-		if _, eof, _ := s.TryRead(make([]byte, 1), nil); !eof {
-			t.Fatal("drained, write-closed stream is not at EOF")
-		}
-
-		s = NewStream(capacity)
-		errCh := make(chan error, 1)
-		go func() {
-			_, err := s.Write(make([]byte, capacity+4096))
-			errCh <- err
-		}()
-		for s.WriteReady()&ReadyOut != 0 { // until the writer filled the ring and blocked
-			time.Sleep(time.Millisecond)
-		}
-		s.CloseRead()
-		select {
-		case err := <-errCh:
-			if err != io.ErrClosedPipe {
-				t.Fatalf("blocked write after CloseRead: err = %v, want ErrClosedPipe", err)
+		for _, p := range []*Pool{nil, new(Pool)} {
+			s := p.NewStream(capacity)
+			msg := bytes.Repeat([]byte("abcdefgh"), 512)
+			if _, err := s.Write(msg); err != nil {
+				t.Fatal(err)
 			}
-		case <-time.After(10 * time.Second):
-			t.Fatal("blocked write never woke after CloseRead")
-		}
-		if _, err := s.Write([]byte("x")); err != io.ErrClosedPipe {
-			t.Fatalf("write after CloseRead: err = %v", err)
-		}
-		if _, closed, _ := s.TryWrite([]byte("x"), nil); !closed {
-			t.Fatal("TryWrite after CloseRead not closed")
-		}
-		if r := s.WriteReady(); r != ReadyOut|ReadyErr {
-			t.Fatalf("write readiness after CloseRead = %b", r)
-		}
-		if capacity > shrinkKeep && s.Alloc() != 0 {
-			t.Fatalf("CloseRead kept %d bytes of a discarded burst", s.Alloc())
+			s.CloseWrite()
+			if r := s.ReadReady(); r != ReadyIn|ReadyHup {
+				t.Fatalf("readiness after CloseWrite = %b", r)
+			}
+			got, err := io.ReadAll(readerFunc(s.Read))
+			if err != nil || !bytes.Equal(got, msg) {
+				t.Fatalf("drain after CloseWrite: %d bytes, %v", len(got), err)
+			}
+			if _, eof, _ := s.TryRead(make([]byte, 1), nil); !eof {
+				t.Fatal("drained, write-closed stream is not at EOF")
+			}
+			if s.Alloc() != 0 {
+				t.Fatalf("drained, write-closed stream holds %d bytes", s.Alloc())
+			}
+
+			s = p.NewStream(capacity)
+			errCh := make(chan error, 1)
+			go func() {
+				_, err := s.Write(make([]byte, capacity+4096))
+				errCh <- err
+			}()
+			for s.WriteReady()&ReadyOut != 0 { // until the writer filled the ring and blocked
+				time.Sleep(time.Millisecond)
+			}
+			s.CloseRead()
+			select {
+			case err := <-errCh:
+				if err != io.ErrClosedPipe {
+					t.Fatalf("blocked write after CloseRead: err = %v, want ErrClosedPipe", err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("blocked write never woke after CloseRead")
+			}
+			if _, err := s.Write([]byte("x")); err != io.ErrClosedPipe {
+				t.Fatalf("write after CloseRead: err = %v", err)
+			}
+			if _, closed, _ := s.TryWrite([]byte("x"), nil); !closed {
+				t.Fatal("TryWrite after CloseRead not closed")
+			}
+			if r := s.WriteReady(); r != ReadyOut|ReadyErr {
+				t.Fatalf("write readiness after CloseRead = %b", r)
+			}
+			if s.Alloc() != 0 {
+				t.Fatalf("read-closed stream holds %d bytes", s.Alloc())
+			}
 		}
 	})
 }
@@ -222,7 +228,9 @@ func moveParked(dst, src *Stream, max int) (int, MoveStatus, bool) {
 // connection's shape), mixing blocking reads, poll-style reads with
 // random timeouts, random chunk sizes, half-closes and abrupt closes;
 // the echo stage alternates between read+write and Move, so parked
-// two-stream moves race the same edges. Every well-behaved client must
+// two-stream moves race the same edges. All streams share one Pool, so
+// buffers outgrown or let go by one stream back the next growth of
+// another while both are live. Every well-behaved client must
 // get its bytes back exactly; the deadline catches lost wakeups, and
 // -race makes this the wake protocol's data-race probe.
 func TestStreamRandomStress(t *testing.T) {
@@ -233,8 +241,9 @@ func TestStreamRandomStress(t *testing.T) {
 			abortEvery = 5
 		)
 		var wg sync.WaitGroup
+		var pool Pool
 		for i := 0; i < clients; i++ {
-			up, down := NewStream(capacity), NewStream(capacity)
+			up, down := pool.NewStream(capacity), pool.NewStream(capacity)
 			wg.Add(2)
 			go func(i int) { // echo stage: up → down
 				defer wg.Done()
