@@ -4,6 +4,7 @@ import (
 	"repro/internal/fs"
 	"repro/internal/mem"
 	"repro/internal/mmdsfi"
+	"repro/internal/workloads"
 	"repro/internal/workloads/specint"
 
 	"bytes"
@@ -18,10 +19,13 @@ import (
 // Occlum kernel's own spawn counters. However many times a binary is
 // spawned it is read through the encrypted FS and verified once, on the
 // first spawn (the paper's size-proportional cost, now paid per binary);
-// every spawn, first or repeat, loads the whole image into its domain;
-// and an exit scrubs the pages the SIP's image and stack dirtied, not the
-// domain reserved for it. That Graphene pays an enclave per spawn and
-// Occlum's first spawn grows with size are wall clock:
+// the first spawn loads the whole image into its domain, and a repeat
+// spawn, which finds the domain still holding it (a warm slot), copies
+// the data segment alone; a repeat spawn into a domain that holds another
+// image (forced here by round-robin on one domain) loads the whole image
+// again; and an exit scrubs the pages the SIP's image and stack dirtied,
+// not the domain reserved for it. That Graphene pays an enclave per spawn
+// and Occlum's first spawn grows with size are wall clock:
 // TestFig6aSpawnRegression.
 func TestShapeFig6aSpawn(t *testing.T) {
 	s := Quick()
@@ -50,14 +54,20 @@ func TestShapeFig6aSpawn(t *testing.T) {
 		if image < uint64(sb.Pad) || first.ImageBytesRead <= image {
 			t.Errorf("%s: first spawn loaded %d bytes and read %d, for %d bytes of padding", sb.Name, image, first.ImageBytesRead, sb.Pad)
 		}
-		if first.ImagesVerified != 1 || first.ImageCacheHits != 0 || first.Exits != 1 {
-			t.Errorf("%s: first spawn %+v, want 1 verify, 0 hits, 1 exit", sb.Name, first)
+		if first.ImagesVerified != 1 || first.ImageCacheHits != 0 || first.Exits != 1 || first.SlotHits != 0 {
+			t.Errorf("%s: first spawn %+v, want 1 verify, 0 hits, 1 exit, no slot hit", sb.Name, first)
 		}
-		if rep.ImagesVerified != 0 || rep.ImageBytesRead != 0 || rep.ImageCacheHits != spawnRepeats || rep.Exits != spawnRepeats {
-			t.Errorf("%s: %d repeat spawns %+v, want 0 verifies, 0 bytes read, all hits", sb.Name, spawnRepeats, rep)
+		if rep.ImagesVerified != 0 || rep.ImageBytesRead != 0 || rep.ImageCacheHits != spawnRepeats || rep.Exits != spawnRepeats || rep.SlotHits != spawnRepeats {
+			t.Errorf("%s: %d repeat spawns %+v, want 0 verifies, 0 bytes read, all hits, all slot hits", sb.Name, spawnRepeats, rep)
 		}
-		if rep.ImageBytesLoaded != spawnRepeats*image {
-			t.Errorf("%s: repeat spawns loaded %d bytes, want %d x %d", sb.Name, rep.ImageBytesLoaded, spawnRepeats, image)
+		// Warm: the data segment each time, the code never.
+		if data := rep.ImageBytesLoaded / spawnRepeats; rep.ImageBytesLoaded%spawnRepeats != 0 || data < uint64(sb.Pad) || data >= image {
+			t.Errorf("%s: repeat spawns loaded %d bytes, want %d x the data segment of a %d-byte image", sb.Name, rep.ImageBytesLoaded, spawnRepeats, image)
+		}
+		// The first spawn went to a domain no SIP had used: nothing to
+		// scrub at load, so it and each warm repeat scrub the same pages.
+		if rep.PagesScrubbed != spawnRepeats*first.PagesScrubbed {
+			t.Errorf("%s: repeat spawns scrubbed %d pages, want %d x %d", sb.Name, rep.PagesScrubbed, spawnRepeats, first.PagesScrubbed)
 		}
 		// Code, data, trampoline and the auxv/stack top: the image's
 		// pages plus a small constant, per exit.
@@ -67,6 +77,41 @@ func TestShapeFig6aSpawn(t *testing.T) {
 	}
 	if small := counts[0].Repeat.PagesScrubbed / spawnRepeats; small*64 > domainPages {
 		t.Errorf("smallest binary: %d pages scrubbed per exit of a %d-page domain, want ≪", small, domainPages)
+	}
+
+	// Forced cold: the binaries round-robin on one domain, so every
+	// repeat spawn finds it holding another image and loads the whole of
+	// its own, as every repeat did before warm slots.
+	spec.Domains = 1
+	k, err := workloads.NewOcclumKernel(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer k.Sys.OS.Shutdown()
+	for _, sb := range s.SpawnSizes {
+		prog, err := buildTrivial(sb.Pad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := k.InstallProgram("/bin/"+sb.Name, prog); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for round := 0; round < 2; round++ {
+		for i, sb := range s.SpawnSizes {
+			s0 := k.Sys.OS.SpawnStats()
+			if status, err := workloads.RunToCompletion(k, "/bin/"+sb.Name, nil, nil); err != nil || status != 0 {
+				t.Fatalf("%s on one domain: status %d, err %v", sb.Name, status, err)
+			}
+			cold := k.Sys.OS.SpawnStats().Sub(s0)
+			image := counts[i].First.ImageBytesLoaded
+			if round == 1 && (cold.ImagesVerified != 0 || cold.ImageCacheHits != 1 || cold.SlotHits != 0 || cold.ImageBytesLoaded != image) {
+				t.Errorf("%s: cold repeat spawn %+v, want a cache hit loading all %d bytes", sb.Name, cold, image)
+			}
+			if cold.PagesScrubbed > image/mem.PageSize+16 {
+				t.Errorf("%s: cold spawn scrubbed %d pages, want ≤ %d", sb.Name, cold.PagesScrubbed, image/mem.PageSize+16)
+			}
+		}
 	}
 }
 

@@ -41,7 +41,9 @@ type spawnCounts struct {
 // Graphene-SGX 0.64–0.89 s dominated by enclave creation). Occlum gets
 // two rows: its first spawn of a binary reads the whole image through
 // the encrypted FS and verifies it — the paper's size-proportional cost —
-// and every later spawn of the unchanged file loads the cached image.
+// and every later spawn of the unchanged file loads the cached image into
+// a domain that still holds its code (a warm slot), copying the data
+// segment alone.
 func Fig6aSpawn(s Scale) (*Table, error) {
 	t, _, err := fig6aSpawn(s)
 	return t, err

@@ -37,6 +37,7 @@ import (
 	"repro/internal/sched"
 	"repro/internal/sgx"
 	"repro/internal/timers"
+	"repro/internal/vm"
 )
 
 // Config sizes the enclave and its domains.
@@ -125,6 +126,17 @@ type Domain struct {
 	DataBase uint64 // start of the data region D
 	DataSize uint64
 	inUse    bool
+
+	// The warm slot: what a domain keeps across exit→spawn (DESIGN.md
+	// "Domain lifecycle"). cpu is the CPU every SIP of the domain runs
+	// on, one at a time, with the translation cache it built. resident
+	// is the verified image the code region holds, laid out and patched
+	// for this domain, or nil; codeSpan is the generation snapshot of
+	// the whole code region taken right after the loader wrote it. All
+	// three are the holder's while inUse, and read under o.mu when not.
+	cpu      *vm.CPU
+	resident *loadedImage
+	codeSpan mem.Span
 }
 
 // Occlum is one LibOS instance inside one enclave.
@@ -172,6 +184,7 @@ type spawnStats struct {
 	imagesVerified, imageCacheHits   atomic.Uint64
 	imageBytesRead, imageBytesLoaded atomic.Uint64
 	pagesScrubbed, exits             atomic.Uint64
+	slotHits                         atomic.Uint64
 }
 
 // SpawnSnapshot is a plain-value copy of the spawn/exit counters.
@@ -181,12 +194,18 @@ type SpawnSnapshot struct {
 	// instead.
 	ImagesVerified, ImageCacheHits uint64
 	// ImageBytesRead counts file bytes the loader read through the
-	// filesystem (cache misses only); ImageBytesLoaded counts code+data
-	// bytes copied into domains (every spawn).
+	// filesystem (cache misses only); ImageBytesLoaded counts bytes
+	// copied into domains: the data segment on every spawn, the code
+	// only when the slot did not already hold it.
 	ImageBytesRead, ImageBytesLoaded uint64
-	// PagesScrubbed counts domain pages zeroed at teardown (the dirty
-	// ones); Exits counts teardowns.
+	// PagesScrubbed counts domain pages zeroed (the dirty ones): data
+	// pages at teardown, code pages when a load replaces what a slot
+	// held; Exits counts teardowns.
 	PagesScrubbed, Exits uint64
+	// SlotHits counts spawns whose domain already held the image's code,
+	// so the loader copied none and the domain's CPU kept its
+	// translations.
+	SlotHits uint64
 }
 
 // Sub returns the counter deltas since an earlier snapshot.
@@ -198,6 +217,7 @@ func (s SpawnSnapshot) Sub(prev SpawnSnapshot) SpawnSnapshot {
 		ImageBytesLoaded: s.ImageBytesLoaded - prev.ImageBytesLoaded,
 		PagesScrubbed:    s.PagesScrubbed - prev.PagesScrubbed,
 		Exits:            s.Exits - prev.Exits,
+		SlotHits:         s.SlotHits - prev.SlotHits,
 	}
 }
 
@@ -211,6 +231,7 @@ func (o *Occlum) SpawnStats() SpawnSnapshot {
 		ImageBytesLoaded: o.stats.imageBytesLoaded.Load(),
 		PagesScrubbed:    o.stats.pagesScrubbed.Load(),
 		Exits:            o.stats.exits.Load(),
+		SlotHits:         o.stats.slotHits.Load(),
 	}
 }
 
@@ -414,49 +435,91 @@ func (o *Occlum) InstallBinary(path string, bin *oelf.Binary) error {
 	return err
 }
 
-func (o *Occlum) allocDomain() (*Domain, error) {
+// allocDomain takes a free domain for a SIP running li: one whose code
+// region holds li if there is one, else one holding no image, else the
+// lowest free ID. The domain's CPU comes with it, a fresh one unless the
+// domain held li — a CPU's translations are of the image it ran.
+func (o *Occlum) allocDomain(li *loadedImage) (*Domain, error) {
+	rank := func(d *Domain) int {
+		switch d.resident {
+		case li:
+			return 0
+		case nil:
+			return 1
+		}
+		return 2
+	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	for _, d := range o.domains {
-		if !d.inUse {
-			d.inUse = true
-			return d, nil
+	var d *Domain
+	for _, c := range o.domains {
+		if !c.inUse && (d == nil || rank(c) < rank(d)) {
+			d = c
 		}
 	}
-	return nil, ErrNoDomains
+	if d == nil {
+		return nil, ErrNoDomains
+	}
+	if d.cpu == nil || d.resident != li {
+		d.cpu = vm.New(o.enclave.Paged)
+	}
+	d.inUse = true
+	return d, nil
 }
 
 // checkTeardownZero makes every freeDomain re-read the whole domain and
-// panic on a nonzero byte (CheckTeardownZero).
+// panic on a byte it should not hold (CheckTeardownZero).
 var checkTeardownZero atomic.Bool
 
 // CheckTeardownZero turns on, for every LibOS in the process, a full
-// read-back of each domain at the end of freeDomain: a byte the dirty-page
+// read-back of each domain at the end of freeDomain: the data region
+// must read zero, and the code region must equal its resident layout byte
+// for byte (codeLayout: zero when the domain holds no image). A byte the
 // scrub left behind panics with its address. It costs a pass over the
 // whole reservation per exit — the very cost the scrub avoids — so it is
 // for test batteries, which call it from TestMain.
 func CheckTeardownZero(on bool) { checkTeardownZero.Store(on) }
 
+// scrub zeroes the dirty pages of [addr, addr+n), which d owns.
+func (o *Occlum) scrub(d *Domain, addr, n uint64) {
+	pages, err := o.enclave.ScrubDirty(addr, n)
+	if err != nil {
+		panic(fmt.Sprintf("libos: domain %d outside the enclave: %v", d.ID, err))
+	}
+	o.stats.pagesScrubbed.Add(uint64(pages))
+}
+
 func (o *Occlum) freeDomain(d *Domain) {
-	// Scrub both regions so the next SIP cannot observe stale data —
+	// Scrub the data region so the next SIP cannot observe stale data —
 	// inter-process isolation across domain reuse. Only pages written
-	// since the last scrub can hold any; the rest are zero already.
-	for _, r := range [2][2]uint64{{d.CodeBase, d.CodeSize}, {d.DataBase, d.DataSize}} {
-		n, err := o.enclave.ScrubDirty(r[0], r[1])
-		if err != nil {
-			panic(fmt.Sprintf("libos: domain %d outside the enclave: %v", d.ID, err))
-		}
-		o.stats.pagesScrubbed.Add(uint64(n))
-		if checkTeardownZero.Load() {
-			b, _ := o.enclave.ReadDirect(r[0], int(r[1]))
-			if rest := bytes.TrimLeft(b, "\x00"); len(rest) != 0 {
-				panic(fmt.Sprintf("libos: domain %d freed with byte %#x at %#x", d.ID, rest[0], r[0]+uint64(len(b)-len(rest))))
-			}
-		}
+	// since the last scrub can hold any; the rest are zero already. The
+	// code region keeps the verified image it holds for the next SIP of
+	// that image; a load of any other scrubs it first. Only a load that
+	// failed midway leaves it holding no image, and then it goes too.
+	o.scrub(d, d.DataBase, d.DataSize)
+	if d.resident == nil {
+		o.scrub(d, d.CodeBase, d.CodeSize)
+	}
+	if checkTeardownZero.Load() {
+		o.checkRegion(d, d.CodeBase, o.codeLayout(d))
+		o.checkRegion(d, d.DataBase, make([]byte, d.DataSize))
 	}
 	o.mu.Lock()
 	d.inUse = false
 	o.mu.Unlock()
+}
+
+// checkRegion panics unless d's memory at base holds want.
+func (o *Occlum) checkRegion(d *Domain, base uint64, want []byte) {
+	b, _ := o.enclave.ReadDirect(base, len(want))
+	if bytes.Equal(b, want) {
+		return
+	}
+	i := 0
+	for b[i] == want[i] {
+		i++
+	}
+	panic(fmt.Sprintf("libos: domain %d freed with byte %#x at %#x, want %#x", d.ID, b[i], base+uint64(i), want[i]))
 }
 
 // readUserString copies a NUL-free string of length n from user memory,

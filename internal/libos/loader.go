@@ -26,6 +26,16 @@ func (li *loadedImage) size() uint64 {
 	return uint64(len(li.bin.Image.Code) + len(li.bin.Image.Data) + 8*len(li.labels))
 }
 
+// place writes the image's code into dst, which is len(Code) bytes of
+// domain id's code region, with every cfi_label rewritten to id (loader
+// duty 2).
+func (li *loadedImage) place(dst []byte, id uint32) {
+	copy(dst, li.bin.Image.Code)
+	for _, off := range li.labels {
+		binary.LittleEndian.PutUint32(dst[off+4:], id)
+	}
+}
+
 // imageCache holds verified images by file identity, one entry per
 // (filesystem, inode). It lives inside the LibOS and is filled only on
 // the far side of VerifierKey.Verify, from bytes the filesystem
@@ -40,6 +50,10 @@ type imageCache struct {
 	// limit bounds bytes: the domain reservation, i.e. room for the image
 	// of every SIP that can be live at once.
 	limit uint64
+	// clock stamps each get hit and put, so eviction can take the least
+	// recently used entry: which image survives depends on the spawn
+	// sequence alone, never on map order.
+	clock uint64
 }
 
 type imageKey struct {
@@ -48,8 +62,9 @@ type imageKey struct {
 }
 
 type cachedImage struct {
-	gen uint64
-	img *loadedImage
+	gen  uint64
+	img  *loadedImage
+	used uint64 // clock at the last get hit or put
 }
 
 func newImageCache(limit uint64) *imageCache {
@@ -70,12 +85,15 @@ func (c *imageCache) get(v fs.FileVersion) *loadedImage {
 		c.remove(k, e)
 		return nil
 	}
+	c.clock++
+	e.used = c.clock
+	c.entries[k] = e
 	return e.img
 }
 
 // put caches img as version v, replacing any older version of the file
-// and evicting other files (in map order) until it fits. An image larger
-// than the whole bound is not cached.
+// and evicting other files, least recently used first, until it fits. An
+// image larger than the whole bound is not cached.
 func (c *imageCache) put(v fs.FileVersion, img *loadedImage) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -87,13 +105,18 @@ func (c *imageCache) put(v fs.FileVersion, img *loadedImage) {
 	if sz > c.limit {
 		return
 	}
-	for other, e := range c.entries {
-		if c.bytes+sz <= c.limit {
-			break
+	for c.bytes+sz > c.limit {
+		var lru imageKey
+		var oldest cachedImage
+		for other, e := range c.entries {
+			if oldest.img == nil || e.used < oldest.used {
+				lru, oldest = other, e
+			}
 		}
-		c.remove(other, e)
+		c.remove(lru, oldest)
 	}
-	c.entries[k] = cachedImage{gen: v.Gen, img: img}
+	c.clock++
+	c.entries[k] = cachedImage{gen: v.Gen, img: img, used: c.clock}
 	c.bytes += sz
 }
 
@@ -158,6 +181,10 @@ const trampolineLen = isa.CFILabelLen + 1
 // that the data region begins exactly codeSpan+guard after the code base,
 // matching the layout the binary was linked (and verified) against. The
 // trampoline lives at the start of the code region, far from user code.
+//
+// The code region outlives its SIP (the warm slot): when it still holds
+// exactly this image, laid out by this loader and stamped by no write
+// since, duties 2 and 3 are already done and are skipped.
 func (o *Occlum) loadIntoDomain(d *Domain, li *loadedImage, argv []string, p *Proc) error {
 	img := &li.bin.Image
 	codeSpan := img.CodeSpan()
@@ -172,25 +199,14 @@ func (o *Occlum) loadIntoDomain(d *Domain, li *loadedImage, argv []string, p *Pr
 	}
 
 	codeBase := d.CodeBase + d.CodeSize - codeSpan
-
-	// Duty 2: rewrite the last 4 bytes of every cfi_label to this
-	// domain's ID. The shared image is copied into the domain through one
-	// write loan (code pages are RWX to the loader) and patched there.
-	code, f := o.enclave.ViewBytes(codeBase, len(img.Code), mem.AccessWrite)
-	if f != nil {
-		return f
-	}
-	copy(code.B, img.Code)
-	for _, off := range li.labels {
-		binary.LittleEndian.PutUint32(code.B[off+4:], d.ID)
-	}
-	if !code.CommitWrite(len(code.B)) {
-		return fmt.Errorf("libos: domain %d code region remapped during load", d.ID)
-	}
-
-	// Duty 3: inject the trampoline — the only way out of the sandbox.
-	if err := o.enclave.WriteDirect(d.CodeBase, EncodeTrampoline(d.ID)); err != nil {
-		return err
+	loaded := len(img.Data)
+	if d.resident == li && o.enclave.SpansCurrent([]mem.Span{d.codeSpan}) {
+		o.stats.slotHits.Add(1)
+	} else {
+		if err := o.loadCode(d, li, codeBase); err != nil {
+			return err
+		}
+		loaded += len(img.Code)
 	}
 
 	// Data segment (BSS pages were zeroed when the domain was freed).
@@ -217,8 +233,55 @@ func (o *Occlum) loadIntoDomain(d *Domain, li *loadedImage, argv []string, p *Pr
 
 	p.heapBase, p.heapEnd, p.heapPtr = heapBase, heapEnd, heapBase
 	p.tramp = d.CodeBase
-	o.stats.imageBytesLoaded.Add(uint64(len(img.Code) + len(img.Data)))
+	o.stats.imageBytesLoaded.Add(uint64(loaded))
 	return nil
+}
+
+// loadCode is the cold half of the loader: it makes d's code region hold
+// li and nothing else, and records that it does.
+func (o *Occlum) loadCode(d *Domain, li *loadedImage, codeBase uint64) error {
+	// Whatever the region held (another image, or this one after a
+	// write) goes first, so it never holds bytes of two images. Only
+	// pages written since the last scrub cost anything.
+	d.resident = nil
+	o.scrub(d, d.CodeBase, d.CodeSize)
+
+	// Duty 2: rewrite the last 4 bytes of every cfi_label to this
+	// domain's ID. The shared image is copied into the domain through one
+	// write loan (code pages are RWX to the loader) and patched there.
+	code, f := o.enclave.ViewBytes(codeBase, len(li.bin.Image.Code), mem.AccessWrite)
+	if f != nil {
+		return f
+	}
+	li.place(code.B, d.ID)
+	if !code.CommitWrite(len(code.B)) {
+		return fmt.Errorf("libos: domain %d code region remapped during load", d.ID)
+	}
+
+	// Duty 3: inject the trampoline — the only way out of the sandbox.
+	if err := o.enclave.WriteDirect(d.CodeBase, EncodeTrampoline(d.ID)); err != nil {
+		return err
+	}
+
+	// Every write above has stamped its pages, so any later write to the
+	// region — trusted, scrub or remap — stamps one above this snapshot
+	// and fails the next spawn's SpansCurrent, as it fails every block
+	// the domain's CPU translated over that page.
+	d.codeSpan = mem.Span{Addr: d.CodeBase, N: int(d.CodeSize), Gen: o.enclave.Generation()}
+	d.resident = li
+	return nil
+}
+
+// codeLayout is what d's code region holds between SIPs: the trampoline
+// at CodeBase and the resident image, patched, at the end; zero
+// elsewhere, and everywhere when the domain holds no image.
+func (o *Occlum) codeLayout(d *Domain) []byte {
+	want := make([]byte, d.CodeSize)
+	if li := d.resident; li != nil {
+		copy(want, EncodeTrampoline(d.ID))
+		li.place(want[d.CodeSize-li.bin.Image.CodeSpan():], d.ID)
+	}
+	return want
 }
 
 // isDomainLabel reports whether addr holds a cfi_label carrying the

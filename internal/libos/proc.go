@@ -24,7 +24,7 @@ type Proc struct {
 	ppid int // guarded by os.mu after spawn (reparenting)
 	name string
 	dom  *Domain
-	cpu  *vm.CPU
+	cpu  *vm.CPU // dom's; the next SIP of the domain runs on it too
 	task *sched.G
 
 	fds *sysdispatch.FDTable
@@ -148,7 +148,7 @@ func (o *Occlum) Spawn(path string, argv []string, opt SpawnOpt) (*Proc, error) 
 	if err != nil {
 		return nil, err
 	}
-	dom, err := o.allocDomain()
+	dom, err := o.allocDomain(img)
 	if err != nil {
 		return nil, err
 	}
@@ -161,7 +161,7 @@ func (o *Occlum) Spawn(path string, argv []string, opt SpawnOpt) (*Proc, error) 
 		pid:      pid,
 		name:     path,
 		dom:      dom,
-		cpu:      vm.New(o.enclave.Paged),
+		cpu:      dom.cpu,
 		fds:      sysdispatch.NewFDTable(),
 		handlers: make(map[int]uint64),
 		done:     make(chan struct{}),

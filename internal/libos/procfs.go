@@ -52,8 +52,8 @@ func (pf *procFS) render(p string) ([]byte, error) {
 			n, used, pf.os.enclave.PagesAdded())), nil
 	case len(comps) == 1 && comps[0] == "occlum":
 		s := pf.os.SpawnStats()
-		return []byte(fmt.Sprintf("ImagesVerified: %d\nImageCacheHits: %d\nImageBytesRead: %d\nImageBytesLoaded: %d\nPagesScrubbed: %d\nExits: %d\n",
-			s.ImagesVerified, s.ImageCacheHits, s.ImageBytesRead, s.ImageBytesLoaded, s.PagesScrubbed, s.Exits)), nil
+		return []byte(fmt.Sprintf("ImagesVerified: %d\nImageCacheHits: %d\nImageBytesRead: %d\nImageBytesLoaded: %d\nPagesScrubbed: %d\nExits: %d\nSlotHits: %d\n",
+			s.ImagesVerified, s.ImageCacheHits, s.ImageBytesRead, s.ImageBytesLoaded, s.PagesScrubbed, s.Exits, s.SlotHits)), nil
 	case len(comps) == 1 && comps[0] == "cpuinfo":
 		return []byte("model name: OVM virtual hart\nfeatures: mpx sgx mmdsfi\n"), nil
 	case len(comps) == 2 && comps[1] == "status":

@@ -133,7 +133,7 @@ func TestTeardownScrubFollowsTheSIP(t *testing.T) {
 
 	clean := mustRun(t, os, "/bin/clean", 3)
 	if clean.Exits != 1 || clean.PagesScrubbed == 0 || clean.PagesScrubbed > 16 {
-		t.Errorf("clean exit: %+v, want 1 exit scrubbing 1..16 pages (code, trampoline, stack)", clean)
+		t.Errorf("clean exit: %+v, want 1 exit scrubbing 1..16 pages (stack and data; the code stays in its slot)", clean)
 	}
 	dirty := mustRun(t, os, "/bin/dirty", 4)
 	if got, lo, hi := dirty.PagesScrubbed, uint64(touched), clean.PagesScrubbed+touched+1; got < lo || got > hi {
@@ -179,37 +179,60 @@ func TestTeardownScrubFollowsTheSIP(t *testing.T) {
 	}
 }
 
-// TestImageCacheRepeatSpawn is the cache's reason to exist: the second
-// spawn of an unchanged file verifies nothing and reads nothing, and
-// still loads the whole image into its domain.
+// TestImageCacheRepeatSpawn is the cache's reason to exist, and the warm
+// slot's. The second spawn of an unchanged file verifies nothing and
+// reads nothing. Into a slot that holds another image (cold: two binaries
+// alternate on one domain) it loads the whole image and scrubs the other
+// one's code; into the slot that holds its own (warm) it copies the data
+// segment alone, and its spawn and exit scrub what the first one's did.
 func TestImageCacheRepeatSpawn(t *testing.T) {
-	var out bytes.Buffer
-	sys, tc := bootSys(t, &out)
+	sys, tc := oneDomain(t, 2)
 	defer sys.OS.Shutdown()
 	os := sys.OS
 
-	bin := compile(t, tc, "x", exitProg(11, 256<<10))
-	if err := sys.InstallBinary("/bin/x", bin); err != nil {
-		t.Fatal(err)
+	bins := map[string]*oelf.Binary{
+		"/bin/x": compile(t, tc, "x", exitProg(11, 256<<10)),
+		"/bin/y": compile(t, tc, "y", exitProg(12, 256<<10)),
+	}
+	for path, bin := range bins {
+		if err := sys.InstallBinary(path, bin); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bin := bins["/bin/x"]
+	if len(bins["/bin/y"].Image.Code) != len(bin.Image.Code) {
+		t.Fatal("fixture: x and y differ in code size")
 	}
 	fileSize := uint64(len(bin.Marshal()))
 	imageSize := uint64(len(bin.Image.Code) + len(bin.Image.Data))
+	status := map[string]int{"/bin/x": 11, "/bin/y": 12}
 
 	first := mustRun(t, os, "/bin/x", 11)
 	want := libos.SpawnSnapshot{ImagesVerified: 1, ImageBytesRead: fileSize, ImageBytesLoaded: imageSize, Exits: 1}
+	dataPages := first.PagesScrubbed // into a domain no SIP ever used: no code to scrub
 	first.PagesScrubbed = 0
 	if first != want {
 		t.Errorf("first spawn: %+v, want %+v", first, want)
 	}
-	for i := 0; i < 3; i++ {
-		again := mustRun(t, os, "/bin/x", 11)
+	mustRun(t, os, "/bin/y", 12)
+	for i, path := range []string{"/bin/x", "/bin/y", "/bin/x", "/bin/y"} {
+		cold := mustRun(t, os, path, status[path])
 		want := libos.SpawnSnapshot{ImageCacheHits: 1, ImageBytesLoaded: imageSize, Exits: 1}
-		if pages := again.PagesScrubbed; pages < imageSize/mem.PageSize || pages > imageSize/mem.PageSize+16 {
-			t.Errorf("repeat spawn scrubbed %d pages for a %d-page image", pages, imageSize/mem.PageSize)
+		// The other image's code page and the trampoline's, on top of
+		// what a warm spawn scrubs.
+		if pages := cold.PagesScrubbed; pages != dataPages+2 || pages < imageSize/mem.PageSize || pages > imageSize/mem.PageSize+16 {
+			t.Errorf("cold repeat spawn scrubbed %d pages for a %d-page image, want %d", pages, imageSize/mem.PageSize, dataPages+2)
 		}
-		again.PagesScrubbed = 0
-		if again != want {
-			t.Errorf("repeat spawn %d: %+v, want %+v", i, again, want)
+		cold.PagesScrubbed = 0
+		if cold != want {
+			t.Errorf("cold repeat spawn %d: %+v, want %+v", i, cold, want)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		warm := mustRun(t, os, "/bin/y", 12)
+		want := libos.SpawnSnapshot{ImageCacheHits: 1, ImageBytesLoaded: uint64(len(bin.Image.Data)), PagesScrubbed: dataPages, Exits: 1, SlotHits: 1}
+		if warm != want {
+			t.Errorf("warm repeat spawn %d: %+v, want %+v", i, warm, want)
 		}
 	}
 
@@ -230,6 +253,7 @@ func TestImageCacheRepeatSpawn(t *testing.T) {
 		fmt.Sprintf("ImageBytesLoaded: %d\n", s.ImageBytesLoaded),
 		fmt.Sprintf("PagesScrubbed: %d\n", s.PagesScrubbed),
 		fmt.Sprintf("Exits: %d\n", s.Exits),
+		fmt.Sprintf("SlotHits: %d\n", s.SlotHits),
 	} {
 		if !strings.Contains(string(text), line) {
 			t.Errorf("/proc/occlum lacks %q:\n%s", line, text)
@@ -312,7 +336,9 @@ func hostWrite(t testing.TB, os *libos.Occlum, path string, flags fs.OpenFlag, o
 // the same inode number, renamed over — each from the host-side VFS and
 // from inside a SIP. The next spawn must go back through the verifier:
 // refused with ErrNotSigned when the new content is unsigned, and running
-// the new program (never the cached one) when it is signed.
+// the new program (never the cached one) when it is signed. One row runs
+// on a single domain, so the new program loads into the very slot that
+// held the old one: it must be copied and decoded anew.
 func TestImageCacheNeverServesAChangedFile(t *testing.T) {
 	tc := core.NewToolchain()
 	orig := compile(t, tc, "x", exitProg(11, 0))
@@ -339,6 +365,8 @@ func TestImageCacheNeverServesAChangedFile(t *testing.T) {
 		sameIno bool
 		// wantStatus < 0: the spawn must fail with ErrNotSigned.
 		wantStatus int
+		// oneDomain: boot with a single domain (host only).
+		oneDomain bool
 	}{
 		{
 			name: "overwrite one byte",
@@ -406,6 +434,13 @@ func TestImageCacheNeverServesAChangedFile(t *testing.T) {
 			},
 			wantStatus: 22,
 		},
+		{
+			name: "O_TRUNC and rewrite signed, same slot",
+			host: func(t *testing.T, os *libos.Occlum) {
+				hostWrite(t, os, "/bin/x", fs.OWrOnly|fs.OTrunc, 0, signed.Marshal())
+			},
+			sameIno: true, wantStatus: 22, oneDomain: true,
+		},
 	}
 	for _, c := range cases {
 		for _, from := range []string{"host", "guest"} {
@@ -413,8 +448,12 @@ func TestImageCacheNeverServesAChangedFile(t *testing.T) {
 				continue
 			}
 			t.Run(c.name+"/"+from, func(t *testing.T) {
-				var out bytes.Buffer
-				sys, _ := bootSys(t, &out)
+				var sys *core.System
+				if c.oneDomain {
+					sys, _ = oneDomain(t, 2)
+				} else {
+					sys, _ = bootSys(t, new(bytes.Buffer))
+				}
 				defer sys.OS.Shutdown()
 				os := sys.OS
 				if err := sys.InstallBinary("/bin/x", orig); err != nil {
@@ -435,6 +474,7 @@ func TestImageCacheNeverServesAChangedFile(t *testing.T) {
 					t.Fatalf("fixture: /bin/x not cached before the change: %+v", warm)
 				}
 				ino := inoOf(t, os, "/bin/x")
+				oldCPU := os.DomainCPU(os.Domain(0))
 
 				if from == "host" {
 					c.host(t, os)
@@ -467,6 +507,12 @@ func TestImageCacheNeverServesAChangedFile(t *testing.T) {
 				if err != nil || status != c.wantStatus || d.ImagesVerified != 1 {
 					t.Fatalf("spawn after the change: status %d, err %v, %+v; want the new program (%d), verified once",
 						status, err, d, c.wantStatus)
+				}
+				if d.SlotHits != 0 || d.ImageBytesLoaded != uint64(len(signed.Image.Code)+len(signed.Image.Data)) {
+					t.Errorf("spawn after the change: %+v, want the whole new image copied", d)
+				}
+				if cpu := os.DomainCPU(os.Domain(0)); c.oneDomain && (cpu == oldCPU || cpu.CacheStats().Blocks == 0) {
+					t.Error("the new program ran on the old one's CPU, or decoded nothing")
 				}
 				if again := mustRun(t, os, "/bin/x", c.wantStatus); again.ImageCacheHits != 1 {
 					t.Errorf("the new version was not cached in turn: %+v", again)

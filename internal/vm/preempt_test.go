@@ -68,3 +68,24 @@ func TestPreemptLatchedBeforeRun(t *testing.T) {
 		t.Fatal("loop made no progress after preemption")
 	}
 }
+
+// TestResetDropsPreempt: a request latched for the program a CPU ran
+// last does not stop the next one it is Reset for — the LibOS runs
+// every SIP of a domain on one CPU, and a Kill aimed at an exiting SIP
+// may land after its exit.
+func TestResetDropsPreempt(t *testing.T) {
+	img := build(t, func(b *asm.Builder) {
+		b.Entry("_start")
+		b.Label("spin")
+		b.AddI(isa.R1, 1)
+		b.Jmp("spin")
+	})
+	c := loadImage(t, img, 4096)
+	pc, sp := c.PC, c.Regs[isa.SP]
+	c.RequestPreempt()
+	c.Reset()
+	c.PC, c.Regs[isa.SP] = pc, sp
+	if st := c.Run(1000); st.Reason != StopCycles || c.Cycles != 1000 {
+		t.Fatalf("after Reset: stop = %v after %d cycles, want StopCycles after 1000", st, c.Cycles)
+	}
+}

@@ -314,7 +314,8 @@ func ResetGlobalCacheStats() {
 }
 
 // CPU is one OVM hart. It is not safe for concurrent use; each SGX thread
-// (and hence each Occlum SIP) owns one CPU.
+// owns one, and an Occlum domain owns one that the SIPs it hosts run on,
+// one at a time.
 type CPU struct {
 	// Mem is the memory the hart executes over (an enclave's ELRANGE,
 	// or a plain address space for the native baseline).
@@ -357,13 +358,18 @@ func New(m *mem.Paged) *CPU {
 	return &CPU{Mem: m, blocks: make(map[uint64]*block)}
 }
 
-// Reset clears registers, flags and cycle count (but not the translation
-// cache, which is keyed to memory generations).
+// Reset clears registers, flags, cycle count and a latched preemption
+// request (but not the translation cache, which is keyed to memory
+// generations). A CPU that outlives one program and runs the next (the
+// LibOS keeps one per domain) thus starts the next with no request aimed
+// at the last one; a request that races Reset costs one spurious
+// StopPreempt at most.
 func (c *CPU) Reset() {
 	c.Regs = [isa.NumRegs]uint64{}
 	c.PC, c.Cycles = 0, 0
 	c.flags = 0
 	c.Bnd = mpx.File{}
+	c.preempt.Store(false)
 }
 
 // CacheStats returns this CPU's cumulative translation-cache counters.
