@@ -14,7 +14,7 @@
 // traces, and the block hit rate) aggregated over every simulated hart,
 // with trace hits distinguished from block hits.
 // With -schedstats, each experiment reports the M:N scheduler counters
-// (parks, unparks, steals, preemptions, yields and hart utilization)
+// (parks, unparks, preemptions, yields and hart utilization)
 // aggregated over every Occlum hart pool. With -netstats, each
 // experiment reports the readiness-path counters (recv/send/accept
 // parks, poll/epoll_wait calls and parks, EAGAIN returns) plus the

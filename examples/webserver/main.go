@@ -64,8 +64,8 @@ func main() {
 	}
 	snap := occ.Sys.OS.Sched().Snapshot()
 	net := libos.NetStats()
-	fmt.Printf("sched: %d parks, %d steals, %d preempts, %.0f%% hart utilization\n",
-		snap.Parks, snap.Steals, snap.Preempts, 100*snap.Utilization())
+	fmt.Printf("sched: %d parks, %d preempts, %.0f%% hart utilization\n",
+		snap.Parks, snap.Preempts, 100*snap.Utilization())
 	fmt.Printf("net:   %d epoll_waits (%d parked), %d send-parks, %d nonblocking EAGAINs\n",
 		net.EpWaits, net.EpWaitParks, net.SendParks, net.EAgains)
 }

@@ -29,7 +29,7 @@ var Experiments = []string{
 var VMStats bool
 
 // SchedStats, when true, makes Run report the M:N scheduler counters
-// (parks, unparks, steals, preemptions, hart utilization) accumulated
+// (parks, unparks, preemptions, hart utilization) accumulated
 // across every Occlum hart pool during each experiment. Enabled by
 // occlum-bench -schedstats. The baselines run no scheduler, so their
 // experiments contribute zeros.
@@ -68,8 +68,8 @@ func Run(name string, s Scale, w io.Writer) error {
 	}
 	if err == nil && SchedStats {
 		d := sched.GlobalSnapshot().Sub(before)
-		fmt.Fprintf(w, "  [sched: tasks=%d slices=%d parks=%d unparks=%d steals=%d preempts=%d (%d requested) yields=%d hart-util=%.1f%%]\n",
-			d.Tasks, d.Slices, d.Parks, d.Unparks, d.Steals, d.Preempts, d.PreemptReqs, d.Yields, 100*d.Utilization())
+		fmt.Fprintf(w, "  [sched: tasks=%d slices=%d parks=%d unparks=%d preempts=%d (%d requested) yields=%d hart-util=%.1f%%]\n",
+			d.Tasks, d.Slices, d.Parks, d.Unparks, d.Preempts, d.PreemptReqs, d.Yields, 100*d.Utilization())
 	}
 	if err == nil && NetStats {
 		d := libos.NetStats().Sub(netBefore)

@@ -218,8 +218,8 @@ func TestOversubscribedSIPs(t *testing.T) {
 	if snap.Parks == 0 {
 		t.Fatal("no parks recorded: blocking syscalls still hold harts")
 	}
-	t.Logf("sched: tasks=%d slices=%d parks=%d steals=%d preempts=%d util=%.1f%%",
-		snap.Tasks, snap.Slices, snap.Parks, snap.Steals, snap.Preempts, 100*snap.Utilization())
+	t.Logf("sched: tasks=%d slices=%d parks=%d preempts=%d util=%.1f%%",
+		snap.Tasks, snap.Slices, snap.Parks, snap.Preempts, 100*snap.Utilization())
 }
 
 func waitTimeout(t *testing.T, p *libos.Proc, d time.Duration, what string) int {

@@ -5,12 +5,25 @@
 // whole lifetime, which caps concurrency at the TCS budget and lets any
 // blocked SIP hold a hardware thread hostage. This package decouples the
 // two: a Scheduler runs a fixed pool of harts (one goroutine per
-// configured TCS) over per-hart FIFO run queues with work stealing, and
-// SIPs become resumable Tasks that are stepped one scheduling quantum at
-// a time. A blocking operation does not block the hart — the task
-// registers a waiter with the resource it needs, returns Park, and the
-// hart moves on to the next runnable task; the resource's wakeup calls
-// Unpark, which requeues the task.
+// configured TCS) over one FIFO run queue, and SIPs become resumable
+// Tasks that are stepped one scheduling quantum at a time. A blocking
+// operation does not block the hart — the task registers a waiter with
+// the resource it needs, returns Park, and the hart moves on to the next
+// runnable task; the resource's wakeup calls Unpark, which requeues the
+// task.
+//
+// # One queue, one lock
+//
+// The run queue, the count of sleeping harts, the stop flag and the
+// latched Kick are all guarded by Scheduler.mu, which is also the lock
+// of the harts' condition variable. A hart waits on the condition only
+// after it has seen, under mu, an empty queue, no stop and no latched
+// Kick; every push appends and signals under the same lock. So a push
+// is either seen by that check or its signal lands after the Wait: no
+// wake is missed, with no second lock to reason about. When no hart is
+// asleep, enqueue asks the task running on one hart — picked by a
+// rotating index — to yield early, so queued work is not stuck behind
+// CPU-bound quanta.
 //
 // # Park/unpark protocol
 //
@@ -47,7 +60,7 @@ const (
 	// requeue the task.
 	Yield Status = iota
 	// Park: the task registered a waiter with a blocked resource;
-	// hold it off the run queues until Unpark.
+	// hold it off the run queue until Unpark.
 	Park
 	// Done: the task finished; drop it.
 	Done
@@ -70,9 +83,9 @@ type Preempter interface {
 // G states. A task is in exactly one of them; transitions are documented
 // at each site.
 const (
-	gQueued  int32 = iota // on some hart's run queue
+	gQueued  int32 = iota // on the run queue
 	gRunning              // being stepped by a hart
-	gParked               // off the queues, waiting for Unpark
+	gParked               // off the queue, waiting for Unpark
 	gDone                 // finished
 )
 
@@ -85,9 +98,6 @@ type G struct {
 	// wake latches an Unpark that raced with parking; see the package
 	// comment for the protocol.
 	wake atomic.Bool
-	// affinity is the hart the task last ran on; Unpark requeues there
-	// for locality, and stealing rebalances when it is a bad guess.
-	affinity atomic.Int32
 }
 
 // Unpark makes a parked task runnable again. It is safe to call from any
@@ -114,13 +124,14 @@ type Stats struct {
 	Yields      atomic.Uint64 // quanta ending in Yield
 	Parks       atomic.Uint64 // committed parks
 	Unparks     atomic.Uint64 // parked tasks made runnable
-	Steals      atomic.Uint64 // tasks taken from another hart's queue
 	PreemptReqs atomic.Uint64 // preemption requests issued by enqueue
 	Preempts    atomic.Uint64 // preemptions delivered (bumped by the task layer)
 	BusyNS      atomic.Int64  // total hart time inside Step
 }
 
-// Snapshot is a plain-value copy of Stats plus derived figures.
+// Snapshot is a plain-value copy of Stats plus derived figures. Steals
+// is always 0: there is one run queue and nothing to steal from. The
+// field stays because the benchmark harness reads it.
 type Snapshot struct {
 	Tasks, Slices, Yields, Parks, Unparks, Steals uint64
 	PreemptReqs, Preempts                         uint64
@@ -144,55 +155,45 @@ func (s Snapshot) Sub(o Snapshot) Snapshot {
 	return Snapshot{
 		Tasks: s.Tasks - o.Tasks, Slices: s.Slices - o.Slices,
 		Yields: s.Yields - o.Yields, Parks: s.Parks - o.Parks,
-		Unparks: s.Unparks - o.Unparks, Steals: s.Steals - o.Steals,
-		PreemptReqs: s.PreemptReqs - o.PreemptReqs, Preempts: s.Preempts - o.Preempts,
-		BusyNS: s.BusyNS - o.BusyNS, CapacityNS: s.CapacityNS - o.CapacityNS,
+		Unparks: s.Unparks - o.Unparks, PreemptReqs: s.PreemptReqs - o.PreemptReqs,
+		Preempts: s.Preempts - o.Preempts, BusyNS: s.BusyNS - o.BusyNS,
+		CapacityNS: s.CapacityNS - o.CapacityNS,
 	}
 }
 
-// hart is one worker of the pool: a goroutine with a lock-protected FIFO
-// run queue. The owner pops from the front; thieves steal from the back.
+// hart is one worker of the pool: a goroutine taking tasks off the
+// scheduler's run queue. running is the task currently inside Step,
+// exposed so enqueue can request its preemption when work piles up.
 type hart struct {
-	s  *Scheduler
-	id int32
-
-	mu   sync.Mutex
-	q    []*G
-	qlen atomic.Int32 // len(q), readable without mu
-
-	// running is the task currently inside Step, exposed so enqueue can
-	// request its preemption when work piles up.
+	s       *Scheduler
 	running atomic.Pointer[G]
-
-	rng uint64 // xorshift state for steal-victim selection
 }
 
 // Scheduler runs tasks over a fixed pool of harts.
 type Scheduler struct {
 	harts []*hart
 
-	// idleMu serializes the sleep/wake handshake: a hart only sleeps
-	// after re-scanning every queue under idleMu, and enqueue signals
-	// under the same lock, so a push is either seen by the re-scan or
-	// its signal lands after the Wait.
-	idleMu   sync.Mutex
-	idleCond *sync.Cond
-	idle     int
-	stopped  bool
-	// idlePending is a latched Kick: background work appeared while the
-	// pool was asleep, so the next hart through sleep should re-scan and
-	// give the idle hook a turn instead of blocking.
-	idlePending bool
+	// mu guards the run queue and the sleep/wake handshake (see the
+	// package comment); cond is the harts' condition on it.
+	mu      sync.Mutex
+	cond    sync.Cond
+	q       []*G // FIFO run queue: harts pop the head, pushes append
+	idle    int  // harts waiting on cond
+	stopped bool
+	// kicked is a latched Kick: background work appeared while the pool
+	// was asleep, so the next hart through sleep should give the idle
+	// hook a turn instead of blocking.
+	kicked bool
 
 	// idleFn is the background-work hook (see SetIdle); idleActive makes
 	// it single-flight so concurrent idle harts don't pile onto it.
 	idleFn     atomic.Pointer[func() bool]
 	idleActive atomic.Bool
 
-	nextHart atomic.Uint32
-	stopping atomic.Bool
-	wg       sync.WaitGroup
-	stats    Stats
+	// victim rotates the hart whose running task enqueue asks to yield.
+	victim atomic.Uint32
+	wg     sync.WaitGroup
+	stats  Stats
 
 	start    time.Time
 	stopTime atomic.Int64 // unixnano at Stop, 0 while running
@@ -205,10 +206,9 @@ func New(n int) *Scheduler {
 		n = 1
 	}
 	s := &Scheduler{start: time.Now()}
-	s.idleCond = sync.NewCond(&s.idleMu)
+	s.cond.L = &s.mu
 	for i := 0; i < n; i++ {
-		h := &hart{s: s, id: int32(i), rng: uint64(i)*0x9E3779B97F4A7C15 + 1}
-		s.harts = append(s.harts, h)
+		s.harts = append(s.harts, &hart{s: s})
 	}
 	for _, h := range s.harts {
 		s.wg.Add(1)
@@ -221,18 +221,13 @@ func New(n int) *Scheduler {
 // NumHarts returns the pool size.
 func (s *Scheduler) NumHarts() int { return len(s.harts) }
 
-// Runnable returns the number of tasks currently sitting on run queues
-// (excluding the ones inside Step right now). It reads the per-hart
-// qlen atomics without locking, so the answer is a point-in-time
-// estimate — exactly what admission control wants: the accept path
-// sheds load when this climbs past a threshold, and a slightly stale
-// reading only shifts the shed boundary by a connection or two.
+// Runnable returns the number of tasks currently sitting on the run
+// queue (excluding the ones inside Step right now). Admission control
+// reads it: the accept path sheds load when it climbs past a threshold.
 func (s *Scheduler) Runnable() int {
-	n := 0
-	for _, h := range s.harts {
-		n += int(h.qlen.Load())
-	}
-	return n
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.q)
 }
 
 // Stats returns the live counters (for the task layer to bump Preempts
@@ -240,7 +235,7 @@ func (s *Scheduler) Runnable() int {
 func (s *Scheduler) Stats() *Stats { return &s.stats }
 
 // Go submits a task and returns its handle. The task starts in state
-// Queued on a round-robin hart.
+// Queued at the back of the run queue.
 func (s *Scheduler) Go(t Task) *G {
 	g := s.Prepare(t)
 	s.Start(g)
@@ -250,11 +245,7 @@ func (s *Scheduler) Go(t Task) *G {
 // Prepare creates a handle without scheduling the task — so the task can
 // stash its own handle (for self-unparks) before it can possibly run.
 // Follow with Start.
-func (s *Scheduler) Prepare(t Task) *G {
-	g := &G{s: s, task: t}
-	g.affinity.Store(int32(s.nextHart.Add(1) % uint32(len(s.harts))))
-	return g
-}
+func (s *Scheduler) Prepare(t Task) *G { return &G{s: s, task: t} }
 
 // Start schedules a Prepared task.
 func (s *Scheduler) Start(g *G) {
@@ -266,15 +257,14 @@ func (s *Scheduler) Start(g *G) {
 // abandoned; callers must only Stop once all tasks have finished (the
 // LibOS contract: Shutdown happens after processes exit).
 func (s *Scheduler) Stop() {
-	s.stopping.Store(true)
-	s.idleMu.Lock()
+	s.mu.Lock()
 	if s.stopped {
-		s.idleMu.Unlock()
+		s.mu.Unlock()
 		return
 	}
 	s.stopped = true
-	s.idleCond.Broadcast()
-	s.idleMu.Unlock()
+	s.cond.Broadcast()
+	s.mu.Unlock()
 	s.wg.Wait()
 	s.stopTime.Store(time.Now().UnixNano())
 	unregister(s)
@@ -291,22 +281,22 @@ func (s *Scheduler) Snapshot() Snapshot {
 	return Snapshot{
 		Tasks: s.stats.Tasks.Load(), Slices: s.stats.Slices.Load(),
 		Yields: s.stats.Yields.Load(), Parks: s.stats.Parks.Load(),
-		Unparks: s.stats.Unparks.Load(), Steals: s.stats.Steals.Load(),
-		PreemptReqs: s.stats.PreemptReqs.Load(), Preempts: s.stats.Preempts.Load(),
-		BusyNS: s.stats.BusyNS.Load(), CapacityNS: cap,
+		Unparks: s.stats.Unparks.Load(), PreemptReqs: s.stats.PreemptReqs.Load(),
+		Preempts: s.stats.Preempts.Load(), BusyNS: s.stats.BusyNS.Load(),
+		CapacityNS: cap,
 	}
 }
 
 // SetIdle registers fn as the scheduler's idle-time background hook. A
-// hart that finds no runnable work (its own queue and every steal victim
-// empty) calls fn before committing to sleep; fn returns true when it did
-// some work — the hart then re-scans the run queues instead of sleeping,
-// so background work never delays a freshly enqueued task by more than
-// one fn call. Calls are single-flight across harts: at most one hart is
-// ever inside fn, the rest sleep as usual. When fn returns false the
-// calling hart sleeps too, so a hook that latches "nothing left to do"
-// (like the BlockStore scrubber's clean-pass latch) lets the pool
-// quiesce completely. Passing nil removes the hook.
+// hart that finds the run queue empty calls fn before committing to
+// sleep; fn returns true when it did some work — the hart then re-checks
+// the queue instead of sleeping, so background work never delays a
+// freshly enqueued task by more than one fn call. Calls are
+// single-flight across harts: at most one hart is ever inside fn, the
+// rest sleep as usual. When fn returns false the calling hart sleeps
+// too, so a hook that latches "nothing left to do" (like the BlockStore
+// scrubber's clean-pass latch) lets the pool quiesce completely. Passing
+// nil removes the hook.
 func (s *Scheduler) SetIdle(fn func() bool) {
 	if fn == nil {
 		s.idleFn.Store(nil)
@@ -322,179 +312,108 @@ func (s *Scheduler) SetIdle(fn func() bool) {
 // never rouse the scrubber. The kick is latched, so it is not lost when
 // every hart is busy: the next hart to go idle consumes it.
 func (s *Scheduler) Kick() {
-	s.idleMu.Lock()
-	s.idlePending = true
-	s.idleCond.Signal()
-	s.idleMu.Unlock()
+	s.mu.Lock()
+	s.kicked = true
+	s.cond.Signal()
+	s.mu.Unlock()
 }
 
 // runIdle gives the registered idle hook one shot (single-flight) and
 // reports whether it did work.
-func (h *hart) runIdle() bool {
-	fnp := h.s.idleFn.Load()
+func (s *Scheduler) runIdle() bool {
+	fnp := s.idleFn.Load()
 	if fnp == nil {
 		return false
 	}
-	if !h.s.idleActive.CompareAndSwap(false, true) {
+	if !s.idleActive.CompareAndSwap(false, true) {
 		return false
 	}
 	worked := (*fnp)()
-	h.s.idleActive.Store(false)
+	s.idleActive.Store(false)
 	return worked
 }
 
-// enqueue places g (state must already be Queued) on its affinity hart
-// and wakes an idle hart — or, when none is idle, asks the busy hart's
-// current task to yield early so queued work is not stuck behind a
+// enqueue appends g (state must already be Queued) to the run queue and
+// wakes a sleeping hart — or, when none is asleep, asks the task running
+// on one hart to yield early so queued work is not stuck behind a
 // CPU-bound quantum.
 func (s *Scheduler) enqueue(g *G) {
-	h := s.harts[int(g.affinity.Load())%len(s.harts)]
-	h.mu.Lock()
-	h.q = append(h.q, g)
-	h.qlen.Store(int32(len(h.q)))
-	h.mu.Unlock()
-
-	s.idleMu.Lock()
-	idle := s.idle
-	if idle > 0 {
-		s.idleCond.Signal()
+	s.mu.Lock()
+	s.q = append(s.q, g)
+	idle := s.idle > 0
+	if idle {
+		s.cond.Signal()
 	}
-	s.idleMu.Unlock()
+	s.mu.Unlock()
+	if idle {
+		return
+	}
+	h := s.harts[s.victim.Add(1)%uint32(len(s.harts))]
+	if cur := h.running.Load(); cur != nil {
+		if p, ok := cur.task.(Preempter); ok {
+			s.stats.PreemptReqs.Add(1)
+			p.RequestPreempt()
+		}
+	}
+}
 
-	if idle == 0 {
-		if cur := h.running.Load(); cur != nil {
-			if p, ok := cur.task.(Preempter); ok {
-				s.stats.PreemptReqs.Add(1)
-				p.RequestPreempt()
+// loop is a hart: it takes the head of the run queue and runs it until
+// the scheduler stops, giving the idle hook a turn and then sleeping
+// whenever the queue is empty.
+func (h *hart) loop() {
+	s := h.s
+	defer s.wg.Done()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for !s.stopped {
+		if len(s.q) == 0 {
+			s.mu.Unlock()
+			worked := s.runIdle()
+			s.mu.Lock()
+			if !worked {
+				s.sleep()
+			}
+			continue
+		}
+		g := s.q[0]
+		s.q[0] = nil // a finished task must not stay reachable from here
+		s.q = s.q[1:]
+		s.mu.Unlock()
+		yielded := h.run(g)
+		s.mu.Lock()
+		if yielded {
+			s.q = append(s.q, g)
+			// This hart takes the head next; wake another for the rest.
+			if len(s.q) > 1 && s.idle > 0 {
+				s.cond.Signal()
 			}
 		}
 	}
 }
 
-func (h *hart) loop() {
-	defer h.s.wg.Done()
-	for {
-		if h.s.stopping.Load() {
+// sleep waits on cond, mu held, until the queue is non-empty, the
+// scheduler stopped or a Kick is latched (which it consumes, so loop
+// offers the idle hook a turn).
+func (s *Scheduler) sleep() {
+	for len(s.q) == 0 && !s.stopped {
+		if s.kicked {
+			s.kicked = false
 			return
 		}
-		g := h.pop()
-		if g == nil {
-			g = h.steal()
-		}
-		if g == nil {
-			if h.runIdle() {
-				continue // idle work done something; re-scan for real work
-			}
-			if !h.sleep() {
-				return
-			}
-			continue // re-scan after wakeup
-		}
-		h.run(g)
-	}
-}
-
-// pop takes the oldest task off the hart's own queue.
-func (h *hart) pop() *G {
-	if h.qlen.Load() == 0 {
-		return nil
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if len(h.q) == 0 {
-		return nil
-	}
-	g := h.q[0]
-	h.q = h.q[1:]
-	h.qlen.Store(int32(len(h.q)))
-	return g
-}
-
-// steal takes up to half of a random victim's queue (from the back, the
-// coldest work), keeps one task to run and queues the rest locally.
-func (h *hart) steal() *G {
-	n := len(h.s.harts)
-	if n == 1 {
-		return nil
-	}
-	// xorshift64 victim order, different per hart.
-	h.rng ^= h.rng << 13
-	h.rng ^= h.rng >> 7
-	h.rng ^= h.rng << 17
-	start := int(h.rng % uint64(n))
-	for i := 0; i < n; i++ {
-		v := h.s.harts[(start+i)%n]
-		if v == h || v.qlen.Load() == 0 {
-			continue
-		}
-		v.mu.Lock()
-		k := len(v.q)
-		take := (k + 1) / 2
-		if take == 0 {
-			v.mu.Unlock()
-			continue
-		}
-		stolen := append([]*G(nil), v.q[k-take:]...)
-		v.q = v.q[:k-take]
-		v.qlen.Store(int32(len(v.q)))
-		v.mu.Unlock()
-
-		h.s.stats.Steals.Add(uint64(take))
-		for _, g := range stolen {
-			g.affinity.Store(h.id)
-		}
-		if len(stolen) > 1 {
-			h.mu.Lock()
-			h.q = append(h.q, stolen[1:]...)
-			h.qlen.Store(int32(len(h.q)))
-			h.mu.Unlock()
-		}
-		return stolen[0]
-	}
-	return nil
-}
-
-// sleep blocks until work may be available. It returns false when the
-// scheduler stopped. See idleMu for why the re-scan under the lock makes
-// the handshake lossless.
-func (h *hart) sleep() bool {
-	s := h.s
-	s.idleMu.Lock()
-	defer s.idleMu.Unlock()
-	for {
-		if s.stopped {
-			return false
-		}
-		if s.anyQueued() {
-			return true
-		}
-		if s.idlePending {
-			s.idlePending = false
-			return true // re-scan; loop() will offer the idle hook a turn
-		}
 		s.idle++
-		s.idleCond.Wait()
+		s.cond.Wait()
 		s.idle--
 	}
 }
 
-func (s *Scheduler) anyQueued() bool {
-	for _, h := range s.harts {
-		if h.qlen.Load() > 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// run steps g until it yields, parks for real, or finishes. A park whose
-// wake already landed is absorbed here and the task keeps running —
-// the futex-wake-before-park fast path.
-func (h *hart) run(g *G) {
+// run steps g until it yields, parks for real, or finishes, and reports
+// whether it yielded (the caller requeues it). A park whose wake already
+// landed is absorbed here and the task keeps running — the
+// futex-wake-before-park fast path.
+func (h *hart) run(g *G) bool {
 	s := h.s
 	for {
 		g.state.Store(gRunning)
-		g.affinity.Store(h.id)
 		h.running.Store(g)
 		t0 := time.Now()
 		st := g.task.Step()
@@ -505,12 +424,11 @@ func (h *hart) run(g *G) {
 		switch st {
 		case Done:
 			g.state.Store(gDone)
-			return
+			return false
 		case Yield:
 			s.stats.Yields.Add(1)
 			g.state.Store(gQueued)
-			h.push(g)
-			return
+			return true
 		case Park:
 			// Commit the park, then re-check the latch: an Unpark that
 			// fired while the task was deciding to park must not be
@@ -521,18 +439,9 @@ func (h *hart) run(g *G) {
 				continue // wake raced the park: keep running
 			}
 			s.stats.Parks.Add(1)
-			return
+			return false
 		}
 	}
-}
-
-// push appends to the hart's own queue (used for yields, keeping the
-// task local).
-func (h *hart) push(g *G) {
-	h.mu.Lock()
-	h.q = append(h.q, g)
-	h.qlen.Store(int32(len(h.q)))
-	h.mu.Unlock()
 }
 
 // --- Global aggregation (for occlum-bench -schedstats) -------------------
@@ -572,7 +481,6 @@ func (t *Snapshot) accumulate(s Snapshot) {
 	t.Yields += s.Yields
 	t.Parks += s.Parks
 	t.Unparks += s.Unparks
-	t.Steals += s.Steals
 	t.PreemptReqs += s.PreemptReqs
 	t.Preempts += s.Preempts
 	t.BusyNS += s.BusyNS

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -117,55 +118,90 @@ func TestUnparkStorm(t *testing.T) {
 	}
 }
 
-// spinTask runs until told to stop, yielding each quantum — used to
-// occupy harts so stealing has something to balance.
-type spinTask struct {
-	stop atomic.Bool
+// barrierTask blocks inside Step until every task sharing its barrier
+// is inside Step at once, or the deadline passes.
+type barrierTask struct {
+	arrived *sync.WaitGroup
+	all     chan struct{}
+	ok      *atomic.Int64
+}
+
+func (t *barrierTask) Step() Status {
+	t.arrived.Done()
+	select {
+	case <-t.all:
+		t.ok.Add(1)
+	case <-time.After(5 * time.Second):
+	}
+	return Done
+}
+
+// TestAllHartsServeOneQueue submits as many blocking tasks as there are
+// harts: they can all be inside Step together only if every hart takes
+// work from the queue they were submitted to.
+func TestAllHartsServeOneQueue(t *testing.T) {
+	const harts = 4
+	s := New(harts)
+	defer s.Stop()
+	var arrived sync.WaitGroup
+	arrived.Add(harts)
+	all := make(chan struct{})
+	var ok atomic.Int64
+	gs := make([]*G, harts)
+	for i := range gs {
+		gs[i] = s.Go(&barrierTask{arrived: &arrived, all: all, ok: &ok})
+	}
+	go func() { arrived.Wait(); close(all) }()
+	deadline := time.Now().Add(10 * time.Second)
+	for _, g := range gs {
+		for !g.Done() {
+			if time.Now().After(deadline) {
+				t.Fatal("a task never finished")
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	if n := ok.Load(); n != harts {
+		t.Fatalf("%d of %d tasks met inside Step: some hart never reached queued work", n, harts)
+	}
+}
+
+// payload is a finished task's state: a finalizer reports when nothing
+// reaches it any more.
+type payload struct {
+	buf  []byte
 	done chan struct{}
 }
 
-func (t *spinTask) Step() Status {
-	if t.stop.Load() {
-		close(t.done)
-		return Done
-	}
-	return Yield
+func (p *payload) Step() Status {
+	close(p.done)
+	return Done
 }
 
-func TestWorkStealingBalancesLoad(t *testing.T) {
-	// Steals happen in the submission transient, when a waking hart
-	// finds its own queue empty while siblings already hold tasks.
-	// Whether any hart wakes inside that window is scheduling luck on
-	// a GOMAXPROCS=1 box (CI under -race), so the property is checked
-	// over several independent rounds rather than one 50 ms shot.
-	for attempt := 0; attempt < 5; attempt++ {
-		if spinRoundSteals(t) > 0 {
+// TestFinishedTaskNotPinnedByRunQueue checks that the run queue drops
+// its reference to a task once the task is taken off it: a finished
+// task (for a SIP, its Proc) must not stay live until the queue's
+// backing array is next reallocated.
+func TestFinishedTaskNotPinnedByRunQueue(t *testing.T) {
+	s := New(1)
+	defer s.Stop()
+	finalized := make(chan struct{})
+	done := make(chan struct{})
+	func() {
+		p := &payload{buf: make([]byte, 1<<20), done: done}
+		runtime.SetFinalizer(p, func(*payload) { close(finalized) })
+		s.Go(p)
+	}()
+	<-done
+	for i := 0; i < 20; i++ {
+		runtime.GC()
+		select {
+		case <-finalized:
 			return
+		case <-time.After(10 * time.Millisecond):
 		}
 	}
-	t.Fatal("no steals recorded in 5 rounds of 32 spinning tasks on 4 harts")
-}
-
-// spinRoundSteals runs one round of 32 spinning tasks on a fresh 4-hart
-// scheduler and reports the steals observed.
-func spinRoundSteals(t *testing.T) uint64 {
-	t.Helper()
-	s := New(4)
-	defer s.Stop()
-	var tasks []*spinTask
-	for i := 0; i < 32; i++ {
-		st := &spinTask{done: make(chan struct{})}
-		tasks = append(tasks, st)
-		s.Go(st)
-	}
-	time.Sleep(50 * time.Millisecond)
-	for _, st := range tasks {
-		st.stop.Store(true)
-	}
-	for _, st := range tasks {
-		<-st.done
-	}
-	return s.Snapshot().Steals
+	t.Fatal("a finished task is still reachable after 20 GC rounds")
 }
 
 // slowTask occupies a hart with long quanta and records preemption

@@ -237,16 +237,10 @@ func compileEA(m isa.MemRef, next uint64) func(c *CPU) uint64 {
 	return func(c *CPU) uint64 { return c.ea(mm, next) }
 }
 
-// compileRet compiles ret/reti. At the block tier (predicted 0: no
-// return site is address 0, it follows a call) it transfers to whatever
-// address it popped. As a trace seam whose matching call is earlier in
-// the same trace, the popped address is checked against the statically
-// predicted return site: a match continues straight into the return-site
-// slots (the PC write is dead there), anything else — a mismatched call
-// stack — side-exits to wherever the return really went. The load is
-// architectural, faults and all, and SP is popped either way: the ret
-// retired.
-func compileRet(in *isa.Inst, pc, predicted uint64) handler {
+// compileRet compiles ret/reti: it transfers to whatever address it
+// popped, faults and all. A trace ends at a ret; the return site is
+// reached through the cache map.
+func compileRet(in *isa.Inst, pc, next uint64) handler {
 	pop := 8 + uint64(in.Imm)
 	return func(c *CPU) bool {
 		target, ok := c.Mem.Load8(c.Regs[isa.SP])
@@ -258,10 +252,7 @@ func compileRet(in *isa.Inst, pc, predicted uint64) handler {
 		}
 		c.Regs[isa.SP] += pop
 		c.PC = target
-		if predicted == 0 || target == predicted {
-			return false
-		}
-		return c.sideExit(target)
+		return false
 	}
 }
 
@@ -582,9 +573,8 @@ func init() {
 	compilers[isa.OpJmpM] = jmpCallM(false)
 	compilers[isa.OpCallM] = jmpCallM(true)
 
-	ret := func(in *isa.Inst, pc, next uint64) handler { return compileRet(in, pc, 0) }
-	compilers[isa.OpRet] = ret
-	compilers[isa.OpRetI] = ret
+	compilers[isa.OpRet] = compileRet
+	compilers[isa.OpRetI] = compileRet
 
 	compilers[isa.OpBndCL] = func(in *isa.Inst, pc, next uint64) handler {
 		bnd, r1 := in.Bnd, in.R1&15

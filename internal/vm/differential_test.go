@@ -484,11 +484,10 @@ func TestTraceDifferentialJumpTables(t *testing.T) {
 	}
 }
 
-// callTowerProgram recurses from inside a hot loop deeper than
-// buildTrace's static call stack can reach: a trace holds at most
-// maxTraceInsts instructions, so at most that many calls, and every
-// descent is longer. A ret seam pairs only with a call inside its
-// trace; every other ret resolves through the map.
+// callTowerProgram recurses from inside a hot loop deeper than one
+// trace can follow: a trace holds at most maxTraceInsts instructions,
+// so at most that many calls, and every descent is longer. Traces end
+// at every ret; the unwind resolves each return through the map.
 func callTowerProgram(r *rand.Rand, b *asm.Builder) {
 	depth := maxTraceInsts + 8 + r.Intn(60)
 	trips := 70 + r.Intn(40)
@@ -523,9 +522,9 @@ func TestTraceDifferentialCallTowers(t *testing.T) {
 }
 
 // retMispredictProgram hijacks every fourth return by overwriting the
-// return address on the stack (longjmp-shaped control flow): the
-// in-trace ret seam's guard must side-exit to where the return really
-// went, with SP and flags exactly architectural.
+// return address on the stack (longjmp-shaped control flow): the ret
+// that ends a trace must leave for where the return really went, with
+// SP and flags exactly architectural.
 func retMispredictProgram(r *rand.Rand, b *asm.Builder) {
 	trips := 100 + r.Intn(100)
 	b.Entry("_start")

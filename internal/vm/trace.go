@@ -229,22 +229,13 @@ func (c *CPU) traceSuccessor(b *block) (*block, bool) {
 	return nil, false
 }
 
-// seamInfo describes the predicted edge out of a non-final component.
-type seamInfo struct {
-	taken bool   // for branches: the predicted direction is the taken edge
-	ret   bool   // the seam is a return followed through to its call site
-	retPC uint64 // for ret seams: the predicted return address
-}
-
 // tslot is one instruction slot during trace compilation.
 type tslot struct {
-	in       *isa.Inst
-	pc, next uint64
-	base     handler // the component block's own compiled handler
-	seam     bool    // terminator of a non-final component (transformed)
-	taken    bool    // for seam branches: predicted direction is the taken edge
-	ret      bool    // ret seam: continue into the predicted return site
-	retPC    uint64
+	in    *isa.Inst
+	next  uint64
+	base  handler // the component block's own compiled handler
+	seam  bool    // terminator of a non-final component (transformed)
+	taken bool    // for seam branches: predicted direction is the taken edge
 }
 
 // buildTrace compiles the superblock anchored at head, or returns nil
@@ -259,14 +250,11 @@ func (c *CPU) buildTrace(head *block) *trace {
 
 	// Phase 1: collect the hot chain. Back edges (to the anchor or any
 	// earlier component) keep appending — natural loop unrolling up to
-	// the instruction cap. Calls and returns thread through: a call seam
-	// pushes its return address on a static stack, and a ret whose
-	// matching call is in the trace continues into the return site (the
-	// compiled ret guard verifies the actual return address at runtime,
-	// so mismatched call stacks just side-exit).
+	// the instruction cap. A call continues into its callee; a ret, like
+	// every indirect exit, ends the trace (its successor is resolved
+	// through the cache map).
 	var comps []*block
-	var seams []seamInfo
-	var callRets []uint64
+	var seams []bool // per component: its seam follows the taken edge
 	n := 0
 	for cur := head; cur != nil && n+len(cur.insts) <= maxTraceInsts; {
 		if c.Mem.GenerationOf(cur.start, int(cur.size)) > cur.gen {
@@ -274,40 +262,20 @@ func (c *CPU) buildTrace(head *block) *trace {
 		}
 		comps = append(comps, cur)
 		n += len(cur.insts)
-		last := len(cur.insts) - 1
-		term := cur.insts[last].Op
-		var si seamInfo
-		var next *block
-		switch {
-		case term == isa.OpRet || term == isa.OpRetI:
-			if len(callRets) > 0 {
-				retPC := callRets[len(callRets)-1]
-				callRets = callRets[:len(callRets)-1]
-				if nb, ok := c.blocks[retPC]; ok && c.blockValid(nb) {
-					si, next = seamInfo{ret: true, retPC: retPC}, nb
-				}
+		next, taken := c.traceSuccessor(cur)
+		if next != nil {
+			// Defensive: a chain pointer always starts at its edge's
+			// target PC; a mismatch means the metadata cannot be
+			// trusted.
+			want := cur.fallPC
+			if taken {
+				want = cur.takenPC
 			}
-		default:
-			if term == isa.OpCall {
-				callRets = append(callRets, cur.nexts[last])
+			if next.start != want {
+				return nil
 			}
-			var taken bool
-			next, taken = c.traceSuccessor(cur)
-			if next != nil {
-				// Defensive: a chain pointer always starts at its
-				// edge's target PC; a mismatch means the metadata
-				// cannot be trusted.
-				want := cur.fallPC
-				if taken {
-					want = cur.takenPC
-				}
-				if next.start != want {
-					return nil
-				}
-			}
-			si.taken = taken
 		}
-		seams = append(seams, si)
+		seams = append(seams, taken)
 		cur = next
 	}
 	if len(comps) < 2 {
@@ -318,15 +286,12 @@ func (c *CPU) buildTrace(head *block) *trace {
 	slots := make([]tslot, 0, n)
 	for ci, cb := range comps {
 		final := ci == len(comps)-1
-		ipc := cb.start
 		for k := range cb.insts {
-			s := tslot{in: &cb.insts[k], pc: ipc, next: cb.nexts[k], base: cb.ops[k]}
+			s := tslot{in: &cb.insts[k], next: cb.nexts[k], base: cb.ops[k]}
 			if !final && k == len(cb.insts)-1 && s.in.Op.EndsBlock() {
-				s.seam = true
-				s.taken, s.ret, s.retPC = seams[ci].taken, seams[ci].ret, seams[ci].retPC
+				s.seam, s.taken = true, seams[ci]
 			}
 			slots = append(slots, s)
-			ipc = cb.nexts[k]
 		}
 	}
 	ns := len(slots)
@@ -384,12 +349,10 @@ func (c *CPU) buildTrace(head *block) *trace {
 				// its PC write is dead here, the trace continues into the
 				// callee.
 				emit(s.base)
-			case s.ret:
-				emit(compileRet(s.in, s.pc, s.retPC))
 			case s.in.Op.IsCondBranch():
 				emit(seamGuard(s.in, s.taken, s.next))
 			default:
-				return nil // unreachable: phase 1 chains direct exits and rets only
+				return nil // unreachable: phase 1 chains direct exits only
 			}
 		default:
 			emit(s.base)

@@ -958,7 +958,7 @@ func TestBranchClosureSizes(t *testing.T) {
 		{"seam guard", func() handler { return seamGuard(&br, true, next) }, 24},
 		{"fused guard ri", func() handler { return fusedSeamGuard(&ri, &br, true, next) }, 32},
 		{"fused guard rr", func() handler { return fusedSeamGuard(&rr, &br, false, next) }, 24},
-		{"ret", func() handler { return compile(&ret, 0x1000, next) }, 32},
+		{"ret", func() handler { return compile(&ret, 0x1000, next) }, 24},
 	} {
 		const n = 1000
 		keep := make([]handler, n)
