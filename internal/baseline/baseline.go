@@ -166,13 +166,13 @@ func (p *Proc) inUser(addr, n uint64) bool {
 	return addr >= p.img.UserBase && end >= addr && end <= p.img.UserBase+p.img.UserSize
 }
 
-// ReadUser implements sysdispatch.Kernel: copy out of the user range.
+// ReadUser implements sysdispatch.Kernel: the user range itself, valid
+// for the current syscall.
 func (p *Proc) ReadUser(addr, n uint64) ([]byte, error) {
 	if !p.inUser(addr, n) {
 		return nil, errFault
 	}
-	b, err := p.img.Mem.ReadDirect(addr, int(n))
-	return append([]byte(nil), b...), err
+	return p.img.Mem.ReadDirect(addr, int(n))
 }
 
 // WriteUser implements sysdispatch.Kernel: copy into the user range.

@@ -40,8 +40,10 @@ type Listener struct {
 	// (the M:N scheduler's non-blocking path). Every arrival and the
 	// close wake all of them — the woken tasks retry TryAccept and
 	// re-register if they lose the race, so broadcast semantics are
-	// correct, if occasionally a thundering herd.
-	waiters []func()
+	// correct, if occasionally a thundering herd. A wake swaps the list
+	// with spare, the array the previous wake ran and handed back, so
+	// registering after a wake appends into capacity already there.
+	waiters, spare []func()
 	// watch holds persistent readiness subscriptions (epoll interest):
 	// unlike waiters, these survive wakes and fire on every arrival and
 	// on close, until cancelled.
@@ -114,17 +116,39 @@ func (h *Host) Dial(port uint16) (*Conn, error) {
 	}
 	l.backlog = append(l.backlog, b)
 	l.cond.Broadcast()
-	waiters := l.waiters
-	l.waiters = nil
+	waiters := l.takeWaitersLocked()
 	watch := l.watch.Snapshot()
 	l.mu.Unlock()
-	for _, w := range waiters {
-		w()
-	}
+	l.runWaiters(waiters)
 	for _, w := range watch {
 		w()
 	}
 	return a, nil
+}
+
+// takeWaitersLocked detaches the one-shot waiters for a wake, leaving
+// the spare array (empty) to collect the next registrations.
+func (l *Listener) takeWaitersLocked() []func() {
+	w := l.waiters
+	l.waiters, l.spare = l.spare[:0], nil
+	return w
+}
+
+// runWaiters calls a detached waiter list outside l.mu, then hands its
+// array back as the spare (unless a concurrent wake already did).
+func (l *Listener) runWaiters(w []func()) {
+	if len(w) == 0 {
+		return
+	}
+	for _, fn := range w {
+		fn()
+	}
+	clear(w)
+	l.mu.Lock()
+	if l.spare == nil {
+		l.spare = w[:0]
+	}
+	l.mu.Unlock()
 }
 
 // Accept returns the next queued connection, blocking until one arrives or
@@ -205,17 +229,14 @@ func (l *Listener) Close() {
 	}
 	l.closed = true
 	l.cond.Broadcast()
-	waiters := l.waiters
-	l.waiters = nil
+	waiters := l.takeWaitersLocked()
 	watch := l.watch.Snapshot()
 	l.mu.Unlock()
 	h := l.host
 	h.listenMu.Lock()
 	delete(h.listeners, l.port)
 	h.listenMu.Unlock()
-	for _, w := range waiters {
-		w()
-	}
+	l.runWaiters(waiters)
 	for _, w := range watch {
 		w()
 	}

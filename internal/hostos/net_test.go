@@ -688,3 +688,49 @@ func TestConnAllocationFloor(t *testing.T) {
 		t.Fatalf("a warm connection cycle allocates %d bytes, want < 2 KiB", per)
 	}
 }
+
+// TestAcceptWaitersRefillAllocatesNothing: a wake hands the parked
+// accepts' waiter array back as the listener's spare, so registering
+// the next round of waiters appends into it instead of growing a fresh
+// list after every Dial.
+func TestAcceptWaitersRefillAllocatesNothing(t *testing.T) {
+	h := New()
+	l, err := h.Listen(86)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	woken := 0
+	wake := func() { woken++ }
+	cycle := func() {
+		for i := 0; i < 4; i++ {
+			if _, ok, _ := l.TryAccept(wake); ok {
+				t.Fatal("accepted from an empty backlog")
+			}
+		}
+		l.mu.Lock()
+		w := l.takeWaitersLocked()
+		l.mu.Unlock()
+		l.runWaiters(w)
+	}
+	cycle()
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Fatalf("a warm register/wake cycle allocates %v times, want 0", n)
+	}
+	// A Dial runs the same wake: every waiter once, then none.
+	woken = 0
+	for i := 0; i < 3; i++ {
+		l.TryAccept(wake)
+	}
+	c, err := h.Dial(86)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if woken != 3 {
+		t.Fatalf("a Dial woke %d of 3 parked accepts", woken)
+	}
+	if len(l.waiters) != 0 || cap(l.waiters) == 0 && cap(l.spare) == 0 {
+		t.Fatalf("after the wake: %d waiters left, capacities %d/%d; want none left and an array kept", len(l.waiters), cap(l.waiters), cap(l.spare))
+	}
+}

@@ -522,9 +522,11 @@ func (o *Occlum) checkRegion(d *Domain, base uint64, want []byte) {
 	panic(fmt.Sprintf("libos: domain %d freed with byte %#x at %#x, want %#x", d.ID, b[i], base+uint64(i), want[i]))
 }
 
-// readUserString copies a NUL-free string of length n from user memory,
-// validating that the range lies inside the calling SIP's data region
-// (the sanity checks of the syscall entry path).
+// readUserBytes returns [addr, addr+n) of the calling SIP's data
+// region, validating that the range lies inside it (the sanity checks
+// of the syscall entry path). The slice is enclave memory, not a copy:
+// it is valid for the current syscall, and a caller copies what it
+// keeps.
 func (p *Proc) readUserBytes(addr, n uint64) ([]byte, error) {
 	if n > 1<<20 {
 		return nil, errors.New("libos: user buffer too large")
@@ -532,13 +534,7 @@ func (p *Proc) readUserBytes(addr, n uint64) ([]byte, error) {
 	if !p.inData(addr, n) {
 		return nil, errors.New("libos: user pointer outside domain data region")
 	}
-	b, err := p.os.enclave.ReadDirect(addr, int(n))
-	if err != nil {
-		return nil, err
-	}
-	out := make([]byte, n)
-	copy(out, b)
-	return out, nil
+	return p.os.enclave.ReadDirect(addr, int(n))
 }
 
 func (p *Proc) writeUserBytes(addr uint64, b []byte) error {

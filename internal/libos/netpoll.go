@@ -45,9 +45,10 @@ var netStats struct {
 	bytesLent, bytesCopied              atomic.Uint64
 	// Backpressure counters: reaps counts idle connections closed by
 	// the idle reaper, sheds counts inbound connections refused
-	// by the saturated accept path, staleWakes counts timer fires whose
-	// syscall had already completed (suppressed by the generation check
-	// in timerWake instead of wake-stealing a later park).
+	// by the saturated accept path, staleWakes counts timer or futex
+	// wakes whose syscall had already completed (suppressed by the
+	// generation check in wakeGen instead of wake-stealing a later
+	// park).
 	reaps, sheds, staleWakes atomic.Uint64
 	// Timer counters, kept at the LibOS's own arm, cancel and callback
 	// sites (armTimer, cancelTimer, resetTimer).
@@ -415,17 +416,18 @@ func sysShutdown(k sysdispatch.Kernel, a *[5]uint64) sysdispatch.Result {
 
 // armTimeout installs the parking-side bookkeeping for a blocking
 // readiness wait: the given registration cancels plus, for finite
-// timeouts, a deadline whose firing latches cur.woken and unparks the
-// SIP. The deadline is one entry on the instance's queue — no host
-// timer is created per park; the queue's one host alarm covers every
-// pending deadline. The combined cancel lands in
-// cur.cancel, which the dispatch loop runs on completion and teardown
-// runs on death — so neither subscriptions nor timers outlive the
-// syscall.
+// timeouts, a deadline whose firing latches the wake for cur's
+// generation and unparks the SIP (wakeGen). The deadline is one entry
+// on the instance's queue — no host timer is created per park; the
+// queue's one host alarm covers every pending deadline. The combined
+// cancel lands in cur.cancel, which the dispatch loop runs on
+// completion and teardown runs on death — so neither subscriptions nor
+// timers outlive the syscall.
 func (p *Proc) armTimeout(cur *blockedSys, cancels []func(), tmoMS int64) {
 	if tmoMS > 0 {
+		gen := cur.gen
 		t := armTimer(p.os.timers, time.Duration(tmoMS)*time.Millisecond, func() {
-			p.timerWake(cur)
+			p.wakeGen(gen)
 		})
 		cancels = append(cancels, func() { cancelTimer(t) })
 	}
@@ -434,25 +436,6 @@ func (p *Proc) armTimeout(cur *blockedSys, cancels []func(), tmoMS int64) {
 			c()
 		}
 	}
-}
-
-// timerWake is the queue callback for an expired syscall timeout.
-// Cancel-vs-fire races are inherent (the queue collects due timers
-// before running callbacks, so a cancel can arrive too late): a stale
-// fire must not unpark the SIP, which may have completed that syscall
-// and re-parked in a LATER one — the unpark would be wake-stolen by the
-// wrong syscall, burning a spurious retry (and, for edge-sensitive
-// waits, masking the real wakeup ordering). The generation check
-// closes the race: the wake latch always lands in the timer's own
-// record (harmless if stale), but the unpark only happens while that
-// record is still the SIP's live syscall.
-func (p *Proc) timerWake(cur *blockedSys) {
-	cur.woken.Store(true)
-	if p.liveGen.Load() != cur.gen {
-		netStats.staleWakes.Add(1)
-		return
-	}
-	p.unpark()
 }
 
 // sysPoll implements poll(2): a[0] points at an array of a[1] 24-byte
@@ -470,7 +453,7 @@ func sysPoll(k sysdispatch.Kernel, a *[5]uint64) sysdispatch.Result {
 	if err != nil {
 		return sysdispatch.Errno(EFAULT)
 	}
-	first := cur.cancel == nil && !cur.woken.Load()
+	first := cur.cancel == nil && !p.woken()
 	if first {
 		netStats.polls.Add(1)
 	}
@@ -485,7 +468,7 @@ func sysPoll(k sysdispatch.Kernel, a *[5]uint64) sysdispatch.Result {
 				continue
 			}
 			if of, ok := p.getFD(fd); ok {
-				if c, subbed := of.SubscribeReady(p.unpark, uint32(binary.LittleEndian.Uint64(ent[8:]))); subbed {
+				if c, subbed := of.SubscribeReady(p.wake, uint32(binary.LittleEndian.Uint64(ent[8:]))); subbed {
 					cancels = append(cancels, c)
 				}
 			}
@@ -515,7 +498,7 @@ func sysPoll(k sysdispatch.Kernel, a *[5]uint64) sysdispatch.Result {
 	if n > 0 {
 		return sysdispatch.Ok(int64(n))
 	}
-	if tmo == 0 || cur.woken.Load() {
+	if tmo == 0 || p.woken() {
 		return sysdispatch.Ok(0) // probe, or timeout expired
 	}
 	netStats.pollParks.Add(1)
@@ -612,12 +595,12 @@ func sysEpWait(k sysdispatch.Kernel, a *[5]uint64) sysdispatch.Result {
 	if maxEv > sysdispatch.EpMaxEvents {
 		maxEv = sysdispatch.EpMaxEvents
 	}
-	first := cur.cancel == nil && !cur.woken.Load()
+	first := cur.cancel == nil && !p.woken()
 	if first {
 		netStats.epWaits.Add(1)
 	}
 	if tmo != 0 && first {
-		p.armTimeout(cur, []func(){ep.addWaiter(p.unpark)}, tmo)
+		p.armTimeout(cur, []func(){ep.addWaiter(p.wake)}, tmo)
 	}
 	// Drain the candidate set and verify each fd against the real
 	// level-triggered state: still-ready fds are reported AND pushed
@@ -651,7 +634,7 @@ func sysEpWait(k sysdispatch.Kernel, a *[5]uint64) sysdispatch.Result {
 		}
 		return sysdispatch.Ok(n)
 	}
-	if tmo == 0 || cur.woken.Load() {
+	if tmo == 0 || p.woken() {
 		return sysdispatch.Ok(0)
 	}
 	netStats.epWaitParks.Add(1)

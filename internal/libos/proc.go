@@ -39,22 +39,35 @@ type Proc struct {
 	savedPC   uint64
 	savedRegs [isa.NumRegs]uint64
 
-	// blocked is the parked syscall awaiting its wakeup, nil while the
-	// SIP runs user code. Owned by the hart currently stepping the SIP
-	// (only one ever does); the waker side never touches it — it only
-	// flips flags inside and calls Unpark.
+	// sys is the syscall record: the SIP has at most one syscall in
+	// flight, so one record per Proc serves every call, reset field by
+	// field at entry. Only the hart stepping the SIP touches it; wakers
+	// never hold a pointer to it, they latch wokenGen instead.
+	sys blockedSys
+	// blocked points at sys while the syscall is parked awaiting its
+	// wakeup, nil while the SIP runs user code.
 	blocked *blockedSys
-	// cursys is the syscall record being dispatched right now, so
-	// handlers can persist progress and registrations across parks.
+	// cursys points at sys while it is being dispatched, so handlers
+	// can persist progress and registrations across parks.
 	cursys *blockedSys
-	// sysGen numbers syscall records (hart-owned, no atomics needed);
-	// liveGen publishes the generation of the record currently being
-	// dispatched or parked, and 0 between syscalls. Timer wake
-	// callbacks compare their record's gen against liveGen before
+	// sysGen numbers syscalls (hart-owned, no atomics needed); liveGen
+	// publishes the generation of the syscall currently being
+	// dispatched or parked, and 0 between syscalls. A wake callback
+	// compares the generation it was armed for against liveGen before
 	// unparking, so a timeout armed by an already-completed syscall can
-	// never wake-steal the SIP out of a later park (see timerWake).
+	// never wake-steal the SIP out of a later park (see wakeGen).
 	sysGen  uint64
 	liveGen atomic.Uint64
+	// wokenGen is the wake latch: the highest generation a timeout or
+	// futex wake has fired for, raised by CAS-max. Syscall g is woken
+	// iff wokenGen >= g. Generations only rise, and only the hart
+	// starts a new one, so while g is live no later generation exists:
+	// a latch >= g was aimed at g, and a stale one (< g) never reads
+	// as g's.
+	wokenGen atomic.Uint64
+	// wake unparks the SIP: the one callback value every readiness,
+	// accept and wait4 registration hands out, bound once at spawn.
+	wake func()
 
 	// Exit state (guarded by os.mu).
 	exited bool
@@ -65,28 +78,24 @@ type Proc struct {
 	cycles atomic.Uint64
 }
 
-// blockedSys is the continuation of a parked syscall: the original trap
+// blockedSys is the continuation of a syscall: the original trap
 // arguments plus whatever the handler needs to resume where it left off.
 // Parked syscalls are re-dispatched from scratch on every wakeup, so
-// handlers must be retry-safe; prog and woken are the two pieces of
-// state that make pipe writes and futex waits idempotent across retries.
+// handlers must be retry-safe; prog and the wake latch (Proc.wokenGen)
+// are the two pieces of state that make pipe writes and futex waits
+// idempotent across retries.
 type blockedSys struct {
 	no      uint64
 	a       [5]uint64
 	retAddr uint64
-	// gen is this record's generation (Proc.sysGen at entry). Timer
-	// timeout callbacks check it against Proc.liveGen so a stale timer
-	// — one whose cancel raced its fire — cannot unpark a SIP that
-	// already re-parked in a later syscall.
+	// gen is this syscall's generation (Proc.sysGen at entry). Wake
+	// callbacks capture it, never the record, and check it against
+	// Proc.liveGen so a stale timer — one whose cancel raced its fire
+	// — cannot unpark a SIP that already re-parked in a later syscall.
 	gen uint64
 	// prog counts bytes already transferred (pipe writes park midway
 	// without re-sending what the reader already consumed).
 	prog int64
-	// woken latches a futex wake: the wake consumed our queue slot, so
-	// the retry must return 0 instead of re-checking the futex word.
-	// Written by the waker, read by the hart; ordered by the
-	// unpark/park protocol.
-	woken atomic.Bool
 	// cancel deregisters from the wait queue (futex registrations must
 	// not outlive the syscall — a stale one would swallow a wake meant
 	// for a real waiter). Called on any completion; wakers make it a
@@ -107,7 +116,8 @@ func (p *Proc) PPID() int {
 // Cycles returns retired instruction count so far.
 func (p *Proc) Cycles() uint64 { return p.cycles.Load() }
 
-// ReadUser implements sysdispatch.Kernel over the domain's data region.
+// ReadUser implements sysdispatch.Kernel over the domain's data region:
+// the returned bytes are enclave memory, valid for this syscall.
 func (p *Proc) ReadUser(addr, n uint64) ([]byte, error) { return p.readUserBytes(addr, n) }
 
 // WriteUser implements sysdispatch.Kernel.
@@ -121,9 +131,31 @@ func (p *Proc) FDs() *sysdispatch.FDTable { return p.fds }
 // piles up behind it.
 func (p *Proc) RequestPreempt() { p.cpu.RequestPreempt() }
 
-// unpark makes the SIP runnable again; resource wakeup callbacks close
-// over this.
-func (p *Proc) unpark() { p.task.Unpark() }
+// woken reports whether a wake latched for the live syscall: the wake
+// consumed its futex queue slot or its timeout expired, so the retry
+// completes instead of re-registering.
+func (p *Proc) woken() bool { return p.wokenGen.Load() >= p.sys.gen }
+
+// wakeGen is the callback of a syscall's timeout and futex
+// registrations, armed for generation gen. The latch always lands
+// (CAS-max, so a stale gen never lowers it), but the unpark happens
+// only while gen is still the SIP's live syscall. Cancel-vs-fire races
+// are inherent (the timer queue collects due timers before running
+// callbacks, so a cancel can arrive too late): a stale fire must not
+// unpark the SIP, which may have completed that syscall and re-parked
+// in a LATER one — the unpark would be wake-stolen by the wrong
+// syscall, burning a spurious retry (and, for edge-sensitive waits,
+// masking the real wakeup ordering).
+func (p *Proc) wakeGen(gen uint64) {
+	for w := p.wokenGen.Load(); w < gen && !p.wokenGen.CompareAndSwap(w, gen); {
+		w = p.wokenGen.Load()
+	}
+	if p.liveGen.Load() != gen {
+		netStats.staleWakes.Add(1)
+		return
+	}
+	p.task.Unpark()
+}
 
 // SpawnOpt carries optional spawn parameters.
 type SpawnOpt struct {
@@ -167,6 +199,7 @@ func (o *Occlum) Spawn(path string, argv []string, opt SpawnOpt) (*Proc, error) 
 		done:     make(chan struct{}),
 	}
 	p.task = o.sched.Prepare(p)
+	p.wake = p.task.Unpark
 	if opt.Parent != nil {
 		p.ppid = opt.Parent.pid
 	}
@@ -284,7 +317,7 @@ func (p *Proc) Step() sched.Status {
 }
 
 // syscallEntry is the LibOS entry path: sanity-check the return address,
-// build the syscall record, and dispatch.
+// reset the syscall record, and dispatch.
 func (p *Proc) syscallEntry() stepResult {
 	// Pop the return address pushed by the user's call to the
 	// trampoline and ensure it targets a cfi_label of this SIP (§6).
@@ -296,17 +329,24 @@ func (p *Proc) syscallEntry() stepResult {
 	}
 	p.cpu.Regs[isa.SP] = sp + 8
 
+	r := &p.cpu.Regs
+	return p.dispatch(p.newSyscall(r[isa.R0], [5]uint64{r[isa.R1], r[isa.R2], r[isa.R3], r[isa.R4], r[isa.R5]}, retAddr))
+}
+
+// newSyscall resets the Proc's one syscall record for a new call under
+// the next generation. The previous call has completed (a parked one is
+// re-dispatched, never re-entered), so its registrations are gone and
+// only a stale callback may still fire: it carries the old generation.
+func (p *Proc) newSyscall(no uint64, a [5]uint64, retAddr uint64) *blockedSys {
 	p.sysGen++
-	cur := &blockedSys{
-		no: p.cpu.Regs[isa.R0],
-		a: [5]uint64{
-			p.cpu.Regs[isa.R1], p.cpu.Regs[isa.R2], p.cpu.Regs[isa.R3],
-			p.cpu.Regs[isa.R4], p.cpu.Regs[isa.R5],
-		},
-		retAddr: retAddr,
-		gen:     p.sysGen,
-	}
-	return p.dispatch(cur)
+	cur := &p.sys
+	cur.no = no
+	cur.a = a
+	cur.retAddr = retAddr
+	cur.gen = p.sysGen
+	cur.prog = 0
+	cur.cancel = nil
+	return cur
 }
 
 // dispatch runs one LibOS system call — just a function call within the
@@ -423,7 +463,7 @@ func (p *Proc) sysWait4(pid int) (cpid, status int, errno int64, parked bool) {
 	if !found {
 		return 0, 0, ECHILD, false
 	}
-	o.waitWakers[p.pid] = append(o.waitWakers[p.pid], p.unpark)
+	o.waitWakers[p.pid] = append(o.waitWakers[p.pid], p.wake)
 	return 0, 0, 0, true
 }
 

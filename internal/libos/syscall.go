@@ -214,9 +214,10 @@ func sysMmap(k sysdispatch.Kernel, a *[5]uint64) sysdispatch.Result {
 
 // sysFutex: the value check happens inside the LibOS (semantic
 // correctness); only the sleep is delegated to the host. Waiting parks
-// the SIP: the wake callback latches cursys.woken and unparks, and the
-// retry returns 0 without re-checking the futex word (the waker usually
-// changed it). Registrations not consumed by a wake are cancelled by
+// the SIP: the wake callback latches the wake for this syscall's
+// generation and unparks (wakeGen), and the retry returns 0 without
+// re-checking the futex word (the waker usually changed it).
+// Registrations not consumed by a wake are cancelled by
 // dispatch/teardown, so no wake is ever wasted on a dead waiter.
 func sysFutex(k sysdispatch.Kernel, a *[5]uint64) sysdispatch.Result {
 	p := k.(*Proc)
@@ -224,7 +225,7 @@ func sysFutex(k sysdispatch.Kernel, a *[5]uint64) sysdispatch.Result {
 	switch op {
 	case FutexWait:
 		cur := p.cursys
-		if cur.woken.Load() {
+		if p.woken() {
 			return sysdispatch.Ok(0)
 		}
 		if cur.cancel == nil {
@@ -235,10 +236,8 @@ func sysFutex(k sysdispatch.Kernel, a *[5]uint64) sysdispatch.Result {
 			if v != val {
 				return sysdispatch.Errno(EAGAIN)
 			}
-			reg := p.os.host.FutexSubscribe(addr, func() {
-				cur.woken.Store(true)
-				p.unpark()
-			})
+			gen := cur.gen
+			reg := p.os.host.FutexSubscribe(addr, func() { p.wakeGen(gen) })
 			cur.cancel = reg.Cancel
 		}
 		// Still registered (a spurious wake re-parks here).
@@ -378,7 +377,7 @@ func sysAccept(k sysdispatch.Kernel, a *[5]uint64) sysdispatch.Result {
 	if !ok || of.kind != kindListener {
 		return sysdispatch.Errno(EBADF)
 	}
-	wait := p.unpark
+	wait := p.wake
 	if of.nonblock.Load() {
 		wait = nil
 	}

@@ -28,7 +28,6 @@ package libos
 
 import (
 	"io"
-	"sync/atomic"
 
 	"repro/internal/fs"
 	"repro/internal/mem"
@@ -58,24 +57,32 @@ func (p *Proc) viewUserBytes(addr, n uint64, access mem.Access) (mem.View, bool)
 // the writevs/readvs ledger — scalar calls run the same bodies and are
 // not counted.
 func sysWritev(k sysdispatch.Kernel, a *[5]uint64) sysdispatch.Result {
-	return vectored(k.(*Proc), a, (*Proc).writeSpans, &netStats.writevs)
+	return vectored(k.(*Proc), a, true)
 }
 
 func sysReadv(k sysdispatch.Kernel, a *[5]uint64) sysdispatch.Result {
-	return vectored(k.(*Proc), a, (*Proc).readSpans, &netStats.readvs)
+	return vectored(k.(*Proc), a, false)
 }
 
-func vectored(p *Proc, a *[5]uint64,
-	spans func(*Proc, *OpenFile, []sysdispatch.Iovec) sysdispatch.Result, calls *atomic.Uint64) sysdispatch.Result {
+func vectored(p *Proc, a *[5]uint64, write bool) sysdispatch.Result {
 	of, ok := p.getFD(int(int64(a[0])))
 	if !ok {
 		return sysdispatch.Errno(EBADF)
 	}
-	iov, e := sysdispatch.ReadIovec(p, a[1], a[2])
+	// The span bodies are called directly, not through a func value,
+	// so the decoded array stays in this frame.
+	var scratch [sysdispatch.IovMax]sysdispatch.Iovec
+	iov, e := sysdispatch.ReadIovec(p, a[1], a[2], &scratch)
 	if e != 0 {
 		return sysdispatch.Ok(e)
 	}
-	r := spans(p, of, iov)
+	var r sysdispatch.Result
+	calls := &netStats.readvs
+	if write {
+		r, calls = p.writeSpans(of, iov), &netStats.writevs
+	} else {
+		r = p.readSpans(of, iov)
+	}
 	if !r.Parked && r.Ret >= 0 {
 		calls.Add(1)
 	}
@@ -97,7 +104,7 @@ func (p *Proc) writeSpans(of *OpenFile, iov []sysdispatch.Iovec) sysdispatch.Res
 		return sysdispatch.Errno(noStream(of))
 	}
 	cur := p.cursys
-	wait := p.unpark
+	wait := p.wake
 	if of.nonblock.Load() {
 		wait = nil
 	}
@@ -193,7 +200,7 @@ func (p *Proc) readSpans(of *OpenFile, iov []sysdispatch.Iovec) sysdispatch.Resu
 		// Only the first span may park: once bytes have landed, an
 		// empty buffer means "return the short count", so later spans
 		// probe with a nil wait.
-		wait := p.unpark
+		wait := p.wake
 		if nonblock || total > 0 {
 			wait = nil
 		}
@@ -270,7 +277,7 @@ func sysSendfile(k sysdispatch.Kernel, a *[5]uint64) sysdispatch.Result {
 	if wr == nil {
 		return sysdispatch.Errno(noStream(oof))
 	}
-	wait := p.unpark
+	wait := p.wake
 	if oof.nonblock.Load() {
 		wait = nil
 	}
@@ -380,7 +387,7 @@ func sysSplice(k sysdispatch.Kernel, a *[5]uint64) sysdispatch.Result {
 	if src == dst {
 		return sysdispatch.Errno(EINVAL)
 	}
-	wait := p.unpark
+	wait := p.wake
 	if inof.nonblock.Load() || outof.nonblock.Load() {
 		wait = nil
 	}

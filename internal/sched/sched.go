@@ -175,10 +175,14 @@ type Scheduler struct {
 
 	// mu guards the run queue and the sleep/wake handshake (see the
 	// package comment); cond is the harts' condition on it.
-	mu      sync.Mutex
-	cond    sync.Cond
-	q       []*G // FIFO run queue: harts pop the head, pushes append
-	idle    int  // harts waiting on cond
+	mu   sync.Mutex
+	cond sync.Cond
+	// q[head:] is the FIFO run queue: harts pop at head, pushes
+	// append. The backing array is reused: head returns to 0 when the
+	// queue empties, and pop compacts once head passes half the length.
+	q       []*G
+	head    int
+	idle    int // harts waiting on cond
 	stopped bool
 	// kicked is a latched Kick: background work appeared while the pool
 	// was asleep, so the next hart through sleep should give the idle
@@ -227,7 +231,27 @@ func (s *Scheduler) NumHarts() int { return len(s.harts) }
 func (s *Scheduler) Runnable() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.q)
+	return s.queued()
+}
+
+// queued, push and pop are the run queue's operations; mu is held.
+func (s *Scheduler) queued() int { return len(s.q) - s.head }
+
+func (s *Scheduler) push(g *G) { s.q = append(s.q, g) }
+
+func (s *Scheduler) pop() *G {
+	g := s.q[s.head]
+	s.q[s.head] = nil // a finished task must not stay reachable from here
+	s.head++
+	switch {
+	case s.head == len(s.q):
+		s.q, s.head = s.q[:0], 0
+	case s.head > len(s.q)/2:
+		n := copy(s.q, s.q[s.head:])
+		clear(s.q[n:])
+		s.q, s.head = s.q[:n], 0
+	}
+	return g
 }
 
 // Stats returns the live counters (for the task layer to bump Preempts
@@ -339,7 +363,7 @@ func (s *Scheduler) runIdle() bool {
 // CPU-bound quantum.
 func (s *Scheduler) enqueue(g *G) {
 	s.mu.Lock()
-	s.q = append(s.q, g)
+	s.push(g)
 	idle := s.idle > 0
 	if idle {
 		s.cond.Signal()
@@ -366,7 +390,7 @@ func (h *hart) loop() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for !s.stopped {
-		if len(s.q) == 0 {
+		if s.queued() == 0 {
 			s.mu.Unlock()
 			worked := s.runIdle()
 			s.mu.Lock()
@@ -375,16 +399,14 @@ func (h *hart) loop() {
 			}
 			continue
 		}
-		g := s.q[0]
-		s.q[0] = nil // a finished task must not stay reachable from here
-		s.q = s.q[1:]
+		g := s.pop()
 		s.mu.Unlock()
 		yielded := h.run(g)
 		s.mu.Lock()
 		if yielded {
-			s.q = append(s.q, g)
+			s.push(g)
 			// This hart takes the head next; wake another for the rest.
-			if len(s.q) > 1 && s.idle > 0 {
+			if s.queued() > 1 && s.idle > 0 {
 				s.cond.Signal()
 			}
 		}
@@ -395,7 +417,7 @@ func (h *hart) loop() {
 // scheduler stopped or a Kick is latched (which it consumes, so loop
 // offers the idle hook a turn).
 func (s *Scheduler) sleep() {
-	for len(s.q) == 0 && !s.stopped {
+	for s.queued() == 0 && !s.stopped {
 		if s.kicked {
 			s.kicked = false
 			return

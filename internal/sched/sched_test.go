@@ -354,3 +354,63 @@ func TestIdleHook(t *testing.T) {
 		t.Fatal("task after SetIdle(nil) never finished")
 	}
 }
+
+// TestRunQueueRefillAllocatesNothing: once the run queue's backing
+// array has grown, draining it and filling it again reuses the array —
+// including the yield pattern, where a hart pushes the task it just
+// popped. A queue that slid its slice forward on every pop came back
+// from a drain with capacity 0, and the next push reallocated.
+func TestRunQueueRefillAllocatesNothing(t *testing.T) {
+	s := &Scheduler{}
+	gs := make([]*G, 8)
+	for i := range gs {
+		gs[i] = &G{}
+	}
+	cycle := func() {
+		for _, g := range gs {
+			s.push(g)
+		}
+		for i := 0; i < 3*len(gs); i++ {
+			s.push(s.pop()) // a yield: the popped task goes to the tail
+		}
+		for s.queued() > 0 {
+			s.pop()
+		}
+	}
+	cycle()
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Fatalf("a warm drain/refill cycle allocates %v times, want 0", n)
+	}
+	for i, g := range s.q[:cap(s.q)] {
+		if g != nil {
+			t.Fatalf("drained queue still references a task in slot %d", i)
+		}
+	}
+}
+
+// TestRunQueueIsFIFO: pops come out in push order across the head
+// reset and the compaction.
+func TestRunQueueIsFIFO(t *testing.T) {
+	s := &Scheduler{}
+	var next, want int
+	gs := make([]*G, 64)
+	for i := range gs {
+		gs[i] = &G{}
+	}
+	idx := make(map[*G]int, len(gs))
+	for i, g := range gs {
+		idx[g] = i
+	}
+	for round := 0; round < 200; round++ {
+		for k := round%5 + 1; k > 0 && s.queued() < len(gs); k-- {
+			s.push(gs[next%len(gs)])
+			next++
+		}
+		for k := round%3 + 1; k > 0 && s.queued() > 0; k-- {
+			if got := idx[s.pop()]; got != want%len(gs) {
+				t.Fatalf("round %d: popped task %d, want %d", round, got, want%len(gs))
+			}
+			want++
+		}
+	}
+}

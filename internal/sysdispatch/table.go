@@ -40,7 +40,9 @@ var ParkedResult = Result{Parked: true}
 // access is validated by the implementation (domain bounds for SIPs,
 // page permissions for the native baseline).
 type Kernel interface {
-	// ReadUser copies n bytes of user memory at addr.
+	// ReadUser returns the n bytes of user memory at addr. The slice
+	// may be the process's memory itself, not a copy: it is valid for
+	// the current syscall, and a handler copies what it keeps.
 	ReadUser(addr, n uint64) ([]byte, error)
 	// WriteUser copies b into user memory at addr.
 	WriteUser(addr uint64, b []byte) error
@@ -289,13 +291,14 @@ func SocketHandler(newSock func(k Kernel) File) Handler {
 // is the one-span case of the vectored transfer, in every kernel.
 type Iovec struct{ Base, Len uint64 }
 
-// ReadIovec unmarshals an iovec array (IovEntrySize-byte {base, len}
-// little-endian entries) from user memory, enforcing IovMax on the
-// count and MaxUserBuf on each span and on the summed length. The
-// spans themselves are validated lazily when dereferenced, giving the
-// Linux partial-progress semantics for a fault in the middle of the
-// array.
-func ReadIovec(k Kernel, ptr, cnt uint64) ([]Iovec, int64) {
+// ReadIovec decodes an iovec array (IovEntrySize-byte {base, len}
+// little-endian entries) from user memory into the caller's dst,
+// enforcing IovMax on the count and MaxUserBuf on each span and on the
+// summed length. Each entry is read from user memory once and the
+// checks run on the decoded copy. The spans themselves are validated
+// lazily when dereferenced, giving the Linux partial-progress semantics
+// for a fault in the middle of the array.
+func ReadIovec(k Kernel, ptr, cnt uint64, dst *[IovMax]Iovec) ([]Iovec, int64) {
 	if cnt > IovMax {
 		return nil, -EINVAL
 	}
@@ -306,7 +309,7 @@ func ReadIovec(k Kernel, ptr, cnt uint64) ([]Iovec, int64) {
 	if err != nil {
 		return nil, -EFAULT
 	}
-	iov := make([]Iovec, cnt)
+	iov := dst[:cnt]
 	var total uint64
 	for i := range iov {
 		ent := raw[i*IovEntrySize:]
@@ -340,11 +343,12 @@ func blocking(k Kernel, a *[5]uint64, vectored, write bool) Result {
 		return Errno(EBADF)
 	}
 	// The loops are called directly, not through a func value, so the
-	// scalar call's one span stays on the stack.
+	// scalar call's one span and the iovec scratch stay on the stack.
 	iov := []Iovec{{Base: a[1], Len: a[2]}}
 	if vectored {
+		var scratch [IovMax]Iovec
 		var e int64
-		if iov, e = ReadIovec(k, a[1], a[2]); e != 0 {
+		if iov, e = ReadIovec(k, a[1], a[2], &scratch); e != 0 {
 			return Ok(e)
 		}
 	} else if a[2] > MaxUserBuf {

@@ -253,8 +253,14 @@ func (c *CPU) buildTrace(head *block) *trace {
 	// the instruction cap. A call continues into its callee; a ret, like
 	// every indirect exit, ends the trace (its successor is resolved
 	// through the cache map).
-	var comps []*block
-	var seams []bool // per component: its seam follows the taken edge
+	// The lists start in stack arrays: an anchor whose block ends in a
+	// syscall has no successor, fails here and re-heats, so a SIP
+	// calling in a loop would otherwise allocate both lists every
+	// traceHotThreshold calls.
+	var compBuf [8]*block
+	var seamBuf [8]bool
+	comps := compBuf[:0]
+	seams := seamBuf[:0] // per component: its seam follows the taken edge
 	n := 0
 	for cur := head; cur != nil && n+len(cur.insts) <= maxTraceInsts; {
 		if c.Mem.GenerationOf(cur.start, int(cur.size)) > cur.gen {
