@@ -4,51 +4,8 @@ import (
 	"fmt"
 
 	"repro/internal/isa"
-	"repro/internal/mem"
+	"repro/internal/oelf"
 )
-
-// DefaultGuardSize is the size of the guard regions around a domain's data
-// region, and of the gap the linker leaves between the code and data
-// segments — 4 KiB, as in the paper (§6).
-const DefaultGuardSize = 4096
-
-// Image is a linked, position-independent binary image. All addresses are
-// relative to the load address of the code segment; the loader must place
-// the data region exactly GuardSize bytes after the (page-padded) code
-// segment, which is how the paper's modified linker lays out ELFs.
-type Image struct {
-	// Code is the executable segment.
-	Code []byte
-	// Data is the initialized data segment.
-	Data []byte
-	// BSS is the size of the zero-initialized region after Data.
-	BSS uint32
-	// Entry is the offset of the entry point within Code.
-	Entry uint32
-	// GuardSize is the code/data gap assumed by PC-relative data
-	// references (and the guard-region size the optimizer relied on).
-	GuardSize uint32
-	// Symbols maps every label to its code offset (not serialized into
-	// OELF files; used by the RIPE harness and debuggers).
-	Symbols map[string]uint32
-	// DataSymbols maps data symbols to offsets within Data.
-	DataSymbols map[string]uint32
-}
-
-// CodeSpan returns the size the code segment occupies in memory: Code
-// padded to a whole number of pages.
-func (im *Image) CodeSpan() uint64 {
-	return (uint64(len(im.Code)) + mem.PageSize - 1) / mem.PageSize * mem.PageSize
-}
-
-// DataStart returns the offset of the data region from the code load
-// address.
-func (im *Image) DataStart() uint64 { return im.CodeSpan() + uint64(im.GuardSize) }
-
-// MinDataSize returns the minimum data-region size the loader must
-// provide: initialized data plus BSS. The verifier's range analysis is
-// sound for any actual data-region size of at least this value.
-func (im *Image) MinDataSize() uint64 { return uint64(len(im.Data)) + uint64(im.BSS) }
 
 // Link lays out the program and resolves all symbolic references,
 // producing a binary image. The MMDSFI instrumenter (if any) must have run
@@ -58,7 +15,7 @@ func (im *Image) MinDataSize() uint64 { return uint64(len(im.Data)) + uint64(im.
 // Link enforces the cfi_label "nonexistence" property: if the 4-byte CFI
 // magic appears anywhere in the encoded code other than at a cfi_label, it
 // rewrites the offending movri (when possible) or fails.
-func Link(p *Program) (*Image, error) {
+func Link(p *Program) (*oelf.Image, error) {
 	labels, err := p.LabelIndex()
 	if err != nil {
 		return nil, err
@@ -76,8 +33,7 @@ func Link(p *Program) (*Image, error) {
 	}
 	addrs[len(p.Items)] = off
 
-	codeSpan := (uint64(off) + mem.PageSize - 1) / mem.PageSize * mem.PageSize
-	dataStart := codeSpan + DefaultGuardSize
+	dataStart := oelf.CodeSpan(uint64(off)) + oelf.GuardSize
 
 	// Pass 2: encode with resolved operands.
 	code := make([]byte, 0, off)
@@ -123,12 +79,12 @@ func Link(p *Program) (*Image, error) {
 	for s, off := range p.DataSyms {
 		dsyms[s] = off
 	}
-	img := &Image{
+	img := &oelf.Image{
 		Code:        code,
 		Data:        append([]byte(nil), p.Data...),
 		BSS:         p.BSS,
 		Entry:       addrs[entryIdx],
-		GuardSize:   DefaultGuardSize,
+		GuardSize:   oelf.GuardSize,
 		Symbols:     syms,
 		DataSymbols: dsyms,
 	}

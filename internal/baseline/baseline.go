@@ -12,11 +12,11 @@ import (
 	"errors"
 	"sync"
 
-	"repro/internal/asm"
 	"repro/internal/fs"
 	"repro/internal/hostos"
 	"repro/internal/libos"
 	"repro/internal/mem"
+	"repro/internal/oelf"
 	"repro/internal/sysdispatch"
 	"repro/internal/vm"
 )
@@ -57,7 +57,7 @@ func errno(err error) int64 {
 // Image is a created process before it runs. The model maps Mem; the
 // skeleton copies Bin in at the layout Place computed.
 type Image struct {
-	Bin *asm.Image
+	Bin *oelf.Image
 	Mem *mem.Paged
 	// Gate is the syscall gate page. Code follows it, then the guard,
 	// then one data region: static data, heap, stack.
@@ -74,8 +74,8 @@ type Image struct {
 
 // Place lays bin out behind a gate page at gate — the geometry every
 // system shares with the toolchain.
-func Place(bin *asm.Image, gate, heapSize, stackSize uint64) *Image {
-	dataBase := gate + mem.PageSize + bin.CodeSpan() + uint64(bin.GuardSize)
+func Place(bin *oelf.Image, gate, heapSize, stackSize uint64) *Image {
+	dataBase := gate + mem.PageSize + bin.DataStart()
 	return &Image{
 		Bin: bin, Gate: gate, DataBase: dataBase, StackSize: stackSize,
 		DataSize: (bin.MinDataSize() + heapSize + stackSize + mem.PageSize - 1) / mem.PageSize * mem.PageSize,

@@ -26,6 +26,10 @@ package isa
 
 import "fmt"
 
+// PageSize is the page granularity, matching SGX EPC pages: the unit of
+// memory permissions and of a domain's code-segment padding.
+const PageSize = 4096
+
 // Reg identifies one of the sixteen 64-bit general-purpose registers.
 //
 // Register conventions (mirroring the paper's toolchain-reserved registers):

@@ -28,3 +28,15 @@ func (o *Occlum) CodeRegion(d *Domain) (got, want []byte) {
 	}
 	return b, o.codeLayout(d)
 }
+
+// Domains returns every domain and how many of them a SIP holds now.
+func (o *Occlum) Domains() (all []*Domain, inUse int) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	for _, d := range o.domains {
+		if d.inUse {
+			inUse++
+		}
+	}
+	return o.domains, inUse
+}

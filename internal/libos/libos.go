@@ -262,7 +262,7 @@ func Boot(platform *sgx.Platform, host *hostos.Host, cfg Config) (*Occlum, error
 	if cfg.NumDomains <= 0 || cfg.MaxThreads <= 0 {
 		return nil, fmt.Errorf("libos: bad config")
 	}
-	g := uint64(mem.PageSize) // guard size
+	g := uint64(oelf.GuardSize)
 	domSpan := cfg.DomainCodeSize + g + cfg.DomainDataSize + g
 	total := cfg.LibOSReserve + g + uint64(cfg.NumDomains)*domSpan
 

@@ -2,6 +2,7 @@ package libos_test
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/isa"
 	"repro/internal/libos"
+	"repro/internal/oelf"
 	"repro/internal/ulib"
 )
 
@@ -80,6 +82,59 @@ func TestUnsignedBinaryRefused(t *testing.T) {
 	}
 	if _, err := sys.OS.Spawn("/bin/evil", nil, libos.SpawnOpt{}); err == nil {
 		t.Fatal("loader must refuse unsigned binaries")
+	}
+}
+
+// TestLoaderRefusesWrongGuardSize: Boot maps every domain with oelf's
+// one layout, so the loader refuses a binary whose header claims another
+// guard size even when its signature is valid. The binary is signed with
+// the platform key directly, bypassing the verifier (which would reject
+// it at stage 0), and the failed spawn takes no domain.
+func TestLoaderRefusesWrongGuardSize(t *testing.T) {
+	var out bytes.Buffer
+	sys, tc := bootSys(t, &out)
+	defer sys.OS.Shutdown()
+
+	doms, _ := sys.OS.Domains()
+	for _, d := range doms {
+		if gap := d.DataBase - (d.CodeBase + d.CodeSize); gap != oelf.GuardSize {
+			t.Fatalf("domain %d: code/data gap %d, want oelf.GuardSize (%d)", d.ID, gap, oelf.GuardSize)
+		}
+	}
+
+	bin, err := tc.Compile("wide", buildProg(t, helloProgram("wide\n", 0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bin.Image.GuardSize = 8192
+	tc.Key().Sign(bin)
+	if err := tc.Key().Verify(bin); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.InstallBinary("/bin/wide", bin); err != nil {
+		t.Fatal(err)
+	}
+	_, err = sys.OS.Spawn("/bin/wide", nil, libos.SpawnOpt{})
+	if err == nil || errors.Is(err, libos.ErrNotSigned) {
+		t.Fatalf("spawn of a signed binary with guard size 8192: err = %v, want a layout refusal", err)
+	}
+	if _, inUse := sys.OS.Domains(); inUse != 0 {
+		t.Fatalf("%d domains taken after the refused spawn, want 0", inUse)
+	}
+
+	// The same binary at the layout's guard size, signed the same way,
+	// runs: the refusal was the guard size and nothing else.
+	bin.Image.GuardSize = oelf.GuardSize
+	tc.Key().Sign(bin)
+	if err := sys.InstallBinary("/bin/narrow", bin); err != nil {
+		t.Fatal(err)
+	}
+	p, err := sys.OS.Spawn("/bin/narrow", nil, libos.SpawnOpt{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if status := p.Wait(); status != 0 || out.String() != "wide\n" {
+		t.Fatalf("exit %d, stdout %q", status, out.String())
 	}
 }
 

@@ -160,6 +160,11 @@ func (o *Occlum) loadBinary(path string) (*loadedImage, error) {
 	if err := o.cfg.VerifierKey.Verify(bin); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrNotSigned, err)
 	}
+	// Boot maps every domain with the one layout the verifier proved
+	// accesses against; a signed image that claims another is refused.
+	if bin.Image.GuardSize != oelf.GuardSize {
+		return nil, fmt.Errorf("libos: unsupported guard size %d", bin.Image.GuardSize)
+	}
 	o.stats.imagesVerified.Add(1)
 	img := &loadedImage{bin: bin, labels: isa.FindCFIMagic(bin.Image.Code)}
 	// Cache under ver only if the file still is ver: a write that
@@ -191,11 +196,8 @@ func (o *Occlum) loadIntoDomain(d *Domain, li *loadedImage, argv []string, p *Pr
 	if codeSpan+trampolineLen+16 > d.CodeSize {
 		return fmt.Errorf("%w: code span %d > domain code size %d", ErrTooBig, codeSpan, d.CodeSize)
 	}
-	if img.MinDataSize()+o.cfg.StackSize+4096 > d.DataSize {
+	if img.MinDataSize()+o.cfg.StackSize+mem.PageSize > d.DataSize {
 		return fmt.Errorf("%w: data %d + stack > domain data size %d", ErrTooBig, img.MinDataSize(), d.DataSize)
-	}
-	if uint64(img.GuardSize) != 4096 {
-		return fmt.Errorf("libos: unsupported guard size %d", img.GuardSize)
 	}
 
 	codeBase := d.CodeBase + d.CodeSize - codeSpan

@@ -15,10 +15,12 @@ import (
 	"errors"
 	"fmt"
 	"sync/atomic"
+
+	"repro/internal/isa"
 )
 
 // PageSize is the page granularity, matching SGX EPC pages.
-const PageSize = 4096
+const PageSize = isa.PageSize
 
 // pageShift is log2(PageSize), for the single-page fast paths.
 const pageShift = 12

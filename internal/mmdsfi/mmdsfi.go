@@ -1,7 +1,5 @@
 // Package mmdsfi implements MPX-based, Multi-Domain Software Fault
-// Isolation — the paper's §4 — as a transformation over asm.Programs, plus
-// the cfi_label-aware range analysis (§4.3) that both the instrumenter's
-// optimizer and the verifier's Stage 4 rely on.
+// Isolation — the paper's §4 — as a transformation over asm.Programs.
 //
 // The instrumentation enforces two policies inside a domain with code
 // region C and data region D:
@@ -16,15 +14,18 @@
 //     valid indirect target.
 //
 // The two optimizations of §4.3 are implemented: redundant check
-// elimination and loop check hoisting, both justified by the range
-// analysis in engine.go and both verifiable by the independent verifier.
+// elimination and loop check hoisting, both justified by the verifier's
+// own range analysis (package verifier/analysis), which this package
+// imports: the instrumenter depends on the TCB, never the reverse.
 package mmdsfi
 
 import (
 	"fmt"
+	"maps"
 
 	"repro/internal/asm"
 	"repro/internal/isa"
+	"repro/internal/verifier/analysis"
 )
 
 // Options selects which confinements the instrumenter applies. The
@@ -50,18 +51,14 @@ func DefaultOptions() Options {
 	return Options{ConfineControl: true, ConfineLoads: true, ConfineStores: true, Optimize: true}
 }
 
-// GuardSize is the guard-region size the instrumentation assumes,
-// identical to the linker's code/data gap.
-const GuardSize = asm.DefaultGuardSize
-
 // Instrument applies MMDSFI to a program, returning a new program. The
 // input program is not modified.
 func Instrument(p *asm.Program, opts Options) (*asm.Program, error) {
 	out := &asm.Program{
-		FuncLabels: copyset(p.FuncLabels),
+		FuncLabels: maps.Clone(p.FuncLabels),
 		Entry:      p.Entry,
 		Data:       append([]byte(nil), p.Data...),
-		DataSyms:   copymap(p.DataSyms),
+		DataSyms:   maps.Clone(p.DataSyms),
 		BSS:        p.BSS,
 	}
 	items := append([]asm.Item(nil), p.Items...)
@@ -79,22 +76,6 @@ func Instrument(p *asm.Program, opts Options) (*asm.Program, error) {
 	}
 	out.Items = items
 	return out, nil
-}
-
-func copyset(s map[string]bool) map[string]bool {
-	n := make(map[string]bool, len(s))
-	for k, v := range s {
-		n[k] = v
-	}
-	return n
-}
-
-func copymap(s map[string]uint32) map[string]uint32 {
-	n := make(map[string]uint32, len(s))
-	for k, v := range s {
-		n[k] = v
-	}
-	return n
 }
 
 // cfiGuardItems emits the cfi_guard pseudo-instruction for a target
@@ -196,7 +177,7 @@ func memGuardPass(items []asm.Item, p *asm.Program, opts Options) ([]asm.Item, e
 // needsGuard reports whether the instruction's accesses fall under the
 // enabled confinement options.
 func needsGuard(in isa.Inst, opts Options) (isa.MemRef, bool) {
-	for _, a := range Accesses(in) {
+	for _, a := range analysis.Accesses(in) {
 		if a.Store && !opts.ConfineStores {
 			continue
 		}
@@ -204,10 +185,10 @@ func needsGuard(in isa.Inst, opts Options) (isa.MemRef, bool) {
 			continue
 		}
 		if a.Mem.IsPCRel() || a.Mem.IsAbs() {
-			// PC-relative data references are resolved by the linker
-			// into the data region and proven by the verifier's
-			// range analysis; absolute operands are rejected by the
-			// verifier outright. Neither gets a runtime guard.
+			// A PC-relative data reference resolves into the data
+			// region and the range analysis proves it (unless an
+			// unknown index moves it: the verifier rejects that); an
+			// absolute operand is rejected. Neither gets a guard.
 			continue
 		}
 		return a.Mem, true

@@ -8,6 +8,7 @@ import (
 	"repro/internal/isa"
 	"repro/internal/mem"
 	"repro/internal/mpx"
+	"repro/internal/oelf"
 	"repro/internal/vm"
 )
 
@@ -24,7 +25,7 @@ type domain struct {
 // loadDomain maps an image with the MMDSFI layout — code RWX, guard gap,
 // data+stack RW, trailing guard — programs BND0/BND1 and rewrites
 // cfi_label domain IDs, as the Occlum loader does.
-func loadDomain(t testing.TB, img *asm.Image, extraData uint64) *domain {
+func loadDomain(t testing.TB, img *oelf.Image, extraData uint64) *domain {
 	t.Helper()
 	const base = 0x200000
 	const domID = 0x42
@@ -72,7 +73,7 @@ func buildProgram(t testing.TB, f func(b *asm.Builder)) *asm.Program {
 	return p
 }
 
-func instrumentAndLink(t testing.TB, p *asm.Program, opts Options) *asm.Image {
+func instrumentAndLink(t testing.TB, p *asm.Program, opts Options) *oelf.Image {
 	t.Helper()
 	ip, err := Instrument(p, opts)
 	if err != nil {
@@ -443,24 +444,6 @@ func TestHoistingEmitsPreheaderGuard(t *testing.T) {
 		}
 	}
 	t.Fatal("loop back edge not found")
-}
-
-func TestAValJoin(t *testing.T) {
-	g := int64(4096)
-	cases := []struct {
-		a, b, want AVal
-	}{
-		{DPtr(0, 0), DPtr(-8, -8), DPtr(-8, 0)},
-		{DPtr(0, 0), Top, Top},
-		{Const(1, 1), Const(5, 5), Const(1, 5)},
-		{DPtr(0, 0), Const(0, 0), Top},
-		{DPtr(0, 0), DPtr(3*g, 3*g), Top}, // widened
-	}
-	for i, c := range cases {
-		if got := c.a.Join(c.b, 2*g); got != c.want {
-			t.Errorf("case %d: %v ⊔ %v = %v, want %v", i, c.a, c.b, got, c.want)
-		}
-	}
 }
 
 func TestAnalysisProvesStaticDataAccess(t *testing.T) {

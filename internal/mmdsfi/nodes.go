@@ -5,7 +5,8 @@ import (
 
 	"repro/internal/asm"
 	"repro/internal/isa"
-	"repro/internal/mem"
+	"repro/internal/oelf"
+	"repro/internal/verifier/analysis"
 )
 
 // buildNodes lowers a list of items into the analysis representation,
@@ -13,7 +14,7 @@ import (
 // PC-relative operands the linker will emit. It returns the Code and the
 // explicit entry indices (the program entry plus every function label,
 // which covers uninstrumented programs that have no cfi_labels yet).
-func buildNodes(items []asm.Item, p *asm.Program) (*Code, []int, error) {
+func buildNodes(items []asm.Item, p *asm.Program) (*analysis.Code, []int, error) {
 	addrs := make([]uint64, len(items)+1)
 	var off uint64
 	labelIdx := make(map[string]int)
@@ -28,11 +29,11 @@ func buildNodes(items []asm.Item, p *asm.Program) (*Code, []int, error) {
 		}
 	}
 	addrs[len(items)] = off
-	codeSpan := int64((off + mem.PageSize - 1) / mem.PageSize * mem.PageSize)
-	dataStart := codeSpan + GuardSize
+	codeSpan := int64(oelf.CodeSpan(off))
+	dataStart := codeSpan + oelf.GuardSize
 
 	exempt := markExempt(items)
-	nodes := make([]Node, len(items))
+	nodes := make([]analysis.Node, len(items))
 	for i, it := range items {
 		in := it.Inst
 		target := -1
@@ -52,7 +53,7 @@ func buildNodes(items []asm.Item, p *asm.Program) (*Code, []int, error) {
 			disp := int64(dataStart) + int64(symOff) + int64(in.Mem.Disp) - int64(next)
 			in.Mem = isa.MemRef{Base: isa.RegPC, Index: in.Mem.Index, Scale: in.Mem.Scale, Disp: int32(disp)}
 		}
-		nodes[i] = Node{
+		nodes[i] = analysis.Node{
 			Inst:   in,
 			Target: target,
 			Addr:   addrs[i],
@@ -72,9 +73,9 @@ func buildNodes(items []asm.Item, p *asm.Program) (*Code, []int, error) {
 			entries = append(entries, i)
 		}
 	}
-	code := &Code{
+	code := &analysis.Code{
 		Nodes:     nodes,
-		GuardSize: GuardSize,
+		GuardSize: oelf.GuardSize,
 		CodeSpan:  codeSpan,
 		MinData:   int64(len(p.Data)) + int64(p.BSS),
 	}
@@ -129,7 +130,7 @@ func hoistLoopGuards(items []asm.Item, guards []guardRef, p *asm.Program, opts O
 				continue
 			}
 			step, ok := loopStep(code.Nodes[lp.head:lp.tail+1], m)
-			if !ok || abs64(step) > GuardSize-64 {
+			if !ok || abs64(step) > oelf.GuardSize-64 {
 				continue
 			}
 			h := hoist{before: lp.head, m: m, sym: items[g.cl].DataSym}
@@ -187,7 +188,7 @@ func hoistLoopGuards(items []asm.Item, guards []guardRef, p *asm.Program, opts O
 // (after which nothing can be assumed). loopStep is a heuristic only:
 // hoisting an extra guard is always sound, and the *removal* of the
 // in-loop guard is justified independently by the range analysis.
-func loopStep(body []Node, m isa.MemRef) (int64, bool) {
+func loopStep(body []analysis.Node, m isa.MemRef) (int64, bool) {
 	var step int64
 	for _, nd := range body {
 		in := nd.Inst
@@ -258,7 +259,7 @@ func removeRedundantGuards(items []asm.Item, guards []guardRef, p *asm.Program) 
 	if err != nil {
 		return nil, err
 	}
-	res := Analyze(code, entries)
+	res := analysis.Analyze(code, entries)
 
 	drop := make([]bool, len(items))
 	for _, g := range guards {
@@ -266,9 +267,9 @@ func removeRedundantGuards(items []asm.Item, guards []guardRef, p *asm.Program) 
 			// A hoisted preheader guard is dead weight when the range
 			// analysis already proves its own check in-window.
 			if res.In[g.cl].Reachable {
-				st := res.In[g.cl].clone()
+				st := res.In[g.cl].Clone()
 				nd := &code.Nodes[g.cl]
-				if accessSafe(code, &st, nd, Access{Mem: nd.Inst.Mem, Size: 8}) {
+				if analysis.AccessSafe(code, &st, nd, analysis.Access{Mem: nd.Inst.Mem, Size: 8}) {
 					drop[g.cl], drop[g.cl+1] = true, true
 				}
 			}
@@ -279,11 +280,11 @@ func removeRedundantGuards(items []asm.Item, guards []guardRef, p *asm.Program) 
 			drop[g.cl], drop[g.cl+1] = true, true
 			continue
 		}
-		st := res.In[g.cl].clone()
+		st := res.In[g.cl].Clone()
 		nd := &code.Nodes[g.access]
 		safe := true
-		for _, a := range Accesses(nd.Inst) {
-			if !accessSafe(code, &st, nd, a) {
+		for _, a := range analysis.Accesses(nd.Inst) {
+			if !analysis.AccessSafe(code, &st, nd, a) {
 				safe = false
 				break
 			}

@@ -8,6 +8,11 @@
 // LibOS refuses to load unsigned binaries, which is how the (large,
 // untrusted) toolchain stays out of the TCB while the (small, trusted)
 // verifier guards the enclave.
+//
+// oelf also owns the domain layout every one of them relies on: the code
+// segment padded to whole pages (CodeSpan), then a GuardSize gap, then the
+// data region. The linker resolves data references against it, the
+// verifier proves accesses against it, and the loader maps domains by it.
 package oelf
 
 import (
@@ -19,7 +24,7 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/asm"
+	"repro/internal/isa"
 )
 
 // Magic identifies an OELF file.
@@ -36,11 +41,57 @@ var (
 	ErrBadSignature = errors.New("oelf: verifier signature invalid")
 )
 
+// GuardSize is the size of the unmapped guard regions around a domain's
+// data region, and of the gap between the code and data segments — 4 KiB,
+// as in the paper (§6).
+const GuardSize = 4096
+
+// CodeSpan returns the size a code segment of n bytes occupies in memory:
+// n padded to a whole number of pages.
+func CodeSpan(n uint64) uint64 {
+	return (n + isa.PageSize - 1) / isa.PageSize * isa.PageSize
+}
+
+// Image is a linked, position-independent binary image. All addresses are
+// relative to the load address of the code segment; the loader must place
+// the data region exactly GuardSize bytes after the (page-padded) code
+// segment, which is how the paper's modified linker lays out ELFs.
+type Image struct {
+	// Code is the executable segment.
+	Code []byte
+	// Data is the initialized data segment.
+	Data []byte
+	// BSS is the size of the zero-initialized region after Data.
+	BSS uint32
+	// Entry is the offset of the entry point within Code.
+	Entry uint32
+	// GuardSize is the code/data gap assumed by PC-relative data
+	// references (and the guard-region size the optimizer relied on).
+	GuardSize uint32
+	// Symbols maps every label to its code offset (not serialized into
+	// OELF files; used by the RIPE harness and debuggers).
+	Symbols map[string]uint32
+	// DataSymbols maps data symbols to offsets within Data.
+	DataSymbols map[string]uint32
+}
+
+// CodeSpan returns the size the code segment occupies in memory.
+func (im *Image) CodeSpan() uint64 { return CodeSpan(uint64(len(im.Code))) }
+
+// DataStart returns the offset of the data region from the code load
+// address.
+func (im *Image) DataStart() uint64 { return im.CodeSpan() + uint64(im.GuardSize) }
+
+// MinDataSize returns the minimum data-region size the loader must
+// provide: initialized data plus BSS. The verifier's range analysis is
+// sound for any actual data-region size of at least this value.
+func (im *Image) MinDataSize() uint64 { return uint64(len(im.Data)) + uint64(im.BSS) }
+
 // Binary is a parsed OELF file: a linked image plus the verifier
 // signature.
 type Binary struct {
 	// Image is the linked code/data image.
-	Image asm.Image
+	Image Image
 	// Name is an informational binary name (not covered by the
 	// signature's security argument, but bound into the digest).
 	Name string
@@ -50,7 +101,7 @@ type Binary struct {
 }
 
 // FromImage wraps a linked image into an unsigned binary.
-func FromImage(name string, img *asm.Image) *Binary {
+func FromImage(name string, img *Image) *Binary {
 	return &Binary{Image: *img, Name: name}
 }
 
@@ -138,7 +189,7 @@ func Unmarshal(data []byte) (*Binary, error) {
 	}
 	b := &Binary{
 		Name: string(data[off : off+nameLen]),
-		Image: asm.Image{
+		Image: Image{
 			Code:      append([]byte(nil), data[off+nameLen:off+nameLen+codeLen]...),
 			Data:      append([]byte(nil), data[off+nameLen+codeLen:off+nameLen+codeLen+dataLen]...),
 			BSS:       bss,

@@ -5,12 +5,10 @@ import (
 	"fmt"
 	"testing"
 	"testing/quick"
-
-	"repro/internal/asm"
 )
 
 func sample() *Binary {
-	return FromImage("hello", &asm.Image{
+	return FromImage("hello", &Image{
 		Code:      []byte{1, 2, 3, 4, 5},
 		Data:      []byte{9, 8, 7},
 		BSS:       128,
@@ -121,7 +119,7 @@ func TestDigestIsMarshalMinusSignature(t *testing.T) {
 	k := NewSigningKey("test")
 	signed := sample()
 	k.Sign(signed)
-	empty := FromImage("", &asm.Image{})
+	empty := FromImage("", &Image{})
 	big := sample()
 	big.Name = "a-longer-name/with/slashes"
 	big.Image.Code = make([]byte, 3*4096+17)

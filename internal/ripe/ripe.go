@@ -30,6 +30,7 @@ import (
 	"repro/internal/mem"
 	"repro/internal/mmdsfi"
 	"repro/internal/mpx"
+	"repro/internal/oelf"
 	"repro/internal/vm"
 )
 
@@ -336,7 +337,7 @@ func Run(a Attack, env Env) (Outcome, error) {
 }
 
 // buildPayload constructs the overflow bytes for an attack.
-func buildPayload(a Attack, img *asm.Image, codeBase, bufAddr uint64) ([]byte, error) {
+func buildPayload(a Attack, img *oelf.Image, codeBase, bufAddr uint64) ([]byte, error) {
 	// The corrupted pointer's value.
 	var target uint64
 	switch a.Target {

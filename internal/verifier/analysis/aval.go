@@ -1,4 +1,4 @@
-package mmdsfi
+package analysis
 
 import (
 	"fmt"

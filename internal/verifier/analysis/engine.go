@@ -1,8 +1,13 @@
-package mmdsfi
+// Package analysis is the cfi_label-aware range analysis of the paper's
+// §4.3: an abstract interpretation over instruction nodes that proves
+// each memory access lands in a domain's data region or faults in one of
+// its guard regions. The verifier's Stage 4 rejects any access it cannot
+// prove; the MMDSFI instrumenter imports it to drop the mem_guards it
+// proves redundant. It is part of the verifier's TCB, so it imports
+// nothing from this module but isa.
+package analysis
 
-import (
-	"repro/internal/isa"
-)
+import "repro/internal/isa"
 
 // Node is one instruction in the analysis representation, shared between
 // the instrumenter's optimizer and the verifier's Stage 4.
@@ -118,7 +123,7 @@ func Analyze(code *Code, entries []int) *Result {
 	for len(work) > 0 {
 		i := work[len(work)-1]
 		work = work[:len(work)-1]
-		st := res.In[i].clone()
+		st := res.In[i].Clone()
 		nd := &code.Nodes[i]
 
 		proven := true
@@ -128,7 +133,7 @@ func Analyze(code *Code, entries []int) *Result {
 					proven = false // multiple non-contiguous targets
 					continue
 				}
-				if !accessSafe(code, &st, nd, a) {
+				if !AccessSafe(code, &st, nd, a) {
 					proven = false
 				}
 			}
@@ -169,31 +174,36 @@ func Analyze(code *Code, entries []int) *Result {
 	return res
 }
 
-// evalMem computes the abstract effective address of operand m.
+// evalMem computes the abstract effective address of operand m, term by
+// term as the OVM computes it: the base (the next instruction's address
+// when PC-relative, zero when absent), plus index*scale, plus disp.
 func evalMem(code *Code, st *State, nd *Node, m isa.MemRef) AVal {
+	var a AVal
 	switch {
 	case m.IsAbs():
 		return Const(int64(m.Disp), int64(m.Disp))
 	case m.IsPCRel():
-		// ea = codeBase + Next + disp; the data region starts at
-		// codeBase + CodeSpan + GuardSize, so relative to D.begin the
-		// address is a known constant c ≥ -(CodeSpan+GuardSize).
-		c := int64(nd.Next) + int64(m.Disp) - code.CodeSpan - code.GuardSize
-		// Relative to D.end-1 we only know DSize ≥ MinData.
-		return DPtr(c, c-code.MinData+1)
+		// The data region starts at codeBase + CodeSpan + GuardSize, so
+		// relative to D.begin, codeBase+Next is a known constant
+		// c ≥ -(CodeSpan+GuardSize). Relative to D.end-1 we only know
+		// DSize ≥ MinData.
+		c := int64(nd.Next) - code.CodeSpan - code.GuardSize
+		a = DPtr(c, c-code.MinData+1)
+	case m.Base.Valid():
+		a = st.Regs[m.Base]
+	default:
+		a = Const(0, 0)
 	}
-	a := st.Regs[m.Base]
 	if m.HasIndex() {
-		idx := st.Regs[m.Index].MulConst(int64(m.Scale))
-		a = a.Add(idx)
+		a = a.Add(st.Regs[m.Index].MulConst(int64(m.Scale)))
 	}
 	return a.AddConst(int64(m.Disp), int64(m.Disp))
 }
 
-// accessSafe reports whether access a of node nd is proven to land within
+// AccessSafe reports whether access a of node nd is proven to land within
 // the window [D.begin-G, D.end+G), where any non-D address faults in a
 // guard region.
-func accessSafe(code *Code, st *State, nd *Node, a Access) bool {
+func AccessSafe(code *Code, st *State, nd *Node, a Access) bool {
 	g := code.GuardSize
 	av := evalMem(code, st, nd, a.Mem)
 	if av.K == KDPtr && av.Lo >= -g && av.Hi+int64(a.Size)-1 <= g {

@@ -1,4 +1,4 @@
-package mmdsfi
+package analysis
 
 import (
 	"repro/internal/isa"
@@ -45,7 +45,8 @@ func TopState() State {
 	return State{Reachable: true}
 }
 
-func (s State) clone() State {
+// Clone returns a copy of s that shares no storage with it.
+func (s State) Clone() State {
 	ns := s
 	ns.Exprs = append([]CheckedExpr(nil), s.Exprs...)
 	return ns
@@ -62,7 +63,7 @@ func (s *State) join(o State, widenLimit int64, force bool) bool {
 		return false
 	}
 	if !s.Reachable {
-		*s = o.clone()
+		*s = o.Clone()
 		return true
 	}
 	changed := false

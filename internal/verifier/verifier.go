@@ -2,7 +2,8 @@
 // paper): an independent static checker that takes an OELF binary and
 // decides whether it complies with the security policies of MMDSFI. Only
 // binaries that pass all four stages are signed; the LibOS loader refuses
-// anything unsigned. This keeps the large MMDSFI toolchain out of the TCB.
+// anything unsigned. This keeps the large MMDSFI toolchain out of the TCB:
+// the verifier links isa, oelf and its range analysis, nothing else.
 //
 // The four stages mirror the paper exactly:
 //
@@ -23,11 +24,9 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/asm"
 	"repro/internal/isa"
-	"repro/internal/mem"
-	"repro/internal/mmdsfi"
 	"repro/internal/oelf"
+	"repro/internal/verifier/analysis"
 )
 
 // Error is a verification failure, tagged with the stage that rejected
@@ -57,9 +56,9 @@ func New(key oelf.SigningKey) *Verifier { return &Verifier{key: key} }
 
 // Verify runs all four stages on b. It does not sign.
 func (v *Verifier) Verify(b *oelf.Binary) error {
-	if b.Image.GuardSize != asm.DefaultGuardSize {
+	if b.Image.GuardSize != oelf.GuardSize {
 		return errf(0, 0, "unsupported guard size %d (loader provides %d)",
-			b.Image.GuardSize, asm.DefaultGuardSize)
+			b.Image.GuardSize, oelf.GuardSize)
 	}
 	r, err := disassemble(b.Image.Code)
 	if err != nil {
@@ -71,7 +70,7 @@ func (v *Verifier) Verify(b *oelf.Binary) error {
 	if err := verifyInstructionSet(r); err != nil {
 		return err
 	}
-	if err := verifyControlTransfers(b.Image.Code, r); err != nil {
+	if err := verifyControlTransfers(r); err != nil {
 		return err
 	}
 	return verifyMemoryAccesses(b, r)
@@ -152,10 +151,6 @@ func disassemble(code []byte) ([]rinst, error) {
 		}
 	}
 
-	// Overlap detection must also consider instructions disassembled
-	// *before* an overlapping root is popped; re-check every pair by
-	// ownership: already guaranteed by the owner array above.
-
 	r := make([]rinst, 0, len(insts))
 	for _, ri := range insts {
 		r = append(r, ri)
@@ -224,7 +219,7 @@ func cfiGuardAt(r []rinst, i int) (target isa.Reg, ok bool) {
 }
 
 // verifyControlTransfers is Stage 3, Figure 3.
-func verifyControlTransfers(code []byte, r []rinst) error {
+func verifyControlTransfers(r []rinst) error {
 	const stage = 3
 
 	// Mark, for every register-based indirect transfer, whether it is
@@ -242,7 +237,7 @@ func verifyControlTransfers(code []byte, r []rinst) error {
 		}
 	}
 
-	for i, ri := range r {
+	for _, ri := range r {
 		op := ri.inst.Op
 		switch {
 		case op.IsDirectBranch():
@@ -267,7 +262,6 @@ func verifyControlTransfers(code []byte, r []rinst) error {
 			if !guarded[ri.off] {
 				return errf(stage, ri.off, "%s is not guarded by a cfi_guard", op)
 			}
-			_ = i
 		case op.IsMemIndirect():
 			// Category 3: reject.
 			return errf(stage, ri.off, "memory-based indirect transfer %s", op)
@@ -287,12 +281,12 @@ func verifyMemoryAccesses(b *oelf.Binary, r []rinst) error {
 	if err != nil {
 		return err
 	}
-	res := mmdsfi.Analyze(code, nil)
+	res := analysis.Analyze(code, nil)
 	for i, ri := range r {
 		op := ri.inst.Op
 		// Category: direct memory offset — reject (no fixed address
 		// can be assumed to be within a domain).
-		accesses := mmdsfi.Accesses(ri.inst)
+		accesses := analysis.Accesses(ri.inst)
 		for _, a := range accesses {
 			if a.Mem.IsAbs() {
 				return errf(stage, ri.off, "direct memory offset operand in %s", op)
@@ -320,12 +314,12 @@ func verifyMemoryAccesses(b *oelf.Binary, r []rinst) error {
 }
 
 // buildCode lowers R into the shared analysis representation.
-func buildCode(b *oelf.Binary, r []rinst) (*mmdsfi.Code, error) {
+func buildCode(b *oelf.Binary, r []rinst) (*analysis.Code, error) {
 	byOff := make(map[int]int, len(r))
 	for i, ri := range r {
 		byOff[ri.off] = i
 	}
-	nodes := make([]mmdsfi.Node, len(r))
+	nodes := make([]analysis.Node, len(r))
 	for i, ri := range r {
 		target := -1
 		if ri.inst.Op.IsDirectBranch() {
@@ -343,24 +337,19 @@ func buildCode(b *oelf.Binary, r []rinst) (*mmdsfi.Code, error) {
 				return nil, errf(4, ri.off, "instruction falls through into unverified bytes")
 			}
 		}
-		nodes[i] = mmdsfi.Node{
+		_, guardLoad := cfiGuardAt(r, i) // a cfi_guard's load is exempt
+		nodes[i] = analysis.Node{
 			Inst:   ri.inst,
 			Target: target,
 			Addr:   uint64(ri.off),
 			Next:   uint64(ri.off + ri.n),
+			Exempt: guardLoad,
 		}
 	}
-	// Exempt cfi_guard loads.
-	for i := range r {
-		if _, ok := cfiGuardAt(r, i); ok {
-			nodes[i].Exempt = true
-		}
-	}
-	codeSpan := (int64(len(b.Image.Code)) + mem.PageSize - 1) / mem.PageSize * mem.PageSize
-	return &mmdsfi.Code{
+	return &analysis.Code{
 		Nodes:     nodes,
 		GuardSize: int64(b.Image.GuardSize),
-		CodeSpan:  codeSpan,
+		CodeSpan:  int64(b.Image.CodeSpan()),
 		MinData:   int64(b.Image.MinDataSize()),
 	}, nil
 }

@@ -1,6 +1,7 @@
 package verifier
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -113,9 +114,9 @@ func stageOf(t *testing.T, err error) int {
 }
 
 func TestStage1RejectsNoLabels(t *testing.T) {
-	bin := oelf.FromImage("x", &asm.Image{
+	bin := oelf.FromImage("x", &oelf.Image{
 		Code:      []byte{byte(isa.OpNop)},
-		GuardSize: asm.DefaultGuardSize,
+		GuardSize: oelf.GuardSize,
 	})
 	err := New(testKey).Verify(bin)
 	if err == nil || stageOf(t, err) != 1 {
@@ -127,7 +128,7 @@ func TestStage1RejectsInvalidInstruction(t *testing.T) {
 	var code []byte
 	code, _ = isa.Encode(code, isa.Inst{Op: isa.OpCFILabel})
 	code = append(code, 0xEE) // undefined opcode reached by fallthrough
-	bin := oelf.FromImage("x", &asm.Image{Code: code, GuardSize: asm.DefaultGuardSize})
+	bin := oelf.FromImage("x", &oelf.Image{Code: code, GuardSize: oelf.GuardSize})
 	err := New(testKey).Verify(bin)
 	if err == nil || stageOf(t, err) != 1 {
 		t.Fatalf("err = %v, want stage 1", err)
@@ -140,7 +141,7 @@ func TestStage1RejectsRunoffEnd(t *testing.T) {
 	var code []byte
 	code, _ = isa.Encode(code, isa.Inst{Op: isa.OpCFILabel})
 	code, _ = isa.Encode(code, isa.Inst{Op: isa.OpJe, Imm: -13})
-	bin := oelf.FromImage("x", &asm.Image{Code: code, GuardSize: asm.DefaultGuardSize})
+	bin := oelf.FromImage("x", &oelf.Image{Code: code, GuardSize: oelf.GuardSize})
 	err := New(testKey).Verify(bin)
 	if err == nil || stageOf(t, err) != 1 {
 		t.Fatalf("err = %v, want stage 1", err)
@@ -157,7 +158,7 @@ func TestStage1RejectsOverlap(t *testing.T) {
 	// jmp back into the middle of the movri (offset 8+2 = 10).
 	// jmp is at offset 18, next=23; target 10 → rel = -13.
 	code, _ = isa.Encode(code, isa.Inst{Op: isa.OpJmp, Imm: -13})
-	bin := oelf.FromImage("x", &asm.Image{Code: code, GuardSize: asm.DefaultGuardSize})
+	bin := oelf.FromImage("x", &oelf.Image{Code: code, GuardSize: oelf.GuardSize})
 	err := New(testKey).Verify(bin)
 	if err == nil || stageOf(t, err) != 1 {
 		t.Fatalf("err = %v, want stage 1 overlap", err)
@@ -169,7 +170,7 @@ func TestStage1RejectsEntryNotLabel(t *testing.T) {
 	code, _ = isa.Encode(code, isa.Inst{Op: isa.OpCFILabel})
 	code, _ = isa.Encode(code, isa.Inst{Op: isa.OpNop})
 	code, _ = isa.Encode(code, isa.Inst{Op: isa.OpJmp, Imm: -14}) // loop back to label
-	bin := oelf.FromImage("x", &asm.Image{Code: code, Entry: 8, GuardSize: asm.DefaultGuardSize})
+	bin := oelf.FromImage("x", &oelf.Image{Code: code, Entry: 8, GuardSize: oelf.GuardSize})
 	err := New(testKey).Verify(bin)
 	if err == nil || stageOf(t, err) != 1 {
 		t.Fatalf("err = %v, want stage 1 (entry not a cfi_label)", err)
@@ -183,7 +184,7 @@ func TestStage2RejectsDangerous(t *testing.T) {
 		code, _ = isa.Encode(code, isa.Inst{Op: isa.OpCFILabel})
 		code, _ = isa.Encode(code, isa.Inst{Op: op, Bnd: isa.BND2, Bnd2: isa.BND3})
 		code = jmpToStart(code)
-		bin := oelf.FromImage("x", &asm.Image{Code: code, GuardSize: asm.DefaultGuardSize})
+		bin := oelf.FromImage("x", &oelf.Image{Code: code, GuardSize: oelf.GuardSize})
 		err := New(testKey).Verify(bin)
 		if err == nil || stageOf(t, err) != 2 {
 			t.Fatalf("%s: err = %v, want stage 2", op, err)
@@ -196,7 +197,7 @@ func TestStage2RejectsWrFSBase(t *testing.T) {
 	code, _ = isa.Encode(code, isa.Inst{Op: isa.OpCFILabel})
 	code, _ = isa.Encode(code, isa.Inst{Op: isa.OpWrFSBase, R1: isa.R1})
 	code = jmpToStart(code)
-	bin := oelf.FromImage("x", &asm.Image{Code: code, GuardSize: asm.DefaultGuardSize})
+	bin := oelf.FromImage("x", &oelf.Image{Code: code, GuardSize: oelf.GuardSize})
 	err := New(testKey).Verify(bin)
 	if err == nil || stageOf(t, err) != 2 {
 		t.Fatalf("err = %v, want stage 2", err)
@@ -207,7 +208,7 @@ func TestStage3RejectsUnguardedIndirect(t *testing.T) {
 	var code []byte
 	code, _ = isa.Encode(code, isa.Inst{Op: isa.OpCFILabel})
 	code, _ = isa.Encode(code, isa.Inst{Op: isa.OpJmpR, R1: isa.R1})
-	bin := oelf.FromImage("x", &asm.Image{Code: code, GuardSize: asm.DefaultGuardSize})
+	bin := oelf.FromImage("x", &oelf.Image{Code: code, GuardSize: oelf.GuardSize})
 	err := New(testKey).Verify(bin)
 	if err == nil || stageOf(t, err) != 3 {
 		t.Fatalf("err = %v, want stage 3", err)
@@ -218,7 +219,7 @@ func TestStage3RejectsReturn(t *testing.T) {
 	var code []byte
 	code, _ = isa.Encode(code, isa.Inst{Op: isa.OpCFILabel})
 	code, _ = isa.Encode(code, isa.Inst{Op: isa.OpRet})
-	bin := oelf.FromImage("x", &asm.Image{Code: code, GuardSize: asm.DefaultGuardSize})
+	bin := oelf.FromImage("x", &oelf.Image{Code: code, GuardSize: oelf.GuardSize})
 	err := New(testKey).Verify(bin)
 	if err == nil || stageOf(t, err) != 3 {
 		t.Fatalf("err = %v, want stage 3", err)
@@ -229,7 +230,7 @@ func TestStage3RejectsMemIndirect(t *testing.T) {
 	var code []byte
 	code, _ = isa.Encode(code, isa.Inst{Op: isa.OpCFILabel})
 	code, _ = isa.Encode(code, isa.Inst{Op: isa.OpJmpM, R1: isa.R0, Mem: isa.Mem(isa.R1, 0)})
-	bin := oelf.FromImage("x", &asm.Image{Code: code, GuardSize: asm.DefaultGuardSize})
+	bin := oelf.FromImage("x", &oelf.Image{Code: code, GuardSize: oelf.GuardSize})
 	err := New(testKey).Verify(bin)
 	if err == nil || stageOf(t, err) != 3 {
 		t.Fatalf("err = %v, want stage 3", err)
@@ -256,7 +257,7 @@ func guardedJump(t *testing.T) (code []byte, guardCL, jmpOff int) {
 
 func TestStage3AcceptsGuardedIndirect(t *testing.T) {
 	code, _, _ := guardedJump(t)
-	bin := oelf.FromImage("x", &asm.Image{Code: code, GuardSize: asm.DefaultGuardSize})
+	bin := oelf.FromImage("x", &oelf.Image{Code: code, GuardSize: oelf.GuardSize})
 	// The guard load reads [r1] which is exempt; there are no other
 	// accesses, so this passes all stages.
 	if err := New(testKey).Verify(bin); err != nil {
@@ -276,7 +277,7 @@ func guardedJumpWithEntryJmp(t *testing.T, delta int) *oelf.Binary {
 	code, _ = isa.Encode(code, isa.Inst{Op: isa.OpBndCL, Bnd: isa.BND1, R1: isa.GuardScratch})
 	code, _ = isa.Encode(code, isa.Inst{Op: isa.OpBndCU, Bnd: isa.BND1, R1: isa.GuardScratch})
 	code, _ = isa.Encode(code, isa.Inst{Op: isa.OpJmpR, R1: isa.R1})
-	return oelf.FromImage("x", &asm.Image{Code: code, GuardSize: asm.DefaultGuardSize})
+	return oelf.FromImage("x", &oelf.Image{Code: code, GuardSize: oelf.GuardSize})
 }
 
 func TestStage3AcceptsJumpToGuardStart(t *testing.T) {
@@ -310,7 +311,7 @@ func TestStage4RejectsUnguardedStore(t *testing.T) {
 	code, _ = isa.Encode(code, isa.Inst{Op: isa.OpCFILabel})
 	code, _ = isa.Encode(code, isa.Inst{Op: isa.OpStore, R1: isa.R2, Mem: isa.Mem(isa.R1, 0)})
 	code = jmpToStart(code)
-	bin := oelf.FromImage("x", &asm.Image{Code: code, GuardSize: asm.DefaultGuardSize})
+	bin := oelf.FromImage("x", &oelf.Image{Code: code, GuardSize: oelf.GuardSize})
 	err := New(testKey).Verify(bin)
 	if err == nil || stageOf(t, err) != 4 {
 		t.Fatalf("err = %v, want stage 4", err)
@@ -322,7 +323,7 @@ func TestStage4RejectsAbsoluteOperand(t *testing.T) {
 	code, _ = isa.Encode(code, isa.Inst{Op: isa.OpCFILabel})
 	code, _ = isa.Encode(code, isa.Inst{Op: isa.OpLoad, R1: isa.R2, Mem: isa.Abs(0x1000)})
 	code = jmpToStart(code)
-	bin := oelf.FromImage("x", &asm.Image{Code: code, GuardSize: asm.DefaultGuardSize})
+	bin := oelf.FromImage("x", &oelf.Image{Code: code, GuardSize: oelf.GuardSize})
 	err := New(testKey).Verify(bin)
 	if err == nil || stageOf(t, err) != 4 {
 		t.Fatalf("err = %v, want stage 4", err)
@@ -337,10 +338,44 @@ func TestStage4RejectsVectorScatter(t *testing.T) {
 	code, _ = isa.Encode(code, isa.Inst{Op: isa.OpBndCUM, Bnd: isa.BND0, Mem: isa.Mem(isa.R1, 0)})
 	code, _ = isa.Encode(code, isa.Inst{Op: isa.OpVScatter, R1: isa.R2, Mem: isa.Mem(isa.R1, 0)})
 	code = jmpToStart(code)
-	bin := oelf.FromImage("x", &asm.Image{Code: code, GuardSize: asm.DefaultGuardSize})
+	bin := oelf.FromImage("x", &oelf.Image{Code: code, GuardSize: oelf.GuardSize})
 	err := New(testKey).Verify(bin)
 	if err == nil || stageOf(t, err) != 4 {
 		t.Fatalf("err = %v, want stage 4", err)
+	}
+}
+
+// TestStage4IndexTerms: the range analysis computes an operand's address
+// term by term as the OVM does. A PC-relative store at D.begin proves
+// nothing once an unknown index is added to it, and an operand with an
+// index but no base is judged, not indexed into the register file.
+func TestStage4IndexTerms(t *testing.T) {
+	pcIndexed := func(index int64) *oelf.Binary {
+		var code []byte
+		code, _ = isa.Encode(code, isa.Inst{Op: isa.OpCFILabel})
+		if index >= 0 {
+			code, _ = isa.Encode(code, isa.Inst{Op: isa.OpMovRI, R1: isa.R1, Imm: index})
+		}
+		next := len(code) + isa.EncodedLen(isa.OpStore)
+		dBegin := int32(oelf.CodeSpan(64)+oelf.GuardSize) - int32(next) // code stays under a page
+		m := isa.MemRef{Base: isa.RegPC, Index: isa.R1, Scale: 8, Disp: dBegin}
+		code, _ = isa.Encode(code, isa.Inst{Op: isa.OpStore, R1: isa.R2, Mem: m})
+		return oelf.FromImage("x", &oelf.Image{Code: jmpToStart(code), BSS: 64, GuardSize: oelf.GuardSize})
+	}
+	if err := New(testKey).Verify(pcIndexed(0)); err != nil {
+		t.Fatalf("store at D.begin through pc + 0*8 rejected: %v", err)
+	}
+	if err := New(testKey).Verify(pcIndexed(-1)); err == nil || stageOf(t, err) != 4 {
+		t.Fatalf("store through pc + r1*8 with r1 unknown: err = %v, want stage 4", err)
+	}
+
+	var code []byte
+	code, _ = isa.Encode(code, isa.Inst{Op: isa.OpCFILabel})
+	code, _ = isa.Encode(code, isa.Inst{Op: isa.OpStore, R1: isa.R2,
+		Mem: isa.MemRef{Base: isa.RegNone, Index: isa.R1, Scale: 8}})
+	bin := oelf.FromImage("x", &oelf.Image{Code: jmpToStart(code), GuardSize: oelf.GuardSize})
+	if err := New(testKey).Verify(bin); err == nil || stageOf(t, err) != 4 {
+		t.Fatalf("store through r1*8 with no base: err = %v, want stage 4", err)
 	}
 }
 
@@ -351,7 +386,7 @@ func TestStage4AcceptsGuardedStore(t *testing.T) {
 	code, _ = isa.Encode(code, isa.Inst{Op: isa.OpBndCUM, Bnd: isa.BND0, Mem: isa.Mem(isa.R1, 0)})
 	code, _ = isa.Encode(code, isa.Inst{Op: isa.OpStore, R1: isa.R2, Mem: isa.Mem(isa.R1, 0)})
 	code = jmpToStart(code)
-	bin := oelf.FromImage("x", &asm.Image{Code: code, GuardSize: asm.DefaultGuardSize})
+	bin := oelf.FromImage("x", &oelf.Image{Code: code, GuardSize: oelf.GuardSize})
 	if err := New(testKey).Verify(bin); err != nil {
 		t.Fatalf("guarded store rejected: %v", err)
 	}
@@ -377,9 +412,9 @@ func TestFuzzMutationsNeverPanic(t *testing.T) {
 	}
 }
 
-func TestVerifierIndependentOfToolchain(t *testing.T) {
-	// The verifier accepts compliant binaries regardless of origin:
-	// hand-written instrumented code (not produced by Instrument).
+// handmade is a compliant binary written without the toolchain: raw
+// encoded instructions in an oelf.Image, no asm types and no Instrument.
+func handmade() *oelf.Binary {
 	var code []byte
 	code, _ = isa.Encode(code, isa.Inst{Op: isa.OpCFILabel})
 	code, _ = isa.Encode(code, isa.Inst{Op: isa.OpMovRI, R1: isa.R2, Imm: 1})
@@ -389,10 +424,51 @@ func TestVerifierIndependentOfToolchain(t *testing.T) {
 	// Redundant-by-refinement second store within guard slack.
 	code, _ = isa.Encode(code, isa.Inst{Op: isa.OpStore, R1: isa.R2, Mem: isa.Mem(isa.R5, 24)})
 	code = jmpToStart(code)
-	bin := oelf.FromImage("handmade", &asm.Image{Code: code, GuardSize: asm.DefaultGuardSize})
-	if err := New(testKey).Verify(bin); err != nil {
+	return oelf.FromImage("handmade", &oelf.Image{Code: code, GuardSize: oelf.GuardSize})
+}
+
+func TestVerifierIndependentOfToolchain(t *testing.T) {
+	// The verifier accepts compliant binaries regardless of origin:
+	// hand-written instrumented code (not produced by Instrument).
+	if err := New(testKey).Verify(handmade()); err != nil {
 		t.Fatalf("hand-made compliant binary rejected: %v", err)
 	}
+}
+
+// FuzzVerify feeds the verifier arbitrary images — code, data, BSS,
+// entry and guard size — seeded with the instrumented workload and the
+// hand-made binary. Every input gets a verdict that does not panic and
+// does not change between two calls (nor does its error text); a
+// rejection is a *Error naming stage 0–4; and an accepted binary still
+// verifies after Marshal and Unmarshal. The image's fields are fuzzed
+// rather than its encoding so that mutations reach the four stages
+// instead of the OELF parser, which has tests of its own.
+func FuzzVerify(f *testing.F) {
+	for _, bin := range []*oelf.Binary{compile(f, workload(f), true), handmade()} {
+		im := bin.Image
+		f.Add(im.Code, im.Data, im.BSS, im.Entry, im.GuardSize)
+	}
+	v := New(testKey)
+	f.Fuzz(func(t *testing.T, code, data []byte, bss, entry, guard uint32) {
+		bin := oelf.FromImage("fuzz", &oelf.Image{Code: code, Data: data, BSS: bss, Entry: entry, GuardSize: guard})
+		err1, err2 := v.Verify(bin), v.Verify(bin)
+		if fmt.Sprint(err1) != fmt.Sprint(err2) {
+			t.Fatalf("verdict changed between two calls: %v, then %v", err1, err2)
+		}
+		if err1 != nil {
+			if ve, ok := err1.(*Error); !ok || ve.Stage < 0 || ve.Stage > 4 {
+				t.Fatalf("rejection %v (%T) is not a *verifier.Error of stage 0-4", err1, err1)
+			}
+			return
+		}
+		again, err := oelf.Unmarshal(bin.Marshal())
+		if err != nil {
+			t.Fatalf("accepted binary does not unmarshal after Marshal: %v", err)
+		}
+		if err := v.Verify(again); err != nil {
+			t.Fatalf("accepted binary rejected after Marshal and Unmarshal: %v", err)
+		}
+	})
 }
 
 func BenchmarkVerify(b *testing.B) {

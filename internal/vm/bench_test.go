@@ -15,11 +15,12 @@ import (
 
 	"repro/internal/asm"
 	"repro/internal/isa"
+	"repro/internal/oelf"
 )
 
 // runToTrap drives one warm CPU through the program once per benchmark
 // iteration and reports ns/inst.
-func runToTrap(b *testing.B, img *asm.Image) {
+func runToTrap(b *testing.B, img *oelf.Image) {
 	c := loadImage(b, img, 4096)
 	entry := c.PC
 	sp := c.Regs[isa.SP]
@@ -161,7 +162,7 @@ func TestTraceSpeedupRegression(t *testing.T) {
 		"callret":   1.87 * 0.8,
 		"multiloop": 1.88 * 0.8,
 	}
-	imgs := map[string]*asm.Image{
+	imgs := map[string]*oelf.Image{
 		"hotloop": build(t, func(bb *asm.Builder) {
 			bb.Entry("_start")
 			bb.MovRI(isa.R0, 0)
@@ -202,7 +203,7 @@ func TestTraceSpeedupRegression(t *testing.T) {
 			bb.Trap()
 		}),
 	}
-	measure := func(img *asm.Image, on bool) float64 {
+	measure := func(img *oelf.Image, on bool) float64 {
 		old := tracesEnabled
 		tracesEnabled = on
 		defer func() { tracesEnabled = old }()

@@ -15,11 +15,12 @@ import (
 	"repro/internal/asm"
 	"repro/internal/isa"
 	"repro/internal/mem"
+	"repro/internal/oelf"
 )
 
 // hotLoopImage is the canonical promotable program: a self-looping
 // 4-instruction body run trips times, then a trap.
-func hotLoopImage(t *testing.T, trips int64) *asm.Image {
+func hotLoopImage(t *testing.T, trips int64) *oelf.Image {
 	return build(t, func(b *asm.Builder) {
 		b.Entry("_start")
 		b.MovRI(isa.R0, 0)

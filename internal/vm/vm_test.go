@@ -9,13 +9,14 @@ import (
 	"repro/internal/isa"
 	"repro/internal/mem"
 	"repro/internal/mpx"
+	"repro/internal/oelf"
 )
 
 // loadImage maps a linked image into fresh memory the way a loader would:
 // code RX (made RWX to mirror SGX LibOS pools where noted), a guard gap,
 // data+bss+stack RW, and a trailing guard page. It returns a CPU ready to
 // run at the entry point with SP at the top of the stack.
-func loadImage(t testing.TB, img *asm.Image, stack uint64) *CPU {
+func loadImage(t testing.TB, img *oelf.Image, stack uint64) *CPU {
 	t.Helper()
 	const base = 0x100000
 	dataSize := (img.MinDataSize() + stack + mem.PageSize - 1) / mem.PageSize * mem.PageSize
@@ -40,7 +41,7 @@ func loadImage(t testing.TB, img *asm.Image, stack uint64) *CPU {
 	return c
 }
 
-func build(t testing.TB, f func(b *asm.Builder)) *asm.Image {
+func build(t testing.TB, f func(b *asm.Builder)) *oelf.Image {
 	t.Helper()
 	b := asm.NewBuilder()
 	f(b)
@@ -360,7 +361,7 @@ func TestRunawayPCFaults(t *testing.T) {
 
 // loadImageRWX is loadImage with the code region remapped writable, the
 // shape of a LibOS loader pool where code is patched in place.
-func loadImageRWX(t *testing.T, img *asm.Image, stack uint64) *CPU {
+func loadImageRWX(t *testing.T, img *oelf.Image, stack uint64) *CPU {
 	t.Helper()
 	c := loadImage(t, img, stack)
 	if err := c.Mem.Map(c.Mem.Base(), img.CodeSpan(), mem.PermRWX); err != nil {

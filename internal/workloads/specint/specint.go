@@ -19,6 +19,7 @@ import (
 	"repro/internal/mem"
 	"repro/internal/mmdsfi"
 	"repro/internal/mpx"
+	"repro/internal/oelf"
 	"repro/internal/vm"
 )
 
@@ -169,7 +170,7 @@ func Build(r Recipe, iters int) (*asm.Program, error) {
 // Run executes a linked kernel image on a bare MMDSFI domain and returns
 // the retired instruction count. Instrumented and plain images run on the
 // identical layout, so cycle ratios are directly comparable.
-func Run(img *asm.Image) (uint64, error) {
+func Run(img *oelf.Image) (uint64, error) {
 	const base = 0x100000
 	const domID = 1
 	dSize := (img.MinDataSize() + 64<<10 + mem.PageSize - 1) / mem.PageSize * mem.PageSize
