@@ -2,6 +2,9 @@ package libos
 
 import "repro/internal/vm"
 
+// ScrubWindow is how many blocks one idle-hook call scrubs.
+const ScrubWindow = scrubWindow
+
 // Domain returns the i-th domain (0-based), for tests that look at its
 // layout. Its exported fields never change after Boot.
 func (o *Occlum) Domain(i int) *Domain { return o.domains[i] }

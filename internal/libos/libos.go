@@ -345,8 +345,9 @@ func Boot(platform *sgx.Platform, host *hostos.Host, cfg Config) (*Occlum, error
 }
 
 // scrubWindow is how many blocks one idle-hook call scrubs — small
-// enough that a freshly enqueued SIP waits at most one window behind
-// background verification.
+// enough that a freshly enqueued SIP, or a host goroutine a SIP's exit
+// readied (one blocked in Wait), waits at most one window behind
+// background verification: the hart yields the processor after each.
 const scrubWindow = 32
 
 func (o *Occlum) mountFilesystems() error {

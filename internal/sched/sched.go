@@ -47,6 +47,7 @@
 package sched
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -313,9 +314,11 @@ func (s *Scheduler) Snapshot() Snapshot {
 
 // SetIdle registers fn as the scheduler's idle-time background hook. A
 // hart that finds the run queue empty calls fn before committing to
-// sleep; fn returns true when it did some work — the hart then re-checks
-// the queue instead of sleeping, so background work never delays a
-// freshly enqueued task by more than one fn call. Calls are
+// sleep; fn returns true when it did some work — the hart then gives up
+// the processor and re-checks the queue instead of sleeping, so
+// background work never delays a freshly enqueued task, or a goroutine
+// readied off the hart (a host thread woken by a SIP's exit), by more
+// than one fn call. Calls are
 // single-flight across harts: at most one hart is ever inside fn, the
 // rest sleep as usual. When fn returns false the calling hart sleeps
 // too, so a hook that latches "nothing left to do" (like the BlockStore
@@ -393,6 +396,15 @@ func (h *hart) loop() {
 		if s.queued() == 0 {
 			s.mu.Unlock()
 			worked := s.runIdle()
+			if worked {
+				// Background work runs at idle priority: after one hook
+				// call, any goroutine that became runnable gets the
+				// processor before the next. Twice, because once in 61
+				// schedules the runtime takes the global run queue
+				// first, where Gosched has just put this hart.
+				runtime.Gosched()
+				runtime.Gosched()
+			}
 			s.mu.Lock()
 			if !worked {
 				s.sleep()

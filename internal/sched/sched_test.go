@@ -414,3 +414,51 @@ func TestRunQueueIsFIFO(t *testing.T) {
 		}
 	}
 }
+
+// armTask arms the idle hook in its only Step, then finishes.
+type armTask struct {
+	armed *atomic.Bool
+	done  chan struct{}
+}
+
+func (t *armTask) Step() Status {
+	t.armed.Store(true)
+	close(t.done)
+	return Done
+}
+
+// TestIdleHookYieldsToReadiedGoroutine: on one P, the goroutine a task
+// readied as it finished runs after at most one idle-hook call, not
+// after the hook runs dry. The hook spins 100 µs per call for 30 calls
+// (3 ms, under Go's 10 ms forced preemption), so only the hart giving
+// up the processor between calls lets the waiter in early. Not
+// parallel: it changes GOMAXPROCS.
+func TestIdleHookYieldsToReadiedGoroutine(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	s := New(1)
+	defer s.Stop()
+
+	const budget = 30
+	var armed atomic.Bool
+	var calls atomic.Int64
+	s.SetIdle(func() bool {
+		if !armed.Load() || calls.Load() >= budget {
+			return false
+		}
+		for t0 := time.Now(); time.Since(t0) < 100*time.Microsecond; {
+		}
+		calls.Add(1)
+		return true
+	})
+
+	done := make(chan struct{})
+	s.Go(&armTask{armed: &armed, done: done})
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("task never finished")
+	}
+	if n := calls.Load(); n > 1 {
+		t.Fatalf("waiter ran after %d idle-hook calls, want <= 1", n)
+	}
+}
