@@ -1,0 +1,463 @@
+package archtest
+
+import (
+	"go/ast"
+	"go/token"
+	"path"
+	"regexp"
+	"slices"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// site is one place a rule found: a file and the function around it.
+type site struct {
+	file, fn string
+}
+
+// refs returns the non-test sites in the module that use the function
+// pkgRel.name: any qualified reference from another package, and a call
+// by its bare name inside its own package.
+func (tr *tree) refs(pkgRel, name string) []site {
+	target := path.Join(module, pkgRel)
+	var out []site
+	for _, p := range tr.pkgs {
+		eachNode(p.files, func(f *srcFile, fd *ast.FuncDecl, n ast.Node) {
+			hit := false
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				hit = f.isQualified(n, target, name)
+			case *ast.CallExpr:
+				id, ok := n.Fun.(*ast.Ident)
+				hit = ok && p.path == target && id.Name == name
+			}
+			if hit {
+				out = append(out, site{f.name, funcName(fd)})
+			}
+		})
+	}
+	slices.SortFunc(out, func(a, b site) int { return strings.Compare(a.file+a.fn, b.file+b.fn) })
+	return out
+}
+
+// TestOneCPUPerDomain: a domain's CPU is made in one place, the warm
+// slot's allocDomain; a second vm.New in the LibOS would hand a SIP a
+// CPU the slot does not own.
+func TestOneCPUPerDomain(t *testing.T) {
+	tr := load(t)
+	var inLibOS []site
+	for _, s := range tr.refs("internal/vm", "New") {
+		if path.Dir(s.file) == "internal/libos" {
+			inLibOS = append(inLibOS, s)
+		}
+	}
+	if want := []site{{"internal/libos/libos.go", "(*Occlum).allocDomain"}}; !slices.Equal(inLibOS, want) {
+		t.Errorf("vm.New in internal/libos at %v, want only %v", inLibOS, want)
+	}
+}
+
+// TestOneBaselineKernel: the goroutine-per-process kernel exists once.
+// Only the LibOS and internal/baseline build a syscall table, and
+// neither Table-1 model grows back a process table, a pid counter, or
+// a run loop, trap entry, exit, wait4 or futex of its own.
+func TestOneBaselineKernel(t *testing.T) {
+	tr := load(t)
+	var pkgs []string
+	for _, s := range tr.refs("internal/sysdispatch", "NewTable") {
+		pkgs = append(pkgs, path.Dir(s.file))
+	}
+	if want := []string{"internal/baseline", "internal/libos"}; !slices.Equal(pkgs, want) {
+		t.Errorf("sysdispatch.NewTable is used in %v, want once in each of %v", pkgs, want)
+	}
+	kernelMethods := []string{"run", "exit", "syscall", "wait4", "sysFutex"}
+	pidCounter := regexp.MustCompile(`(?i)pid`)
+	for _, rel := range []string{"internal/linuxsim", "internal/eip"} {
+		p := tr.pkg(t, rel)
+		for _, f := range p.files {
+			var pidNames []*ast.Ident
+			ast.Inspect(f.ast, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.FuncDecl:
+					if n.Recv != nil && slices.Contains(kernelMethods, n.Name.Name) {
+						t.Errorf("%s: %s is a kernel method; it belongs in internal/baseline", f.name, funcName(n))
+					}
+				case *ast.MapType:
+					if _, v := tr.core(f, n.Value); embeddedName(v) == "Proc" {
+						t.Errorf("%s: a map to Proc is a process table; it belongs in internal/baseline", f.name)
+					}
+				case *ast.Field:
+					pidNames = append(pidNames, n.Names...)
+				case *ast.ValueSpec:
+					pidNames = append(pidNames, n.Names...)
+				}
+				return true
+			})
+			for _, id := range pidNames {
+				if pidCounter.MatchString(id.Name) {
+					t.Errorf("%s: %s looks like a pid counter; it belongs in internal/baseline", f.name, id.Name)
+				}
+			}
+		}
+	}
+}
+
+// TestOneRingOwner: the bounded byte stream exists once. Only the
+// stream constructor makes a Ring, and a ring.Pool is a field of its
+// owner, never a package-level variable or held by one: recycled
+// buffers keep their old bytes, so a process-wide pool would mix trust
+// domains.
+func TestOneRingOwner(t *testing.T) {
+	tr := load(t)
+	if got, want := tr.refs("internal/ring", "New"), []site{{"internal/ring/stream.go", "newStream"}}; !slices.Equal(got, want) {
+		t.Errorf("ring.New used at %v, want only %v", got, want)
+	}
+	for _, p := range tr.pkgs {
+		for _, f := range p.files {
+			for _, d := range f.ast.Decls {
+				gd, ok := d.(*ast.GenDecl)
+				if !ok || gd.Tok != token.VAR {
+					continue
+				}
+				for _, s := range gd.Specs {
+					vs := s.(*ast.ValueSpec)
+					for i, id := range vs.Names {
+						tf, typ := f, vs.Type
+						if typ == nil && i < len(vs.Values) {
+							tf, typ, _ = tr.resultType(f, vs.Values[i])
+						}
+						if typ != nil && tr.reaches(tf, typ, "internal/ring", "Pool", map[*ast.TypeSpec]bool{}) {
+							t.Errorf("%s: package-level %s holds a ring.Pool", f.name, id.Name)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// lockRules is each table's locks: the mutexes it holds in place, by
+// field path. One lock guards each table; none holds a slice, array or
+// map of shards that carry locks of their own. objects names the
+// containers whose elements are objects with a lock of their own state,
+// one per object, not buckets of the table.
+var lockRules = []struct {
+	pkg, typ string
+	mutexes  []string
+	objects  []string
+}{
+	{"internal/sched", "Scheduler", []string{"mu"}, nil},
+	{"internal/sched", "hart", nil, nil}, // a hart takes the Scheduler's lock
+	{"internal/sysdispatch", "FDTable", []string{"mu"}, nil},
+	{"internal/libos", "epollSet", []string{"mu"}, nil},
+	// mu serves store I/O, futexMu the futex table, listenMu the port
+	// table; connBufs.mu is the buffer pool's own, and a Listener's lock
+	// guards its backlog.
+	{"internal/hostos", "Host", []string{"mu", "futexMu", "listenMu", "connBufs.mu"}, []string{"listeners"}},
+	{"internal/timers", "Queue", []string{"mu"}, nil},
+}
+
+// TestOneLockPerTable: the scheduler, the fd table, the epoll set, the
+// host's futex and port tables and the LibOS deadline heap hold exactly
+// the locks listed in lockRules, and no shard set. A second lock or a
+// shard set comes back only with the measurement that keeps it.
+func TestOneLockPerTable(t *testing.T) {
+	tr := load(t)
+	for _, r := range lockRules {
+		td, ok := tr.pkg(t, r.pkg).types[r.typ]
+		if !ok {
+			t.Errorf("%s.%s not found", r.pkg, r.typ)
+			continue
+		}
+		if got := tr.mutexes(td.file, td.spec.Type); !slices.Equal(got, r.mutexes) {
+			t.Errorf("%s.%s holds mutexes %v, want %v", r.pkg, r.typ, got, r.mutexes)
+		}
+		tr.inPlace(td.file, td.spec.Type, "", func(at string, f *srcFile, typ ast.Expr) {
+			if ef, el, ok := tr.element(f, typ); ok && !slices.Contains(r.objects, at) {
+				if cf, c := tr.core(ef, el); len(tr.mutexes(cf, c)) > 0 {
+					t.Errorf("%s.%s: %s is a set of locked shards", r.pkg, r.typ, at)
+				}
+			}
+		})
+	}
+}
+
+// TestOneRunQueue: the M:N scheduler has one FIFO run queue,
+// Scheduler.q. No other field or variable in internal/sched holds a
+// collection of tasks, so no hart owns a queue another could steal
+// from, and a task links to no other task.
+func TestOneRunQueue(t *testing.T) {
+	tr := load(t)
+	p := tr.pkg(t, "internal/sched")
+	isTask := func(f *srcFile, e ast.Expr) bool { return tr.isType(f, e, "internal/sched", "G") }
+	var queues []string
+	check := func(f *srcFile, owner string, typ ast.Expr) {
+		tr.inPlace(f, typ, owner, func(at string, f *srcFile, typ ast.Expr) {
+			if ef, el, ok := tr.element(f, typ); ok {
+				if cf, c := tr.core(ef, el); isTask(cf, c) {
+					queues = append(queues, at)
+				}
+			}
+		})
+	}
+	for _, f := range p.files {
+		for _, d := range f.ast.Decls {
+			gd, ok := d.(*ast.GenDecl)
+			if !ok {
+				continue
+			}
+			for _, s := range gd.Specs {
+				switch s := s.(type) {
+				case *ast.TypeSpec:
+					if _, isStruct := s.Type.(*ast.StructType); isStruct {
+						check(f, s.Name.Name, s.Type)
+					}
+				case *ast.ValueSpec:
+					if s.Type != nil {
+						for _, id := range s.Names {
+							check(f, id.Name, s.Type)
+						}
+					}
+				}
+			}
+		}
+	}
+	if want := []string{"Scheduler.q"}; !slices.Equal(queues, want) {
+		t.Errorf("task collections in internal/sched: %v, want only %v", queues, want)
+	}
+	g := p.types["G"]
+	for _, fld := range g.spec.Type.(*ast.StructType).Fields.List {
+		if st, ok := fld.Type.(*ast.StarExpr); ok && isTask(g.file, st.X) {
+			t.Errorf("G links to another G: an intrusive task queue")
+		}
+	}
+}
+
+// TestSyscallRecordLivesInProc: a syscall allocates nothing. The record
+// (blockedSys) is a field of Proc, reset at entry, so nothing builds one
+// on the heap; and it carries no atomic latch a stale wake callback
+// could reach through a captured pointer. TestSyscallAllocationFloor is
+// the behavioural check.
+func TestSyscallRecordLivesInProc(t *testing.T) {
+	tr := load(t)
+	p := tr.pkg(t, "internal/libos")
+	isRecord := func(e ast.Expr) bool { id, ok := e.(*ast.Ident); return ok && id.Name == "blockedSys" }
+	eachNode(p.files, func(f *srcFile, fd *ast.FuncDecl, n ast.Node) {
+		switch n := n.(type) {
+		case *ast.UnaryExpr:
+			if cl, ok := n.X.(*ast.CompositeLit); ok && n.Op == token.AND && isRecord(cl.Type) {
+				t.Errorf("%s: %s builds &blockedSys{…}", f.name, funcName(fd))
+			}
+		case *ast.CallExpr:
+			if id, ok := n.Fun.(*ast.Ident); ok && id.Name == "new" && len(n.Args) == 1 && isRecord(n.Args[0]) {
+				t.Errorf("%s: %s calls new(blockedSys)", f.name, funcName(fd))
+			}
+		}
+	})
+	td := p.types["blockedSys"]
+	if td == nil {
+		t.Fatal("blockedSys not found")
+	}
+	tr.inPlace(td.file, td.spec.Type, "", func(at string, f *srcFile, typ ast.Expr) {
+		ast.Inspect(typ, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok && f.importOf(sel.X) == "sync/atomic" {
+				t.Errorf("blockedSys.%s is atomic", at)
+			}
+			return true
+		})
+	})
+}
+
+// TestStoreNeverDropsDiskErrors: the store is fail-stop, so every
+// write-side Disk call in internal/fs hands its error on. A call to
+// WriteFileAt, RemoveFile or Sync, on any receiver, is never a bare
+// statement, never run by go or defer, and never has its error
+// assigned to _.
+func TestStoreNeverDropsDiskErrors(t *testing.T) {
+	tr := load(t)
+	writes := []string{"WriteFileAt", "RemoveFile", "Sync"}
+	isWrite := func(e ast.Expr) bool {
+		call, ok := ast.Unparen(e).(*ast.CallExpr)
+		if !ok {
+			return false
+		}
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		return ok && slices.Contains(writes, sel.Sel.Name)
+	}
+	blank := func(e ast.Expr) bool { id, ok := e.(*ast.Ident); return ok && id.Name == "_" }
+	// dropped reports whether an assignment of rhs to lhs discards the
+	// error (the last result) of a write call among rhs.
+	dropped := func(lhs []ast.Expr, rhs []ast.Expr) bool {
+		if len(rhs) == 1 {
+			return isWrite(rhs[0]) && blank(lhs[len(lhs)-1])
+		}
+		for i, r := range rhs {
+			if isWrite(r) && blank(lhs[i]) {
+				return true
+			}
+		}
+		return false
+	}
+	eachNode(tr.pkg(t, "internal/fs").files, func(f *srcFile, fd *ast.FuncDecl, n ast.Node) {
+		bad := false
+		switch n := n.(type) {
+		case *ast.ExprStmt:
+			bad = isWrite(n.X)
+		case *ast.GoStmt:
+			bad = isWrite(n.Call)
+		case *ast.DeferStmt:
+			bad = isWrite(n.Call)
+		case *ast.AssignStmt:
+			bad = dropped(n.Lhs, n.Rhs)
+		case *ast.ValueSpec:
+			lhs := make([]ast.Expr, len(n.Names))
+			for i, id := range n.Names {
+				lhs[i] = id
+			}
+			bad = len(n.Values) > 0 && dropped(lhs, n.Values)
+		}
+		if bad {
+			t.Errorf("%s: %s discards the error of a %v call", f.name, funcName(fd), writes)
+		}
+	})
+}
+
+// TestV3CipherOnlyInV3Reader: formats v4 and v5 seal with GCM. The v3
+// block cipher (cipher.NewCTR and its keystream XOR) and the labels of
+// the v3 block HMAC live only in the read-only v3 reader, test files
+// included.
+func TestV3CipherOnlyInV3Reader(t *testing.T) {
+	tr := load(t)
+	p := tr.pkg(t, "internal/fs")
+	for _, f := range append(slices.Clone(p.files), p.tests...) {
+		if f.name == "internal/fs/pfs_v3.go" {
+			continue
+		}
+		ast.Inspect(f.ast, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				if f.isQualified(n, "crypto/cipher", "NewCTR") || n.Sel.Name == "XORKeyStream" {
+					t.Errorf("%s: uses %s outside pfs_v3.go", f.name, n.Sel.Name)
+				}
+			case *ast.BasicLit:
+				if s, err := strconv.Unquote(n.Value); err == nil && n.Kind == token.STRING && (s == "enc:" || s == "mac:") {
+					t.Errorf("%s: v3 HMAC label %q outside pfs_v3.go", f.name, s)
+				}
+			}
+			return true
+		})
+	}
+}
+
+// TestWholeTableMACOnlyInRootV4: a v5 commit MACs only the stripes that
+// changed and then one MAC per stripe. A MAC over the whole table, the
+// v4 root rule, is computed once, in rootV4, which checks a v4 commit
+// at open.
+func TestWholeTableMACOnlyInRootV4(t *testing.T) {
+	tr := load(t)
+	// wholeTable reports whether e is x.table or x.table[:].
+	wholeTable := func(e ast.Expr) bool {
+		if sl, ok := e.(*ast.SliceExpr); ok && sl.Low == nil && sl.High == nil {
+			e = sl.X
+		}
+		sel, ok := e.(*ast.SelectorExpr)
+		return ok && sel.Sel.Name == "table"
+	}
+	var got []site
+	eachNode(tr.pkg(t, "internal/fs").files, func(f *srcFile, fd *ast.FuncDecl, n ast.Node) {
+		call, ok := n.(*ast.CallExpr)
+		if !ok || len(call.Args) != 1 || !wholeTable(call.Args[0]) {
+			return
+		}
+		if w, ok := call.Fun.(*ast.SelectorExpr); ok && w.Sel.Name == "Write" {
+			if m, ok := w.X.(*ast.SelectorExpr); ok && m.Sel.Name == "mac" {
+				got = append(got, site{f.name, funcName(fd)})
+			}
+		}
+	})
+	if want := []site{{"internal/fs/pfs.go", "(*BlockStore).rootV4"}}; !slices.Equal(got, want) {
+		t.Errorf("whole-table MAC at %v, want only %v", got, want)
+	}
+}
+
+// removed is each design that was measured and taken out, with the
+// declared identifiers that would bring it back: a design returns only
+// with the measurement that keeps it, in a change that edits this list.
+var removed = []struct {
+	design string
+	where  []string // directories searched, test files included
+	names  *regexp.Regexp
+}{
+	{"timer wheel", []string{"internal", "cmd"}, regexp.MustCompile(`timerwheel|cascade|numLevels|wheelFor`)},
+	{"interpreter predictors", []string{"cmd", "examples", "internal"}, regexp.MustCompile(`retSite|rasPush|icNext|WritesFlags|CanStop|callRets|retPC`)},
+	{"table shards", []string{"internal"}, regexp.MustCompile(`fdTableShards|epShards|tableShards|listenerShardFor|futexShardFor`)},
+	{"per-hart run queues", []string{"internal/sched"}, regexp.MustCompile(`steal|affinity|nextHart`)},
+}
+
+// declared returns the identifiers f declares, at any scope: functions,
+// methods, types, variables, constants, fields, parameters and labels,
+// plus its package name and import paths.
+func declared(f *ast.File) []string {
+	out := []string{f.Name.Name}
+	for _, is := range f.Imports {
+		out = append(out, is.Path.Value)
+	}
+	add := func(ids ...*ast.Ident) {
+		for _, id := range ids {
+			out = append(out, id.Name)
+		}
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncDecl:
+			add(n.Name)
+		case *ast.TypeSpec:
+			add(n.Name)
+		case *ast.ValueSpec:
+			add(n.Names...)
+		case *ast.Field:
+			add(n.Names...)
+		case *ast.LabeledStmt:
+			add(n.Label)
+		case *ast.AssignStmt:
+			if n.Tok == token.DEFINE {
+				for _, l := range n.Lhs {
+					if id, ok := l.(*ast.Ident); ok {
+						add(id)
+					}
+				}
+			}
+		case *ast.RangeStmt:
+			if n.Tok == token.DEFINE {
+				for _, e := range []ast.Expr{n.Key, n.Value} {
+					if id, ok := e.(*ast.Ident); ok {
+						add(id)
+					}
+				}
+			}
+		}
+		return true
+	})
+	return out
+}
+
+// TestRemovedDesignsStayRemoved: no file declares an identifier of a
+// design that was measured and removed.
+func TestRemovedDesignsStayRemoved(t *testing.T) {
+	tr := load(t)
+	for _, r := range removed {
+		for _, p := range tr.pkgs {
+			rel := strings.TrimPrefix(p.path, module+"/")
+			if !slices.ContainsFunc(r.where, func(w string) bool { return rel == w || strings.HasPrefix(rel, w+"/") }) {
+				continue
+			}
+			for _, f := range append(slices.Clone(p.files), p.tests...) {
+				for _, id := range declared(f.ast) {
+					if r.names.MatchString(id) {
+						t.Errorf("%s: declares %s, part of the removed %s", f.name, id, r.design)
+					}
+				}
+			}
+		}
+	}
+}

@@ -16,6 +16,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"io"
 
@@ -138,18 +139,25 @@ func (s *System) Install(tc *Toolchain, path, name string, p *asm.Program) error
 // InstallBinary places a prebuilt binary at path, creating parent
 // directories as needed.
 func (s *System) InstallBinary(path string, bin *oelf.Binary) error {
-	s.MkdirAll(parentDir(path))
+	if err := s.MkdirAll(parentDir(path)); err != nil {
+		return err
+	}
 	return s.OS.InstallBinary(path, bin)
 }
 
 // MkdirAll creates the directory path and its missing parents on the
-// LibOS filesystem.
-func (s *System) MkdirAll(path string) {
+// LibOS filesystem. It returns the first error other than fs.ErrExist.
+func (s *System) MkdirAll(path string) error {
 	if path == "" || path == "/" {
-		return
+		return nil
 	}
-	s.MkdirAll(parentDir(path))
-	_ = s.OS.VFS().Mkdir(path)
+	if err := s.MkdirAll(parentDir(path)); err != nil {
+		return err
+	}
+	if err := s.OS.VFS().Mkdir(path); err != nil && !errors.Is(err, fs.ErrExist) {
+		return err
+	}
+	return nil
 }
 
 func parentDir(p string) string {
@@ -163,7 +171,9 @@ func parentDir(p string) string {
 // WriteFile writes a plain file into the LibOS encrypted filesystem
 // (image preparation), creating parent directories as needed.
 func (s *System) WriteFile(path string, data []byte) error {
-	s.MkdirAll(parentDir(path))
+	if err := s.MkdirAll(parentDir(path)); err != nil {
+		return err
+	}
 	f, err := s.OS.VFS().Open(path, fs.OWrOnly|fs.OCreate|fs.OTrunc)
 	if err != nil {
 		return err

@@ -3,10 +3,12 @@ package core_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/asm"
 	"repro/internal/core"
+	"repro/internal/fs"
 	"repro/internal/libos"
 	"repro/internal/mmdsfi"
 	"repro/internal/oelf"
@@ -102,5 +104,33 @@ func TestWriteReadFile(t *testing.T) {
 	got, err := sys.ReadFile("/a/b/c/file.txt")
 	if err != nil || string(got) != "nested" {
 		t.Fatalf("got %q, %v", got, err)
+	}
+}
+
+// TestWriteFileReportsWhyItsDirectoryIsMissing fills the inode table and
+// checks that WriteFile into a new directory returns the Mkdir's
+// fs.ErrFull, not the fs.ErrNotExist of the Open that follows it.
+func TestWriteFileReportsWhyItsDirectoryIsMissing(t *testing.T) {
+	sys, err := core.BootSystem(core.SystemConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.OS.Shutdown()
+	if err := sys.WriteFile("/a/f", nil); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; ; i++ {
+		err := sys.WriteFile(fmt.Sprintf("/f%d", i), nil)
+		if errors.Is(err, fs.ErrFull) {
+			break
+		} else if err != nil {
+			t.Fatalf("filling the inode table: %v", err)
+		}
+	}
+	if err := sys.WriteFile("/d/f", []byte("x")); !errors.Is(err, fs.ErrFull) {
+		t.Fatalf("WriteFile with the inode table full: %v, want fs.ErrFull", err)
+	}
+	if err := sys.MkdirAll("/a"); err != nil {
+		t.Fatalf("MkdirAll of an existing directory: %v", err)
 	}
 }

@@ -575,7 +575,9 @@ func TestRenameSyscall(t *testing.T) {
 	if err := sys.WriteFile("/w/victim", []byte("to be replaced")); err != nil {
 		t.Fatal(err)
 	}
-	sys.MkdirAll("/w2")
+	if err := sys.MkdirAll("/w2"); err != nil {
+		t.Fatal(err)
+	}
 
 	prog := buildProg(t, func(b *asm.Builder) {
 		b.String("orig", "/w/orig")
