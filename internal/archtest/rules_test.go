@@ -2,8 +2,12 @@ package archtest
 
 import (
 	"go/ast"
+	"go/parser"
 	"go/token"
+	"io/fs"
+	"os"
 	"path"
+	"path/filepath"
 	"regexp"
 	"slices"
 	"strconv"
@@ -457,6 +461,77 @@ func TestRemovedDesignsStayRemoved(t *testing.T) {
 						t.Errorf("%s: declares %s, part of the removed %s", f.name, id, r.design)
 					}
 				}
+			}
+		}
+	}
+}
+
+// asmFiles are the module's only assembly files: the RS kernel's vector
+// leaves and the CPUID/XGETBV probe that picks them. Everything else is
+// portable Go.
+var asmFiles = []string{"internal/fs/rs_amd64.s"}
+
+// TestAssemblyOnlyInRSKernel: the module's .s files are exactly
+// asmFiles, and every TEXT symbol in one is declared, without a body, by
+// a non-test _amd64.go file of its package — so no assembly hides from
+// the Go side, and the portable build (!amd64) has to stand without it.
+func TestAssemblyOnlyInRSKernel(t *testing.T) {
+	root, err := repoRoot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var found []string
+	err = filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(root, p)
+		rel = filepath.ToSlash(rel)
+		base := d.Name()
+		if d.IsDir() && rel != "." && (base == "testdata" || base == "benchmarks" || strings.HasPrefix(base, ".") || strings.HasPrefix(base, "_")) {
+			return filepath.SkipDir
+		}
+		if !d.IsDir() && strings.HasSuffix(base, ".s") {
+			found = append(found, rel)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(found, asmFiles) {
+		t.Errorf("assembly files %v, want only %v", found, asmFiles)
+	}
+
+	text := regexp.MustCompile(`(?m)^TEXT\s+·(\w+)\(SB\)`)
+	for _, rel := range found {
+		src, err := os.ReadFile(filepath.Join(root, rel))
+		if err != nil {
+			t.Fatal(err)
+		}
+		decls := make(map[string]bool)
+		gofiles, _ := filepath.Glob(filepath.Join(root, path.Dir(rel), "*_amd64.go"))
+		for _, gf := range gofiles {
+			if strings.HasSuffix(gf, "_test.go") {
+				continue
+			}
+			af, err := parser.ParseFile(token.NewFileSet(), gf, nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, d := range af.Decls {
+				if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv == nil && fd.Body == nil {
+					decls[fd.Name.Name] = true
+				}
+			}
+		}
+		syms := text.FindAllStringSubmatch(string(src), -1)
+		if len(syms) == 0 {
+			t.Errorf("%s: no TEXT symbol", rel)
+		}
+		for _, m := range syms {
+			if !decls[m[1]] {
+				t.Errorf("%s: TEXT ·%s has no body-less declaration in a non-test _amd64.go file of its package", rel, m[1])
 			}
 		}
 	}

@@ -71,7 +71,10 @@ func rsGoldenDigest(t *testing.T, k, m, size int) string {
 	return hex.EncodeToString(sum.Sum(nil))
 }
 
-func TestRSGoldenBytes(t *testing.T) {
+// TestRSGoldenBytes holds the hashes on every leaf (eachLeaf).
+func TestRSGoldenBytes(t *testing.T) { eachLeaf(t, testRSGoldenBytes) }
+
+func testRSGoldenBytes(t *testing.T) {
 	for _, g := range []struct {
 		k, m, size int
 		want       string
@@ -135,7 +138,10 @@ func storeGoldenDigest(t *testing.T, k, m int) string {
 	return hex.EncodeToString(sum.Sum(nil))
 }
 
-func TestStoreGoldenImage(t *testing.T) {
+// TestStoreGoldenImage holds the hashes on every leaf (eachLeaf).
+func TestStoreGoldenImage(t *testing.T) { eachLeaf(t, testStoreGoldenImage) }
+
+func testStoreGoldenImage(t *testing.T) {
 	for _, g := range []struct {
 		k, m int
 		want string

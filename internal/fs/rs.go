@@ -16,8 +16,10 @@ import (
 // parity can repair accidental corruption but cannot launder tampered
 // data into "recovered" data.
 
-// GF(2^8) with the AES-standard reduction polynomial x^8+x^4+x^3+x+1
-// (0x11D with the implicit x^8).
+// GF(2^8) with the reduction polynomial x^8+x^4+x^3+x^2+1 (0x11D, the
+// x^8 term included), the usual one for Reed–Solomon codes; AES's field
+// uses x^8+x^4+x^3+x+1 (0x11B). Every parity byte on disk depends on it
+// (TestRSGoldenBytes).
 const gfPoly = 0x11D
 
 var (
@@ -60,14 +62,24 @@ func gfInv(a byte) byte {
 // output rows. (A lone last row leaves the high byte zero.)
 type pairTab [256]uint16
 
+// nibBlock is a block's products split by nibble for the vector leaves:
+// for column j and row r of the pair, [j][r][0] holds c·i and [j][r][1]
+// holds c·(i<<4) for i < 16, so c·x = [0][x&15] ^ [1][x>>4]. Each table
+// is repeated in both 16-byte halves, one per 128-bit lane of a
+// VPSHUFB. The entries are read from the block's pairTabs, so the two
+// leaves share one source of coefficients.
+type nibBlock [4][2][2][32]byte
+
 // gfTables is a coefficient matrix compiled for mul: per pair of rows,
-// the columns in blocks of four pairTabs. The first block takes the
-// cols mod 4 columns that do not fill a block (zero tables pad three
-// columns up to four), so every later block is full.
+// the columns in blocks of four pairTabs, and the same products split
+// by nibble for the vector leaves. The first block takes the cols mod 4
+// columns that do not fill a block (zero tables pad three columns up to
+// four), so every later block is full.
 type gfTables struct {
 	rows  int
 	first int            // columns in each pair's first block, 1..4
 	pairs [][][4]pairTab // pairs[r/2][block]
+	nibs  [][]nibBlock   // nibs[r/2][block]
 }
 
 // newGFTables compiles mat (rows × cols coefficients).
@@ -75,9 +87,10 @@ func newGFTables(mat [][]byte) *gfTables {
 	rows, cols := len(mat), len(mat[0])
 	nb := (cols + 3) / 4
 	first := cols - 4*(nb-1)
-	t := &gfTables{rows: rows, first: first, pairs: make([][][4]pairTab, (rows+1)/2)}
+	np := (rows + 1) / 2
+	t := &gfTables{rows: rows, first: first, pairs: make([][][4]pairTab, np), nibs: make([][]nibBlock, np)}
 	for p := range t.pairs {
-		t.pairs[p] = make([][4]pairTab, nb)
+		t.pairs[p], t.nibs[p] = make([][4]pairTab, nb), make([]nibBlock, nb)
 	}
 	for r, row := range mat {
 		for d, c := range row {
@@ -91,8 +104,30 @@ func newGFTables(mat [][]byte) *gfTables {
 			}
 		}
 	}
+	for p, blks := range t.pairs {
+		for b := range blks {
+			nib := &t.nibs[p][b]
+			for j, tab := range &blks[b] {
+				for i := 0; i < 16; i++ {
+					lo, hi := tab[i], tab[i<<4]
+					for _, at := range [2]int{i, 16 + i} {
+						nib[j][0][0][at], nib[j][0][1][at] = byte(lo), byte(hi)
+						nib[j][1][0][at], nib[j][1][1][at] = byte(lo>>8), byte(hi>>8)
+					}
+				}
+			}
+		}
+	}
 	return t
 }
+
+// vectorLeaves says whether the four-column passes run the vector leaves
+// (rs_amd64.s) over the longest multiple of vecWidth bytes. It is set
+// once, at init, from the CPU; only the package's tests clear it, to run
+// the portable leaves on the same machine. Nothing else chooses a leaf.
+var vectorLeaves = hasAVX2()
+
+const vecWidth = 32 // byte positions per step of a vector leaf
 
 // mul is the one multiply kernel: out[r] = Σ_d mat[r][d]·in[d] over
 // GF(2^8), for equal-length shards. A pass folds up to four inputs into
@@ -115,7 +150,7 @@ func (t *gfTables) mul(in, out [][]byte) {
 		last = in[3]
 	}
 	for r := 0; r < t.rows; r += 2 {
-		blk := t.pairs[r/2]
+		blk, nib := t.pairs[r/2], t.nibs[r/2]
 		if r+1 < t.rows {
 			switch t.first {
 			case 1:
@@ -123,10 +158,10 @@ func (t *gfTables) mul(in, out [][]byte) {
 			case 2:
 				set2x2(&blk[0], in[0], in[1], out[r], out[r+1])
 			default:
-				set4x2(&blk[0], in[0], in[1], in[2], last, out[r], out[r+1])
+				pass4x2(true, &blk[0], &nib[0], in[0], in[1], in[2], last, out[r], out[r+1])
 			}
 			for b, d := 1, t.first; b < len(blk); b, d = b+1, d+4 {
-				xor4x2(&blk[b], in[d], in[d+1], in[d+2], in[d+3], out[r], out[r+1])
+				pass4x2(false, &blk[b], &nib[b], in[d], in[d+1], in[d+2], in[d+3], out[r], out[r+1])
 			}
 			continue
 		}
@@ -136,11 +171,39 @@ func (t *gfTables) mul(in, out [][]byte) {
 		case 2:
 			set2x1(&blk[0], in[0], in[1], out[r])
 		default:
-			set4x1(&blk[0], in[0], in[1], in[2], last, out[r])
+			pass4x1(true, &blk[0], &nib[0], in[0], in[1], in[2], last, out[r])
 		}
 		for b, d := 1, t.first; b < len(blk); b, d = b+1, d+4 {
-			xor4x1(&blk[b], in[d], in[d+1], in[d+2], in[d+3], out[r])
+			pass4x1(false, &blk[b], &nib[b], in[d], in[d+1], in[d+2], in[d+3], out[r])
 		}
+	}
+}
+
+// pass4x2 and pass4x1 are the four-column passes: set stores the sum,
+// !set XORs it into the outputs. With vectorLeaves the vector leaf takes
+// the longest multiple of vecWidth bytes and the portable leaf finishes
+// the tail; without, the portable leaf does it all.
+func pass4x2(set bool, t *[4]pairTab, n *nibBlock, s0, s1, s2, s3, o0, o1 []byte) {
+	if v := len(s0) &^ (vecWidth - 1); vectorLeaves && v > 0 {
+		vec4x2(set, n, s0[:v], s1[:v], s2[:v], s3[:v], o0[:v], o1[:v])
+		s0, s1, s2, s3, o0, o1 = s0[v:], s1[v:], s2[v:], s3[v:], o0[v:], o1[v:]
+	}
+	if set {
+		set4x2(t, s0, s1, s2, s3, o0, o1)
+	} else {
+		xor4x2(t, s0, s1, s2, s3, o0, o1)
+	}
+}
+
+func pass4x1(set bool, t *[4]pairTab, n *nibBlock, s0, s1, s2, s3, o0 []byte) {
+	if v := len(s0) &^ (vecWidth - 1); vectorLeaves && v > 0 {
+		vec4x1(set, n, s0[:v], s1[:v], s2[:v], s3[:v], o0[:v])
+		s0, s1, s2, s3, o0 = s0[v:], s1[v:], s2[v:], s3[v:], o0[v:]
+	}
+	if set {
+		set4x1(t, s0, s1, s2, s3, o0)
+	} else {
+		xor4x1(t, s0, s1, s2, s3, o0)
 	}
 }
 

@@ -149,7 +149,7 @@ func (h *Host) Sync(string) error { return nil }
 func (h *Host) WriteFileAt(name string, off int, p []byte) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	f := h.files[name]
+	f, ok := h.files[name]
 	if need := off + len(p); need > len(f) {
 		// Capacity grows geometrically (at most 25 % slack), so a file
 		// built by ascending writes is copied O(1) times per byte, not
@@ -167,9 +167,12 @@ func (h *Host) WriteFileAt(name string, off int, p []byte) error {
 				clear(f[old:off])
 			}
 		}
+		ok = false // the map holds the old length
 	}
 	copy(f[off:], p)
-	h.files[name] = f
+	if !ok {
+		h.files[name] = f // an overwrite in place shares the map's backing array
+	}
 	return nil
 }
 

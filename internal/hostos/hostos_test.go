@@ -76,6 +76,47 @@ func TestWriteFileAtGrowthIsAmortised(t *testing.T) {
 	}
 }
 
+// TestWriteFileAtReadsBack: WriteFileAt stores the file back into the
+// map only when it was absent or grew, so each kind of write is checked
+// against a plain model of the file: an overwrite in place, a growing
+// write, a sparse write past the end, and an empty write that creates a
+// file.
+func TestWriteFileAtReadsBack(t *testing.T) {
+	h := New()
+	var model []byte
+	write := func(what string, off int, p []byte) {
+		t.Helper()
+		if err := h.WriteFileAt("f", off, p); err != nil {
+			t.Fatal(err)
+		}
+		if need := off + len(p); need > len(model) {
+			model = append(model, make([]byte, need-len(model))...)
+		}
+		copy(model[off:], p)
+		got, err := h.ReadFile("f")
+		if err != nil || !bytes.Equal(got, model) || h.FileSize("f") != len(model) {
+			t.Fatalf("after %s: read %d bytes (%v), size %d, want the model's %d", what, len(got), err, h.FileSize("f"), len(model))
+		}
+	}
+	write("a first write", 0, bytes.Repeat([]byte{1}, 100))
+	write("an overwrite in place", 10, bytes.Repeat([]byte{2}, 50))
+	write("an overwrite of the last byte", 99, []byte{3})
+	write("a growing write", 90, bytes.Repeat([]byte{4}, 30))
+	write("a sparse write past the end", 300, []byte{5, 6, 7})
+	write("an overwrite inside the gap", 200, []byte{8})
+	write("a growing write inside the capacity", 303, []byte{9})
+
+	if _, err := h.ReadFile("empty"); err == nil {
+		t.Fatal(`"empty" exists before its first write`)
+	}
+	if err := h.WriteFileAt("empty", 0, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := h.ReadFile("empty"); err != nil || len(got) != 0 {
+		t.Fatalf("an empty write to a new name: read %q, %v; want an empty file", got, err)
+	}
+}
+
 func TestFutex(t *testing.T) {
 	h := New()
 	const key = 0x1000
