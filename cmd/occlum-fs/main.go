@@ -12,13 +12,13 @@
 //	repair   rebuild every damaged or missing shard — including an
 //	         entire deleted backing file — from Reed–Solomon parity
 //	fsck     full metadata check of the encrypted filesystem on top
-//	upgrade  copy the store SRC, in any format, block by block into a new
-//	         current-format store DST (a v3 store is read-only until then)
 //
 // Usage:
 //
 //	occlum-fs [-image occlum.img] [-key seed] info|scrub|repair|fsck
-//	occlum-fs [-key seed] upgrade SRC DST
+//
+// A store in an on-disk format older than v5 fails to open with an error
+// that wraps fs.ErrOldFormat.
 package main
 
 import (
@@ -33,7 +33,7 @@ import (
 	"repro/internal/hostos"
 )
 
-const usage = "usage: occlum-fs [-image occlum.img] [-key seed] info|scrub|repair|fsck\n       occlum-fs [-key seed] upgrade SRC DST"
+const usage = "usage: occlum-fs [-image occlum.img] [-key seed] info|scrub|repair|fsck"
 
 // errUsage reports a malformed command line (exit status 2).
 var errUsage = errors.New(usage)
@@ -56,19 +56,12 @@ func run(args []string, stdout io.Writer) error {
 	if err := flags.Parse(args); err != nil {
 		return errUsage
 	}
-	key := fs.KeyFromString(*keySeed)
-	if flags.Arg(0) == "upgrade" {
-		if flags.NArg() != 3 {
-			return errUsage
-		}
-		return upgrade(flags.Arg(1), flags.Arg(2), key, stdout)
-	}
 	if flags.NArg() != 1 {
 		return errUsage
 	}
 	mode := flags.Arg(0)
 
-	store, disk, err := open(*image, key)
+	store, disk, err := open(*image, fs.KeyFromString(*keySeed))
 	if err != nil {
 		return err
 	}
@@ -76,9 +69,8 @@ func run(args []string, stdout io.Writer) error {
 	switch mode {
 	case "info":
 		k, m := store.Geometry()
-		version, cipher := store.Format()
-		fmt.Fprintf(stdout, "%s: format v%d, %s, %d+%d striped store, epoch %d, %d blocks max\n",
-			*image, version, cipher, k, m, store.Epoch(), store.MaxBlocks())
+		fmt.Fprintf(stdout, "%s: format v5, AES-128-GCM, %d+%d striped store, epoch %d, %d blocks max\n",
+			*image, k, m, store.Epoch(), store.MaxBlocks())
 		for _, f := range store.BackingFiles() {
 			size := disk.FileSize(f)
 			health := "ok"
@@ -127,26 +119,4 @@ func open(image string, key fs.Key) (*fs.BlockStore, hostos.Dir, error) {
 		return nil, "", fmt.Errorf("open %s: %w", image, err)
 	}
 	return store, disk, nil
-}
-
-// upgrade copies the store src into a new store dst. The copy is never
-// in place, and dst must not exist: creating it removes what it held.
-func upgrade(src, dst string, key fs.Key, stdout io.Writer) error {
-	store, _, err := open(src, key)
-	if err != nil {
-		return err
-	}
-	disk, name := hostos.Dir(filepath.Dir(dst)), filepath.Base(dst)
-	if fs.StoreExists(disk, name) {
-		return fmt.Errorf("upgrade: %s.s* exists; the copy goes to a new store", dst)
-	}
-	from, _ := store.Format()
-	out, copied, err := fs.Upgrade(store, disk, name, key)
-	if err != nil {
-		return err
-	}
-	to, cipher := out.Format()
-	fmt.Fprintf(stdout, "%s (format v%d) -> %s (format v%d, %s): %d blocks copied, epoch %d\n",
-		src, from, dst, to, cipher, copied, out.Epoch())
-	return nil
 }

@@ -74,105 +74,68 @@ func TestRepairRebuildsDeletedFileOnDisk(t *testing.T) {
 	}
 }
 
-// copyFixture copies the fs package's fixture store testdata/<version>
-// to real files in a new temp dir, and returns the dir and the files it
-// copied from.
-func copyFixture(t *testing.T, version string) (dir string, fixture []string) {
+// newStoreOnDisk writes a committed 4+2 store named img, holding an
+// empty filesystem, to real files in a new temp dir, and returns the dir.
+func newStoreOnDisk(t *testing.T) string {
 	t.Helper()
-	dir = t.TempDir()
-	fixture, err := filepath.Glob("../../internal/fs/testdata/" + version + "/" + version + ".img.s*")
-	if err != nil || len(fixture) != 6 {
-		t.Fatalf("%s fixture: %d files (%v)", version, len(fixture), err)
-	}
-	for _, p := range fixture {
-		data, err := os.ReadFile(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, filepath.Base(p)), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return dir, fixture
-}
-
-// assertUnchanged requires the copies in dir of the fixture's files to
-// be byte-identical to them.
-func assertUnchanged(t *testing.T, dir string, fixture []string, what string) {
-	t.Helper()
-	for _, p := range fixture {
-		orig, _ := os.ReadFile(p)
-		now, err := os.ReadFile(filepath.Join(dir, filepath.Base(p)))
-		if err != nil || !bytes.Equal(orig, now) {
-			t.Fatalf("%s changed %s", what, filepath.Base(p))
-		}
-	}
-}
-
-// TestInfoAndUpgradeV3OnDisk: the package's v3 fixture, copied to real
-// files, is reported as format v3; upgrade copies it into a
-// current-format store beside it that reads block for block the same,
-// leaves the v3 files alone, and refuses to overwrite an existing store.
-func TestInfoAndUpgradeV3OnDisk(t *testing.T) {
-	dir, fixture := copyFixture(t, "v3")
-	src, dst := filepath.Join(dir, "v3.img"), filepath.Join(dir, "new.img")
-	const key = "v3-fixture"
-
-	out := runOK(t, "-key", key, "-image", src, "info")
-	if !strings.Contains(out, "format v3, AES-128-CTR + HMAC-SHA256 (read-only),") {
-		t.Fatalf("info on the v3 fixture:\n%s", out)
-	}
-	out = runOK(t, "-key", key, "upgrade", src, dst)
-	if !strings.Contains(out, "(format v3) -> "+dst+" (format v5, AES-128-GCM): 12 blocks copied") {
-		t.Fatalf("upgrade printed %q", out)
-	}
-	if out := runOK(t, "-key", key, "-image", dst, "info"); !strings.Contains(out, "format v5, AES-128-GCM,") {
-		t.Fatalf("info on the upgraded store:\n%s", out)
-	}
-	assertUnchanged(t, dir, fixture, "upgrade")
-
-	disk := hostos.Dir(dir)
-	old, err := fs.OpenStore(disk, "v3.img", fs.KeyFromString(key))
+	dir := t.TempDir()
+	store, err := fs.CreateStore(hostos.Dir(dir), "img", fs.KeyFromString("occlum-default"), 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	up, err := fs.OpenStore(disk, "new.img", fs.KeyFromString(key))
-	if err != nil {
+	if err := fs.Mkfs(store); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < old.MaxBlocks(); i++ {
-		a, err := old.ReadBlock(i)
-		if err != nil {
+	return dir
+}
+
+// readStore reads every backing file of the store img in dir.
+func readStore(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(dir, "img.s*"))
+	if err != nil || len(paths) != 6 {
+		t.Fatalf("store has %d backing files (%v), want 6", len(paths), err)
+	}
+	files := map[string][]byte{}
+	for _, p := range paths {
+		if files[p], err = os.ReadFile(p); err != nil {
 			t.Fatal(err)
 		}
-		b, err := up.ReadBlock(i)
-		if err != nil || !bytes.Equal(a, b) {
-			t.Fatalf("block %d differs after upgrade (%v)", i, err)
-		}
 	}
+	return files
+}
 
-	var buf bytes.Buffer
-	if err := run([]string{"-key", key, "upgrade", src, dst}, &buf); err == nil {
-		t.Fatal("upgrade overwrote an existing store")
+// TestInfoWritesNothing: info reports the store and leaves its files
+// byte-identical.
+func TestInfoWritesNothing(t *testing.T) {
+	dir := newStoreOnDisk(t)
+	before := readStore(t, dir)
+	out := runOK(t, "-image", filepath.Join(dir, "img"), "info")
+	if !strings.Contains(out, "format v5, AES-128-GCM, 4+2 striped store,") || strings.Count(out, "  ok\n") != 6 {
+		t.Fatalf("info:\n%s", out)
 	}
-	if err := run([]string{"upgrade", src}, &buf); !errors.Is(err, errUsage) {
-		t.Fatalf("upgrade with one path: %v, want a usage error", err)
+	for p, data := range readStore(t, dir) {
+		if !bytes.Equal(data, before[p]) {
+			t.Fatalf("info changed %s", filepath.Base(p))
+		}
 	}
 }
 
-// TestInfoV4OnDisk: the package's v4 fixture, copied to real files, is
-// reported as format v4 at its committed epoch, and info writes nothing.
-// (Its first commit migrates it to v5; fs.TestOpenV4Fixture has that.)
-func TestInfoV4OnDisk(t *testing.T) {
-	dir, fixture := copyFixture(t, "v4")
-	out := runOK(t, "-key", "v4-fixture", "-image", filepath.Join(dir, "v4.img"), "info")
-	if !strings.Contains(out, "format v4, AES-128-GCM, 4+2 striped store, epoch 4, 16 blocks max") {
-		t.Fatalf("info on the v4 fixture:\n%s", out)
+// TestInfoRefusesOldFormat: a store whose headers all name format v4 is
+// refused with an error that wraps fs.ErrOldFormat, not reported as a
+// wrong key or tampering.
+func TestInfoRefusesOldFormat(t *testing.T) {
+	dir := newStoreOnDisk(t)
+	for p, data := range readStore(t, dir) {
+		data[7] = 4 // the format byte of the header's magic
+		if err := os.WriteFile(p, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if n := strings.Count(out, "  ok\n"); n != 6 {
-		t.Fatalf("info lists %d healthy files, want 6:\n%s", n, out)
+	var out bytes.Buffer
+	if err := run([]string{"-image", filepath.Join(dir, "img"), "info"}, &out); !errors.Is(err, fs.ErrOldFormat) {
+		t.Fatalf("info on a v4 store: %v, want fs.ErrOldFormat", err)
 	}
-	assertUnchanged(t, dir, fixture, "info")
 }
 
 // TestUsageErrors: a bad command line is a usage error, and a directory
@@ -181,6 +144,9 @@ func TestUsageErrors(t *testing.T) {
 	var out bytes.Buffer
 	if err := run(nil, &out); !errors.Is(err, errUsage) {
 		t.Fatalf("no mode: %v, want a usage error", err)
+	}
+	if err := run([]string{"upgrade", "a", "b"}, &out); !errors.Is(err, errUsage) {
+		t.Fatalf("upgrade: %v, want a usage error", err)
 	}
 	err := run([]string{"-image", filepath.Join(t.TempDir(), "none"), "info"}, &out)
 	if err == nil || errors.Is(err, errUsage) {

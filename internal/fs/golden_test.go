@@ -14,9 +14,9 @@ import (
 // The RS hashes in this file were pinned on the commit before the
 // allocation-free stripe path (PR 19's tree): they hold the RS kernel's
 // output, whatever the data path does to get there. The store hashes
-// pin on-disk format v5, written with a seeded nonce source; formats v3
-// and v4 are pinned by the fixtures in testdata/v3 and testdata/v4
-// (format_test.go).
+// pin on-disk format v5, the only format the store reads, written with
+// a seeded nonce source: if one changes, the format changed, and that
+// is a new format number.
 
 // rsGoldenDigest hashes encode's output and the full shard set after
 // every single- and double-erasure reconstruct, over a seeded corpus.

@@ -16,10 +16,9 @@
 //     striped across k+m host files with Reed–Solomon parity (rs.go), so
 //     the device self-heals from the loss or rot of up to m shards per
 //     stripe — including an entire deleted backing file — without ever
-//     serving a byte that has not re-passed its tag. Stores in format v4
-//     (one root MAC over the whole table) open read-write and commit v5
-//     from their next Flush; stores in format v3 (AES-CTR + HMAC-SHA256)
-//     open read-only (pfs_v3.go).
+//     serving a byte that has not re-passed its tag. This is on-disk
+//     format v5, the only one the store reads; a store whose headers name
+//     an older format fails to open with ErrOldFormat.
 //   - EncFS (fs.go): a full Unix-like filesystem (superblock, inodes,
 //     directories, a shared page cache) built on the block store. Because
 //     a single LibOS instance owns it, it is writable and consistent
@@ -47,6 +46,7 @@ import (
 	"hash"
 	"hash/crc32"
 	"math/rand/v2"
+	"slices"
 	"sync"
 
 	"repro/internal/hostos"
@@ -104,13 +104,10 @@ const (
 	shardDataStart   = fileHeaderSize + 2*commitRecordSize // 224
 )
 
-// Formats v4 and v5 share keys, entries and layout; they differ only in
-// what a commit record's root authenticates (rootV4, rootV5), and each
-// record's MAC label says which.
-const (
-	formatV4 = 4
-	formatV5 = 5
-)
+// formatV5 is the on-disk format: the last byte of every shard file's
+// magic. Formats 3 and 4 were earlier layouts that no build reads any
+// more; openGeometry recognises them only to refuse them.
+const formatV5 = 5
 
 // pfsMagic opens every shard file's header; its last byte is the format
 // version.
@@ -120,18 +117,16 @@ var pfsMagic = [8]byte{'O', 'C', 'P', 'F', 'S', 0, 0, formatV5}
 // separate domains. Each domain's input has a fixed length, and no two
 // domains' lengths coincide.
 var (
-	labelRecord   = []byte("commit:")  // a v3 or v4 commit record
-	labelRecordV5 = []byte("commit5:") // a v5 commit record
+	labelRecordV5 = []byte("commit5:") // a commit record
 	labelStripe   = []byte("stripe")   // Mⱼ: "stripe" ‖ j ‖ table stripe j
-	labelRootV5   = []byte("root5")    // the v5 root: "root5" ‖ epoch ‖ M₀ ‖ … ‖ M_{T−1}
+	labelRootV5   = []byte("root5")    // the root: "root5" ‖ epoch ‖ M₀ ‖ … ‖ M_{T−1}
 )
 
 // Integrity errors.
 var (
-	// ErrOldFormat reports a write to a store in an older on-disk format.
-	// Such a store reads, scrubs and repairs, but its blocks can no longer
-	// be sealed; Upgrade (occlum-fs upgrade) copies it into a new one.
-	ErrOldFormat = errors.New("fs: store is in an old format and read-only (occlum-fs upgrade copies it)")
+	// ErrOldFormat reports a store whose headers name format v3 or v4
+	// and none v5. It is refused, not read as tampering or a wrong key.
+	ErrOldFormat = errors.New("fs: store is in on-disk format v3 or v4, which this build does not read")
 	// ErrCorrupt reports failed decryption or integrity verification —
 	// the untrusted host tampered with the image, or more shards are
 	// lost than the parity can reconstruct.
@@ -171,10 +166,9 @@ func KeyFromString(s string) Key {
 // mid-epoch; rewrites within the same epoch land on the same
 // (uncommitted) slot. Flush writes the version table into the A/B table
 // slot for the new epoch and then publishes it with per-file commit
-// records (epoch + root MAC, self-authenticated by an HMAC whose label
-// names the record's format): a crash cutting the write sequence at any
-// point leaves the previous committed state fully recoverable, because
-// nothing it references was touched.
+// records (epoch + root MAC, self-authenticated by an HMAC): a crash
+// cutting the write sequence at any point leaves the previous committed
+// state fully recoverable, because nothing it references was touched.
 //
 // Durability: each 4 KiB stripe (a block slot, or one table chunk) is
 // split into k data shards and m Reed–Solomon parity shards, one per
@@ -201,16 +195,9 @@ type BlockStore struct {
 	// table is the version table's image, T stripes of BlockSize: the
 	// bytes Flush writes and the root MAC covers are these.
 	table []byte
-	esize int // one entry's size: entrySize, or v3EntrySize
-	// v3 is non-nil for a store in format v3, which opens read-only.
-	v3 *v3Reader
-	// format is the format of the commit the store loaded or last made:
-	// formatV3, formatV4 (a v4 store until its next Flush commits v5) or
-	// formatV5. Records and headers the store republishes carry it.
-	format int
 	// stripeMACs holds Mⱼ for the T table stripes, sha256.Size bytes
 	// each, over the in-memory table as of the last Flush or open: what
-	// the v5 root authenticates. Flush recomputes the changed ones.
+	// the root authenticates. Flush recomputes the changed ones.
 	stripeMACs []byte
 	// epochWritten marks blocks already flipped to their shadow slot
 	// this epoch; cleared by Flush.
@@ -263,10 +250,21 @@ type BlockStore struct {
 	cell   []byte   // one outgoing cell (pad bytes stay zero)
 }
 
+// stripeGeom is a store's shape as a file header states it: k data + m
+// parity shards per stripe, and the capacity in blocks.
+type stripeGeom struct{ k, m, maxBlocks int }
+
+// newMAC is the store's keyed HMAC-SHA256, under the MAC key derived
+// from key: stripe MACs, the root MAC and commit records use it.
+func newMAC(key Key) hash.Hash {
+	macKey := sha256.Sum256(append([]byte("root:"), key[:]...))
+	return hmac.New(sha256.New, macKey[:])
+}
+
 // newStore builds the in-memory half of a store: geometry, derived keys
-// and the scratch the data path runs in. A v3 store gets the v3 verifier
-// instead of a sealing key.
-func newStore(h hostos.Disk, name string, key Key, maxBlocks, k, m int, v3 bool) (*BlockStore, error) {
+// and the scratch the data path runs in.
+func newStore(h hostos.Disk, name string, key Key, g stripeGeom) (*BlockStore, error) {
+	k, m, maxBlocks := g.k, g.m, g.maxBlocks
 	rs, err := newRS(k, m)
 	if err != nil {
 		return nil, err
@@ -280,28 +278,19 @@ func newStore(h hostos.Disk, name string, key Key, maxBlocks, k, m int, v3 bool)
 		ct:           make([]byte, BlockSize, BlockSize+tagSize),
 		pt:           make([]byte, BlockSize),
 		shards:       make([][]byte, k+m),
+		mac:          newMAC(key),
 	}
-	if v3 {
-		s.initV3(key)
-	} else {
-		// The labels differ from v3's, so no v3 record, table or
-		// ciphertext authenticates under a v4 or v5 store's keys.
-		sealKey := sha256.Sum256(append([]byte("gcm:"), key[:]...))
-		macKey := sha256.Sum256(append([]byte("root:"), key[:]...))
-		block, err := aes.NewCipher(sealKey[:16])
-		if err != nil {
-			panic(err) // key length is fixed; cannot fail
-		}
-		if s.aead, err = cipher.NewGCM(block); err != nil {
-			panic(err) // AES has GCM's block size; cannot fail
-		}
-		var seed [32]byte
-		crand.Read(seed[:]) // never fails (crypto/rand)
-		s.nonces = rand.NewChaCha8(seed)
-		s.mac = hmac.New(sha256.New, macKey[:])
-		s.esize = entrySize
-		s.format = formatV5
+	sealKey := sha256.Sum256(append([]byte("gcm:"), key[:]...))
+	block, err := aes.NewCipher(sealKey[:16])
+	if err != nil {
+		panic(err) // key length is fixed; cannot fail
 	}
+	if s.aead, err = cipher.NewGCM(block); err != nil {
+		panic(err) // AES has GCM's block size; cannot fail
+	}
+	var seed [32]byte
+	crand.Read(seed[:]) // never fails (crypto/rand)
+	s.nonces = rand.NewChaCha8(seed)
 	ss := s.shardSize()
 	s.cells = make([]byte, (k+m)*s.cellSize())
 	s.cell = make([]byte, s.cellSize())
@@ -332,27 +321,17 @@ func (s *BlockStore) fileName(f int) string { return s.names[f] }
 
 // tableStripes is the stripe count of ONE table slot.
 func (s *BlockStore) tableStripes() int {
-	return (s.maxBlocks*s.esize + BlockSize - 1) / BlockSize
+	return (s.maxBlocks*entrySize + BlockSize - 1) / BlockSize
 }
 
 // entry is block i's version-table entry: a view into the table image.
-func (s *BlockStore) entry(i int) []byte { return s.table[i*s.esize : (i+1)*s.esize] }
+func (s *BlockStore) entry(i int) []byte { return s.table[i*entrySize : (i+1)*entrySize] }
 
 // slot is the A/B stripe slot of block i's newest ciphertext.
-func (s *BlockStore) slot(i int) uint8 {
-	if s.v3 != nil {
-		return v3Slot(s.entry(i))
-	}
-	return s.entry(i)[entryFlags] & flagSlot
-}
+func (s *BlockStore) slot(i int) uint8 { return s.entry(i)[entryFlags] & flagSlot }
 
 // written reports whether block i was ever written.
-func (s *BlockStore) written(i int) bool {
-	if s.v3 != nil {
-		return v3Written(s.entry(i))
-	}
-	return s.entry(i)[entryFlags]&flagWritten != 0
-}
+func (s *BlockStore) written(i int) bool { return s.entry(i)[entryFlags]&flagWritten != 0 }
 
 // blockStripe maps (block, A/B slot) to its stripe index: the two table
 // slots come first, then two stripes per block.
@@ -405,7 +384,7 @@ func CreateStoreGeom(h hostos.Disk, name string, key Key, maxBlocks, k, m int) (
 	if k < 1 || m < 1 || k+m > maxShardFiles || BlockSize%k != 0 {
 		return nil, fmt.Errorf("fs: bad stripe geometry k=%d m=%d", k, m)
 	}
-	s, err := newStore(h, name, key, maxBlocks, k, m, false)
+	s, err := newStore(h, name, key, stripeGeom{k, m, maxBlocks})
 	if err != nil {
 		return nil, err
 	}
@@ -444,8 +423,6 @@ func (s *BlockStore) writeHeaders() error {
 func (s *BlockStore) fileHeader(f int) []byte {
 	hdr := make([]byte, fileHeaderSize)
 	copy(hdr, pfsMagic[:])
-	version, _ := s.Format()
-	hdr[7] = byte(version)
 	binary.LittleEndian.PutUint16(hdr[8:], uint16(s.k))
 	binary.LittleEndian.PutUint16(hdr[10:], uint16(s.m))
 	binary.LittleEndian.PutUint16(hdr[fileHeaderIdxOff:], uint16(f))
@@ -454,58 +431,68 @@ func (s *BlockStore) fileHeader(f int) []byte {
 }
 
 // commitRecord serializes, in scratch, the commit record publishing
-// (epoch, rootMAC) in the store's format. The record authenticates
-// itself with an HMAC, so open can tell a valid record from torn or
-// rotted bytes without trusting anything else, and the HMAC's label
-// tells open which root rule the record's root follows.
+// (epoch, rootMAC). The record authenticates itself with an HMAC, so
+// open can tell a valid record from torn or rotted bytes without
+// trusting anything else.
 func (s *BlockStore) commitRecord(epoch uint64, root [32]byte) []byte {
 	rec := s.rec[:]
 	binary.LittleEndian.PutUint64(rec[0:], epoch)
 	binary.LittleEndian.PutUint64(rec[8:], uint64(s.maxBlocks))
 	copy(rec[16:48], root[:])
-	mac := s.recMAC(s.format, rec[:48])
-	copy(rec[48:80], mac[:])
+	recMAC(s.mac, rec[:48], rec[48:48])
 	return rec
 }
 
-// recMAC is the MAC of a commit record's fields in format.
-func (s *BlockStore) recMAC(format int, fields []byte) [32]byte {
-	label := labelRecord
-	if format == formatV5 {
-		label = labelRecordV5
-	}
-	s.mac.Reset()
-	s.mac.Write(label)
-	s.mac.Write(fields)
-	s.mac.Sum(s.sum[:0])
-	return s.sum
+// recMAC appends to dst the MAC of a commit record's fields.
+func recMAC(mac hash.Hash, fields, dst []byte) []byte {
+	mac.Reset()
+	mac.Write(labelRecordV5)
+	mac.Write(fields)
+	return mac.Sum(dst)
 }
 
-// openGeometry scans the shard files for one valid header to learn the
-// format version and stripe geometry (any surviving file can supply
-// them). The header is not authenticated. A host that swaps version 3
-// for 4 or 5, or back, gets a store whose keys nothing on disk opens
-// under; one that swaps 4 and 5 changes nothing, since those two share
-// keys and the records, not the header, say which root rule applies.
-func openGeometry(h hostos.Disk, name string) (version, k, m, maxBlocks int, err error) {
+// openGeometry reads every shard file's header and returns the distinct
+// geometries the format-v5 headers state, the one most files name
+// first, ties in file order. The header is not authenticated, so it
+// only proposes: OpenStore keeps the first geometry under which a
+// commit record and the root verify. One rotted header is thus one vote
+// against k+m−1, and never redefines the store. If no header is v5 but
+// one names format 3 or 4, the store is in an old format.
+func openGeometry(h hostos.Disk, name string) ([]stripeGeom, error) {
+	var geoms []stripeGeom
+	votes := map[stripeGeom]int{}
+	old := false
+	hdr := make([]byte, fileHeaderSize)
 	for f := 0; f < maxShardFiles; f++ {
-		hdr := make([]byte, fileHeaderSize)
 		n, rerr := h.ReadFileAt(shardFile(name, f), 0, hdr)
-		if rerr != nil || n < fileHeaderSize {
+		if rerr != nil || n < fileHeaderSize || string(hdr[:7]) != string(pfsMagic[:7]) {
 			continue
 		}
-		if string(hdr[:7]) != string(pfsMagic[:7]) || hdr[7] < formatV3 || hdr[7] > formatV5 {
+		if hdr[7] != formatV5 {
+			old = old || hdr[7] == 3 || hdr[7] == 4
 			continue
 		}
-		k = int(binary.LittleEndian.Uint16(hdr[8:]))
-		m = int(binary.LittleEndian.Uint16(hdr[10:]))
-		maxBlocks = int(binary.LittleEndian.Uint64(hdr[16:]))
-		if k < 1 || m < 1 || k+m > maxShardFiles || BlockSize%k != 0 || maxBlocks <= 0 || maxBlocks > 1<<24 {
+		g := stripeGeom{
+			k:         int(binary.LittleEndian.Uint16(hdr[8:])),
+			m:         int(binary.LittleEndian.Uint16(hdr[10:])),
+			maxBlocks: int(binary.LittleEndian.Uint64(hdr[16:])),
+		}
+		if g.k < 1 || g.m < 1 || g.k+g.m > maxShardFiles || BlockSize%g.k != 0 || g.maxBlocks <= 0 || g.maxBlocks > 1<<24 {
 			continue
 		}
-		return int(hdr[7]), k, m, maxBlocks, nil
+		if votes[g] == 0 {
+			geoms = append(geoms, g)
+		}
+		votes[g]++
 	}
-	return 0, 0, 0, 0, ErrBadKey
+	switch {
+	case len(geoms) > 0:
+		slices.SortStableFunc(geoms, func(a, b stripeGeom) int { return votes[b] - votes[a] })
+		return geoms, nil
+	case old:
+		return nil, ErrOldFormat
+	}
+	return nil, ErrBadKey
 }
 
 // OpenStore opens an existing protected image: it finds the
@@ -513,93 +500,86 @@ func openGeometry(h hostos.Disk, name string) (version, k, m, maxBlocks int, err
 // reads that epoch's version table (repairing rotted or missing table
 // shards from parity), and verifies the root MAC. Up to m lost or
 // corrupted shards per stripe — including whole missing backing
-// files — are tolerated and repaired in place. A v4 image opens
-// read-write, and its next Flush commits v5 in place. A v3 image opens
-// read-only: WriteBlock and Flush return ErrOldFormat.
+// files — are tolerated and repaired in place. The geometries the
+// headers propose are tried most-named first; a geometry no commit
+// record authenticates under costs no allocation, since a record
+// states the capacity it commits.
 func OpenStore(h hostos.Disk, name string, key Key) (*BlockStore, error) {
-	version, k, m, maxBlocks, err := openGeometry(h, name)
+	geoms, err := openGeometry(h, name)
 	if err != nil {
 		return nil, err
 	}
-	s, err := newStore(h, name, key, maxBlocks, k, m, version == formatV3)
-	if err != nil {
-		return nil, ErrBadKey
+	mac := newMAC(key)
+	err = ErrBadKey // no record authenticates under this key
+	for _, g := range geoms {
+		cands := commitRecords(h, name, mac, g)
+		if len(cands) == 0 {
+			continue
+		}
+		s, serr := newStore(h, name, key, g)
+		if serr != nil {
+			continue
+		}
+		// Try candidates newest-first: load that epoch's table slot and
+		// check the root MAC. Torn later commits simply fall through to
+		// the previous fully-committed epoch.
+		for _, c := range cands {
+			if s.loadTable(c.epoch, c.root) {
+				return s, nil
+			}
+		}
+		err = ErrCorrupt
 	}
-	// The label a record's MAC verifies under is its format. A v3 store's
-	// records carry the v4 label under v3's key.
-	formats := []int{formatV5, formatV4}
-	if s.v3 != nil {
-		formats = []int{formatV3}
-	}
+	return nil, err
+}
 
-	// Collect every valid commit record, newest epoch first. Records are
-	// per-file replicas: any one survivor publishes the commit.
-	type candidate struct {
-		epoch  uint64
-		root   [32]byte
-		format int
-	}
+// candidate is a commit record that authenticated: its epoch and the
+// root it publishes.
+type candidate struct {
+	epoch uint64
+	root  [32]byte
+}
+
+// commitRecords returns every valid commit record in the k+m shard
+// files of geometry g, one per epoch, newest first. Records are
+// per-file replicas: any one survivor publishes the commit.
+func commitRecords(h hostos.Disk, name string, mac hash.Hash, g stripeGeom) []candidate {
 	var cands []candidate
-	seen := make(map[uint64]bool)
-	for f := 0; f < s.nFiles(); f++ {
+	rec := make([]byte, commitRecordSize)
+	var sum [sha256.Size]byte
+	for f := 0; f < g.k+g.m; f++ {
 		for rslot := 0; rslot < 2; rslot++ {
-			rec := make([]byte, commitRecordSize)
-			n, rerr := h.ReadFileAt(s.fileName(f), fileHeaderSize+rslot*commitRecordSize, rec)
+			n, rerr := h.ReadFileAt(shardFile(name, f), fileHeaderSize+rslot*commitRecordSize, rec)
 			if rerr != nil || n < commitRecordSize {
 				continue
 			}
-			format := 0
-			for _, fm := range formats {
-				if want := s.recMAC(fm, rec[:48]); hmac.Equal(want[:], rec[48:80]) {
-					format = fm
-					break
-				}
-			}
-			if format == 0 {
+			if !hmac.Equal(recMAC(mac, rec[:48], sum[:0]), rec[48:80]) {
 				continue
 			}
 			epoch := binary.LittleEndian.Uint64(rec[0:])
-			if int(binary.LittleEndian.Uint64(rec[8:])) != maxBlocks {
+			if int(binary.LittleEndian.Uint64(rec[8:])) != g.maxBlocks {
 				continue
 			}
 			if epoch&1 != uint64(rslot&1) {
 				continue // a record can only live in its own A/B slot
 			}
-			if !seen[epoch] {
-				seen[epoch] = true
-				c := candidate{epoch: epoch, format: format}
+			if !slices.ContainsFunc(cands, func(c candidate) bool { return c.epoch == epoch }) {
+				c := candidate{epoch: epoch}
 				copy(c.root[:], rec[16:48])
 				cands = append(cands, c)
 			}
 		}
 	}
-	if len(cands) == 0 {
-		// Headers were fine but no record authenticates under this key.
-		return nil, ErrBadKey
-	}
-	for i := 1; i < len(cands); i++ {
-		for j := i; j > 0 && cands[j].epoch > cands[j-1].epoch; j-- {
-			cands[j], cands[j-1] = cands[j-1], cands[j]
-		}
-	}
-
-	// Try candidates newest-first: load that epoch's table slot and
-	// check the root MAC. Torn later commits simply fall through to the
-	// previous fully-committed epoch.
-	for _, c := range cands {
-		if s.loadTable(c.epoch, c.root, c.format) {
-			return s, nil
-		}
-	}
-	return nil, ErrCorrupt
+	slices.SortFunc(cands, func(a, b candidate) int { return cmp.Compare(b.epoch, a.epoch) })
+	return cands
 }
 
 // loadTable reads the version table from epoch's A/B table slot (with
-// shard repair) and keeps it if the root MAC, by format's rule, matches.
-// It trusts nothing it did not just read: every stripe MAC is computed
-// from the stripes read here, v4's too, whose next Flush commits v5.
-// Caller holds no lock (open path) — the store is not yet shared.
-func (s *BlockStore) loadTable(epoch uint64, wantRoot [32]byte, format int) bool {
+// shard repair) and keeps it if the root MAC matches. It trusts nothing
+// it did not just read: every stripe MAC is computed from the stripes
+// read here. Caller holds no lock (open path) — the store is not yet
+// shared.
+func (s *BlockStore) loadTable(epoch uint64, wantRoot [32]byte) bool {
 	slot := int(epoch & 1)
 	T := s.tableStripes()
 	for j := 0; j < T; j++ {
@@ -610,23 +590,13 @@ func (s *BlockStore) loadTable(epoch uint64, wantRoot [32]byte, format int) bool
 		copy(s.table[j*BlockSize:], pay)
 	}
 	s.epoch = epoch
-	if format != formatV3 {
-		for j := 0; j < T; j++ {
-			s.macStripe(j)
-		}
+	for j := 0; j < T; j++ {
+		s.macStripe(j)
 	}
-	switch format {
-	case formatV3:
-		s.root = s.rootV3()
-	case formatV4:
-		s.root = s.rootV4()
-	default:
-		s.root = s.rootV5()
-	}
+	s.root = s.rootV5()
 	if !hmac.Equal(s.root[:], wantRoot[:]) {
 		return false
 	}
-	s.format = format
 	// Every stripe of this slot was just read (and repaired) and the
 	// whole authenticated; nothing is known about the other slot, which a
 	// torn newer commit may have half-overwritten.
@@ -661,18 +631,6 @@ func (s *BlockStore) Epoch() uint64 {
 	return s.epoch
 }
 
-// rootV4 is format v4's root: one MAC over epoch ‖ the whole table
-// image. Only a v4 commit loaded by open is checked against it; nothing
-// commits it any more.
-func (s *BlockStore) rootV4() [32]byte {
-	binary.LittleEndian.PutUint64(s.word[:], s.epoch)
-	s.mac.Reset()
-	s.mac.Write(s.word[:])
-	s.mac.Write(s.table)
-	s.mac.Sum(s.sum[:0])
-	return s.sum
-}
-
 // macStripe computes Mⱼ = MAC("stripe" ‖ j ‖ table stripe j) into its
 // place in stripeMACs. The index binds a stripe's MAC to its position
 // even where two stripes hold the same bytes (never-written entries are
@@ -687,9 +645,9 @@ func (s *BlockStore) macStripe(j int) {
 	fsStats.tableStripesMACed.Add(1)
 }
 
-// rootV5 is format v5's root: MAC("root5" ‖ epoch ‖ M₀ ‖ … ‖ M_{T−1}),
-// over the stripe MACs as they stand. It reads 32 bytes per stripe
-// where rootV4 read 4096.
+// rootV5 is the root: MAC("root5" ‖ epoch ‖ M₀ ‖ … ‖ M_{T−1}), over
+// the stripe MACs as they stand — 32 bytes per stripe, never the table
+// itself.
 func (s *BlockStore) rootV5() [32]byte {
 	binary.LittleEndian.PutUint64(s.word[:], s.epoch)
 	s.mac.Reset()
@@ -698,16 +656,6 @@ func (s *BlockStore) rootV5() [32]byte {
 	s.mac.Write(s.stripeMACs)
 	s.mac.Sum(s.sum[:0])
 	return s.sum
-}
-
-// Format reports the format of the commit the store loaded or last made,
-// and its block cipher. v4 and v5 are writable, and a v4 store's next
-// Flush commits v5.
-func (s *BlockStore) Format() (version int, cipher string) {
-	if s.v3 != nil {
-		return formatV3, "AES-128-CTR + HMAC-SHA256 (read-only)"
-	}
-	return s.format, "AES-128-GCM"
 }
 
 // --- Stripe I/O -----------------------------------------------------------
@@ -914,34 +862,24 @@ func (s *BlockStore) seal(i int, data []byte) []byte {
 // its output when the tag fails, so it opens into scratch, never into a
 // caller's buffer. A failed open counts a tag failure.
 func (s *BlockStore) open(i int, ct []byte) bool {
-	var ok bool
-	if s.v3 != nil {
-		ok = s.openV3(i, ct)
-	} else {
-		e := s.entry(i)
-		sealed := ct[:BlockSize+tagSize]
-		copy(sealed[BlockSize:], e[nonceSize:entryFlags])
-		binary.LittleEndian.PutUint64(s.word[:], uint64(i))
-		_, err := s.aead.Open(s.pt[:0], e[:nonceSize], sealed, s.word[:])
-		ok = err == nil
-	}
-	if !ok {
+	e := s.entry(i)
+	sealed := ct[:BlockSize+tagSize]
+	copy(sealed[BlockSize:], e[nonceSize:entryFlags])
+	binary.LittleEndian.PutUint64(s.word[:], uint64(i))
+	if _, err := s.aead.Open(s.pt[:0], e[:nonceSize], sealed, s.word[:]); err != nil {
 		fsStats.tagFailures.Add(1)
+		return false
 	}
-	return ok
+	return true
 }
 
 // WriteBlock seals and stores one block (padded/truncated to
 // BlockSize). The version table is updated in memory; Flush persists it.
 // The first write of a block after a Flush lands on its shadow slot, so
-// the last-committed ciphertext survives until the next commit. A v3
-// store returns ErrOldFormat.
+// the last-committed ciphertext survives until the next commit.
 func (s *BlockStore) WriteBlock(i int, data []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.v3 != nil {
-		return ErrOldFormat
-	}
 	if s.failed != nil {
 		return s.failed
 	}
@@ -1046,21 +984,13 @@ func (s *BlockStore) readBlockLocked(i int, dst []byte) (repairErr, err error) {
 // since the last Flush, not since the slot was whole: the stripe MACs
 // of the entries written this epoch, then the root over all T of them.
 //
-// A v4 store's first Flush commits v5 in place: it rewrites the headers
-// with the stripes and publishes the record under v5's label. Until the
-// records land, open finds the v4 commit, as for any torn commit.
-//
 // Two Sync barriers order the commit: every shard file is synced after
 // the stripe writes and before the records, and again after them. A
 // failed write or Sync fail-stops the store: epoch has already moved
 // to the new slot, so a later Flush would write into the committed one.
-// A v3 store returns ErrOldFormat.
 func (s *BlockStore) Flush() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.v3 != nil {
-		return ErrOldFormat
-	}
 	if s.failed != nil {
 		return s.failed
 	}
@@ -1072,12 +1002,6 @@ func (s *BlockStore) Flush() error {
 	// is neither table.
 	whole := s.slotWhole[slot]
 	s.slotWhole[slot] = 0
-	if s.format != formatV5 {
-		s.format = formatV5
-		if err := s.writeHeaders(); err != nil {
-			return s.fail("flush", err)
-		}
-	}
 	for j := 0; j < T; j++ {
 		if whole == 0 || s.stripeChanged[j] > whole {
 			if err := s.writeStripe(slot*T+j, s.table[j*BlockSize:(j+1)*BlockSize]); err != nil {
@@ -1190,10 +1114,9 @@ func (s *BlockStore) ScrubStep(n int) (worked bool, err error) {
 // truth. It covers all T stripes, not the ones the last Flush wrote: a
 // slot that has just become the committed one holds stripes last written
 // two or more commits ago that nothing read while it was inactive, and
-// this pass is what bounds their exposure to rot. The record and
-// headers it re-derives are in the committed format: a v4 store not yet
-// flushed keeps its v4 record, whose root is v4's. Caller holds s.mu and
-// has checked !s.dirtyHdr.
+// this pass is what bounds their exposure to rot; it also puts back a
+// header that rotted out of the vote. Caller holds s.mu and has checked
+// !s.dirtyHdr.
 func (s *BlockStore) scrubTableLocked() error {
 	slot := int(s.epoch & 1)
 	T := s.tableStripes()

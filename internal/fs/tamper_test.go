@@ -297,6 +297,108 @@ func TestBlockStoreTruncatedOneFile(t *testing.T) {
 	_ = s
 }
 
+// headerRots are one-field rewrites of a shard file's unauthenticated
+// header: the version byte (no format, and the two retired ones), k, m
+// and maxBlocks.
+var headerRots = []struct {
+	name string
+	rot  func(hdr []byte)
+}{
+	{"version=0", func(hdr []byte) { hdr[7] = 0 }},
+	{"version=3", func(hdr []byte) { hdr[7] = 3 }},
+	{"version=4", func(hdr []byte) { hdr[7] = 4 }},
+	{"k=2", func(hdr []byte) { binary.LittleEndian.PutUint16(hdr[8:], 2) }},
+	{"m=1", func(hdr []byte) { binary.LittleEndian.PutUint16(hdr[10:], 1) }},
+	{"m=3", func(hdr []byte) { binary.LittleEndian.PutUint16(hdr[10:], 3) }},
+	{"maxBlocks=15", func(hdr []byte) { binary.LittleEndian.PutUint64(hdr[16:], 15) }},
+	{"maxBlocks=17", func(hdr []byte) { binary.LittleEndian.PutUint64(hdr[16:], 17) }},
+}
+
+// rotHeaders applies rot to the header of each named shard file.
+func rotHeaders(t *testing.T, h *hostos.Host, rot func([]byte), names ...string) {
+	t.Helper()
+	for _, name := range names {
+		hdr := make([]byte, fileHeaderSize)
+		if n, err := h.ReadFileAt(name, 0, hdr); err != nil || n != fileHeaderSize {
+			t.Fatalf("%s: header unreadable (%v)", name, err)
+		}
+		rot(hdr)
+		if err := h.WriteFileAt(name, 0, hdr); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestBlockStoreOneRottedHeader rewrites one field of one file's header,
+// for every field and every file of a 16-block 4+2 store. The header is
+// not authenticated, so the other five outvote it: open keeps the 4+2
+// geometry, Scrub puts the header back byte for byte, and the store then
+// survives the loss of any two files. Headers that all name format 3,
+// or all 4, are an old store: ErrOldFormat.
+func TestBlockStoreOneRottedHeader(t *testing.T) {
+	h := hostos.New()
+	key := KeyFromString("header-rot")
+	s, err := CreateStore(h, "a", key, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 16; i++ {
+		if err := s.WriteBlock(i, blockFill(i, 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	pristine := hostfault.CopyFiles(h, "a.s*")
+	files := s.BackingFiles()
+	for _, rc := range headerRots {
+		for _, rotted := range files {
+			what := rc.name + " in " + rotted
+			hostfault.PutFiles(h, pristine)
+			rotHeaders(t, h, rc.rot, rotted)
+			s2, err := OpenStore(h, "a", key)
+			if err != nil {
+				t.Fatalf("%s: open: %v", what, err)
+			}
+			if k, m := s2.Geometry(); k != 4 || m != 2 || s2.MaxBlocks() != 16 {
+				t.Fatalf("%s: opened as %d+%d with %d blocks, want 4+2 with 16", what, k, m, s2.MaxBlocks())
+			}
+			if _, err := s2.Scrub(); err != nil {
+				t.Fatalf("%s: scrub: %v", what, err)
+			}
+			for name, data := range pristine {
+				if got, _ := h.ReadFile(name); !bytes.Equal(got, data) {
+					t.Fatalf("%s: %s differs from the committed store after scrub", what, name)
+				}
+			}
+			for a := range files {
+				for b := a + 1; b < len(files); b++ {
+					hostfault.PutFiles(h, pristine)
+					h.RemoveFile(files[a])
+					h.RemoveFile(files[b])
+					s3, err := OpenStore(h, "a", key)
+					if err != nil {
+						t.Fatalf("%s, then %s and %s lost: open: %v", what, files[a], files[b], err)
+					}
+					for i := 0; i < 16; i++ {
+						if got, err := s3.ReadBlock(i); err != nil || !bytes.Equal(got, blockFill(i, 1)) {
+							t.Fatalf("%s, then %s and %s lost: block %d: %v", what, files[a], files[b], i, err)
+						}
+					}
+				}
+			}
+		}
+	}
+	for _, version := range []byte{3, 4} {
+		hostfault.PutFiles(h, pristine)
+		rotHeaders(t, h, func(hdr []byte) { hdr[7] = version }, files...)
+		if _, err := OpenStore(h, "a", key); !errors.Is(err, ErrOldFormat) {
+			t.Fatalf("every header at version %d: open: %v, want ErrOldFormat", version, err)
+		}
+	}
+}
+
 // TestBlockStoreTruncatedBeyondParity cuts m+1 backing files mid-data:
 // blocks whose cells fell off the cut ends must fail with ErrCorrupt
 // (not zeros, not a panic); blocks before the cut still read fine.

@@ -295,6 +295,31 @@ func TestDriven(t *testing.T) {
 	}
 }
 
+// TestOneLiveAlarm counts a driven queue's host alarms with a fake that
+// never fires: live is armed minus cancelled. Ten timers armed 10 h … 1 h
+// each replace the alarm, so each must cancel the one before; after they
+// are cancelled and one more is armed, Stop must leave none live.
+func TestOneLiveAlarm(t *testing.T) {
+	var live, peak int
+	q := New(func(time.Duration, func()) func() {
+		live++
+		peak = max(peak, live)
+		return func() { live-- }
+	})
+	var armed []*Timer
+	for h := 10; h >= 1; h-- {
+		armed = append(armed, q.Arm(time.Duration(h)*time.Hour, func() {}))
+	}
+	for _, tm := range armed {
+		tm.Cancel()
+	}
+	q.Arm(30*time.Minute, func() {})
+	q.Stop()
+	if peak != 1 || live != 0 {
+		t.Fatalf("host alarms: peak %d live, %d live after Stop; want 1 and 0", peak, live)
+	}
+}
+
 // TestDifferential drives the queue and a sorted-deadline model with a
 // random arm/cancel/advance stream and compares fire sets.
 func TestDifferential(t *testing.T) {
