@@ -533,3 +533,39 @@ func TestAssemblyOnlyInRSKernel(t *testing.T) {
 		}
 	}
 }
+
+// wallClockFree are the places that may read the wall clock directly:
+// the programs, internal/bench, which times whole experiments, and the
+// fault decorator hostfault, whose read latency is a real sleep and
+// which no kernel package links (TestKernelExcludesHostfault).
+var wallClockFree = []string{"cmd", "examples", "internal/bench", "internal/hostos/hostfault"}
+
+// TestWallClockOnlyInClock: time is delegated to the host (§6) through
+// one timers.Clock, so no other non-test code reads the wall clock,
+// sleeps on it or arms a timer on it. The real clock, timers.Wall, is
+// the one reader; everything else reads the Clock it was handed, so one
+// virtual clock drives a whole instance.
+func TestWallClockOnlyInClock(t *testing.T) {
+	tr := load(t)
+	var got []site
+	for _, p := range tr.pkgs {
+		rel := strings.TrimPrefix(p.path, module+"/")
+		if slices.ContainsFunc(wallClockFree, func(w string) bool { return rel == w || strings.HasPrefix(rel, w+"/") }) {
+			continue
+		}
+		eachNode(p.files, func(f *srcFile, fd *ast.FuncDecl, n ast.Node) {
+			if sel, ok := n.(*ast.SelectorExpr); ok && f.isQualified(sel, "time", "Now", "Since", "Until", "After", "AfterFunc", "NewTimer", "Tick", "NewTicker", "Sleep") {
+				got = append(got, site{f.name, funcName(fd) + ": time." + sel.Sel.Name})
+			}
+		})
+	}
+	slices.SortFunc(got, func(a, b site) int { return strings.Compare(a.file+a.fn, b.file+b.fn) })
+	want := []site{
+		{"internal/timers/timers.go", "(Wall).Now: time.Now"},
+		{"internal/timers/timers.go", "(Wall).Since: time.Since"},
+		{"internal/timers/timers.go", "(Wall).Timer: time.AfterFunc"},
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("wall-clock reads at %v, want only %v", got, want)
+	}
+}

@@ -11,6 +11,7 @@ package baseline
 import (
 	"errors"
 	"sync"
+	"time"
 
 	"repro/internal/fs"
 	"repro/internal/hostos"
@@ -149,6 +150,9 @@ func (p *Proc) PPID() int {
 	defer p.k.mu.Unlock()
 	return p.ppid
 }
+
+// Now implements sysdispatch.Kernel: the host's clock.
+func (p *Proc) Now() time.Time { return p.k.host.Now() }
 
 // Image returns what the model's Load built for this process.
 func (p *Proc) Image() *Image { return p.img }

@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"repro/internal/ring"
+	"repro/internal/timers"
 )
 
 // Host is one untrusted host OS instance. Its files are an in-memory
@@ -45,15 +46,22 @@ type Host struct {
 	// draws on it.
 	connBufs ring.Pool
 
-	// activeTimers counts outstanding host timers (armed, not yet
-	// fired or cancelled). A LibOS's deadline queue holds this at ≤1
-	// per LibOS; tests assert it.
+	// clock is the time every instance above this host reads (§6
+	// delegates time to the host). activeTimers counts outstanding
+	// host timers (armed, not yet fired or cancelled). A LibOS's
+	// deadline queue holds this at ≤1 per LibOS; tests assert it.
+	clock        timers.Clock
 	activeTimers atomic.Int64
 }
 
-// New creates an empty host.
-func New() *Host {
+// New creates an empty host on the real clock.
+func New() *Host { return NewWithClock(timers.Wall{}) }
+
+// NewWithClock creates an empty host whose time is clock's: a test
+// passes a manual timers.Queue to step it.
+func NewWithClock(clock timers.Clock) *Host {
 	return &Host{
+		clock:     clock,
 		files:     make(map[string][]byte),
 		shm:       make(map[string][]byte),
 		futexes:   make(map[uint64][]*FutexReg),
@@ -274,12 +282,24 @@ func (h *Host) FutexWake(key uint64, n int) int {
 
 // --- Timers ----------------------------------------------------------------
 
-// Timer schedules fn on the untrusted host clock after d, returning a
-// cancel function. Like futex sleeps, timeouts are delegated to the host
-// (§6): a malicious host can delay or drop the callback, which can stall
-// a poll timeout but never corrupt LibOS state. Cancel after firing is a
-// harmless no-op; fn may race a concurrent cancel, so callers must make
-// fn idempotent (the parking protocol's latched wakes already are).
+// Now reads the host's clock. Like futex sleeps, time is delegated to
+// the host (§6): a malicious host can skew it, which can stall or hurry
+// a timeout but never corrupt LibOS state.
+func (h *Host) Now() time.Time { return h.clock.Now() }
+
+// Sleep blocks for d of the host's time; it is not a counted Timer.
+func (h *Host) Sleep(d time.Duration) {
+	done := make(chan struct{})
+	h.clock.Timer(d, func() { close(done) })
+	<-done
+}
+
+// Timer schedules fn on the host's clock after d, returning a cancel
+// function; with Now it makes the Host a timers.Clock, the one a
+// LibOS's deadline queue runs on. The host can delay or drop the
+// callback. Cancel after firing is a harmless no-op; fn may race a
+// concurrent cancel, so callers must make fn idempotent (the parking
+// protocol's latched wakes already are).
 //
 // Each outstanding timer is counted in ActiveTimers. The LibOS deadline
 // queue keeps this at one per LibOS regardless of how many guest
@@ -287,14 +307,14 @@ func (h *Host) FutexWake(key uint64, n int) int {
 func (h *Host) Timer(d time.Duration, fn func()) (cancel func()) {
 	h.activeTimers.Add(1)
 	var settled atomic.Bool // fired-or-cancelled latch for the count
-	t := time.AfterFunc(d, func() {
+	stop := h.clock.Timer(d, func() {
 		if settled.CompareAndSwap(false, true) {
 			h.activeTimers.Add(-1)
 		}
 		fn()
 	})
 	return func() {
-		t.Stop()
+		stop()
 		if settled.CompareAndSwap(false, true) {
 			h.activeTimers.Add(-1)
 		}

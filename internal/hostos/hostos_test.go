@@ -5,7 +5,11 @@ import (
 	"io"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
+
+	"repro/internal/timers"
 )
 
 func TestFileStorage(t *testing.T) {
@@ -179,6 +183,101 @@ func TestFutexQueuesDeletedWhenEmpty(t *testing.T) {
 	if len(h.futexes) != 0 {
 		t.Fatalf("%d futex queues left after every waiter went", len(h.futexes))
 	}
+}
+
+// TestFutexStorm races FutexSubscribe, Cancel and FutexWake on four
+// keys from eight goroutines, then lets every waiter still queued leave:
+// by a wake of the whole queue on keys 0 and 1, by cancel on keys 2 and
+// 3. No registration is woken twice, each one not cancelled is woken,
+// the callbacks run equal the wakes FutexWake reported, and no queue is
+// left behind. Run under -race it also checks that futexMu covers every
+// path to the map.
+func TestFutexStorm(t *testing.T) {
+	h := New()
+	const workers, each, keys = 8, 500, 4
+	const n = workers * each
+	key := func(id int) uint64 { return uint64(id%keys) << 12 }
+	regs := make([]*FutexReg, n)
+	woken := make([]atomic.Int32, n)
+	cancelled := make([]bool, n)
+	var wakes atomic.Int64
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for id := w * each; id < (w+1)*each; id++ {
+				regs[id] = h.FutexSubscribe(key(id), func() { woken[id].Add(1) })
+				switch id % 3 {
+				case 0:
+					regs[id].Cancel()
+					cancelled[id] = true
+				case 1:
+					wakes.Add(int64(h.FutexWake(key(id), 1+id%2)))
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for id, reg := range regs {
+		if id%keys >= 2 && woken[id].Load() == 0 && !cancelled[id] {
+			reg.Cancel()
+			cancelled[id] = true
+		}
+	}
+	for id := range 2 {
+		wakes.Add(int64(h.FutexWake(key(id), n)))
+	}
+	var total int64
+	for id := range woken {
+		w := woken[id].Load()
+		total += int64(w)
+		if w > 1 || w == 0 && !cancelled[id] {
+			t.Fatalf("registration %d (key %#x, cancelled %v) woken %d times", id, key(id), cancelled[id], w)
+		}
+	}
+	if total != wakes.Load() {
+		t.Fatalf("%d callbacks ran for %d reported wakes", total, wakes.Load())
+	}
+	if len(h.futexes) != 0 {
+		t.Fatalf("%d futex queues left after every waiter went: %v", len(h.futexes), h.futexes)
+	}
+}
+
+// armedClock is a virtual clock that reports each timer armed on it.
+type armedClock struct {
+	*timers.Queue
+	armed chan time.Duration
+}
+
+func (c armedClock) Timer(d time.Duration, fn func()) func() {
+	cancel := c.Queue.Timer(d, fn)
+	c.armed <- d
+	return cancel
+}
+
+// TestSleepWaitsOnTheHostClock: Sleep is a wait on the host's clock, so
+// a load generator's pacing and the deadline it tests read one clock.
+// On a virtual clock a 10 ms Sleep is still asleep 1 ms short of its
+// time and wakes on the last Advance.
+func TestSleepWaitsOnTheHostClock(t *testing.T) {
+	c := armedClock{timers.New(nil), make(chan time.Duration, 1)}
+	h := NewWithClock(c)
+	done := make(chan struct{})
+	go func() { h.Sleep(10 * time.Millisecond); close(done) }()
+	select {
+	case <-c.armed:
+	case <-done:
+		t.Fatal("Sleep returned without a timer on the host clock")
+	}
+	c.Advance(10*time.Millisecond - timers.Tick)
+	select {
+	case <-done:
+		t.Fatal("Sleep returned 1 ms of host time early")
+	case <-time.After(20 * time.Millisecond):
+	}
+	c.Advance(timers.Tick)
+	<-done
 }
 
 func TestNetConnectivity(t *testing.T) {

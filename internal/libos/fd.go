@@ -47,11 +47,12 @@ type OpenFile struct {
 	nonblock atomic.Bool
 
 	// Idle reaping (accepted sockets under Config.IdleTimeout):
-	// lastActive is the UnixNano of the last data-plane I/O, reap the
-	// deadline that closes the connection when it idles out, and
-	// reapStop latches teardown so a fire racing the close cannot
-	// re-arm. reapTimeout is written once before the fd is installed
-	// (happens-before via the FD table) and read-only after.
+	// lastActive is the Elapsed time of the last data-plane I/O on the
+	// LibOS's deadline queue, the clock the reap deadline fires on;
+	// reap is that deadline, which closes the connection when it idles
+	// out, and reapStop latches teardown so a fire racing the close
+	// cannot re-arm. reapTimeout is written once before the fd is
+	// installed (happens-before via the FD table) and read-only after.
 	lastActive  atomic.Int64
 	reap        *timers.Timer // guarded by mu
 	reapStop    bool          // guarded by mu
@@ -142,12 +143,13 @@ func (of *OpenFile) closeStreams() {
 	}
 }
 
-// touch stamps the description as active (data-plane I/O happened);
-// the idle reaper compares this against its deadline before closing.
-// Gated on reapTimeout so un-reaped sockets pay nothing.
-func (of *OpenFile) touch() {
+// touch stamps the description as active (data-plane I/O happened) on
+// q, the queue its reap deadline is armed on; the idle reaper compares
+// this against its deadline before closing. Gated on reapTimeout so
+// un-reaped sockets pay nothing.
+func (of *OpenFile) touch(q *timers.Queue) {
 	if of.reapTimeout > 0 {
-		of.lastActive.Store(time.Now().UnixNano())
+		of.lastActive.Store(int64(q.Elapsed()))
 	}
 }
 
@@ -159,9 +161,9 @@ func (of *OpenFile) touch() {
 // kernel-timer trick that makes keep-alive scale).
 func (of *OpenFile) armIdleReap(q *timers.Queue, d time.Duration) {
 	of.reapTimeout = d
-	of.lastActive.Store(time.Now().UnixNano())
+	of.touch(q)
 	of.mu.Lock()
-	of.reap = armTimer(q, d, of.reapCheck)
+	of.reap = armTimer(q, d, func() { of.reapCheck(q) })
 	of.mu.Unlock()
 }
 
@@ -172,8 +174,8 @@ func (of *OpenFile) armIdleReap(q *timers.Queue, d time.Duration) {
 // lands first and this neither re-arms nor reaps, or lands after and
 // its cancel finds the re-armed timer queued — a dead description's
 // timer is never left armed.
-func (of *OpenFile) reapCheck() {
-	idle := time.Since(time.Unix(0, of.lastActive.Load()))
+func (of *OpenFile) reapCheck(q *timers.Queue) {
+	idle := q.Elapsed() - time.Duration(of.lastActive.Load())
 	of.mu.Lock()
 	stopped := of.reapStop
 	if !stopped && idle < of.reapTimeout {

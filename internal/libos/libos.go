@@ -328,9 +328,10 @@ func Boot(platform *sgx.Platform, host *hostos.Host, cfg Config) (*Occlum, error
 	}
 	// The hart pool starts last, once boot can no longer fail: one hart
 	// per TCS, multiplexing every SIP this enclave will ever run.
-	o.sched = sched.New(cfg.MaxThreads)
-	// One driven deadline queue, backed by a single host alarm (host.Timer).
-	o.timers = timers.New(host.Timer)
+	// Both run on the host's clock: the scheduler's capacity and the
+	// one driven deadline queue, backed by a single host timer.
+	o.sched = sched.NewWithClock(cfg.MaxThreads, host)
+	o.timers = timers.New(host)
 	// Idle harts scrub the encrypted store in the background: each hook
 	// call verifies (and, where parity allows, repairs) a bounded window
 	// of stripes, so latent host bit-rot is found while the enclave still

@@ -21,7 +21,15 @@ import (
 // for oversubscription tests.
 func bootSmall(t testing.TB, domains, harts int, slice uint64, out *bytes.Buffer) (*core.System, *core.Toolchain) {
 	t.Helper()
-	tc := core.NewToolchain()
+	sys, err := core.BootSystem(core.SystemConfig{LibOS: smallConfig(domains, harts, slice, out)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sys, core.NewToolchain()
+}
+
+// smallConfig is bootSmall's LibOS configuration.
+func smallConfig(domains, harts int, slice uint64, out *bytes.Buffer) libos.Config {
 	lc := libos.DefaultConfig()
 	lc.NumDomains = domains
 	lc.DomainCodeSize = 256 << 10
@@ -35,11 +43,7 @@ func bootSmall(t testing.TB, domains, harts int, slice uint64, out *bytes.Buffer
 	if out != nil {
 		lc.Stdout = out
 	}
-	sys, err := core.BootSystem(core.SystemConfig{LibOS: lc})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sys, tc
+	return lc
 }
 
 // syncBuffer is a Writer safe to read while SIPs write to it.

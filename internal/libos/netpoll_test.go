@@ -9,6 +9,8 @@ import (
 	"repro/internal/hostos"
 	"repro/internal/isa"
 	"repro/internal/libos"
+	"repro/internal/sgx"
+	"repro/internal/timers"
 	"repro/internal/ulib"
 )
 
@@ -503,13 +505,21 @@ func TestPollTimeoutExpires(t *testing.T) {
 }
 
 // TestPollTimeoutAfterIdleGap: a poll timeout is measured from the
-// moment of the poll, not from the last time the LibOS's timers ran. A
-// guest poll(200 ms) issued 300 ms after boot, on a listener nobody
-// dials, returns 0 no sooner than about 200 ms after the spawn.
+// moment of the poll, not from the last time the LibOS's timers ran.
+// The host's clock is virtual: a guest poll(200 ms) issued 300 ms after
+// boot, on a listener nobody dials, must not time out at 199 ms and
+// must at 200 ms.
 func TestPollTimeoutAfterIdleGap(t *testing.T) {
 	const port = 7718
-	sys, tc := bootSmall(t, 4, 2, 0, nil)
-	defer sys.OS.Shutdown()
+	clock := timers.New(nil)
+	host := hostos.NewWithClock(clock)
+	platform := sgx.NewPlatform(512 << 20)
+	o, err := libos.Boot(platform, host, smallConfig(4, 2, 0, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer o.Shutdown()
+	sys, tc := &core.System{Platform: platform, Host: host, OS: o}, core.NewToolchain()
 
 	prog := buildProg(t, func(b *asm.Builder) {
 		b.Zero("pfd", 24)
@@ -534,17 +544,28 @@ func TestPollTimeoutAfterIdleGap(t *testing.T) {
 	if err := sys.Install(tc, "/bin/pollgap", "pollgap", prog); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(300 * time.Millisecond)
-	start := time.Now()
-	p, err := sys.OS.Spawn("/bin/pollgap", nil, libos.SpawnOpt{})
+	clock.Advance(300 * time.Millisecond)
+	p, err := o.Spawn("/bin/pollgap", nil, libos.SpawnOpt{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The poll has armed its deadline once the LibOS holds a host timer.
+	for deadline := time.Now().Add(30 * time.Second); host.ActiveTimers() == 0; time.Sleep(100 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the guest's poll never armed a timer")
+		}
+	}
+	fires := libos.NetStats().TimerFires
+	clock.Advance(199 * time.Millisecond)
+	if n := libos.NetStats().TimerFires - fires; n != 0 {
+		t.Fatalf("poll(200 ms) issued after an idle gap timed out at 199 ms (%d fires)", n)
+	}
+	clock.Advance(timers.Tick)
+	if n := libos.NetStats().TimerFires - fires; n != 1 {
+		t.Fatalf("poll(200 ms) issued after an idle gap: %d fires at 200 ms, want 1", n)
+	}
 	if status := waitTimeout(t, p, 30*time.Second, "poll-gap SIP"); status != 0 {
 		t.Fatalf("SIP exit status = %d", status)
-	}
-	if got := time.Since(start); got < 190*time.Millisecond {
-		t.Fatalf("poll(200 ms) issued after an idle gap returned 0 after %v", got)
 	}
 }
 

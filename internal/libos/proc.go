@@ -3,6 +3,7 @@ package libos
 import (
 	"fmt"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/isa"
 	"repro/internal/sched"
@@ -112,6 +113,9 @@ func (p *Proc) PPID() int {
 	defer p.os.mu.Unlock()
 	return p.ppid
 }
+
+// Now implements sysdispatch.Kernel: the host's clock.
+func (p *Proc) Now() time.Time { return p.os.host.Now() }
 
 // Cycles returns retired instruction count so far.
 func (p *Proc) Cycles() uint64 { return p.cycles.Load() }

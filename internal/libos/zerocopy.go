@@ -129,7 +129,7 @@ func (p *Proc) writeSpans(of *OpenFile, iov []sysdispatch.Iovec) sysdispatch.Res
 		if wr != nil {
 			wn, closed, wouldBlock = wr.TryWrite(v.B, wait)
 			if wn > 0 {
-				of.touch()
+				of.touch(p.os.timers)
 			}
 		} else {
 			var werr error
@@ -211,7 +211,7 @@ func (p *Proc) readSpans(of *OpenFile, iov []sysdispatch.Iovec) sysdispatch.Resu
 		if rd != nil {
 			rn, eof, stall = rd.TryRead(v.B, wait)
 			if rn > 0 {
-				of.touch()
+				of.touch(p.os.timers)
 			}
 		} else {
 			var rerr error
@@ -324,7 +324,7 @@ func sysSendfile(k sysdispatch.Kernel, a *[5]uint64) sysdispatch.Result {
 			netStats.bytesCopied.Add(uint64(wn))
 		}
 		if wn > 0 {
-			oof.touch()
+			oof.touch(p.os.timers)
 		}
 		sent += int64(wn)
 		if closed {
@@ -409,8 +409,8 @@ func sysSplice(k sysdispatch.Kernel, a *[5]uint64) sysdispatch.Result {
 	}
 	if n > 0 {
 		netStats.bytesLent.Add(uint64(n))
-		inof.touch()
-		outof.touch()
+		inof.touch(p.os.timers)
+		outof.touch(p.os.timers)
 	}
 	netStats.splices.Add(1)
 	return sysdispatch.Ok(int64(n))

@@ -51,6 +51,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/timers"
 )
 
 // Status is what a Task's Step reports back to its hart.
@@ -200,17 +202,24 @@ type Scheduler struct {
 	wg     sync.WaitGroup
 	stats  Stats
 
+	// clock times the capacity; start and stopTime are its readings at
+	// New and at Stop (nil while running). A slice's busy time is host
+	// CPU, so it is on the real clock.
+	clock    timers.Clock
 	start    time.Time
-	stopTime atomic.Int64 // unixnano at Stop, 0 while running
+	stopTime atomic.Pointer[time.Time]
 }
 
 // New creates and starts a scheduler with n harts (n < 1 is clamped
-// to 1).
-func New(n int) *Scheduler {
+// to 1) on the real clock.
+func New(n int) *Scheduler { return NewWithClock(n, timers.Wall{}) }
+
+// NewWithClock is New on clock: a LibOS hands its host's.
+func NewWithClock(n int, clock timers.Clock) *Scheduler {
 	if n < 1 {
 		n = 1
 	}
-	s := &Scheduler{start: time.Now()}
+	s := &Scheduler{clock: clock, start: clock.Now()}
 	s.cond.L = &s.mu
 	for i := 0; i < n; i++ {
 		s.harts = append(s.harts, &hart{s: s})
@@ -291,18 +300,19 @@ func (s *Scheduler) Stop() {
 	s.cond.Broadcast()
 	s.mu.Unlock()
 	s.wg.Wait()
-	s.stopTime.Store(time.Now().UnixNano())
+	now := s.clock.Now()
+	s.stopTime.Store(&now)
 	unregister(s)
 }
 
 // Snapshot returns a consistent-enough copy of the counters plus the
 // hart-time capacity accumulated so far.
 func (s *Scheduler) Snapshot() Snapshot {
-	end := time.Now().UnixNano()
-	if t := s.stopTime.Load(); t != 0 {
-		end = t
+	end := s.clock.Now()
+	if t := s.stopTime.Load(); t != nil {
+		end = *t
 	}
-	cap := (end - s.start.UnixNano()) * int64(len(s.harts))
+	cap := int64(end.Sub(s.start)) * int64(len(s.harts))
 	return Snapshot{
 		Tasks: s.stats.Tasks.Load(), Slices: s.stats.Slices.Load(),
 		Yields: s.stats.Yields.Load(), Parks: s.stats.Parks.Load(),
@@ -449,9 +459,9 @@ func (h *hart) run(g *G) bool {
 	for {
 		g.state.Store(gRunning)
 		h.running.Store(g)
-		t0 := time.Now()
+		t0 := timers.Wall{}.Now() // busy time is the host's CPU
 		st := g.task.Step()
-		s.stats.BusyNS.Add(int64(time.Since(t0)))
+		s.stats.BusyNS.Add(int64(timers.Wall{}.Since(t0)))
 		s.stats.Slices.Add(1)
 		h.running.Store(nil)
 

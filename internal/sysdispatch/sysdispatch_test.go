@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"time"
 )
 
 // fakeKernel backs handlers with a flat memory buffer and an fd table.
@@ -35,9 +36,10 @@ func (k *fakeKernel) WriteUser(addr uint64, b []byte) error {
 	return nil
 }
 
-func (k *fakeKernel) FDs() *FDTable { return k.fds }
-func (k *fakeKernel) PID() int      { return k.pid }
-func (k *fakeKernel) PPID() int     { return k.ppid }
+func (k *fakeKernel) FDs() *FDTable  { return k.fds }
+func (k *fakeKernel) PID() int       { return k.pid }
+func (k *fakeKernel) PPID() int      { return k.ppid }
+func (k *fakeKernel) Now() time.Time { return time.Unix(0, 0) }
 
 // fakeFile counts refs and records data.
 type fakeFile struct {

@@ -51,6 +51,8 @@ type Kernel interface {
 	// PID and PPID identify the process.
 	PID() int
 	PPID() int
+	// Now reads the clock of the host beneath the process.
+	Now() time.Time
 }
 
 // Handler executes one syscall for the calling process. a holds the five
@@ -163,9 +165,9 @@ func Getpid(k Kernel, a *[5]uint64) Result { return Ok(int64(k.PID())) }
 // Getppid is the shared getppid(2).
 func Getppid(k Kernel, a *[5]uint64) Result { return Ok(int64(k.PPID())) }
 
-// Clock is the shared clock_gettime(2) (host wall clock, as in the
-// paper: time is delegated to the untrusted host).
-func Clock(k Kernel, a *[5]uint64) Result { return Ok(time.Now().UnixNano()) }
+// Clock is the shared clock_gettime(2): the calling kernel's host clock,
+// as in the paper, where time is delegated to the untrusted host.
+func Clock(k Kernel, a *[5]uint64) Result { return Ok(k.Now().UnixNano()) }
 
 // Munmap is the shared munmap(2): every kernel uses a bump allocator, so
 // unmapping is a no-op.

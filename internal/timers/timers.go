@@ -1,10 +1,11 @@
-// Package timers is the deadline queue behind the LibOS's poll/epoll
-// timeouts and idle-connection deadlines: a min-heap ordered by
-// (deadline tick, arm sequence), so same-tick timers fire in arm order.
-// A deadline is d from the queue's current time — the host clock, or the
-// total of Advance calls for a manual queue — rounded up to a Tick, so a
-// timer never fires early. A driven queue keeps one host alarm, for the
-// heap's minimum, however many deadlines are pending.
+// Package timers is time for the LibOS: the Clock, real (Wall) or
+// virtual (a manual Queue, moved only by Advance), and the deadline queue
+// behind poll/epoll timeouts and idle-connection deadlines: a min-heap
+// ordered by (deadline tick, arm sequence), so same-tick timers fire in
+// arm order. A deadline is d from the queue's time — its clock's Now
+// minus its start — rounded up to a Tick, so a timer never fires early.
+// A driven queue keeps one clock timer, for the heap's minimum, however
+// many deadlines are pending.
 //
 // Callbacks run outside the queue lock, so one may Reset its own timer
 // (the idle reaper's lazy re-arm) or arm others. Once an advance has
@@ -16,6 +17,7 @@ package timers
 import (
 	"container/heap"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -27,6 +29,27 @@ const (
 	maxDelay = time.Duration(1 << 62)
 )
 
+// Clock is a source of time and timers. Timer runs fn once, d from now,
+// on a goroutine of the clock's choosing, unless cancel runs first.
+type Clock interface {
+	Now() time.Time
+	Timer(d time.Duration, fn func()) (cancel func())
+}
+
+// Wall is the real clock, the one reader of the host's wall clock.
+type Wall struct{}
+
+func (Wall) Now() time.Time { return time.Now() }
+
+// Since is the monotonic time since t, a Wall reading: what a piece of
+// work cost the host, whatever clock the instance it serves runs on.
+func (Wall) Since(t time.Time) time.Duration { return time.Since(t) }
+
+func (Wall) Timer(d time.Duration, fn func()) func() {
+	t := time.AfterFunc(d, fn)
+	return func() { t.Stop() }
+}
+
 // Timer is one armed deadline. Obtain timers from Queue.Arm.
 type Timer struct {
 	q    *Queue
@@ -36,37 +59,61 @@ type Timer struct {
 	idx  int    // index in q.h; -1 when not queued
 }
 
-// Queue is a deadline heap. A driven queue (alarm != nil) advances
-// itself from a single host alarm; a manual one advances only through
-// Advance, which tests use for deterministic time.
+// Queue is a deadline heap. A driven queue (clock != nil) reads its
+// clock and advances itself from a single clock timer; a manual one is
+// a virtual clock that advances only through Advance.
 type Queue struct {
 	mu       sync.Mutex
 	h        timerHeap
 	seq      uint64
-	advanced time.Duration // sum of Advance calls
+	clock    Clock
+	start    time.Time    // the clock's reading at New
+	advanced atomic.Int64 // a manual queue's time: the sum of Advance calls
 	stopped  bool
 
-	// Driven mode: alarm runs fn on the host clock after d. alarmStop
-	// cancels the live alarm (nil if none), which targets tick alarmFor;
-	// alarmGen tells its callback from those of alarms it replaced.
-	alarm     func(d time.Duration, fn func()) (cancel func())
-	start     time.Time
+	// Driven mode: alarmStop cancels the live clock timer (nil if none),
+	// which targets tick alarmFor; alarmGen tells its callback from
+	// those of timers it replaced.
 	alarmGen  uint64
 	alarmFor  uint64
 	alarmStop func()
 }
 
-// New returns a queue driven by alarm, which is called under the queue
-// lock, so it must schedule fn and return without running it; a nil
-// alarm yields a manual queue.
-func New(alarm func(d time.Duration, fn func()) (cancel func())) *Queue {
-	return &Queue{alarm: alarm, start: time.Now()}
+// New returns a queue driven by clock, whose Timer is called under the
+// queue lock, so it must schedule fn and return without running it; a
+// nil clock yields a manual queue.
+func New(clock Clock) *Queue {
+	q := &Queue{clock: clock}
+	if clock != nil {
+		q.start = clock.Now()
+	}
+	return q
+}
+
+// Now implements Clock for a manual queue, the virtual clock: its
+// Advance total after the Unix epoch.
+func (q *Queue) Now() time.Time { return time.Unix(0, q.advanced.Load()) }
+
+// Elapsed is the queue's time: its clock's reading minus its start, a
+// difference a step of the wall time cannot move, or a manual queue's
+// Advance total.
+func (q *Queue) Elapsed() time.Duration {
+	if q.clock == nil {
+		return time.Duration(q.advanced.Load())
+	}
+	return q.clock.Now().Sub(q.start)
+}
+
+// Timer implements Clock with one timer on the queue.
+func (q *Queue) Timer(d time.Duration, fn func()) func() {
+	t := q.Arm(d, fn)
+	return func() { t.Cancel() }
 }
 
 // Arm schedules fn to run once, at the first tick at least d (and at
 // least one tick) after now. fn runs outside the queue lock on the
-// advancing goroutine: the alarm's for a driven queue, the Advance
-// caller's for a manual one.
+// advancing goroutine: the clock timer's for a driven queue, the
+// Advance caller's for a manual one.
 func (q *Queue) Arm(d time.Duration, fn func()) *Timer {
 	t := &Timer{q: q, fn: fn, idx: -1}
 	q.mu.Lock()
@@ -99,18 +146,19 @@ func (t *Timer) Reset(d time.Duration) {
 	q.mu.Unlock()
 }
 
-// Advance moves the queue's clock forward by d, firing every due
-// callback synchronously on the calling goroutine.
+// Advance moves a manual queue's time forward by d, firing every due
+// callback synchronously on the calling goroutine. A driven queue's
+// time is its clock's: advance the clock instead.
 func (q *Queue) Advance(d time.Duration) {
 	q.mu.Lock()
-	q.advanced += d
+	q.advanced.Add(int64(d))
 	due := q.popDue()
 	q.mu.Unlock()
 	run(due)
 }
 
-// Stop cancels the host alarm and inhibits future ones; queued timers
-// then fire only through Advance.
+// Stop cancels a driven queue's clock timer and inhibits future ones;
+// queued timers then fire only through Advance.
 func (q *Queue) Stop() {
 	q.mu.Lock()
 	q.stopped = true
@@ -118,7 +166,7 @@ func (q *Queue) Stop() {
 	q.mu.Unlock()
 }
 
-// stopAlarm cancels the live host alarm, if any. Lock held.
+// stopAlarm cancels the live clock timer, if any. Lock held.
 func (q *Queue) stopAlarm() {
 	if q.alarmStop != nil {
 		q.alarmStop()
@@ -126,17 +174,9 @@ func (q *Queue) stopAlarm() {
 	}
 }
 
-// now is the queue's current time. Lock held.
-func (q *Queue) now() time.Duration {
-	if q.alarm == nil {
-		return q.advanced
-	}
-	return time.Since(q.start) + q.advanced
-}
-
 // push (re)queues t for d from now with a fresh arm sequence. Lock held.
 func (q *Queue) push(t *Timer, d time.Duration) {
-	end := q.now() + min(max(d, Tick), maxDelay)
+	end := q.Elapsed() + min(max(d, Tick), maxDelay)
 	t.when = uint64((end + Tick - 1) / Tick)
 	t.seq = q.seq
 	q.seq++
@@ -151,7 +191,7 @@ func (q *Queue) push(t *Timer, d time.Duration) {
 // popDue dequeues every timer due by now, in (deadline, arm sequence)
 // order. Lock held; callers run the result after unlocking.
 func (q *Queue) popDue() []*Timer {
-	now := uint64(q.now() / Tick)
+	now := uint64(q.Elapsed() / Tick)
 	var due []*Timer
 	for len(q.h) > 0 && q.h[0].when <= now {
 		due = append(due, heap.Pop(&q.h).(*Timer))
@@ -165,11 +205,11 @@ func run(due []*Timer) {
 	}
 }
 
-// schedule keeps a driven queue's one host alarm aimed at the heap's
+// schedule keeps a driven queue's one clock timer aimed at the heap's
 // minimum. A live alarm due no later than that is left alone: firing
 // early, it finds nothing due and re-arms. Lock held.
 func (q *Queue) schedule() {
-	if q.alarm == nil || q.stopped {
+	if q.clock == nil || q.stopped {
 		return
 	}
 	if q.alarmStop != nil && (len(q.h) == 0 || q.alarmFor > q.h[0].when) {
@@ -181,11 +221,11 @@ func (q *Queue) schedule() {
 	q.alarmGen++
 	gen := q.alarmGen
 	q.alarmFor = q.h[0].when
-	d := max(time.Duration(q.alarmFor)*Tick-q.now(), 0)
-	q.alarmStop = q.alarm(d, func() { q.onAlarm(gen) })
+	d := max(time.Duration(q.alarmFor)*Tick-q.Elapsed(), 0)
+	q.alarmStop = q.clock.Timer(d, func() { q.onAlarm(gen) })
 }
 
-// onAlarm is the host alarm's callback: fire what is due, re-arm.
+// onAlarm is the clock timer's callback: fire what is due, re-arm.
 func (q *Queue) onAlarm(gen uint64) {
 	q.mu.Lock()
 	var due []*Timer

@@ -18,27 +18,12 @@ func queued(q *Queue) int {
 	return len(q.h)
 }
 
-// hostAlarm is a driven queue's alarm on the real clock. outstanding
-// counts alarms neither fired nor cancelled; maxSeen is its peak.
-type hostAlarm struct{ outstanding, maxSeen atomic.Int32 }
-
-func (a *hostAlarm) alarm(d time.Duration, fn func()) func() {
-	if o := a.outstanding.Add(1); o > a.maxSeen.Load() {
-		a.maxSeen.Store(o)
-	}
-	var settled atomic.Bool
-	tm := time.AfterFunc(d, func() {
-		if settled.CompareAndSwap(false, true) {
-			a.outstanding.Add(-1)
-		}
-		fn()
-	})
-	return func() {
-		tm.Stop()
-		if settled.CompareAndSwap(false, true) {
-			a.outstanding.Add(-1)
-		}
-	}
+// driven returns a queue driven by a manual parent queue: the parent is
+// its virtual clock, and the timers queued on the parent are the driven
+// queue's live clock timers.
+func driven() (q, clock *Queue) {
+	clock = manual()
+	return New(clock), clock
 }
 
 func TestFiresInOrder(t *testing.T) {
@@ -177,21 +162,26 @@ func TestBeyondOldHorizon(t *testing.T) {
 
 // TestArmAfterIdleGap is the regression test for deadlines measured
 // from a stale clock: on a driven queue, let a timer fire, leave the
-// queue idle for 300 ms, then arm 200 ms. The timer must not fire
-// until about 200 ms later.
+// queue idle for 300 ms, then arm 200 ms. The timer must not fire at
+// 199 ms and must fire at 200 ms.
 func TestArmAfterIdleGap(t *testing.T) {
-	var a hostAlarm
-	q := New(a.alarm)
+	q, clock := driven()
 	defer q.Stop()
-	first := make(chan struct{})
-	q.Arm(20*time.Millisecond, func() { close(first) })
-	<-first
-	time.Sleep(300 * time.Millisecond)
-	second := make(chan time.Duration, 1)
-	start := time.Now()
-	q.Arm(200*time.Millisecond, func() { second <- time.Since(start) })
-	if got := <-second; got < 190*time.Millisecond {
-		t.Fatalf("200 ms timer armed after an idle gap fired after %v", got)
+	var first, second atomic.Int32
+	q.Arm(20*time.Millisecond, func() { first.Add(1) })
+	clock.Advance(20 * time.Millisecond)
+	if first.Load() != 1 {
+		t.Fatal("20 ms timer did not fire at 20 ms")
+	}
+	clock.Advance(300 * time.Millisecond)
+	q.Arm(200*time.Millisecond, func() { second.Add(1) })
+	clock.Advance(199 * time.Millisecond)
+	if second.Load() != 0 {
+		t.Fatal("200 ms timer armed after an idle gap fired at 199 ms")
+	}
+	clock.Advance(Tick)
+	if second.Load() != 1 {
+		t.Fatal("200 ms timer armed after an idle gap did not fire at 200 ms")
 	}
 }
 
@@ -269,54 +259,63 @@ func TestCancelSemantics(t *testing.T) {
 	}
 }
 
-// TestDriven runs a real-clock queue and checks both that timers fire
-// and that at most one host alarm is ever outstanding.
+// TestDriven steps a driven queue through its virtual clock one tick at
+// a time and checks both that every timer fires on its deadline tick
+// and that at most one clock timer is ever queued on the parent. The
+// deadlines are armed latest first, so each of the first 20 arms
+// replaces the clock timer.
 func TestDriven(t *testing.T) {
-	var a hostAlarm
-	q := New(a.alarm)
+	q, clock := driven()
 	defer q.Stop()
 	const n = 64
-	var fired atomic.Int32
-	done := make(chan struct{})
+	due := func(i int) int { return 20 - i%20 }
+	var fired [n]atomic.Int32
 	for i := 0; i < n; i++ {
-		q.Arm(time.Duration(1+i%20)*time.Millisecond, func() {
-			if fired.Add(1) == n {
-				close(done)
+		q.Arm(time.Duration(due(i))*Tick, func() { fired[i].Add(1) })
+		if live := queued(clock); live != 1 {
+			t.Fatalf("after arm %d: %d clock timers queued, want 1", i, live)
+		}
+	}
+	for tick := 1; tick <= 20; tick++ {
+		clock.Advance(Tick)
+		for i := range fired {
+			want := int32(0)
+			if due(i) <= tick {
+				want = 1
 			}
-		})
+			if got := fired[i].Load(); got != want {
+				t.Fatalf("tick %d: timer %d (due at %d) fired %d times", tick, i, due(i), got)
+			}
+		}
+		if live := queued(clock); live > 1 {
+			t.Fatalf("tick %d: %d clock timers queued", tick, live)
+		}
 	}
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatalf("only %d of %d fired", fired.Load(), n)
-	}
-	if m := a.maxSeen.Load(); m > 1 {
-		t.Fatalf("%d host alarms outstanding at once", m)
+	if live := queued(clock); live != 0 {
+		t.Fatalf("%d clock timers queued with nothing pending", live)
 	}
 }
 
-// TestOneLiveAlarm counts a driven queue's host alarms with a fake that
-// never fires: live is armed minus cancelled. Ten timers armed 10 h … 1 h
-// each replace the alarm, so each must cancel the one before; after they
-// are cancelled and one more is armed, Stop must leave none live.
+// TestOneLiveAlarm counts a driven queue's clock timers as the timers
+// queued on its parent, which is never advanced. Ten timers armed 10 h …
+// 1 h each replace the alarm, so each must cancel the one before; after
+// they are cancelled and one more is armed, Stop must leave none live.
 func TestOneLiveAlarm(t *testing.T) {
-	var live, peak int
-	q := New(func(time.Duration, func()) func() {
-		live++
-		peak = max(peak, live)
-		return func() { live-- }
-	})
+	q, clock := driven()
 	var armed []*Timer
 	for h := 10; h >= 1; h-- {
 		armed = append(armed, q.Arm(time.Duration(h)*time.Hour, func() {}))
+		if live := queued(clock); live != 1 {
+			t.Fatalf("after arming %d h: %d clock timers live, want 1", h, live)
+		}
 	}
 	for _, tm := range armed {
 		tm.Cancel()
 	}
 	q.Arm(30*time.Minute, func() {})
 	q.Stop()
-	if peak != 1 || live != 0 {
-		t.Fatalf("host alarms: peak %d live, %d live after Stop; want 1 and 0", peak, live)
+	if live := queued(clock); live != 0 {
+		t.Fatalf("%d clock timers live after Stop, want 0", live)
 	}
 }
 

@@ -64,7 +64,7 @@ func TestC100KHeldOpen(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			conn, err := dialConnRetry(k, port, 60*time.Second)
+			conn, err := dialRetry(k, port, 60000)
 			if err != nil {
 				mu.Lock()
 				connectFailed++

@@ -2,7 +2,6 @@ package workloads
 
 import (
 	"fmt"
-	"io"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -425,7 +424,7 @@ func RunHTTPBench(k Kernel, port uint16, concurrency, totalRequests int) HTTPBen
 		pending atomic.Int64
 	)
 	pending.Store(int64(totalRequests))
-	start := time.Now()
+	start := k.Host().Now()
 	for c := 0; c < concurrency; c++ {
 		wg.Add(1)
 		go func() {
@@ -463,7 +462,7 @@ func RunHTTPBench(k Kernel, port uint16, concurrency, totalRequests int) HTTPBen
 	wg.Wait()
 	return HTTPBenchResult{
 		Requests:   totalRequests,
-		Elapsed:    time.Since(start),
+		Elapsed:    k.Host().Now().Sub(start),
 		Failed:     int(failed.Load()),
 		Bytes:      nbytes.Load(),
 		Concurrent: concurrency,
@@ -541,7 +540,7 @@ func runC10K(k Kernel, port uint16, conns, rounds, churnStride int) C10KResult {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			conn, err := dialConnRetry(k, port, 30*time.Second)
+			conn, err := dialRetry(k, port, 30000)
 			if err != nil {
 				return
 			}
@@ -571,7 +570,7 @@ func runC10K(k Kernel, port uint16, conns, rounds, churnStride int) C10KResult {
 	// calls "mostly-idle connections", and it keeps the load generator
 	// itself from becoming the bottleneck being measured.
 	sem := make(chan struct{}, 1024)
-	start := time.Now()
+	start := k.Host().Now()
 	for i := range cs {
 		wg.Add(1)
 		go func(i int) {
@@ -582,13 +581,13 @@ func runC10K(k Kernel, port uint16, conns, rounds, churnStride int) C10KResult {
 			round := func() {
 				if conn == nil {
 					var err error
-					conn, err = dialConnRetry(k, port, 30*time.Second)
+					conn, err = dialRetry(k, port, 30000)
 					if err != nil {
 						failed.Add(1)
 						return
 					}
 				}
-				t0 := time.Now()
+				t0 := k.Host().Now()
 				if _, err := conn.Write([]byte("GET / HTTP/1.0\r\n\r\n")); err != nil {
 					failed.Add(1)
 					conn.Close()
@@ -612,7 +611,7 @@ func runC10K(k Kernel, port uint16, conns, rounds, churnStride int) C10KResult {
 					conn = nil
 					return
 				}
-				myLats = append(myLats, time.Since(t0))
+				myLats = append(myLats, k.Host().Now().Sub(t0))
 			}
 			for r := 0; r < rounds; r++ {
 				// Staggered by connection index so every round churns a
@@ -636,7 +635,7 @@ func runC10K(k Kernel, port uint16, conns, rounds, churnStride int) C10KResult {
 		}(i)
 	}
 	wg.Wait()
-	elapsed := time.Since(start)
+	elapsed := k.Host().Now().Sub(start)
 
 	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
 	pct := func(p float64) time.Duration {
@@ -658,42 +657,14 @@ func runC10K(k Kernel, port uint16, conns, rounds, churnStride int) C10KResult {
 	}
 }
 
-// dialConnRetry dials until the backlog has room or the deadline passes.
-func dialConnRetry(k Kernel, port uint16, timeout time.Duration) (*hostos.Conn, error) {
-	deadline := time.Now().Add(timeout)
-	for {
-		conn, err := k.Host().Dial(port)
-		if err == nil {
-			return conn, nil
-		}
-		if time.Now().After(deadline) {
-			return nil, err
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-func dialRetry(k Kernel, port uint16, attempts int) (io.ReadWriteCloser, error) {
+// dialRetry dials until the backlog has room, at most attempts+1
+// times, 1 ms of the host's time apart.
+func dialRetry(k Kernel, port uint16, attempts int) (*hostos.Conn, error) {
 	for i := 0; ; i++ {
 		conn, err := k.Host().Dial(port)
-		if err == nil {
-			return connCloser{conn}, nil
+		if err == nil || i >= attempts {
+			return conn, err
 		}
-		if i >= attempts {
-			return nil, err
-		}
-		time.Sleep(time.Millisecond)
+		k.Host().Sleep(time.Millisecond)
 	}
 }
-
-type connCloser struct {
-	c interface {
-		Read([]byte) (int, error)
-		Write([]byte) (int, error)
-		Close()
-	}
-}
-
-func (cc connCloser) Read(p []byte) (int, error)  { return cc.c.Read(p) }
-func (cc connCloser) Write(p []byte) (int, error) { return cc.c.Write(p) }
-func (cc connCloser) Close() error                { cc.c.Close(); return nil }

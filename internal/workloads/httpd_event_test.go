@@ -2,8 +2,11 @@ package workloads
 
 import (
 	"testing"
+	"time"
 
+	"repro/internal/hostos"
 	"repro/internal/libos"
+	"repro/internal/timers"
 )
 
 // TestEventHTTPDServes: the epoll-based server answers the same protocol
@@ -101,4 +104,55 @@ func TestC10KSmoke(t *testing.T) {
 	}
 	t.Logf("c10k smoke: %d conns / %d harts: %.0f req/s, p50=%v p99=%v, parks=%d epwait-parks=%d accept-eagains=%d",
 		conns, harts, res.Throughput(), res.P50, res.P99, snap.Parks, net.EpWaitParks, net.EAgains)
+}
+
+// hostKernel is a Kernel that is only a host: enough for the dialer.
+type hostKernel struct {
+	Kernel
+	h *hostos.Host
+}
+
+func (k hostKernel) Host() *hostos.Host { return k.h }
+
+// armedClock is a virtual clock that reports each timer armed on it.
+type armedClock struct {
+	*timers.Queue
+	armed chan struct{}
+}
+
+func (c armedClock) Timer(d time.Duration, fn func()) func() {
+	cancel := c.Queue.Timer(d, fn)
+	c.armed <- struct{}{}
+	return cancel
+}
+
+// TestDialRetryWaitsOnTheHostClock: the load generators' dialer paces
+// its retries on the host's clock and counts them, so on a virtual clock
+// a dial to a port nobody listens on gives up after exactly its
+// attempts, each 1 ms of host time after the last.
+func TestDialRetryWaitsOnTheHostClock(t *testing.T) {
+	c := armedClock{timers.New(nil), make(chan struct{})}
+	k := hostKernel{h: hostos.NewWithClock(c)}
+	const attempts = 3
+	errc := make(chan error, 1)
+	go func() {
+		_, err := dialRetry(k, 9, attempts)
+		errc <- err
+	}()
+	for i := range attempts {
+		select {
+		case <-c.armed:
+		case err := <-errc:
+			t.Fatalf("dialRetry returned %v after %d waits, want %d", err, i, attempts)
+		case <-time.After(5 * time.Second):
+			t.Fatalf("no wait on the host clock after %d waits", i)
+		}
+		c.Advance(time.Millisecond)
+	}
+	if err := <-errc; err == nil {
+		t.Fatal("dial to a closed port succeeded")
+	}
+	if got := c.Now().Sub(time.Unix(0, 0)); got != attempts*time.Millisecond {
+		t.Fatalf("gave up at %v of host time, want %v", got, attempts*time.Millisecond)
+	}
 }

@@ -71,7 +71,7 @@ func RunSlowloris(k Kernel, port uint16, spec SlowlorisSpec) SlowlorisResult {
 		mu        sync.Mutex // guards res counters and lats
 		lats      []time.Duration
 		wg        sync.WaitGroup
-		stopPeak  = make(chan struct{})
+		stopPeak  atomic.Bool
 		attackers = make([]*hostos.Conn, spec.Attackers)
 		amu       sync.Mutex // guards attackers slice slots
 	)
@@ -88,7 +88,7 @@ func RunSlowloris(k Kernel, port uint16, spec SlowlorisSpec) SlowlorisResult {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			conn, err := dialConnRetry(k, port, 10*time.Second)
+			conn, err := dialRetry(k, port, 10000)
 			if err != nil {
 				return
 			}
@@ -123,12 +123,8 @@ func RunSlowloris(k Kernel, port uint16, spec SlowlorisSpec) SlowlorisResult {
 	peakWG.Add(1)
 	go func() {
 		defer peakWG.Done()
-		for {
-			select {
-			case <-stopPeak:
-				return
-			case <-time.After(5 * time.Millisecond):
-			}
+		for !stopPeak.Load() {
+			k.Host().Sleep(5 * time.Millisecond)
 			total := 0
 			amu.Lock()
 			for _, c := range attackers {
@@ -163,12 +159,12 @@ func RunSlowloris(k Kernel, port uint16, spec SlowlorisSpec) SlowlorisResult {
 					}
 					if conn == nil {
 						var err error
-						conn, err = dialConnRetry(k, port, 10*time.Second)
+						conn, err = dialRetry(k, port, 10000)
 						if err != nil {
 							continue
 						}
 					}
-					t0 := time.Now()
+					t0 := k.Host().Now()
 					if _, err := conn.Write([]byte("GET / HTTP/1.0\r\n\r\n")); err != nil {
 						conn.Close()
 						conn = nil
@@ -187,7 +183,7 @@ func RunSlowloris(k Kernel, port uint16, spec SlowlorisSpec) SlowlorisResult {
 						conn = nil
 						continue
 					}
-					myLats = append(myLats, time.Since(t0))
+					myLats = append(myLats, k.Host().Now().Sub(t0))
 					ok = true
 				}
 				if !ok {
@@ -206,12 +202,12 @@ func RunSlowloris(k Kernel, port uint16, spec SlowlorisSpec) SlowlorisResult {
 
 	// Give the reaper until Hold to clear the stalled connections, then
 	// cut down the survivors ourselves so the attacker goroutines exit.
-	deadline := time.Now().Add(spec.Hold)
-	for time.Now().Before(deadline) &&
+	deadline := k.Host().Now().Add(spec.Hold)
+	for k.Host().Now().Before(deadline) &&
 		int(serverClosed.Load()) < int(connected.Load()) {
-		time.Sleep(5 * time.Millisecond)
+		k.Host().Sleep(5 * time.Millisecond)
 	}
-	close(stopPeak)
+	stopPeak.Store(true)
 	peakWG.Wait()
 	res.ServerClosed = int(serverClosed.Load())
 	amu.Lock()
