@@ -3,28 +3,16 @@
 //
 // Usage:
 //
-//	occlum-bench [-scale quick|full] [-vmstats] [-schedstats] [-netstats] [-fsstats] [-cpuprofile f] [-memprofile f] [experiment ...]
+//	occlum-bench [-scale quick|full] [-stats] [-cpuprofile f] [-memprofile f] [experiment ...]
 //
 // With no arguments, all experiments run. Experiments (bench.Experiments):
 // fig5a fig5b fig5c fig6a fig6b fig6c fig6d fig7a fig7b ripe table1 c10k
-// fsbench recovery ipcbench. With -vmstats, each experiment also reports
-// the OVM translation-cache counters (blocks decoded, hits, misses,
-// flushes, chained transitions, threaded-dispatch instructions,
-// superblocks formed, trace hits/exits, instructions retired inside
-// traces, and the block hit rate) aggregated over every simulated hart,
-// with trace hits distinguished from block hits.
-// With -schedstats, each experiment reports the M:N scheduler counters
-// (parks, unparks, preemptions, yields and hart utilization)
-// aggregated over every Occlum hart pool. With -netstats, each
-// experiment reports the readiness-path counters (recv/send/accept
-// parks, poll/epoll_wait calls and parks, EAGAIN returns) plus the
-// timer and backpressure counters (deadline arms, fires and cancels,
-// idle-reaped and shed connections, suppressed stale timer wakes).
-// With -fsstats, each experiment reports the filesystem
-// counters (image blocks Merkle-verified, verified-cache hits,
-// read-aheads, copy-ups, whiteouts, blocks scrubbed, shards repaired
-// and rebuilt, stripes decoded, table stripes written, crc mismatches,
-// tag failures).
+// fsbench recovery ipcbench. With -stats, each experiment also prints
+// what it moved on every process-wide counter: the OVM translation
+// cache (vm.CacheStats, with the block hit rate), the M:N scheduler
+// (sched.Snapshot, with hart utilisation), the readiness and zero-copy
+// path (libos.NetSnapshot) and the filesystem (fs.StatCounters), one
+// name=value line each.
 // -cpuprofile and -memprofile write pprof profiles covering the
 // selected experiments, so interpreter-perf work can profile the hot
 // path without editing code (the memory profile is written at exit,
@@ -51,17 +39,10 @@ func main() {
 
 func realMain() int {
 	scaleName := flag.String("scale", "quick", "experiment scale: quick or full")
-	vmStats := flag.Bool("vmstats", false, "report OVM translation-cache counters per experiment")
-	schedStats := flag.Bool("schedstats", false, "report M:N scheduler counters per experiment")
-	netStats := flag.Bool("netstats", false, "report readiness/network counters (parks, polls, zero-copy bytes, timer arms/fires/cancels, reaps, sheds) per experiment")
-	fsStats := flag.Bool("fsstats", false, "report filesystem counters (verify/copy-up/read-ahead/scrub/repair/decode/table stripes/crc mismatches/tag failures) per experiment")
+	flag.BoolVar(&bench.Stats, "stats", false, "print every vm, sched, net and fs counter's delta per experiment")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to `file`")
 	memProfile := flag.String("memprofile", "", "write an allocation profile to `file` at exit")
 	flag.Parse()
-	bench.VMStats = *vmStats
-	bench.SchedStats = *schedStats
-	bench.NetStats = *netStats
-	bench.FSStats = *fsStats
 
 	var scale bench.Scale
 	switch *scaleName {

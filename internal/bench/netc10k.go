@@ -42,7 +42,7 @@ func C10KTable(s Scale) (*Table, error) {
 		// connection. The timeout never fires here (every connection
 		// stays active), but each accept arms and each close cancels a
 		// deadline — the c10k numbers include that bookkeeping, and
-		// -netstats shows it moving.
+		// -stats shows it moving.
 		IdleTimeout: 60 * time.Second,
 	}
 	k, err := workloads.NewOcclumKernel(spec)

@@ -1,28 +1,15 @@
 package fs
 
-import "sync/atomic"
+import "repro/internal/metrics"
 
-// fsStats holds the package-global filesystem counters reported by
-// occlum-bench -fsstats. They are cumulative across every mounted
-// filesystem in the process (like the scheduler and net counters), so
-// benchmarks snapshot before/after and subtract.
-var fsStats struct {
-	verifiedBlocks      atomic.Uint64
-	verifyHits          atomic.Uint64
-	readAheads          atomic.Uint64
-	copyUps             atomic.Uint64
-	whiteouts           atomic.Uint64
-	scrubbedBlocks      atomic.Uint64
-	repairedShards      atomic.Uint64
-	rebuiltShards       atomic.Uint64
-	decodedStripes      atomic.Uint64
-	tableStripesWritten atomic.Uint64
-	tableStripesMACed   atomic.Uint64
-	crcMismatches       atomic.Uint64
-	tagFailures         atomic.Uint64
-}
+// fsStats is the live value of the package-global filesystem counters,
+// written only through sync/atomic. They are cumulative across every
+// mounted filesystem in the process (like the scheduler and net
+// counters), so readers snapshot before and after and subtract.
+var fsStats StatCounters
 
-// StatCounters is a snapshot of the filesystem counters.
+// StatCounters is the filesystem counters, declared once: fsStats is a
+// live value of it and Stats returns a copy.
 type StatCounters struct {
 	// VerifiedBlocks counts image blocks Merkle-verified on first read.
 	VerifiedBlocks uint64
@@ -56,10 +43,10 @@ type StatCounters struct {
 	// few; the first commit into a slot whose content is unknown (after
 	// create or open) writes the whole table.
 	TableStripesWritten uint64
-	// TableStripesMACed counts table stripes whose MAC (Mⱼ, under the v5
-	// root) was computed: every stripe at create and for each v4 or v5
-	// commit open reads a table for, and at a Flush only the stripes
-	// whose entries changed since the previous Flush — never more than it
+	// TableStripesMACed counts table stripes whose MAC (Mⱼ, under the
+	// commit root) was computed: every stripe of each table an open
+	// reads, and at a Flush only the stripes whose entries changed since
+	// the previous Flush (all of them at create) — never more than it
 	// wrote.
 	TableStripesMACed uint64
 	// CRCMismatches counts shard cells read whole whose crc32 trailer
@@ -68,46 +55,14 @@ type StatCounters struct {
 	// short reads are not counted.
 	CRCMismatches uint64
 	// TagFailures counts block payloads that failed to open under their
-	// GCM tag (DATA_CORRUPTED), v3's HMAC included: a crc-clean payload
-	// whose bytes are not the block's, and every k-subset the recovery
-	// search tried and rejected. An intact device reads with this at zero.
+	// GCM tag (DATA_CORRUPTED): a crc-clean payload whose bytes are not
+	// the block's, and every k-subset the recovery search tried and
+	// rejected. An intact device reads with this at zero.
 	TagFailures uint64
 }
 
 // Stats returns the current global filesystem counters.
-func Stats() StatCounters {
-	return StatCounters{
-		VerifiedBlocks:      fsStats.verifiedBlocks.Load(),
-		VerifyHits:          fsStats.verifyHits.Load(),
-		ReadAheads:          fsStats.readAheads.Load(),
-		CopyUps:             fsStats.copyUps.Load(),
-		Whiteouts:           fsStats.whiteouts.Load(),
-		ScrubbedBlocks:      fsStats.scrubbedBlocks.Load(),
-		RepairedShards:      fsStats.repairedShards.Load(),
-		RebuiltShards:       fsStats.rebuiltShards.Load(),
-		DecodedStripes:      fsStats.decodedStripes.Load(),
-		TableStripesWritten: fsStats.tableStripesWritten.Load(),
-		TableStripesMACed:   fsStats.tableStripesMACed.Load(),
-		CRCMismatches:       fsStats.crcMismatches.Load(),
-		TagFailures:         fsStats.tagFailures.Load(),
-	}
-}
+func Stats() StatCounters { return metrics.Load(&fsStats) }
 
 // Sub returns the counter deltas since an earlier snapshot.
-func (s StatCounters) Sub(prev StatCounters) StatCounters {
-	return StatCounters{
-		VerifiedBlocks:      s.VerifiedBlocks - prev.VerifiedBlocks,
-		VerifyHits:          s.VerifyHits - prev.VerifyHits,
-		ReadAheads:          s.ReadAheads - prev.ReadAheads,
-		CopyUps:             s.CopyUps - prev.CopyUps,
-		Whiteouts:           s.Whiteouts - prev.Whiteouts,
-		ScrubbedBlocks:      s.ScrubbedBlocks - prev.ScrubbedBlocks,
-		RepairedShards:      s.RepairedShards - prev.RepairedShards,
-		RebuiltShards:       s.RebuiltShards - prev.RebuiltShards,
-		DecodedStripes:      s.DecodedStripes - prev.DecodedStripes,
-		TableStripesWritten: s.TableStripesWritten - prev.TableStripesWritten,
-		TableStripesMACed:   s.TableStripesMACed - prev.TableStripesMACed,
-		CRCMismatches:       s.CRCMismatches - prev.CRCMismatches,
-		TagFailures:         s.TagFailures - prev.TagFailures,
-	}
-}
+func (s StatCounters) Sub(prev StatCounters) StatCounters { return metrics.Sub(s, prev) }

@@ -7,6 +7,7 @@ import (
 	"path"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/hostos"
 )
@@ -412,7 +413,7 @@ func (ifs *ImageFS) verifyBlock(i int, data []byte) error {
 	for _, n := range settled {
 		ifs.trusted[n.idx] = n.h
 	}
-	fsStats.verifiedBlocks.Add(1)
+	atomic.AddUint64(&fsStats.VerifiedBlocks, 1)
 	return nil
 }
 
@@ -444,7 +445,7 @@ func (ifs *ImageFS) getBlockLocked(i, readAhead int) ([]byte, error) {
 		return nil, fmt.Errorf("%w: image block %d out of range", ErrCorrupt, i)
 	}
 	if d, ok := ifs.cache[i]; ok {
-		fsStats.verifyHits.Add(1)
+		atomic.AddUint64(&fsStats.VerifyHits, 1)
 		return d, nil
 	}
 	for len(ifs.cache) >= imgCachePages {
@@ -472,7 +473,7 @@ func (ifs *ImageFS) getBlockLocked(i, readAhead int) ([]byte, error) {
 			break
 		}
 		ifs.cache[j] = rd
-		fsStats.readAheads.Add(1)
+		atomic.AddUint64(&fsStats.ReadAheads, 1)
 	}
 	return d, nil
 }

@@ -48,6 +48,7 @@ import (
 	"math/rand/v2"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/hostos"
 )
@@ -642,7 +643,7 @@ func (s *BlockStore) macStripe(j int) {
 	s.mac.Write(s.word[:])
 	s.mac.Write(s.table[j*BlockSize : (j+1)*BlockSize])
 	s.mac.Sum(s.stripeMACs[j*sha256.Size : j*sha256.Size])
-	fsStats.tableStripesMACed.Add(1)
+	atomic.AddUint64(&fsStats.TableStripesMACed, 1)
 }
 
 // rootV5 is the root: MAC("root5" ‖ epoch ‖ M₀ ‖ … ‖ M_{T−1}), over
@@ -731,7 +732,7 @@ func (s *BlockStore) readStripe(st int, verify func([]byte) bool) (pay []byte, r
 				crcOK[f] = true
 				nCrcOK++
 			} else {
-				fsStats.crcMismatches.Add(1)
+				atomic.AddUint64(&fsStats.CRCMismatches, 1)
 			}
 		}
 		if f < s.k && !crcOK[f] {
@@ -749,7 +750,7 @@ func (s *BlockStore) readStripe(st int, verify func([]byte) bool) (pay []byte, r
 			return s.ct, s.repairFrom(st, s.ct, crcOK), nil
 		}
 	}
-	fsStats.decodedStripes.Add(1)
+	atomic.AddUint64(&fsStats.DecodedStripes, 1)
 	if !dataOK && nCrcOK >= s.k {
 		if pay, ok := s.tryDecode(raw, crcOK, verify); ok {
 			return pay, s.repairFrom(st, pay, crcOK), nil
@@ -836,7 +837,7 @@ func (s *BlockStore) repairFrom(st int, payload []byte, trusted []bool) (err err
 			err = cmp.Or(err, werr)
 			continue
 		}
-		fsStats.repairedShards.Add(1)
+		atomic.AddUint64(&fsStats.RepairedShards, 1)
 	}
 	return err
 }
@@ -867,7 +868,7 @@ func (s *BlockStore) open(i int, ct []byte) bool {
 	copy(sealed[BlockSize:], e[nonceSize:entryFlags])
 	binary.LittleEndian.PutUint64(s.word[:], uint64(i))
 	if _, err := s.aead.Open(s.pt[:0], e[:nonceSize], sealed, s.word[:]); err != nil {
-		fsStats.tagFailures.Add(1)
+		atomic.AddUint64(&fsStats.TagFailures, 1)
 		return false
 	}
 	return true
@@ -1007,7 +1008,7 @@ func (s *BlockStore) Flush() error {
 			if err := s.writeStripe(slot*T+j, s.table[j*BlockSize:(j+1)*BlockSize]); err != nil {
 				return s.fail("flush", err)
 			}
-			fsStats.tableStripesWritten.Add(1)
+			atomic.AddUint64(&fsStats.TableStripesWritten, 1)
 		}
 	}
 	if err := s.syncAll(); err != nil {
@@ -1088,7 +1089,7 @@ func (s *BlockStore) ScrubStep(n int) (worked bool, err error) {
 			return true, s.fail("scrub", repairErr)
 		}
 		err = cmp.Or(err, rerr)
-		fsStats.scrubbedBlocks.Add(1)
+		atomic.AddUint64(&fsStats.ScrubbedBlocks, 1)
 	}
 	if s.scrubCursor >= s.maxBlocks {
 		// End of pass: scrub the committed table and records too (only
@@ -1152,7 +1153,7 @@ func (s *BlockStore) rewrite(f, off int, want []byte) error {
 	if err := s.host.WriteFileAt(s.fileName(f), off, want); err != nil {
 		return err
 	}
-	fsStats.repairedShards.Add(1)
+	atomic.AddUint64(&fsStats.RepairedShards, 1)
 	return nil
 }
 
@@ -1160,12 +1161,12 @@ func (s *BlockStore) rewrite(f, off int, want []byte) error {
 // over every committed block plus the table. Returns blocks scrubbed
 // and the first error.
 func (s *BlockStore) Scrub() (blocks int, err error) {
-	before := fsStats.scrubbedBlocks.Load()
+	before := atomic.LoadUint64(&fsStats.ScrubbedBlocks)
 	for {
 		worked, serr := s.ScrubStep(64)
 		err = cmp.Or(err, serr)
 		if !worked {
-			return int(fsStats.scrubbedBlocks.Load() - before), err
+			return int(atomic.LoadUint64(&fsStats.ScrubbedBlocks) - before), err
 		}
 	}
 }
@@ -1187,7 +1188,7 @@ func (s *BlockStore) Repair() (rebuilt int, err error) {
 	if s.dirtyHdr {
 		return 0, fmt.Errorf("fs: repair requires a clean (flushed) store")
 	}
-	before := fsStats.repairedShards.Load()
+	before := atomic.LoadUint64(&fsStats.RepairedShards)
 	werr := s.scrubTableLocked()
 	for i := 0; werr == nil && i < s.maxBlocks; i++ {
 		if !s.written(i) {
@@ -1197,8 +1198,8 @@ func (s *BlockStore) Repair() (rebuilt int, err error) {
 		werr, rerr = s.readBlockLocked(i, nil)
 		err = cmp.Or(err, rerr)
 	}
-	rebuilt = int(fsStats.repairedShards.Load() - before)
-	fsStats.rebuiltShards.Add(uint64(rebuilt))
+	rebuilt = int(atomic.LoadUint64(&fsStats.RepairedShards) - before)
+	atomic.AddUint64(&fsStats.RebuiltShards, uint64(rebuilt))
 	if werr != nil {
 		return rebuilt, s.fail("repair", werr)
 	}

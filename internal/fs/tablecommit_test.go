@@ -11,7 +11,7 @@ import (
 
 // A Flush writes the table stripes that changed since its A/B table slot
 // was last whole, and every one of them when it cannot know. These
-// tests hold that by count (fsStats.tableStripesWritten) and by crash.
+// tests hold that by count (Stats().TableStripesWritten) and by crash.
 
 // blockFill is a block's content in the commit scripts below: a pure
 // function of (block, generation), so a reopened store can be checked

@@ -6,6 +6,7 @@ import (
 	"path"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // UnionFS completes Occlum's filesystem picture (§6): the writable
@@ -267,7 +268,7 @@ func (u *UnionFS) setWhiteoutLocked(p string) error {
 		return err
 	}
 	n.Close()
-	fsStats.whiteouts.Add(1)
+	atomic.AddUint64(&fsStats.Whiteouts, 1)
 	return nil
 }
 
@@ -323,7 +324,7 @@ func (u *UnionFS) copyUpLocked(p string, flags OpenFlag, copyData bool) (Node, e
 		}
 	}
 	u.copiedUp[path.Clean("/"+p)] = true
-	fsStats.copyUps.Add(1)
+	atomic.AddUint64(&fsStats.CopyUps, 1)
 	return un, nil
 }
 

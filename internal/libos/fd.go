@@ -189,7 +189,7 @@ func (of *OpenFile) reapCheck(q *timers.Queue) {
 	// EOF/HUP and its write sees EPIPE; parked waiters are woken by the
 	// close's readiness broadcast.
 	of.closeStreams()
-	netStats.reaps.Add(1)
+	atomic.AddUint64(&netStats.Reaps, 1)
 }
 
 // SetListenBacklog implements sysdispatch.Backlogger: listen(2) plumbs

@@ -32,6 +32,7 @@ import (
 	"repro/internal/fs"
 	"repro/internal/hostos"
 	"repro/internal/mem"
+	"repro/internal/metrics"
 	"repro/internal/oelf"
 	"repro/internal/ring"
 	"repro/internal/sched"
@@ -141,6 +142,9 @@ type Domain struct {
 
 // Occlum is one LibOS instance inside one enclave.
 type Occlum struct {
+	// stats comes first, so its words are 64-bit aligned for sync/atomic
+	// on 32-bit platforms too.
+	stats    SpawnSnapshot
 	cfg      Config
 	platform *sgx.Platform
 	enclave  *sgx.Enclave
@@ -168,7 +172,6 @@ type Occlum struct {
 
 	// images caches what the loader verified, by file version.
 	images *imageCache
-	stats  spawnStats
 	// pipeBufs recycles the ring buffers of this instance's pipes. It
 	// is the instance's own, so a buffer that held enclave pipe bytes
 	// never backs another instance's pipe or a host connection.
@@ -178,16 +181,9 @@ type Occlum struct {
 	BootStats BootStats
 }
 
-// spawnStats counts what spawn and exit cost this LibOS, in units that
-// repeat exactly from run to run.
-type spawnStats struct {
-	imagesVerified, imageCacheHits   atomic.Uint64
-	imageBytesRead, imageBytesLoaded atomic.Uint64
-	pagesScrubbed, exits             atomic.Uint64
-	slotHits                         atomic.Uint64
-}
-
-// SpawnSnapshot is a plain-value copy of the spawn/exit counters.
+// SpawnSnapshot is the spawn/exit counters, declared once, in units that
+// repeat exactly from run to run: Occlum.stats is a live value of it and
+// SpawnStats returns a copy.
 type SpawnSnapshot struct {
 	// ImagesVerified counts binaries read, parsed and signature-checked;
 	// ImageCacheHits counts spawns served from the verified-image cache
@@ -209,31 +205,11 @@ type SpawnSnapshot struct {
 }
 
 // Sub returns the counter deltas since an earlier snapshot.
-func (s SpawnSnapshot) Sub(prev SpawnSnapshot) SpawnSnapshot {
-	return SpawnSnapshot{
-		ImagesVerified:   s.ImagesVerified - prev.ImagesVerified,
-		ImageCacheHits:   s.ImageCacheHits - prev.ImageCacheHits,
-		ImageBytesRead:   s.ImageBytesRead - prev.ImageBytesRead,
-		ImageBytesLoaded: s.ImageBytesLoaded - prev.ImageBytesLoaded,
-		PagesScrubbed:    s.PagesScrubbed - prev.PagesScrubbed,
-		Exits:            s.Exits - prev.Exits,
-		SlotHits:         s.SlotHits - prev.SlotHits,
-	}
-}
+func (s SpawnSnapshot) Sub(prev SpawnSnapshot) SpawnSnapshot { return metrics.Sub(s, prev) }
 
 // SpawnStats returns this LibOS's spawn/exit counters (also rendered at
 // /proc/occlum).
-func (o *Occlum) SpawnStats() SpawnSnapshot {
-	return SpawnSnapshot{
-		ImagesVerified:   o.stats.imagesVerified.Load(),
-		ImageCacheHits:   o.stats.imageCacheHits.Load(),
-		ImageBytesRead:   o.stats.imageBytesRead.Load(),
-		ImageBytesLoaded: o.stats.imageBytesLoaded.Load(),
-		PagesScrubbed:    o.stats.pagesScrubbed.Load(),
-		Exits:            o.stats.exits.Load(),
-		SlotHits:         o.stats.slotHits.Load(),
-	}
-}
+func (o *Occlum) SpawnStats() SpawnSnapshot { return metrics.Load(&o.stats) }
 
 // BootStats reports what enclave creation cost.
 type BootStats struct {
@@ -488,7 +464,7 @@ func (o *Occlum) scrub(d *Domain, addr, n uint64) {
 	if err != nil {
 		panic(fmt.Sprintf("libos: domain %d outside the enclave: %v", d.ID, err))
 	}
-	o.stats.pagesScrubbed.Add(uint64(pages))
+	atomic.AddUint64(&o.stats.PagesScrubbed, uint64(pages))
 }
 
 func (o *Occlum) freeDomain(d *Domain) {

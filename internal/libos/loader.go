@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/fs"
 	"repro/internal/isa"
@@ -143,7 +144,7 @@ func (o *Occlum) loadBinary(path string) (*loadedImage, error) {
 	if versioned {
 		ver = vf.Version()
 		if img := o.images.get(ver); img != nil {
-			o.stats.imageCacheHits.Add(1)
+			atomic.AddUint64(&o.stats.ImageCacheHits, 1)
 			return img, nil
 		}
 	}
@@ -151,7 +152,7 @@ func (o *Occlum) loadBinary(path string) (*loadedImage, error) {
 	if _, err := f.ReadAt(raw, 0); err != nil {
 		return nil, err
 	}
-	o.stats.imageBytesRead.Add(uint64(len(raw)))
+	atomic.AddUint64(&o.stats.ImageBytesRead, uint64(len(raw)))
 	bin, err := oelf.Unmarshal(raw)
 	if err != nil {
 		return nil, err
@@ -165,7 +166,7 @@ func (o *Occlum) loadBinary(path string) (*loadedImage, error) {
 	if bin.Image.GuardSize != oelf.GuardSize {
 		return nil, fmt.Errorf("libos: unsupported guard size %d", bin.Image.GuardSize)
 	}
-	o.stats.imagesVerified.Add(1)
+	atomic.AddUint64(&o.stats.ImagesVerified, 1)
 	img := &loadedImage{bin: bin, labels: isa.FindCFIMagic(bin.Image.Code)}
 	// Cache under ver only if the file still is ver: a write that
 	// overlapped the read leaves bytes that belong to no one version.
@@ -203,7 +204,7 @@ func (o *Occlum) loadIntoDomain(d *Domain, li *loadedImage, argv []string, p *Pr
 	codeBase := d.CodeBase + d.CodeSize - codeSpan
 	loaded := len(img.Data)
 	if d.resident == li && o.enclave.SpansCurrent([]mem.Span{d.codeSpan}) {
-		o.stats.slotHits.Add(1)
+		atomic.AddUint64(&o.stats.SlotHits, 1)
 	} else {
 		if err := o.loadCode(d, li, codeBase); err != nil {
 			return err
@@ -235,7 +236,7 @@ func (o *Occlum) loadIntoDomain(d *Domain, li *loadedImage, argv []string, p *Pr
 
 	p.heapBase, p.heapEnd, p.heapPtr = heapBase, heapEnd, heapBase
 	p.tramp = d.CodeBase
-	o.stats.imageBytesLoaded.Add(uint64(loaded))
+	atomic.AddUint64(&o.stats.ImageBytesLoaded, uint64(loaded))
 	return nil
 }
 

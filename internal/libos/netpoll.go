@@ -21,39 +21,18 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/sysdispatch"
 	"repro/internal/timers"
 )
 
 // --- Network/readiness statistics ---------------------------------------
 
-// netStats counts readiness-path events across every LibOS instance in
-// the process (the net analog of sched.GlobalSnapshot), reported by
-// occlum-bench -netstats and asserted by the C10K smoke test.
-var netStats struct {
-	recvParks, sendParks, acceptParks atomic.Uint64
-	polls, pollParks                  atomic.Uint64
-	epWaits, epWaitParks              atomic.Uint64
-	eagains                           atomic.Uint64
-	// Zero-copy data-plane counters: completed vectored/splice/sendfile
-	// syscalls, and the two byte ledgers every data syscall feeds —
-	// bytesLent moved via borrowed views (guest loans, ring runs, image
-	// cache blocks: no staging buffer), bytesCopied staged through a
-	// per-syscall temp buffer (sendfile from a non-image node; scalar
-	// read/write lend, exactly as readv/writev do).
-	writevs, readvs, sendfiles, splices atomic.Uint64
-	bytesLent, bytesCopied              atomic.Uint64
-	// Backpressure counters: reaps counts idle connections closed by
-	// the idle reaper, sheds counts inbound connections refused
-	// by the saturated accept path, staleWakes counts timer or futex
-	// wakes whose syscall had already completed (suppressed by the
-	// generation check in wakeGen instead of wake-stealing a later
-	// park).
-	reaps, sheds, staleWakes atomic.Uint64
-	// Timer counters, kept at the LibOS's own arm, cancel and callback
-	// sites (armTimer, cancelTimer, resetTimer).
-	timerArms, timerFires, timerCancels atomic.Uint64
-}
+// netStats is the live value of the readiness-path counters across every
+// LibOS instance in the process (the net analog of
+// sched.GlobalSnapshot), written only through sync/atomic, printed by
+// occlum-bench -stats and asserted by the C10K smoke test.
+var netStats NetSnapshot
 
 // --- Timers ---------------------------------------------------------------
 
@@ -62,25 +41,26 @@ var netStats struct {
 // the fire, and resetTimer, called only from the timer's own callback,
 // counts its re-arm; so with no timer queued, arms = fires + cancels.
 func armTimer(q *timers.Queue, d time.Duration, fn func()) *timers.Timer {
-	netStats.timerArms.Add(1)
+	atomic.AddUint64(&netStats.TimerArms, 1)
 	return q.Arm(d, func() {
-		netStats.timerFires.Add(1)
+		atomic.AddUint64(&netStats.TimerFires, 1)
 		fn()
 	})
 }
 
 func cancelTimer(t *timers.Timer) {
 	if t.Cancel() {
-		netStats.timerCancels.Add(1)
+		atomic.AddUint64(&netStats.TimerCancels, 1)
 	}
 }
 
 func resetTimer(t *timers.Timer, d time.Duration) {
-	netStats.timerArms.Add(1)
+	atomic.AddUint64(&netStats.TimerArms, 1)
 	t.Reset(d)
 }
 
-// NetSnapshot is a plain-value copy of the readiness-path counters.
+// NetSnapshot is the readiness-path counters, declared once: netStats
+// is a live value of it and NetStats returns a copy.
 type NetSnapshot struct {
 	// RecvParks/SendParks/AcceptParks count socket operations that
 	// parked the SIP instead of blocking a hart.
@@ -102,59 +82,24 @@ type NetSnapshot struct {
 	// still does: a pipeline of reads, writes and splices must report
 	// BytesCopied = 0.
 	BytesLent, BytesCopied uint64
-	// Reaps counts idle connections closed by the idle reaper;
-	// Sheds counts inbound connections refused under run-queue
-	// saturation; StaleWakes counts suppressed stale timer fires.
+	// Reaps counts idle connections closed by the idle reaper; Sheds
+	// counts inbound connections refused under run-queue saturation;
+	// StaleWakes counts timer or futex wakes whose syscall had already
+	// completed (suppressed by the generation check in wakeGen instead
+	// of wake-stealing a later park).
 	Reaps, Sheds, StaleWakes uint64
-	// TimerArms/Fires/Cancels count deadline-queue activity across every
-	// LibOS in the process: arms (a re-arm counts again), callbacks run,
-	// and cancels that prevented a fire.
+	// TimerArms/Fires/Cancels count deadline-queue activity, kept at the
+	// LibOS's own arm, cancel and callback sites (armTimer, cancelTimer,
+	// resetTimer): arms (a re-arm counts again), callbacks run, and
+	// cancels that prevented a fire.
 	TimerArms, TimerFires, TimerCancels uint64
 }
 
 // NetStats returns the current counter values.
-func NetStats() NetSnapshot {
-	return NetSnapshot{
-		RecvParks:    netStats.recvParks.Load(),
-		SendParks:    netStats.sendParks.Load(),
-		AcceptParks:  netStats.acceptParks.Load(),
-		Polls:        netStats.polls.Load(),
-		PollParks:    netStats.pollParks.Load(),
-		EpWaits:      netStats.epWaits.Load(),
-		EpWaitParks:  netStats.epWaitParks.Load(),
-		EAgains:      netStats.eagains.Load(),
-		Writevs:      netStats.writevs.Load(),
-		Readvs:       netStats.readvs.Load(),
-		Sendfiles:    netStats.sendfiles.Load(),
-		Splices:      netStats.splices.Load(),
-		BytesLent:    netStats.bytesLent.Load(),
-		BytesCopied:  netStats.bytesCopied.Load(),
-		Reaps:        netStats.reaps.Load(),
-		Sheds:        netStats.sheds.Load(),
-		StaleWakes:   netStats.staleWakes.Load(),
-		TimerArms:    netStats.timerArms.Load(),
-		TimerFires:   netStats.timerFires.Load(),
-		TimerCancels: netStats.timerCancels.Load(),
-	}
-}
+func NetStats() NetSnapshot { return metrics.Load(&netStats) }
 
 // Sub returns the event delta s - o.
-func (s NetSnapshot) Sub(o NetSnapshot) NetSnapshot {
-	return NetSnapshot{
-		RecvParks: s.RecvParks - o.RecvParks, SendParks: s.SendParks - o.SendParks,
-		AcceptParks: s.AcceptParks - o.AcceptParks,
-		Polls:       s.Polls - o.Polls, PollParks: s.PollParks - o.PollParks,
-		EpWaits: s.EpWaits - o.EpWaits, EpWaitParks: s.EpWaitParks - o.EpWaitParks,
-		EAgains: s.EAgains - o.EAgains,
-		Writevs: s.Writevs - o.Writevs, Readvs: s.Readvs - o.Readvs,
-		Sendfiles: s.Sendfiles - o.Sendfiles, Splices: s.Splices - o.Splices,
-		BytesLent: s.BytesLent - o.BytesLent, BytesCopied: s.BytesCopied - o.BytesCopied,
-		Reaps: s.Reaps - o.Reaps, Sheds: s.Sheds - o.Sheds,
-		StaleWakes: s.StaleWakes - o.StaleWakes,
-		TimerArms:  s.TimerArms - o.TimerArms, TimerFires: s.TimerFires - o.TimerFires,
-		TimerCancels: s.TimerCancels - o.TimerCancels,
-	}
-}
+func (s NetSnapshot) Sub(o NetSnapshot) NetSnapshot { return metrics.Sub(s, o) }
 
 // --- Epoll interest sets -------------------------------------------------
 
@@ -455,7 +400,7 @@ func sysPoll(k sysdispatch.Kernel, a *[5]uint64) sysdispatch.Result {
 	}
 	first := cur.cancel == nil && !p.woken()
 	if first {
-		netStats.polls.Add(1)
+		atomic.AddUint64(&netStats.Polls, 1)
 	}
 	// Subscribe before scanning (first blocking pass only): an edge
 	// landing between the scan and the registration must not be lost.
@@ -501,7 +446,7 @@ func sysPoll(k sysdispatch.Kernel, a *[5]uint64) sysdispatch.Result {
 	if tmo == 0 || p.woken() {
 		return sysdispatch.Ok(0) // probe, or timeout expired
 	}
-	netStats.pollParks.Add(1)
+	atomic.AddUint64(&netStats.PollParks, 1)
 	return sysdispatch.ParkedResult
 }
 
@@ -597,7 +542,7 @@ func sysEpWait(k sysdispatch.Kernel, a *[5]uint64) sysdispatch.Result {
 	}
 	first := cur.cancel == nil && !p.woken()
 	if first {
-		netStats.epWaits.Add(1)
+		atomic.AddUint64(&netStats.EpWaits, 1)
 	}
 	if tmo != 0 && first {
 		p.armTimeout(cur, []func(){ep.addWaiter(p.wake)}, tmo)
@@ -637,6 +582,6 @@ func sysEpWait(k sysdispatch.Kernel, a *[5]uint64) sysdispatch.Result {
 	if tmo == 0 || p.woken() {
 		return sysdispatch.Ok(0)
 	}
-	netStats.epWaitParks.Add(1)
+	atomic.AddUint64(&netStats.EpWaitParks, 1)
 	return sysdispatch.ParkedResult
 }

@@ -155,7 +155,7 @@ func (p *Proc) wakeGen(gen uint64) {
 		w = p.wokenGen.Load()
 	}
 	if p.liveGen.Load() != gen {
-		netStats.staleWakes.Add(1)
+		atomic.AddUint64(&netStats.StaleWakes, 1)
 		return
 	}
 	p.task.Unpark()
@@ -287,7 +287,7 @@ func (p *Proc) Step() sched.Status {
 			// Asynchronous preemption honored at a block boundary —
 			// requeue; the pending signal (or the queued work that
 			// requested the preemption) is serviced on the next Step.
-			p.os.sched.Stats().Preempts.Add(1)
+			p.os.sched.CountPreempt()
 			return sched.Yield
 		case vm.StopTrap:
 			switch p.syscallEntry() {
@@ -399,7 +399,7 @@ func (p *Proc) teardown(status int) {
 	}
 	p.fds.CloseAll()
 	p.os.freeDomain(p.dom)
-	p.os.stats.exits.Add(1)
+	atomic.AddUint64(&p.os.stats.Exits, 1)
 
 	o := p.os
 	o.mu.Lock()

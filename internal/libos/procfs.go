@@ -1,6 +1,7 @@
 package libos
 
 import (
+	"bytes"
 	"fmt"
 	"path"
 	"sort"
@@ -8,6 +9,7 @@ import (
 	"strings"
 
 	"repro/internal/fs"
+	"repro/internal/metrics"
 )
 
 // procFS is the /proc special filesystem, synthesized by the LibOS: a
@@ -51,9 +53,9 @@ func (pf *procFS) render(p string) ([]byte, error) {
 		return []byte(fmt.Sprintf("Domains: %d\nDomainsUsed: %d\nEPCPages: %d\n",
 			n, used, pf.os.enclave.PagesAdded())), nil
 	case len(comps) == 1 && comps[0] == "occlum":
-		s := pf.os.SpawnStats()
-		return []byte(fmt.Sprintf("ImagesVerified: %d\nImageCacheHits: %d\nImageBytesRead: %d\nImageBytesLoaded: %d\nPagesScrubbed: %d\nExits: %d\nSlotHits: %d\n",
-			s.ImagesVerified, s.ImageCacheHits, s.ImageBytesRead, s.ImageBytesLoaded, s.PagesScrubbed, s.Exits, s.SlotHits)), nil
+		var b bytes.Buffer
+		metrics.WriteText(&b, "%s: %d\n", pf.os.SpawnStats())
+		return b.Bytes(), nil
 	case len(comps) == 1 && comps[0] == "cpuinfo":
 		return []byte("model name: OVM virtual hart\nfeatures: mpx sgx mmdsfi\n"), nil
 	case len(comps) == 2 && comps[1] == "status":

@@ -2,6 +2,7 @@ package libos
 
 import (
 	"errors"
+	"sync/atomic"
 
 	"repro/internal/fs"
 	"repro/internal/hostos"
@@ -389,10 +390,10 @@ func sysAccept(k sysdispatch.Kernel, a *[5]uint64) sysdispatch.Result {
 		}
 		if !got {
 			if wait == nil {
-				netStats.eagains.Add(1)
+				atomic.AddUint64(&netStats.EAgains, 1)
 				return sysdispatch.Errno(EAGAIN)
 			}
-			netStats.acceptParks.Add(1)
+			atomic.AddUint64(&netStats.AcceptParks, 1)
 			return sysdispatch.ParkedResult
 		}
 		// Backpressure: when the run queues are saturated past the
@@ -403,7 +404,7 @@ func sysAccept(k sysdispatch.Kernel, a *[5]uint64) sysdispatch.Result {
 		// timing out one accept at a time.
 		if o.cfg.ShedThreshold > 0 && o.sched.Runnable() >= o.cfg.ShedThreshold {
 			conn.Close()
-			netStats.sheds.Add(1)
+			atomic.AddUint64(&netStats.Sheds, 1)
 			continue
 		}
 		nf := newConnFile(conn)

@@ -65,13 +65,13 @@ func TestStaleTimerWakeSuppressed(t *testing.T) {
 	p.sys.gen = 2
 	p.liveGen.Store(2)
 	baseUnparks := s.Snapshot().Unparks
-	baseStale := netStats.staleWakes.Load()
+	baseStale := NetStats().StaleWakes
 
 	p.wakeGen(1)
 	if p.wokenGen.Load() != 1 || p.woken() {
 		t.Fatalf("stale fire latched generation %d; want its own (1), not the live one (2)", p.wokenGen.Load())
 	}
-	if got := netStats.staleWakes.Load() - baseStale; got != 1 {
+	if got := NetStats().StaleWakes - baseStale; got != 1 {
 		t.Fatalf("staleWakes delta = %d, want 1", got)
 	}
 	time.Sleep(50 * time.Millisecond)
@@ -152,7 +152,7 @@ func TestStaleWakeNeverLatchesALaterSyscall(t *testing.T) {
 	if r := p.dispatch(prev); r != sysParked {
 		t.Fatalf("futex wait on a matching word: %v, want parked", r)
 	}
-	baseFires := netStats.timerFires.Load()
+	baseFires := NetStats().TimerFires
 	p.armTimeout(prev, nil, 20)
 	prevGen := prev.gen
 	p.blocked = nil
@@ -166,11 +166,11 @@ func TestStaleWakeNeverLatchesALaterSyscall(t *testing.T) {
 	}
 	p.liveGen.Store(cur.gen)
 	baseUnparks := s.Snapshot().Unparks
-	baseStale := netStats.staleWakes.Load()
+	baseStale := NetStats().StaleWakes
 	if n := o.host.FutexWake(futex, 1); n != 1 {
 		t.Fatalf("futex wake woke %d waiters, want the stale registration", n)
 	}
-	waitFor(t, "the stale timer fire", func() bool { return netStats.timerFires.Load()-baseFires >= 1 })
+	waitFor(t, "the stale timer fire", func() bool { return NetStats().TimerFires-baseFires >= 1 })
 	if p.woken() {
 		t.Fatalf("stale wakes latched syscall %d (wokenGen %d)", cur.gen, p.wokenGen.Load())
 	}
@@ -178,7 +178,7 @@ func TestStaleWakeNeverLatchesALaterSyscall(t *testing.T) {
 	if got := s.Snapshot().Unparks - baseUnparks; got != 0 {
 		t.Fatalf("stale wakes unparked the SIP %d times; want 0", got)
 	}
-	if got := netStats.staleWakes.Load() - baseStale; got != 2 {
+	if got := NetStats().StaleWakes - baseStale; got != 2 {
 		t.Fatalf("staleWakes delta = %d, want 2 (the futex wake and the timer fire)", got)
 	}
 

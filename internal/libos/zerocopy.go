@@ -4,8 +4,8 @@ package libos
 // read/write over guest-memory loans, sendfile from the ImageFS
 // verified page cache, and splice between stream rings.
 //
-// Copy discipline (the numbers -netstats reports as bytes-lent vs
-// bytes-copied):
+// Copy discipline (the numbers -stats reports as BytesLent vs
+// BytesCopied):
 //
 //   - read/write/send/recv and readv/writev share one body per
 //     direction (readSpans/writeSpans; a scalar call is a one-span
@@ -28,6 +28,7 @@ package libos
 
 import (
 	"io"
+	"sync/atomic"
 
 	"repro/internal/fs"
 	"repro/internal/mem"
@@ -77,14 +78,14 @@ func vectored(p *Proc, a *[5]uint64, write bool) sysdispatch.Result {
 		return sysdispatch.Ok(e)
 	}
 	var r sysdispatch.Result
-	calls := &netStats.readvs
+	calls := &netStats.Readvs
 	if write {
-		r, calls = p.writeSpans(of, iov), &netStats.writevs
+		r, calls = p.writeSpans(of, iov), &netStats.Writevs
 	} else {
 		r = p.readSpans(of, iov)
 	}
 	if !r.Parked && r.Ret >= 0 {
-		calls.Add(1)
+		atomic.AddUint64(calls, 1)
 	}
 	return r
 }
@@ -136,7 +137,7 @@ func (p *Proc) writeSpans(of *OpenFile, iov []sysdispatch.Iovec) sysdispatch.Res
 			wn, werr = of.Write(v.B)
 			closed = werr != nil && wn == 0
 		}
-		netStats.bytesLent.Add(uint64(wn))
+		atomic.AddUint64(&netStats.BytesLent, uint64(wn))
 		cur.prog += int64(wn)
 		if closed {
 			if cur.prog > 0 {
@@ -149,11 +150,11 @@ func (p *Proc) writeSpans(of *OpenFile, iov []sysdispatch.Iovec) sysdispatch.Res
 				if cur.prog > 0 {
 					break
 				}
-				netStats.eagains.Add(1)
+				atomic.AddUint64(&netStats.EAgains, 1)
 				return sysdispatch.Errno(EAGAIN)
 			}
 			if of.kind == kindSock {
-				netStats.sendParks.Add(1)
+				atomic.AddUint64(&netStats.SendParks, 1)
 			}
 			return sysdispatch.ParkedResult
 		}
@@ -229,11 +230,11 @@ func (p *Proc) readSpans(of *OpenFile, iov []sysdispatch.Iovec) sysdispatch.Resu
 				break
 			}
 			if nonblock {
-				netStats.eagains.Add(1)
+				atomic.AddUint64(&netStats.EAgains, 1)
 				return sysdispatch.Errno(EAGAIN)
 			}
 			if of.kind == kindSock {
-				netStats.recvParks.Add(1)
+				atomic.AddUint64(&netStats.RecvParks, 1)
 			}
 			return sysdispatch.ParkedResult
 		}
@@ -242,7 +243,7 @@ func (p *Proc) readSpans(of *OpenFile, iov []sysdispatch.Iovec) sysdispatch.Resu
 			// loan died, and so must the syscall's claim on it.
 			return sysdispatch.Errno(EFAULT)
 		}
-		netStats.bytesLent.Add(uint64(rn))
+		atomic.AddUint64(&netStats.BytesLent, uint64(rn))
 		total += int64(rn)
 		if eof || rn < len(v.B) {
 			break
@@ -319,9 +320,9 @@ func sysSendfile(k sysdispatch.Kernel, a *[5]uint64) sysdispatch.Result {
 		}
 		wn, closed, wouldBlock := wr.TryWrite(chunk, w)
 		if borrow {
-			netStats.bytesLent.Add(uint64(wn))
+			atomic.AddUint64(&netStats.BytesLent, uint64(wn))
 		} else {
-			netStats.bytesCopied.Add(uint64(wn))
+			atomic.AddUint64(&netStats.BytesCopied, uint64(wn))
 		}
 		if wn > 0 {
 			oof.touch(p.os.timers)
@@ -338,16 +339,16 @@ func sysSendfile(k sysdispatch.Kernel, a *[5]uint64) sysdispatch.Result {
 				break
 			}
 			if wait == nil {
-				netStats.eagains.Add(1)
+				atomic.AddUint64(&netStats.EAgains, 1)
 				return sysdispatch.Errno(EAGAIN)
 			}
 			if oof.kind == kindSock {
-				netStats.sendParks.Add(1)
+				atomic.AddUint64(&netStats.SendParks, 1)
 			}
 			return sysdispatch.ParkedResult
 		}
 	}
-	netStats.sendfiles.Add(1)
+	atomic.AddUint64(&netStats.Sendfiles, 1)
 	return sysdispatch.Ok(sent)
 }
 
@@ -397,21 +398,21 @@ func sysSplice(k sysdispatch.Kernel, a *[5]uint64) sysdispatch.Result {
 		return sysdispatch.Errno(EPIPE)
 	case ring.SrcEmpty, ring.DstFull:
 		if wait == nil {
-			netStats.eagains.Add(1)
+			atomic.AddUint64(&netStats.EAgains, 1)
 			return sysdispatch.Errno(EAGAIN)
 		}
 		if st == ring.SrcEmpty && inof.kind == kindSock {
-			netStats.recvParks.Add(1)
+			atomic.AddUint64(&netStats.RecvParks, 1)
 		} else if st == ring.DstFull && outof.kind == kindSock {
-			netStats.sendParks.Add(1)
+			atomic.AddUint64(&netStats.SendParks, 1)
 		}
 		return sysdispatch.ParkedResult
 	}
 	if n > 0 {
-		netStats.bytesLent.Add(uint64(n))
+		atomic.AddUint64(&netStats.BytesLent, uint64(n))
 		inof.touch(p.os.timers)
 		outof.touch(p.os.timers)
 	}
-	netStats.splices.Add(1)
+	atomic.AddUint64(&netStats.Splices, 1)
 	return sysdispatch.Ok(int64(n))
 }

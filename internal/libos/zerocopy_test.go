@@ -403,7 +403,7 @@ func TestWritevFaultMidIovec(t *testing.T) {
 
 // TestSplicePipeToSocketZeroCopy: pipe→socket forwarding through
 // splice must move the bytes without a single staging copy — the
-// -netstats bytes-copied ledger stays untouched across the forward.
+// BytesCopied ledger stays untouched across the forward.
 func TestSplicePipeToSocketZeroCopy(t *testing.T) {
 	const port = 7851
 	const total = 48 << 10

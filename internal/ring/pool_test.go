@@ -3,6 +3,7 @@ package ring
 import (
 	"bytes"
 	"io"
+	"sync"
 	"testing"
 )
 
@@ -182,5 +183,93 @@ func TestPoolReturnsOnce(t *testing.T) {
 				t.Fatalf("pool holds %d buffers (%d bytes), want the one 4 KiB buffer", len(got), p.held)
 			}
 		})
+	}
+}
+
+// TestPoolConcurrentStreams: eight goroutines open, fill, drain and
+// close pooled streams on one pool while a ninth reads the byte count.
+// The pool starts holding one buffer per goroutine; each takes one and
+// gives it back per stream, so the count never passes the budget, no
+// stream sees another's bytes, and at the end the pool holds exactly
+// the buffers it started with. Pool.mu is the only thing making get and
+// put safe here: without it -race reports, and a buffer popped twice
+// shows as a stream reading another's bytes.
+func TestPoolConcurrentStreams(t *testing.T) {
+	const workers, rounds = 8, 300
+	capOf := func(w int) int { return 4 << 10 << (w % 4) } // 4–32 KiB
+	var p Pool
+	var warm []*Stream
+	for w := range workers {
+		s := p.NewStream(capOf(w))
+		s.Write(make([]byte, capOf(w)))
+		warm = append(warm, s)
+	}
+	for _, s := range warm {
+		s.CloseRead()
+	}
+	start := poolEntries(t, &p)
+	if len(start) != workers {
+		t.Fatalf("pool holds %d buffers after warm-up, want %d", len(start), workers)
+	}
+
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	sampled := make(chan int)
+	go func() {
+		peak := 0
+		for {
+			p.mu.Lock()
+			peak = max(peak, p.held)
+			p.mu.Unlock()
+			select {
+			case <-stop:
+				sampled <- peak
+				return
+			default:
+			}
+		}
+	}()
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			n := capOf(w)
+			got := make([]byte, n)
+			for r := range rounds {
+				want := bytes.Repeat([]byte{byte(w*rounds + r)}, n)
+				s := p.NewStream(n)
+				if m, err := s.Write(want); m != n || err != nil {
+					t.Errorf("worker %d: Write = %d, %v", w, m, err)
+					return
+				}
+				if m, err := io.ReadFull(readerFunc(s.Read), got); m != n || err != nil {
+					t.Errorf("worker %d: Read = %d, %v", w, m, err)
+					return
+				}
+				if !bytes.Equal(got, want) {
+					t.Errorf("worker %d round %d: the stream read bytes it was not written (a buffer shared)", w, r)
+					return
+				}
+				s.CloseWrite()
+				s.CloseRead()
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	if peak := <-sampled; peak > poolBudget {
+		t.Errorf("pool held %d bytes, budget %d", peak, poolBudget)
+	}
+	end := poolEntries(t, &p)
+	started := make(map[*byte]bool)
+	for _, b := range start {
+		started[&b[0]] = true
+	}
+	same := len(end) == len(start)
+	for _, b := range end {
+		same = same && started[&b[0]]
+	}
+	if !same {
+		t.Errorf("pool holds %d buffers at the end, not the %d it started with", len(end), len(start))
 	}
 }

@@ -52,6 +52,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/timers"
 )
 
@@ -111,7 +112,7 @@ func (g *G) Unpark() {
 	g.wake.Store(true)
 	if g.state.CompareAndSwap(gParked, gQueued) {
 		g.wake.Store(false)
-		g.s.stats.Unparks.Add(1)
+		atomic.AddUint64(&g.s.stats.Unparks, 1)
 		g.s.enqueue(g)
 	}
 }
@@ -119,26 +120,23 @@ func (g *G) Unpark() {
 // Done reports whether the task has finished.
 func (g *G) Done() bool { return g.state.Load() == gDone }
 
-// Stats counts scheduler events. All fields are cumulative and safe for
-// concurrent use; BusyNS accumulates hart time spent inside Task.Step.
-type Stats struct {
-	Tasks       atomic.Uint64 // tasks ever submitted
-	Slices      atomic.Uint64 // Step calls
-	Yields      atomic.Uint64 // quanta ending in Yield
-	Parks       atomic.Uint64 // committed parks
-	Unparks     atomic.Uint64 // parked tasks made runnable
-	PreemptReqs atomic.Uint64 // preemption requests issued by enqueue
-	Preempts    atomic.Uint64 // preemptions delivered (bumped by the task layer)
-	BusyNS      atomic.Int64  // total hart time inside Step
-}
-
-// Snapshot is a plain-value copy of Stats plus derived figures. Steals
-// is always 0: there is one run queue and nothing to steal from. The
-// field stays because the benchmark harness reads it.
+// Snapshot is the scheduler counters, declared once: each Scheduler
+// holds a live value of it, written only through sync/atomic, and
+// (*Scheduler).Snapshot returns a copy with CapacityNS filled in. All
+// are cumulative. Steals is always 0: there is one run queue and nothing
+// to steal from; the field stays because the benchmark harness reads
+// it.
 type Snapshot struct {
-	Tasks, Slices, Yields, Parks, Unparks, Steals uint64
-	PreemptReqs, Preempts                         uint64
-	BusyNS, CapacityNS                            int64
+	Tasks       uint64 // tasks ever submitted
+	Slices      uint64 // Step calls
+	Yields      uint64 // quanta ending in Yield
+	Parks       uint64 // committed parks
+	Unparks     uint64 // parked tasks made runnable
+	Steals      uint64 // always 0
+	PreemptReqs uint64 // preemption requests issued by enqueue
+	Preempts    uint64 // preemptions delivered (counted by the task layer)
+	BusyNS      int64  // total hart time inside Step
+	CapacityNS  int64  // hart time the pool has existed for (not counted live)
 }
 
 // Utilization returns the fraction of hart-time spent running tasks.
@@ -154,15 +152,7 @@ func (s Snapshot) Utilization() float64 {
 }
 
 // Sub returns the event delta s - o (capacity and busy time included).
-func (s Snapshot) Sub(o Snapshot) Snapshot {
-	return Snapshot{
-		Tasks: s.Tasks - o.Tasks, Slices: s.Slices - o.Slices,
-		Yields: s.Yields - o.Yields, Parks: s.Parks - o.Parks,
-		Unparks: s.Unparks - o.Unparks, PreemptReqs: s.PreemptReqs - o.PreemptReqs,
-		Preempts: s.Preempts - o.Preempts, BusyNS: s.BusyNS - o.BusyNS,
-		CapacityNS: s.CapacityNS - o.CapacityNS,
-	}
-}
+func (s Snapshot) Sub(o Snapshot) Snapshot { return metrics.Sub(s, o) }
 
 // hart is one worker of the pool: a goroutine taking tasks off the
 // scheduler's run queue. running is the task currently inside Step,
@@ -174,6 +164,9 @@ type hart struct {
 
 // Scheduler runs tasks over a fixed pool of harts.
 type Scheduler struct {
+	// stats comes first, so its words are 64-bit aligned for sync/atomic
+	// on 32-bit platforms too.
+	stats Snapshot
 	harts []*hart
 
 	// mu guards the run queue and the sleep/wake handshake (see the
@@ -200,7 +193,6 @@ type Scheduler struct {
 	// victim rotates the hart whose running task enqueue asks to yield.
 	victim atomic.Uint32
 	wg     sync.WaitGroup
-	stats  Stats
 
 	// clock times the capacity; start and stopTime are its readings at
 	// New and at Stop (nil while running). A slice's busy time is host
@@ -264,9 +256,8 @@ func (s *Scheduler) pop() *G {
 	return g
 }
 
-// Stats returns the live counters (for the task layer to bump Preempts
-// and for stats consumers).
-func (s *Scheduler) Stats() *Stats { return &s.stats }
+// CountPreempt counts a preemption the task layer delivered.
+func (s *Scheduler) CountPreempt() { atomic.AddUint64(&s.stats.Preempts, 1) }
 
 // Go submits a task and returns its handle. The task starts in state
 // Queued at the back of the run queue.
@@ -283,7 +274,7 @@ func (s *Scheduler) Prepare(t Task) *G { return &G{s: s, task: t} }
 
 // Start schedules a Prepared task.
 func (s *Scheduler) Start(g *G) {
-	s.stats.Tasks.Add(1)
+	atomic.AddUint64(&s.stats.Tasks, 1)
 	s.enqueue(g)
 }
 
@@ -312,14 +303,9 @@ func (s *Scheduler) Snapshot() Snapshot {
 	if t := s.stopTime.Load(); t != nil {
 		end = *t
 	}
-	cap := int64(end.Sub(s.start)) * int64(len(s.harts))
-	return Snapshot{
-		Tasks: s.stats.Tasks.Load(), Slices: s.stats.Slices.Load(),
-		Yields: s.stats.Yields.Load(), Parks: s.stats.Parks.Load(),
-		Unparks: s.stats.Unparks.Load(), PreemptReqs: s.stats.PreemptReqs.Load(),
-		Preempts: s.stats.Preempts.Load(), BusyNS: s.stats.BusyNS.Load(),
-		CapacityNS: cap,
-	}
+	snap := metrics.Load(&s.stats)
+	snap.CapacityNS = int64(end.Sub(s.start)) * int64(len(s.harts))
+	return snap
 }
 
 // SetIdle registers fn as the scheduler's idle-time background hook. A
@@ -388,7 +374,7 @@ func (s *Scheduler) enqueue(g *G) {
 	h := s.harts[s.victim.Add(1)%uint32(len(s.harts))]
 	if cur := h.running.Load(); cur != nil {
 		if p, ok := cur.task.(Preempter); ok {
-			s.stats.PreemptReqs.Add(1)
+			atomic.AddUint64(&s.stats.PreemptReqs, 1)
 			p.RequestPreempt()
 		}
 	}
@@ -461,8 +447,8 @@ func (h *hart) run(g *G) bool {
 		h.running.Store(g)
 		t0 := timers.Wall{}.Now() // busy time is the host's CPU
 		st := g.task.Step()
-		s.stats.BusyNS.Add(int64(timers.Wall{}.Since(t0)))
-		s.stats.Slices.Add(1)
+		atomic.AddInt64(&s.stats.BusyNS, int64(timers.Wall{}.Since(t0)))
+		atomic.AddUint64(&s.stats.Slices, 1)
 		h.running.Store(nil)
 
 		switch st {
@@ -470,7 +456,7 @@ func (h *hart) run(g *G) bool {
 			g.state.Store(gDone)
 			return false
 		case Yield:
-			s.stats.Yields.Add(1)
+			atomic.AddUint64(&s.stats.Yields, 1)
 			g.state.Store(gQueued)
 			return true
 		case Park:
@@ -482,13 +468,13 @@ func (h *hart) run(g *G) bool {
 				g.wake.Store(false)
 				continue // wake raced the park: keep running
 			}
-			s.stats.Parks.Add(1)
+			atomic.AddUint64(&s.stats.Parks, 1)
 			return false
 		}
 	}
 }
 
-// --- Global aggregation (for occlum-bench -schedstats) -------------------
+// --- Global aggregation (for occlum-bench -stats) ------------------------
 
 // Live schedulers are enumerated for GlobalSnapshot; a stopped
 // scheduler folds its final snapshot into the retired accumulator and
@@ -516,19 +502,7 @@ func unregister(s *Scheduler) {
 			break
 		}
 	}
-	retired.accumulate(final)
-}
-
-func (t *Snapshot) accumulate(s Snapshot) {
-	t.Tasks += s.Tasks
-	t.Slices += s.Slices
-	t.Yields += s.Yields
-	t.Parks += s.Parks
-	t.Unparks += s.Unparks
-	t.PreemptReqs += s.PreemptReqs
-	t.Preempts += s.Preempts
-	t.BusyNS += s.BusyNS
-	t.CapacityNS += s.CapacityNS
+	retired = metrics.Add(retired, final)
 }
 
 // GlobalSnapshot sums the snapshots of every scheduler created by this
@@ -539,7 +513,7 @@ func GlobalSnapshot() Snapshot {
 	defer regMu.Unlock()
 	total := retired
 	for _, s := range registry {
-		total.accumulate(s.Snapshot())
+		total = metrics.Add(total, s.Snapshot())
 	}
 	return total
 }

@@ -650,7 +650,7 @@ func TestTraceDifferentialFlagWriters(t *testing.T) {
 		}
 		s := c.CacheStats()
 		if s.TraceInsts*2 < s.Threaded {
-			t.Fatalf("seed %d: stats = %v: want the loop to run mostly inside traces", seed, s)
+			t.Fatalf("seed %d: stats = %+v: want the loop to run mostly inside traces", seed, s)
 		}
 		exits += s.TraceExits
 	}
@@ -719,7 +719,7 @@ func TestTraceDifferentialSMCCallee(t *testing.T) {
 		t.Fatalf("stop = %v", st)
 	}
 	if s := c.CacheStats(); s.Traces == 0 || s.Flushes == 0 {
-		t.Fatalf("stats = %v: want promoted traces and SMC flushes", s)
+		t.Fatalf("stats = %+v: want promoted traces and SMC flushes", s)
 	}
 }
 
@@ -855,7 +855,7 @@ func TestTraceDifferentialMemEdges(t *testing.T) {
 			faults++
 		}
 		if s := c.CacheStats(); s.Traces == 0 {
-			t.Fatalf("seed %d: stats = %v: want promoted traces", seed, s)
+			t.Fatalf("seed %d: stats = %+v: want promoted traces", seed, s)
 		}
 	}
 	if faults == 0 || faults == numSeeds {
@@ -935,7 +935,7 @@ func TestTraceDifferentialHostPatch(t *testing.T) {
 		diffCompareAt(t, seed, fast, slow, db, ds)
 		if tracesEnabled {
 			if s := fast.CacheStats(); s.Traces == 0 {
-				t.Fatalf("seed %d: stats = %v: loop never promoted", seed, s)
+				t.Fatalf("seed %d: stats = %+v: loop never promoted", seed, s)
 			}
 		}
 	}

@@ -71,6 +71,7 @@ import (
 
 	"repro/internal/isa"
 	"repro/internal/mem"
+	"repro/internal/metrics"
 	"repro/internal/mpx"
 )
 
@@ -264,23 +265,25 @@ type CacheStats struct {
 	ICMisses uint64
 }
 
-// String renders the counters in one line.
-func (s CacheStats) String() string {
-	rate := 0.0
+// HitRate returns the share of block transitions served without a
+// decode: (Hits + Chains) / (Hits + Misses + Chains), 0 with none.
+func (s CacheStats) HitRate() float64 {
 	if n := s.Hits + s.Misses + s.Chains; n > 0 {
-		rate = 100 * float64(s.Hits+s.Chains) / float64(n)
+		return float64(s.Hits+s.Chains) / float64(n)
 	}
-	return fmt.Sprintf("blocks=%d hits=%d misses=%d flushes=%d chains=%d threaded=%d traces=%d trace-hits=%d trace-exits=%d trace-insts=%d hit-rate=%.2f%%",
-		s.Blocks, s.Hits, s.Misses, s.Flushes, s.Chains, s.Threaded,
-		s.Traces, s.TraceHits, s.TraceExits, s.TraceInsts, rate)
+	return 0
 }
+
+// Sub returns the counter deltas since an earlier snapshot.
+func (s CacheStats) Sub(prev CacheStats) CacheStats { return metrics.Sub(s, prev) }
 
 // numCounters is the number of CacheStats fields.
 const numCounters = 12
 
-// counters lists the address of every field, in declaration order. It
-// is the only place that enumerates them: the process-wide totals, their
-// reset and the per-Run publish all walk this array.
+// counters lists the address of every field, in declaration order, for
+// the per-Run publish: the one path that walks the fields without
+// internal/metrics, because it runs at every Run return and must not
+// reflect or allocate.
 func (s *CacheStats) counters() [numCounters]*uint64 {
 	return [numCounters]*uint64{
 		&s.Blocks, &s.Hits, &s.Misses, &s.Flushes, &s.Chains, &s.Threaded,
@@ -291,27 +294,13 @@ func (s *CacheStats) counters() [numCounters]*uint64 {
 
 // globalStats aggregates cache counters across every CPU in the process,
 // so benchmark drivers can report totals without owning the CPUs (each
-// simulated kernel creates its own harts internally). Indexed as
-// CacheStats.counters.
-var globalStats [numCounters]atomic.Uint64
+// simulated kernel creates its own harts internally). It is written only
+// through sync/atomic.
+var globalStats CacheStats
 
 // GlobalCacheStats returns the process-wide translation-cache totals,
 // accumulated from every CPU at each Run return.
-func GlobalCacheStats() CacheStats {
-	var s CacheStats
-	for i, p := range s.counters() {
-		*p = globalStats[i].Load()
-	}
-	return s
-}
-
-// ResetGlobalCacheStats zeroes the process-wide totals (between
-// benchmark experiments).
-func ResetGlobalCacheStats() {
-	for i := range globalStats {
-		globalStats[i].Store(0)
-	}
-}
+func GlobalCacheStats() CacheStats { return metrics.Load(&globalStats) }
 
 // CPU is one OVM hart. It is not safe for concurrent use; each SGX thread
 // owns one, and an Occlum domain owns one that the SIPs it hosts run on,
@@ -404,10 +393,10 @@ func (c *CPU) takePreempt() bool {
 // process-wide totals. Called once per Run return, so the atomics stay
 // off the per-instruction and per-block paths.
 func (c *CPU) publishStats() {
-	pub := c.published.counters()
+	pub, global := c.published.counters(), globalStats.counters()
 	for i, p := range c.stats.counters() {
 		if d := *p - *pub[i]; d != 0 {
-			globalStats[i].Add(d)
+			atomic.AddUint64(global[i], d)
 			*pub[i] = *p
 		}
 	}

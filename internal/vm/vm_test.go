@@ -399,7 +399,7 @@ func TestSelfModifyingCodeFlushesBlocks(t *testing.T) {
 		t.Fatalf("r0 = %d, want 9 (stale translated block executed)", c.Regs[isa.R0])
 	}
 	if s := c.CacheStats(); s.Flushes == 0 {
-		t.Fatalf("stats = %v: self-modifying store flushed no blocks", s)
+		t.Fatalf("stats = %+v: self-modifying store flushed no blocks", s)
 	}
 }
 
@@ -516,13 +516,13 @@ func TestDataStoresDoNotFlushBlocks(t *testing.T) {
 	}
 	s := c.CacheStats()
 	if s.Flushes != warm.Flushes {
-		t.Fatalf("data stores flushed blocks: %v -> %v", warm, s)
+		t.Fatalf("data stores flushed blocks: %+v -> %+v", warm, s)
 	}
 	if s.Misses != warm.Misses {
-		t.Fatalf("warm re-run missed the cache: %v -> %v", warm, s)
+		t.Fatalf("warm re-run missed the cache: %+v -> %+v", warm, s)
 	}
 	if s.Hits <= warm.Hits {
-		t.Fatalf("warm re-run recorded no hits: %v -> %v", warm, s)
+		t.Fatalf("warm re-run recorded no hits: %+v -> %+v", warm, s)
 	}
 }
 
@@ -557,7 +557,7 @@ func TestTrustedDataWriteDoesNotFlushBlocks(t *testing.T) {
 	}
 	s := c.CacheStats()
 	if s.Flushes != warm.Flushes || s.Misses != warm.Misses {
-		t.Fatalf("trusted data write disturbed code blocks: %v -> %v", warm, s)
+		t.Fatalf("trusted data write disturbed code blocks: %+v -> %+v", warm, s)
 	}
 }
 
@@ -646,16 +646,16 @@ func TestCacheStatsAccumulate(t *testing.T) {
 	}
 	s := c.CacheStats()
 	if s.Blocks == 0 || s.Misses == 0 {
-		t.Fatalf("stats = %v: expected decoded blocks", s)
+		t.Fatalf("stats = %+v: expected decoded blocks", s)
 	}
 	// The 50-iteration loop re-enters its block through its own chain
 	// pointer: chained transitions must dominate, with no extra map
 	// traffic.
 	if s.Hits+s.Chains < 40 {
-		t.Fatalf("stats = %v: loop not served from cache", s)
+		t.Fatalf("stats = %+v: loop not served from cache", s)
 	}
 	if s.Chains < 40 {
-		t.Fatalf("stats = %v: loop not chained block-to-block", s)
+		t.Fatalf("stats = %+v: loop not chained block-to-block", s)
 	}
 	// Every retired instruction of this program went through the
 	// threaded handlers (no Step fallback was ever needed).
@@ -832,7 +832,7 @@ func TestChainedLoopSeesPatchedCode(t *testing.T) {
 		t.Fatalf("r0 = %d, want 3 (stale chained block executed)", c.Regs[isa.R0])
 	}
 	if s := c.CacheStats(); s.Flushes == 0 {
-		t.Fatalf("stats = %v: in-loop SMC flushed nothing", s)
+		t.Fatalf("stats = %+v: in-loop SMC flushed nothing", s)
 	}
 }
 
