@@ -209,7 +209,7 @@ func (k *Kernel) Spawn(path string, argv []string, opt SpawnOpt) (*Proc, error) 
 		return nil, err
 	}
 	p := &Proc{k: k, img: img, cpu: vm.New(img.Mem), fds: sysdispatch.NewFDTable(), done: make(chan struct{})}
-	if err := p.start(append([]string{path}, argv...)); err != nil {
+	if err := p.start(path, argv); err != nil {
 		img.Release()
 		return nil, err
 	}
@@ -238,7 +238,7 @@ func (k *Kernel) Spawn(path string, argv []string, opt SpawnOpt) (*Proc, error) 
 // start copies the binary into the mapped image and sets up the
 // process-start ABI: the gate (no MMDSFI domains here, so cfi_label 0),
 // code, static data, the auxv block and the registers.
-func (p *Proc) start(argv []string) error {
+func (p *Proc) start(path string, argv []string) error {
 	img, codeBase := p.img, p.img.Gate+mem.PageSize
 	if err := img.Mem.WriteDirect(img.Gate, libos.EncodeTrampoline(0)); err != nil {
 		return err
@@ -251,7 +251,7 @@ func (p *Proc) start(argv []string) error {
 	}
 	var err error
 	p.heapPtr, p.heapEnd, err = libos.SetupUserStack(img.Mem, p.cpu, img.Gate,
-		img.DataBase, img.DataSize, img.StackSize, img.Bin.MinDataSize(), argv)
+		img.DataBase, img.DataSize, img.StackSize, img.Bin.MinDataSize(), path, argv)
 	p.cpu.PC = codeBase + uint64(img.Bin.Entry)
 	return err
 }

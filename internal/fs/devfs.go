@@ -14,25 +14,32 @@ type DevFS struct {
 	mu      sync.Mutex
 	console io.Writer
 	rng     *rand.Rand
+	// nodes holds one node per device, by devNames index: a node is
+	// stateless, so every open of a device returns the same one.
+	nodes [len(devNames)]devNode
 }
 
 // NewDevFS creates a /dev with null, zero, urandom and console. Writes to
 // /dev/console go to the provided writer (the LibOS wires it to the
 // host's stdout); a nil writer discards them.
 func NewDevFS(console io.Writer) *DevFS {
-	return &DevFS{console: console, rng: rand.New(rand.NewSource(0x0cc1))}
+	d := &DevFS{console: console, rng: rand.New(rand.NewSource(0x0cc1))}
+	for i, n := range devNames {
+		d.nodes[i] = devNode{fs: d, kind: n}
+	}
+	return d
 }
 
 var _ FileSystem = (*DevFS)(nil)
 
-var devNames = []string{"null", "zero", "urandom", "console"}
+var devNames = [...]string{"null", "zero", "urandom", "console"}
 
 // Open opens a device node.
 func (d *DevFS) Open(p string, flags OpenFlag) (Node, error) {
-	name := path.Base(path.Clean("/" + p))
-	for _, dn := range devNames {
+	name := path.Base(cleanAbs(p))
+	for i, dn := range devNames {
 		if name == dn {
-			return &devNode{fs: d, kind: dn}, nil
+			return &d.nodes[i], nil
 		}
 	}
 	return nil, fmt.Errorf("%w: /dev/%s", ErrNotExist, name)
@@ -46,7 +53,7 @@ func (d *DevFS) Unlink(string) error { return ErrReadOnly }
 
 // ReadDir lists the device nodes.
 func (d *DevFS) ReadDir(p string) ([]FileInfo, error) {
-	if path.Clean("/"+p) != "/" {
+	if cleanAbs(p) != "/" {
 		return nil, ErrNotDir
 	}
 	var out []FileInfo
@@ -58,7 +65,7 @@ func (d *DevFS) ReadDir(p string) ([]FileInfo, error) {
 
 // Stat describes a device node.
 func (d *DevFS) Stat(p string) (FileInfo, error) {
-	if path.Clean("/"+p) == "/" {
+	if cleanAbs(p) == "/" {
 		return FileInfo{Name: "dev", IsDir: true}, nil
 	}
 	if _, err := d.Open(p, ORdOnly); err != nil {

@@ -167,7 +167,7 @@ func (fs *EncFS) Unlink(p string) error {
 func (fs *EncFS) Rename(oldp, newp string) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	oc, nc := path.Clean("/"+oldp), path.Clean("/"+newp)
+	oc, nc := cleanAbs(oldp), cleanAbs(newp)
 	ino, err := fs.resolve(oc)
 	if err != nil {
 		return err

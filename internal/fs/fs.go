@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"path"
 	"strings"
 	"sync"
 )
@@ -619,22 +618,24 @@ func (fs *EncFS) truncateLocked(ino int) error {
 // --- Directories -------------------------------------------------------------
 
 func splitPath(p string) []string {
-	p = path.Clean("/" + p)
+	p = cleanAbs(p)
 	if p == "/" {
 		return nil
 	}
-	return strings.Split(strings.TrimPrefix(p, "/"), "/")
+	return strings.Split(p[1:], "/")
 }
 
-// resolve walks a path to an inode number.
+// resolve walks a path to an inode number, component by component of the
+// clean path, building no list of them.
 func (fs *EncFS) resolve(p string) (int, error) {
 	ino := 1
-	for _, comp := range splitPath(p) {
+	for rest := cleanAbs(p)[1:]; rest != ""; {
+		comp, tail, _ := strings.Cut(rest, "/")
 		next, err := fs.lookup(ino, comp)
 		if err != nil {
 			return 0, err
 		}
-		ino = next
+		ino, rest = next, tail
 	}
 	return ino, nil
 }
@@ -646,17 +647,14 @@ func (fs *EncFS) resolve(p string) (int, error) {
 // into the file's data (silent corruption, caught by the differential
 // test).
 func (fs *EncFS) resolveParent(p string) (int, string, error) {
-	comps := splitPath(p)
-	if len(comps) == 0 {
+	p = cleanAbs(p)
+	if p == "/" {
 		return 0, "", fmt.Errorf("%w: root has no parent", ErrExist)
 	}
-	dir := 1
-	for _, comp := range comps[:len(comps)-1] {
-		next, err := fs.lookup(dir, comp)
-		if err != nil {
-			return 0, "", err
-		}
-		dir = next
+	cut := strings.LastIndexByte(p, '/')
+	dir, err := fs.resolve(p[:max(cut, 1)])
+	if err != nil {
+		return 0, "", err
 	}
 	din, err := fs.readInode(dir)
 	if err != nil {
@@ -665,7 +663,7 @@ func (fs *EncFS) resolveParent(p string) (int, string, error) {
 	if din.mode != modeDir {
 		return 0, "", ErrNotDir
 	}
-	return dir, comps[len(comps)-1], nil
+	return dir, p[cut+1:], nil
 }
 
 func (fs *EncFS) lookup(dirIno int, name string) (int, error) {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"path"
 	"testing"
 
 	"repro/internal/hostos"
@@ -467,4 +468,24 @@ func BenchmarkEncFSSequentialRead(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// TestCleanAbsMatchesPathClean: the resolvers' fast path returns a path
+// unchanged only when path.Clean would, for every string of up to six
+// characters over {a, b, /, .}.
+func TestCleanAbsMatchesPathClean(t *testing.T) {
+	const alphabet = "ab/."
+	var walk func(p string)
+	walk = func(p string) {
+		if got, want := cleanAbs(p), path.Clean("/"+p); got != want {
+			t.Fatalf("cleanAbs(%q) = %q, want %q", p, got, want)
+		}
+		if len(p) == 6 {
+			return
+		}
+		for i := range alphabet {
+			walk(p + alphabet[i:i+1])
+		}
+	}
+	walk("")
 }

@@ -728,5 +728,5 @@ func (ifs *ImageFS) Stat(p string) (FileInfo, error) {
 	if err != nil {
 		return FileInfo{}, err
 	}
-	return FileInfo{Name: path.Base(path.Clean("/" + p)), Size: int64(in.size), IsDir: in.mode == modeDir}, nil
+	return FileInfo{Name: path.Base(cleanAbs(p)), Size: int64(in.size), IsDir: in.mode == modeDir}, nil
 }

@@ -227,6 +227,10 @@ type BlockStore struct {
 	scrubGen     uint64
 	scrubPassGen uint64
 	scrubClean   bool
+	// repaired counts the shards this store rewrote, by scrub or repair:
+	// the store's own share of fsStats.RepairedShards, which other stores
+	// of the process also feed. Repair's result is its delta.
+	repaired int
 
 	// Scratch, owned under mu: what a block through the store would
 	// otherwise re-create (file names, cipher, keyed MAC) or allocate
@@ -837,6 +841,7 @@ func (s *BlockStore) repairFrom(st int, payload []byte, trusted []bool) (err err
 			err = cmp.Or(err, werr)
 			continue
 		}
+		s.repaired++
 		atomic.AddUint64(&fsStats.RepairedShards, 1)
 	}
 	return err
@@ -1066,13 +1071,19 @@ func (s *BlockStore) mutated() {
 // not shadow the rest). A repair write the host refuses fail-stops the
 // store, like one from Flush.
 func (s *BlockStore) ScrubStep(n int) (worked bool, err error) {
+	worked, _, err = s.scrubStep(n)
+	return worked, err
+}
+
+// scrubStep is ScrubStep, also returning how many blocks it verified.
+func (s *BlockStore) scrubStep(n int) (worked bool, blocks int, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.failed != nil {
-		return false, s.failed
+		return false, 0, s.failed
 	}
 	if s.scrubClean {
-		return false, nil
+		return false, 0, nil
 	}
 	if s.scrubCursor == 0 {
 		s.scrubPassGen = s.scrubGen
@@ -1086,9 +1097,10 @@ func (s *BlockStore) ScrubStep(n int) (worked bool, err error) {
 		}
 		repairErr, rerr := s.readBlockLocked(i, nil)
 		if repairErr != nil {
-			return true, s.fail("scrub", repairErr)
+			return true, blocks, s.fail("scrub", repairErr)
 		}
 		err = cmp.Or(err, rerr)
+		blocks++
 		atomic.AddUint64(&fsStats.ScrubbedBlocks, 1)
 	}
 	if s.scrubCursor >= s.maxBlocks {
@@ -1097,7 +1109,7 @@ func (s *BlockStore) ScrubStep(n int) (worked bool, err error) {
 		worked = true
 		if !s.dirtyHdr {
 			if werr := s.scrubTableLocked(); werr != nil {
-				return true, s.fail("scrub", werr)
+				return true, blocks, s.fail("scrub", werr)
 			}
 		}
 		s.scrubCursor = 0
@@ -1105,7 +1117,7 @@ func (s *BlockStore) ScrubStep(n int) (worked bool, err error) {
 			s.scrubClean = true
 		}
 	}
-	return worked, err
+	return worked, blocks, err
 }
 
 // scrubTableLocked re-derives the committed table stripes, commit record
@@ -1153,6 +1165,7 @@ func (s *BlockStore) rewrite(f, off int, want []byte) error {
 	if err := s.host.WriteFileAt(s.fileName(f), off, want); err != nil {
 		return err
 	}
+	s.repaired++
 	atomic.AddUint64(&fsStats.RepairedShards, 1)
 	return nil
 }
@@ -1161,12 +1174,12 @@ func (s *BlockStore) rewrite(f, off int, want []byte) error {
 // over every committed block plus the table. Returns blocks scrubbed
 // and the first error.
 func (s *BlockStore) Scrub() (blocks int, err error) {
-	before := atomic.LoadUint64(&fsStats.ScrubbedBlocks)
 	for {
-		worked, serr := s.ScrubStep(64)
+		worked, n, serr := s.scrubStep(64)
+		blocks += n
 		err = cmp.Or(err, serr)
 		if !worked {
-			return int(atomic.LoadUint64(&fsStats.ScrubbedBlocks) - before), err
+			return blocks, err
 		}
 	}
 }
@@ -1188,7 +1201,7 @@ func (s *BlockStore) Repair() (rebuilt int, err error) {
 	if s.dirtyHdr {
 		return 0, fmt.Errorf("fs: repair requires a clean (flushed) store")
 	}
-	before := atomic.LoadUint64(&fsStats.RepairedShards)
+	before := s.repaired
 	werr := s.scrubTableLocked()
 	for i := 0; werr == nil && i < s.maxBlocks; i++ {
 		if !s.written(i) {
@@ -1198,7 +1211,7 @@ func (s *BlockStore) Repair() (rebuilt int, err error) {
 		werr, rerr = s.readBlockLocked(i, nil)
 		err = cmp.Or(err, rerr)
 	}
-	rebuilt = int(atomic.LoadUint64(&fsStats.RepairedShards) - before)
+	rebuilt = s.repaired - before
 	atomic.AddUint64(&fsStats.RebuiltShards, uint64(rebuilt))
 	if werr != nil {
 		return rebuilt, s.fail("repair", werr)

@@ -652,3 +652,66 @@ func TestBlockStoreRepairNeverLaunders(t *testing.T) {
 		}
 	}
 }
+
+// TestRepairCountsOnlyItsOwnStore: Repair and Scrub report what this
+// store did, not what the process's stores did together. While a second
+// store, on another host, loses a backing file and repairs it in a
+// loop, an intact store's Repair rebuilds nothing in every call and its
+// one full Scrub verifies exactly its 8 written blocks. Counted as
+// deltas of the process-wide RepairedShards and ScrubbedBlocks, both
+// pick up the other store's work.
+func TestRepairCountsOnlyItsOwnStore(t *testing.T) {
+	_, intact, _ := newTamperStore(t)
+	hb, busy, _ := newTamperStore(t)
+	stop := make(chan struct{})
+	done := make(chan error)
+	go func() {
+		var err error
+		for err == nil {
+			select {
+			case <-stop:
+				done <- nil
+				return
+			default:
+			}
+			hb.RemoveFile(busy.fileName(1))
+			var n int
+			if n, err = busy.Repair(); err == nil && n == 0 {
+				err = errors.New("the damaged store rebuilt no shard")
+			}
+			if err == nil {
+				err = busy.WriteBlock(0, []byte{0, 0xEE, 0})
+			}
+			if err == nil {
+				err = busy.Flush()
+			}
+			if err == nil {
+				_, err = busy.Scrub()
+			}
+		}
+		<-stop
+		done <- err
+	}()
+	blocks, serr := intact.Scrub()
+	var rebuilt []int
+	for i := 0; i < 300; i++ {
+		n, err := intact.Repair()
+		if err != nil {
+			t.Error(err)
+			break
+		}
+		if n != 0 {
+			rebuilt = append(rebuilt, n)
+		}
+	}
+	close(stop)
+	if err := <-done; err != nil {
+		t.Fatalf("damaged store: %v", err)
+	}
+	if serr != nil || blocks != 8 {
+		t.Errorf("intact store's Scrub: %d blocks, %v; want 8, nil", blocks, serr)
+	}
+	if len(rebuilt) > 0 {
+		t.Errorf("intact store's Repair rebuilt shards in %d of 300 calls: %v", len(rebuilt), rebuilt)
+	}
+}

@@ -65,7 +65,7 @@ func NewUnionFS(upper, lower FileSystem) *UnionFS {
 }
 
 func whiteoutPath(p string) string {
-	dir, base := path.Split(path.Clean("/" + p))
+	dir, base := path.Split(cleanAbs(p))
 	return path.Join(dir, whPrefix+base)
 }
 
@@ -97,7 +97,7 @@ func (u *UnionFS) hasWhiteout(p string) (bool, error) {
 }
 
 func (u *UnionFS) isOpaque(dir string) (bool, error) {
-	_, err := u.upper.Stat(path.Join(path.Clean("/"+dir), opaqueMarker))
+	_, err := u.upper.Stat(path.Join(cleanAbs(dir), opaqueMarker))
 	if err == nil {
 		return true, nil
 	}
@@ -137,7 +137,7 @@ func (l loc) isDir() bool { return l.fi().IsDir }
 // layer is still alive at each step (an upper regular file or an opaque
 // upper directory kills the lower subtree; a whiteout kills one name).
 func (u *UnionFS) locate(p string) (loc, error) {
-	p = path.Clean("/" + p)
+	p = cleanAbs(p)
 	if reservedName(p) {
 		return loc{}, fmt.Errorf("%w: %s", ErrReservedName, p)
 	}
@@ -238,7 +238,7 @@ func (u *UnionFS) locate(p string) (loc, error) {
 // upper layer (each missing component must be a visible lower
 // directory). Caller holds u.mu.
 func (u *UnionFS) ensureUpperDirsLocked(dir string) error {
-	dir = path.Clean("/" + dir)
+	dir = cleanAbs(dir)
 	if dir == "/" {
 		return nil
 	}
@@ -260,7 +260,7 @@ func (u *UnionFS) ensureUpperDirsLocked(dir string) error {
 }
 
 func (u *UnionFS) setWhiteoutLocked(p string) error {
-	if err := u.ensureUpperDirsLocked(path.Dir(path.Clean("/" + p))); err != nil {
+	if err := u.ensureUpperDirsLocked(path.Dir(cleanAbs(p))); err != nil {
 		return err
 	}
 	n, err := u.upper.Open(whiteoutPath(p), OCreate|OWrOnly)
@@ -290,7 +290,7 @@ func (u *UnionFS) copyUpLocked(p string, flags OpenFlag, copyData bool) (Node, e
 		// writes through a dead name fail.
 		return nil, fmt.Errorf("%w: %s unlinked since open", ErrNotExist, p)
 	}
-	if err := u.ensureUpperDirsLocked(path.Dir(path.Clean("/" + p))); err != nil {
+	if err := u.ensureUpperDirsLocked(path.Dir(cleanAbs(p))); err != nil {
 		return nil, err
 	}
 	un, err := u.upper.Open(p, flags|OCreate)
@@ -323,7 +323,7 @@ func (u *UnionFS) copyUpLocked(p string, flags OpenFlag, copyData bool) (Node, e
 			}
 		}
 	}
-	u.copiedUp[path.Clean("/"+p)] = true
+	u.copiedUp[cleanAbs(p)] = true
 	atomic.AddUint64(&fsStats.CopyUps, 1)
 	return un, nil
 }
@@ -410,7 +410,7 @@ func (n *unionNode) Close() error {
 // files return a lazily-copying node (OTrunc skips the data copy);
 // creates land in the upper layer, clearing any whiteout.
 func (u *UnionFS) Open(p string, flags OpenFlag) (Node, error) {
-	p = path.Clean("/" + p)
+	p = cleanAbs(p)
 	l, err := u.locate(p)
 	if err != nil {
 		if !errors.Is(err, ErrNotExist) || flags&OCreate == 0 {
@@ -473,7 +473,7 @@ func (u *UnionFS) Open(p string, flags OpenFlag) (Node, error) {
 // whited out over a lower directory makes the new directory opaque, so
 // the old lower contents do not resurface.
 func (u *UnionFS) Mkdir(p string) error {
-	p = path.Clean("/" + p)
+	p = cleanAbs(p)
 	u.mu.Lock()
 	defer u.mu.Unlock()
 	if _, err := u.locate(p); err == nil {
@@ -570,7 +570,7 @@ func (u *UnionFS) readDirLocked(p string, l loc) ([]FileInfo, error) {
 
 // ReadDir lists the merged directory.
 func (u *UnionFS) ReadDir(p string) ([]FileInfo, error) {
-	p = path.Clean("/" + p)
+	p = cleanAbs(p)
 	l, err := u.locate(p)
 	if err != nil {
 		return nil, err
@@ -593,7 +593,7 @@ func (u *UnionFS) Stat(p string) (FileInfo, error) {
 // Unlink removes a file or empty directory from the union: upper
 // entries are really deleted, lower entries get a whiteout.
 func (u *UnionFS) Unlink(p string) error {
-	p = path.Clean("/" + p)
+	p = cleanAbs(p)
 	u.mu.Lock()
 	defer u.mu.Unlock()
 	l, err := u.locate(p)
@@ -645,7 +645,7 @@ func (u *UnionFS) Unlink(p string) error {
 // up first; merged or lower directories cannot be renamed (the image is
 // immutable), only directories living purely in the upper layer can.
 func (u *UnionFS) Rename(oldp, newp string) error {
-	oldp, newp = path.Clean("/"+oldp), path.Clean("/"+newp)
+	oldp, newp = cleanAbs(oldp), cleanAbs(newp)
 	u.mu.Lock()
 	defer u.mu.Unlock()
 	ol, err := u.locate(oldp)

@@ -113,18 +113,54 @@ func NewVFS() *VFS { return &VFS{} }
 // Mount attaches fs at prefix ("/" for the root filesystem). Longest
 // prefix wins during resolution.
 func (v *VFS) Mount(prefix string, fs FileSystem) {
-	prefix = path.Clean("/" + prefix)
+	prefix = cleanAbs(prefix)
 	v.mounts = append(v.mounts, mountPoint{prefix: prefix, fs: fs})
 	sort.Slice(v.mounts, func(i, j int) bool {
 		return len(v.mounts[i].prefix) > len(v.mounts[j].prefix)
 	})
 }
 
+// cleanAbs returns path.Clean("/" + p). A path that already is clean and
+// absolute — what a guest passes almost always — comes back as is,
+// without the copy path.Clean would build.
+func cleanAbs(p string) string {
+	if isCleanAbs(p) {
+		return p
+	}
+	return path.Clean("/" + p)
+}
+
+// isCleanAbs reports whether path.Clean("/" + p) == p: p starts with
+// '/', and is "/" or a sequence of "/elem" with no elem empty, "." or
+// "..".
+func isCleanAbs(p string) bool {
+	if p == "" || p[0] != '/' {
+		return false
+	}
+	if p == "/" {
+		return true
+	}
+	start := 1
+	for i := 1; i <= len(p); i++ {
+		if i < len(p) && p[i] != '/' {
+			continue
+		}
+		if e := p[start:i]; e == "" || e == "." || e == ".." {
+			return false
+		}
+		start = i + 1
+	}
+	return true
+}
+
 func (v *VFS) route(p string) (FileSystem, string, error) {
-	p = path.Clean("/" + p)
+	p = cleanAbs(p)
 	for _, m := range v.mounts {
 		if p == m.prefix || strings.HasPrefix(p, m.prefix+"/") || m.prefix == "/" {
-			rel := strings.TrimPrefix(p, m.prefix)
+			rel := p
+			if m.prefix != "/" {
+				rel = strings.TrimPrefix(p, m.prefix)
+			}
 			if rel == "" {
 				rel = "/"
 			}

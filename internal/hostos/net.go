@@ -117,7 +117,8 @@ func (h *Host) Dial(port uint16) (*Conn, error) {
 	l.backlog = append(l.backlog, b)
 	l.cond.Broadcast()
 	waiters := l.takeWaitersLocked()
-	watch := l.watch.Snapshot()
+	var buf [8]func()
+	watch := l.watch.AppendTo(buf[:0])
 	l.mu.Unlock()
 	l.runWaiters(waiters)
 	for _, w := range watch {
@@ -230,7 +231,8 @@ func (l *Listener) Close() {
 	l.closed = true
 	l.cond.Broadcast()
 	waiters := l.takeWaitersLocked()
-	watch := l.watch.Snapshot()
+	var buf [8]func()
+	watch := l.watch.AppendTo(buf[:0])
 	l.mu.Unlock()
 	h := l.host
 	h.listenMu.Lock()

@@ -117,3 +117,171 @@ func TestSyscallAllocationFloor(t *testing.T) {
 		t.Fatalf("%.3f heap allocations per syscall, want < 0.05", per)
 	}
 }
+
+// spawnBudget is what a warm spawn and exit of a cached image may
+// allocate, stdio handed in: the Proc — scheduler handle, fd table,
+// syscall record and exit latch are its fields — plus the wake callback
+// bound to it, the fd map's header and first group, and the node
+// loadBinary opens to read the image's version.
+const spawnBudget = 5
+
+// TestSpawnAllocationFloor: a SIP is cheap to create (§3.3) and leaves
+// the heap as it found it but for what outlives the spawn. On a warm
+// 1-hart kernel, 200 spawn+wait rounds of a program that exits at once
+// allocate at most spawnBudget objects each (a Proc with a done
+// channel, a handlers map, a separate scheduler handle and fd table,
+// and staged argv and auxv buffers made 14). The teardown-zero check
+// allocates a domain-sized buffer per exit, so it is off here.
+func TestSpawnAllocationFloor(t *testing.T) {
+	libos.CheckTeardownZero(false)
+	defer libos.CheckTeardownZero(true)
+	sys, tc := bootSmall(t, 2, 1, 0, nil)
+	defer sys.OS.Shutdown()
+	if err := sys.Install(tc, "/bin/nop", "nop", buildProg(t, func(b *asm.Builder) {
+		b.Entry("_start")
+		ulib.Prologue(b)
+		ulib.Exit(b, 0)
+	})); err != nil {
+		t.Fatal(err)
+	}
+	stdio := libos.NewDiscardFile()
+	spawn := func() {
+		p, err := sys.OS.Spawn("/bin/nop", nil, libos.SpawnOpt{Stdin: stdio, Stdout: stdio, Stderr: stdio})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if status := p.Wait(); status != 0 {
+			t.Fatalf("nop exited %d", status)
+		}
+	}
+	for i := 0; i < 20; i++ {
+		spawn()
+	}
+	const rounds = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < rounds; i++ {
+		spawn()
+	}
+	runtime.ReadMemStats(&after)
+	per := float64(after.Mallocs-before.Mallocs) / rounds
+	t.Logf("mallocs: %.2f per warm spawn+exit", per)
+	if per > spawnBudget+0.5 {
+		t.Fatalf("%.2f heap allocations per spawn+exit, want <= %d", per, spawnBudget)
+	}
+}
+
+// pingProg is one side of a ping-pong over two pipes: the child (pong)
+// reads a byte from fd 60 and writes it to fd 61, n times; the parent
+// (ping) makes the pipes, spawns pong on their far ends, then writes a
+// byte and reads the reply n times and waits for pong. It exits 2 on a
+// short transfer.
+func pingProg(n int64, pong string) func(b *asm.Builder) {
+	const in, out = 60, 61
+	return func(b *asm.Builder) {
+		b.Zero("ab", 16)
+		b.Zero("ba", 16)
+		b.Zero("buf", 8)
+		if pong != "" {
+			b.String("pong", pong)
+		}
+		b.Entry("_start")
+		ulib.Prologue(b)
+		rd, wr := isa.R7, isa.R11
+		if pong == "" {
+			b.MovRI(rd, in)
+			b.MovRI(wr, out)
+		} else {
+			ulib.Pipe2(b, "ab")
+			ulib.Pipe2(b, "ba")
+			b.LoadData(isa.R1, "ab")
+			b.MovRI(isa.R2, in)
+			ulib.Syscall(b, libos.SysDup2)
+			b.LeaData(isa.R1, "ba")
+			b.Load(isa.R1, isa.Mem(isa.R1, 8))
+			b.MovRI(isa.R2, out)
+			ulib.Syscall(b, libos.SysDup2)
+			ulib.SpawnPath(b, "pong", int64(len(pong)), "", 0)
+			b.MovRR(isa.R6, isa.R0)
+			b.LeaData(wr, "ab")
+			b.Load(wr, isa.Mem(wr, 8))
+			b.LoadData(rd, "ba")
+		}
+		b.MovRI(isa.R5, n)
+		b.Label("loop")
+		step := func(no int64, fd isa.Reg) {
+			b.MovRR(isa.R1, fd)
+			b.LeaData(isa.R2, "buf")
+			b.MovRI(isa.R3, 1)
+			ulib.Syscall(b, no)
+			b.CmpI(isa.R0, 1)
+			b.Jne("fail")
+		}
+		if pong == "" {
+			step(libos.SysRead, rd)
+			step(libos.SysWrite, wr)
+		} else {
+			step(libos.SysWrite, wr)
+			step(libos.SysRead, rd)
+		}
+		b.SubI(isa.R5, 1)
+		b.CmpI(isa.R5, 0)
+		b.Jg("loop")
+		if pong != "" {
+			ulib.Wait4(b, isa.R6)
+		}
+		ulib.Exit(b, 0)
+		b.Label("fail")
+		ulib.Exit(b, 2)
+	}
+}
+
+// TestParkAllocationFloor: parking a SIP allocates nothing. On one hart
+// two SIPs bounce a byte through two pipes, so each round parks the
+// reader of an empty pipe and the peer's write unparks it. Two runs
+// that differ only in 1000 more rounds must differ in heap allocations
+// by under 0.05 per extra park (each park appended its waiter to a
+// freshly allocated one-element list before the lists kept their
+// arrays).
+func TestParkAllocationFloor(t *testing.T) {
+	const rounds = 1000
+	sys, tc := bootSmall(t, 4, 1, 0, nil)
+	defer sys.OS.Shutdown()
+	for _, n := range []int64{1, 1 + rounds} {
+		pong := fmt.Sprintf("/bin/pong%d", n)
+		if err := sys.Install(tc, pong, "pong", buildProg(t, pingProg(n, ""))); err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.Install(tc, fmt.Sprintf("/bin/ping%d", n), "ping", buildProg(t, pingProg(n, pong))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run := func(n int64) (mallocs, parks uint64) {
+		var before, after runtime.MemStats
+		parks0 := sys.OS.Sched().Snapshot().Parks
+		runtime.ReadMemStats(&before)
+		p, err := sys.OS.Spawn(fmt.Sprintf("/bin/ping%d", n), nil, libos.SpawnOpt{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if status := p.Wait(); status != 0 {
+			t.Fatalf("ping%d exited %d", n, status)
+		}
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs, sys.OS.Sched().Snapshot().Parks - parks0
+	}
+	for i := 0; i < 2; i++ {
+		run(1)
+		run(1 + rounds)
+	}
+	shortM, shortP := run(1)
+	longM, longP := run(1 + rounds)
+	if longP < shortP+rounds {
+		t.Fatalf("%d parks for %d rounds, %d for 1: want at least one more per round", longP, 1+rounds, shortP)
+	}
+	per := (float64(longM) - float64(shortM)) / float64(longP-shortP)
+	t.Logf("mallocs: %d for 1 round (%d parks), %d for %d rounds (%d parks): %.4f per park", shortM, shortP, longM, 1+rounds, longP, per)
+	if per >= 0.05 {
+		t.Fatalf("%.3f heap allocations per park, want < 0.05", per)
+	}
+}

@@ -373,10 +373,11 @@ func (o *Occlum) consoleFile() *OpenFile {
 func NewPipe() (r, w *OpenFile) { return newPipe(nil) }
 
 // newPipe is NewPipe with the ring buffer taken from, and given back to,
-// bufs.
+// bufs. The two ends are one allocation.
 func newPipe(bufs *ring.Pool) (r, w *OpenFile) {
 	s := bufs.NewStream(64 << 10)
-	return &OpenFile{refs: 1, kind: kindPipe, rd: s}, &OpenFile{refs: 1, kind: kindPipe, wr: s}
+	ends := &[2]OpenFile{{refs: 1, kind: kindPipe, rd: s}, {refs: 1, kind: kindPipe, wr: s}}
+	return &ends[0], &ends[1]
 }
 
 // newConnFile wraps an established host connection as a socket

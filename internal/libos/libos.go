@@ -161,10 +161,10 @@ type Occlum struct {
 	domains []*Domain
 	procs   map[int]*Proc
 	nextPID int
-	// waitWakers holds the unpark callbacks of SIPs parked in wait4,
-	// keyed by the waiting (parent) pid; every child teardown
-	// broadcasts to its parent's entry.
-	waitWakers map[int][]func()
+	// waitWakers holds the unpark callback of each SIP parked in wait4,
+	// keyed by the waiting (parent) pid: a SIP has one syscall in flight,
+	// so one entry each. Every child teardown wakes its parent's entry.
+	waitWakers map[int]func()
 
 	vfs   *fs.VFS
 	encfs *fs.EncFS
@@ -260,7 +260,7 @@ func Boot(platform *sgx.Platform, host *hostos.Host, cfg Config) (*Occlum, error
 		host:       host,
 		procs:      make(map[int]*Proc),
 		nextPID:    1,
-		waitWakers: make(map[int][]func()),
+		waitWakers: make(map[int]func()),
 		images:     newImageCache(uint64(cfg.NumDomains) * (cfg.DomainCodeSize + cfg.DomainDataSize)),
 	}
 

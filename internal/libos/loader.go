@@ -191,7 +191,7 @@ const trampolineLen = isa.CFILabelLen + 1
 // The code region outlives its SIP (the warm slot): when it still holds
 // exactly this image, laid out by this loader and stamped by no write
 // since, duties 2 and 3 are already done and are skipped.
-func (o *Occlum) loadIntoDomain(d *Domain, li *loadedImage, argv []string, p *Proc) error {
+func (o *Occlum) loadIntoDomain(d *Domain, li *loadedImage, path string, argv []string, p *Proc) error {
 	img := &li.bin.Image
 	codeSpan := img.CodeSpan()
 	if codeSpan+trampolineLen+16 > d.CodeSize {
@@ -222,7 +222,7 @@ func (o *Occlum) loadIntoDomain(d *Domain, li *loadedImage, argv []string, p *Pr
 	// CPU state, stack and auxv.
 	p.cpu.Reset()
 	heapBase, heapEnd, err := SetupUserStack(o.enclave.Paged, p.cpu, d.CodeBase,
-		d.DataBase, d.DataSize, o.cfg.StackSize, img.MinDataSize(), argv)
+		d.DataBase, d.DataSize, o.cfg.StackSize, img.MinDataSize(), path, argv)
 	if err != nil {
 		return err
 	}

@@ -2,6 +2,7 @@ package libos
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -19,6 +20,12 @@ import (
 // registers, flags, bounds, and a possibly-in-flight blocked syscall —
 // lives in this struct, so a hart can drop the SIP at any quantum
 // boundary and any hart can pick it up later.
+//
+// A Proc is allocated once per spawn and never recycled: a *Proc held
+// past the SIP's exit (a host-side Wait, a stale wake callback) only
+// ever sees this SIP. Its scheduler handle, fd table, syscall record and
+// exit latch are fields, so the Proc is the one object a warm spawn
+// allocates for the SIP's own state.
 type Proc struct {
 	os   *Occlum
 	pid  int
@@ -26,19 +33,16 @@ type Proc struct {
 	name string
 	dom  *Domain
 	cpu  *vm.CPU // dom's; the next SIP of the domain runs on it too
-	task *sched.G
+	task sched.G
 
-	fds *sysdispatch.FDTable
+	fds sysdispatch.FDTable
 
 	heapBase, heapEnd, heapPtr uint64
 	tramp                      uint64
 
-	// Signal state (guarded by os.mu).
-	handlers  map[int]uint64
-	pending   []int
-	inHandler bool
-	savedPC   uint64
-	savedRegs [isa.NumRegs]uint64
+	// sig is the signal state, allocated by the first sigaction or
+	// signal the SIP sees; most SIPs see neither (guarded by os.mu).
+	sig *sigState
 
 	// sys is the syscall record: the SIP has at most one syscall in
 	// flight, so one record per Proc serves every call, reset field by
@@ -70,13 +74,33 @@ type Proc struct {
 	// accept and wait4 registration hands out, bound once at spawn.
 	wake func()
 
-	// Exit state (guarded by os.mu).
+	// Exit state (guarded by os.mu). exit is released once, by
+	// teardown; Wait blocks on it, any number of times.
 	exited bool
 	status int
-	done   chan struct{}
+	exit   sync.WaitGroup
 
 	// Cycles consumed (for diagnostics and /proc; read concurrently).
 	cycles atomic.Uint64
+}
+
+// sigState is a SIP's signal state: installed handlers, the queue of
+// pending signals, and the context a running handler interrupted.
+type sigState struct {
+	handlers  map[int]uint64
+	pending   []int
+	inHandler bool
+	savedPC   uint64
+	savedRegs [isa.NumRegs]uint64
+}
+
+// signals returns p's signal state, allocating it on first use; os.mu
+// is held.
+func (p *Proc) signals() *sigState {
+	if p.sig == nil {
+		p.sig = &sigState{handlers: make(map[int]uint64)}
+	}
+	return p.sig
 }
 
 // blockedSys is the continuation of a syscall: the original trap
@@ -128,7 +152,7 @@ func (p *Proc) ReadUser(addr, n uint64) ([]byte, error) { return p.readUserBytes
 func (p *Proc) WriteUser(addr uint64, b []byte) error { return p.writeUserBytes(addr, b) }
 
 // FDs implements sysdispatch.Kernel.
-func (p *Proc) FDs() *sysdispatch.FDTable { return p.fds }
+func (p *Proc) FDs() *sysdispatch.FDTable { return &p.fds }
 
 // RequestPreempt implements sched.Preempter: the scheduler asks a
 // CPU-bound SIP to yield at the next block boundary when runnable work
@@ -192,17 +216,9 @@ func (o *Occlum) Spawn(path string, argv []string, opt SpawnOpt) (*Proc, error) 
 	o.mu.Lock()
 	pid := o.nextPID
 	o.nextPID++
-	p := &Proc{
-		os:       o,
-		pid:      pid,
-		name:     path,
-		dom:      dom,
-		cpu:      dom.cpu,
-		fds:      sysdispatch.NewFDTable(),
-		handlers: make(map[int]uint64),
-		done:     make(chan struct{}),
-	}
-	p.task = o.sched.Prepare(p)
+	p := &Proc{os: o, pid: pid, name: path, dom: dom, cpu: dom.cpu}
+	p.exit.Add(1)
+	o.sched.Init(&p.task, p)
 	p.wake = p.task.Unpark
 	if opt.Parent != nil {
 		p.ppid = opt.Parent.pid
@@ -212,7 +228,7 @@ func (o *Occlum) Spawn(path string, argv []string, opt SpawnOpt) (*Proc, error) 
 
 	// Inherit or set up standard fds.
 	if opt.Parent != nil {
-		p.fds.InheritFrom(opt.Parent.fds)
+		p.fds.InheritFrom(&opt.Parent.fds)
 	} else {
 		stdio := func(of *OpenFile) *OpenFile {
 			if of != nil {
@@ -226,12 +242,12 @@ func (o *Occlum) Spawn(path string, argv []string, opt SpawnOpt) (*Proc, error) 
 		p.fds.Set(2, stdio(opt.Stderr))
 	}
 
-	if err := o.loadIntoDomain(dom, img, append([]string{path}, argv...), p); err != nil {
+	if err := o.loadIntoDomain(dom, img, path, argv, p); err != nil {
 		p.teardown(127)
 		return nil, err
 	}
 
-	o.sched.Start(p.task)
+	o.sched.Start(&p.task)
 	return p, nil
 }
 
@@ -423,13 +439,13 @@ func (p *Proc) teardown(status int) {
 	}
 	// Wake the parent if it is parked in wait4, and drop our own
 	// wait4 registrations.
-	wakers := o.waitWakers[p.ppid]
+	wakeParent := o.waitWakers[p.ppid]
 	delete(o.waitWakers, p.ppid)
 	delete(o.waitWakers, p.pid)
-	close(p.done)
+	p.exit.Done()
 	o.mu.Unlock()
-	for _, w := range wakers {
-		w()
+	if wakeParent != nil {
+		wakeParent()
 	}
 }
 
@@ -437,7 +453,7 @@ func (p *Proc) teardown(status int) {
 // in-LibOS wait4, Wait does not reap (the host-side caller may wait
 // multiple times).
 func (p *Proc) Wait() int {
-	<-p.done
+	p.exit.Wait()
 	return p.status
 }
 
@@ -467,7 +483,7 @@ func (p *Proc) sysWait4(pid int) (cpid, status int, errno int64, parked bool) {
 	if !found {
 		return 0, 0, ECHILD, false
 	}
-	o.waitWakers[p.pid] = append(o.waitWakers[p.pid], p.wake)
+	o.waitWakers[p.pid] = p.wake
 	return 0, 0, 0, true
 }
 
@@ -483,11 +499,11 @@ func (o *Occlum) Kill(pid, sig int) error {
 		o.mu.Unlock()
 		return fmt.Errorf("libos: kill: no process %d", pid)
 	}
-	p.pending = append(p.pending, sig)
-	task := p.task
+	sg := p.signals()
+	sg.pending = append(sg.pending, sig)
 	o.mu.Unlock()
 	p.cpu.RequestPreempt()
-	task.Unpark()
+	p.task.Unpark()
 	return nil
 }
 
@@ -496,21 +512,22 @@ func (o *Occlum) Kill(pid, sig int) error {
 func (p *Proc) deliverPendingSignal() bool {
 	o := p.os
 	o.mu.Lock()
-	if len(p.pending) == 0 {
+	sg := p.sig
+	if sg == nil || len(sg.pending) == 0 {
 		o.mu.Unlock()
 		return false
 	}
-	sig := p.pending[0]
-	p.pending = p.pending[1:]
-	handler, hasHandler := p.handlers[sig]
-	inHandler := p.inHandler
+	sig := sg.pending[0]
+	sg.pending = sg.pending[1:]
+	handler, hasHandler := sg.handlers[sig]
+	inHandler := sg.inHandler
 	if hasHandler && !inHandler && sig != SIGKILL {
-		p.inHandler = true
+		sg.inHandler = true
 		o.mu.Unlock()
 		// Push context and run the handler (its address was
 		// validated as a domain cfi_label at sigaction time).
-		p.savedPC = p.cpu.PC
-		p.savedRegs = p.cpu.Regs
+		sg.savedPC = p.cpu.PC
+		sg.savedRegs = p.cpu.Regs
 		p.cpu.PC = handler
 		p.cpu.Regs[isa.R1] = uint64(sig)
 		return false
@@ -531,11 +548,16 @@ func (p *Proc) deliverPendingSignal() bool {
 func (p *Proc) fatalSignalWhileBlocked() bool {
 	o := p.os
 	o.mu.Lock()
-	kept := p.pending[:0]
+	sg := p.sig
+	if sg == nil {
+		o.mu.Unlock()
+		return false
+	}
+	kept := sg.pending[:0]
 	fatal := 0
 	hasFatal := false
-	for _, sig := range p.pending {
-		_, hasHandler := p.handlers[sig]
+	for _, sig := range sg.pending {
+		_, hasHandler := sg.handlers[sig]
 		if (!hasHandler || sig == SIGKILL) && fatalByDefault(sig) {
 			if !hasFatal {
 				fatal, hasFatal = sig, true
@@ -547,7 +569,7 @@ func (p *Proc) fatalSignalWhileBlocked() bool {
 		}
 		kept = append(kept, sig)
 	}
-	p.pending = kept
+	sg.pending = kept
 	o.mu.Unlock()
 	if hasFatal {
 		p.teardown(128 + fatal)

@@ -270,9 +270,9 @@ func sysSigaction(k sysdispatch.Kernel, a *[5]uint64) sysdispatch.Result {
 	}
 	p.os.mu.Lock()
 	if handler == 0 {
-		delete(p.handlers, sig)
+		delete(p.signals().handlers, sig)
 	} else {
-		p.handlers[sig] = handler
+		p.signals().handlers[sig] = handler
 	}
 	p.os.mu.Unlock()
 	return sysdispatch.Ok(0)
@@ -281,16 +281,17 @@ func sysSigaction(k sysdispatch.Kernel, a *[5]uint64) sysdispatch.Result {
 func sysSigreturn(k sysdispatch.Kernel, _ *[5]uint64) sysdispatch.Result {
 	p := k.(*Proc)
 	p.os.mu.Lock()
-	if !p.inHandler {
+	sg := p.sig
+	if sg == nil || !sg.inHandler {
 		p.os.mu.Unlock()
 		return sysdispatch.Errno(EINVAL)
 	}
-	p.inHandler = false
+	sg.inHandler = false
 	p.os.mu.Unlock()
 	// Restore the full pre-signal context; the normal syscall return
 	// path must not clobber it.
-	p.cpu.PC = p.savedPC
-	p.cpu.Regs = p.savedRegs
+	p.cpu.PC = sg.savedPC
+	p.cpu.Regs = sg.savedRegs
 	return sysdispatch.Result{NoWriteback: true}
 }
 

@@ -2,6 +2,7 @@ package libos
 
 import (
 	"encoding/binary"
+	"errors"
 
 	"repro/internal/isa"
 	"repro/internal/mem"
@@ -10,38 +11,49 @@ import (
 
 // SetupUserStack writes the auxiliary-vector block at the top of the data
 // region and initializes the CPU's SP, R10 and PC-independent state for a
-// fresh process. It is shared between the Occlum loader and the baseline
-// kernels so every system presents the identical process-start ABI.
+// fresh process whose argv is path followed by args. It is shared between
+// the Occlum loader and the baseline kernels so every system presents the
+// identical process-start ABI. The block is written in place, through one
+// write loan over its pages, so a spawn stages no copy of it.
 //
 // Returns the heap bounds carved between the static data and the stack.
-func SetupUserStack(as *mem.Paged, cpu *vm.CPU, trampAddr, dataBase, dataSize, stackSize, minData uint64, argv []string) (heapBase, heapEnd uint64, err error) {
+func SetupUserStack(as *mem.Paged, cpu *vm.CPU, trampAddr, dataBase, dataSize, stackSize, minData uint64, path string, args []string) (heapBase, heapEnd uint64, err error) {
 	stackTop := dataBase + dataSize
 	heapBase = dataBase + (minData+15)/16*16
 	heapEnd = stackTop - stackSize
 
-	var strBytes []byte
-	strOffs := make([]uint64, len(argv))
-	for i, a := range argv {
-		strOffs[i] = uint64(len(strBytes))
-		strBytes = append(strBytes, a...)
-		strBytes = append(strBytes, 0)
+	argc := 1 + len(args)
+	strLen := len(path) + 1
+	for _, a := range args {
+		strLen += len(a) + 1
 	}
-	hdrLen := uint64(AuxArgv) + uint64(8*len(argv))
-	blockLen := (hdrLen + uint64(len(strBytes)) + 15) / 16 * 16
+	hdrLen := uint64(AuxArgv) + uint64(8*argc)
+	blockLen := (hdrLen + uint64(strLen) + 15) / 16 * 16
 	blockAddr := stackTop - blockLen
-	strBase := blockAddr + hdrLen
 
-	block := make([]byte, blockLen)
-	binary.LittleEndian.PutUint64(block[AuxTrampoline:], trampAddr)
-	binary.LittleEndian.PutUint64(block[AuxHeapBase:], heapBase)
-	binary.LittleEndian.PutUint64(block[AuxHeapEnd:], heapEnd)
-	binary.LittleEndian.PutUint64(block[AuxArgc:], uint64(len(argv)))
-	for i := range argv {
-		binary.LittleEndian.PutUint64(block[AuxArgv+8*i:], strBase+strOffs[i])
+	v, f := as.ViewBytes(blockAddr, int(blockLen), mem.AccessWrite)
+	if f != nil {
+		return 0, 0, f
 	}
-	copy(block[hdrLen:], strBytes)
-	if err := as.WriteDirect(blockAddr, block); err != nil {
-		return 0, 0, err
+	block, le := v.B, binary.LittleEndian
+	le.PutUint64(block[AuxTrampoline:], trampAddr)
+	le.PutUint64(block[AuxHeapBase:], heapBase)
+	le.PutUint64(block[AuxHeapEnd:], heapEnd)
+	le.PutUint64(block[AuxArgc:], uint64(argc))
+	off := hdrLen
+	for i := 0; i < argc; i++ {
+		a := path
+		if i > 0 {
+			a = args[i-1]
+		}
+		le.PutUint64(block[AuxArgv+8*i:], blockAddr+off)
+		off += uint64(copy(block[off:], a))
+		block[off] = 0
+		off++
+	}
+	clear(block[off:])
+	if !v.CommitWrite(len(block)) {
+		return 0, 0, errors.New("libos: stack remapped during process setup")
 	}
 	cpu.Regs[isa.SP] = blockAddr &^ 15
 	cpu.Regs[isa.R10] = blockAddr

@@ -13,7 +13,6 @@ import (
 	"repro/internal/hostos"
 	"repro/internal/sched"
 	"repro/internal/sgx"
-	"repro/internal/sysdispatch"
 	"repro/internal/vm"
 )
 
@@ -54,8 +53,9 @@ func TestStaleTimerWakeSuppressed(t *testing.T) {
 	s := sched.New(1)
 	defer s.Stop()
 	task := &manualParker{}
-	g := s.Prepare(task)
-	p := &Proc{task: g}
+	p := new(Proc)
+	s.Init(&p.task, task)
+	g := &p.task
 
 	s.Start(g)
 	waitFor(t, "initial park", func() bool { return s.Snapshot().Parks >= 1 })
@@ -100,8 +100,9 @@ func TestTimerWakeLiveUnparks(t *testing.T) {
 	s := sched.New(1)
 	defer s.Stop()
 	task := &manualParker{}
-	g := s.Prepare(task)
-	p := &Proc{task: g}
+	p := new(Proc)
+	s.Init(&p.task, task)
+	g := &p.task
 	s.Start(g)
 	waitFor(t, "initial park", func() bool { return s.Snapshot().Parks >= 1 })
 
@@ -137,9 +138,10 @@ func TestStaleWakeNeverLatchesALaterSyscall(t *testing.T) {
 	s := sched.New(1)
 	defer s.Stop()
 	task := &manualParker{}
-	g := s.Prepare(task)
 	d := o.domains[0]
-	p := &Proc{os: o, dom: d, cpu: new(vm.CPU), task: g, fds: sysdispatch.NewFDTable()}
+	p := &Proc{os: o, dom: d, cpu: new(vm.CPU)}
+	s.Init(&p.task, task)
+	g := &p.task
 	p.wake = g.Unpark
 	s.Start(g)
 	waitFor(t, "initial park", func() bool { return s.Snapshot().Parks >= 1 })

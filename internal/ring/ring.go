@@ -52,12 +52,14 @@ type Ring struct {
 }
 
 // New returns an empty ring holding at most capacity bytes. No buffer
-// is allocated until the first write.
-func New(capacity int) *Ring {
+// is allocated until the first write. It is a value, so its owner (a
+// Stream) holds it in place; a copy shares the buffer, so copy a ring
+// only before its first write.
+func New(capacity int) Ring {
 	if capacity <= 0 {
 		panic("ring: capacity must be positive")
 	}
-	return &Ring{max: capacity}
+	return Ring{max: capacity}
 }
 
 // Cap returns the configured capacity.

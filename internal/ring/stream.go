@@ -31,9 +31,10 @@ const (
 
 // WatchSet is the persistent readiness-subscription registry shared by
 // streams and listeners: id-keyed callbacks that survive wakes until
-// cancelled. The owner guards every method with its own lock; Snapshot
-// results are invoked only after that lock is released (callbacks take
-// foreign locks — an epoll set's, the scheduler's).
+// cancelled. The owner guards every method with its own lock; the
+// callbacks AppendTo collects are invoked only after that lock is
+// released (callbacks take foreign locks — an epoll set's, the
+// scheduler's).
 type WatchSet struct {
 	m      map[int]func()
 	nextID int
@@ -51,16 +52,22 @@ func (w *WatchSet) Add(fn func()) (id int) {
 
 func (w *WatchSet) Remove(id int) { delete(w.m, id) }
 
-func (w *WatchSet) Snapshot() []func() {
+// AppendTo appends every callback to dst, typically a wake list in its
+// caller's stack buffer, and returns the extended slice.
+func (w *WatchSet) AppendTo(dst []func()) []func() {
 	if len(w.m) == 0 {
-		return nil
+		return dst
 	}
-	out := make([]func(), 0, len(w.m))
 	for _, fn := range w.m {
-		out = append(out, fn)
+		dst = append(dst, fn)
 	}
-	return out
+	return dst
 }
+
+// wakeList is the stack buffer an operation collects its wake list in
+// under a lock and runs after it: the parked readers or writers, watchers
+// and, for a close, both directions. A longer list spills to the heap.
+type wakeList [8]func()
 
 // Stream is the one bounded in-memory byte queue of the data plane: a
 // LibOS pipe is one Stream, a host connection is two. It has
@@ -73,10 +80,10 @@ func (w *WatchSet) Snapshot() []func() {
 //
 // Wakes are edge-gated — readers are woken by empty→nonempty, writers
 // by full→space, everyone by a close — and no callback ever runs under
-// a stream lock: each operation collects its wake list under s.mu and
-// runs it after the lock drops, because callbacks take foreign locks
-// (an epoll set's, the scheduler's) whose holders query stream
-// readiness. The only locks taken while holding a stream's are another
+// a stream lock: each operation copies its wake list into a buffer on
+// its own stack under s.mu and runs it after the lock drops, because
+// callbacks take foreign locks (an epoll set's, the scheduler's) whose
+// holders query stream readiness. The only locks taken while holding a stream's are another
 // stream's, by Move, in creation order, and its Pool's, a leaf. A woken
 // waiter retries and re-registers if it lost the race, so a stale
 // callback is only a spurious unpark.
@@ -93,8 +100,8 @@ func (w *WatchSet) Snapshot() []func() {
 // otherwise to the GC. Alloc is 0 from then on.
 type Stream struct {
 	mu   sync.Mutex
-	cond *sync.Cond
-	rb   *Ring
+	cond sync.Cond // on mu
+	rb   Ring
 	// id is the creation sequence number: Move locks the lower id first.
 	id uint64
 	// rClosed: the consuming end shut down (shutdown(RD) or close);
@@ -105,7 +112,8 @@ type Stream struct {
 	wClosed bool
 	// rWait/wWait are one-shot wake callbacks from parked readers and
 	// writers; every relevant state change drains and invokes the whole
-	// list (broadcast; retriers re-register if still blocked).
+	// list (broadcast; retriers re-register if still blocked). A drain
+	// keeps the array, so a park after the first allocates nothing.
 	rWait []func()
 	wWait []func()
 	// watch holds persistent readiness subscriptions; closeWatch holds
@@ -124,7 +132,7 @@ func NewStream(capacity int) *Stream { return newStream(capacity, nil) }
 func newStream(capacity int, p *Pool) *Stream {
 	s := &Stream{rb: New(capacity), id: streamSeq.Add(1)}
 	s.rb.pool = p
-	s.cond = sync.NewCond(&s.mu)
+	s.cond.L = &s.mu
 	return s
 }
 
@@ -193,20 +201,26 @@ func (s *Stream) Subscribe(data bool, fn func()) (cancel func()) {
 	}
 }
 
-// wakeReadersLocked drains the one-shot reader waiters; the caller runs
-// the returned callbacks (one-shot and persistent) outside s.mu.
-func (s *Stream) wakeReadersLocked() []func() {
+// wakeReadersLocked drains the one-shot reader waiters into ws, then the
+// persistent watchers; the caller runs ws outside s.mu.
+func (s *Stream) wakeReadersLocked(ws []func()) []func() {
 	s.cond.Broadcast()
-	ws := s.rWait
-	s.rWait = nil
-	return append(ws, s.watch.Snapshot()...)
+	ws, s.rWait = drain(ws, s.rWait)
+	return s.watch.AppendTo(ws)
 }
 
-func (s *Stream) wakeWritersLocked() []func() {
+func (s *Stream) wakeWritersLocked(ws []func()) []func() {
 	s.cond.Broadcast()
-	ws := s.wWait
-	s.wWait = nil
-	return append(ws, s.watch.Snapshot()...)
+	ws, s.wWait = drain(ws, s.wWait)
+	return s.watch.AppendTo(ws)
+}
+
+// drain appends the waiters to ws and empties the list, keeping its array
+// for the next registrations.
+func drain(ws, waiters []func()) ([]func(), []func()) {
+	ws = append(ws, waiters...)
+	clear(waiters)
+	return ws, waiters[:0]
 }
 
 func runAll(fns []func()) {
@@ -241,7 +255,8 @@ func (s *Stream) TryRead(p []byte, wait func()) (n int, eof, wouldBlock bool) {
 
 // readLocked is the read critical section; it releases s.mu.
 func (s *Stream) readLocked(p []byte, wait func()) (n int, eof, wouldBlock bool) {
-	var wake []func()
+	var buf wakeList
+	wake := buf[:0]
 	switch {
 	case s.rClosed || (s.rb.Len() == 0 && s.wClosed):
 		eof = true
@@ -253,7 +268,7 @@ func (s *Stream) readLocked(p []byte, wait func()) (n int, eof, wouldBlock bool)
 	default:
 		wasFull := s.rb.Free() == 0
 		if n = s.rb.Read(p); wasFull && n > 0 {
-			wake = s.wakeWritersLocked()
+			wake = s.wakeWritersLocked(wake)
 		}
 		s.releaseIfFinishedLocked()
 	}
@@ -295,10 +310,11 @@ func (s *Stream) writeLocked(p []byte, wait func()) (n int, closed, wouldBlock b
 		s.mu.Unlock()
 		return 0, true, false
 	}
-	var wake []func()
+	var buf wakeList
+	wake := buf[:0]
 	wasEmpty := s.rb.Len() == 0
 	if n = s.rb.Write(p); n > 0 && wasEmpty {
-		wake = s.wakeReadersLocked()
+		wake = s.wakeReadersLocked(wake)
 	}
 	if wouldBlock = n < len(p); wouldBlock && wait != nil {
 		s.wWait = append(s.wWait, wait)
@@ -330,8 +346,9 @@ func (s *Stream) CloseWrite() {
 // s.mu before the callbacks run.
 func (s *Stream) closeLocked() {
 	s.releaseIfFinishedLocked()
-	wake := append(s.wakeReadersLocked(), s.wakeWritersLocked()...)
-	wake = append(wake, s.closeWatch.Snapshot()...)
+	var buf wakeList
+	wake := s.wakeWritersLocked(s.wakeReadersLocked(buf[:0]))
+	wake = s.closeWatch.AppendTo(wake)
 	s.mu.Unlock()
 	runAll(wake)
 }
@@ -372,7 +389,8 @@ func Move(dst, src *Stream, max int, wait func()) (n int, st MoveStatus) {
 	}
 	first.mu.Lock()
 	second.mu.Lock()
-	var wake []func()
+	var buf wakeList
+	wake := buf[:0]
 	switch {
 	case dst.rClosed || dst.wClosed:
 		st = DstClosed
@@ -403,10 +421,10 @@ func Move(dst, src *Stream, max int, wait func()) (n int, st MoveStatus) {
 		}
 		src.releaseIfFinishedLocked()
 		if srcWasFull {
-			wake = src.wakeWritersLocked()
+			wake = src.wakeWritersLocked(wake)
 		}
 		if dstWasEmpty {
-			wake = append(wake, dst.wakeReadersLocked()...)
+			wake = dst.wakeReadersLocked(wake)
 		}
 	}
 	second.mu.Unlock()

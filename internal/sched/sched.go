@@ -262,17 +262,21 @@ func (s *Scheduler) CountPreempt() { atomic.AddUint64(&s.stats.Preempts, 1) }
 // Go submits a task and returns its handle. The task starts in state
 // Queued at the back of the run queue.
 func (s *Scheduler) Go(t Task) *G {
-	g := s.Prepare(t)
+	g := new(G)
+	s.Init(g, t)
 	s.Start(g)
 	return g
 }
 
-// Prepare creates a handle without scheduling the task — so the task can
-// stash its own handle (for self-unparks) before it can possibly run.
-// Follow with Start.
-func (s *Scheduler) Prepare(t Task) *G { return &G{s: s, task: t} }
+// Init makes g the handle of t without scheduling it, so the handle can
+// live inside the task (a SIP's is a field of its Proc) and the task can
+// reach it (for self-unparks) before it can possibly run. g must be
+// zero or a handle that has not been started. Follow with Start.
+func (s *Scheduler) Init(g *G, t Task) {
+	g.s, g.task = s, t
+}
 
-// Start schedules a Prepared task.
+// Start schedules an Init'ed task.
 func (s *Scheduler) Start(g *G) {
 	atomic.AddUint64(&s.stats.Tasks, 1)
 	s.enqueue(g)

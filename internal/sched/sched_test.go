@@ -265,7 +265,8 @@ func TestUnparkBeforeParkCommitIsAbsorbed(t *testing.T) {
 	s := New(1)
 	defer s.Stop()
 	st := &selfWakeTask{}
-	sg := s.Prepare(st)
+	sg := new(G)
+	s.Init(sg, st)
 	st.g = sg
 	s.Start(sg)
 	deadline := time.Now().Add(10 * time.Second)

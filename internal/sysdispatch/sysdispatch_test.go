@@ -5,6 +5,7 @@ import (
 	"errors"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -275,6 +276,85 @@ func TestFDTableConcurrent(t *testing.T) {
 	for fd := 0; fd <= slices.Max(maxFD); fd++ {
 		if _, ok := tab.Get(fd); ok {
 			t.Fatalf("orphan fd %d after concurrent churn", fd)
+		}
+	}
+}
+
+// sharedFile is a File whose reference count several goroutines move at
+// once, as descriptions shared by dup2 and spawn are.
+type sharedFile struct{ refs atomic.Int64 }
+
+func (f *sharedFile) Read(p []byte) (int, error)                { return 0, nil }
+func (f *sharedFile) Write(p []byte) (int, error)               { return len(p), nil }
+func (f *sharedFile) Seek(off int64, whence int) (int64, error) { return 0, nil }
+func (f *sharedFile) Ref()                                      { f.refs.Add(1) }
+func (f *sharedFile) Unref()                                    { f.refs.Add(-1) }
+
+// TestFDTableMutexSerializesEveryOp drives one table from six goroutines
+// at once with every operation that takes its lock: Install, Get,
+// Dup2 onto a slot of the goroutine's own, Remove, and InheritFrom into
+// a child table that is then closed. Every Install returns an fd ≥ 3;
+// once the workers are done, the next Install gets 3, the lowest free
+// slot, and after CloseAll every file's count is back to 0: no
+// reference was lost or dropped twice. Run under -race it checks that
+// FDTable.mu covers the map, the freed heap and the watermark.
+func TestFDTableMutexSerializesEveryOp(t *testing.T) {
+	const workers, rounds = 6, 400
+	tab := NewFDTable()
+	var mu sync.Mutex
+	var all []*sharedFile
+	newFile := func() *sharedFile {
+		f := new(sharedFile)
+		f.refs.Store(1)
+		mu.Lock()
+		all = append(all, f)
+		mu.Unlock()
+		return f
+	}
+	for fd := 0; fd < 3; fd++ {
+		tab.Set(fd, newFile())
+	}
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				fd := tab.Install(newFile())
+				if fd < 3 {
+					t.Errorf("Install returned fd %d, want >= 3", fd)
+					return
+				}
+				if _, ok := tab.Get(fd); !ok {
+					t.Errorf("fd %d missing right after Install", fd)
+					return
+				}
+				if got := tab.Dup2(fd, 1000+w); got != int64(1000+w) {
+					t.Errorf("Dup2(%d, %d) = %d", fd, 1000+w, got)
+					return
+				}
+				if i%8 == 0 {
+					child := NewFDTable()
+					child.InheritFrom(tab)
+					child.CloseAll()
+				}
+				if f, ok := tab.Remove(fd); ok {
+					f.Unref()
+				} else {
+					t.Errorf("fd %d gone before its owner removed it", fd)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if fd := tab.Install(newFile()); fd != 3 {
+		t.Errorf("Install after the churn = %d, want 3 (the lowest free slot)", fd)
+	}
+	tab.CloseAll()
+	for i, f := range all {
+		if n := f.refs.Load(); n != 0 {
+			t.Fatalf("file %d of %d holds %d references after CloseAll, want 0", i, len(all), n)
 		}
 	}
 }

@@ -440,7 +440,8 @@ type File interface {
 
 // FDTable is the per-process descriptor table: fd → open file
 // description, with POSIX lowest-free allocation at or above 3 (so dup2
-// targets never collide with fresh fds).
+// targets never collide with fresh fds). The zero value is an empty
+// table, so a process holds its table in place.
 //
 // One mutex guards the map and the allocator: a next-fd watermark plus
 // a min-heap of freed slots below it. A process's syscalls run on one
@@ -451,17 +452,26 @@ type File interface {
 // reverse).
 type FDTable struct {
 	mu    sync.Mutex
-	files map[int]File
-	freed []int // min-heap of freed fds below next
-	next  int   // every fd ≥ next is untouched by Install
+	files map[int]File // made by the first entry
+	freed []int        // min-heap of freed fds below next
+	next  int          // every fd ≥ max(next, firstFD) is untouched by Install
 }
+
+// firstFD is the lowest fd Install hands out first (0-2 are stdio).
+const firstFD = 3
 
 // NewFDTable returns an empty table.
-func NewFDTable() *FDTable {
-	return &FDTable{files: make(map[int]File), next: 3}
-}
+func NewFDTable() *FDTable { return new(FDTable) }
 
-// --- freed min-heap (lock: mu) -------------------------------------------
+// --- map and freed min-heap (lock: mu) -----------------------------------
+
+// put stores f at fd, making the map on the first entry.
+func (t *FDTable) put(fd int, f File) {
+	if t.files == nil {
+		t.files = make(map[int]File)
+	}
+	t.files[fd] = f
+}
 
 func (t *FDTable) heapPush(fd int) {
 	t.freed = append(t.freed, fd)
@@ -513,7 +523,7 @@ func (t *FDTable) Get(fd int) (File, bool) {
 func (t *FDTable) Set(fd int, f File) {
 	t.mu.Lock()
 	old := t.files[fd]
-	t.files[fd] = f
+	t.put(fd, f)
 	t.mu.Unlock()
 	if old != nil {
 		old.Unref()
@@ -524,6 +534,7 @@ func (t *FDTable) Set(fd int, f File) {
 func (t *FDTable) Install(f File) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	t.next = max(t.next, firstFD)
 	for {
 		var fd int
 		if len(t.freed) > 0 && t.freed[0] < t.next {
@@ -534,7 +545,7 @@ func (t *FDTable) Install(f File) int {
 		}
 		// A candidate occupied via Set/Dup2 is discarded.
 		if _, used := t.files[fd]; !used {
-			t.files[fd] = f
+			t.put(fd, f)
 			return fd
 		}
 	}
@@ -547,7 +558,7 @@ func (t *FDTable) Remove(fd int) (File, bool) {
 	f, ok := t.files[fd]
 	if ok {
 		delete(t.files, fd)
-		if fd < t.next {
+		if fd < max(t.next, firstFD) {
 			t.heapPush(fd)
 		}
 	}
@@ -582,19 +593,23 @@ func (t *FDTable) Dup2(oldfd, newfd int) int64 {
 func (t *FDTable) InheritFrom(parent *FDTable) {
 	parent.mu.Lock()
 	defer parent.mu.Unlock()
+	if len(parent.files) > 0 {
+		t.files = make(map[int]File, len(parent.files))
+	}
 	for fd, f := range parent.files {
 		f.Ref()
 		t.files[fd] = f
 	}
 	t.next = parent.next
-	t.freed = append([]int(nil), parent.freed...)
+	t.freed = append(t.freed[:0], parent.freed...)
 }
 
-// CloseAll unrefs and drops every entry (process teardown).
+// CloseAll unrefs and drops every entry (process teardown). The table
+// is empty afterwards and allocates nothing to get there.
 func (t *FDTable) CloseAll() {
 	t.mu.Lock()
 	files := t.files
-	t.files, t.next, t.freed = make(map[int]File), 3, nil
+	t.files, t.next, t.freed = nil, 0, nil
 	t.mu.Unlock()
 	for _, f := range files {
 		f.Unref()
