@@ -9,6 +9,7 @@
 package baseline
 
 import (
+	"encoding/binary"
 	"errors"
 	"sync"
 	"time"
@@ -185,6 +186,14 @@ func (p *Proc) WriteUser(addr uint64, b []byte) error {
 		return errFault
 	}
 	return nil
+}
+
+// WriteU64 implements sysdispatch.Kernel; the bytes stay on this
+// frame's stack.
+func (p *Proc) WriteU64(addr, v uint64) error {
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], v)
+	return p.WriteUser(addr, b[:])
 }
 
 // Wait blocks for exit and returns the status. It reads the Proc, not

@@ -106,6 +106,20 @@ func (r *Regular) Version() FileVersion {
 
 var _ Versioned = (*Regular)(nil)
 
+// Version implements VersionedFS: what Version on the node Open(p)
+// returns.
+func (fs *EncFS) Version(p string) (FileVersion, bool, error) {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	ino, err := fs.resolve(p)
+	if err != nil {
+		return FileVersion{}, false, err
+	}
+	return FileVersion{FS: fs, Ino: ino, Gen: fs.vers[ino]}, true, nil
+}
+
+var _ VersionedFS = (*EncFS)(nil)
+
 // Mkdir creates a directory.
 func (fs *EncFS) Mkdir(p string) error {
 	fs.mu.Lock()

@@ -657,6 +657,18 @@ func (n *imageNode) Version() FileVersion { return FileVersion{FS: n.ifs, Ino: n
 
 var _ Versioned = (*imageNode)(nil)
 
+// Version implements VersionedFS: what Version on the node Open(p)
+// returns.
+func (ifs *ImageFS) Version(p string) (FileVersion, bool, error) {
+	ino, err := ifs.resolve(p)
+	if err != nil {
+		return FileVersion{}, false, err
+	}
+	return FileVersion{FS: ifs, Ino: ino}, true, nil
+}
+
+var _ VersionedFS = (*ImageFS)(nil)
+
 // Open opens a file or directory read-only; any writable flag fails
 // with ErrReadOnly (the union layer turns that into a copy-up).
 func (ifs *ImageFS) Open(p string, flags OpenFlag) (Node, error) {

@@ -52,6 +52,7 @@ type UnionFS struct {
 }
 
 var _ FileSystem = (*UnionFS)(nil)
+var _ VersionedFS = (*UnionFS)(nil)
 var _ Renamer = (*UnionFS)(nil)
 
 // NewUnionFS layers the writable upper filesystem over the read-only
@@ -467,6 +468,24 @@ func (u *UnionFS) Open(p string, flags OpenFlag) (Node, error) {
 		return nil, err
 	}
 	return &unionNode{u: u, path: p, flags: flags, gen: u.deadGen[p], cur: ln}, nil
+}
+
+// Version implements VersionedFS. A read-only Open hands out the
+// answering layer's node, so the version is that layer's.
+func (u *UnionFS) Version(p string) (FileVersion, bool, error) {
+	p = cleanAbs(p)
+	l, err := u.locate(p)
+	if err != nil {
+		return FileVersion{}, false, err
+	}
+	layer := u.lower
+	if l.upOK {
+		layer = u.upper
+	}
+	if vfs, ok := layer.(VersionedFS); ok {
+		return vfs.Version(p)
+	}
+	return FileVersion{}, false, nil
 }
 
 // Mkdir creates a directory in the upper layer. Re-creating a name

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"sort"
 	"sync"
 	"testing"
@@ -696,5 +697,55 @@ func TestUnionUpperCorruptionFailsClosed(t *testing.T) {
 		if !errors.Is(serr, ErrCorrupt) {
 			t.Fatalf("error class = %v, want ErrCorrupt", serr)
 		}
+	}
+}
+
+// TestVersionByPathMatchesNode: VFS.Version names, without opening, the
+// version of the node a read-only Open returns, on the image layer, the
+// encrypted layer and across a copy-up, which moves the answer upward.
+// A filesystem without versions answers ok=false; a missing path errors.
+func TestVersionByPathMatchesNode(t *testing.T) {
+	u, _ := newUnion(t)
+	v := NewVFS()
+	v.Mount("/", u)
+	v.Mount("/dev", NewDevFS(io.Discard))
+	check := func(p string) FileVersion {
+		t.Helper()
+		got, ok, err := v.Version(p)
+		if err != nil || !ok {
+			t.Fatalf("Version(%s) = %v, %v", p, ok, err)
+		}
+		n, err := v.Open(p, ORdOnly)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := n.(Versioned).Version(); got != want {
+			t.Fatalf("Version(%s) = %+v, the opened node has %+v", p, got, want)
+		}
+		return got
+	}
+	lower := check("/etc/hosts")
+	n, err := v.Open("/etc/hosts", ORdWr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := n.WriteAt([]byte("x"), 0); err != nil {
+		t.Fatal(err)
+	}
+	upper := check("/etc/hosts")
+	if upper.FS == lower.FS {
+		t.Fatalf("copy-up left the version on the image layer: %+v", upper)
+	}
+	if _, err := n.WriteAt([]byte("y"), 1); err != nil {
+		t.Fatal(err)
+	}
+	if again := check("/etc/hosts"); again == upper {
+		t.Fatalf("a write left the version at %+v", again)
+	}
+	if _, ok, err := v.Version("/dev/null"); ok || err != nil {
+		t.Fatalf("Version(/dev/null) = %v, %v; want not versioned", ok, err)
+	}
+	if _, _, err := v.Version("/etc/absent"); !errors.Is(err, ErrNotExist) {
+		t.Fatalf("Version of a missing path: %v", err)
 	}
 }

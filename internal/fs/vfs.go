@@ -80,6 +80,15 @@ type Versioned interface {
 	Version() FileVersion
 }
 
+// VersionedFS is the optional capability of a FileSystem to name, by
+// path, the FileVersion of the node a read-only Open would return,
+// without building that node. ok is false when that node would not be
+// Versioned. The loader looks its verified-image cache up this way, so
+// a hit opens nothing.
+type VersionedFS interface {
+	Version(path string) (v FileVersion, ok bool, err error)
+}
+
 // FileSystem is one mountable filesystem.
 type FileSystem interface {
 	Open(path string, flags OpenFlag) (Node, error)
@@ -177,6 +186,20 @@ func (v *VFS) Open(p string, flags OpenFlag) (Node, error) {
 		return nil, err
 	}
 	return fs.Open(rel, flags)
+}
+
+// Version resolves p and returns its content version (see VersionedFS);
+// ok is false when the filesystem it resolves to has no versions.
+func (v *VFS) Version(p string) (FileVersion, bool, error) {
+	fs, rel, err := v.route(p)
+	if err != nil {
+		return FileVersion{}, false, err
+	}
+	vfs, ok := fs.(VersionedFS)
+	if !ok {
+		return FileVersion{}, false, nil
+	}
+	return vfs.Version(rel)
 }
 
 // Mkdir creates a directory.

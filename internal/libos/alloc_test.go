@@ -121,9 +121,9 @@ func TestSyscallAllocationFloor(t *testing.T) {
 // spawnBudget is what a warm spawn and exit of a cached image may
 // allocate, stdio handed in: the Proc — scheduler handle, fd table,
 // syscall record and exit latch are its fields — plus the wake callback
-// bound to it, the fd map's header and first group, and the node
-// loadBinary opens to read the image's version.
-const spawnBudget = 5
+// bound to it, and the fd map's header and first group. A cache hit in
+// loadBinary looks the image's version up by path and opens no node.
+const spawnBudget = 4
 
 // TestSpawnAllocationFloor: a SIP is cheap to create (§3.3) and leaves
 // the heap as it found it but for what outlives the spawn. On a warm

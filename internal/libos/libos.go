@@ -543,7 +543,9 @@ func (p *Proc) readUserU64(addr uint64) (uint64, error) {
 	return binary.LittleEndian.Uint64(b), nil
 }
 
-func (p *Proc) writeUserU64(addr, v uint64) error {
+// WriteU64 implements sysdispatch.Kernel; the bytes stay on this
+// frame's stack.
+func (p *Proc) WriteU64(addr, v uint64) error {
 	var b [8]byte
 	binary.LittleEndian.PutUint64(b[:], v)
 	return p.writeUserBytes(addr, b[:])

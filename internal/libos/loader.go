@@ -132,22 +132,23 @@ func (c *imageCache) remove(k imageKey, e cachedImage) {
 // with binary size, Fig 6a), parses it and checks the verifier's
 // signature; later loads of the same version are a cache lookup.
 func (o *Occlum) loadBinary(path string) (*loadedImage, error) {
-	f, err := o.vfs.Open(path, fs.ORdOnly)
+	// Files without a content version (devfs, procfs) are loaded anew
+	// every time. A cache hit opens nothing.
+	ver, versioned, err := o.vfs.Version(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	// Files without a content version (devfs, procfs) are loaded anew
-	// every time.
-	vf, versioned := f.(fs.Versioned)
-	var ver fs.FileVersion
 	if versioned {
-		ver = vf.Version()
 		if img := o.images.get(ver); img != nil {
 			atomic.AddUint64(&o.stats.ImageCacheHits, 1)
 			return img, nil
 		}
 	}
+	f, err := o.vfs.Open(path, fs.ORdOnly)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
 	raw := make([]byte, f.Size())
 	if _, err := f.ReadAt(raw, 0); err != nil {
 		return nil, err
@@ -168,9 +169,10 @@ func (o *Occlum) loadBinary(path string) (*loadedImage, error) {
 	}
 	atomic.AddUint64(&o.stats.ImagesVerified, 1)
 	img := &loadedImage{bin: bin, labels: isa.FindCFIMagic(bin.Image.Code)}
-	// Cache under ver only if the file still is ver: a write that
-	// overlapped the read leaves bytes that belong to no one version.
-	if versioned && vf.Version() == ver {
+	// Cache under ver only if the node read still is ver: a write that
+	// overlapped the read, or a rename between the lookup and the open,
+	// leaves bytes that belong to no one version.
+	if vf, ok := f.(fs.Versioned); versioned && ok && vf.Version() == ver {
 		o.images.put(ver, img)
 	}
 	return img, nil

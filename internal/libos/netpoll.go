@@ -436,7 +436,7 @@ func sysPoll(k sysdispatch.Kernel, a *[5]uint64) sysdispatch.Result {
 		if revents != 0 {
 			n++
 		}
-		if !sysdispatch.WriteU64(p, ptr+i*sysdispatch.PollEntrySize+16, uint64(revents)) {
+		if p.WriteU64(ptr+i*sysdispatch.PollEntrySize+16, uint64(revents)) != nil {
 			return sysdispatch.Errno(EFAULT)
 		}
 	}

@@ -319,14 +319,14 @@ func sysStat(k sysdispatch.Kernel, a *[5]uint64) sysdispatch.Result {
 	if serr != nil {
 		return sysdispatch.Ok(errno(serr))
 	}
-	if err := p.writeUserU64(a[2], uint64(fi.Size)); err != nil {
+	if err := p.WriteU64(a[2], uint64(fi.Size)); err != nil {
 		return sysdispatch.Errno(EFAULT)
 	}
 	var d uint64
 	if fi.IsDir {
 		d = 1
 	}
-	if err := p.writeUserU64(a[2]+8, d); err != nil {
+	if err := p.WriteU64(a[2]+8, d); err != nil {
 		return sysdispatch.Errno(EFAULT)
 	}
 	return sysdispatch.Ok(0)

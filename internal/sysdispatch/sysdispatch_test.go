@@ -37,6 +37,12 @@ func (k *fakeKernel) WriteUser(addr uint64, b []byte) error {
 	return nil
 }
 
+func (k *fakeKernel) WriteU64(addr, v uint64) error {
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], v)
+	return k.WriteUser(addr, b[:])
+}
+
 func (k *fakeKernel) FDs() *FDTable  { return k.fds }
 func (k *fakeKernel) PID() int       { return k.pid }
 func (k *fakeKernel) PPID() int      { return k.ppid }

@@ -46,6 +46,10 @@ type Kernel interface {
 	ReadUser(addr, n uint64) ([]byte, error)
 	// WriteUser copies b into user memory at addr.
 	WriteUser(addr uint64, b []byte) error
+	// WriteU64 stores v little-endian at addr. It is WriteUser of 8
+	// bytes, staged where a call through this interface cannot make
+	// them escape to the heap.
+	WriteU64(addr, v uint64) error
 	// FDs returns the process's file-descriptor table.
 	FDs() *FDTable
 	// PID and PPID identify the process.
@@ -118,15 +122,6 @@ func ParseArgv(block []byte) []string {
 		}
 	}
 	return argv
-}
-
-// WriteU64 stores a little-endian u64 to user memory.
-func WriteU64(k Kernel, addr, v uint64) bool {
-	var b [8]byte
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * i))
-	}
-	return k.WriteUser(addr, b[:]) == nil
 }
 
 // --- Shared handlers -----------------------------------------------------
@@ -262,7 +257,7 @@ func Wait4Handler(wait func(k Kernel, pid int) (cpid, status int, errno int64, p
 		if errno != 0 {
 			return Errno(errno)
 		}
-		if a[1] != 0 && !WriteU64(k, a[1], uint64(status)) {
+		if a[1] != 0 && k.WriteU64(a[1], uint64(status)) != nil {
 			return Errno(EFAULT)
 		}
 		return Ok(int64(cpid))
@@ -275,7 +270,7 @@ func Pipe2Handler(newPipe func(k Kernel) (r, w File)) Handler {
 		r, w := newPipe(k)
 		rfd := k.FDs().Install(r)
 		wfd := k.FDs().Install(w)
-		if !WriteU64(k, a[0], uint64(rfd)) || !WriteU64(k, a[0]+8, uint64(wfd)) {
+		if k.WriteU64(a[0], uint64(rfd)) != nil || k.WriteU64(a[0]+8, uint64(wfd)) != nil {
 			return Errno(EFAULT)
 		}
 		return Ok(0)

@@ -254,9 +254,13 @@ func transfer(code *Code, st *State, nd *Node, proven bool) {
 	case isa.OpMovRR:
 		v := st.Regs[in.R2]
 		setReg(in.R1, v)
-	case isa.OpLoad, isa.OpLoadB:
-		refine(in.Mem, accessSize(in.Op))
+	case isa.OpLoad:
+		refine(in.Mem, 8)
 		setReg(in.R1, Top)
+	case isa.OpLoadB:
+		// The OVM zero-extends the loaded byte.
+		refine(in.Mem, 1)
+		setReg(in.R1, Const(0, 255))
 	case isa.OpStore, isa.OpStoreB:
 		refine(in.Mem, accessSize(in.Op))
 	case isa.OpLea:
@@ -303,9 +307,20 @@ func transfer(code *Code, st *State, nd *Node, proven bool) {
 		} else {
 			setReg(in.R1, Top)
 		}
+	case isa.OpShlRI:
+		// The OVM shifts by imm&63. A non-negative constant interval
+		// scales exactly unless the shift overflows (MulConst, and a
+		// negative 1<<63, give Top).
+		v := st.Regs[in.R1]
+		if v.K == KConst && v.Lo >= 0 {
+			v = v.MulConst(int64(1) << (uint64(in.Imm) & 63))
+		} else {
+			v = Top
+		}
+		setReg(in.R1, v)
 	case isa.OpMulRR, isa.OpDivRR, isa.OpModRR, isa.OpAndRR, isa.OpOrRR,
 		isa.OpXorRR, isa.OpShlRR, isa.OpShrRR, isa.OpOrRI, isa.OpXorRI,
-		isa.OpShlRI, isa.OpShrRI, isa.OpNeg, isa.OpNot:
+		isa.OpShrRI, isa.OpNeg, isa.OpNot:
 		setReg(in.R1, Top)
 	case isa.OpCmpRR, isa.OpCmpRI, isa.OpTestRR:
 		// Flags only.
