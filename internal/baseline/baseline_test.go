@@ -232,3 +232,36 @@ func TestModelsDifferOnlyInTheFileSystemSurface(t *testing.T) {
 		t.Fatal("Has does not see the table: exit is registered, kill (signals are not modeled) is not")
 	}
 }
+
+// A pipe2 whose fd array is outside user memory fails with EFAULT and
+// leaves the fd table as it was: the next pipe2 hands out fds 3 and 4,
+// not 5 and 6 behind two ends nobody can name or close. The guest exits
+// with the second pair packed as rfd<<4 | wfd, or 1 if the first call
+// did not fail with EFAULT.
+func TestPipe2FaultLeavesNoFDs(t *testing.T) {
+	forEachSystem(t, 1<<30, func(t *testing.T, s system) {
+		s.install(t, "/bin/pipe2fault", func(b *asm.Builder) {
+			b.Zero("fds", 16)
+			b.MovRI(isa.R1, -5) // fds+16 wraps the address space
+			ulib.Syscall(b, libos.SysPipe2)
+			b.CmpI(isa.R0, -libos.EFAULT)
+			b.Jne("wrong")
+			ulib.Pipe2(b, "fds")
+			b.LeaData(isa.R3, "fds")
+			b.Load(isa.R1, isa.Mem(isa.R3, 0))
+			b.Load(isa.R2, isa.Mem(isa.R3, 8))
+			b.ShlI(isa.R1, 4)
+			b.Alu(isa.OpOrRR, isa.R1, isa.R2)
+			ulib.ExitR(b, isa.R1)
+			b.Label("wrong")
+			ulib.Exit(b, 1)
+		})
+		p, err := s.k.Spawn("/bin/pipe2fault", nil, baseline.SpawnOpt{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := p.Wait(); st != 3<<4|4 {
+			t.Fatalf("status %#x, want 0x34: pipe2 after the EFAULT got fds %d and %d", st, st>>4, st&15)
+		}
+	})
+}

@@ -80,3 +80,61 @@ func TestStatusWritesAllocateNothing(t *testing.T) {
 		}
 	}
 }
+
+// TestPipe2FaultLeavesNoTrace: a pipe2 whose fd array the SIP cannot
+// write fails with EFAULT and leaves the caller's fd table and the
+// instance's pipe-buffer pool as they were; the next pipe2 gets fds 3
+// and 4 again.
+func TestPipe2FaultLeavesNoTrace(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.NumDomains = 1
+	cfg.DomainCodeSize = 256 << 10
+	cfg.DomainDataSize = 1 << 20
+	cfg.StackSize = 128 << 10
+	cfg.MaxThreads = 1
+	cfg.FSBlocks = 4096
+	o, err := Boot(sgx.NewPlatform(64<<20), hostos.New(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer o.Shutdown()
+	d := o.domains[0]
+	p := &Proc{os: o, pid: 100, dom: d}
+	// A pipe that moved bytes and closed leaves a buffer in the pool.
+	r, w := newPipe(&o.pipeBufs)
+	if _, err := w.Write(make([]byte, 5000)); err != nil {
+		t.Fatal(err)
+	}
+	r.Unref()
+	w.Unref()
+	held := o.pipeBufs.Held()
+	if held == 0 {
+		t.Fatal("pool holds nothing after a finished pipe")
+	}
+	for _, ptr := range []uint64{0, d.DataBase + d.DataSize - 8, ^uint64(0) - 4} {
+		a := [5]uint64{ptr}
+		if r := sysTable.Dispatch(p, SysPipe2, &a); r.Ret != -EFAULT {
+			t.Fatalf("pipe2(%#x) = %d, want %d", ptr, r.Ret, -EFAULT)
+		}
+		for _, fd := range []int{3, 4} {
+			if _, ok := p.fds.Get(fd); ok {
+				t.Fatalf("pipe2(%#x) failed and left fd %d installed", ptr, fd)
+			}
+		}
+		if got := o.pipeBufs.Held(); got != held {
+			t.Fatalf("pipe2(%#x): pool holds %d bytes, %d before", ptr, got, held)
+		}
+	}
+	a := [5]uint64{d.DataBase}
+	if r := sysTable.Dispatch(p, SysPipe2, &a); r.Ret != 0 {
+		t.Fatalf("pipe2 = %d", r.Ret)
+	}
+	got, err := o.enclave.ReadDirect(d.DataBase, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got[0] != 3 || got[8] != 4 {
+		t.Fatalf("pipe2 after the faults got fds %d and %d, want 3 and 4", got[0], got[8])
+	}
+	p.fds.CloseAll()
+}

@@ -89,6 +89,13 @@ func (p *Pool) put(b []byte) {
 	p.mu.Unlock()
 }
 
+// Held returns the bytes on the free lists.
+func (p *Pool) Held() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.held
+}
+
 // NewStream returns an empty stream holding at most capacity bytes whose
 // ring draws on p. A nil p allocates as the package-level NewStream does.
 func (p *Pool) NewStream(capacity int) *Stream { return newStream(capacity, p) }

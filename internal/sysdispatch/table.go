@@ -265,12 +265,19 @@ func Wait4Handler(wait func(k Kernel, pid int) (cpid, status int, errno int64, p
 }
 
 // Pipe2Handler builds pipe2(2) around the kernel's pipe constructor.
+// A fault writing the fd numbers out closes both ends again, as Linux
+// does: the caller never learns the numbers, so nothing could close them.
 func Pipe2Handler(newPipe func(k Kernel) (r, w File)) Handler {
 	return func(k Kernel, a *[5]uint64) Result {
 		r, w := newPipe(k)
 		rfd := k.FDs().Install(r)
 		wfd := k.FDs().Install(w)
 		if k.WriteU64(a[0], uint64(rfd)) != nil || k.WriteU64(a[0]+8, uint64(wfd)) != nil {
+			for _, fd := range [2]int{wfd, rfd} {
+				if f, ok := k.FDs().Remove(fd); ok {
+					f.Unref()
+				}
+			}
 			return Errno(EFAULT)
 		}
 		return Ok(0)

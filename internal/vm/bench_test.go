@@ -121,6 +121,55 @@ func BenchmarkMultiBlockLoop(b *testing.B) {
 	runToTrap(b, img)
 }
 
+// rmwLoop is a workload loop trace fusion exists for, sweeping a 4 KiB
+// buffer trips times: cc1's (workloads.BuildCompilerStage: a word load,
+// three ALU-immediate ops and a store back, then the cursor/remaining
+// induction pair) or, with od, od's (workloads.BuildOd: a byte load,
+// xori and byte store back, then the pair). Fused, the trace runs each
+// iteration in three slots: the loop guard, the read-modify-write and
+// the pair.
+func rmwLoop(bb *asm.Builder, trips int64, od bool) {
+	step := int32(8)
+	if od {
+		step = 1
+	}
+	bb.Zero("buf", 4096)
+	bb.Entry("_start")
+	bb.MovRI(isa.R9, trips)
+	bb.Label("pass")
+	bb.LeaData(isa.R4, "buf")
+	bb.MovRI(isa.R5, 4096)
+	bb.Label("loop")
+	bb.CmpI(isa.R5, step)
+	bb.Jl("next")
+	if od {
+		bb.LoadB(isa.R6, isa.Mem(isa.R4, 0))
+		bb.XorI(isa.R6, 0x55)
+		bb.StoreB(isa.Mem(isa.R4, 0), isa.R6)
+	} else {
+		bb.Load(isa.R6, isa.Mem(isa.R4, 0))
+		bb.MulI(isa.R6, 31)
+		bb.AddI(isa.R6, 17)
+		bb.XorI(isa.R6, 0x5c5c5c)
+		bb.Store(isa.Mem(isa.R4, 0), isa.R6)
+	}
+	bb.AddI(isa.R4, step)
+	bb.SubI(isa.R5, step)
+	bb.Jmp("loop")
+	bb.Label("next")
+	bb.SubI(isa.R9, 1)
+	bb.CmpI(isa.R9, 0)
+	bb.Jg("pass")
+	bb.Trap()
+}
+
+// BenchmarkRMWLoop runs rmwLoop, cc1's and od's: the shapes trace
+// fusion exists for.
+func BenchmarkRMWLoop(b *testing.B) {
+	b.Run("cc1", func(b *testing.B) { runToTrap(b, build(b, func(bb *asm.Builder) { rmwLoop(bb, 64, false) })) })
+	b.Run("od", func(b *testing.B) { runToTrap(b, build(b, func(bb *asm.Builder) { rmwLoop(bb, 8, true) })) })
+}
+
 // ---------------------------------------------------------------------
 // Trace-tier A/B: the same microbenchmarks with superblock formation
 // disabled, so BENCH_PR6.json can record interleaved trace-off /
@@ -141,11 +190,22 @@ func BenchmarkMemoryLoopNoTraces(b *testing.B)     { benchTraces(b, false, Bench
 func BenchmarkCallRetNoTraces(b *testing.B)        { benchTraces(b, false, BenchmarkCallRet) }
 func BenchmarkMultiBlockLoopNoTraces(b *testing.B) { benchTraces(b, false, BenchmarkMultiBlockLoop) }
 
+// BenchmarkRMWLoopNoFusion is BenchmarkRMWLoop with traces but no fused
+// slots.
+func BenchmarkRMWLoopNoFusion(b *testing.B) {
+	old := fusionEnabled
+	fusionEnabled = false
+	defer func() { fusionEnabled = old }()
+	BenchmarkRMWLoop(b)
+}
+
 // TestTraceSpeedupRegression is the CI bench smoke: it measures the
-// trace-on / trace-off speedup of the hot microbenchmarks with
-// interleaved runs (machine-speed-independent, unlike absolute ns/inst)
-// and fails if either drops more than 20% below the speedup recorded in
-// BENCH_PR6.json. Heavy and timing-sensitive, so it only runs when
+// trace-on / trace-off speedup of the hot microbenchmarks, and the
+// fusion-on / fusion-off speedup of rmwLoop, with interleaved runs
+// (machine-speed-independent, unlike absolute ns/inst) and fails if any
+// drops more than 20% below its recorded median: BENCH_PR6.json for the
+// trace cases, EXPERIMENTS.md "One dispatch per read-modify-write" for
+// rmwloop. Heavy and timing-sensitive, so it only runs when
 // OCCLUM_BENCH_REGRESS=1 (the CI bench job sets it) and never under the
 // race detector.
 func TestTraceSpeedupRegression(t *testing.T) {
@@ -155,12 +215,19 @@ func TestTraceSpeedupRegression(t *testing.T) {
 	if raceEnabled {
 		t.Skip("wall-clock ratios are not meaningful under the race detector")
 	}
-	// Committed baselines from BENCH_PR6.json, with the 20% regression
-	// margin already applied.
+	// Committed baselines with the 20% regression margin already
+	// applied, and the switch each case flips.
 	baseline := map[string]float64{
 		"hotloop":   1.50 * 0.8,
 		"callret":   1.87 * 0.8,
 		"multiloop": 1.88 * 0.8,
+		"rmwloop":   1.46 * 0.8,
+	}
+	knob := map[string]*bool{
+		"hotloop":   &tracesEnabled,
+		"callret":   &tracesEnabled,
+		"multiloop": &tracesEnabled,
+		"rmwloop":   &fusionEnabled,
 	}
 	imgs := map[string]*oelf.Image{
 		"hotloop": build(t, func(bb *asm.Builder) {
@@ -202,11 +269,12 @@ func TestTraceSpeedupRegression(t *testing.T) {
 			bb.Label("dead")
 			bb.Trap()
 		}),
+		"rmwloop": build(t, func(bb *asm.Builder) { rmwLoop(bb, 16, false) }),
 	}
-	measure := func(img *oelf.Image, on bool) float64 {
-		old := tracesEnabled
-		tracesEnabled = on
-		defer func() { tracesEnabled = old }()
+	measure := func(img *oelf.Image, knob *bool, on bool) float64 {
+		old := *knob
+		*knob = on
+		defer func() { *knob = old }()
 		c := loadImage(t, img, 4096)
 		entry, sp := c.PC, c.Regs[isa.SP]
 		run := func() time.Duration {
@@ -233,17 +301,17 @@ func TestTraceSpeedupRegression(t *testing.T) {
 		// a single-threaded CPU-bound loop.
 		off, on := math.MaxFloat64, math.MaxFloat64
 		for round := 0; round < 3; round++ {
-			if d := measure(img, false); d < off {
+			if d := measure(img, knob[name], false); d < off {
 				off = d
 			}
-			if d := measure(img, true); d < on {
+			if d := measure(img, knob[name], true); d < on {
 				on = d
 			}
 		}
 		speedup := off / on
-		t.Logf("%s: trace speedup %.2fx (floor %.2fx)", name, speedup, baseline[name])
+		t.Logf("%s: speedup %.2fx (floor %.2fx)", name, speedup, baseline[name])
 		if speedup < baseline[name] {
-			t.Errorf("%s: trace speedup %.2fx regressed below %.2fx", name, speedup, baseline[name])
+			t.Errorf("%s: speedup %.2fx regressed below %.2fx", name, speedup, baseline[name])
 		}
 	}
 }

@@ -35,10 +35,26 @@ func diffProgram(t *testing.T, seed int64) func() *CPU {
 	r := rand.New(rand.NewSource(seed))
 	var code []byte
 	for n := 20 + r.Intn(180); n > 0; n-- {
-		in := isa.RandomInst(r)
-		var err error
-		if code, err = isa.Encode(code, in); err != nil {
-			t.Fatalf("seed %d: %v: %v", seed, in, err)
+		// One draw in eight is an idiom the trace tier fuses rather
+		// than a lone instruction, half of those the body of a `loop`
+		// counted down from r1 = 70..99: hot enough to form a trace.
+		ins := []isa.Inst{isa.RandomInst(r)}
+		if r.Intn(8) == 0 {
+			ins = fusableRun(r, func() isa.Reg { return isa.Reg(r.Intn(isa.NumRegs)) })
+			if r.Intn(2) == 0 {
+				n := isa.EncodedLen(isa.OpLoop)
+				for _, in := range ins {
+					n += isa.EncodedLen(in.Op)
+				}
+				ins = append(append([]isa.Inst{{Op: isa.OpMovRI, R1: isa.R1, Imm: int64(70 + r.Intn(30))}}, ins...),
+					isa.Inst{Op: isa.OpLoop, Imm: int64(-n)})
+			}
+		}
+		for _, in := range ins {
+			var err error
+			if code, err = isa.Encode(code, in); err != nil {
+				t.Fatalf("seed %d: %v: %v", seed, in, err)
+			}
 		}
 		if len(code) > diffCodePgs*mem.PageSize {
 			break
@@ -81,6 +97,48 @@ func diffProgram(t *testing.T, seed int64) func() *CPU {
 		}
 		return c
 	}
+}
+
+// fusableRun returns a run of instructions the trace tier fuses, mostly,
+// over registers drawn from pick: a read-modify-write of [base+disp]
+// through reg (load or loadb, 0–3 ALU-immediate ops on reg, the store of
+// the same width back), or 2–3 ALU-immediate ops. Now and then the
+// shape is one fuse must refuse: base == reg, or a store of the other
+// width or to another displacement.
+func fusableRun(r *rand.Rand, pick func() isa.Reg) []isa.Inst {
+	alu := func(rg isa.Reg) isa.Inst {
+		in := isa.RandomInstOp(r, isa.OpAddRI+isa.Op(r.Intn(8)))
+		in.R1 = rg
+		return in
+	}
+	reg := pick()
+	if r.Intn(3) == 0 {
+		ins := []isa.Inst{alu(reg), alu(pick())}
+		if r.Intn(2) == 0 {
+			ins = append(ins, alu(pick()))
+		}
+		return ins
+	}
+	base := pick()
+	if r.Intn(8) == 0 {
+		base = reg
+	}
+	m := isa.Mem(base, int32(r.Intn(64))-32)
+	ld, st := isa.OpLoad, isa.OpStore
+	if r.Intn(2) == 0 {
+		ld, st = isa.OpLoadB, isa.OpStoreB
+	}
+	ins := []isa.Inst{{Op: ld, R1: reg, Mem: m}}
+	for k := r.Intn(4); k > 0; k-- {
+		ins = append(ins, alu(reg))
+	}
+	switch r.Intn(8) {
+	case 0:
+		st ^= isa.OpStore ^ isa.OpStoreB // the other width
+	case 1:
+		m.Disp += 8
+	}
+	return append(ins, isa.Inst{Op: st, R1: reg, Mem: m})
 }
 
 // diffCompare fails the test unless the two CPUs have identical
@@ -355,10 +413,18 @@ func traceProgram(r *rand.Rand, b *asm.Builder) {
 	}
 	memOp := func() {
 		off := int32(8 * r.Intn(63))
-		if r.Intn(2) == 0 {
+		switch r.Intn(3) {
+		case 0:
 			b.Store(isa.Mem(isa.R9, off), reg())
-		} else {
+		case 1:
 			b.Load(reg(), isa.Mem(isa.R9, off))
+		default: // a fusable run, its accesses moved into arr
+			for _, in := range fusableRun(r, reg) {
+				if in.Op.Format() == isa.FRMem || in.Op.Format() == isa.FMemR {
+					in.Mem = isa.Mem(isa.R9, off+in.Mem.Disp&^7+32)
+				}
+				b.I(in)
+			}
 		}
 	}
 	conds := []isa.Op{isa.OpJe, isa.OpJne, isa.OpJl, isa.OpJle, isa.OpJg, isa.OpJge, isa.OpJb, isa.OpJae}
@@ -763,7 +829,7 @@ func memEdgeProgram(r *rand.Rand, b *asm.Builder) {
 	b.MovRI(isa.R8, 0)
 	b.Label("loop")
 	for k := 6 + r.Intn(8); k > 0; k-- {
-		switch r.Intn(8) {
+		switch r.Intn(9) {
 		case 0:
 			b.Store(edge(8), reg())
 		case 1:
@@ -786,10 +852,24 @@ func memEdgeProgram(r *rand.Rand, b *asm.Builder) {
 			}
 			b.MovRR(isa.SP, isa.R10)
 		case 5: // patch f's movri immediate in RWX code, read it back, run it
-			b.StoreB(isa.Mem(isa.R6, 2+int32(r.Intn(8))), reg())
+			imm := isa.Mem(isa.R6, 2+int32(r.Intn(8)))
+			if rg := reg(); r.Intn(2) == 0 {
+				b.StoreB(imm, rg)
+			} else { // a fused read-modify-write into the executable page
+				b.LoadB(rg, imm).XorI(rg, int32(r.Intn(256))).StoreB(imm, rg)
+			}
 			b.Load(reg(), isa.Mem(isa.R6, 2))
 			b.CallR(isa.R6)
 			b.Add(reg(), isa.R1)
+		case 8: // a read-modify-write on and across the page end
+			m, rg := isa.Mem(isa.R9, int32(r.Intn(24))-16), reg()
+			ld, st := isa.OpLoad, isa.OpStore
+			if r.Intn(2) == 0 {
+				ld, st = isa.OpLoadB, isa.OpStoreB
+			}
+			b.I(isa.Inst{Op: ld, R1: rg, Mem: m})
+			b.MulI(rg, 31).AddI(rg, int32(r.Intn(1<<12)))
+			b.I(isa.Inst{Op: st, R1: rg, Mem: m})
 		default:
 			b.AddI(reg(), int32(r.Intn(1<<12)))
 		}

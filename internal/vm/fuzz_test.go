@@ -24,27 +24,39 @@ import (
 const (
 	fuzzMagicA = 0x1112131415161718 // inside the hot loop
 	fuzzMagicB = 0x2122232425262728 // inside the called helper
+	fuzzMagicC = 0x3132333435363738 // never executed, on the loop's page
 )
 
 // fuzzTraceProgram is the victim: a hot self-loop (promotes fast)
 // calling a helper on every iteration, both carrying a patchable
 // immediate that feeds the accumulator — executing even one iteration
-// from a stale translation desynchronizes R0 against the reference.
+// from a stale translation desynchronizes R0 against the reference. The
+// loop also runs a read-modify-write of the word at r6 (a data word
+// until an action aims it at fuzzMagicC, which sits unexecuted on the
+// loop's own code page) and an ALU-immediate pair: both fuse in the
+// trace.
 func fuzzTraceProgram(r *rand.Rand, b *asm.Builder) {
 	b.Entry("_start")
 	b.MovRI(isa.R8, 0)
+	b.LeaData(isa.R6, "w")
 	b.Label("loop")
 	b.MovRI(isa.R3, fuzzMagicA)
 	b.Add(isa.R0, isa.R3)
+	b.Load(isa.R5, isa.Mem(isa.R6, 0))
+	b.XorI(isa.R5, 0x77)
+	b.Store(isa.Mem(isa.R6, 0), isa.R5)
 	b.Call("fn")
+	b.AddI(isa.R7, 3)
 	b.AddI(isa.R8, 1)
 	b.CmpI(isa.R8, 4000)
 	b.Jl("loop")
 	b.Trap()
+	b.MovRI(isa.R15, fuzzMagicC)
 	b.Func("fn")
 	b.MovRI(isa.R4, fuzzMagicB)
 	b.Add(isa.R0, isa.R4)
 	b.Ret()
+	b.Zero("w", 8)
 }
 
 func le64(v uint64) []byte {
@@ -62,6 +74,7 @@ func FuzzTraceInvalidation(f *testing.F) {
 	f.Add([]byte{0, 200, 4, 0, 0, 200, 2, 9, 4, 0, 0, 255})              // preempt + patch mix
 	f.Add([]byte{2, 1, 2, 2, 2, 3, 0, 255, 3, 0, 2, 4, 0, 255, 4, 0})    // patch storm before warmup
 	f.Add([]byte{0, 10, 2, 0xff, 0, 10, 2, 0, 0, 10, 2, 7, 0, 10, 3, 2}) // tiny slices, churn
+	f.Add([]byte{0, 255, 0, 255, 5, 0, 0, 255, 0, 40, 0, 255})           // promote, fused store rewrites its own code page
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) > 64 {
 			script = script[:64]
@@ -69,7 +82,8 @@ func FuzzTraceInvalidation(f *testing.F) {
 		img := build(t, func(b *asm.Builder) { fuzzTraceProgram(nil, b) })
 		siteA := bytes.Index(img.Code, le64(fuzzMagicA))
 		siteB := bytes.Index(img.Code, le64(fuzzMagicB))
-		if siteA < 0 || siteB < 0 {
+		siteC := bytes.Index(img.Code, le64(fuzzMagicC))
+		if siteA < 0 || siteB < 0 || siteC < 0 {
 			t.Fatal("magic immediates not found in encoded image")
 		}
 		mk, db, ds := diffImage(t, 0, true, fuzzTraceProgram)
@@ -110,7 +124,7 @@ func FuzzTraceInvalidation(f *testing.F) {
 
 		for i := 0; i+1 < len(script); i += 2 {
 			op, arg := script[i], script[i+1]
-			switch op % 5 {
+			switch op % 6 {
 			case 0, 1: // advance both CPUs by a fuzzed budget
 				st := fast.Run(uint64(1 + int(arg)*8))
 				if st.Reason != StopCycles {
@@ -141,6 +155,10 @@ func FuzzTraceInvalidation(f *testing.F) {
 					if err := c.Mem.WriteDirect(base, code); err != nil {
 						t.Fatal(err)
 					}
+				}
+			case 5: // aim the loop's read-modify-write at its own code page
+				for _, c := range []*CPU{fast, slow} {
+					c.Regs[isa.R6] = base + uint64(siteC)
 				}
 			case 4: // preempt the fast CPU mid-flight
 				fast.RequestPreempt()

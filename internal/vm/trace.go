@@ -10,16 +10,17 @@ package vm
 // one-bit execution history of the warm-up), and loop back edges keep
 // appending components up to the instruction cap: natural unrolling.
 //
-// A trace adds no instruction semantics of its own. Its slots are the
+// A trace writes no instruction semantics of its own. Its slots are the
 // component blocks' compiled handlers; only the interior seams differ,
 // and each seam is a guard built from the branch truth tables of
 // compile.go: the condition is evaluated, and execution either continues
 // (predicted direction — with no PC write, since PC materialization is
 // batched to trace exits) or side-exits back to the block cache with PC
-// and flags exactly architectural. One cross-block optimization runs
-// over each trace: macro-fusion of a cmp into the conditional branch
-// after it — at a seam or as the final pair — with the comparison
-// re-derived from the registers.
+// and flags exactly architectural. Two fusions run over each trace: a
+// cmp into the conditional branch after it (at a seam or as the final
+// pair), and plain slots into one (fuse): a read-modify-write of one
+// memory operand, or a run of ALU-immediate ops, computed with exec's
+// aluRI through the sized mem.Paged entries.
 //
 // Invalidation composes with the page-generation scheme of mem.Paged:
 // a trace records one mem.Span per component block and is valid while
@@ -60,6 +61,10 @@ const (
 // Existing traces are not torn down when it is cleared.
 var tracesEnabled = true
 
+// fusionEnabled gates fuse the same way, for the in-process A/B of
+// fused slots (TestTraceSpeedupRegression, TestTraceFusionShape).
+var fusionEnabled = true
+
 // stopSideExit is the private stop sentinel a seam guard leaves in
 // c.stop when trace execution departs the predicted path: the trace
 // dispatch loop converts it into a resume at c.PC instead of returning
@@ -74,13 +79,14 @@ type trace struct {
 	// ops are the compiled slots, in program order. A slot usually
 	// covers one instruction, but elided work — jmp seams, the cmp half
 	// of a fused guard — is folded into the NEXT emitted slot instead of
-	// burning a dispatch, so a slot may cover several instructions.
+	// burning a dispatch, and a fused slot runs several, so a slot may
+	// cover several instructions.
 	ops []handler
 	// cum[j] is the total instruction count through slot j: when slot j
 	// stops or side-exits, exactly cum[j] instructions of the trace have
 	// retired (folded work precedes its covering slot in program order
-	// and is unobservable — that is what made it foldable), so the cycle
-	// accounting stays bit-exact at every stop.
+	// and is unobservable — that is what made it foldable), less what a
+	// fused slot did not reach (CPU.unretired): bit-exact at every stop.
 	cum []uint64
 	// ninsts is the total instruction count of the trace (== cum of the
 	// last slot): what a full completion retires, and the bound run
@@ -115,8 +121,10 @@ func (c *CPU) runTrace(t *trace) (Stop, bool) {
 	for j, h := range t.ops {
 		if h(c) {
 			// The stopping slot retired, along with everything folded
-			// into it: cum gives the exact instruction count.
-			n := t.cum[j]
+			// into it: cum gives the exact instruction count, less what
+			// a fused slot did not reach.
+			n := t.cum[j] - c.unretired
+			c.unretired = 0
 			c.Cycles += n
 			c.stats.Threaded += n
 			c.stats.TraceInsts += n
@@ -327,23 +335,25 @@ func (c *CPU) buildTrace(head *block) *trace {
 
 	// Phase 4: emit slots. Elided work — jmp seams, the cmp half of a
 	// fused guard — is FOLDED into the next emitted slot (pending → cum)
-	// instead of occupying a dispatch of its own.
+	// instead of occupying a dispatch of its own; plain slots that fuse
+	// emit as one.
 	ops := make([]handler, 0, ns)
 	cum := make([]uint64, 0, ns)
 	total, pending := uint64(0), uint64(0)
-	emit := func(h handler) {
-		total += pending + 1
+	emit := func(h handler, k int) {
+		total += pending + uint64(k)
 		pending = 0
 		ops = append(ops, h)
 		cum = append(cum, total)
 	}
-	for i := range slots {
+	plain := func(i int) bool { return i < ns && !slots[i].seam && !fused[i] && !(i+1 < ns && fused[i+1]) }
+	for i := 0; i < ns; i++ {
 		s := &slots[i]
 		switch {
 		case fused[i] && s.seam:
-			emit(fusedSeamGuard(slots[i-1].in, s.in, s.taken, s.next))
+			emit(fusedSeamGuard(slots[i-1].in, s.in, s.taken, s.next), 1)
 		case fused[i]:
-			emit(finalFused)
+			emit(finalFused, 1)
 		case i+1 < ns && fused[i+1]:
 			pending++ // the fused branch does this cmp's work
 		case s.seam:
@@ -354,14 +364,23 @@ func (c *CPU) buildTrace(head *block) *trace {
 				// The block's own handler: it pushes the return address;
 				// its PC write is dead here, the trace continues into the
 				// callee.
-				emit(s.base)
+				emit(s.base, 1)
 			case s.in.Op.IsCondBranch():
-				emit(seamGuard(s.in, s.taken, s.next))
+				emit(seamGuard(s.in, s.taken, s.next), 1)
 			default:
 				return nil // unreachable: phase 1 chains direct exits only
 			}
 		default:
-			emit(s.base)
+			n := 0
+			for fusionEnabled && n < 5 && plain(i+n) { // a load, 3 ALU ops, a store
+				n++
+			}
+			h, k := fuse(slots[i : i+n])
+			if h == nil {
+				h, k = s.base, 1
+			}
+			emit(h, k)
+			i += k - 1
 		}
 	}
 	// The final instruction always emits (it is never a seam and never
@@ -482,4 +501,115 @@ func fusedSeamGuard(cmp, br *isa.Inst, taken bool, next uint64) handler {
 		}
 		return c.sideExit(exitPC)
 	}
+}
+
+// aluImm is one register-immediate ALU op inside a fused slot.
+type aluImm struct {
+	imm uint64
+	op  isa.Op
+	r   isa.Reg
+}
+
+// alu3 holds a fused slot's ALU ops, padded to three with `ori r0, 0`,
+// and is written out, not looped over: each op site predicts alone.
+type alu3 [3]aluImm
+
+func (a *alu3) set(n int, in *isa.Inst) { a[n] = aluImm{uint64(in.Imm), in.Op, in.R1 & 15} }
+
+// isALURI reports whether op is one of the eight ops aluRI defines.
+func isALURI(op isa.Op) bool { return op >= isa.OpAddRI && op <= isa.OpShrRI }
+
+// fuse returns the fused slot starting at plain slots s (no seam, guard
+// or cmp half) and how many instructions it covers, or (nil, 0):
+//   - a read-modify-write, x86's `op [mem], imm`: load/loadb r,[b+d]
+//     (b ≠ r), 0–3 ALU-immediate ops on r, store/storeb r to [b+d];
+//   - 2–3 ALU-immediate ops on any registers (a loop's induction pair).
+func fuse(s []tslot) (handler, int) {
+	if len(s) < 2 {
+		return nil, 0
+	}
+	a := alu3{{op: isa.OpOrRI}, {op: isa.OpOrRI}, {op: isa.OpOrRI}}
+	n := 0
+	for n < min(len(s), 3) && isALURI(s[n].in.Op) {
+		a.set(n, s[n].in)
+		n++
+	}
+	if n >= 2 { // an ALU run; its closure stays here, where aluRI inlines
+		a, three := a, n == 3
+		return func(c *CPU) bool {
+			c.Regs[a[0].r&15] = aluRI(a[0].op, c.Regs[a[0].r&15], a[0].imm)
+			c.Regs[a[1].r&15] = aluRI(a[1].op, c.Regs[a[1].r&15], a[1].imm)
+			if three {
+				c.Regs[a[2].r&15] = aluRI(a[2].op, c.Regs[a[2].r&15], a[2].imm)
+			}
+			return false
+		}, n
+	}
+	ld := s[0].in
+	base, d, hot := baseDisp(ld.Mem)
+	if (ld.Op != isa.OpLoad && ld.Op != isa.OpLoadB) || !hot || base == ld.R1&15 {
+		return nil, 0
+	}
+	st := ld.Op + 1 // isa lists store after load and storeb after loadb
+	for k := 1; k < len(s); k++ {
+		in := s[k].in
+		if k <= 3 && isALURI(in.Op) && in.R1&15 == ld.R1&15 {
+			a.set(k-1, in)
+			continue
+		}
+		if b2, d2, hot2 := baseDisp(in.Mem); in.Op != st || in.R1&15 != ld.R1&15 || !hot2 || b2 != base || d2 != d {
+			return nil, 0
+		}
+		parts := make([]handler, k+1)
+		for j := range parts {
+			parts[j] = s[j].base
+		}
+		return readModifyWrite(ld, a, parts), k + 1
+	}
+	return nil, 0
+}
+
+// readModifyWrite is load ld, ops a on its register and the store back,
+// through the sized entries; parts are the components, for a decline.
+func readModifyWrite(ld *isa.Inst, a alu3, parts []handler) handler {
+	base, d, _ := baseDisp(ld.Mem)
+	r := ld.R1 & 15
+	if ld.Op == isa.OpLoad {
+		return func(c *CPU) bool {
+			p := c.Regs[base] + d
+			if v, ok := c.Mem.Load8(p); ok {
+				v = aluRI(a[2].op, aluRI(a[1].op, aluRI(a[0].op, v, a[0].imm), a[1].imm), a[2].imm)
+				if c.Mem.Store8(p, v) {
+					c.Regs[r] = v
+					return false
+				}
+			}
+			return c.runParts(parts)
+		}
+	}
+	return func(c *CPU) bool {
+		p := c.Regs[base] + d
+		if v, ok := c.Mem.Load1(p); ok {
+			v = aluRI(a[2].op, aluRI(a[1].op, aluRI(a[0].op, v, a[0].imm), a[1].imm), a[2].imm)
+			if c.Mem.Store1(p, v) {
+				c.Regs[r] = v
+				return false
+			}
+		}
+		return c.runParts(parts)
+	}
+}
+
+// runParts is a read-modify-write whose sized entry declined (a fault,
+// a straddle, an executable or clean page) before anything changed: the
+// components' own handlers run in order, and when one stops, c.unretired
+// tells runTrace how many after it did not retire.
+func (c *CPU) runParts(parts []handler) bool {
+	for i, h := range parts {
+		if h(c) {
+			c.unretired = uint64(len(parts) - 1 - i)
+			return true
+		}
+	}
+	return false
 }

@@ -21,9 +21,10 @@
 // (compile.go) are the fast path: each decoded instruction specialized
 // once into a closure over its operands. The randomized differential
 // battery holds the two to state-for-state equality, and everything
-// built on top — trace guards and fused pairs — is assembled from the
-// compiled handlers and from one branch-predicate table that is derived
-// from isa.Op.EvalCond and checked against it exhaustively.
+// built on top — trace guards, fused pairs and fused slots — is
+// assembled from the compiled handlers, exec's aluRI, and one
+// branch-predicate table derived from isa.Op.EvalCond and checked
+// against it exhaustively.
 //
 // # Translation cache
 //
@@ -340,6 +341,9 @@ type CPU struct {
 	stats     CacheStats
 	published CacheStats // portion of stats already added to the globals
 	stop      Stop       // set by exec when it stops the hart
+	// unretired counts the instructions of a stopping fused trace slot
+	// after the one that stopped (runParts); runTrace consumes it.
+	unretired uint64
 }
 
 // New creates a CPU over m with zeroed state.
@@ -887,22 +891,8 @@ func (c *CPU) exec(in *isa.Inst, pc, next uint64) bool {
 	case isa.OpTestRR:
 		c.setTest(c.Regs[in.R1] & c.Regs[in.R2])
 
-	case isa.OpAddRI:
-		c.Regs[in.R1] += uint64(in.Imm)
-	case isa.OpSubRI:
-		c.Regs[in.R1] -= uint64(in.Imm)
-	case isa.OpMulRI:
-		c.Regs[in.R1] *= uint64(in.Imm)
-	case isa.OpAndRI:
-		c.Regs[in.R1] &= uint64(in.Imm)
-	case isa.OpOrRI:
-		c.Regs[in.R1] |= uint64(in.Imm)
-	case isa.OpXorRI:
-		c.Regs[in.R1] ^= uint64(in.Imm)
-	case isa.OpShlRI:
-		c.Regs[in.R1] <<= uint64(in.Imm) & 63
-	case isa.OpShrRI:
-		c.Regs[in.R1] >>= uint64(in.Imm) & 63
+	case isa.OpAddRI, isa.OpSubRI, isa.OpMulRI, isa.OpAndRI, isa.OpOrRI, isa.OpXorRI, isa.OpShlRI, isa.OpShrRI:
+		c.Regs[in.R1] = aluRI(in.Op, c.Regs[in.R1], uint64(in.Imm))
 	case isa.OpCmpRI:
 		c.setCmp(c.Regs[in.R1], uint64(in.Imm))
 	case isa.OpNeg:
@@ -1026,6 +1016,28 @@ func (c *CPU) exec(in *isa.Inst, pc, next uint64) bool {
 
 	c.PC = next
 	return false
+}
+
+// aluRI defines the eight register-immediate ALU ops (addi…shri) for
+// exec and the trace tier's fused slots; imm is sign-extended.
+func aluRI(op isa.Op, x, imm uint64) uint64 {
+	switch op {
+	case isa.OpAddRI:
+		return x + imm
+	case isa.OpSubRI:
+		return x - imm
+	case isa.OpMulRI:
+		return x * imm
+	case isa.OpAndRI:
+		return x & imm
+	case isa.OpOrRI:
+		return x | imm
+	case isa.OpXorRI:
+		return x ^ imm
+	case isa.OpShlRI:
+		return x << (imm & 63)
+	}
+	return x >> (imm & 63) // OpShrRI
 }
 
 // Packed comparison flags: the bits of CPU.flags.
