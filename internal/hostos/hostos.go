@@ -10,6 +10,7 @@
 package hostos
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"path"
@@ -31,7 +32,7 @@ import (
 // under a connection stream's.
 type Host struct {
 	mu    sync.Mutex // guards files, shm
-	files map[string][]byte
+	files map[string]*file
 	shm   map[string][]byte
 
 	futexMu sync.Mutex
@@ -62,7 +63,7 @@ func New() *Host { return NewWithClock(timers.Wall{}) }
 func NewWithClock(clock timers.Clock) *Host {
 	return &Host{
 		clock:     clock,
-		files:     make(map[string][]byte),
+		files:     make(map[string]*file),
 		shm:       make(map[string][]byte),
 		futexes:   make(map[uint64][]*FutexReg),
 		listeners: make(map[uint16]*Listener),
@@ -107,23 +108,67 @@ var (
 	ErrClosed = errors.New("hostos: closed")
 )
 
+// extentSize is the unit a host file is stored in: a write allocates
+// only the extents it touches, and a file grows without moving the
+// bytes it already holds.
+const extentSize = 64 << 10
+
+// zeroExtent is what a hole reads as.
+var zeroExtent [extentSize]byte
+
+// file is one host file: size bytes in extentCount(size) fixed-size
+// extents. A nil extent is a hole that reads as zeros; no extent is
+// ever shared with a caller.
+type file struct {
+	size int
+	ext  [][]byte
+}
+
+// extentCount is the number of extents that cover size bytes.
+func extentCount(size int) int { return (size + extentSize - 1) / extentSize }
+
+// newExtent returns a fresh extent holding d at off and zeros around
+// it. Each of its bytes is written once: bytes.Join does not clear the
+// memory it then copies over.
+func newExtent(off int, d []byte) []byte {
+	return bytes.Join([][]byte{zeroExtent[:off], d, zeroExtent[off+len(d):]}, nil)
+}
+
+// span returns the bytes of extent i that lie inside the file, a
+// hole's as zeros.
+func (f *file) span(i int) []byte {
+	n := min(extentSize, f.size-i*extentSize)
+	if f.ext[i] == nil {
+		return zeroExtent[:n]
+	}
+	return f.ext[i][:n]
+}
+
 // WriteFile stores (or replaces) a host file. The host sees — and may
 // tamper with — every byte.
 func (h *Host) WriteFile(name string, data []byte) {
+	f := &file{size: len(data), ext: make([][]byte, extentCount(len(data)))}
+	for i := range f.ext {
+		f.ext[i] = newExtent(0, data[i*extentSize:min(len(data), (i+1)*extentSize)])
+	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.files[name] = append([]byte(nil), data...)
+	h.files[name] = f
 }
 
 // ReadFile returns a copy of a host file.
 func (h *Host) ReadFile(name string) ([]byte, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	data, ok := h.files[name]
+	f, ok := h.files[name]
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNoFile, name)
 	}
-	return append([]byte(nil), data...), nil
+	spans := make([][]byte, len(f.ext))
+	for i := range spans {
+		spans[i] = f.span(i)
+	}
+	return bytes.Join(spans, nil), nil
 }
 
 // Names returns the sorted names of stored files matching pattern (a
@@ -158,28 +203,23 @@ func (h *Host) WriteFileAt(name string, off int, p []byte) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	f, ok := h.files[name]
-	if need := off + len(p); need > len(f) {
-		// Capacity grows geometrically (at most 25 % slack), so a file
-		// built by ascending writes is copied O(1) times per byte, not
-		// once per write. Only len is ever the file: the slack is
-		// invisible to every reader, and the part of it a sparse write
-		// exposes is cleared.
-		old := len(f)
-		if need > cap(f) {
-			nf := make([]byte, need, need+need/4)
-			copy(nf, f)
-			f = nf
-		} else {
-			f = f[:need]
-			if off > old {
-				clear(f[old:off])
-			}
-		}
-		ok = false // the map holds the old length
-	}
-	copy(f[off:], p)
 	if !ok {
-		h.files[name] = f // an overwrite in place shares the map's backing array
+		f = &file{}
+		h.files[name] = f
+	}
+	if end := off + len(p); end > f.size {
+		f.size = end
+		f.ext = append(f.ext, make([][]byte, extentCount(end)-len(f.ext))...)
+	}
+	for len(p) > 0 {
+		i, o := off/extentSize, off%extentSize
+		n := min(len(p), extentSize-o)
+		if f.ext[i] == nil {
+			f.ext[i] = newExtent(o, p[:n])
+		} else {
+			copy(f.ext[i][o:], p[:n])
+		}
+		off, p = off+n, p[n:]
 	}
 	return nil
 }
@@ -192,17 +232,22 @@ func (h *Host) ReadFileAt(name string, off int, p []byte) (int, error) {
 	if !ok {
 		return 0, fmt.Errorf("%w: %s", ErrNoFile, name)
 	}
-	if off >= len(f) {
-		return 0, nil
+	read := 0
+	for read < len(p) && off < f.size {
+		n := copy(p[read:], f.span(off / extentSize)[off%extentSize:])
+		off, read = off+n, read+n
 	}
-	return copy(p, f[off:]), nil
+	return read, nil
 }
 
 // FileSize returns the size of a host file (0 if absent).
 func (h *Host) FileSize(name string) int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return len(h.files[name])
+	if f, ok := h.files[name]; ok {
+		return f.size
+	}
+	return 0
 }
 
 // --- Futex ---------------------------------------------------------------

@@ -38,9 +38,9 @@ func TestFileStorage(t *testing.T) {
 }
 
 // TestWriteFileAtGrowthIsAmortised: a file built by ascending block
-// writes is copied a constant number of times per byte (the allocator's
-// ledger says so, no clock involved), and the capacity behind that is
-// never visible: every reader sees len.
+// writes allocates its bytes once (the allocator's ledger says so, no
+// clock involved): at most the final size plus one extent, whatever the
+// number of writes. Every reader sees exactly the file's size.
 func TestWriteFileAtGrowthIsAmortised(t *testing.T) {
 	const writes, chunk = 2048, 4096
 	const final = writes * chunk
@@ -52,9 +52,9 @@ func TestWriteFileAtGrowthIsAmortised(t *testing.T) {
 		h.WriteFileAt("grow", i*chunk, buf)
 	}
 	runtime.ReadMemStats(&after)
-	if got := after.TotalAlloc - before.TotalAlloc; got > 6*final {
-		t.Errorf("growing to %d bytes in %d writes allocated %d bytes (%.1f×), want ≤ 6×",
-			final, writes, got, float64(got)/final)
+	if got := after.TotalAlloc - before.TotalAlloc; got > final+extentSize {
+		t.Errorf("growing to %d bytes in %d writes allocated %d bytes (%.2f×), want ≤ %d (the size plus one extent)",
+			final, writes, got, float64(got)/final, final+extentSize)
 	}
 	if n := h.FileSize("grow"); n != final {
 		t.Fatalf("FileSize = %d, want %d", n, final)
@@ -63,8 +63,8 @@ func TestWriteFileAtGrowthIsAmortised(t *testing.T) {
 		t.Fatalf("ReadFile returned %d bytes, want %d ending in the last write", len(data), final)
 	}
 
-	// A write that leaves slack, then a sparse write inside it: the gap
-	// reads zero, and nothing past len can be read.
+	// A sparse write past the end of a partly filled extent: the gap
+	// reads zero, and nothing past the size can be read.
 	h.WriteFileAt("sp", 0, buf)
 	h.WriteFileAt("sp", chunk+900, []byte{7})
 	const size = chunk + 901
@@ -80,11 +80,13 @@ func TestWriteFileAtGrowthIsAmortised(t *testing.T) {
 	}
 }
 
-// TestWriteFileAtReadsBack: WriteFileAt stores the file back into the
-// map only when it was absent or grew, so each kind of write is checked
-// against a plain model of the file: an overwrite in place, a growing
-// write, a sparse write past the end, and an empty write that creates a
-// file.
+// TestWriteFileAtReadsBack checks each kind of write against a plain
+// model of the file: an overwrite in place, a growing write, sparse
+// writes past the end (within an extent, and leaving whole extents as
+// holes), writes into a gap and into a hole, a write straddling an
+// extent boundary, and an empty write that creates a file. Each step
+// reads the file back whole, and in pieces that cross extent
+// boundaries.
 func TestWriteFileAtReadsBack(t *testing.T) {
 	h := New()
 	var model []byte
@@ -101,6 +103,24 @@ func TestWriteFileAtReadsBack(t *testing.T) {
 		if err != nil || !bytes.Equal(got, model) || h.FileSize("f") != len(model) {
 			t.Fatalf("after %s: read %d bytes (%v), size %d, want the model's %d", what, len(got), err, h.FileSize("f"), len(model))
 		}
+		for off := 0; off < len(model); off += 5000 {
+			piece := make([]byte, 7000)
+			n, err := h.ReadFileAt("f", off, piece)
+			if want := min(len(piece), len(model)-off); err != nil || n != want || !bytes.Equal(piece[:n], model[off:off+n]) {
+				t.Fatalf("after %s: ReadFileAt(%d) = %d, %v; want the model's %d bytes", what, off, n, err, want)
+			}
+		}
+	}
+	extents := func() int {
+		h.mu.Lock()
+		defer h.mu.Unlock()
+		n := 0
+		for _, e := range h.files["f"].ext {
+			if e != nil {
+				n++
+			}
+		}
+		return n
 	}
 	write("a first write", 0, bytes.Repeat([]byte{1}, 100))
 	write("an overwrite in place", 10, bytes.Repeat([]byte{2}, 50))
@@ -108,7 +128,39 @@ func TestWriteFileAtReadsBack(t *testing.T) {
 	write("a growing write", 90, bytes.Repeat([]byte{4}, 30))
 	write("a sparse write past the end", 300, []byte{5, 6, 7})
 	write("an overwrite inside the gap", 200, []byte{8})
-	write("a growing write inside the capacity", 303, []byte{9})
+	write("a growing write by one byte", 303, []byte{9})
+	write("a write straddling an extent boundary", extentSize-10, bytes.Repeat([]byte{10}, 30))
+	if n := extents(); n != 2 {
+		t.Fatalf("%d extents after writes to two, want 2", n)
+	}
+	write("a sparse write leaving a whole-extent hole", 3*extentSize+5, bytes.Repeat([]byte{11}, 20))
+	if n := extents(); n != 3 {
+		t.Fatalf("%d extents after a write past a hole, want 3: the hole allocates none", n)
+	}
+	write("a write into the hole", 2*extentSize+100, []byte{12, 13})
+	if n := extents(); n != 4 {
+		t.Fatalf("%d extents after a write into the hole, want 4", n)
+	}
+
+	// No slice a caller holds aliases a stored file.
+	data := bytes.Repeat([]byte{1}, 2*extentSize+3)
+	h.WriteFile("iso", data)
+	data[0], data[extentSize], data[len(data)-1] = 9, 9, 9
+	got, _ := h.ReadFile("iso")
+	if !bytes.Equal(got, bytes.Repeat([]byte{1}, 2*extentSize+3)) {
+		t.Fatal("changing the slice passed to WriteFile changed the stored file")
+	}
+	got[0], got[extentSize], got[len(got)-1] = 9, 9, 9
+	if again, _ := h.ReadFile("iso"); !bytes.Equal(again, bytes.Repeat([]byte{1}, 2*extentSize+3)) {
+		t.Fatal("changing the slice ReadFile returned changed the stored file")
+	}
+	p := []byte{4, 4}
+	h.WriteFileAt("iso", 10, p)
+	p[0] = 9
+	b := make([]byte, 2)
+	if h.ReadFileAt("iso", 10, b); b[0] != 4 {
+		t.Fatal("changing the slice passed to WriteFileAt changed the stored file")
+	}
 
 	if _, err := h.ReadFile("empty"); err == nil {
 		t.Fatal(`"empty" exists before its first write`)
