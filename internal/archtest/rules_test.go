@@ -272,6 +272,32 @@ func TestSyscallRecordLivesInProc(t *testing.T) {
 	})
 }
 
+// TestSyscallsDescribedOnce: a syscall's new fds are the gate's. Outside
+// internal/sysdispatch no non-test code calls FDTable.Install (the one
+// Install method with a single argument): a handler leaves a new file
+// in Call.Out, and the gate installs it after the call's out pointer
+// has passed, so a failed call never leaves an fd behind. The
+// constructors that decoded arguments per handler stay deleted
+// (TestRemovedDesignsStayRemoved), and Register refuses a number Specs
+// does not describe (sysdispatch TestRegisterRefusesUndescribedNumber).
+func TestSyscallsDescribedOnce(t *testing.T) {
+	tr := load(t)
+	for _, p := range tr.pkgs {
+		if p.path == path.Join(module, "internal/sysdispatch") {
+			continue
+		}
+		eachNode(p.files, func(f *srcFile, fd *ast.FuncDecl, n ast.Node) {
+			call, ok := n.(*ast.CallExpr)
+			if !ok || len(call.Args) != 1 {
+				return
+			}
+			if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Install" {
+				t.Errorf("%s: %s installs an fd itself; leave the file in Call.Out", f.name, funcName(fd))
+			}
+		})
+	}
+}
+
 // TestStoreNeverDropsDiskErrors: the store is fail-stop, so every
 // write-side Disk call in internal/fs hands its error on. A call to
 // WriteFileAt, RemoveFile or Sync, on any receiver, is never a bare
@@ -393,6 +419,7 @@ var removed = []struct {
 	{"table shards", []string{"internal"}, regexp.MustCompile(`fdTableShards|epShards|tableShards|listenerShardFor|futexShardFor`)},
 	{"per-hart run queues", []string{"internal/sched"}, regexp.MustCompile(`steal|affinity|nextHart`)},
 	{"store formats v3 and v4", []string{"internal", "cmd"}, regexp.MustCompile(`^(v3Reader|initV3|openV3|rootV3|rootV4|v3EntrySize|formatV3|formatV4|Upgrade)$`)},
+	{"per-handler syscall decoding", []string{"internal"}, regexp.MustCompile(`^(OpenHandler|SpawnHandler|Wait4Handler|Pipe2Handler|SocketHandler|pathHandler|onSock|ReadPath)$`)},
 }
 
 // declared returns the identifiers f declares, at any scope: functions,

@@ -180,6 +180,12 @@ func (p *Proc) ReadUser(addr, n uint64) ([]byte, error) {
 	return p.img.Mem.ReadDirect(addr, int(n))
 }
 
+// UserOK implements sysdispatch.Kernel: the user range, and for a write
+// the pages' permission, as WriteUser checks them.
+func (p *Proc) UserOK(addr, n uint64, write bool) bool {
+	return p.inUser(addr, n) && (!write || p.img.Mem.Check(addr, int(n), mem.AccessWrite) == nil)
+}
+
 // WriteUser implements sysdispatch.Kernel: copy into the user range.
 func (p *Proc) WriteUser(addr uint64, b []byte) error {
 	if !p.inUser(addr, uint64(len(b))) || p.img.Mem.WriteAt(addr, b) != nil {

@@ -1,7 +1,9 @@
 package baseline_test
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/asm"
@@ -264,4 +266,147 @@ func TestPipe2FaultLeavesNoFDs(t *testing.T) {
 			t.Fatalf("status %#x, want 0x34: pipe2 after the EFAULT got fds %d and %d", st, st>>4, st&15)
 		}
 	})
+}
+
+// TestMmapStaysInHeap: a length that wraps the heap pointer fails with
+// ENOMEM and moves nothing, so the next mapping follows the last one
+// inside the heap. Before the bump was overflow-safe, the wrapping call
+// succeeded and the next mapping lay 1 MiB below the heap.
+func TestMmapStaysInHeap(t *testing.T) {
+	forEachSystem(t, 1<<30, func(t *testing.T, s system) {
+		s.install(t, "/bin/idle", func(b *asm.Builder) { ulib.Exit(b, 0) })
+		p, err := s.k.Idle("/bin/idle")
+		if err != nil {
+			t.Fatal(err)
+		}
+		first := p.Dispatch(libos.SysMmap, [5]uint64{4096})
+		if first < 0 {
+			t.Fatalf("mmap(4096) = %d", first)
+		}
+		for _, n := range []uint64{^uint64(1<<20 - 1), ^uint64(0)} {
+			if r := p.Dispatch(libos.SysMmap, [5]uint64{n}); r != -libos.ENOMEM {
+				t.Errorf("mmap(%#x) = %#x, want %d", n, r, -libos.ENOMEM)
+			}
+		}
+		if r := p.Dispatch(libos.SysMmap, [5]uint64{4096}); r != first+4096 {
+			t.Errorf("mmap(4096) after the refusals = %#x, want %#x", r, first+4096)
+		}
+	})
+}
+
+// TestFailedPointerSyscallLeavesNoTrace is the LibOS test of the same
+// name run on both models: every registered syscall with a pointer or
+// path argument, called with that argument one byte below the user
+// range, straddling its end and wrapping the address space, fails with
+// EFAULT and leaves the fd table and the user bytes as they were; a
+// read does not consume its pipe's bytes first, and wait4's child can
+// still be reaped afterwards.
+func TestFailedPointerSyscallLeavesNoTrace(t *testing.T) {
+	forEachSystem(t, 1<<30, func(t *testing.T, s system) {
+		s.install(t, "/bin/idle", func(b *asm.Builder) { ulib.Exit(b, 0) })
+		p, err := s.k.Idle("/bin/idle")
+		if err != nil {
+			t.Fatal(err)
+		}
+		child, err := s.k.Spawn("/bin/idle", nil, baseline.SpawnOpt{Parent: p})
+		if err != nil {
+			t.Fatal(err)
+		}
+		child.Wait()
+		img := p.Image()
+		valid := img.DataBase + 64
+		if p.Dispatch(libos.SysPipe2, [5]uint64{img.DataBase}) != 0 {
+			t.Fatal("set-up: pipe2 failed")
+		}
+		if err := p.WriteUser(valid, []byte("/x")); err != nil {
+			t.Fatal(err)
+		}
+		image := func() []byte {
+			b, err := p.ReadUser(img.UserBase, img.UserSize)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return bytes.Clone(b)
+		}
+		fdArg := map[uint64]uint64{libos.SysRead: 3, libos.SysRecv: 3, libos.SysReadv: 3, libos.SysWrite: 4, libos.SysSend: 4, libos.SysWritev: 4}
+		before, fds := image(), fdSnapshot(p.FDs())
+		forEachBadPointer(s.k.Table(), img.UserBase, img.UserBase+img.UserSize, valid, func(no uint64, a [5]uint64, what string) {
+			if sysdispatch.Specs[no].Args[0].Class == sysdispatch.Fd {
+				a[0] = fdArg[no]
+			}
+			if no == libos.SysWait4 {
+				a[0] = ^uint64(0) // any child
+			}
+			if r := p.Dispatch(no, a); r != -libos.EFAULT {
+				t.Errorf("%s: %d, want %d", what, r, -libos.EFAULT)
+			}
+			if !bytes.Equal(image(), before) {
+				t.Fatalf("%s changed the user bytes", what)
+			}
+			if fdSnapshot(p.FDs()) != fds {
+				t.Fatalf("%s changed the fd table", what)
+			}
+		})
+		if r := p.Dispatch(libos.SysWait4, [5]uint64{^uint64(0)}); r != int64(child.PID()) {
+			t.Errorf("wait4 after the faults = %d, want the child %d", r, child.PID())
+		}
+		p.FDs().CloseAll()
+	})
+}
+
+// fdSnapshot is what fds 0-15 of t hold.
+func fdSnapshot(t *sysdispatch.FDTable) (out [16]sysdispatch.File) {
+	for fd := range out {
+		out[fd], _ = t.Get(fd)
+	}
+	return out
+}
+
+// forEachBadPointer is the LibOS test's walk over the specs (see
+// internal/libos gate_test.go): f gets each pointer or path argument of
+// each syscall tab registers at three bad pointers for [begin, end), the
+// call's other pointer and path arguments at valid (a two-byte path).
+func forEachBadPointer(tab *sysdispatch.Table, begin, end, valid uint64, f func(no uint64, a [5]uint64, what string)) {
+	unit := func(k sysdispatch.Kind) uint64 {
+		switch k.Class {
+		case sysdispatch.Path, sysdispatch.Buf:
+			return 1
+		case sysdispatch.Iov:
+			return sysdispatch.IovEntrySize
+		case sysdispatch.PtrIn, sysdispatch.PtrOut, sysdispatch.FdPairOut:
+			return uint64(k.Size)
+		}
+		return 0
+	}
+	for no, s := range sysdispatch.Specs {
+		if !tab.Has(no) {
+			continue
+		}
+		for i, k := range s.Args {
+			u := unit(k)
+			if u == 0 {
+				continue
+			}
+			n := uint64(1)
+			if k.N > 0 {
+				n = max(1, 16/u)
+			}
+			for _, bad := range [3]uint64{begin - 1, end - u*n/2, -(u * n / 2)} {
+				var a [5]uint64
+				for j, other := range s.Args {
+					if unit(other) > 0 {
+						a[j] = valid
+						if other.N > 0 {
+							a[other.N-1] = 2
+						}
+					}
+				}
+				a[i] = bad
+				if k.N > 0 {
+					a[k.N-1] = n
+				}
+				f(uint64(no), a, fmt.Sprintf("%s: argument %d at %#x", s.Name, i+1, bad))
+			}
+		}
+	}
 }

@@ -3,7 +3,6 @@ package baseline
 import (
 	"runtime"
 
-	"repro/internal/hostos"
 	"repro/internal/isa"
 	"repro/internal/libos"
 	"repro/internal/sysdispatch"
@@ -26,45 +25,46 @@ func (k *Kernel) newTable() *sysdispatch.Table {
 	t.Register(libos.SysRecv, sysdispatch.BlockingRead)
 	t.Register(libos.SysWritev, sysdispatch.BlockingWritev)
 	t.Register(libos.SysReadv, sysdispatch.BlockingReadv)
-	t.Register(libos.SysOpen, sysdispatch.OpenHandler(func(c sysdispatch.Kernel, path string, flags uint64) (sysdispatch.File, int64) {
-		f, err := k.model.Open(c.(*Proc), path, int(flags))
+	t.Register(libos.SysOpen, func(p sysdispatch.Kernel, c *sysdispatch.Call) sysdispatch.Result {
+		f, err := k.model.Open(p.(*Proc), c.Path[0], int(c.A[2]))
 		if err != nil {
-			return nil, errno(err)
+			return sysdispatch.Errno(errno(err))
 		}
-		return f, 0
-	}))
+		c.Out[0] = f
+		return sysdispatch.Ok(0)
+	})
 	t.Register(libos.SysClose, sysdispatch.CloseFD)
-	t.Register(libos.SysSpawn, sysdispatch.SpawnHandler(func(c sysdispatch.Kernel, path string, argv []string) int64 {
-		child, err := k.Spawn(path, argv, SpawnOpt{Parent: c.(*Proc)})
+	t.Register(libos.SysSpawn, func(p sysdispatch.Kernel, c *sysdispatch.Call) sysdispatch.Result {
+		child, err := k.Spawn(c.Path[0], sysdispatch.Argv(p, c), SpawnOpt{Parent: p.(*Proc)})
 		if err != nil {
-			return -errno(err)
+			return sysdispatch.Errno(errno(err))
 		}
-		return int64(child.pid)
-	}))
-	t.Register(libos.SysWait4, sysdispatch.Wait4Handler(func(c sysdispatch.Kernel, pid int) (int, int, int64, bool) {
-		return c.(*Proc).wait4(pid)
-	}))
-	t.Register(libos.SysPipe2, sysdispatch.Pipe2Handler(func(c sysdispatch.Kernel) (sysdispatch.File, sysdispatch.File) {
-		return k.model.NewPipe(c.(*Proc))
-	}))
+		return sysdispatch.Ok(int64(child.pid))
+	})
+	t.Register(libos.SysWait4, func(p sysdispatch.Kernel, c *sysdispatch.Call) sysdispatch.Result {
+		return p.(*Proc).wait4(c)
+	})
+	t.Register(libos.SysPipe2, func(p sysdispatch.Kernel, c *sysdispatch.Call) sysdispatch.Result {
+		c.Out[0], c.Out[1] = k.model.NewPipe(p.(*Proc))
+		return sysdispatch.Ok(0)
+	})
 	t.Register(libos.SysDup2, sysdispatch.Dup2FD)
 	t.Register(libos.SysGetpid, sysdispatch.Getpid)
 	t.Register(libos.SysGetppid, sysdispatch.Getppid)
-	t.Register(libos.SysMmap, func(c sysdispatch.Kernel, a *[5]uint64) sysdispatch.Result {
-		p := c.(*Proc)
-		length := (a[0] + 4095) &^ 4095
-		if p.heapPtr+length > p.heapEnd {
+	t.Register(libos.SysMmap, func(p sysdispatch.Kernel, c *sysdispatch.Call) sysdispatch.Result {
+		pr := p.(*Proc)
+		addr, after, ok := sysdispatch.Bump(pr.heapPtr, pr.heapEnd, c.A[0])
+		if !ok {
 			return sysdispatch.Errno(libos.ENOMEM)
 		}
-		addr := p.heapPtr
-		p.heapPtr += length
+		pr.heapPtr = after
 		return sysdispatch.Ok(int64(addr))
 	})
 	t.Register(libos.SysMunmap, sysdispatch.Munmap)
 	t.Register(libos.SysFutex, k.sysFutex)
-	libos.RegisterHostSockets(t, func(sysdispatch.Kernel) *hostos.Host { return k.host })
+	libos.RegisterHostSockets(t, k.host)
 	t.Register(libos.SysClock, sysdispatch.Clock)
-	t.Register(libos.SysYield, func(sysdispatch.Kernel, *[5]uint64) sysdispatch.Result {
+	t.Register(libos.SysYield, func(sysdispatch.Kernel, *sysdispatch.Call) sysdispatch.Result {
 		runtime.Gosched()
 		return sysdispatch.Ok(0)
 	})
@@ -84,11 +84,11 @@ func (p *Proc) syscall() bool {
 	}
 	p.cpu.Regs[isa.SP] = sp + 8
 
-	a := [5]uint64{
+	c := sysdispatch.Call{A: [5]uint64{
 		p.cpu.Regs[isa.R1], p.cpu.Regs[isa.R2], p.cpu.Regs[isa.R3],
 		p.cpu.Regs[isa.R4], p.cpu.Regs[isa.R5],
-	}
-	res := p.k.table.Dispatch(p, p.cpu.Regs[isa.R0], &a)
+	}}
+	res := p.k.table.Dispatch(p, p.cpu.Regs[isa.R0], &c)
 	if res.Exited {
 		return true
 	}
@@ -97,37 +97,41 @@ func (p *Proc) syscall() bool {
 	return false
 }
 
-// wait4 reaps a matching child, sleeping until one exits; -ECHILD when
-// none can ever match. It never parks (the Wait4Handler's last result).
-func (p *Proc) wait4(pid int) (cpid, status int, err int64, parked bool) {
+// wait4 reaps a matching child, writing its status when asked and
+// sleeping until one exits; -ECHILD when none can ever match.
+func (p *Proc) wait4(c *sysdispatch.Call) sysdispatch.Result {
+	pid := int(int64(c.A[0]))
 	k := p.k
 	k.mu.Lock()
 	defer k.mu.Unlock()
 	for {
 		found := false
-		for cpid, c := range k.procs {
-			if c.ppid != p.pid || (pid >= 0 && cpid != pid) {
+		for cpid, ch := range k.procs {
+			if ch.ppid != p.pid || (pid >= 0 && cpid != pid) {
 				continue
 			}
 			found = true
-			if c.exited {
+			if ch.exited {
 				delete(k.procs, cpid)
-				return cpid, c.status, 0, false
+				if c.A[1] != 0 {
+					_ = p.WriteU64(c.A[1], uint64(ch.status)) // the word passed the gate
+				}
+				return sysdispatch.Ok(int64(cpid))
 			}
 		}
 		if !found {
-			return 0, 0, libos.ECHILD, false
+			return sysdispatch.Errno(libos.ECHILD)
 		}
 		k.exits.Wait()
 	}
 }
 
 // sysFutex is futex(op, addr, val) on the host's wait queues.
-func (k *Kernel) sysFutex(c sysdispatch.Kernel, a *[5]uint64) sysdispatch.Result {
-	op, addr, val := a[0], a[1], a[2]
+func (k *Kernel) sysFutex(p sysdispatch.Kernel, c *sysdispatch.Call) sysdispatch.Result {
+	op, addr, val := c.A[0], c.A[1], c.A[2]
 	switch op {
 	case libos.FutexWait:
-		cur, f := c.(*Proc).cpu.Mem.Load(addr, 8)
+		cur, f := p.(*Proc).cpu.Mem.Load(addr, 8)
 		if f != nil {
 			return sysdispatch.Errno(libos.EFAULT)
 		}

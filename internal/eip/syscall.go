@@ -31,7 +31,7 @@ func (g *Graphene) Open(_ *Proc, path string, _ int) (sysdispatch.File, error) {
 // namespace are refused. lseek, rename and fsync are not modeled and
 // answer -ENOSYS from the table.
 func (g *Graphene) Register(t *sysdispatch.Table) {
-	readOnlyFS := func(sysdispatch.Kernel, *[5]uint64) sysdispatch.Result {
+	readOnlyFS := func(sysdispatch.Kernel, *sysdispatch.Call) sysdispatch.Result {
 		return sysdispatch.Errno(libos.EACCES)
 	}
 	t.Register(libos.SysMkdir, readOnlyFS)

@@ -67,11 +67,6 @@ const (
 	SysReadv    = sysdispatch.SysReadv
 	SysSendfile = sysdispatch.SysSendfile
 	SysSplice   = sysdispatch.SysSplice
-
-	// IovMax and IovEntrySize mirror the sysdispatch iovec ABI for
-	// kernels that unmarshal iovec arrays themselves.
-	IovMax       = sysdispatch.IovMax
-	IovEntrySize = sysdispatch.IovEntrySize
 )
 
 // Errno values (returned as -errno in R0).

@@ -196,7 +196,7 @@ func (of *OpenFile) reapCheck(q *timers.Queue) {
 // the guest's backlog argument through to the host listener (clamped by
 // hostos.BacklogCap). A no-op on descriptions that are not listeners
 // yet — the guest must bind first, as our listen handler runs after
-// sysBind has converted the socket.
+// bind has converted the socket.
 func (of *OpenFile) SetListenBacklog(n int) {
 	of.mu.Lock()
 	lis := of.lis
@@ -461,42 +461,52 @@ func (of *OpenFile) ConnectHost(h *hostos.Host, port uint16) error {
 	return nil
 }
 
-// RegisterHostSockets installs socket/bind/listen/accept/connect for the
-// baseline kernels (native Linux, EIP): their processes own a goroutine,
-// so accept blocks inside the handler where sysAccept parks, and their
-// socket descriptions are OpenFiles over the kernel's loopback host.
-func RegisterHostSockets(t *sysdispatch.Table, hostOf func(sysdispatch.Kernel) *hostos.Host) {
-	onSock := func(f func(k sysdispatch.Kernel, of *OpenFile, port uint16) int64) sysdispatch.Handler {
-		return func(k sysdispatch.Kernel, a *[5]uint64) sysdispatch.Result {
-			file, _ := k.FDs().Get(int(int64(a[0])))
-			of, ok := file.(*OpenFile)
-			if !ok {
-				return sysdispatch.Errno(EBADF)
-			}
-			return sysdispatch.Ok(f(k, of, uint16(a[1])))
+// registerSockets installs socket, bind, listen and connect over the
+// loopback host beneath the calling process (hostOf); each kernel adds
+// its own accept.
+func registerSockets(t *sysdispatch.Table, hostOf func(sysdispatch.Kernel) *hostos.Host) {
+	t.Register(SysSocket, func(_ sysdispatch.Kernel, c *sysdispatch.Call) sysdispatch.Result {
+		c.Out[0] = NewSocketFile()
+		return sysdispatch.Ok(0)
+	})
+	t.Register(SysBind, func(k sysdispatch.Kernel, c *sysdispatch.Call) sysdispatch.Result {
+		of, ok := c.F[0].(*OpenFile)
+		if !ok || of.kind != kindSock {
+			return sysdispatch.Errno(EBADF)
 		}
-	}
-	t.Register(SysSocket, sysdispatch.SocketHandler(func(sysdispatch.Kernel) sysdispatch.File {
-		return NewSocketFile()
-	}))
-	t.Register(SysBind, onSock(func(k sysdispatch.Kernel, of *OpenFile, port uint16) int64 {
-		if of.BindHost(hostOf(k), port) != nil {
-			return -EACCES
+		if of.BindHost(hostOf(k), uint16(c.A[1])) != nil {
+			return sysdispatch.Errno(EACCES)
 		}
-		return 0
-	}))
+		return sysdispatch.Ok(0)
+	})
 	t.Register(SysListen, sysdispatch.Listen)
-	t.Register(SysAccept, onSock(func(k sysdispatch.Kernel, of *OpenFile, _ uint16) int64 {
+	t.Register(SysConnect, func(k sysdispatch.Kernel, c *sysdispatch.Call) sysdispatch.Result {
+		of, ok := c.F[0].(*OpenFile)
+		if !ok || of.kind != kindSock {
+			return sysdispatch.Errno(EBADF)
+		}
+		if of.ConnectHost(hostOf(k), uint16(c.A[1])) != nil {
+			return sysdispatch.Errno(ECONNREFUSED)
+		}
+		return sysdispatch.Ok(0)
+	})
+}
+
+// RegisterHostSockets installs the sockets of the baseline kernels
+// (native Linux, EIP) over host: their processes own a goroutine, so
+// accept blocks inside the handler where sysAccept parks.
+func RegisterHostSockets(t *sysdispatch.Table, host *hostos.Host) {
+	registerSockets(t, func(sysdispatch.Kernel) *hostos.Host { return host })
+	t.Register(SysAccept, func(_ sysdispatch.Kernel, c *sysdispatch.Call) sysdispatch.Result {
+		of, ok := c.F[0].(*OpenFile)
+		if !ok {
+			return sysdispatch.Errno(EBADF)
+		}
 		nf, err := of.AcceptHost()
 		if err != nil {
-			return -EIO
+			return sysdispatch.Errno(EIO)
 		}
-		return int64(k.FDs().Install(nf))
-	}))
-	t.Register(SysConnect, onSock(func(k sysdispatch.Kernel, of *OpenFile, port uint16) int64 {
-		if of.ConnectHost(hostOf(k), port) != nil {
-			return -ECONNREFUSED
-		}
-		return 0
-	}))
+		c.Out[0] = nf
+		return sysdispatch.Ok(0)
+	})
 }

@@ -37,6 +37,7 @@ import (
 	"repro/internal/ring"
 	"repro/internal/sched"
 	"repro/internal/sgx"
+	"repro/internal/sysdispatch"
 	"repro/internal/timers"
 	"repro/internal/vm"
 )
@@ -138,6 +139,9 @@ type Domain struct {
 	cpu      *vm.CPU
 	resident *loadedImage
 	codeSpan mem.Span
+	// call is the holder's syscall as the gate decodes it (one SIP, one
+	// call in flight); as a Proc field it would cost every spawn 128 B.
+	call sysdispatch.Call
 }
 
 // Occlum is one LibOS instance inside one enclave.

@@ -313,13 +313,9 @@ func (ep *epollSet) close() {
 // sysFcntl implements F_GETFL/F_SETFL; the only status flag is
 // O_NONBLOCK, which converts parking socket operations into immediate
 // EAGAIN returns.
-func sysFcntl(k sysdispatch.Kernel, a *[5]uint64) sysdispatch.Result {
-	p := k.(*Proc)
-	of, ok := p.getFD(int(int64(a[0])))
-	if !ok {
-		return sysdispatch.Errno(EBADF)
-	}
-	switch a[1] {
+func sysFcntl(_ sysdispatch.Kernel, c *sysdispatch.Call) sysdispatch.Result {
+	of := c.F[0].(*OpenFile)
+	switch c.A[1] {
 	case FGetFl:
 		fl := int64(of.flags)
 		if of.nonblock.Load() {
@@ -327,7 +323,7 @@ func sysFcntl(k sysdispatch.Kernel, a *[5]uint64) sysdispatch.Result {
 		}
 		return sysdispatch.Ok(fl)
 	case FSetFl:
-		of.nonblock.Store(a[2]&ONonblock != 0)
+		of.nonblock.Store(c.A[2]&ONonblock != 0)
 		return sysdispatch.Ok(0)
 	}
 	return sysdispatch.Errno(EINVAL)
@@ -335,17 +331,16 @@ func sysFcntl(k sysdispatch.Kernel, a *[5]uint64) sysdispatch.Result {
 
 // sysShutdown implements shutdown(2) over host connections — the real
 // half-close the HTTPD uses to flush a response while still reading.
-func sysShutdown(k sysdispatch.Kernel, a *[5]uint64) sysdispatch.Result {
-	p := k.(*Proc)
-	of, ok := p.getFD(int(int64(a[0])))
-	if !ok || of.kind != kindSock {
+func sysShutdown(_ sysdispatch.Kernel, c *sysdispatch.Call) sysdispatch.Result {
+	of := c.F[0].(*OpenFile)
+	if of.kind != kindSock {
 		return sysdispatch.Errno(EBADF)
 	}
 	rd, wr := of.streams()
 	if rd == nil {
 		return sysdispatch.Errno(ENOTCONN)
 	}
-	switch a[1] {
+	switch c.A[1] {
 	case ShutRd:
 		rd.CloseRead()
 	case ShutWr:
@@ -383,21 +378,18 @@ func (p *Proc) armTimeout(cur *blockedSys, cancels []func(), tmoMS int64) {
 	}
 }
 
-// sysPoll implements poll(2): a[0] points at an array of a[1] 24-byte
-// entries {fd, events, revents}; a[2] is the timeout in milliseconds
+// sysPoll implements poll(2): R1 points at an array of R2 24-byte
+// entries {fd, events, revents}; R3 is the timeout in milliseconds
 // (negative: infinite; zero: pure readiness probe, never parks).
 // Returns the number of entries with non-zero revents.
-func sysPoll(k sysdispatch.Kernel, a *[5]uint64) sysdispatch.Result {
+func sysPoll(k sysdispatch.Kernel, c *sysdispatch.Call) sysdispatch.Result {
 	p := k.(*Proc)
 	cur := p.cursys
-	ptr, nfds, tmo := a[0], a[1], int64(a[2])
+	ptr, nfds, tmo := c.A[0], c.A[1], int64(c.A[2])
 	if nfds > sysdispatch.PollMaxFDs {
 		return sysdispatch.Errno(EINVAL)
 	}
-	raw, err := p.readUserBytes(ptr, nfds*sysdispatch.PollEntrySize)
-	if err != nil {
-		return sysdispatch.Errno(EFAULT)
-	}
+	raw, _ := p.readUserBytes(ptr, nfds*sysdispatch.PollEntrySize) // the array passed the gate
 	first := cur.cancel == nil && !p.woken()
 	if first {
 		atomic.AddUint64(&netStats.Polls, 1)
@@ -436,9 +428,7 @@ func sysPoll(k sysdispatch.Kernel, a *[5]uint64) sysdispatch.Result {
 		if revents != 0 {
 			n++
 		}
-		if p.WriteU64(ptr+i*sysdispatch.PollEntrySize+16, uint64(revents)) != nil {
-			return sysdispatch.Errno(EFAULT)
-		}
+		_ = p.WriteU64(ptr+i*sysdispatch.PollEntrySize+16, uint64(revents)) // the array passed the gate
 	}
 	if n > 0 {
 		return sysdispatch.Ok(int64(n))
@@ -450,26 +440,18 @@ func sysPoll(k sysdispatch.Kernel, a *[5]uint64) sysdispatch.Result {
 	return sysdispatch.ParkedResult
 }
 
-// sysEpCreate creates an epoll interest set behind a fresh fd.
-func sysEpCreate(k sysdispatch.Kernel, a *[5]uint64) sysdispatch.Result {
-	p := k.(*Proc)
-	of := &OpenFile{refs: 1, kind: kindEpoll, ep: newEpollSet()}
-	return sysdispatch.Ok(int64(p.fds.Install(of)))
-}
-
 // sysEpCtl adds, modifies or removes interest-list entries:
 // epoll_ctl(epfd, op, fd, events).
-func sysEpCtl(k sysdispatch.Kernel, a *[5]uint64) sysdispatch.Result {
-	p := k.(*Proc)
-	epof, ok := p.getFD(int(int64(a[0])))
-	if !ok || epof.kind != kindEpoll {
+func sysEpCtl(k sysdispatch.Kernel, c *sysdispatch.Call) sysdispatch.Result {
+	epof := c.F[0].(*OpenFile)
+	if epof.kind != kindEpoll {
 		return sysdispatch.Errno(EBADF)
 	}
 	ep := epof.ep
-	op, fd, events := a[1], int(int64(a[2])), uint32(a[3])
+	op, fd, events := c.A[1], int(int64(c.A[2])), uint32(c.A[3])
 	switch op {
 	case EpCtlAdd:
-		tf, ok := p.getFD(fd)
+		tf, ok := k.(*Proc).getFD(fd)
 		if !ok {
 			return sysdispatch.Errno(EBADF)
 		}
@@ -525,15 +507,15 @@ func sysEpCtl(k sysdispatch.Kernel, a *[5]uint64) sysdispatch.Result {
 // array holds 16-byte entries {fd, revents}. Level-triggered: an entry
 // stays reported as long as its readiness persists, so a partial read
 // re-arms by simply leaving data buffered.
-func sysEpWait(k sysdispatch.Kernel, a *[5]uint64) sysdispatch.Result {
+func sysEpWait(k sysdispatch.Kernel, c *sysdispatch.Call) sysdispatch.Result {
 	p := k.(*Proc)
 	cur := p.cursys
-	epof, ok := p.getFD(int(int64(a[0])))
-	if !ok || epof.kind != kindEpoll {
+	epof := c.F[0].(*OpenFile)
+	if epof.kind != kindEpoll {
 		return sysdispatch.Errno(EBADF)
 	}
 	ep := epof.ep
-	evPtr, maxEv, tmo := a[1], int64(a[2]), int64(a[3])
+	evPtr, maxEv, tmo := c.A[1], int64(c.A[2]), int64(c.A[3])
 	if maxEv <= 0 {
 		return sysdispatch.Errno(EINVAL)
 	}
@@ -574,9 +556,7 @@ func sysEpWait(k sysdispatch.Kernel, a *[5]uint64) sysdispatch.Result {
 	}
 	ep.readd(readd)
 	if n > 0 {
-		if p.writeUserBytes(evPtr, out) != nil {
-			return sysdispatch.Errno(EFAULT)
-		}
+		_ = p.writeUserBytes(evPtr, out) // the array passed the gate
 		return sysdispatch.Ok(n)
 	}
 	if tmo == 0 || p.woken() {

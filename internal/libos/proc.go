@@ -103,15 +103,15 @@ func (p *Proc) signals() *sigState {
 	return p.sig
 }
 
-// blockedSys is the continuation of a syscall: the original trap
-// arguments plus whatever the handler needs to resume where it left off.
-// Parked syscalls are re-dispatched from scratch on every wakeup, so
-// handlers must be retry-safe; prog and the wake latch (Proc.wokenGen)
-// are the two pieces of state that make pipe writes and futex waits
-// idempotent across retries.
+// blockedSys is the continuation of a syscall: the number, where it
+// returns, and whatever the handler needs to resume where it left off;
+// the arguments are the domain's Call (Domain.call). Parked syscalls
+// are re-dispatched from scratch on every wakeup, so handlers must be
+// retry-safe; prog and the wake latch (Proc.wokenGen) are the two pieces
+// of state that make pipe writes and futex waits idempotent across
+// retries.
 type blockedSys struct {
 	no      uint64
-	a       [5]uint64
 	retAddr uint64
 	// gen is this syscall's generation (Proc.sysGen at entry). Wake
 	// callbacks capture it, never the record, and check it against
@@ -150,6 +150,10 @@ func (p *Proc) ReadUser(addr, n uint64) ([]byte, error) { return p.readUserBytes
 
 // WriteUser implements sysdispatch.Kernel.
 func (p *Proc) WriteUser(addr uint64, b []byte) error { return p.writeUserBytes(addr, b) }
+
+// UserOK implements sysdispatch.Kernel: the domain's data region is
+// read-write throughout, so its bounds are the whole check.
+func (p *Proc) UserOK(addr, n uint64, _ bool) bool { return p.inData(addr, n) }
 
 // FDs implements sysdispatch.Kernel.
 func (p *Proc) FDs() *sysdispatch.FDTable { return &p.fds }
@@ -361,7 +365,7 @@ func (p *Proc) newSyscall(no uint64, a [5]uint64, retAddr uint64) *blockedSys {
 	p.sysGen++
 	cur := &p.sys
 	cur.no = no
-	cur.a = a
+	p.dom.call.A = a
 	cur.retAddr = retAddr
 	cur.gen = p.sysGen
 	cur.prog = 0
@@ -376,7 +380,7 @@ func (p *Proc) newSyscall(no uint64, a [5]uint64, retAddr uint64) *blockedSys {
 func (p *Proc) dispatch(cur *blockedSys) stepResult {
 	p.cursys = cur
 	p.liveGen.Store(cur.gen)
-	res := sysTable.Dispatch(p, cur.no, &cur.a)
+	res := sysTable.Dispatch(p, cur.no, &p.dom.call)
 	p.cursys = nil
 	if res.Exited {
 		return sysExited
@@ -457,34 +461,39 @@ func (p *Proc) Wait() int {
 	return p.status
 }
 
-// sysWait4 is the reaping primitive behind wait4: find a matching child
-// and reap it, report ECHILD when none can ever match, or park until a
-// child exits. Parking registers a waker keyed by our pid; every child
-// teardown broadcasts to it, and the retry re-scans (wait4 semantics
-// tolerate the spurious wakeups this allows).
-func (p *Proc) sysWait4(pid int) (cpid, status int, errno int64, parked bool) {
+// sysWait4 is wait4(2): reap a matching child, writing its status when
+// the caller asked for it, report ECHILD when none can ever match, or
+// park until a child exits. Parking registers a waker keyed by our pid;
+// every child teardown broadcasts to it, and the retry re-scans (wait4
+// semantics tolerate the spurious wakeups this allows).
+func sysWait4(k sysdispatch.Kernel, c *sysdispatch.Call) sysdispatch.Result {
+	p := k.(*Proc)
+	pid := int(int64(c.A[0]))
 	o := p.os
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	found := false
-	for c0pid, c := range o.procs {
-		if c.ppid != p.pid || c == p {
+	for cpid, ch := range o.procs {
+		if ch.ppid != p.pid || ch == p {
 			continue
 		}
-		if pid >= 0 && c0pid != pid {
+		if pid >= 0 && cpid != pid {
 			continue
 		}
 		found = true
-		if c.exited {
-			delete(o.procs, c0pid)
-			return c0pid, c.status, 0, false
+		if ch.exited {
+			delete(o.procs, cpid)
+			if c.A[1] != 0 {
+				_ = p.WriteU64(c.A[1], uint64(ch.status)) // the word passed the gate
+			}
+			return sysdispatch.Ok(int64(cpid))
 		}
 	}
 	if !found {
-		return 0, 0, ECHILD, false
+		return sysdispatch.Errno(ECHILD)
 	}
 	o.waitWakers[p.pid] = p.wake
-	return 0, 0, 0, true
+	return sysdispatch.ParkedResult
 }
 
 // Kill delivers a signal to pid from outside the enclave (host-side

@@ -25,7 +25,7 @@ var _ sysdispatch.File = nopFile{}
 // stack (staged in the spine and passed to the WriteUser interface call,
 // they escaped: one allocation per word). On a booted LibOS, wait4
 // reaping an exited child allocates nothing, and so does pipe2 through
-// the spine's handler when its constructor hands out prebuilt ends.
+// the gate when its handler hands out prebuilt ends.
 func TestStatusWritesAllocateNothing(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.NumDomains = 1
@@ -42,20 +42,24 @@ func TestStatusWritesAllocateNothing(t *testing.T) {
 	d := o.domains[0]
 	p := &Proc{os: o, pid: 100, dom: d}
 	child := &Proc{os: o, pid: 101, ppid: p.pid, exited: true, status: 7}
-	var a [5]uint64
+	var c sysdispatch.Call
 	wait4 := func() {
 		o.mu.Lock()
 		o.procs[child.pid] = child
 		o.mu.Unlock()
-		a = [5]uint64{uint64(child.pid), d.DataBase}
-		if r := sysTable.Dispatch(p, SysWait4, &a); r.Ret != int64(child.pid) {
+		c.A = [5]uint64{uint64(child.pid), d.DataBase}
+		if r := sysTable.Dispatch(p, SysWait4, &c); r.Ret != int64(child.pid) {
 			t.Fatalf("wait4 = %d, want %d", r.Ret, child.pid)
 		}
 	}
-	pipe2 := sysdispatch.Pipe2Handler(func(sysdispatch.Kernel) (r, w sysdispatch.File) { return nopFile{}, nopFile{} })
+	pipe2 := sysdispatch.NewTable()
+	pipe2.Register(SysPipe2, func(_ sysdispatch.Kernel, c *sysdispatch.Call) sysdispatch.Result {
+		c.Out[0], c.Out[1] = nopFile{}, nopFile{}
+		return sysdispatch.Ok(0)
+	})
 	pipe := func() {
-		a = [5]uint64{d.DataBase + 8}
-		if r := pipe2(p, &a); r.Ret != 0 {
+		c.A = [5]uint64{d.DataBase + 8}
+		if r := pipe2.Dispatch(p, SysPipe2, &c); r.Ret != 0 {
 			t.Fatalf("pipe2 = %d", r.Ret)
 		}
 		for _, fd := range []int{3, 4} {
@@ -112,8 +116,8 @@ func TestPipe2FaultLeavesNoTrace(t *testing.T) {
 		t.Fatal("pool holds nothing after a finished pipe")
 	}
 	for _, ptr := range []uint64{0, d.DataBase + d.DataSize - 8, ^uint64(0) - 4} {
-		a := [5]uint64{ptr}
-		if r := sysTable.Dispatch(p, SysPipe2, &a); r.Ret != -EFAULT {
+		c := sysdispatch.Call{A: [5]uint64{ptr}}
+		if r := sysTable.Dispatch(p, SysPipe2, &c); r.Ret != -EFAULT {
 			t.Fatalf("pipe2(%#x) = %d, want %d", ptr, r.Ret, -EFAULT)
 		}
 		for _, fd := range []int{3, 4} {
@@ -125,8 +129,8 @@ func TestPipe2FaultLeavesNoTrace(t *testing.T) {
 			t.Fatalf("pipe2(%#x): pool holds %d bytes, %d before", ptr, got, held)
 		}
 	}
-	a := [5]uint64{d.DataBase}
-	if r := sysTable.Dispatch(p, SysPipe2, &a); r.Ret != 0 {
+	c := sysdispatch.Call{A: [5]uint64{d.DataBase}}
+	if r := sysTable.Dispatch(p, SysPipe2, &c); r.Ret != 0 {
 		t.Fatalf("pipe2 = %d", r.Ret)
 	}
 	got, err := o.enclave.ReadDirect(d.DataBase, 16)

@@ -11,10 +11,10 @@ import (
 )
 
 // sysTable is the LibOS's registration into the shared syscall spine
-// (internal/sysdispatch): marshalling and the fd table come from the
-// spine; the handlers below supply SIP semantics — domain-checked user
-// memory, the encrypted VFS, signals, and the parking protocol that
-// releases a hart instead of blocking it.
+// (internal/sysdispatch): the gate decodes each call by its spec and
+// owns the fd table's installs; the handlers below supply SIP semantics
+// — the encrypted VFS, signals, and the parking protocol that releases
+// a hart instead of blocking it.
 var sysTable = newSysTable()
 
 func newSysTable() *sysdispatch.Table {
@@ -30,16 +30,14 @@ func newSysTable() *sysdispatch.Table {
 	t.Register(SysReadv, sysReadv)
 	t.Register(SysSendfile, sysSendfile)
 	t.Register(SysSplice, sysSplice)
-	t.Register(SysOpen, sysdispatch.OpenHandler(sysOpen))
+	t.Register(SysOpen, sysOpen)
 	t.Register(SysClose, sysdispatch.CloseFD)
-	t.Register(SysSpawn, sysdispatch.SpawnHandler(sysSpawn))
-	t.Register(SysWait4, sysdispatch.Wait4Handler(func(k sysdispatch.Kernel, pid int) (int, int, int64, bool) {
-		return k.(*Proc).sysWait4(pid)
-	}))
-	t.Register(SysPipe2, sysdispatch.Pipe2Handler(func(k sysdispatch.Kernel) (sysdispatch.File, sysdispatch.File) {
-		r, w := newPipe(&k.(*Proc).os.pipeBufs)
-		return r, w
-	}))
+	t.Register(SysSpawn, sysSpawn)
+	t.Register(SysWait4, sysWait4)
+	t.Register(SysPipe2, func(k sysdispatch.Kernel, c *sysdispatch.Call) sysdispatch.Result {
+		c.Out[0], c.Out[1] = newPipe(&k.(*Proc).os.pipeBufs)
+		return sysdispatch.Ok(0)
+	})
 	t.Register(SysDup2, sysdispatch.Dup2FD)
 	t.Register(SysGetpid, sysdispatch.Getpid)
 	t.Register(SysGetppid, sysdispatch.Getppid)
@@ -51,35 +49,35 @@ func newSysTable() *sysdispatch.Table {
 	t.Register(SysSigret, sysSigreturn)
 	t.Register(SysLseek, sysdispatch.Lseek)
 	t.Register(SysStat, sysStat)
-	t.Register(SysMkdir, pathHandler(func(p *Proc, path string) int64 {
-		return errno(p.os.vfs.Mkdir(path))
-	}))
-	t.Register(SysUnlink, pathHandler(func(p *Proc, path string) int64 {
-		return errno(p.os.vfs.Unlink(path))
-	}))
-	t.Register(SysRename, sysRename)
+	t.Register(SysMkdir, func(k sysdispatch.Kernel, c *sysdispatch.Call) sysdispatch.Result {
+		return sysdispatch.Ok(errno(k.(*Proc).os.vfs.Mkdir(c.Path[0])))
+	})
+	t.Register(SysUnlink, func(k sysdispatch.Kernel, c *sysdispatch.Call) sysdispatch.Result {
+		return sysdispatch.Ok(errno(k.(*Proc).os.vfs.Unlink(c.Path[0])))
+	})
+	t.Register(SysRename, func(k sysdispatch.Kernel, c *sysdispatch.Call) sysdispatch.Result {
+		return sysdispatch.Ok(errno(k.(*Proc).os.vfs.Rename(c.Path[0], c.Path[1])))
+	})
 	t.Register(SysReaddir, sysReaddir)
-	t.Register(SysSocket, sysdispatch.SocketHandler(func(sysdispatch.Kernel) sysdispatch.File {
-		return NewSocketFile()
-	}))
-	t.Register(SysBind, sysBind)
-	t.Register(SysListen, sysdispatch.Listen)
+	registerSockets(t, func(k sysdispatch.Kernel) *hostos.Host { return k.(*Proc).os.host })
 	t.Register(SysAccept, sysAccept)
-	t.Register(SysConnect, sysConnect)
 	t.Register(SysClock, sysdispatch.Clock)
 	t.Register(SysFcntl, sysFcntl)
 	t.Register(SysPoll, sysPoll)
-	t.Register(SysEpCreate, sysEpCreate)
+	t.Register(SysEpCreate, func(_ sysdispatch.Kernel, c *sysdispatch.Call) sysdispatch.Result {
+		c.Out[0] = &OpenFile{refs: 1, kind: kindEpoll, ep: newEpollSet()}
+		return sysdispatch.Ok(0)
+	})
 	t.Register(SysEpCtl, sysEpCtl)
 	t.Register(SysEpWait, sysEpWait)
 	t.Register(SysShutdown, sysShutdown)
-	t.Register(SysYield, func(sysdispatch.Kernel, *[5]uint64) sysdispatch.Result {
+	t.Register(SysYield, func(sysdispatch.Kernel, *sysdispatch.Call) sysdispatch.Result {
 		return sysdispatch.Result{Yielded: true}
 	})
-	t.Register(SysFsync, func(k sysdispatch.Kernel, _ *[5]uint64) sysdispatch.Result {
+	t.Register(SysFsync, func(k sysdispatch.Kernel, _ *sysdispatch.Call) sysdispatch.Result {
 		return sysdispatch.Ok(errno(k.(*Proc).os.encfs.Sync()))
 	})
-	t.Register(SysSpawnCPU, func(k sysdispatch.Kernel, _ *[5]uint64) sysdispatch.Result {
+	t.Register(SysSpawnCPU, func(k sysdispatch.Kernel, _ *sysdispatch.Call) sysdispatch.Result {
 		return sysdispatch.Ok(int64(k.(*Proc).cpu.Cycles))
 	})
 	return t
@@ -118,17 +116,8 @@ func errno(err error) int64 {
 	}
 }
 
-// pathHandler adapts a path-only operation (mkdir, unlink).
-func pathHandler(f func(p *Proc, path string) int64) sysdispatch.Handler {
-	return func(k sysdispatch.Kernel, a *[5]uint64) sysdispatch.Result {
-		path, ok := sysdispatch.ReadPath(k, a[0], a[1])
-		if !ok {
-			return sysdispatch.Errno(EFAULT)
-		}
-		return sysdispatch.Ok(f(k.(*Proc), path))
-	}
-}
-
+// getFD resolves an fd the specs cannot describe as an argument: a poll
+// entry's, and epoll_ctl's target.
 func (p *Proc) getFD(fd int) (*OpenFile, bool) {
 	f, ok := p.fds.Get(fd)
 	if !ok {
@@ -141,68 +130,57 @@ func (p *Proc) getFD(fd int) (*OpenFile, bool) {
 // sysWrite is the SIP write(2)/send(2): the one-span case of writev,
 // through the same lending body (writeSpans). A count above MaxUserBuf
 // fails the loan: EFAULT.
-func sysWrite(k sysdispatch.Kernel, a *[5]uint64) sysdispatch.Result {
-	p := k.(*Proc)
-	of, ok := p.getFD(int(int64(a[0])))
-	if !ok {
-		return sysdispatch.Errno(EBADF)
-	}
-	return p.writeSpans(of, []sysdispatch.Iovec{{Base: a[1], Len: a[2]}})
+func sysWrite(k sysdispatch.Kernel, c *sysdispatch.Call) sysdispatch.Result {
+	return k.(*Proc).writeSpans(c.F[0].(*OpenFile), []sysdispatch.Iovec{{Base: c.A[1], Len: c.A[2]}})
 }
 
 // sysRead is the SIP read(2)/recv(2): the one-span case of readv.
-func sysRead(k sysdispatch.Kernel, a *[5]uint64) sysdispatch.Result {
-	p := k.(*Proc)
-	of, ok := p.getFD(int(int64(a[0])))
-	if !ok {
-		return sysdispatch.Errno(EBADF)
-	}
-	return p.readSpans(of, []sysdispatch.Iovec{{Base: a[1], Len: a[2]}})
+func sysRead(k sysdispatch.Kernel, c *sysdispatch.Call) sysdispatch.Result {
+	return k.(*Proc).readSpans(c.F[0].(*OpenFile), []sysdispatch.Iovec{{Base: c.A[1], Len: c.A[2]}})
 }
 
-func sysOpen(k sysdispatch.Kernel, path string, flags uint64) (sysdispatch.File, int64) {
-	p := k.(*Proc)
-	n, err := p.os.vfs.Open(path, fs.OpenFlag(flags))
+func sysOpen(k sysdispatch.Kernel, c *sysdispatch.Call) sysdispatch.Result {
+	flags := fs.OpenFlag(c.A[2])
+	n, err := k.(*Proc).os.vfs.Open(c.Path[0], flags)
 	if err != nil {
-		return nil, -errno(err)
+		return sysdispatch.Ok(errno(err))
 	}
-	return newNodeFile(n, fs.OpenFlag(flags)), 0
+	c.Out[0] = newNodeFile(n, flags)
+	return sysdispatch.Ok(0)
 }
 
-func sysSpawn(k sysdispatch.Kernel, path string, argv []string) int64 {
+func sysSpawn(k sysdispatch.Kernel, c *sysdispatch.Call) sysdispatch.Result {
 	p := k.(*Proc)
-	child, err := p.os.Spawn(path, argv, SpawnOpt{Parent: p})
+	child, err := p.os.Spawn(c.Path[0], sysdispatch.Argv(p, c), SpawnOpt{Parent: p})
 	if err != nil {
 		switch {
 		case errors.Is(err, ErrNoDomains):
-			return -EAGAIN
+			return sysdispatch.Errno(EAGAIN)
 		case errors.Is(err, fs.ErrNotExist):
-			return -ENOENT
+			return sysdispatch.Errno(ENOENT)
 		default:
-			return -EACCES
+			return sysdispatch.Errno(EACCES)
 		}
 	}
-	return int64(child.pid)
+	return sysdispatch.Ok(int64(child.pid))
 }
 
-func sysMmap(k sysdispatch.Kernel, a *[5]uint64) sysdispatch.Result {
+func sysMmap(k sysdispatch.Kernel, c *sysdispatch.Call) sysdispatch.Result {
 	p := k.(*Proc)
 	// Anonymous RW mapping from the domain's heap. The pages were
 	// zeroed when the domain was recycled, and the bump pointer only
 	// hands out fresh memory, so the zero-fill guarantee of §6 holds.
-	length := (a[0] + 4095) &^ 4095
 	p.os.mu.Lock()
 	defer p.os.mu.Unlock()
-	if p.heapPtr+length > p.heapEnd {
+	addr, after, ok := sysdispatch.Bump(p.heapPtr, p.heapEnd, c.A[0])
+	if !ok {
 		return sysdispatch.Errno(ENOMEM)
 	}
-	addr := p.heapPtr
-	p.heapPtr += length
 	// mmap must return zeroed pages even if a previous user of this
 	// heap range dirtied them within this process lifetime. Cleared in
 	// place through a write loan: the permission check and exec-stamp
 	// of WriteAt, without staging a zero buffer the size of the mapping.
-	v, f := p.os.enclave.ViewBytes(addr, int(length), mem.AccessWrite)
+	v, f := p.os.enclave.ViewBytes(addr, int(after-addr), mem.AccessWrite)
 	if f != nil {
 		return sysdispatch.Errno(ENOMEM)
 	}
@@ -210,6 +188,7 @@ func sysMmap(k sysdispatch.Kernel, a *[5]uint64) sysdispatch.Result {
 	if !v.CommitWrite(len(v.B)) {
 		return sysdispatch.Errno(ENOMEM)
 	}
+	p.heapPtr = after
 	return sysdispatch.Ok(int64(addr))
 }
 
@@ -220,9 +199,9 @@ func sysMmap(k sysdispatch.Kernel, a *[5]uint64) sysdispatch.Result {
 // re-checking the futex word (the waker usually changed it).
 // Registrations not consumed by a wake are cancelled by
 // dispatch/teardown, so no wake is ever wasted on a dead waiter.
-func sysFutex(k sysdispatch.Kernel, a *[5]uint64) sysdispatch.Result {
+func sysFutex(k sysdispatch.Kernel, c *sysdispatch.Call) sysdispatch.Result {
 	p := k.(*Proc)
-	op, addr, val := a[0], a[1], a[2]
+	op, addr, val := c.A[0], c.A[1], c.A[2]
 	switch op {
 	case FutexWait:
 		cur := p.cursys
@@ -230,10 +209,7 @@ func sysFutex(k sysdispatch.Kernel, a *[5]uint64) sysdispatch.Result {
 			return sysdispatch.Ok(0)
 		}
 		if cur.cancel == nil {
-			v, err := p.readUserU64(addr)
-			if err != nil {
-				return sysdispatch.Errno(EFAULT)
-			}
+			v, _ := p.readUserU64(addr) // the word passed the gate
 			if v != val {
 				return sysdispatch.Errno(EAGAIN)
 			}
@@ -249,17 +225,17 @@ func sysFutex(k sysdispatch.Kernel, a *[5]uint64) sysdispatch.Result {
 	return sysdispatch.Errno(EINVAL)
 }
 
-func sysKill(k sysdispatch.Kernel, a *[5]uint64) sysdispatch.Result {
+func sysKill(k sysdispatch.Kernel, c *sysdispatch.Call) sysdispatch.Result {
 	p := k.(*Proc)
-	if err := p.os.Kill(int(int64(a[0])), int(int64(a[1]))); err != nil {
+	if err := p.os.Kill(int(int64(c.A[0])), int(int64(c.A[1]))); err != nil {
 		return sysdispatch.Errno(ESRCH)
 	}
 	return sysdispatch.Ok(0)
 }
 
-func sysSigaction(k sysdispatch.Kernel, a *[5]uint64) sysdispatch.Result {
+func sysSigaction(k sysdispatch.Kernel, c *sysdispatch.Call) sysdispatch.Result {
 	p := k.(*Proc)
-	sig, handler := int(int64(a[0])), a[1]
+	sig, handler := int(int64(c.A[0])), c.A[1]
 	if sig == SIGKILL {
 		return sysdispatch.Errno(EINVAL)
 	}
@@ -278,7 +254,7 @@ func sysSigaction(k sysdispatch.Kernel, a *[5]uint64) sysdispatch.Result {
 	return sysdispatch.Ok(0)
 }
 
-func sysSigreturn(k sysdispatch.Kernel, _ *[5]uint64) sysdispatch.Result {
+func sysSigreturn(k sysdispatch.Kernel, _ *sysdispatch.Call) sysdispatch.Result {
 	p := k.(*Proc)
 	p.os.mu.Lock()
 	sg := p.sig
@@ -295,77 +271,38 @@ func sysSigreturn(k sysdispatch.Kernel, _ *[5]uint64) sysdispatch.Result {
 	return sysdispatch.Result{NoWriteback: true}
 }
 
-// sysRename is rename(oldPath, oldLen, newPath, newLen).
-func sysRename(k sysdispatch.Kernel, a *[5]uint64) sysdispatch.Result {
+func sysStat(k sysdispatch.Kernel, c *sysdispatch.Call) sysdispatch.Result {
 	p := k.(*Proc)
-	oldp, ok := sysdispatch.ReadPath(p, a[0], a[1])
-	if !ok {
-		return sysdispatch.Errno(EFAULT)
-	}
-	newp, ok := sysdispatch.ReadPath(p, a[2], a[3])
-	if !ok {
-		return sysdispatch.Errno(EFAULT)
-	}
-	return sysdispatch.Ok(errno(p.os.vfs.Rename(oldp, newp)))
-}
-
-func sysStat(k sysdispatch.Kernel, a *[5]uint64) sysdispatch.Result {
-	p := k.(*Proc)
-	path, ok := sysdispatch.ReadPath(p, a[0], a[1])
-	if !ok {
-		return sysdispatch.Errno(EFAULT)
-	}
-	fi, serr := p.os.vfs.Stat(path)
-	if serr != nil {
-		return sysdispatch.Ok(errno(serr))
-	}
-	if err := p.WriteU64(a[2], uint64(fi.Size)); err != nil {
-		return sysdispatch.Errno(EFAULT)
+	fi, err := p.os.vfs.Stat(c.Path[0])
+	if err != nil {
+		return sysdispatch.Ok(errno(err))
 	}
 	var d uint64
 	if fi.IsDir {
 		d = 1
 	}
-	if err := p.WriteU64(a[2]+8, d); err != nil {
-		return sysdispatch.Errno(EFAULT)
-	}
+	// The 16 bytes passed the gate.
+	_ = p.WriteU64(c.A[2], uint64(fi.Size))
+	_ = p.WriteU64(c.A[2]+8, d)
 	return sysdispatch.Ok(0)
 }
 
-func sysReaddir(k sysdispatch.Kernel, a *[5]uint64) sysdispatch.Result {
+func sysReaddir(k sysdispatch.Kernel, c *sysdispatch.Call) sysdispatch.Result {
 	p := k.(*Proc)
-	path, ok := sysdispatch.ReadPath(p, a[0], a[1])
-	if !ok {
-		return sysdispatch.Errno(EFAULT)
-	}
-	ents, derr := p.os.vfs.ReadDir(path)
-	if derr != nil {
-		return sysdispatch.Ok(errno(derr))
+	ents, err := p.os.vfs.ReadDir(c.Path[0])
+	if err != nil {
+		return sysdispatch.Ok(errno(err))
 	}
 	var out []byte
 	for _, e := range ents {
 		out = append(out, e.Name...)
 		out = append(out, 0)
 	}
-	if uint64(len(out)) > a[3] {
-		out = out[:a[3]]
+	if uint64(len(out)) > c.A[3] {
+		out = out[:c.A[3]]
 	}
-	if err := p.writeUserBytes(a[2], out); err != nil {
-		return sysdispatch.Errno(EFAULT)
-	}
+	_ = p.writeUserBytes(c.A[2], out) // the buffer passed the gate
 	return sysdispatch.Ok(int64(len(out)))
-}
-
-func sysBind(k sysdispatch.Kernel, a *[5]uint64) sysdispatch.Result {
-	p := k.(*Proc)
-	of, ok := p.getFD(int(int64(a[0])))
-	if !ok || of.kind != kindSock {
-		return sysdispatch.Errno(EBADF)
-	}
-	if of.BindHost(p.os.host, uint16(a[1])) != nil {
-		return sysdispatch.Errno(EACCES)
-	}
-	return sysdispatch.Ok(0)
 }
 
 // sysAccept parks the SIP until a connection is queued or the listener
@@ -373,10 +310,10 @@ func sysBind(k sysdispatch.Kernel, a *[5]uint64) sysdispatch.Result {
 // TCS entries only because a worker waiting in accept costs no hart. On
 // an O_NONBLOCK listener an empty backlog returns EAGAIN instead (the
 // event-driven acceptor's drain loop).
-func sysAccept(k sysdispatch.Kernel, a *[5]uint64) sysdispatch.Result {
+func sysAccept(k sysdispatch.Kernel, c *sysdispatch.Call) sysdispatch.Result {
 	p := k.(*Proc)
-	of, ok := p.getFD(int(int64(a[0])))
-	if !ok || of.kind != kindListener {
+	of := c.F[0].(*OpenFile)
+	if of.kind != kindListener {
 		return sysdispatch.Errno(EBADF)
 	}
 	wait := p.wake
@@ -412,18 +349,7 @@ func sysAccept(k sysdispatch.Kernel, a *[5]uint64) sysdispatch.Result {
 		if d := o.cfg.IdleTimeout; d > 0 {
 			nf.armIdleReap(o.timers, d)
 		}
-		return sysdispatch.Ok(int64(p.fds.Install(nf)))
+		c.Out[0] = nf
+		return sysdispatch.Ok(0)
 	}
-}
-
-func sysConnect(k sysdispatch.Kernel, a *[5]uint64) sysdispatch.Result {
-	p := k.(*Proc)
-	of, ok := p.getFD(int(int64(a[0])))
-	if !ok || of.kind != kindSock {
-		return sysdispatch.Errno(EBADF)
-	}
-	if of.ConnectHost(p.os.host, uint16(a[1])) != nil {
-		return sysdispatch.Errno(ECONNREFUSED)
-	}
-	return sysdispatch.Ok(0)
 }

@@ -57,23 +57,20 @@ func (p *Proc) viewUserBytes(addr, n uint64, access mem.Access) (mem.View, bool)
 // completed call (any result the guest sees that is not an error) in
 // the writevs/readvs ledger — scalar calls run the same bodies and are
 // not counted.
-func sysWritev(k sysdispatch.Kernel, a *[5]uint64) sysdispatch.Result {
-	return vectored(k.(*Proc), a, true)
+func sysWritev(k sysdispatch.Kernel, c *sysdispatch.Call) sysdispatch.Result {
+	return vectored(k.(*Proc), c, true)
 }
 
-func sysReadv(k sysdispatch.Kernel, a *[5]uint64) sysdispatch.Result {
-	return vectored(k.(*Proc), a, false)
+func sysReadv(k sysdispatch.Kernel, c *sysdispatch.Call) sysdispatch.Result {
+	return vectored(k.(*Proc), c, false)
 }
 
-func vectored(p *Proc, a *[5]uint64, write bool) sysdispatch.Result {
-	of, ok := p.getFD(int(int64(a[0])))
-	if !ok {
-		return sysdispatch.Errno(EBADF)
-	}
+func vectored(p *Proc, c *sysdispatch.Call, write bool) sysdispatch.Result {
+	of := c.F[0].(*OpenFile)
 	// The span bodies are called directly, not through a func value,
 	// so the decoded array stays in this frame.
 	var scratch [sysdispatch.IovMax]sysdispatch.Iovec
-	iov, e := sysdispatch.ReadIovec(p, a[1], a[2], &scratch)
+	iov, e := sysdispatch.ReadIovec(p, c.A[1], c.A[2], &scratch)
 	if e != 0 {
 		return sysdispatch.Ok(e)
 	}
@@ -260,17 +257,13 @@ func (p *Proc) readSpans(of *OpenFile, iov []sysdispatch.Iovec) sysdispatch.Resu
 // through a bounded temp buffer (bytes-copied). Returns the short count
 // when the stream backpressures, parks (or EAGAINs) only when nothing
 // was sent.
-func sysSendfile(k sysdispatch.Kernel, a *[5]uint64) sysdispatch.Result {
+func sysSendfile(k sysdispatch.Kernel, c *sysdispatch.Call) sysdispatch.Result {
 	p := k.(*Proc)
-	oof, ok := p.getFD(int(int64(a[0])))
-	if !ok {
+	oof, inof := c.F[0].(*OpenFile), c.F[1].(*OpenFile)
+	if inof.kind != kindNode {
 		return sysdispatch.Errno(EBADF)
 	}
-	inof, ok := p.getFD(int(int64(a[1])))
-	if !ok || inof.kind != kindNode {
-		return sysdispatch.Errno(EBADF)
-	}
-	off, count := int64(a[2]), int64(a[3])
+	off, count := int64(c.A[2]), int64(c.A[3])
 	if off < 0 || count < 0 {
 		return sysdispatch.Errno(EINVAL)
 	}
@@ -360,17 +353,10 @@ func sysSendfile(k sysdispatch.Kernel, a *[5]uint64) sysdispatch.Result {
 // whichever side stalled (source empty or sink full), or returns EAGAIN
 // when either description is O_NONBLOCK. Splicing a pipe into itself,
 // or a node on either side, is EINVAL.
-func sysSplice(k sysdispatch.Kernel, a *[5]uint64) sysdispatch.Result {
+func sysSplice(k sysdispatch.Kernel, c *sysdispatch.Call) sysdispatch.Result {
 	p := k.(*Proc)
-	inof, ok := p.getFD(int(int64(a[0])))
-	if !ok {
-		return sysdispatch.Errno(EBADF)
-	}
-	outof, ok := p.getFD(int(int64(a[1])))
-	if !ok {
-		return sysdispatch.Errno(EBADF)
-	}
-	count := int64(a[2])
+	inof, outof := c.F[0].(*OpenFile), c.F[1].(*OpenFile)
+	count := int64(c.A[2])
 	if count < 0 || inof.kind == kindNode || outof.kind == kindNode {
 		return sysdispatch.Errno(EINVAL)
 	}

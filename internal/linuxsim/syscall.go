@@ -10,19 +10,11 @@ import (
 // unlink stay unregistered (-ENOSYS).
 func (l *Linux) Register(t *sysdispatch.Table) {
 	t.Register(libos.SysLseek, sysdispatch.Lseek)
-	t.Register(libos.SysFsync, func(sysdispatch.Kernel, *[5]uint64) sysdispatch.Result {
+	t.Register(libos.SysFsync, func(sysdispatch.Kernel, *sysdispatch.Call) sysdispatch.Result {
 		return sysdispatch.Ok(0) // plaintext FS: no deferred integrity state
 	})
-	t.Register(libos.SysRename, func(k sysdispatch.Kernel, a *[5]uint64) sysdispatch.Result {
-		oldp, ok := sysdispatch.ReadPath(k, a[0], a[1])
-		if !ok {
-			return sysdispatch.Errno(libos.EFAULT)
-		}
-		newp, ok := sysdispatch.ReadPath(k, a[2], a[3])
-		if !ok {
-			return sysdispatch.Errno(libos.EFAULT)
-		}
-		if err := l.renamePlain(oldp, newp); err != nil {
+	t.Register(libos.SysRename, func(_ sysdispatch.Kernel, c *sysdispatch.Call) sysdispatch.Result {
+		if err := l.renamePlain(c.Path[0], c.Path[1]); err != nil {
 			return sysdispatch.Errno(libos.ENOENT)
 		}
 		return sysdispatch.Ok(0)

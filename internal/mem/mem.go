@@ -344,6 +344,10 @@ func (m *Paged) PermAt(addr uint64) Perm {
 	return Perm(m.perms[m.pageIndex(addr)].Load()) & PermRWX
 }
 
+// Check returns the fault an n-byte access of the given kind at addr
+// would raise, or nil.
+func (m *Paged) Check(addr uint64, n int, access Access) *Fault { return m.check(addr, n, access) }
+
 // check validates an n-byte access at addr for the given access kind.
 func (m *Paged) check(addr uint64, n int, access Access) *Fault {
 	if n <= 0 {

@@ -1,70 +1,164 @@
 // Package sysdispatch is the syscall spine shared by every simulated
-// kernel: the user-visible syscall ABI (numbers, errnos, flag values), a
-// table-driven dispatcher, a shared file-descriptor table, and the
-// argument-marshalling halves of the handlers that are common across
-// kernels.
+// kernel: the user-visible syscall ABI (numbers, errnos, flag values)
+// with one description of each call's arguments (Specs), the gate that
+// decodes and checks every call by it (Table.Dispatch), a shared
+// file-descriptor table, and the handlers common across kernels.
 //
-// Each kernel builds one Table, registering either a spine-provided
-// handler (where only the semantics primitive differs, injected as a
-// closure) or its own handler (where the whole operation is
-// kernel-specific, e.g. signals in the LibOS), and its trap path is one
-// Dispatch call. There are two builders: the LibOS, and
-// internal/baseline for the goroutine-per-process kernels.
+// Each kernel builds one Table, registering spine handlers or its own
+// against the described numbers, and its trap path is one Dispatch
+// call. There are two builders: the LibOS, and internal/baseline for
+// the goroutine-per-process kernels.
 package sysdispatch
 
 // Syscall numbers. The calling convention (trampoline call with the
 // number in R0 and arguments in R1..R5, result in R0) is documented in
 // internal/libos/abi.go, which re-exports these constants to user-program
-// builders.
+// builders. Each number's arguments are described in Specs.
 const (
-	SysExit     = 1  // exit(status)
-	SysWrite    = 2  // write(fd, buf, len) → n
-	SysRead     = 3  // read(fd, buf, len) → n
-	SysOpen     = 4  // open(path, pathLen, flags) → fd
-	SysClose    = 5  // close(fd)
-	SysSpawn    = 6  // spawn(path, pathLen, argvBlock, argvLen) → pid
-	SysWait4    = 7  // wait4(pid, statusPtr) → pid
-	SysPipe2    = 8  // pipe2(fds[2]ptr)
-	SysDup2     = 9  // dup2(oldfd, newfd)
-	SysGetpid   = 10 // getpid() → pid
-	SysMmap     = 11 // mmap(len) → addr (anonymous RW only)
-	SysMunmap   = 12 // munmap(addr, len)
-	SysFutex    = 13 // futex(op, addr, val)
-	SysKill     = 14 // kill(pid, sig)
-	SysSigact   = 15 // sigaction(sig, handler)
-	SysSigret   = 16 // sigreturn()
-	SysLseek    = 17 // lseek(fd, off, whence) → off
-	SysStat     = 18 // stat(path, pathLen, statPtr{size,isdir})
-	SysMkdir    = 19 // mkdir(path, pathLen)
-	SysUnlink   = 20 // unlink(path, pathLen)
-	SysReaddir  = 21 // readdir(path, pathLen, buf, bufLen) → n
-	SysSocket   = 22 // socket() → fd
-	SysBind     = 23 // bind(fd, port)
-	SysListen   = 24 // listen(fd)
-	SysAccept   = 25 // accept(fd) → connfd
-	SysConnect  = 26 // connect(fd, port)
-	SysSend     = 27 // send(fd, buf, len) → n
-	SysRecv     = 28 // recv(fd, buf, len) → n
-	SysClock    = 29 // clock_gettime() → ns
-	SysYield    = 30 // sched_yield()
-	SysGetppid  = 31 // getppid() → pid
-	SysFsync    = 32 // fsync(fd)
+	SysExit     = 1
+	SysWrite    = 2
+	SysRead     = 3
+	SysOpen     = 4
+	SysClose    = 5
+	SysSpawn    = 6
+	SysWait4    = 7
+	SysPipe2    = 8
+	SysDup2     = 9
+	SysGetpid   = 10
+	SysMmap     = 11 // anonymous RW only
+	SysMunmap   = 12
+	SysFutex    = 13
+	SysKill     = 14
+	SysSigact   = 15
+	SysSigret   = 16
+	SysLseek    = 17
+	SysStat     = 18 // statPtr receives {size, isdir}
+	SysMkdir    = 19
+	SysUnlink   = 20
+	SysReaddir  = 21
+	SysSocket   = 22
+	SysBind     = 23
+	SysListen   = 24
+	SysAccept   = 25
+	SysConnect  = 26
+	SysSend     = 27
+	SysRecv     = 28
+	SysClock    = 29
+	SysYield    = 30
+	SysGetppid  = 31
+	SysFsync    = 32
 	SysSpawnCPU = 33 // internal: report consumed cycles (diagnostics)
-	SysFcntl    = 34 // fcntl(fd, cmd, arg) → flags (F_GETFL/F_SETFL)
-	SysPoll     = 35 // poll(fdsPtr, nfds, timeoutMs) → ready count
-	SysEpCreate = 36 // epoll_create() → epfd
-	SysEpCtl    = 37 // epoll_ctl(epfd, op, fd, events)
-	SysEpWait   = 38 // epoll_wait(epfd, eventsPtr, maxEvents, timeoutMs) → n
-	SysShutdown = 39 // shutdown(fd, how)
-	SysRename   = 40 // rename(oldPath, oldLen, newPath, newLen)
-	SysWritev   = 41 // writev(fd, iovPtr, iovCnt) → n
-	SysReadv    = 42 // readv(fd, iovPtr, iovCnt) → n
-	SysSendfile = 43 // sendfile(outfd, infd, off, count) → n
-	SysSplice   = 44 // splice(fdIn, fdOut, count) → n
+	SysFcntl    = 34 // F_GETFL/F_SETFL
+	SysPoll     = 35
+	SysEpCreate = 36
+	SysEpCtl    = 37
+	SysEpWait   = 38
+	SysShutdown = 39
+	SysRename   = 40
+	SysWritev   = 41
+	SysReadv    = 42
+	SysSendfile = 43
+	SysSplice   = 44
 
 	// SysMax bounds the dispatch table; numbers must stay below it.
 	SysMax = 64
 )
+
+// Class is what an argument register holds, as the gate checks it.
+type Class uint8
+
+const (
+	Int       Class = iota // a value, or an argument whose meaning depends on another
+	Fd                     // an open fd, looked up into Call.F (EBADF)
+	FdClose                // close's fd, taken out of the table into Call.F (EBADF)
+	Path                   // a path of register N's length, read into Call.Path (EFAULT)
+	PtrIn                  // memory the call reads, range-checked (EFAULT)
+	PtrOut                 // memory the call writes, range-checked (EFAULT)
+	Buf                    // a data buffer of register N's length
+	Iov                    // an array of register N's count of Iovecs
+	FdOut                  // a result fd: the gate installs Call.Out[0]
+	FdPairOut              // two fd words: the gate installs Call.Out and writes their numbers
+)
+
+// Kind is one argument's description. A PtrIn, PtrOut or FdPairOut span
+// is Size bytes, or register N's count of Size-byte entries, at most
+// Max of them when Max is set; the gate checks it before the handler
+// runs, so a call that fails on it leaves no trace. Buf and Iov spans
+// are left to the data path, so a fault part-way returns the bytes
+// moved before it, as on Linux.
+type Kind struct {
+	Class Class
+	N     uint8 // the register R1..R5 holding a length or count; 0: none
+	Null  bool  // a zero pointer passes (wait4's status)
+	Size  uint32
+	Max   uint32
+}
+
+// Spec describes one syscall: its arguments R1..R5 and its result.
+type Spec struct {
+	Name string
+	Args [5]Kind
+	Ret  Kind
+}
+
+var (
+	fdArg   = Kind{Class: Fd}
+	fdRet   = Kind{Class: FdOut}
+	pathArg = Kind{Class: Path, N: 2} // a path in R1, its length in R2
+	bufArg  = Kind{Class: Buf, N: 3}  // a buffer in R2, its length in R3
+	iovArg  = Kind{Class: Iov, N: 3}
+)
+
+// Specs describes every syscall once; a comment names the arguments
+// where the kinds do not. Table.Dispatch checks a call's arguments by it
+// before the handler runs, and Register refuses a number it does not
+// describe.
+var Specs = [SysMax]Spec{
+	SysExit:     {Name: "exit"},                                                             // (status)
+	SysWrite:    {Name: "write", Args: [5]Kind{fdArg, bufArg}},                              // (fd, buf, len) → n
+	SysRead:     {Name: "read", Args: [5]Kind{fdArg, bufArg}},                               // (fd, buf, len) → n
+	SysOpen:     {Name: "open", Args: [5]Kind{pathArg}, Ret: fdRet},                         // (path, pathLen, flags) → fd
+	SysClose:    {Name: "close", Args: [5]Kind{{Class: FdClose}}},                           // (fd)
+	SysSpawn:    {Name: "spawn", Args: [5]Kind{pathArg, {}, {Class: PtrIn, N: 4, Size: 1}}}, // (path, pathLen, argvBlock, argvLen) → pid
+	SysWait4:    {Name: "wait4", Args: [5]Kind{{}, {Class: PtrOut, Size: 8, Null: true}}},   // (pid, statusPtr) → pid
+	SysPipe2:    {Name: "pipe2", Args: [5]Kind{{Class: FdPairOut, Size: 16}}},               // (fdsPtr)
+	SysDup2:     {Name: "dup2", Args: [5]Kind{fdArg}},                                       // (oldfd, newfd)
+	SysGetpid:   {Name: "getpid"},
+	SysMmap:     {Name: "mmap"},                                              // (len) → addr
+	SysMunmap:   {Name: "munmap"},                                            // (addr, len)
+	SysFutex:    {Name: "futex", Args: [5]Kind{{}, {Class: PtrIn, Size: 8}}}, // (op, addr, val)
+	SysKill:     {Name: "kill"},                                              // (pid, sig)
+	SysSigact:   {Name: "sigaction"},                                         // (sig, handler)
+	SysSigret:   {Name: "sigreturn"},
+	SysLseek:    {Name: "lseek", Args: [5]Kind{fdArg}},                                 // (fd, off, whence) → off
+	SysStat:     {Name: "stat", Args: [5]Kind{pathArg, {}, {Class: PtrOut, Size: 16}}}, // (path, pathLen, statPtr)
+	SysMkdir:    {Name: "mkdir", Args: [5]Kind{pathArg}},
+	SysUnlink:   {Name: "unlink", Args: [5]Kind{pathArg}},
+	SysReaddir:  {Name: "readdir", Args: [5]Kind{pathArg, {}, {Class: PtrOut, N: 4, Size: 1, Max: MaxUserBuf}}}, // (path, pathLen, buf, bufLen) → n
+	SysSocket:   {Name: "socket", Ret: fdRet},
+	SysBind:     {Name: "bind", Args: [5]Kind{fdArg}},   // (fd, port)
+	SysListen:   {Name: "listen", Args: [5]Kind{fdArg}}, // (fd, backlog)
+	SysAccept:   {Name: "accept", Args: [5]Kind{fdArg}, Ret: fdRet},
+	SysConnect:  {Name: "connect", Args: [5]Kind{fdArg}}, // (fd, port)
+	SysSend:     {Name: "send", Args: [5]Kind{fdArg, bufArg}},
+	SysRecv:     {Name: "recv", Args: [5]Kind{fdArg, bufArg}},
+	SysClock:    {Name: "clock_gettime"}, // () → ns
+	SysYield:    {Name: "sched_yield"},
+	SysGetppid:  {Name: "getppid"},
+	SysFsync:    {Name: "fsync", Args: [5]Kind{fdArg}},
+	SysSpawnCPU: {Name: "spawn_cpu"},                                                                        // () → cycles
+	SysFcntl:    {Name: "fcntl", Args: [5]Kind{fdArg}},                                                      // (fd, cmd, arg) → flags
+	SysPoll:     {Name: "poll", Args: [5]Kind{{Class: PtrOut, N: 2, Size: PollEntrySize, Max: PollMaxFDs}}}, // (fdsPtr, nfds, timeoutMs) → ready
+	SysEpCreate: {Name: "epoll_create", Ret: fdRet},
+	SysEpCtl:    {Name: "epoll_ctl", Args: [5]Kind{fdArg}},                                                              // (epfd, op, fd, events)
+	SysEpWait:   {Name: "epoll_wait", Args: [5]Kind{fdArg, {Class: PtrOut, N: 3, Size: EpEntrySize, Max: EpMaxEvents}}}, // (epfd, eventsPtr, maxEvents, timeoutMs) → n
+	SysShutdown: {Name: "shutdown", Args: [5]Kind{fdArg}},                                                               // (fd, how)
+	SysRename:   {Name: "rename", Args: [5]Kind{pathArg, {}, {Class: Path, N: 4}}},                                      // (oldPath, oldLen, newPath, newLen)
+	SysWritev:   {Name: "writev", Args: [5]Kind{fdArg, iovArg}},
+	SysReadv:    {Name: "readv", Args: [5]Kind{fdArg, iovArg}},
+	SysSendfile: {Name: "sendfile", Args: [5]Kind{fdArg, fdArg}}, // (outfd, infd, off, count) → n
+	SysSplice:   {Name: "splice", Args: [5]Kind{fdArg, fdArg}},   // (fdIn, fdOut, count) → n
+}
 
 // Errno values (returned as -errno in R0).
 const (

@@ -43,6 +43,10 @@ func (k *fakeKernel) WriteU64(addr, v uint64) error {
 	return k.WriteUser(addr, b[:])
 }
 
+func (k *fakeKernel) UserOK(addr, n uint64, _ bool) bool {
+	return addr+n >= addr && addr+n <= uint64(len(k.mem))
+}
+
 func (k *fakeKernel) FDs() *FDTable  { return k.fds }
 func (k *fakeKernel) PID() int       { return k.pid }
 func (k *fakeKernel) PPID() int      { return k.ppid }
@@ -71,12 +75,73 @@ func (f *fakeFile) Unref() { f.refs-- }
 func TestDispatchUnknownIsENOSYS(t *testing.T) {
 	tab := NewTable()
 	k := newFakeKernel()
-	var a [5]uint64
-	if r := tab.Dispatch(k, 999, &a); r.Ret != -ENOSYS {
+	var c Call
+	if r := tab.Dispatch(k, 999, &c); r.Ret != -ENOSYS {
 		t.Fatalf("Ret = %d, want -ENOSYS", r.Ret)
 	}
-	if r := tab.Dispatch(k, SysOpen, &a); r.Ret != -ENOSYS {
+	if r := tab.Dispatch(k, SysOpen, &c); r.Ret != -ENOSYS {
 		t.Fatalf("unregistered slot: Ret = %d, want -ENOSYS", r.Ret)
+	}
+	// No decoding before the number is known: a bad fd is not EBADF.
+	c.A[0] = 999
+	if r := tab.Dispatch(k, SysClose, &c); r.Ret != -ENOSYS {
+		t.Fatalf("unregistered close(999): Ret = %d, want -ENOSYS", r.Ret)
+	}
+}
+
+// TestRegisterRefusesUndescribedNumber: a handler is registered only
+// against a number Specs describes; 45 has no spec.
+func TestRegisterRefusesUndescribedNumber(t *testing.T) {
+	for _, no := range []int{0, SysSplice + 1, SysMax - 1, SysMax} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Register(%d) with no spec did not panic", no)
+				}
+			}()
+			NewTable().Register(no, Getpid)
+		}()
+	}
+}
+
+// TestSpecsFitTheGate: the gate keeps two files and two paths per call,
+// installs an FdPairOut from the first argument only, and reads a
+// length from a register that exists; every numbered syscall has a spec.
+func TestSpecsFitTheGate(t *testing.T) {
+	for no, s := range Specs {
+		if s.Name == "" {
+			if no >= 1 && no <= SysSplice {
+				t.Errorf("syscall %d has no spec", no)
+			}
+			continue
+		}
+		fds, paths := 0, 0
+		for i, kd := range s.Args {
+			switch kd.Class {
+			case Fd, FdClose:
+				fds++
+			case Path:
+				paths++
+			case FdPairOut:
+				if i != 0 {
+					t.Errorf("%s: FdPairOut in argument %d", s.Name, i+1)
+				}
+			case FdOut:
+				t.Errorf("%s: FdOut is a result, not an argument", s.Name)
+			}
+			if kd.N > 5 || kd.N == uint8(i+1) {
+				t.Errorf("%s: argument %d takes its length from R%d", s.Name, i+1, kd.N)
+			}
+			if (kd.Class == PtrIn || kd.Class == PtrOut || kd.Class == FdPairOut) && kd.Size == 0 {
+				t.Errorf("%s: pointer argument %d has no size", s.Name, i+1)
+			}
+		}
+		if fds > len(Call{}.F) || paths > len(Call{}.Path) {
+			t.Errorf("%s: %d fds and %d paths overflow the Call", s.Name, fds, paths)
+		}
+		if s.Ret.Class != Int && s.Ret.Class != FdOut {
+			t.Errorf("%s: result kind %d", s.Name, s.Ret.Class)
+		}
 	}
 }
 
@@ -107,19 +172,25 @@ func TestFDTableLowestFree(t *testing.T) {
 }
 
 func TestDup2RefCounts(t *testing.T) {
-	tab := NewFDTable()
+	k := newFakeKernel()
+	tab := k.fds
+	sys := NewTable()
+	sys.Register(SysDup2, Dup2FD)
+	dup2 := func(oldfd, newfd int) int64 {
+		return sys.Dispatch(k, SysDup2, &Call{A: [5]uint64{uint64(oldfd), uint64(newfd)}}).Ret
+	}
 	a, b := &fakeFile{refs: 1}, &fakeFile{refs: 1}
 	afd, bfd := tab.Install(a), tab.Install(b)
-	if ret := tab.Dup2(afd, bfd); ret != int64(bfd) {
+	if ret := dup2(afd, bfd); ret != int64(bfd) {
 		t.Fatalf("dup2 = %d", ret)
 	}
 	if a.refs != 2 || b.refs != 0 {
 		t.Fatalf("refs after dup2: a=%d b=%d, want 2, 0", a.refs, b.refs)
 	}
-	if ret := tab.Dup2(afd, afd); ret != int64(afd) || a.refs != 2 {
+	if ret := dup2(afd, afd); ret != int64(afd) || a.refs != 2 {
 		t.Fatalf("self-dup2 changed refs: %d (ret %d)", a.refs, ret)
 	}
-	if ret := tab.Dup2(99, 5); ret != -EBADF {
+	if ret := dup2(99, 5); ret != -EBADF {
 		t.Fatalf("dup2 of bad fd = %d, want -EBADF", ret)
 	}
 }
@@ -140,47 +211,70 @@ func TestInheritAndCloseAll(t *testing.T) {
 	}
 }
 
+// TestSpawnHandlerMarshalling: the gate reads spawn's path and checks
+// its argv block before the handler runs, and Argv splits the block.
 func TestSpawnHandlerMarshalling(t *testing.T) {
 	k := newFakeKernel()
 	copy(k.mem[100:], "/bin/x")
 	copy(k.mem[200:], "a\x00bc\x00")
 	var gotPath string
 	var gotArgv []string
-	h := SpawnHandler(func(_ Kernel, path string, argv []string) int64 {
-		gotPath, gotArgv = path, argv
-		return 42
+	sys := NewTable()
+	sys.Register(SysSpawn, func(k Kernel, c *Call) Result {
+		gotPath, gotArgv = c.Path[0], Argv(k, c)
+		return Ok(42)
 	})
-	a := [5]uint64{100, 6, 200, 5}
-	if r := h(k, &a); r.Ret != 42 {
+	c := Call{A: [5]uint64{100, 6, 200, 5}}
+	if r := sys.Dispatch(k, SysSpawn, &c); r.Ret != 42 {
 		t.Fatalf("Ret = %d", r.Ret)
 	}
 	if gotPath != "/bin/x" || len(gotArgv) != 2 || gotArgv[0] != "a" || gotArgv[1] != "bc" {
 		t.Fatalf("parsed %q %v", gotPath, gotArgv)
 	}
 	// Unreadable path faults.
-	a = [5]uint64{4000, 500}
-	if r := h(k, &a); r.Ret != -EFAULT {
+	c = Call{A: [5]uint64{4000, 500}}
+	if r := sys.Dispatch(k, SysSpawn, &c); r.Ret != -EFAULT {
 		t.Fatalf("fault Ret = %d, want -EFAULT", r.Ret)
 	}
 }
 
+// TestWait4HandlerWritesStatus: a wait4 whose status pointer passes the
+// gate reaches the handler, which writes the status; a parked wait4 is
+// reported; a status pointer outside user memory fails with EFAULT
+// before the handler could reap.
 func TestWait4HandlerWritesStatus(t *testing.T) {
 	k := newFakeKernel()
-	h := Wait4Handler(func(_ Kernel, pid int) (int, int, int64, bool) {
-		return 5, 17, 0, false
+	parked, reaped := false, 0
+	sys := NewTable()
+	sys.Register(SysWait4, func(k Kernel, c *Call) Result {
+		if parked {
+			return ParkedResult
+		}
+		reaped++
+		if c.A[1] != 0 {
+			k.WriteU64(c.A[1], 17)
+		}
+		return Ok(5)
 	})
-	a := [5]uint64{^uint64(0), 64}
-	if r := h(k, &a); r.Ret != 5 {
+	c := Call{A: [5]uint64{^uint64(0), 64}}
+	if r := sys.Dispatch(k, SysWait4, &c); r.Ret != 5 {
 		t.Fatalf("Ret = %d, want 5", r.Ret)
 	}
 	if got := binary.LittleEndian.Uint64(k.mem[64:]); got != 17 {
 		t.Fatalf("status = %d, want 17", got)
 	}
-	parked := Wait4Handler(func(_ Kernel, pid int) (int, int, int64, bool) {
-		return 0, 0, 0, true
-	})
-	if r := parked(k, &a); !r.Parked {
+	parked = true
+	if r := sys.Dispatch(k, SysWait4, &c); !r.Parked {
 		t.Fatal("parked wait4 not reported")
+	}
+	parked = false
+	c.A[1] = 0
+	if r := sys.Dispatch(k, SysWait4, &c); r.Ret != 5 {
+		t.Fatalf("wait4 with no status pointer = %d, want 5", r.Ret)
+	}
+	c.A[1] = uint64(len(k.mem)) - 4
+	if r := sys.Dispatch(k, SysWait4, &c); r.Ret != -EFAULT || reaped != 2 {
+		t.Fatalf("wait4 with a bad status pointer = %d after %d reaps, want %d after 2", r.Ret, reaped, -EFAULT)
 	}
 }
 
@@ -189,12 +283,15 @@ func TestBlockingReadWrite(t *testing.T) {
 	f := &fakeFile{refs: 1}
 	fd := k.fds.Install(f)
 	copy(k.mem[10:], "hello")
-	a := [5]uint64{uint64(fd), 10, 5}
-	if r := BlockingWrite(k, &a); r.Ret != 5 {
+	sys := NewTable()
+	sys.Register(SysWrite, BlockingWrite)
+	sys.Register(SysRead, BlockingRead)
+	c := Call{A: [5]uint64{uint64(fd), 10, 5}}
+	if r := sys.Dispatch(k, SysWrite, &c); r.Ret != 5 {
 		t.Fatalf("write Ret = %d", r.Ret)
 	}
-	a = [5]uint64{uint64(fd), 300, 5}
-	if r := BlockingRead(k, &a); r.Ret != 5 {
+	c = Call{A: [5]uint64{uint64(fd), 300, 5}}
+	if r := sys.Dispatch(k, SysRead, &c); r.Ret != 5 {
 		t.Fatalf("read Ret = %d", r.Ret)
 	}
 	if string(k.mem[300:305]) != "hello" {
@@ -205,8 +302,8 @@ func TestBlockingReadWrite(t *testing.T) {
 // TestFDTableRandomLowestFree drives the table and a model map with a
 // random Install/Remove/Set stream and checks that Install always
 // returns the POSIX lowest free slot ≥ 3 — the invariant the
-// allocator's watermark+heap must preserve even when Set and Dup2
-// occupy slots it never handed out.
+// allocator's watermark+heap must preserve even when Set (dup2's
+// primitive) occupies slots it never handed out.
 func TestFDTableRandomLowestFree(t *testing.T) {
 	tab := NewFDTable()
 	model := map[int]bool{}
@@ -298,7 +395,8 @@ func (f *sharedFile) Unref()                                    { f.refs.Add(-1)
 
 // TestFDTableMutexSerializesEveryOp drives one table from six goroutines
 // at once with every operation that takes its lock: Install, Get,
-// Dup2 onto a slot of the goroutine's own, Remove, and InheritFrom into
+// Set of a second reference onto a slot of the goroutine's own (dup2),
+// Remove, and InheritFrom into
 // a child table that is then closed. Every Install returns an fd ≥ 3;
 // once the workers are done, the next Install gets 3, the lowest free
 // slot, and after CloseAll every file's count is back to 0: no
@@ -331,14 +429,13 @@ func TestFDTableMutexSerializesEveryOp(t *testing.T) {
 					t.Errorf("Install returned fd %d, want >= 3", fd)
 					return
 				}
-				if _, ok := tab.Get(fd); !ok {
+				f, ok := tab.Get(fd)
+				if !ok {
 					t.Errorf("fd %d missing right after Install", fd)
 					return
 				}
-				if got := tab.Dup2(fd, 1000+w); got != int64(1000+w) {
-					t.Errorf("Dup2(%d, %d) = %d", fd, 1000+w, got)
-					return
-				}
+				f.Ref()
+				tab.Set(1000+w, f)
 				if i%8 == 0 {
 					child := NewFDTable()
 					child.InheritFrom(tab)

@@ -1,9 +1,13 @@
 package sysdispatch
 
 import (
+	"encoding/binary"
 	"io"
+	"math/bits"
 	"sync"
 	"time"
+
+	"repro/internal/isa"
 )
 
 // Result is the outcome of one syscall dispatch.
@@ -50,6 +54,10 @@ type Kernel interface {
 	// bytes, staged where a call through this interface cannot make
 	// them escape to the heap.
 	WriteU64(addr, v uint64) error
+	// UserOK reports whether ReadUser, or WriteUser when write is set,
+	// of the n bytes at addr would succeed: the gate's check of a
+	// pointer argument.
+	UserOK(addr, n uint64, write bool) bool
 	// FDs returns the process's file-descriptor table.
 	FDs() *FDTable
 	// PID and PPID identify the process.
@@ -59,60 +67,154 @@ type Kernel interface {
 	Now() time.Time
 }
 
-// Handler executes one syscall for the calling process. a holds the five
-// argument registers R1..R5.
-type Handler func(k Kernel, a *[5]uint64) Result
+// Call is one syscall as the gate decoded it by its number's Spec. The
+// kernel fills A, the gate fills F and Path before the handler runs,
+// and a handler that makes an FdOut or FdPairOut result leaves its
+// files in Out.
+type Call struct {
+	A    [5]uint64 // the argument registers R1..R5
+	F    [2]File   // each Fd or FdClose argument's file, in order
+	Path [2]string // each Path argument, in order
+	Out  [2]File
+}
+
+// Handler executes one decoded syscall for the calling process.
+type Handler func(k Kernel, c *Call) Result
 
 // Table maps syscall numbers to handlers. Build one per kernel type at
 // init (the LibOS) or per kernel instance (internal/baseline) and treat
 // it as immutable afterwards.
 type Table struct {
 	h [SysMax]Handler
+	// work is, per number, what its spec leaves the gate to do: bit i
+	// for an argument i to resolve or check, bit 5 for a result fd.
+	work [SysMax]uint8
 }
 
 // NewTable returns an empty table (every slot answers -ENOSYS).
 func NewTable() *Table { return &Table{} }
 
-// Register installs h for syscall number no, panicking on out-of-range
-// numbers or double registration — both are build bugs, not runtime
-// conditions.
+// Register installs h for syscall number no, panicking on a number
+// Specs does not describe or on double registration — both are build
+// bugs, not runtime conditions.
 func (t *Table) Register(no int, h Handler) {
-	if no < 0 || no >= SysMax {
-		panic("sysdispatch: syscall number out of range")
+	if no < 0 || no >= SysMax || Specs[no].Name == "" {
+		panic("sysdispatch: syscall number has no spec")
 	}
 	if t.h[no] != nil {
 		panic("sysdispatch: double registration")
 	}
 	t.h[no] = h
+	for i, kd := range Specs[no].Args {
+		if kd.Class != Int && kd.Class != Buf && kd.Class != Iov {
+			t.work[no] |= 1 << i
+		}
+	}
+	if Specs[no].Ret.Class == FdOut {
+		t.work[no] |= 1 << 5
+	}
 }
 
 // Has reports whether a handler is registered for no.
 func (t *Table) Has(no int) bool { return no >= 0 && no < SysMax && t.h[no] != nil }
 
-// Dispatch runs the handler for no, or fails with -ENOSYS.
-func (t *Table) Dispatch(k Kernel, no uint64, a *[5]uint64) Result {
+// Dispatch is the syscall gate. An unregistered number fails with
+// -ENOSYS, and one whose spec leaves the gate nothing to do goes
+// straight to its handler. Otherwise, before the handler runs, the gate
+// resolves c's arguments by the number's Spec: it looks each Fd up once
+// (EBADF), reads each Path once and range-checks each PtrIn, PtrOut and
+// FdPairOut span (EFAULT), so a call that fails there has done nothing.
+// After a handler succeeds it installs the FdOut and FdPairOut files,
+// whose out pointer has already passed.
+func (t *Table) Dispatch(k Kernel, no uint64, c *Call) Result {
 	if no >= SysMax || t.h[no] == nil {
 		return Errno(ENOSYS)
 	}
-	return t.h[no](k, a)
+	work := t.work[no]
+	if work == 0 {
+		return t.h[no](k, c)
+	}
+	s := &Specs[no]
+	r := Errno(decode(k, s, work&31, c))
+	if r.Ret == 0 {
+		r = t.h[no](k, c)
+	}
+	if r.Exited {
+		return r // c may be the next process's already: touch nothing
+	}
+	if !r.Parked && r.Ret >= 0 {
+		switch {
+		case s.Ret.Class == FdOut:
+			r.Ret = int64(k.FDs().Install(c.Out[0]))
+		case s.Args[0].Class == FdPairOut:
+			// The span passed decode, so both words land.
+			_ = k.WriteU64(c.A[0], uint64(k.FDs().Install(c.Out[0])))
+			_ = k.WriteU64(c.A[0]+8, uint64(k.FDs().Install(c.Out[1])))
+		}
+	}
+	c.F[0], c.F[1], c.Path[0], c.Path[1], c.Out[0], c.Out[1] = nil, nil, "", "", nil, nil
+	return r
 }
 
-// --- Marshalling helpers -------------------------------------------------
-
-// ReadPath copies a path argument (pointer, length pair).
-func ReadPath(k Kernel, ptr, n uint64) (string, bool) {
-	if n > MaxUserBuf {
-		return "", false
+// decode resolves the arguments of c that args marks by s, returning
+// the errno of the first that fails, or 0.
+func decode(k Kernel, s *Spec, args uint8, c *Call) int64 {
+	nf, np := 0, 0
+	for ; args != 0; args &= args - 1 {
+		i := bits.TrailingZeros8(args)
+		kd, v := &s.Args[i], c.A[i]
+		switch kd.Class {
+		case Fd, FdClose:
+			ok := false
+			if kd.Class == Fd {
+				c.F[nf], ok = k.FDs().Get(int(int64(v)))
+			} else {
+				c.F[nf], ok = k.FDs().Remove(int(int64(v)))
+			}
+			if !ok {
+				return EBADF
+			}
+			nf++
+		case Path:
+			n := c.A[kd.N-1]
+			if n > MaxUserBuf {
+				return EFAULT
+			}
+			b, err := k.ReadUser(v, n)
+			if err != nil {
+				return EFAULT
+			}
+			c.Path[np] = string(b)
+			np++
+		case PtrIn, PtrOut, FdPairOut:
+			if kd.Null && v == 0 {
+				continue
+			}
+			n := uint64(1)
+			if kd.N > 0 {
+				n = c.A[kd.N-1]
+				if kd.Max > 0 {
+					n = min(n, uint64(kd.Max))
+				}
+			}
+			if n > MaxUserBuf/uint64(kd.Size) {
+				return EFAULT
+			}
+			if n *= uint64(kd.Size); n > 0 && !k.UserOK(v, n, kd.Class != PtrIn) {
+				return EFAULT
+			}
+		}
 	}
-	b, err := k.ReadUser(ptr, n)
-	if err != nil {
-		return "", false
-	}
-	return string(b), true
+	return 0
 }
 
-// ParseArgv splits a NUL-separated argv block.
-func ParseArgv(block []byte) []string {
+// Argv is a spawn call's argv: the NUL-separated block of R4's length
+// at R3, which passed the gate.
+func Argv(k Kernel, c *Call) []string {
+	if c.A[3] == 0 {
+		return nil // R3 may point anywhere
+	}
+	block, _ := k.ReadUser(c.A[2], c.A[3])
 	var argv []string
 	start := 0
 	for i, b := range block {
@@ -124,49 +226,60 @@ func ParseArgv(block []byte) []string {
 	return argv
 }
 
+// Bump is mmap's allocation from a bump heap [next, end): the address
+// of length bytes rounded up to whole pages, and the heap pointer past
+// them. ok is false when they do not fit; the caller moves its pointer
+// to after only once the mapping has succeeded.
+func Bump(next, end, length uint64) (addr, after uint64, ok bool) {
+	if length > end-next {
+		return 0, 0, false
+	}
+	after = next + (length+isa.PageSize-1)&^(isa.PageSize-1)
+	return next, after, after <= end
+}
+
 // --- Shared handlers -----------------------------------------------------
-//
-// Fully-shared handlers close over nothing; where one primitive differs
-// per kernel (open, spawn, ...), the spine provides the marshalling half
-// as a constructor taking the primitive.
 
 // ExitHandler builds the exit handler around the kernel's teardown
 // primitive.
 func ExitHandler(exit func(k Kernel, status int)) Handler {
-	return func(k Kernel, a *[5]uint64) Result {
-		exit(k, int(int64(a[0]))&0xFF)
+	return func(k Kernel, c *Call) Result {
+		exit(k, int(int64(c.A[0]))&0xFF)
 		return Result{Exited: true}
 	}
 }
 
-// CloseFD is the shared close(2).
-func CloseFD(k Kernel, a *[5]uint64) Result {
-	f, ok := k.FDs().Remove(int(int64(a[0])))
-	if !ok {
-		return Errno(EBADF)
-	}
-	f.Unref()
+// CloseFD is the shared close(2): the gate took the fd out of the
+// table, and the handler drops its reference.
+func CloseFD(k Kernel, c *Call) Result {
+	c.F[0].Unref()
 	return Ok(0)
 }
 
-// Dup2FD is the shared dup2(2).
-func Dup2FD(k Kernel, a *[5]uint64) Result {
-	return Ok(k.FDs().Dup2(int(int64(a[0])), int(int64(a[1]))))
+// Dup2FD is the shared dup2(2): newfd refers to oldfd's description,
+// and newfd's old description loses a reference.
+func Dup2FD(k Kernel, c *Call) Result {
+	newfd := int(int64(c.A[1]))
+	if newfd != int(int64(c.A[0])) {
+		c.F[0].Ref()
+		k.FDs().Set(newfd, c.F[0])
+	}
+	return Ok(int64(newfd))
 }
 
 // Getpid is the shared getpid(2).
-func Getpid(k Kernel, a *[5]uint64) Result { return Ok(int64(k.PID())) }
+func Getpid(k Kernel, c *Call) Result { return Ok(int64(k.PID())) }
 
 // Getppid is the shared getppid(2).
-func Getppid(k Kernel, a *[5]uint64) Result { return Ok(int64(k.PPID())) }
+func Getppid(k Kernel, c *Call) Result { return Ok(int64(k.PPID())) }
 
 // Clock is the shared clock_gettime(2): the calling kernel's host clock,
 // as in the paper, where time is delegated to the untrusted host.
-func Clock(k Kernel, a *[5]uint64) Result { return Ok(k.Now().UnixNano()) }
+func Clock(k Kernel, c *Call) Result { return Ok(k.Now().UnixNano()) }
 
 // Munmap is the shared munmap(2): every kernel uses a bump allocator, so
 // unmapping is a no-op.
-func Munmap(k Kernel, a *[5]uint64) Result { return Ok(0) }
+func Munmap(k Kernel, c *Call) Result { return Ok(0) }
 
 // Backlogger is implemented by socket files whose bound host listener
 // can take listen(2)'s backlog argument.
@@ -179,13 +292,9 @@ type Backlogger interface {
 // through to it. A backlog ≤ 0 keeps the host default (and old guests
 // that never set the register get the seed behavior); the host clamps
 // the rest to its cap.
-func Listen(k Kernel, a *[5]uint64) Result {
-	f, ok := k.FDs().Get(int(int64(a[0])))
-	if !ok {
-		return Errno(EBADF)
-	}
-	if bl, ok := f.(Backlogger); ok {
-		if n := int(int64(a[1])); n > 0 {
+func Listen(k Kernel, c *Call) Result {
+	if bl, ok := c.F[0].(Backlogger); ok {
+		if n := int(int64(c.A[1])); n > 0 {
 			bl.SetListenBacklog(n)
 		}
 	}
@@ -193,102 +302,12 @@ func Listen(k Kernel, a *[5]uint64) Result {
 }
 
 // Lseek is the shared lseek(2) over the fd table.
-func Lseek(k Kernel, a *[5]uint64) Result {
-	f, ok := k.FDs().Get(int(int64(a[0])))
-	if !ok {
-		return Errno(EBADF)
-	}
-	off, err := f.Seek(int64(a[1]), int(int64(a[2])))
+func Lseek(k Kernel, c *Call) Result {
+	off, err := c.F[0].Seek(int64(c.A[1]), int(int64(c.A[2])))
 	if err != nil {
 		return Errno(ESPIPE)
 	}
 	return Ok(off)
-}
-
-// OpenHandler builds open(2) around the kernel's path-open primitive
-// (VFS lookup for the LibOS, plaintext map for the native baseline).
-// open returns the new file or a negative errno.
-func OpenHandler(open func(k Kernel, path string, flags uint64) (File, int64)) Handler {
-	return func(k Kernel, a *[5]uint64) Result {
-		path, ok := ReadPath(k, a[0], a[1])
-		if !ok {
-			return Errno(EFAULT)
-		}
-		f, errno := open(k, path, a[2])
-		if errno != 0 {
-			return Errno(errno)
-		}
-		return Ok(int64(k.FDs().Install(f)))
-	}
-}
-
-// SpawnHandler builds spawn(2) around the kernel's process-creation
-// primitive. spawn returns the child pid or a negative errno.
-func SpawnHandler(spawn func(k Kernel, path string, argv []string) int64) Handler {
-	return func(k Kernel, a *[5]uint64) Result {
-		path, ok := ReadPath(k, a[0], a[1])
-		if !ok {
-			return Errno(EFAULT)
-		}
-		var argv []string
-		if a[3] > 0 {
-			if a[3] > MaxUserBuf {
-				return Errno(EFAULT)
-			}
-			block, err := k.ReadUser(a[2], a[3])
-			if err != nil {
-				return Errno(EFAULT)
-			}
-			argv = ParseArgv(block)
-		}
-		return Ok(spawn(k, path, argv))
-	}
-}
-
-// Wait4Handler builds wait4(2) around the kernel's child-reaping
-// primitive, which returns (pid, status, errno, parked). A parking
-// kernel returns parked=true after registering a child-exit waiter.
-func Wait4Handler(wait func(k Kernel, pid int) (cpid, status int, errno int64, parked bool)) Handler {
-	return func(k Kernel, a *[5]uint64) Result {
-		cpid, status, errno, parked := wait(k, int(int64(a[0])))
-		if parked {
-			return ParkedResult
-		}
-		if errno != 0 {
-			return Errno(errno)
-		}
-		if a[1] != 0 && k.WriteU64(a[1], uint64(status)) != nil {
-			return Errno(EFAULT)
-		}
-		return Ok(int64(cpid))
-	}
-}
-
-// Pipe2Handler builds pipe2(2) around the kernel's pipe constructor.
-// A fault writing the fd numbers out closes both ends again, as Linux
-// does: the caller never learns the numbers, so nothing could close them.
-func Pipe2Handler(newPipe func(k Kernel) (r, w File)) Handler {
-	return func(k Kernel, a *[5]uint64) Result {
-		r, w := newPipe(k)
-		rfd := k.FDs().Install(r)
-		wfd := k.FDs().Install(w)
-		if k.WriteU64(a[0], uint64(rfd)) != nil || k.WriteU64(a[0]+8, uint64(wfd)) != nil {
-			for _, fd := range [2]int{wfd, rfd} {
-				if f, ok := k.FDs().Remove(fd); ok {
-					f.Unref()
-				}
-			}
-			return Errno(EFAULT)
-		}
-		return Ok(0)
-	}
-}
-
-// SocketHandler builds socket(2) around the kernel's socket constructor.
-func SocketHandler(newSock func(k Kernel) File) Handler {
-	return func(k Kernel, a *[5]uint64) Result {
-		return Ok(int64(k.FDs().Install(newSock(k))))
-	}
 }
 
 // Iovec is one {base, len} span of user memory. A scalar read or write
@@ -317,7 +336,7 @@ func ReadIovec(k Kernel, ptr, cnt uint64, dst *[IovMax]Iovec) ([]Iovec, int64) {
 	var total uint64
 	for i := range iov {
 		ent := raw[i*IovEntrySize:]
-		iov[i] = Iovec{Base: le64(ent), Len: le64(ent[8:])}
+		iov[i] = Iovec{Base: binary.LittleEndian.Uint64(ent), Len: binary.LittleEndian.Uint64(ent[8:])}
 		total += iov[i].Len
 		if iov[i].Len > MaxUserBuf || total > MaxUserBuf {
 			return nil, -EINVAL
@@ -326,52 +345,50 @@ func ReadIovec(k Kernel, ptr, cnt uint64, dst *[IovMax]Iovec) ([]Iovec, int64) {
 	return iov, 0
 }
 
-func le64(b []byte) uint64 {
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
-}
-
 // BlockingRead, BlockingWrite, BlockingReadv and BlockingWritev are the
 // shared read(2)/recv(2), write(2)/send(2), readv(2) and writev(2) for
 // kernels whose processes own a goroutine and may block inside the
 // handler (parking kernels register their own). All four run the same
 // two span loops; the scalar calls pass their buffer as the only span.
-func BlockingRead(k Kernel, a *[5]uint64) Result   { return blocking(k, a, false, false) }
-func BlockingWrite(k Kernel, a *[5]uint64) Result  { return blocking(k, a, false, true) }
-func BlockingReadv(k Kernel, a *[5]uint64) Result  { return blocking(k, a, true, false) }
-func BlockingWritev(k Kernel, a *[5]uint64) Result { return blocking(k, a, true, true) }
+func BlockingRead(k Kernel, c *Call) Result   { return blocking(k, c, false, false) }
+func BlockingWrite(k Kernel, c *Call) Result  { return blocking(k, c, false, true) }
+func BlockingReadv(k Kernel, c *Call) Result  { return blocking(k, c, true, false) }
+func BlockingWritev(k Kernel, c *Call) Result { return blocking(k, c, true, true) }
 
-func blocking(k Kernel, a *[5]uint64, vectored, write bool) Result {
-	f, ok := k.FDs().Get(int(int64(a[0])))
-	if !ok {
-		return Errno(EBADF)
-	}
+func blocking(k Kernel, c *Call, vectored, write bool) Result {
 	// The loops are called directly, not through a func value, so the
 	// scalar call's one span and the iovec scratch stay on the stack.
-	iov := []Iovec{{Base: a[1], Len: a[2]}}
+	iov := []Iovec{{Base: c.A[1], Len: c.A[2]}}
 	if vectored {
 		var scratch [IovMax]Iovec
 		var e int64
-		if iov, e = ReadIovec(k, a[1], a[2], &scratch); e != 0 {
+		if iov, e = ReadIovec(k, c.A[1], c.A[2], &scratch); e != 0 {
 			return Ok(e)
 		}
-	} else if a[2] > MaxUserBuf {
+	} else if c.A[2] > MaxUserBuf {
 		return Errno(EINVAL)
 	}
 	if write {
-		return writeSpans(k, f, iov)
+		return writeSpans(k, c.F[0], iov)
 	}
-	return readSpans(k, f, iov)
+	return readSpans(k, c.F[0], iov)
 }
 
 // readSpans scatters the blocking File.Read stream across the spans,
-// returning at the first short fill. Empty spans are skipped, so a
-// zero-length read returns 0 without waiting for data.
+// returning at the first short fill. Each span is checked before the
+// read that fills it, so a bad span consumes nothing. Empty spans are
+// skipped, so a zero-length read returns 0 without waiting for data.
 func readSpans(k Kernel, f File, iov []Iovec) Result {
 	var total int64
 	for _, v := range iov {
 		if v.Len == 0 {
 			continue
+		}
+		if !k.UserOK(v.Base, v.Len, true) {
+			if total > 0 {
+				break
+			}
+			return Errno(EFAULT)
 		}
 		tmp := make([]byte, v.Len)
 		rn, err := f.Read(tmp)
@@ -381,15 +398,8 @@ func readSpans(k Kernel, f File, iov []Iovec) Result {
 			}
 			return Errno(EIO)
 		}
-		if rn > 0 {
-			if k.WriteUser(v.Base, tmp[:rn]) != nil {
-				if total > 0 {
-					break
-				}
-				return Errno(EFAULT)
-			}
-			total += int64(rn)
-		}
+		_ = k.WriteUser(v.Base, tmp[:rn]) // the span passed UserOK
+		total += int64(rn)
 		if err == io.EOF || rn < len(tmp) {
 			break
 		}
@@ -565,28 +575,6 @@ func (t *FDTable) Remove(fd int) (File, bool) {
 		}
 	}
 	return f, ok
-}
-
-// Dup2 implements dup2(2): newfd refers to oldfd's description.
-func (t *FDTable) Dup2(oldfd, newfd int) int64 {
-	t.mu.Lock()
-	f, ok := t.files[oldfd]
-	if !ok {
-		t.mu.Unlock()
-		return -EBADF
-	}
-	if oldfd == newfd {
-		t.mu.Unlock()
-		return int64(newfd)
-	}
-	f.Ref()
-	old := t.files[newfd]
-	t.files[newfd] = f
-	t.mu.Unlock()
-	if old != nil {
-		old.Unref()
-	}
-	return int64(newfd)
 }
 
 // InheritFrom fills the table with references to every entry of the
