@@ -406,22 +406,6 @@ func TestNoWholeTableMAC(t *testing.T) {
 	}
 }
 
-// removed is each design that was measured and taken out, with the
-// declared identifiers that would bring it back: a design returns only
-// with the measurement that keeps it, in a change that edits this list.
-var removed = []struct {
-	design string
-	where  []string // directories searched, test files included
-	names  *regexp.Regexp
-}{
-	{"timer wheel", []string{"internal", "cmd"}, regexp.MustCompile(`timerwheel|cascade|numLevels|wheelFor`)},
-	{"interpreter predictors", []string{"cmd", "examples", "internal"}, regexp.MustCompile(`retSite|rasPush|icNext|WritesFlags|CanStop|callRets|retPC`)},
-	{"table shards", []string{"internal"}, regexp.MustCompile(`fdTableShards|epShards|tableShards|listenerShardFor|futexShardFor`)},
-	{"per-hart run queues", []string{"internal/sched"}, regexp.MustCompile(`steal|affinity|nextHart`)},
-	{"store formats v3 and v4", []string{"internal", "cmd"}, regexp.MustCompile(`^(v3Reader|initV3|openV3|rootV3|rootV4|v3EntrySize|formatV3|formatV4|Upgrade)$`)},
-	{"per-handler syscall decoding", []string{"internal"}, regexp.MustCompile(`^(OpenHandler|SpawnHandler|Wait4Handler|Pipe2Handler|SocketHandler|pathHandler|onSock|ReadPath)$`)},
-}
-
 // declared returns the identifiers f declares, at any scope: functions,
 // methods, types, variables, constants, fields, parameters and labels,
 // plus its package name and import paths.
@@ -470,10 +454,13 @@ func declared(f *ast.File) []string {
 }
 
 // TestRemovedDesignsStayRemoved: no file declares an identifier of a
-// design that was measured and removed.
+// design that was measured and removed. The designs, their identifiers
+// and the directories searched are DESIGN.md's "Removed" table: a
+// design returns only with the measurement that keeps it, in a change
+// that edits that table.
 func TestRemovedDesignsStayRemoved(t *testing.T) {
 	tr := load(t)
-	for _, r := range removed {
+	for _, r := range removedDesigns(t, tr) {
 		for _, p := range tr.pkgs {
 			rel := strings.TrimPrefix(p.path, module+"/")
 			if !slices.ContainsFunc(r.where, func(w string) bool { return rel == w || strings.HasPrefix(rel, w+"/") }) {
@@ -481,7 +468,7 @@ func TestRemovedDesignsStayRemoved(t *testing.T) {
 			}
 			for _, f := range append(slices.Clone(p.files), p.tests...) {
 				for _, id := range declared(f.ast) {
-					if r.names.MatchString(id) {
+					if slices.ContainsFunc(r.names, func(re *regexp.Regexp) bool { return re.MatchString(id) }) {
 						t.Errorf("%s: declares %s, part of the removed %s", f.name, id, r.design)
 					}
 				}

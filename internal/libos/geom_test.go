@@ -10,27 +10,34 @@ import (
 	"repro/internal/sgx"
 )
 
-// TestConfigurableStripeGeometry drives the k+m Reed-Solomon stripe
-// geometry end to end through libos.Config: a fresh image is formatted
-// with the configured shape, data written through it survives a
-// remount, reopening an existing image keeps the superblock's geometry
-// regardless of what the config now says, and an impossible geometry
-// fails boot instead of formatting a broken store.
+// TestConfigurableStripeGeometry: the k+m Reed-Solomon stripe geometry
+// is a property of the store, set when it is formatted and read back
+// from its shard headers on open. A store formatted 8+3 on the host
+// boots as 8+3 under the default config, keeps one backing file per
+// shard, and its data survives a reboot; an impossible geometry is
+// refused before anything is formatted.
 func TestConfigurableStripeGeometry(t *testing.T) {
 	host := hostos.New()
-	boot := func(k, m int) (*libos.Occlum, error) {
-		lc := libos.DefaultConfig()
-		lc.FSBlocks = 1024
-		lc.FSDataShards, lc.FSParityShards = k, m
-		return libos.Boot(sgx.NewPlatform(512<<20), host, lc)
-	}
-
-	os1, err := boot(8, 3)
+	lc := libos.DefaultConfig()
+	lc.FSBlocks = 1024
+	store, err := fs.CreateStoreGeom(host, lc.FSImage, lc.FSKey, lc.FSBlocks, 8, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := fs.Mkfs(store); err != nil {
+		t.Fatal(err)
+	}
+	boot := func() *libos.Occlum {
+		o, err := libos.Boot(sgx.NewPlatform(512<<20), host, lc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return o
+	}
+
+	os1 := boot()
 	if k, m := os1.Store().Geometry(); k != 8 || m != 3 {
-		t.Fatalf("fresh store geometry = %d+%d, want 8+3", k, m)
+		t.Fatalf("booted store geometry = %d+%d, want 8+3", k, m)
 	}
 	if files := os1.Store().BackingFiles(); len(files) != 11 {
 		t.Fatalf("backing files = %d, want 11 (one per shard)", len(files))
@@ -49,15 +56,12 @@ func TestConfigurableStripeGeometry(t *testing.T) {
 	}
 	os1.Shutdown()
 
-	// Same host files, different config: the creation-time geometry in
-	// the superblock wins, and the striped data reads back intact.
-	os2, err := boot(4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Same host files, default config again: the geometry in the shard
+	// headers wins, and the striped data reads back intact.
+	os2 := boot()
 	defer os2.Shutdown()
 	if k, m := os2.Store().Geometry(); k != 8 || m != 3 {
-		t.Fatalf("reopened store geometry = %d+%d, want the formatted 8+3", k, m)
+		t.Fatalf("rebooted store geometry = %d+%d, want the formatted 8+3", k, m)
 	}
 	f2, err := os2.VFS().Open("/geom", fs.ORdOnly)
 	if err != nil {
@@ -69,16 +73,11 @@ func TestConfigurableStripeGeometry(t *testing.T) {
 	}
 	f2.Close()
 	if !bytes.Equal(got, payload) {
-		t.Fatal("payload mismatch after remount with different configured geometry")
+		t.Fatal("payload mismatch after a reboot with the default config")
 	}
 
-	// 5 does not divide the 4 KiB block: boot must refuse to format.
-	if _, err := libos.Boot(sgx.NewPlatform(512<<20), hostos.New(), func() libos.Config {
-		lc := libos.DefaultConfig()
-		lc.FSBlocks = 1024
-		lc.FSDataShards, lc.FSParityShards = 5, 1
-		return lc
-	}()); err == nil {
-		t.Fatal("boot with k=5 (does not divide BlockSize) succeeded, want error")
+	// 5 does not divide the 4 KiB block: the store refuses to format.
+	if _, err := fs.CreateStoreGeom(hostos.New(), lc.FSImage, lc.FSKey, lc.FSBlocks, 5, 1); err == nil {
+		t.Fatal("CreateStoreGeom with k=5 (does not divide BlockSize) succeeded, want error")
 	}
 }

@@ -68,13 +68,6 @@ type Config struct {
 	FSKey fs.Key
 	// FSBlocks sizes a newly created filesystem image.
 	FSBlocks int
-	// FSDataShards and FSParityShards select the Reed-Solomon stripe
-	// geometry (k data + m parity shards per block) of a newly created
-	// filesystem image. Zero keeps the built-in 4+2 default. The
-	// geometry is a creation-time property recorded in the store
-	// superblock; opening an existing image ignores these fields
-	// (occlum-fs info shows what an image was formatted with).
-	FSDataShards, FSParityShards int
 	// BaseImage optionally names the host file holding a packed
 	// read-only image (cmd/occlum-image). When set, the root mount
 	// becomes a union: the integrity-verified image below, the writable
@@ -335,12 +328,7 @@ func (o *Occlum) mountFilesystems() error {
 	var store *fs.BlockStore
 	var err error
 	if !fs.StoreExists(o.host, o.cfg.FSImage) {
-		k, m := o.cfg.FSDataShards, o.cfg.FSParityShards
-		if k == 0 && m == 0 {
-			store, err = fs.CreateStore(o.host, o.cfg.FSImage, o.cfg.FSKey, o.cfg.FSBlocks)
-		} else {
-			store, err = fs.CreateStoreGeom(o.host, o.cfg.FSImage, o.cfg.FSKey, o.cfg.FSBlocks, k, m)
-		}
+		store, err = fs.CreateStore(o.host, o.cfg.FSImage, o.cfg.FSKey, o.cfg.FSBlocks)
 		if err != nil {
 			return err
 		}

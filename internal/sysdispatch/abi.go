@@ -285,3 +285,8 @@ const (
 // MaxUserBuf caps a single read/write/path buffer, as the seed kernels
 // did ad hoc.
 const MaxUserBuf = 1 << 20
+
+// MaxFD bounds an fd number a guest may name as dup2's target: Linux's
+// default fs.nr_open. The largest table a benchmark builds (c100k) holds
+// about 12.5k fds per worker.
+const MaxFD = 1 << 20

@@ -3,6 +3,7 @@ package sysdispatch
 import (
 	"encoding/binary"
 	"errors"
+	"maps"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -192,6 +193,16 @@ func TestDup2RefCounts(t *testing.T) {
 	}
 	if ret := dup2(99, 5); ret != -EBADF {
 		t.Fatalf("dup2 of bad fd = %d, want -EBADF", ret)
+	}
+	// A target outside [0, MaxFD) is EBADF and moves no reference.
+	files, next := maps.Clone(tab.files), tab.next
+	for _, newfd := range []int{-7, 1 << 40, MaxFD} {
+		if ret := dup2(afd, newfd); ret != -EBADF {
+			t.Errorf("dup2(%d, %d) = %d, want -EBADF", afd, newfd, ret)
+		}
+	}
+	if !maps.Equal(tab.files, files) || tab.next != next || a.refs != 2 || b.refs != 0 {
+		t.Fatalf("a bad dup2 target changed the table (%d fds, next %d) or refs (a=%d b=%d)", len(tab.files), tab.next, a.refs, b.refs)
 	}
 }
 

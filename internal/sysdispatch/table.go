@@ -257,14 +257,18 @@ func CloseFD(k Kernel, c *Call) Result {
 }
 
 // Dup2FD is the shared dup2(2): newfd refers to oldfd's description,
-// and newfd's old description loses a reference.
+// and newfd's old description loses a reference. A newfd outside
+// [0, MaxFD) is EBADF, as on Linux, and moves no reference.
 func Dup2FD(k Kernel, c *Call) Result {
-	newfd := int(int64(c.A[1]))
-	if newfd != int(int64(c.A[0])) {
-		c.F[0].Ref()
-		k.FDs().Set(newfd, c.F[0])
+	newfd := int64(c.A[1])
+	if newfd < 0 || newfd >= MaxFD {
+		return Errno(EBADF)
 	}
-	return Ok(int64(newfd))
+	if newfd != int64(c.A[0]) {
+		c.F[0].Ref()
+		k.FDs().Set(int(newfd), c.F[0])
+	}
+	return Ok(newfd)
 }
 
 // Getpid is the shared getpid(2).

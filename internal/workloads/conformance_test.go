@@ -63,6 +63,8 @@ var confCommon = []struct {
 	{"pipe2", 0},
 	{"dup2(r, 60)", FilterIn},
 	{"dup2(w, 61)", FilterOut},
+	{"dup2(r, -7): a target below 0", -libos.EBADF},
+	{"dup2(r, 1<<40): a target at or above MaxFD", -libos.EBADF},
 	{"close(r)", 0},
 	{"close(w)", 0},
 	{"close(61) in the parent", 0},
@@ -136,6 +138,11 @@ func buildConformParent(childPath, inputPath string) (*asm.Program, error) {
 	b.MovRI(isa.R5, FilterOut)
 	ulib.Dup2(b, isa.R7, isa.R5)
 	log()
+	for _, bad := range []int64{-7, 1 << 40} {
+		b.MovRI(isa.R5, bad)
+		ulib.Dup2(b, isa.R6, isa.R5)
+		log()
+	}
 	ulib.Close(b, isa.R6)
 	log()
 	ulib.Close(b, isa.R7)
