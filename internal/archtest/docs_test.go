@@ -19,7 +19,8 @@ var docs = []string{"DESIGN.md", "README.md"}
 var (
 	codeFence  = regexp.MustCompile("(?s)```.*?```")
 	codeSpan   = regexp.MustCompile("`([^`\n]+)`")
-	pointer    = regexp.MustCompile(`EXPERIMENTS\.md,?\s+"([^"]+)"`)
+	docPointer = regexp.MustCompile(`(EXPERIMENTS|DESIGN)\.md,?\s+"([^"]+)"`)
+	boldLabel  = regexp.MustCompile(`(?m)^\*\*([^*]+)\*\*`)
 	quoted     = regexp.MustCompile(`"([^"]+)"`)
 	testFunc   = regexp.MustCompile(`^(?:Test|Fuzz|Benchmark)\w*\*?$`)
 	testInLine = regexp.MustCompile(`\b(?:Test|Fuzz)[A-Z0-9_]\w*`)
@@ -55,7 +56,10 @@ var (
 //     exists relative to one of the two; a bare file name
 //     (`rs_amd64.s`) is the name of a file in the tree.
 //   - A pointer `EXPERIMENTS.md "<heading>"` names the start of a
-//     heading of EXPERIMENTS.md.
+//     heading of EXPERIMENTS.md, and a pointer `DESIGN.md "<section>"`
+//     the start of a heading of DESIGN.md or of a bold label that opens
+//     one of its lines (TestSectionPointersResolve holds EXPERIMENTS.md
+//     and Go comments to the same rules).
 //   - The identifiers of DESIGN.md's "Removed" table are the exception:
 //     they must resolve to nothing, which TestRemovedDesignsStayRemoved
 //     checks.
@@ -76,10 +80,8 @@ func TestDocsNameRealIdentifiers(t *testing.T) {
 			t.Fatal(err)
 		}
 		text := string(src)
-		for _, m := range pointer.FindAllStringSubmatch(text, -1) {
-			if h := strings.Join(strings.Fields(m[1]), " "); !idx.heading(h) {
-				t.Errorf(`%s: EXPERIMENTS.md has no heading "%s"`, doc, h)
-			}
+		for _, why := range idx.badPointers(text) {
+			t.Errorf("%s: %s", doc, why)
 		}
 		seen := make(map[string]bool)
 		for _, m := range codeSpan.FindAllStringSubmatch(codeFence.ReplaceAllString(text, ""), -1) {
@@ -89,6 +91,32 @@ func TestDocsNameRealIdentifiers(t *testing.T) {
 			seen[m[1]] = true
 			if why := idx.resolve(m[1]); why != "" {
 				t.Errorf("%s: `%s`: %s", doc, m[1], why)
+			}
+		}
+	}
+}
+
+// TestSectionPointersResolve: every `DESIGN.md "<section>"` or
+// `EXPERIMENTS.md "<heading>"` pointer in EXPERIMENTS.md or in a Go
+// comment (test files included) names a real section by the rules of
+// TestDocsNameRealIdentifiers. A pointer may wrap across comment lines;
+// one whose quoted text starts with < is a placeholder, as here.
+func TestSectionPointersResolve(t *testing.T) {
+	tr := load(t)
+	idx := newDocIndex(t, tr)
+	exp, err := os.ReadFile(filepath.Join(tr.root, "EXPERIMENTS.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, why := range idx.badPointers(string(exp)) {
+		t.Errorf("EXPERIMENTS.md: %s", why)
+	}
+	for _, p := range tr.pkgs {
+		for _, f := range append(append([]*srcFile(nil), p.files...), p.tests...) {
+			for _, cg := range f.ast.Comments {
+				for _, why := range idx.badPointers(cg.Text()) {
+					t.Errorf("%s: %s", f.name, why)
+				}
 			}
 		}
 	}
@@ -222,6 +250,7 @@ type docIndex struct {
 	files    map[string]bool // base names of the files in the tree
 	metrics  map[string]bool // names BENCHMARK.json declares
 	headings []string        // EXPERIMENTS.md headings, without the #s
+	sections []string        // DESIGN.md headings and line-opening bold labels
 }
 
 type typeRef struct {
@@ -334,12 +363,27 @@ func newDocIndex(t *testing.T, tr *tree) *docIndex {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, line := range strings.Split(string(exp), "\n") {
-		if strings.HasPrefix(line, "#") {
-			idx.headings = append(idx.headings, strings.TrimSpace(strings.TrimLeft(line, "#")))
-		}
+	idx.headings = headings(string(exp))
+	design, err := os.ReadFile(filepath.Join(tr.root, "DESIGN.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx.sections = headings(string(design))
+	for _, m := range boldLabel.FindAllStringSubmatch(string(design), -1) {
+		idx.sections = append(idx.sections, m[1])
 	}
 	return idx
+}
+
+// headings returns a markdown document's headings, without the #s.
+func headings(doc string) []string {
+	var out []string
+	for _, line := range strings.Split(doc, "\n") {
+		if strings.HasPrefix(line, "#") {
+			out = append(out, strings.TrimSpace(strings.TrimLeft(line, "#")))
+		}
+	}
+	return out
 }
 
 // anyMember reports whether some module type called typ has member name.
@@ -353,13 +397,33 @@ func (idx *docIndex) anyMember(typ, name string) bool {
 }
 
 // heading reports whether an EXPERIMENTS.md heading starts with h.
-func (idx *docIndex) heading(h string) bool {
-	for _, have := range idx.headings {
+func (idx *docIndex) heading(h string) bool { return hasPrefix(idx.headings, h) }
+
+func hasPrefix(list []string, h string) bool {
+	for _, have := range list {
 		if strings.HasPrefix(have, h) {
 			return true
 		}
 	}
 	return false
+}
+
+// badPointers returns why each EXPERIMENTS.md or DESIGN.md pointer in
+// text does not resolve; a pointer's quoted text may wrap, and one that
+// starts with < is a placeholder.
+func (idx *docIndex) badPointers(text string) []string {
+	var out []string
+	for _, m := range docPointer.FindAllStringSubmatch(text, -1) {
+		h := strings.Join(strings.Fields(m[2]), " ")
+		list := idx.headings
+		if m[1] == "DESIGN" {
+			list = idx.sections
+		}
+		if !strings.HasPrefix(h, "<") && !hasPrefix(list, h) {
+			out = append(out, m[1]+`.md has no section "`+h+`"`)
+		}
+	}
+	return out
 }
 
 // resolve returns why the backticked span s does not resolve in the

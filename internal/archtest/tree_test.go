@@ -97,7 +97,7 @@ func parseTree() (*tree, error) {
 		p := &pkg{path: path.Join(module, rel), types: make(map[string]*typeDecl), funcs: make(map[string]*funcDecl)}
 		parse := func(names []string, test bool) error {
 			for _, n := range names {
-				af, err := parser.ParseFile(fset, filepath.Join(dir, n), nil, parser.SkipObjectResolution)
+				af, err := parser.ParseFile(fset, filepath.Join(dir, n), nil, parser.SkipObjectResolution|parser.ParseComments)
 				if err != nil {
 					return err
 				}

@@ -268,6 +268,47 @@ func TestPipe2FaultLeavesNoFDs(t *testing.T) {
 	})
 }
 
+// TestFullFDTableIsEMFILE: with one fd below MaxFD free, pipe2 fails
+// with EMFILE and leaves it free (its first end leaves the table again);
+// open takes it, the next open fails with EMFILE, and the slot a close
+// frees is handed out again.
+func TestFullFDTableIsEMFILE(t *testing.T) {
+	forEachSystem(t, 1<<30, func(t *testing.T, s system) {
+		s.install(t, "/bin/idle", func(b *asm.Builder) { ulib.Exit(b, 0) })
+		p, err := s.k.Idle("/bin/idle")
+		if err != nil {
+			t.Fatal(err)
+		}
+		const last = sysdispatch.MaxFD - 1
+		p.FDs().SetWatermarkForTest(last)
+		img := p.Image()
+		path := img.DataBase + 64
+		if err := p.WriteUser(path, []byte("/bin/idle")); err != nil {
+			t.Fatal(err)
+		}
+		if r := p.Dispatch(libos.SysPipe2, [5]uint64{img.DataBase}); r != -libos.EMFILE {
+			t.Fatalf("pipe2 with one free fd = %d, want %d", r, -libos.EMFILE)
+		}
+		if _, ok := p.FDs().Get(last); ok {
+			t.Fatalf("a failed pipe2 left fd %d installed", last)
+		}
+		open := func() int64 { return p.Dispatch(libos.SysOpen, [5]uint64{path, 9}) }
+		if r := open(); r != last {
+			t.Fatalf("open = %d, want %d", r, last)
+		}
+		if r := open(); r != -libos.EMFILE {
+			t.Fatalf("open with no free fd = %d, want %d", r, -libos.EMFILE)
+		}
+		if r := p.Dispatch(libos.SysClose, [5]uint64{last}); r != 0 {
+			t.Fatalf("close(%d) = %d", last, r)
+		}
+		if r := open(); r != last {
+			t.Fatalf("open after close = %d, want %d", r, last)
+		}
+		p.FDs().CloseAll()
+	})
+}
+
 // TestMmapStaysInHeap: a length that wraps the heap pointer fails with
 // ENOMEM and moves nothing, so the next mapping follows the last one
 // inside the heap. Before the bump was overflow-safe, the wrapping call

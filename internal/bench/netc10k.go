@@ -82,9 +82,9 @@ func C10KTable(s Scale) (*Table, error) {
 		// Churn rows at the 10k+ points: every connection re-dials once
 		// per churnStride rounds, so the steady connections' tail
 		// latency is measured while the accept, epoll-register and
-		// reap-arm/cancel paths stay hot. DESIGN.md "Lock inventory"
-		// has these rows with the fd, epoll, port and timer tables
-		// sharded and unsharded.
+		// reap-arm/cancel paths stay hot. EXPERIMENTS.md "One lock per
+		// table" has these rows with the fd, epoll, port and timer
+		// tables sharded and unsharded.
 		if conns < 10000 {
 			continue
 		}

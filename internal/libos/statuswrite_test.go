@@ -142,3 +142,49 @@ func TestPipe2FaultLeavesNoTrace(t *testing.T) {
 	}
 	p.fds.CloseAll()
 }
+
+// TestFullFDTableIsEMFILE: with one fd below MaxFD free, pipe2 fails
+// with EMFILE and leaves it free; epoll_create takes it, the next one
+// fails with EMFILE, and the slot a close frees is handed out again.
+// (sysdispatch's TestInstallStopsAtMaxFD counts the dropped references.)
+func TestFullFDTableIsEMFILE(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.NumDomains = 1
+	cfg.DomainCodeSize = 256 << 10
+	cfg.DomainDataSize = 1 << 20
+	cfg.StackSize = 128 << 10
+	cfg.MaxThreads = 1
+	cfg.FSBlocks = 4096
+	o, err := Boot(sgx.NewPlatform(64<<20), hostos.New(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer o.Shutdown()
+	d := o.domains[0]
+	p := &Proc{os: o, pid: 100, dom: d}
+	defer p.fds.CloseAll()
+	const last = sysdispatch.MaxFD - 1
+	p.fds.SetWatermarkForTest(last)
+	call := func(no int, a0 uint64) int64 {
+		c := sysdispatch.Call{A: [5]uint64{a0}}
+		return sysTable.Dispatch(p, uint64(no), &c).Ret
+	}
+	if r := call(SysPipe2, d.DataBase); r != -EMFILE {
+		t.Fatalf("pipe2 with one free fd = %d, want %d", r, -EMFILE)
+	}
+	if _, ok := p.fds.Get(last); ok {
+		t.Fatalf("a failed pipe2 left fd %d installed", last)
+	}
+	if r := call(SysEpCreate, 0); r != last {
+		t.Fatalf("epoll_create = %d, want %d", r, last)
+	}
+	if r := call(SysEpCreate, 0); r != -EMFILE {
+		t.Fatalf("epoll_create with no free fd = %d, want %d", r, -EMFILE)
+	}
+	if r := call(SysClose, last); r != 0 {
+		t.Fatalf("close(%d) = %d", last, r)
+	}
+	if r := call(SysEpCreate, 0); r != last {
+		t.Fatalf("epoll_create after close = %d, want %d", r, last)
+	}
+}

@@ -286,7 +286,8 @@ const (
 // did ad hoc.
 const MaxUserBuf = 1 << 20
 
-// MaxFD bounds an fd number a guest may name as dup2's target: Linux's
-// default fs.nr_open. The largest table a benchmark builds (c100k) holds
+// MaxFD bounds a process's fd numbers: dup2's target, and the slots
+// FDTable.Install hands out (past it, EMFILE). It is Linux's default
+// fs.nr_open. The largest table a benchmark builds (c100k) holds
 // about 12.5k fds per worker.
 const MaxFD = 1 << 20

@@ -206,6 +206,54 @@ func TestDup2RefCounts(t *testing.T) {
 	}
 }
 
+// TestInstallStopsAtMaxFD: with every slot below MaxFD taken, Install
+// hands out nothing, and the gate fails an FdOut or FdPairOut call with
+// EMFILE, drops the handler's references and leaves the table as it was.
+func TestInstallStopsAtMaxFD(t *testing.T) {
+	k := newFakeKernel()
+	tab := k.fds
+	tab.SetWatermarkForTest(MaxFD - 1)
+	var out [2]*fakeFile
+	sys := NewTable()
+	sys.Register(SysOpen, func(k Kernel, c *Call) Result {
+		out[0] = &fakeFile{refs: 1}
+		c.Out[0] = out[0]
+		return Ok(0)
+	})
+	sys.Register(SysPipe2, func(k Kernel, c *Call) Result {
+		out[0], out[1] = &fakeFile{refs: 1}, &fakeFile{refs: 1}
+		c.Out[0], c.Out[1] = out[0], out[1]
+		return Ok(0)
+	})
+	copy(k.mem[100:], "/f")
+	open := func() int64 { return sys.Dispatch(k, SysOpen, &Call{A: [5]uint64{100, 2}}).Ret }
+	pipe2 := func() int64 { return sys.Dispatch(k, SysPipe2, &Call{A: [5]uint64{8}}).Ret }
+
+	if fd := open(); fd != MaxFD-1 || out[0].refs != 1 {
+		t.Fatalf("open below MaxFD = %d (refs %d), want %d", fd, out[0].refs, MaxFD-1)
+	}
+	if fd := open(); fd != -EMFILE || out[0].refs != 0 {
+		t.Fatalf("open at MaxFD = %d (refs %d), want %d and the file dropped", fd, out[0].refs, -EMFILE)
+	}
+	if fd := tab.Install(&fakeFile{refs: 1}); fd != -1 {
+		t.Fatalf("Install at MaxFD = %d, want -1", fd)
+	}
+	// One slot free: pipe2's first end fits, its second does not, and the
+	// first leaves the table again.
+	tab.Remove(MaxFD - 1)
+	files := maps.Clone(tab.files)
+	k.mem[8] = 0xAA
+	if r := pipe2(); r != -EMFILE || out[0].refs != 0 || out[1].refs != 0 {
+		t.Fatalf("pipe2 with one slot = %d (refs %d, %d), want %d and both ends dropped", r, out[0].refs, out[1].refs, -EMFILE)
+	}
+	if !maps.Equal(tab.files, files) || k.mem[8] != 0xAA {
+		t.Fatalf("a failed pipe2 changed the table (%d fds) or wrote its fd words", len(tab.files))
+	}
+	if fd := open(); fd != MaxFD-1 {
+		t.Fatalf("open after the failed pipe2 = %d, want %d", fd, MaxFD-1)
+	}
+}
+
 func TestInheritAndCloseAll(t *testing.T) {
 	parent := NewFDTable()
 	f := &fakeFile{refs: 1}

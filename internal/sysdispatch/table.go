@@ -125,7 +125,8 @@ func (t *Table) Has(no int) bool { return no >= 0 && no < SysMax && t.h[no] != n
 // (EBADF), reads each Path once and range-checks each PtrIn, PtrOut and
 // FdPairOut span (EFAULT), so a call that fails there has done nothing.
 // After a handler succeeds it installs the FdOut and FdPairOut files,
-// whose out pointer has already passed.
+// whose out pointer has already passed; when the table is full it drops
+// them (and a pair's first end) and fails with EMFILE instead.
 func (t *Table) Dispatch(k Kernel, no uint64, c *Call) Result {
 	if no >= SysMax || t.h[no] == nil {
 		return Errno(ENOSYS)
@@ -143,13 +144,30 @@ func (t *Table) Dispatch(k Kernel, no uint64, c *Call) Result {
 		return r // c may be the next process's already: touch nothing
 	}
 	if !r.Parked && r.Ret >= 0 {
-		switch {
+		switch fds := k.FDs(); {
 		case s.Ret.Class == FdOut:
-			r.Ret = int64(k.FDs().Install(c.Out[0]))
+			if r.Ret = int64(fds.Install(c.Out[0])); r.Ret < 0 {
+				c.Out[0].Unref()
+				r = Errno(EMFILE)
+			}
 		case s.Args[0].Class == FdPairOut:
+			rfd := fds.Install(c.Out[0])
+			wfd := -1
+			if rfd >= 0 {
+				wfd = fds.Install(c.Out[1])
+			}
+			if wfd < 0 {
+				if rfd >= 0 {
+					fds.Remove(rfd)
+				}
+				c.Out[0].Unref()
+				c.Out[1].Unref()
+				r = Errno(EMFILE)
+				break
+			}
 			// The span passed decode, so both words land.
-			_ = k.WriteU64(c.A[0], uint64(k.FDs().Install(c.Out[0])))
-			_ = k.WriteU64(c.A[0]+8, uint64(k.FDs().Install(c.Out[1])))
+			_ = k.WriteU64(c.A[0], uint64(rfd))
+			_ = k.WriteU64(c.A[0]+8, uint64(wfd))
 		}
 	}
 	c.F[0], c.F[1], c.Path[0], c.Path[1], c.Out[0], c.Out[1] = nil, nil, "", "", nil, nil
@@ -546,18 +564,23 @@ func (t *FDTable) Set(fd int, f File) {
 	}
 }
 
-// Install places f in the lowest free slot at or above 3.
+// Install places f in the lowest free slot at or above 3 and returns
+// it, or returns -1 and installs nothing when every slot below MaxFD is
+// taken: the caller keeps f's reference and fails with EMFILE.
 func (t *FDTable) Install(f File) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.next = max(t.next, firstFD)
 	for {
 		var fd int
-		if len(t.freed) > 0 && t.freed[0] < t.next {
+		switch {
+		case len(t.freed) > 0 && t.freed[0] < t.next:
 			fd = t.heapPop()
-		} else {
+		case t.next < MaxFD:
 			fd = t.next
 			t.next++
+		default:
+			return -1
 		}
 		// A candidate occupied via Set/Dup2 is discarded.
 		if _, used := t.files[fd]; !used {
@@ -565,6 +588,15 @@ func (t *FDTable) Install(f File) int {
 			return fd
 		}
 	}
+}
+
+// SetWatermarkForTest makes fd the first slot Install hands out once no
+// freed slot is left below it: a test hook that reaches the EMFILE path
+// without MaxFD installs.
+func (t *FDTable) SetWatermarkForTest(fd int) {
+	t.mu.Lock()
+	t.next = fd
+	t.mu.Unlock()
 }
 
 // Remove deletes fd, returning its file (caller unrefs).

@@ -1,13 +1,16 @@
 package vm
 
-// Threaded dispatch: at translate time every decoded instruction is
-// specialized into a handler closure with its operands (registers,
-// immediates, precomputed branch targets and effective-address shapes)
-// captured, so the cached execution path pays one indirect call per
-// instruction instead of re-walking the ~60-case exec switch and
-// re-reading operand fields. Step keeps the switch as the bit-exact
-// reference; the randomized differential tests hold the two to
-// state-for-state equality.
+// Threaded dispatch: at translate time every decoded instruction becomes
+// a handler closure. The ops the workloads dispatch, plus call and ret,
+// are specialized with their operands (registers, immediates,
+// precomputed branch targets and effective-address shapes) captured, so
+// the cached execution path pays one indirect call per instruction
+// instead of re-walking the exec switch and re-reading operand fields.
+// Every other op gets the exec-backed handler, which runs exec on the
+// decoded instruction: an op no workload runs is written once, in exec
+// (EXPERIMENTS.md "Specialise only what runs"). The randomized
+// differential tests hold the specialized handlers to exec,
+// state-for-state.
 //
 // Conditional branches are not written out per condition. takenMask
 // holds one 8-bit truth table per flag branch, computed from
@@ -24,18 +27,14 @@ package vm
 //
 //   - control-transfer handlers set PC themselves (they are always the
 //     last instruction of a block);
-//   - stopping handlers restore PC before raising (pageFaultPC etc.
-//     leave PC at the faulting instruction, halted at its successor,
-//     matching exec);
+//   - stopping handlers restore PC before raising (raise leaves PC at
+//     the faulting instruction, halted at its successor);
 //   - the dispatch loop adds the retired-instruction count (including
 //     a stopping instruction) to Cycles on every exit path.
 
 import (
-	"fmt"
-
 	"repro/internal/isa"
 	"repro/internal/mem"
-	"repro/internal/mpx"
 )
 
 // handler executes one specialized instruction. It reports true when
@@ -46,19 +45,20 @@ type handler func(c *CPU) bool
 // successor address next into a handler.
 type compilerFunc func(in *isa.Inst, pc, next uint64) handler
 
-// compilers is the handler table, keyed by opcode. It is total over
-// valid opcodes (enforced by TestCompilersCoverOpSpace); translate only
-// sees instructions that already decoded, so a nil entry is a
-// programming error, not a runtime condition.
+// compilers is the handler table, keyed by opcode: an entry for each
+// specialized op (TestSpecializedOps pins the set), nil for the rest.
 var compilers [isa.NumOps]compilerFunc
 
-// compile specializes in into a handler.
+// compile specializes in into a handler, or returns the exec-backed
+// handler when in.Op has no compiler. That closure captures in and pc
+// only, so it stays in the 24-byte class of a two-word capture
+// (TestBranchClosureSizes); in points into its block, whose instructions
+// never move once decoded.
 func compile(in *isa.Inst, pc, next uint64) handler {
-	f := compilers[in.Op]
-	if f == nil {
-		panic(fmt.Sprintf("vm: opcode %v has no handler compiler", in.Op))
+	if f := compilers[in.Op]; f != nil {
+		return f(in, pc, next)
 	}
-	return f(in, pc, next)
+	return func(c *CPU) bool { return c.exec(in, pc, pc+uint64(in.Len())) }
 }
 
 // takenMask[op] is the truth table of flag branch op: bit f is set iff
@@ -117,72 +117,37 @@ func flagBranch(in *isa.Inst, pc, next uint64) handler {
 	}
 }
 
-// fuseCmpBranch macro-fuses a compare + conditional-branch pair — the
-// final pair of most loop traces — into one handler: one dispatch
-// instead of two, with the branch decided on the just-computed flag
-// byte instead of a round trip through the stored flags. The flags are
-// still set (they are architectural state), and both instructions are
+// fuseCmpBranch macro-fuses a cmp-immediate + conditional-branch pair —
+// the final pair of most loop traces — into one handler: one dispatch
+// instead of two, with the branch decided on the just-computed flag byte
+// instead of a round trip through the stored flags. The flags are still
+// set (they are architectural state), and both instructions are
 // stop-free, so fusing them moves no stop point. Returns nil when the
-// pair has no fused form. Checked against the unfused handler pair over
-// an operand grid by TestFusedCmpBranchMatchesUnfused.
+// pair has no fused form (a cmp of two registers runs on no workload, so
+// it stays unfused). Checked against the unfused handler pair over an
+// operand grid by TestFusedCmpBranchMatchesUnfused.
+//
+// noinline: with one closure it fits the inliner's budget, and the copy
+// of the closure compiled into buildTrace calls decide instead of
+// inlining it (hotloop with traces: 1.32 → 1.62 ns/inst).
+//
+//go:noinline
 func fuseCmpBranch(cmp, br *isa.Inst, brNext uint64) handler {
-	if !br.Op.ReadsFlags() {
+	if !br.Op.ReadsFlags() || cmp.Op != isa.OpCmpRI {
 		return nil
 	}
-	mask, r1 := takenMask[br.Op], cmp.R1&15
+	mask, r1, v := takenMask[br.Op], cmp.R1&15, uint64(cmp.Imm)
 	target, next := brNext+uint64(br.Imm), brNext
-	switch cmp.Op {
-	case isa.OpCmpRI:
-		v := uint64(cmp.Imm)
-		return func(c *CPU) bool {
-			f, taken := decide(mask, c.Regs[r1], v)
-			c.flags = f
-			if taken {
-				c.PC = target
-			} else {
-				c.PC = next
-			}
-			return false
+	return func(c *CPU) bool {
+		f, taken := decide(mask, c.Regs[r1], v)
+		c.flags = f
+		if taken {
+			c.PC = target
+		} else {
+			c.PC = next
 		}
-	case isa.OpCmpRR:
-		r2 := cmp.R2 & 15
-		return func(c *CPU) bool {
-			f, taken := decide(mask, c.Regs[r1], c.Regs[r2])
-			c.flags = f
-			if taken {
-				c.PC = target
-			} else {
-				c.PC = next
-			}
-			return false
-		}
+		return false
 	}
-	return nil
-}
-
-// Stop raisers for compiled handlers: like the exec raisers, but they
-// also restore PC (dead inside a block) to its architecturally exact
-// value first.
-
-func (c *CPU) pageFaultPC(f *mem.Fault, pc uint64) bool {
-	c.PC = pc
-	return c.pageFault(f, pc)
-}
-
-func (c *CPU) boundFaultPC(pc uint64) bool {
-	c.PC = pc
-	return c.boundFault(pc)
-}
-
-func (c *CPU) invalidPC(pc uint64) bool {
-	c.PC = pc
-	return c.invalid(pc)
-}
-
-func (c *CPU) divideFaultPC(pc uint64) bool {
-	c.PC = pc
-	c.stop = Stop{Reason: StopException, Exc: ExcDivide, PC: pc}
-	return true
 }
 
 // Memory handlers pick a sized mem.Paged entry (Load8, Load1, Store8,
@@ -195,7 +160,7 @@ func (c *CPU) divideFaultPC(pc uint64) bool {
 func (c *CPU) loadSlow(r isa.Reg, a uint64, size int, pc uint64) bool {
 	v, f := c.Mem.Load(a, size)
 	if f != nil {
-		return c.pageFaultPC(f, pc)
+		return c.raise(ExcPage, f, pc)
 	}
 	c.Regs[r] = v
 	return false
@@ -204,7 +169,7 @@ func (c *CPU) loadSlow(r isa.Reg, a uint64, size int, pc uint64) bool {
 // storeSlow finishes a store whose sized entry declined: true if stopped.
 func (c *CPU) storeSlow(a uint64, size int, v, pc uint64) bool {
 	if f := c.Mem.Store(a, size, v); f != nil {
-		return c.pageFaultPC(f, pc)
+		return c.raise(ExcPage, f, pc)
 	}
 	return false
 }
@@ -247,7 +212,7 @@ func compileRet(in *isa.Inst, pc, next uint64) handler {
 		if !ok {
 			var f *mem.Fault
 			if target, f = c.Mem.Load(c.Regs[isa.SP], 8); f != nil {
-				return c.pageFaultPC(f, pc)
+				return c.raise(ExcPage, f, pc)
 			}
 		}
 		c.Regs[isa.SP] += pop
@@ -354,17 +319,6 @@ func init() {
 			return false
 		}
 	}
-	compilers[isa.OpPushI] = func(in *isa.Inst, pc, next uint64) handler {
-		v := uint64(in.Imm)
-		return func(c *CPU) bool {
-			a := c.Regs[isa.SP] - 8
-			if !c.Mem.Store8(a, v) && c.storeSlow(a, 8, v, pc) {
-				return true
-			}
-			c.Regs[isa.SP] = a
-			return false
-		}
-	}
 	compilers[isa.OpPop] = func(in *isa.Inst, pc, next uint64) handler {
 		r1 := in.R1 & 15
 		return func(c *CPU) bool {
@@ -372,7 +326,7 @@ func init() {
 			if !ok {
 				var f *mem.Fault
 				if v, f = c.Mem.Load(c.Regs[isa.SP], 8); f != nil {
-					return c.pageFaultPC(f, pc)
+					return c.raise(ExcPage, f, pc)
 				}
 			}
 			c.Regs[isa.SP] += 8
@@ -381,69 +335,9 @@ func init() {
 		}
 	}
 
-	// ALU register-register forms, written out per op: one closure, no
-	// inner operator call.
-	rr := func(in *isa.Inst) (isa.Reg, isa.Reg) { return in.R1 & 15, in.R2 & 15 }
 	compilers[isa.OpAddRR] = func(in *isa.Inst, pc, next uint64) handler {
-		r1, r2 := rr(in)
+		r1, r2 := in.R1&15, in.R2&15
 		return func(c *CPU) bool { c.Regs[r1] += c.Regs[r2]; return false }
-	}
-	compilers[isa.OpSubRR] = func(in *isa.Inst, pc, next uint64) handler {
-		r1, r2 := rr(in)
-		return func(c *CPU) bool { c.Regs[r1] -= c.Regs[r2]; return false }
-	}
-	compilers[isa.OpMulRR] = func(in *isa.Inst, pc, next uint64) handler {
-		r1, r2 := rr(in)
-		return func(c *CPU) bool { c.Regs[r1] *= c.Regs[r2]; return false }
-	}
-	compilers[isa.OpAndRR] = func(in *isa.Inst, pc, next uint64) handler {
-		r1, r2 := rr(in)
-		return func(c *CPU) bool { c.Regs[r1] &= c.Regs[r2]; return false }
-	}
-	compilers[isa.OpOrRR] = func(in *isa.Inst, pc, next uint64) handler {
-		r1, r2 := rr(in)
-		return func(c *CPU) bool { c.Regs[r1] |= c.Regs[r2]; return false }
-	}
-	compilers[isa.OpXorRR] = func(in *isa.Inst, pc, next uint64) handler {
-		r1, r2 := rr(in)
-		return func(c *CPU) bool { c.Regs[r1] ^= c.Regs[r2]; return false }
-	}
-	compilers[isa.OpShlRR] = func(in *isa.Inst, pc, next uint64) handler {
-		r1, r2 := rr(in)
-		return func(c *CPU) bool { c.Regs[r1] <<= c.Regs[r2] & 63; return false }
-	}
-	compilers[isa.OpShrRR] = func(in *isa.Inst, pc, next uint64) handler {
-		r1, r2 := rr(in)
-		return func(c *CPU) bool { c.Regs[r1] >>= c.Regs[r2] & 63; return false }
-	}
-
-	divMod := func(div bool) compilerFunc {
-		return func(in *isa.Inst, pc, next uint64) handler {
-			r1, r2 := in.R1&15, in.R2&15
-			return func(c *CPU) bool {
-				d := int64(c.Regs[r2])
-				if d == 0 {
-					return c.divideFaultPC(pc)
-				}
-				if div {
-					c.Regs[r1] = uint64(int64(c.Regs[r1]) / d)
-				} else {
-					c.Regs[r1] = uint64(int64(c.Regs[r1]) % d)
-				}
-				return false
-			}
-		}
-	}
-	compilers[isa.OpDivRR] = divMod(true)
-	compilers[isa.OpModRR] = divMod(false)
-
-	compilers[isa.OpCmpRR] = func(in *isa.Inst, pc, next uint64) handler {
-		r1, r2 := rr(in)
-		return func(c *CPU) bool { c.setCmp(c.Regs[r1], c.Regs[r2]); return false }
-	}
-	compilers[isa.OpTestRR] = func(in *isa.Inst, pc, next uint64) handler {
-		r1, r2 := rr(in)
-		return func(c *CPU) bool { c.setTest(c.Regs[r1] & c.Regs[r2]); return false }
 	}
 
 	// ALU register-immediate forms, one closure per op: the aluRI route
@@ -461,14 +355,6 @@ func init() {
 		r1, v := ri(in)
 		return func(c *CPU) bool { c.Regs[r1] *= v; return false }
 	}
-	compilers[isa.OpAndRI] = func(in *isa.Inst, pc, next uint64) handler {
-		r1, v := ri(in)
-		return func(c *CPU) bool { c.Regs[r1] &= v; return false }
-	}
-	compilers[isa.OpOrRI] = func(in *isa.Inst, pc, next uint64) handler {
-		r1, v := ri(in)
-		return func(c *CPU) bool { c.Regs[r1] |= v; return false }
-	}
 	compilers[isa.OpXorRI] = func(in *isa.Inst, pc, next uint64) handler {
 		r1, v := ri(in)
 		return func(c *CPU) bool { c.Regs[r1] ^= v; return false }
@@ -478,22 +364,9 @@ func init() {
 		s := v & 63
 		return func(c *CPU) bool { c.Regs[r1] <<= s; return false }
 	}
-	compilers[isa.OpShrRI] = func(in *isa.Inst, pc, next uint64) handler {
-		r1, v := ri(in)
-		s := v & 63
-		return func(c *CPU) bool { c.Regs[r1] >>= s; return false }
-	}
 	compilers[isa.OpCmpRI] = func(in *isa.Inst, pc, next uint64) handler {
 		r1, v := ri(in)
 		return func(c *CPU) bool { c.setCmp(c.Regs[r1], v); return false }
-	}
-	compilers[isa.OpNeg] = func(in *isa.Inst, pc, next uint64) handler {
-		r1 := in.R1 & 15
-		return func(c *CPU) bool { c.Regs[r1] = -c.Regs[r1]; return false }
-	}
-	compilers[isa.OpNot] = func(in *isa.Inst, pc, next uint64) handler {
-		r1 := in.R1 & 15
-		return func(c *CPU) bool { c.Regs[r1] = ^c.Regs[r1]; return false }
 	}
 
 	// Direct branches: the target folds to a constant at translate
@@ -505,18 +378,6 @@ func init() {
 	for op := range takenMask {
 		if isa.Op(op).ReadsFlags() {
 			compilers[op] = flagBranch
-		}
-	}
-	compilers[isa.OpLoop] = func(in *isa.Inst, pc, next uint64) handler {
-		target := next + uint64(in.Imm)
-		return func(c *CPU) bool {
-			c.Regs[isa.R1]--
-			if c.Regs[isa.R1] != 0 {
-				c.PC = target
-			} else {
-				c.PC = next
-			}
-			return false
 		}
 	}
 	compilers[isa.OpCall] = func(in *isa.Inst, pc, next uint64) handler {
@@ -531,10 +392,6 @@ func init() {
 			return false
 		}
 	}
-	compilers[isa.OpJmpR] = func(in *isa.Inst, pc, next uint64) handler {
-		r1 := in.R1 & 15
-		return func(c *CPU) bool { c.PC = c.Regs[r1]; return false }
-	}
 	compilers[isa.OpCallR] = func(in *isa.Inst, pc, next uint64) handler {
 		r1 := in.R1 & 15
 		return func(c *CPU) bool {
@@ -547,33 +404,6 @@ func init() {
 			return false
 		}
 	}
-	jmpCallM := func(call bool) compilerFunc {
-		return func(in *isa.Inst, pc, next uint64) handler {
-			ea := compileEA(in.Mem, next)
-			return func(c *CPU) bool {
-				a := ea(c)
-				target, ok := c.Mem.Load8(a)
-				if !ok {
-					var f *mem.Fault
-					if target, f = c.Mem.Load(a, 8); f != nil {
-						return c.pageFaultPC(f, pc)
-					}
-				}
-				if call {
-					a = c.Regs[isa.SP] - 8
-					if !c.Mem.Store8(a, next) && c.storeSlow(a, 8, next, pc) {
-						return true
-					}
-					c.Regs[isa.SP] = a
-				}
-				c.PC = target
-				return false
-			}
-		}
-	}
-	compilers[isa.OpJmpM] = jmpCallM(false)
-	compilers[isa.OpCallM] = jmpCallM(true)
-
 	compilers[isa.OpRet] = compileRet
 	compilers[isa.OpRetI] = compileRet
 
@@ -581,7 +411,7 @@ func init() {
 		bnd, r1 := in.Bnd, in.R1&15
 		return func(c *CPU) bool {
 			if !c.Bnd.CheckLower(bnd, c.Regs[r1]) {
-				return c.boundFaultPC(pc)
+				return c.raise(ExcBound, nil, pc)
 			}
 			return false
 		}
@@ -590,7 +420,7 @@ func init() {
 		bnd, r1 := in.Bnd, in.R1&15
 		return func(c *CPU) bool {
 			if !c.Bnd.CheckUpper(bnd, c.Regs[r1]) {
-				return c.boundFaultPC(pc)
+				return c.raise(ExcBound, nil, pc)
 			}
 			return false
 		}
@@ -598,37 +428,18 @@ func init() {
 	compilers[isa.OpBndCLM] = func(in *isa.Inst, pc, next uint64) handler {
 		bnd := in.Bnd
 		if base, d, hot := baseDisp(in.Mem); hot {
-			return func(c *CPU) bool { return !c.Bnd.CheckLower(bnd, c.Regs[base]+d) && c.boundFaultPC(pc) }
+			return func(c *CPU) bool { return !c.Bnd.CheckLower(bnd, c.Regs[base]+d) && c.raise(ExcBound, nil, pc) }
 		}
 		ea := compileEA(in.Mem, next)
-		return func(c *CPU) bool { return !c.Bnd.CheckLower(bnd, ea(c)) && c.boundFaultPC(pc) }
+		return func(c *CPU) bool { return !c.Bnd.CheckLower(bnd, ea(c)) && c.raise(ExcBound, nil, pc) }
 	}
 	compilers[isa.OpBndCUM] = func(in *isa.Inst, pc, next uint64) handler {
 		bnd := in.Bnd
 		if base, d, hot := baseDisp(in.Mem); hot {
-			return func(c *CPU) bool { return !c.Bnd.CheckUpper(bnd, c.Regs[base]+d) && c.boundFaultPC(pc) }
+			return func(c *CPU) bool { return !c.Bnd.CheckUpper(bnd, c.Regs[base]+d) && c.raise(ExcBound, nil, pc) }
 		}
 		ea := compileEA(in.Mem, next)
-		return func(c *CPU) bool { return !c.Bnd.CheckUpper(bnd, ea(c)) && c.boundFaultPC(pc) }
-	}
-	compilers[isa.OpBndMk] = func(in *isa.Inst, pc, next uint64) handler {
-		bnd, ea := in.Bnd, compileEA(in.Mem, next)
-		base, hasBase := in.Mem.Base, in.Mem.Base.Valid()
-		return func(c *CPU) bool {
-			var lo uint64
-			if hasBase {
-				lo = c.Regs[base]
-			}
-			c.Bnd.Set(bnd, mpx.Bound{Lower: lo, Upper: ea(c)})
-			return false
-		}
-	}
-	compilers[isa.OpBndMov] = func(in *isa.Inst, pc, next uint64) handler {
-		bnd, bnd2 := in.Bnd, in.Bnd2
-		return func(c *CPU) bool {
-			c.Bnd.Set(bnd, c.Bnd.Get(bnd2))
-			return false
-		}
+		return func(c *CPU) bool { return !c.Bnd.CheckUpper(bnd, ea(c)) && c.raise(ExcBound, nil, pc) }
 	}
 
 	nop := func(in *isa.Inst, pc, next uint64) handler {
@@ -636,44 +447,7 @@ func init() {
 	}
 	compilers[isa.OpCFILabel] = nop
 	compilers[isa.OpNop] = nop
-
-	halted := func(reason StopReason) compilerFunc {
-		return func(in *isa.Inst, pc, next uint64) handler {
-			return func(c *CPU) bool { return c.halted(reason, next) }
-		}
-	}
-	compilers[isa.OpHalt] = halted(StopHalt)
-	compilers[isa.OpTrap] = halted(StopTrap)
-	compilers[isa.OpEExit] = halted(StopEExit)
-
-	invalid := func(in *isa.Inst, pc, next uint64) handler {
-		return func(c *CPU) bool { return c.invalidPC(pc) }
-	}
-	compilers[isa.OpEAccept] = invalid
-	compilers[isa.OpEModPE] = invalid
-
-	compilers[isa.OpXRstor] = func(in *isa.Inst, pc, next uint64) handler {
-		return func(c *CPU) bool {
-			for b := isa.BndReg(0); b < isa.NumBndRegs; b++ {
-				c.Bnd.Set(b, mpx.Bound{Lower: 0, Upper: ^uint64(0)})
-			}
-			return false
-		}
-	}
-	compilers[isa.OpWrFSBase] = nop
-	compilers[isa.OpWrGSBase] = nop
-
-	compilers[isa.OpVScatter] = func(in *isa.Inst, pc, next uint64) handler {
-		r1, ea := in.R1&15, compileEA(in.Mem, next)
-		return func(c *CPU) bool {
-			a := ea(c)
-			if f := c.Mem.Store(a, 8, c.Regs[r1]); f != nil {
-				return c.pageFaultPC(f, pc)
-			}
-			if f := c.Mem.Store(a+128, 8, c.Regs[r1]); f != nil {
-				return c.pageFaultPC(f, pc)
-			}
-			return false
-		}
+	compilers[isa.OpTrap] = func(in *isa.Inst, pc, next uint64) handler {
+		return func(c *CPU) bool { return c.halted(StopTrap, next) }
 	}
 }

@@ -197,6 +197,17 @@ func TestRandomizedStepMatchesRun(t *testing.T) {
 		numSeeds  = 300
 		maxCycles = 4000
 	)
+	// midBlock counts, per op, the translations that placed it after
+	// another instruction of the same block: the battery must dispatch
+	// every exec-backed op there, not only where a block starts.
+	var midBlock [isa.NumOps]int
+	defer func() {
+		for op := isa.OpInvalid + 1; op < isa.Op(isa.NumOps); op++ {
+			if compilers[op] == nil && midBlock[op] == 0 && !t.Failed() {
+				t.Errorf("%s: exec-backed, but never translated mid-block", op)
+			}
+		}
+	}()
 	for seed := int64(0); seed < numSeeds; seed++ {
 		newCPU := diffProgram(t, seed)
 		fast, slow := newCPU(), newCPU()
@@ -239,6 +250,11 @@ func TestRandomizedStepMatchesRun(t *testing.T) {
 			diffStops(t, seed, stFast, stSlow)
 		}
 		diffCompare(t, seed, fast, slow)
+		for _, b := range fast.blocks {
+			for _, in := range b.insts[1:] {
+				midBlock[in.Op]++
+			}
+		}
 	}
 }
 

@@ -33,7 +33,8 @@ package vm
 // A trace exit that is not a chained direct successor — a return, an
 // indirect transfer, a diverged target — resolves through the block
 // cache map, as a block exit does. Every specialisation here is kept on
-// a measurement (DESIGN.md, "What stays, what went").
+// a measurement (EXPERIMENTS.md "The interpreter keeps what fish and gcc
+// pay for").
 
 import (
 	"repro/internal/isa"
@@ -321,7 +322,7 @@ func (c *CPU) buildTrace(head *block) *trace {
 		if !br.Op.ReadsFlags() || slots[i-1].seam {
 			continue
 		}
-		if cmp.Op != isa.OpCmpRI && cmp.Op != isa.OpCmpRR {
+		if cmp.Op != isa.OpCmpRI {
 			continue
 		}
 		if slots[i].seam {
@@ -472,29 +473,21 @@ func seamGuard(in *isa.Inst, taken bool, next uint64) handler {
 	}
 }
 
-// fusedSeamGuard macro-fuses a cmp + conditional-branch pair at an
-// interior seam: the flag byte is computed from the registers, stored
-// (the flags are architectural the moment the trace is left, and a
-// second closure that skipped the one-byte store when the flags are
+// fusedSeamGuard macro-fuses a cmp-immediate + conditional-branch pair
+// at an interior seam: the flag byte is computed from the register,
+// stored (the flags are architectural the moment the trace is left, and
+// a second closure that skipped the one-byte store when the flags are
 // dead measured under 1% on guard-only loops — EXPERIMENTS.md), and the
 // guard decided on it. PC is not written on the predicted path.
+//
+// noinline for the reason fuseCmpBranch is.
+//
+//go:noinline
 func fusedSeamGuard(cmp, br *isa.Inst, taken bool, next uint64) handler {
 	mask, exitPC := guardMask(br, taken, next)
-	r1 := cmp.R1 & 15
-	if cmp.Op == isa.OpCmpRI {
-		v := uint64(cmp.Imm)
-		return func(c *CPU) bool {
-			f, ok := decide(mask, c.Regs[r1], v)
-			c.flags = f
-			if ok {
-				return false
-			}
-			return c.sideExit(exitPC)
-		}
-	}
-	r2 := cmp.R2 & 15
+	r1, v := cmp.R1&15, uint64(cmp.Imm)
 	return func(c *CPU) bool {
-		f, ok := decide(mask, c.Regs[r1], c.Regs[r2])
+		f, ok := decide(mask, c.Regs[r1], v)
 		c.flags = f
 		if ok {
 			return false

@@ -13,18 +13,20 @@
 // instrumentation inserts extra instructions, the SPECint-style overhead
 // figures (paper Figure 7) fall out of cycle counts deterministically.
 //
-// # Two definitions of the instruction set
+// # One definition of the instruction set
 //
-// Instruction semantics are written twice and no more. The exec switch
-// behind Step is the reference: one instruction at a time, uncached,
-// every architectural effect spelled out. The compiled handlers
-// (compile.go) are the fast path: each decoded instruction specialized
-// once into a closure over its operands. The randomized differential
-// battery holds the two to state-for-state equality, and everything
-// built on top — trace guards, fused pairs and fused slots — is
-// assembled from the compiled handlers, exec's aluRI, and one
-// branch-predicate table derived from isa.Op.EvalCond and checked
-// against it exhaustively.
+// The exec switch behind Step defines every op: one instruction at a
+// time, every architectural effect spelled out. Translated code runs exec
+// too, through one exec-backed handler, for every op no workload
+// dispatches. The ops the workloads do dispatch, plus call and ret, have
+// specialized handlers (compile.go), each a closure over its operands;
+// TestSpecializedOps pins that set, and a new specialization needs an
+// end-to-end measurement (EXPERIMENTS.md "Specialise only what runs").
+// The randomized differential battery holds the specialized handlers to
+// exec, state-for-state, and everything built on top — trace guards,
+// fused pairs and fused slots — is assembled from the compiled handlers,
+// exec's aluRI, and one branch-predicate table derived from
+// isa.Op.EvalCond and checked against it exhaustively.
 //
 // # Translation cache
 //
@@ -243,10 +245,11 @@ type CacheStats struct {
 	// re-entering the cache map. Indirect transfers (jmpr/ret) and
 	// first visits still go through Hits/Misses.
 	Chains uint64
-	// Threaded counts instructions retired through compiled per-op
-	// handlers (the threaded-dispatch fast path) — whether dispatched
-	// from a block or from inside a superblock. Instructions executed
-	// by the Step switch account for the rest of CPU.Cycles.
+	// Threaded counts instructions retired through handlers (the
+	// threaded-dispatch fast path), specialized or exec-backed, whether
+	// dispatched from a block or from inside a superblock. Instructions
+	// Run executes through Step (after a fetch fault ended a block)
+	// account for the rest of CPU.Cycles.
 	Threaded uint64
 
 	// Trace tier (trace.go). Traces counts superblocks formed; TraceHits
@@ -677,7 +680,7 @@ func (c *CPU) run(budget uint64) Stop {
 		ops := b.ops[:n]
 		for i := 0; i < len(ops); i++ {
 			if ops[i](c) {
-				// The stopping instruction retired (exec counts it
+				// The stopping instruction retired (Step counts it
 				// too), and its handler restored PC.
 				c.Cycles += uint64(i + 1)
 				c.stats.Threaded += uint64(i + 1)
@@ -759,6 +762,7 @@ func (c *CPU) Step() (Stop, bool) {
 	if err != nil {
 		return Stop{Reason: StopException, Exc: ExcInvalid, PC: pc}, true
 	}
+	c.Cycles++
 	if c.exec(&in, pc, pc+uint64(n)) {
 		return c.stop, true
 	}
@@ -785,37 +789,31 @@ func (c *CPU) ea(m isa.MemRef, next uint64) uint64 {
 	return a + uint64(int64(m.Disp))
 }
 
-// Exception raisers for exec: they fill c.stop and report "stopped" so
-// the hot path never copies a Stop struct for instructions that retire
-// normally.
-
-func (c *CPU) pageFault(f *mem.Fault, pc uint64) bool {
-	c.stop = Stop{Reason: StopException, Exc: ExcPage, Fault: f, PC: pc}
+// raise stops the hart with exception e at the instruction at pc (f
+// carries a page fault's details), restoring PC, which is dead inside a
+// block, to that instruction first. Like halted, it fills c.stop and
+// reports "stopped", so the hot path never copies a Stop struct for
+// instructions that retire normally.
+func (c *CPU) raise(e Exception, f *mem.Fault, pc uint64) bool {
+	c.PC = pc
+	c.stop = Stop{Reason: StopException, Exc: e, Fault: f, PC: pc}
 	return true
 }
 
-func (c *CPU) boundFault(pc uint64) bool {
-	c.stop = Stop{Reason: StopException, Exc: ExcBound, PC: pc}
-	return true
-}
-
+// halted stops the hart for reason (trap, halt, eexit) with PC at next.
 func (c *CPU) halted(reason StopReason, next uint64) bool {
 	c.PC = next
 	c.stop = Stop{Reason: reason, PC: next}
 	return true
 }
 
-func (c *CPU) invalid(pc uint64) bool {
-	c.stop = Stop{Reason: StopException, Exc: ExcInvalid, PC: pc}
-	return true
-}
-
 // exec executes one decoded instruction located at pc whose successor is
-// next. It reports true when the hart stopped, with the reason in c.stop;
-// on fall-through it advances PC to next and reports false.
+// next: the definition of every op, and all there is of an op compile
+// does not specialize. It reports true when the hart stopped, with the
+// reason in c.stop; on fall-through it advances PC to next and reports
+// false. It reads PC nowhere and counts no cycle (its callers do), so it
+// runs unchanged inside a block.
 func (c *CPU) exec(in *isa.Inst, pc, next uint64) bool {
-	c.Cycles++
-
 	switch in.Op {
 	case isa.OpMovRI:
 		c.Regs[in.R1] = uint64(in.Imm)
@@ -828,7 +826,7 @@ func (c *CPU) exec(in *isa.Inst, pc, next uint64) bool {
 		}
 		v, f := c.Mem.Load(c.ea(in.Mem, next), size)
 		if f != nil {
-			return c.pageFault(f, pc)
+			return c.raise(ExcPage, f, pc)
 		}
 		c.Regs[in.R1] = v
 	case isa.OpStore, isa.OpStoreB:
@@ -837,24 +835,24 @@ func (c *CPU) exec(in *isa.Inst, pc, next uint64) bool {
 			size = 1
 		}
 		if f := c.Mem.Store(c.ea(in.Mem, next), size, c.Regs[in.R1]); f != nil {
-			return c.pageFault(f, pc)
+			return c.raise(ExcPage, f, pc)
 		}
 	case isa.OpLea:
 		c.Regs[in.R1] = c.ea(in.Mem, next)
 	case isa.OpPush:
 		if f := c.Mem.Store(c.Regs[isa.SP]-8, 8, c.Regs[in.R1]); f != nil {
-			return c.pageFault(f, pc)
+			return c.raise(ExcPage, f, pc)
 		}
 		c.Regs[isa.SP] -= 8
 	case isa.OpPushI:
 		if f := c.Mem.Store(c.Regs[isa.SP]-8, 8, uint64(in.Imm)); f != nil {
-			return c.pageFault(f, pc)
+			return c.raise(ExcPage, f, pc)
 		}
 		c.Regs[isa.SP] -= 8
 	case isa.OpPop:
 		v, f := c.Mem.Load(c.Regs[isa.SP], 8)
 		if f != nil {
-			return c.pageFault(f, pc)
+			return c.raise(ExcPage, f, pc)
 		}
 		c.Regs[isa.SP] += 8
 		c.Regs[in.R1] = v
@@ -868,8 +866,7 @@ func (c *CPU) exec(in *isa.Inst, pc, next uint64) bool {
 	case isa.OpDivRR, isa.OpModRR:
 		d := int64(c.Regs[in.R2])
 		if d == 0 {
-			c.stop = Stop{Reason: StopException, Exc: ExcDivide, PC: pc}
-			return true
+			return c.raise(ExcDivide, nil, pc)
 		}
 		if in.Op == isa.OpDivRR {
 			c.Regs[in.R1] = uint64(int64(c.Regs[in.R1]) / d)
@@ -916,7 +913,7 @@ func (c *CPU) exec(in *isa.Inst, pc, next uint64) bool {
 		}
 	case isa.OpCall:
 		if f := c.Mem.Store(c.Regs[isa.SP]-8, 8, next); f != nil {
-			return c.pageFault(f, pc)
+			return c.raise(ExcPage, f, pc)
 		}
 		c.Regs[isa.SP] -= 8
 		c.PC = next + uint64(in.Imm)
@@ -926,7 +923,7 @@ func (c *CPU) exec(in *isa.Inst, pc, next uint64) bool {
 		return false
 	case isa.OpCallR:
 		if f := c.Mem.Store(c.Regs[isa.SP]-8, 8, next); f != nil {
-			return c.pageFault(f, pc)
+			return c.raise(ExcPage, f, pc)
 		}
 		c.Regs[isa.SP] -= 8
 		c.PC = c.Regs[in.R1]
@@ -934,11 +931,11 @@ func (c *CPU) exec(in *isa.Inst, pc, next uint64) bool {
 	case isa.OpJmpM, isa.OpCallM:
 		target, f := c.Mem.Load(c.ea(in.Mem, next), 8)
 		if f != nil {
-			return c.pageFault(f, pc)
+			return c.raise(ExcPage, f, pc)
 		}
 		if in.Op == isa.OpCallM {
 			if f := c.Mem.Store(c.Regs[isa.SP]-8, 8, next); f != nil {
-				return c.pageFault(f, pc)
+				return c.raise(ExcPage, f, pc)
 			}
 			c.Regs[isa.SP] -= 8
 		}
@@ -947,7 +944,7 @@ func (c *CPU) exec(in *isa.Inst, pc, next uint64) bool {
 	case isa.OpRet, isa.OpRetI:
 		target, f := c.Mem.Load(c.Regs[isa.SP], 8)
 		if f != nil {
-			return c.pageFault(f, pc)
+			return c.raise(ExcPage, f, pc)
 		}
 		c.Regs[isa.SP] += 8 + uint64(in.Imm)
 		c.PC = target
@@ -955,19 +952,19 @@ func (c *CPU) exec(in *isa.Inst, pc, next uint64) bool {
 
 	case isa.OpBndCL:
 		if !c.Bnd.CheckLower(in.Bnd, c.Regs[in.R1]) {
-			return c.boundFault(pc)
+			return c.raise(ExcBound, nil, pc)
 		}
 	case isa.OpBndCU:
 		if !c.Bnd.CheckUpper(in.Bnd, c.Regs[in.R1]) {
-			return c.boundFault(pc)
+			return c.raise(ExcBound, nil, pc)
 		}
 	case isa.OpBndCLM:
 		if !c.Bnd.CheckLower(in.Bnd, c.ea(in.Mem, next)) {
-			return c.boundFault(pc)
+			return c.raise(ExcBound, nil, pc)
 		}
 	case isa.OpBndCUM:
 		if !c.Bnd.CheckUpper(in.Bnd, c.ea(in.Mem, next)) {
-			return c.boundFault(pc)
+			return c.raise(ExcBound, nil, pc)
 		}
 	case isa.OpBndMk:
 		// bndmk: lower = base register, upper = effective address.
@@ -989,7 +986,7 @@ func (c *CPU) exec(in *isa.Inst, pc, next uint64) bool {
 		return c.halted(StopEExit, next)
 	case isa.OpEAccept, isa.OpEModPE:
 		// SGX 1.0: these SGX 2.0 instructions are undefined.
-		return c.invalid(pc)
+		return c.raise(ExcInvalid, nil, pc)
 	case isa.OpXRstor:
 		// Restoring extended state can silently disable MPX: all bound
 		// registers become permissive. This is exactly why Stage 2 of
@@ -1005,13 +1002,13 @@ func (c *CPU) exec(in *isa.Inst, pc, next uint64) bool {
 		// from one instruction — the reason Stage 4 rejects it.
 		a := c.ea(in.Mem, next)
 		if f := c.Mem.Store(a, 8, c.Regs[in.R1]); f != nil {
-			return c.pageFault(f, pc)
+			return c.raise(ExcPage, f, pc)
 		}
 		if f := c.Mem.Store(a+128, 8, c.Regs[in.R1]); f != nil {
-			return c.pageFault(f, pc)
+			return c.raise(ExcPage, f, pc)
 		}
 	default:
-		return c.invalid(pc)
+		return c.raise(ExcInvalid, nil, pc)
 	}
 
 	c.PC = next
