@@ -298,6 +298,21 @@ func TestSyscallsDescribedOnce(t *testing.T) {
 	}
 }
 
+// TestDomainEntryDefinedOnce: a domain's identity is set in one place.
+// Only the loader's functions in internal/libos (PlaceCode, EnterDomain)
+// turn a domain ID into the cfi_label value BND1 holds; every other
+// runner — the LibOS, the Fig 7 kernels, RIPE, the test runners —
+// enters its domain through them, so a change to the loader's bounds
+// reaches every published result.
+func TestDomainEntryDefinedOnce(t *testing.T) {
+	tr := load(t)
+	for _, s := range tr.refs("internal/isa", "CFILabelValue") {
+		if dir := path.Dir(s.file); dir != "internal/libos" && dir != "internal/isa" {
+			t.Errorf("%s: %s calls isa.CFILabelValue; enter the domain with libos.EnterDomain", s.file, s.fn)
+		}
+	}
+}
+
 // TestStoreNeverDropsDiskErrors: the store is fail-stop, so every
 // write-side Disk call in internal/fs hands its error on. A call to
 // WriteFileAt, RemoveFile or Sync, on any receiver, is never a bare

@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/fs"
 	"repro/internal/hostos"
+	"repro/internal/isa"
 	"repro/internal/libos"
 	"repro/internal/mem"
 	"repro/internal/oelf"
@@ -83,6 +84,40 @@ func Place(bin *oelf.Image, gate, heapSize, stackSize uint64) *Image {
 		DataSize: (bin.MinDataSize() + heapSize + stackSize + mem.PageSize - 1) / mem.PageSize * mem.PageSize,
 		Release:  func() {},
 	}
+}
+
+// BareDomain maps img alone into an address space of its own as MMDSFI
+// domain id, with no kernel around it, and returns a CPU entered into
+// the domain by the loader's own functions. The layout is Place's at
+// gate base-PageSize: the gate page (the trampoline) and the code RWX,
+// every cfi_label rewritten to id, with the code at base; dataSize bytes
+// of data RW holding img.Data at base+img.DataStart(); a trailing guard.
+// SP starts at the top of the data region. The Fig 7 kernels, the RIPE
+// attacks and the instrumenter's and verifier's tests run on one.
+func BareDomain(img *oelf.Image, id uint32, base, dataSize uint64) (*vm.CPU, error) {
+	gate, dataBase := base-mem.PageSize, base+img.DataStart()
+	m := mem.NewPaged(gate, dataBase+dataSize+uint64(img.GuardSize)-gate)
+	if err := m.Map(gate, mem.PageSize+img.CodeSpan(), mem.PermRWX); err != nil {
+		return nil, err
+	}
+	if err := m.Map(dataBase, dataSize, mem.PermRW); err != nil {
+		return nil, err
+	}
+	code := make([]byte, len(img.Code))
+	libos.PlaceCode(code, img.Code, isa.FindCFIMagic(img.Code), id)
+	if err := m.WriteDirect(base, code); err != nil {
+		return nil, err
+	}
+	if err := m.WriteDirect(gate, libos.EncodeTrampoline(id)); err != nil {
+		return nil, err
+	}
+	if err := m.WriteDirect(dataBase, img.Data); err != nil {
+		return nil, err
+	}
+	cpu := vm.New(m)
+	cpu.Regs[isa.SP] = dataBase + dataSize
+	libos.EnterDomain(cpu, id, base+uint64(img.Entry), dataBase, dataSize)
+	return cpu, nil
 }
 
 // Kernel is one goroutine-per-process system: a host, a process table

@@ -9,7 +9,6 @@ import (
 	"repro/internal/fs"
 	"repro/internal/isa"
 	"repro/internal/mem"
-	"repro/internal/mpx"
 	"repro/internal/oelf"
 )
 
@@ -25,16 +24,6 @@ type loadedImage struct {
 // size is what the image charges against the cache bound.
 func (li *loadedImage) size() uint64 {
 	return uint64(len(li.bin.Image.Code) + len(li.bin.Image.Data) + 8*len(li.labels))
-}
-
-// place writes the image's code into dst, which is len(Code) bytes of
-// domain id's code region, with every cfi_label rewritten to id (loader
-// duty 2).
-func (li *loadedImage) place(dst []byte, id uint32) {
-	copy(dst, li.bin.Image.Code)
-	for _, off := range li.labels {
-		binary.LittleEndian.PutUint32(dst[off+4:], id)
-	}
 }
 
 // imageCache holds verified images by file identity, one entry per
@@ -228,13 +217,8 @@ func (o *Occlum) loadIntoDomain(d *Domain, li *loadedImage, path string, argv []
 	if err != nil {
 		return err
 	}
-	p.cpu.PC = codeBase + uint64(img.Entry)
-
-	// Duty 4: initialize MPX bounds — BND0 confines memory accesses to
-	// D; BND1 makes cfi_guard an equality test on this domain's label.
-	p.cpu.Bnd.Set(isa.BND0, mpx.Bound{Lower: d.DataBase, Upper: d.DataBase + d.DataSize - 1})
-	v := isa.CFILabelValue(d.ID)
-	p.cpu.Bnd.Set(isa.BND1, mpx.Bound{Lower: v, Upper: v})
+	// Duty 4: the entry point and the MPX bounds.
+	EnterDomain(p.cpu, d.ID, codeBase+uint64(img.Entry), d.DataBase, d.DataSize)
 
 	p.heapBase, p.heapEnd, p.heapPtr = heapBase, heapEnd, heapBase
 	p.tramp = d.CodeBase
@@ -258,7 +242,7 @@ func (o *Occlum) loadCode(d *Domain, li *loadedImage, codeBase uint64) error {
 	if f != nil {
 		return f
 	}
-	li.place(code.B, d.ID)
+	PlaceCode(code.B, li.bin.Image.Code, li.labels, d.ID)
 	if !code.CommitWrite(len(code.B)) {
 		return fmt.Errorf("libos: domain %d code region remapped during load", d.ID)
 	}
@@ -284,7 +268,7 @@ func (o *Occlum) codeLayout(d *Domain) []byte {
 	want := make([]byte, d.CodeSize)
 	if li := d.resident; li != nil {
 		copy(want, EncodeTrampoline(d.ID))
-		li.place(want[d.CodeSize-li.bin.Image.CodeSpan():], d.ID)
+		PlaceCode(want[d.CodeSize-li.bin.Image.CodeSpan():], li.bin.Image.Code, li.labels, d.ID)
 	}
 	return want
 }

@@ -6,8 +6,31 @@ import (
 
 	"repro/internal/isa"
 	"repro/internal/mem"
+	"repro/internal/mpx"
 	"repro/internal/vm"
 )
+
+// PlaceCode copies code into dst, the len(code) bytes it will run from
+// in domain id, with the cfi_label at each offset of labels rewritten
+// to carry id (loader duty 2). labels are code's cfi_labels, as
+// isa.FindCFIMagic finds them.
+func PlaceCode(dst, code []byte, labels []int, id uint32) {
+	copy(dst, code)
+	for _, off := range labels {
+		binary.LittleEndian.PutUint32(dst[off+4:], id)
+	}
+}
+
+// EnterDomain points cpu at entry inside domain id, whose data region
+// is [dataBase, dataBase+dataSize), and initialises its MPX bounds
+// (loader duty 4): BND0 confines memory accesses to the data region and
+// BND1 makes cfi_guard an equality test on id's cfi_label.
+func EnterDomain(cpu *vm.CPU, id uint32, entry, dataBase, dataSize uint64) {
+	cpu.PC = entry
+	cpu.Bnd.Set(isa.BND0, mpx.Bound{Lower: dataBase, Upper: dataBase + dataSize - 1})
+	v := isa.CFILabelValue(id)
+	cpu.Bnd.Set(isa.BND1, mpx.Bound{Lower: v, Upper: v})
+}
 
 // SetupUserStack writes the auxiliary-vector block at the top of the data
 // region and initializes the CPU's SP, R10 and PC-independent state for a

@@ -5,61 +5,26 @@ import (
 	"testing"
 
 	"repro/internal/asm"
+	"repro/internal/baseline"
 	"repro/internal/isa"
 	"repro/internal/mem"
-	"repro/internal/mpx"
 	"repro/internal/oelf"
 	"repro/internal/vm"
 )
 
-// domain is a minimal test stand-in for a LibOS-managed MMDSFI domain.
-type domain struct {
-	cpu   *vm.CPU
-	dBase uint64
-	dSize uint64
-	sp    uint64
-	entry uint64
-	domID uint32
-}
+// testBase is where the tests' bare domains put their code.
+const testBase = 0x200000
 
-// loadDomain maps an image with the MMDSFI layout — code RWX, guard gap,
-// data+stack RW, trailing guard — programs BND0/BND1 and rewrites
-// cfi_label domain IDs, as the Occlum loader does.
-func loadDomain(t testing.TB, img *oelf.Image, extraData uint64) *domain {
+// bareCPU maps img as a bare MMDSFI domain (domain 0x42, code at
+// testBase) and returns the CPU the loader's functions entered into it.
+func bareCPU(t testing.TB, img *oelf.Image) *vm.CPU {
 	t.Helper()
-	const base = 0x200000
-	const domID = 0x42
-	dSize := (img.MinDataSize() + extraData + 8192 + mem.PageSize - 1) / mem.PageSize * mem.PageSize
-	total := img.DataStart() + dSize + uint64(img.GuardSize)
-	m := mem.NewPaged(base, total)
-
-	// Code pages: RWX, like the enclave page pools of SGX LibOSes (§7).
-	if err := m.Map(base, img.CodeSpan(), mem.PermRWX); err != nil {
+	dSize := (img.MinDataSize() + 8192 + mem.PageSize - 1) / mem.PageSize * mem.PageSize
+	c, err := baseline.BareDomain(img, 0x42, testBase, dSize)
+	if err != nil {
 		t.Fatal(err)
 	}
-	code := append([]byte(nil), img.Code...)
-	// Rewrite the domain ID into every cfi_label (loader behavior).
-	for _, off := range isa.FindCFIMagic(code) {
-		binary.LittleEndian.PutUint32(code[off+4:], domID)
-	}
-	if err := m.WriteDirect(base, code); err != nil {
-		t.Fatal(err)
-	}
-	dBase := base + img.DataStart()
-	if err := m.Map(dBase, dSize, mem.PermRW); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.WriteDirect(dBase, img.Data); err != nil {
-		t.Fatal(err)
-	}
-
-	c := vm.New(m)
-	c.PC = base + uint64(img.Entry)
-	c.Regs[isa.SP] = dBase + dSize
-	c.Bnd.Set(isa.BND0, mpx.Bound{Lower: dBase, Upper: dBase + dSize - 1})
-	v := isa.CFILabelValue(domID)
-	c.Bnd.Set(isa.BND1, mpx.Bound{Lower: v, Upper: v})
-	return &domain{cpu: c, dBase: dBase, dSize: dSize, sp: dBase + dSize, entry: c.PC, domID: domID}
+	return c
 }
 
 func buildProgram(t testing.TB, f func(b *asm.Builder)) *asm.Program {
@@ -122,13 +87,13 @@ func TestInstrumentedSemanticsPreserved(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			img := instrumentAndLink(t, sumProgram(t, n), tc.opts)
-			d := loadDomain(t, img, 0)
-			st := d.cpu.Run(0)
+			c := bareCPU(t, img)
+			st := c.Run(0)
 			if st.Reason != vm.StopTrap {
 				t.Fatalf("stop = %v", st)
 			}
-			if d.cpu.Regs[isa.R0] != want {
-				t.Fatalf("sum = %d, want %d", d.cpu.Regs[isa.R0], want)
+			if c.Regs[isa.R0] != want {
+				t.Fatalf("sum = %d, want %d", c.Regs[isa.R0], want)
 			}
 		})
 	}
@@ -155,11 +120,11 @@ func TestOptimizationReducesCycles(t *testing.T) {
 	p := sumProgram(t, 200)
 	run := func(opts Options) uint64 {
 		img := instrumentAndLink(t, p, opts)
-		d := loadDomain(t, img, 0)
-		if st := d.cpu.Run(0); st.Reason != vm.StopTrap {
+		c := bareCPU(t, img)
+		if st := c.Run(0); st.Reason != vm.StopTrap {
 			t.Fatalf("stop = %v", st)
 		}
-		return d.cpu.Cycles
+		return c.Cycles
 	}
 	base := run(Options{})
 	naive := run(Options{ConfineControl: true, ConfineLoads: true, ConfineStores: true})
@@ -189,14 +154,14 @@ func TestGuardsBlockEscapingStore(t *testing.T) {
 		b.Zero("buf", 64)
 		b.Entry("_start")
 		b.LeaData(isa.R1, "buf")
-		b.MovRI(isa.R2, 0x200000) // absolute address outside D
+		b.MovRI(isa.R2, testBase) // absolute address outside D
 		b.MovRI(isa.R3, 0xBAD)
 		b.Store(isa.Mem(isa.R2, 0), isa.R3)
 		b.Trap()
 	})
 	img := instrumentAndLink(t, p, DefaultOptions())
-	d := loadDomain(t, img, 0)
-	st := d.cpu.Run(0)
+	c := bareCPU(t, img)
+	st := c.Run(0)
 	if st.Reason != vm.StopException || st.Exc != vm.ExcBound {
 		t.Fatalf("stop = %v, want #BR", st)
 	}
@@ -215,15 +180,15 @@ func TestGuardsAllowNearMiss(t *testing.T) {
 		b.Trap()
 	})
 	img := instrumentAndLink(t, p, DefaultOptions())
-	d := loadDomain(t, img, 0)
-	if st := d.cpu.Run(0); st.Reason != vm.StopTrap {
+	c := bareCPU(t, img)
+	if st := c.Run(0); st.Reason != vm.StopTrap {
 		t.Fatalf("stop = %v", st)
 	}
 	// Point r1 at the last byte of D: the next 8-byte guarded load has
 	// its address in-bounds (bndcl/bndcu pass on the address) but the
 	// access spills into the guard region → #PF, not #BR.
-	d.cpu.Regs[isa.R1] = d.dBase + d.dSize - 1
-	st := d.cpu.Run(0)
+	c.Regs[isa.R1] = c.Bnd.Get(isa.BND0).Upper
+	st := c.Run(0)
 	if st.Reason != vm.StopException || st.Exc != vm.ExcPage || !st.Fault.Unmapped {
 		t.Fatalf("stop = %v, want guard-region #PF", st)
 	}
@@ -254,12 +219,12 @@ func TestRetRewriting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := loadDomain(t, img, 0)
-	if st := d.cpu.Run(0); st.Reason != vm.StopTrap {
+	c := bareCPU(t, img)
+	if st := c.Run(0); st.Reason != vm.StopTrap {
 		t.Fatalf("stop = %v", st)
 	}
-	if d.cpu.Regs[isa.R5] != 40 {
-		t.Fatalf("result = %d, want 40", d.cpu.Regs[isa.R5])
+	if c.Regs[isa.R5] != 40 {
+		t.Fatalf("result = %d, want 40", c.Regs[isa.R5])
 	}
 }
 
@@ -268,12 +233,12 @@ func TestCFIGuardBlocksWildJump(t *testing.T) {
 	// must raise #BR in the cfi_guard.
 	p := buildProgram(t, func(b *asm.Builder) {
 		b.Entry("_start")
-		b.MovRI(isa.R1, 0x200000+3) // somewhere in code, not a label
+		b.MovRI(isa.R1, testBase+3) // somewhere in code, not a label
 		b.JmpR(isa.R1)
 	})
 	img := instrumentAndLink(t, p, DefaultOptions())
-	d := loadDomain(t, img, 0)
-	st := d.cpu.Run(0)
+	c := bareCPU(t, img)
+	st := c.Run(0)
 	if st.Reason != vm.StopException || st.Exc != vm.ExcBound {
 		t.Fatalf("stop = %v, want #BR from cfi_guard", st)
 	}
@@ -293,8 +258,8 @@ func TestCFIGuardWrongDomainID(t *testing.T) {
 		b.JmpR(isa.R1)
 	})
 	img := instrumentAndLink(t, p, DefaultOptions())
-	d := loadDomain(t, img, 0)
-	st := d.cpu.Run(0)
+	c := bareCPU(t, img)
+	st := c.Run(0)
 	if st.Reason != vm.StopException || st.Exc != vm.ExcBound {
 		t.Fatalf("stop = %v, want #BR", st)
 	}
@@ -314,8 +279,8 @@ func TestCFIGuardCorrectLabelInDataIsNXBlocked(t *testing.T) {
 		b.JmpR(isa.R1)
 	})
 	img := instrumentAndLink(t, p, DefaultOptions())
-	d := loadDomain(t, img, 0)
-	st := d.cpu.Run(0)
+	c := bareCPU(t, img)
+	st := c.Run(0)
 	if st.Reason != vm.StopException || st.Exc != vm.ExcPage || st.Fault.Access != mem.AccessExec {
 		t.Fatalf("stop = %v, want exec #PF", st)
 	}
@@ -351,11 +316,11 @@ func TestIndirectCallThroughFunctionPointerWorks(t *testing.T) {
 	// instead: run until the first trap, then scan code for the second
 	// cfi_label (fn's) and set r6.
 	img := instrumentAndLink(t, p, DefaultOptions())
-	d := loadDomain(t, img, 0)
+	c := bareCPU(t, img)
 
 	// Find fn's cfi_label: it is the one immediately preceding
 	// "movri r0, 77". Scan decoded code for that movri.
-	code, err := d.cpu.Mem.ReadDirect(0x200000, len(img.Code))
+	code, err := c.Mem.ReadDirect(testBase, len(img.Code))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,7 +328,7 @@ func TestIndirectCallThroughFunctionPointerWorks(t *testing.T) {
 	for _, off := range isa.FindCFIMagic(code) {
 		in, _, derr := isa.Decode(code, off+isa.CFILabelLen)
 		if derr == nil && in.Op == isa.OpMovRI && in.Imm == 77 {
-			fnAddr = 0x200000 + uint64(off)
+			fnAddr = testBase + uint64(off)
 		}
 	}
 	if fnAddr == 0 {
@@ -383,19 +348,19 @@ func TestIndirectCallThroughFunctionPointerWorks(t *testing.T) {
 		if in.Op == isa.OpMovRI && in.R1 == isa.R6 {
 			var imm [8]byte
 			binary.LittleEndian.PutUint64(imm[:], fnAddr)
-			if err := d.cpu.Mem.WriteDirect(0x200000+uint64(off)+2, imm[:]); err != nil {
+			if err := c.Mem.WriteDirect(testBase+uint64(off)+2, imm[:]); err != nil {
 				t.Fatal(err)
 			}
 			break
 		}
 		off += n
 	}
-	st := d.cpu.Run(0)
+	st := c.Run(0)
 	if st.Reason != vm.StopTrap {
 		t.Fatalf("stop = %v", st)
 	}
-	if d.cpu.Regs[isa.R0] != 77 {
-		t.Fatalf("r0 = %d, want 77", d.cpu.Regs[isa.R0])
+	if c.Regs[isa.R0] != 77 {
+		t.Fatalf("r0 = %d, want 77", c.Regs[isa.R0])
 	}
 }
 

@@ -26,6 +26,7 @@ import (
 	"fmt"
 
 	"repro/internal/asm"
+	"repro/internal/baseline"
 	"repro/internal/isa"
 	"repro/internal/mem"
 	"repro/internal/mmdsfi"
@@ -136,6 +137,9 @@ const canaryValue = 0x0DD0C0DE
 
 const abortStatus = 0xAB
 
+// domID is the attacked program's MMDSFI domain.
+const domID = 7
+
 // buildVulnerable builds the victim program for an attack: a main that
 // calls a vulnerable function which copies the payload over its stack
 // frame without bounds checking, then (funcptr technique) calls through a
@@ -245,49 +249,25 @@ func Run(a Attack, env Env) (Outcome, error) {
 		return Outcome{}, err
 	}
 
-	// Load into a bare domain reproducing each environment's memory
+	// Load into a bare domain, then reproduce each environment's memory
 	// policy.
-	const base = 0x300000
-	const domID = 7
-	dSize := uint64(1 << 20)
-	m := mem.NewPaged(base, img.DataStart()+dSize+uint64(img.GuardSize))
-	if err := m.Map(base, img.CodeSpan(), mem.PermRWX); err != nil {
+	const base, dSize = 0x300000, 1 << 20
+	cpu, err := baseline.BareDomain(img, domID, base, dSize)
+	if err != nil {
 		return Outcome{}, err
 	}
-	code := append([]byte(nil), img.Code...)
-	for _, off := range isa.FindCFIMagic(code) {
-		binary.LittleEndian.PutUint32(code[off+4:], domID)
-	}
-	if err := m.WriteDirect(base, code); err != nil {
-		return Outcome{}, err
-	}
-	dBase := base + img.DataStart()
-	dataPerm := mem.PermRW
+	m, dBase := cpu.Mem, base+img.DataStart()
 	if env == EnvGraphene {
-		// The RWX enclave page pool of §7: data is executable.
-		dataPerm = mem.PermRWX
-	}
-	if err := m.Map(dBase, dSize, dataPerm); err != nil {
-		return Outcome{}, err
-	}
-	if err := m.WriteDirect(dBase, img.Data); err != nil {
-		return Outcome{}, err
-	}
-
-	cpu := vm.New(m)
-	cpu.PC = base + uint64(img.Entry)
-	stackTop := dBase + dSize
-	cpu.Regs[isa.SP] = stackTop
-	if env == EnvOcclum {
-		cpu.Bnd.Set(isa.BND0, mpx.Bound{Lower: dBase, Upper: dBase + dSize - 1})
-		v := isa.CFILabelValue(domID)
-		cpu.Bnd.Set(isa.BND1, mpx.Bound{Lower: v, Upper: v})
-	} else {
-		// No MPX programming: bounds stay permissive enough that the
-		// (absent) instrumentation never fires.
+		// The RWX enclave page pool of §7: data is executable. No MPX
+		// programming: bounds stay permissive enough that the (absent)
+		// instrumentation never fires.
+		if err := m.Map(dBase, dSize, mem.PermRWX); err != nil {
+			return Outcome{}, err
+		}
 		cpu.Bnd.Set(isa.BND0, mpx.Bound{Lower: 0, Upper: ^uint64(0)})
 		cpu.Bnd.Set(isa.BND1, mpx.Bound{Lower: 0, Upper: ^uint64(0)})
 	}
+	stackTop := dBase + dSize
 
 	// The attacker knows the layout (no ASLR, as in RIPE): compute the
 	// frame addresses and patch the payload and plen in the data
@@ -356,7 +336,7 @@ func buildPayload(a Attack, img *oelf.Image, codeBase, bufAddr uint64) ([]byte, 
 			// Forge this domain's cfi_label so the value check of
 			// cfi_guard passes; only NX can stop it then.
 			var err error
-			sc, err = isa.Encode(sc, isa.Inst{Op: isa.OpCFILabel, DomainID: 7})
+			sc, err = isa.Encode(sc, isa.Inst{Op: isa.OpCFILabel, DomainID: domID})
 			if err != nil {
 				return nil, err
 			}

@@ -16,11 +16,11 @@ import (
 	"testing"
 
 	"repro/internal/asm"
+	"repro/internal/baseline"
 	"repro/internal/isa"
 	"repro/internal/libos"
 	"repro/internal/mem"
 	"repro/internal/mmdsfi"
-	"repro/internal/mpx"
 	"repro/internal/oelf"
 	"repro/internal/verifier"
 	"repro/internal/verifier/analysis"
@@ -81,29 +81,12 @@ func loadSIP(t *testing.T, name string, p *asm.Program) *sipRun {
 	r.dBase = r.codeBase + img.DataStart()
 	dSize := (img.MinDataSize() + soundStack + 2*mem.PageSize - 1) / mem.PageSize * mem.PageSize
 	r.dEnd = r.dBase + dSize
-	m := mem.NewPaged(soundBase, r.dEnd+uint64(img.GuardSize)-soundBase)
-	must := func(err error) {
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
+	if r.cpu, err = baseline.BareDomain(img, soundDomID, r.codeBase, dSize); err != nil {
+		t.Fatalf("%s: %v", name, err)
 	}
-	must(m.Map(soundBase, mem.PageSize+img.CodeSpan(), mem.PermRWX))
-	must(m.WriteDirect(soundBase, libos.EncodeTrampoline(soundDomID)))
-	c := append([]byte(nil), img.Code...)
-	for _, off := range isa.FindCFIMagic(c) {
-		binary.LittleEndian.PutUint32(c[off+4:], soundDomID)
+	if _, _, err = libos.SetupUserStack(r.cpu.Mem, r.cpu, soundBase, r.dBase, dSize, soundStack, img.MinDataSize(), "/bin/"+name, nil); err != nil {
+		t.Fatalf("%s: %v", name, err)
 	}
-	must(m.WriteDirect(r.codeBase, c))
-	must(m.Map(r.dBase, dSize, mem.PermRW))
-	must(m.WriteDirect(r.dBase, img.Data))
-
-	r.cpu = vm.New(m)
-	_, _, err = libos.SetupUserStack(m, r.cpu, soundBase, r.dBase, dSize, soundStack, img.MinDataSize(), "/bin/"+name, nil)
-	must(err)
-	r.cpu.PC = r.codeBase + uint64(img.Entry)
-	r.cpu.Bnd.Set(isa.BND0, mpx.Bound{Lower: r.dBase, Upper: r.dEnd - 1})
-	v := isa.CFILabelValue(soundDomID)
-	r.cpu.Bnd.Set(isa.BND1, mpx.Bound{Lower: v, Upper: v})
 	r.sys = func(*sipRun) bool { return false }
 	return r
 }

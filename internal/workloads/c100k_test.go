@@ -71,24 +71,12 @@ func TestC100KHeldOpen(t *testing.T) {
 				mu.Unlock()
 				return
 			}
-			buf := make([]byte, 4096)
-			if _, err := conn.Write([]byte("GET / HTTP/1.0\r\n\r\n")); err != nil {
+			if getPage(conn, make([]byte, 4096)) < ResponseSize {
 				mu.Lock()
 				requestFailed++
 				mu.Unlock()
 				conn.Close()
 				return
-			}
-			for got := 0; got < ResponseSize; {
-				n, err := conn.Read(buf)
-				got += n
-				if err != nil {
-					mu.Lock()
-					requestFailed++
-					mu.Unlock()
-					conn.Close()
-					return
-				}
 			}
 			cs[i] = conn
 		}(i)

@@ -2,7 +2,7 @@ package workloads
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -44,17 +44,30 @@ func BuildHTTPWorker() (*asm.Program, error) {
 	b.String("hdr", ResponseHeader)
 	b.Bytes("page", page)
 	b.Zero("iov", 32)
+	return buildAcceptLoop(b, func() {
+		// The response iovec never changes: {header, page}. Fill it once.
+		ulib.IovSetSym(b, "iov", 0, "hdr", int64(len(ResponseHeader)))
+		ulib.IovSetSym(b, "iov", 1, "page", PageSize10K)
+	}, func() {
+		// writev(cfd, {header, page}): one gather syscall per response.
+		ulib.Writev(b, isa.R6, "iov", 2)
+	})
+}
+
+// buildAcceptLoop finishes a thread-per-connection worker over b, which
+// holds the worker's own data: after setup it accepts a connection on
+// the inherited listener into R6, reads the request, answers it with
+// respond and closes it, until a QuitRequest or a failed accept (the
+// listener is gone). setup may jump to "done" to exit at once.
+func buildAcceptLoop(b *asm.Builder, setup, respond func()) (*asm.Program, error) {
 	b.Zero("req", 128)
 	b.Entry("_start")
 	ulib.Prologue(b)
-	// The response iovec never changes: {header, page}. Fill it once.
-	ulib.IovSetSym(b, "iov", 0, "hdr", int64(len(ResponseHeader)))
-	ulib.IovSetSym(b, "iov", 1, "page", PageSize10K)
+	setup()
 	b.Label("serve")
 	// cfd = accept(ListenFD); a failed accept means the listener is
 	// gone — stop serving.
-	b.MovRI(isa.R1, ListenFD)
-	ulib.Syscall(b, libos.SysAccept)
+	ulib.Accept(b, ListenFD)
 	b.MovRR(isa.R6, isa.R0)
 	b.CmpI(isa.R6, 0)
 	b.Jl("done")
@@ -68,8 +81,7 @@ func BuildHTTPWorker() (*asm.Program, error) {
 	b.LoadB(isa.R7, isa.Mem(isa.R8, 0))
 	b.CmpI(isa.R7, int32(QuitRequest[0]))
 	b.Je("quit")
-	// writev(cfd, {header, page}): one gather syscall per response.
-	ulib.Writev(b, isa.R6, "iov", 2)
+	respond()
 	ulib.Close(b, isa.R6)
 	b.Jmp("serve")
 	b.Label("quit")
@@ -81,26 +93,29 @@ func BuildHTTPWorker() (*asm.Program, error) {
 	return b.Finish()
 }
 
-// BuildHTTPMaster builds the lighttpd master: it binds the listening
-// socket, spawns the worker processes (which inherit the socket, as the
-// paper's configuration does), and waits for them.
-func BuildHTTPMaster(port uint16, workerPath string, workers int) (*asm.Program, error) {
+// buildHTTPMaster builds the lighttpd master: it binds the listening
+// socket with the default backlog, spawns the worker processes (which
+// inherit the socket, as the paper's configuration does), and waits for
+// them. A nonblocking master makes the listener's open file description
+// nonblocking first, for the event-driven workers: they inherit the
+// description, so one fcntl covers the whole accept herd.
+func buildHTTPMaster(port uint16, workerPath string, workers int, nonblocking bool) (*asm.Program, error) {
 	b := asm.NewBuilder()
 	b.String("wpath", workerPath)
 	b.Entry("_start")
 	ulib.Prologue(b)
-	// sfd = socket(); bind(sfd, port); listen(sfd); dup2(sfd, ListenFD)
-	ulib.Syscall(b, libos.SysSocket)
+	// sfd = socket(); bind; listen; dup2(sfd, ListenFD); close(sfd)
+	ulib.Socket(b)
 	b.MovRR(isa.R6, isa.R0)
-	b.MovRR(isa.R1, isa.R6)
-	b.MovRI(isa.R2, int64(port))
-	ulib.Syscall(b, libos.SysBind)
-	b.MovRR(isa.R1, isa.R6)
-	ulib.Syscall(b, libos.SysListen)
+	ulib.Bind(b, isa.R6, int64(port))
+	ulib.ListenSock(b, isa.R6)
 	b.MovRR(isa.R1, isa.R6)
 	b.MovRI(isa.R2, ListenFD)
 	ulib.Syscall(b, libos.SysDup2)
 	ulib.Close(b, isa.R6)
+	if nonblocking {
+		ulib.Fcntl(b, ListenFD, libos.FSetFl, libos.ONonblock)
+	}
 	for i := 0; i < workers; i++ {
 		ulib.SpawnPath(b, "wpath", int64(len(workerPath)), "", 0)
 		b.Push(isa.R0)
@@ -228,39 +243,6 @@ func BuildEventHTTPWorker(port uint16) (*asm.Program, error) {
 	return b.Finish()
 }
 
-// BuildEventHTTPMaster builds the event-driven server's master: bind,
-// listen, make the listener description nonblocking (workers inherit the
-// description, so one fcntl covers the whole accept herd), spawn the
-// workers, reap them.
-func BuildEventHTTPMaster(port uint16, workerPath string, workers int) (*asm.Program, error) {
-	b := asm.NewBuilder()
-	b.String("wpath", workerPath)
-	b.Entry("_start")
-	ulib.Prologue(b)
-	// sfd = socket(); bind; listen; dup2(sfd, ListenFD); close(sfd)
-	ulib.Socket(b)
-	b.MovRR(isa.R6, isa.R0)
-	ulib.Bind(b, isa.R6, int64(port))
-	ulib.ListenSock(b, isa.R6)
-	b.MovRR(isa.R1, isa.R6)
-	b.MovRI(isa.R2, ListenFD)
-	ulib.Syscall(b, libos.SysDup2)
-	ulib.Close(b, isa.R6)
-	// The nonblocking acceptor: O_NONBLOCK is a property of the shared
-	// open file description, so setting it here covers every worker.
-	ulib.Fcntl(b, ListenFD, libos.FSetFl, libos.ONonblock)
-	for i := 0; i < workers; i++ {
-		ulib.SpawnPath(b, "wpath", int64(len(workerPath)), "", 0)
-		b.Push(isa.R0)
-	}
-	for i := 0; i < workers; i++ {
-		b.Pop(isa.R6)
-		ulib.Wait4(b, isa.R6)
-	}
-	ulib.Exit(b, 0)
-	return b.Finish()
-}
-
 // BuildFileHTTPWorker builds a static-file worker: it serves the file
 // at path (size bytes) by sending the header with writev and pumping
 // the body straight from the filesystem with sendfile. When the file
@@ -274,44 +256,19 @@ func BuildFileHTTPWorker(path string, size int) (*asm.Program, error) {
 	b.String("path", path)
 	b.String("hdr", hdr)
 	b.Zero("iov", 16)
-	b.Zero("req", 128)
-	b.Entry("_start")
-	ulib.Prologue(b)
-	// The file is opened once; sendfile's pread-style offset argument
-	// means no seek is ever needed between requests.
-	ulib.OpenPath(b, "path", int64(len(path)), libos.ORdOnly)
-	b.MovRR(isa.R10, isa.R0)
-	b.CmpI(isa.R10, 0)
-	b.Jl("done")
-	ulib.IovSetSym(b, "iov", 0, "hdr", int64(len(hdr)))
-	b.Label("serve")
-	b.MovRI(isa.R1, ListenFD)
-	ulib.Syscall(b, libos.SysAccept)
-	b.MovRR(isa.R6, isa.R0)
-	b.CmpI(isa.R6, 0)
-	b.Jl("done")
-	// read(cfd, req, 128)
-	b.MovRR(isa.R1, isa.R6)
-	b.LeaData(isa.R2, "req")
-	b.MovRI(isa.R3, 128)
-	ulib.Syscall(b, libos.SysRead)
-	// A 'Q' request is the stop order.
-	b.LeaData(isa.R8, "req")
-	b.LoadB(isa.R7, isa.Mem(isa.R8, 0))
-	b.CmpI(isa.R7, int32(QuitRequest[0]))
-	b.Je("quit")
-	// Header by gather write, body straight from the page cache.
-	ulib.Writev(b, isa.R6, "iov", 1)
-	ulib.Sendfile(b, isa.R6, isa.R10, 0, int64(size))
-	ulib.Close(b, isa.R6)
-	b.Jmp("serve")
-	b.Label("quit")
-	b.Nop()
-	ulib.Close(b, isa.R6)
-	b.Label("done")
-	b.Nop()
-	ulib.Exit(b, 0)
-	return b.Finish()
+	return buildAcceptLoop(b, func() {
+		// The file is opened once; sendfile's pread-style offset
+		// argument means no seek is ever needed between requests.
+		ulib.OpenPath(b, "path", int64(len(path)), libos.ORdOnly)
+		b.MovRR(isa.R10, isa.R0)
+		b.CmpI(isa.R10, 0)
+		b.Jl("done")
+		ulib.IovSetSym(b, "iov", 0, "hdr", int64(len(hdr)))
+	}, func() {
+		// Header by gather write, body straight from the page cache.
+		ulib.Writev(b, isa.R6, "iov", 1)
+		ulib.Sendfile(b, isa.R6, isa.R10, 0, int64(size))
+	})
 }
 
 // InstallFileHTTPD installs the static-file server (shared master +
@@ -319,20 +276,7 @@ func BuildFileHTTPWorker(path string, size int) (*asm.Program, error) {
 // path.
 func InstallFileHTTPD(k Kernel, port uint16, workers int, filePath string, size int) (string, error) {
 	w, err := BuildFileHTTPWorker(filePath, size)
-	if err != nil {
-		return "", err
-	}
-	if err := k.InstallProgram("/bin/fhttpd-worker", w); err != nil {
-		return "", err
-	}
-	m, err := BuildHTTPMaster(port, "/bin/fhttpd-worker", workers)
-	if err != nil {
-		return "", err
-	}
-	if err := k.InstallProgram("/bin/fhttpd", m); err != nil {
-		return "", err
-	}
-	return "/bin/fhttpd", nil
+	return installHTTPD(k, "fhttpd", w, err, port, workers, false)
 }
 
 // HTTPBenchResult reports a load-generation run.
@@ -356,20 +300,7 @@ func (r HTTPBenchResult) Throughput() float64 {
 // path. The server runs until StopHTTPD; there is no request quota.
 func InstallHTTPD(k Kernel, port uint16, workers int) (string, error) {
 	w, err := BuildHTTPWorker()
-	if err != nil {
-		return "", err
-	}
-	if err := k.InstallProgram("/bin/httpd-worker", w); err != nil {
-		return "", err
-	}
-	m, err := BuildHTTPMaster(port, "/bin/httpd-worker", workers)
-	if err != nil {
-		return "", err
-	}
-	if err := k.InstallProgram("/bin/httpd", m); err != nil {
-		return "", err
-	}
-	return "/bin/httpd", nil
+	return installHTTPD(k, "httpd", w, err, port, workers, false)
 }
 
 // InstallEventHTTPD installs the event-driven (epoll) master and worker
@@ -378,20 +309,28 @@ func InstallHTTPD(k Kernel, port uint16, workers int) (string, error) {
 // portable baseline that runs on all three kernels.
 func InstallEventHTTPD(k Kernel, port uint16, workers int) (string, error) {
 	w, err := BuildEventHTTPWorker(port)
+	return installHTTPD(k, "ehttpd", w, err, port, workers, true)
+}
+
+// installHTTPD installs worker, the program its builder returned with
+// buildErr, as /bin/<name>-worker and a master over it as /bin/<name>,
+// returning the master's path.
+func installHTTPD(k Kernel, name string, worker *asm.Program, buildErr error, port uint16, workers int, nonblocking bool) (string, error) {
+	if buildErr != nil {
+		return "", buildErr
+	}
+	master, wpath := "/bin/"+name, "/bin/"+name+"-worker"
+	if err := k.InstallProgram(wpath, worker); err != nil {
+		return "", err
+	}
+	m, err := buildHTTPMaster(port, wpath, workers, nonblocking)
 	if err != nil {
 		return "", err
 	}
-	if err := k.InstallProgram("/bin/ehttpd-worker", w); err != nil {
+	if err := k.InstallProgram(master, m); err != nil {
 		return "", err
 	}
-	m, err := BuildEventHTTPMaster(port, "/bin/ehttpd-worker", workers)
-	if err != nil {
-		return "", err
-	}
-	if err := k.InstallProgram("/bin/ehttpd", m); err != nil {
-		return "", err
-	}
-	return "/bin/ehttpd", nil
+	return master, nil
 }
 
 // StopHTTPD shuts a running HTTPD down in-band: it sends one QuitRequest
@@ -436,23 +375,9 @@ func RunHTTPBench(k Kernel, port uint16, concurrency, totalRequests int) HTTPBen
 					failed.Add(1)
 					continue
 				}
-				if _, err := conn.Write([]byte("GET / HTTP/1.0\r\n\r\n")); err != nil {
-					failed.Add(1)
-					conn.Close()
-					continue
-				}
-				got := 0
-				for got < ResponseSize {
-					n, err := conn.Read(buf)
-					if n > 0 {
-						got += n
-						nbytes.Add(int64(n))
-					}
-					if err != nil {
-						break
-					}
-				}
-				if got < ResponseSize {
+				n := getPage(conn, buf)
+				nbytes.Add(int64(n))
+				if n < ResponseSize {
 					failed.Add(1)
 				}
 				conn.Close()
@@ -544,18 +469,9 @@ func runC10K(k Kernel, port uint16, conns, rounds, churnStride int) C10KResult {
 			if err != nil {
 				return
 			}
-			buf := make([]byte, 4096)
-			if _, err := conn.Write([]byte("GET / HTTP/1.0\r\n\r\n")); err != nil {
+			if getPage(conn, make([]byte, 4096)) < ResponseSize {
 				conn.Close()
 				return
-			}
-			for got := 0; got < ResponseSize; {
-				n, err := conn.Read(buf)
-				got += n
-				if err != nil {
-					conn.Close()
-					return
-				}
 			}
 			cs[i] = conn
 		}(i)
@@ -588,24 +504,9 @@ func runC10K(k Kernel, port uint16, conns, rounds, churnStride int) C10KResult {
 					}
 				}
 				t0 := k.Host().Now()
-				if _, err := conn.Write([]byte("GET / HTTP/1.0\r\n\r\n")); err != nil {
-					failed.Add(1)
-					conn.Close()
-					conn = nil
-					return
-				}
-				got := 0
-				for got < ResponseSize {
-					n, err := conn.Read(buf)
-					if n > 0 {
-						got += n
-						nbytes.Add(int64(n))
-					}
-					if err != nil {
-						break
-					}
-				}
-				if got < ResponseSize {
+				n := getPage(conn, buf)
+				nbytes.Add(int64(n))
+				if n < ResponseSize {
 					failed.Add(1)
 					conn.Close()
 					conn = nil
@@ -637,22 +538,15 @@ func runC10K(k Kernel, port uint16, conns, rounds, churnStride int) C10KResult {
 	wg.Wait()
 	elapsed := k.Host().Now().Sub(start)
 
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	pct := func(p float64) time.Duration {
-		if len(lats) == 0 {
-			return 0
-		}
-		i := int(p * float64(len(lats)-1))
-		return lats[i]
-	}
+	p50, p99 := percentiles(lats)
 	return C10KResult{
 		Conns:    conns,
 		Requests: conns * rounds,
 		Failed:   int(failed.Load()),
 		Elapsed:  elapsed,
 		Bytes:    nbytes.Load(),
-		P50:      pct(0.50),
-		P99:      pct(0.99),
+		P50:      p50,
+		P99:      p99,
 		Churns:   int(churns.Load()),
 	}
 }
@@ -667,4 +561,36 @@ func dialRetry(k Kernel, port uint16, attempts int) (*hostos.Conn, error) {
 		}
 		k.Host().Sleep(time.Millisecond)
 	}
+}
+
+// getRequest is the request every load generator sends.
+const getRequest = "GET / HTTP/1.0\r\n\r\n"
+
+// getPage sends one GET on conn and reads the reply through buf,
+// returning the bytes read: ResponseSize when the exchange completed,
+// fewer when the write or a read failed.
+func getPage(conn *hostos.Conn, buf []byte) int {
+	if _, err := conn.Write([]byte(getRequest)); err != nil {
+		return 0
+	}
+	got := 0
+	for got < ResponseSize {
+		n, err := conn.Read(buf)
+		got += n
+		if err != nil {
+			break
+		}
+	}
+	return got
+}
+
+// percentiles sorts lats and returns their 50th and 99th percentiles,
+// or zeros when there are none.
+func percentiles(lats []time.Duration) (p50, p99 time.Duration) {
+	if len(lats) == 0 {
+		return 0, 0
+	}
+	slices.Sort(lats)
+	at := func(p float64) time.Duration { return lats[int(p*float64(len(lats)-1))] }
+	return at(0.50), at(0.99)
 }

@@ -1,7 +1,6 @@
 package workloads
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -75,7 +74,7 @@ func RunSlowloris(k Kernel, port uint16, spec SlowlorisSpec) SlowlorisResult {
 		attackers = make([]*hostos.Conn, spec.Attackers)
 		amu       sync.Mutex // guards attackers slice slots
 	)
-	partial := []byte("GET / HTTP/1.0\r\n\r\n")[:min(spec.PartialBytes, 18)]
+	partial := []byte(getRequest[:min(spec.PartialBytes, len(getRequest))])
 
 	// Attackers: dial (with retry — shed connections die after accept,
 	// so the dial itself usually succeeds), send the partial request,
@@ -165,20 +164,7 @@ func RunSlowloris(k Kernel, port uint16, spec SlowlorisSpec) SlowlorisResult {
 						}
 					}
 					t0 := k.Host().Now()
-					if _, err := conn.Write([]byte("GET / HTTP/1.0\r\n\r\n")); err != nil {
-						conn.Close()
-						conn = nil
-						continue
-					}
-					got := 0
-					for got < ResponseSize {
-						n, err := conn.Read(buf)
-						got += n
-						if err != nil {
-							break
-						}
-					}
-					if got < ResponseSize {
+					if getPage(conn, buf) < ResponseSize {
 						conn.Close()
 						conn = nil
 						continue
@@ -224,11 +210,7 @@ func RunSlowloris(k Kernel, port uint16, spec SlowlorisSpec) SlowlorisResult {
 	res.LegitRequests = spec.Legit * spec.LegitRounds
 	res.LegitFailed = int(failed.Load())
 	res.LegitRetries = int(retries.Load())
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	if len(lats) > 0 {
-		res.LegitP50 = lats[int(0.50*float64(len(lats)-1))]
-		res.LegitP99 = lats[int(0.99*float64(len(lats)-1))]
-	}
+	res.LegitP50, res.LegitP99 = percentiles(lats)
 	res.Net = libos.NetStats().Sub(net0)
 	return res
 }

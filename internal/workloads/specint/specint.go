@@ -15,10 +15,10 @@ import (
 	"fmt"
 
 	"repro/internal/asm"
+	"repro/internal/baseline"
 	"repro/internal/isa"
 	"repro/internal/mem"
 	"repro/internal/mmdsfi"
-	"repro/internal/mpx"
 	"repro/internal/oelf"
 	"repro/internal/vm"
 )
@@ -171,34 +171,11 @@ func Build(r Recipe, iters int) (*asm.Program, error) {
 // the retired instruction count. Instrumented and plain images run on the
 // identical layout, so cycle ratios are directly comparable.
 func Run(img *oelf.Image) (uint64, error) {
-	const base = 0x100000
-	const domID = 1
 	dSize := (img.MinDataSize() + 64<<10 + mem.PageSize - 1) / mem.PageSize * mem.PageSize
-	m := mem.NewPaged(base, img.DataStart()+dSize+uint64(img.GuardSize))
-	if err := m.Map(base, img.CodeSpan(), mem.PermRWX); err != nil {
+	c, err := baseline.BareDomain(img, 1, 0x100000, dSize)
+	if err != nil {
 		return 0, err
 	}
-	code := append([]byte(nil), img.Code...)
-	for _, off := range isa.FindCFIMagic(code) {
-		binary.LittleEndian.PutUint32(code[off+4:], domID)
-	}
-	if err := m.WriteDirect(base, code); err != nil {
-		return 0, err
-	}
-	dBase := base + img.DataStart()
-	if err := m.Map(dBase, dSize, mem.PermRW); err != nil {
-		return 0, err
-	}
-	if err := m.WriteDirect(dBase, img.Data); err != nil {
-		return 0, err
-	}
-	c := vm.New(m)
-	c.PC = base + uint64(img.Entry)
-	c.Regs[isa.SP] = dBase + dSize
-	c.Bnd.Set(isa.BND0, mpx.Bound{Lower: dBase, Upper: dBase + dSize - 1})
-	v := isa.CFILabelValue(domID)
-	c.Bnd.Set(isa.BND1, mpx.Bound{Lower: v, Upper: v})
-
 	st := c.Run(0)
 	if st.Reason != vm.StopTrap {
 		return 0, fmt.Errorf("specint: kernel stopped with %v", st)

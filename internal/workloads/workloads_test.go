@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"testing"
+
+	"repro/internal/hostos"
 )
 
 // testKernels builds all three systems with test-sized parameters.
@@ -117,6 +119,60 @@ func TestHTTPDAllSystems(t *testing.T) {
 				t.Fatalf("bytes = %d, want %d", res.Bytes, requests*ResponseSize)
 			}
 			t.Logf("%s: %.0f req/s", k.Name(), res.Throughput())
+		})
+	}
+}
+
+// TestHTTPDListenBacklog: the master listens with the default backlog
+// (bind's port, left in R2, is no backlog request). With both workers
+// held on idle connections, BacklogDefault more dials queue and the
+// next is refused, on every kernel.
+func TestHTTPDListenBacklog(t *testing.T) {
+	const (
+		port    = 8081
+		workers = 2
+	)
+	for _, k := range testKernels(t) {
+		t.Run(k.Name(), func(t *testing.T) {
+			master, err := InstallHTTPD(k, port, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := k.Spawn(master, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Each worker accepts one connection and blocks reading it;
+			// a dial refused before the workers took theirs is retried.
+			var held []*hostos.Conn
+			for i := 0; i < workers+hostos.BacklogDefault; i++ {
+				conn, err := dialRetry(k, port, 10000)
+				if err != nil {
+					t.Fatalf("dial %d: %v", i, err)
+				}
+				held = append(held, conn)
+			}
+			if conn, err := k.Host().Dial(port); err == nil {
+				conn.Close()
+				t.Errorf("dial %d past the held workers was queued, want refused by a backlog of %d",
+					hostos.BacklogDefault+1, hostos.BacklogDefault)
+			}
+			// Closed, the held connections are served and drained, and a
+			// quit per worker stops the server.
+			for _, conn := range held {
+				conn.Close()
+			}
+			for i := 0; i < workers; i++ {
+				conn, err := dialRetry(k, port, 10000)
+				if err != nil {
+					t.Fatalf("quit %d: %v", i, err)
+				}
+				_, _ = conn.Write([]byte(QuitRequest))
+				conn.Close()
+			}
+			if status := p.Wait(); status != 0 {
+				t.Fatalf("master status = %d", status)
+			}
 		})
 	}
 }
