@@ -32,15 +32,16 @@ import (
 	"repro/internal/sgx"
 )
 
+// libosReserve is the in-enclave LibOS footprint added to every process
+// enclave (Graphene's LibOS is loaded into each).
+const libosReserve = 2 << 20
+
 // Config sizes the per-process enclaves.
 type Config struct {
 	// EnclaveSize is the per-process enclave size. The paper notes
 	// Graphene-SGX was configured with the minimal size able to run
 	// each benchmark; creation cost is proportional to this.
 	EnclaveSize uint64
-	// LibOSReserve is the in-enclave LibOS footprint added to every
-	// process enclave (Graphene's LibOS is loaded into each).
-	LibOSReserve uint64
 	// StackSize and HeapSize size the process image.
 	StackSize, HeapSize uint64
 }
@@ -49,10 +50,9 @@ type Config struct {
 // realistic sizes.
 func DefaultConfig() Config {
 	return Config{
-		EnclaveSize:  8 << 20,
-		LibOSReserve: 2 << 20,
-		StackSize:    256 << 10,
-		HeapSize:     1 << 20,
+		EnclaveSize: 8 << 20,
+		StackSize:   256 << 10,
+		HeapSize:    1 << 20,
 	}
 }
 
@@ -129,7 +129,7 @@ func (g *Graphene) Load(path string, argv []string, parent *Proc) (*baseline.Ima
 	if err != nil {
 		return nil, err
 	}
-	img := baseline.Place(&bin.Image, enclaveBase+g.cfg.LibOSReserve, g.cfg.HeapSize, g.cfg.StackSize)
+	img := baseline.Place(&bin.Image, enclaveBase+libosReserve, g.cfg.HeapSize, g.cfg.StackSize)
 	if img.DataBase+img.DataSize+mem.PageSize > enclaveBase+g.cfg.EnclaveSize {
 		return nil, fmt.Errorf("%w: binary does not fit enclave size %d", baseline.ErrNoRoom, g.cfg.EnclaveSize)
 	}

@@ -20,7 +20,12 @@ import (
 // state (names, types, sizes, contents) is compared periodically and at
 // the end. The same harness runs twice — against bare EncFS and against
 // the union mount (EncFS upper over a packed image lower), where the
-// ops exercise copy-up, whiteouts and opaque directories for free.
+// ops exercise copy-up, whiteouts and opaque directories for free. One
+// op class keeps up to four handles open across later ops and reads and
+// writes through them, so the stale-handle rule is checked too: a
+// handle whose file was unlinked or renamed over is dead (ErrNotExist,
+// and it changes no file), a handle on a renamed file follows it, and a
+// read-only handle on an image-layer file keeps the image bytes.
 
 // --- Model oracle ----------------------------------------------------------
 
@@ -30,6 +35,11 @@ type mnode struct {
 	// cannot rename those (the image is immutable), so the model
 	// predicts ErrReadOnly for them.
 	lowerDir bool
+	// lower marks files seeded from the image layer and not yet copied
+	// up: a read-only union handle on one keeps the image bytes.
+	lower bool
+	// freed marks a file unlinked or renamed over: handles on it are dead.
+	freed    bool
 	data     []byte
 	children map[string]*mnode
 }
@@ -39,7 +49,7 @@ func newModel() *mnode {
 }
 
 func (m *mnode) clone() *mnode {
-	c := &mnode{isDir: m.isDir, lowerDir: m.lowerDir, data: append([]byte(nil), m.data...)}
+	c := &mnode{isDir: m.isDir, lowerDir: m.lowerDir, lower: m.lower, data: append([]byte(nil), m.data...)}
 	if m.children != nil {
 		c.children = make(map[string]*mnode, len(m.children))
 		for n, ch := range m.children {
@@ -97,6 +107,7 @@ func (m *mnode) create(p string, trunc bool) (*mnode, error) {
 		if trunc {
 			n.data = nil
 		}
+		n.lower = false // a writable open copies up
 		return n, nil
 	}
 	dir, name, err := m.resolveParent(p)
@@ -121,13 +132,33 @@ func (m *mnode) write(p string, off int64, data []byte) error {
 	if n.isDir {
 		return ErrIsDir
 	}
+	n.writeAt(off, data)
+	return nil
+}
+
+// writeAt writes data into the file at off; it copies a lower file up.
+func (n *mnode) writeAt(off int64, data []byte) {
+	n.lower = false
 	if need := off + int64(len(data)); need > int64(len(n.data)) {
 		nd := make([]byte, need)
 		copy(nd, n.data)
 		n.data = nd
 	}
 	copy(n.data[off:], data)
-	return nil
+}
+
+// lowerFiles lists, sorted, the paths under p of files still in the
+// image layer.
+func (m *mnode) lowerFiles(p string) []string {
+	if m.lower {
+		return []string{p}
+	}
+	var out []string
+	for name, c := range m.children {
+		out = append(out, c.lowerFiles(path.Join(p, name))...)
+	}
+	sort.Strings(out)
+	return out
 }
 
 func (m *mnode) mkdir(p string) error {
@@ -155,6 +186,7 @@ func (m *mnode) unlink(p string) error {
 		return err
 	}
 	delete(dir.children, name)
+	n.freed = true
 	return nil
 }
 
@@ -197,8 +229,12 @@ func (m *mnode) rename(oldp, newp string, union bool) error {
 	if union && n.isDir && n.lowerDir {
 		return ErrReadOnly
 	}
+	if t, ok := ndir.children[nname]; ok {
+		t.freed = true
+	}
 	ndir.children[nname] = n
 	delete(odir.children, oname)
+	n.lower = false // the union copies a lower file up to move it
 	return nil
 }
 
@@ -242,12 +278,37 @@ type renamerFS interface {
 
 // diffState is one differential run's shared state.
 type diffState struct {
-	t     *testing.T
-	rng   *rand.Rand
-	fs    renamerFS
-	model *mnode
-	union bool
-	ops   int
+	t       *testing.T
+	rng     *rand.Rand
+	fs      renamerFS
+	model   *mnode
+	union   bool
+	ops     int
+	handles []diffHandle
+}
+
+// diffHandle is a handle held across ops, with the model file it names.
+type diffHandle struct {
+	n     Node
+	m     *mnode
+	flags OpenFlag
+	// onLower marks a union read-only handle opened on an image-layer
+	// file; snap is the image bytes it keeps reading.
+	onLower bool
+	snap    []byte
+}
+
+const maxDiffHandles = 4
+
+// want is what a read through h sees by the stale-handle rule.
+func (h *diffHandle) want() ([]byte, error) {
+	switch {
+	case h.onLower:
+		return h.snap, nil
+	case h.m.freed:
+		return nil, ErrNotExist
+	}
+	return h.m.data, nil
 }
 
 var diffNames = []string{"f0", "f1", "f2", "g", "sub", "deep", "x"}
@@ -273,7 +334,10 @@ func (d *diffState) step() {
 	var gotErr, wantErr error
 	var op string
 	switch r := d.rng.Intn(100); {
-	case r < 20: // create (sometimes truncating)
+	case r >= 86: // through a held handle
+		d.handleOp(p)
+		return
+	case r < 18: // create (sometimes truncating)
 		trunc := d.rng.Intn(3) == 0
 		flags := ORdWr | OCreate
 		if trunc {
@@ -286,7 +350,7 @@ func (d *diffState) step() {
 		}
 		gotErr = err
 		_, wantErr = d.model.create(p, trunc)
-	case r < 45: // write at a random offset
+	case r < 40: // write at a random offset
 		size := d.rng.Intn(8 << 10)
 		if d.rng.Intn(50) == 0 {
 			size = 200 << 10 // occasionally large: indirect blocks
@@ -303,11 +367,11 @@ func (d *diffState) step() {
 		}
 		gotErr = err
 		wantErr = d.model.write(p, off, data)
-	case r < 55: // mkdir
+	case r < 50: // mkdir
 		op = fmt.Sprintf("mkdir(%s)", p)
 		gotErr = d.fs.Mkdir(p)
 		wantErr = d.model.mkdir(p)
-	case r < 65: // readdir (deep-compared below; here just error class)
+	case r < 58: // readdir (deep-compared below; here just error class)
 		op = fmt.Sprintf("readdir(%s)", p)
 		_, gotErr = d.fs.ReadDir(p)
 		n, err := d.model.resolve(p)
@@ -315,7 +379,7 @@ func (d *diffState) step() {
 		if err == nil && !n.isDir {
 			wantErr = ErrNotDir
 		}
-	case r < 80: // unlink
+	case r < 72: // unlink
 		if path.Clean("/"+p) == "/" {
 			return
 		}
@@ -331,9 +395,99 @@ func (d *diffState) step() {
 		gotErr = d.fs.Rename(p, q)
 		wantErr = d.model.rename(p, q, d.union)
 	}
+	d.check(op, gotErr, wantErr)
+}
+
+func (d *diffState) check(op string, gotErr, wantErr error) {
 	if errClass(gotErr) != errClass(wantErr) {
 		d.t.Fatalf("op %d %s: fs=%v model=%v", d.ops, op, gotErr, wantErr)
 	}
+}
+
+// handleOp opens a handle on p and holds it, or reads, writes or closes
+// one already held.
+func (d *diffState) handleOp(p string) {
+	if len(d.handles) == 0 || len(d.handles) < maxDiffHandles && d.rng.Intn(2) == 0 {
+		d.openHandle(p)
+		return
+	}
+	i := d.rng.Intn(len(d.handles))
+	h := &d.handles[i]
+	off := int64(d.rng.Intn(20 << 10))
+	switch d.rng.Intn(7) {
+	case 0, 1, 2: // read and size
+		buf := make([]byte, d.rng.Intn(8<<10))
+		op := fmt.Sprintf("handle %d read(off=%d, len=%d)", i, off, len(buf))
+		got, gotErr := h.n.ReadAt(buf, off)
+		data, wantErr := h.want()
+		d.check(op, gotErr, wantErr)
+		want := data[min(off, int64(len(data))):]
+		want = want[:min(len(want), len(buf))]
+		if !bytes.Equal(buf[:got], want) {
+			d.t.Fatalf("op %d %s: read %d bytes, model has %d, contents diverge", d.ops, op, got, len(want))
+		}
+		if size := h.n.Size(); size != int64(len(data)) {
+			d.t.Fatalf("op %d %s: Size = %d, model %d", d.ops, op, size, len(data))
+		}
+	case 3, 4, 5: // write
+		data := make([]byte, d.rng.Intn(8<<10))
+		d.rng.Read(data)
+		op := fmt.Sprintf("handle %d write(off=%d, len=%d)", i, off, len(data))
+		_, gotErr := h.n.WriteAt(data, off)
+		_, wantErr := h.want()
+		if !h.flags.Writable() {
+			wantErr = ErrReadOnly
+		}
+		if wantErr == nil {
+			h.m.writeAt(off, data)
+		}
+		d.check(op, gotErr, wantErr)
+	default:
+		h.n.Close()
+		d.handles = append(d.handles[:i], d.handles[i+1:]...)
+	}
+}
+
+// openHandle opens p read-only or read-write and, if it is a file,
+// holds the handle (closing a random held one when four are open).
+func (d *diffState) openHandle(p string) {
+	flags := ORdOnly
+	if d.rng.Intn(2) == 0 {
+		flags = ORdWr
+	}
+	// In the union, half the opens aim at a file still in the image:
+	// the random paths alone copy those up or unlink them too soon.
+	if d.union && d.rng.Intn(2) == 0 {
+		if lp := d.model.lowerFiles("/"); len(lp) > 0 {
+			p = lp[d.rng.Intn(len(lp))]
+		}
+	}
+	op := fmt.Sprintf("handle open(%s, %v)", p, flags)
+	n, gotErr := d.fs.Open(p, flags)
+	m, wantErr := d.model.resolve(p)
+	if wantErr == nil && m.isDir && flags.Writable() {
+		wantErr = ErrIsDir
+	}
+	d.check(op, gotErr, wantErr)
+	if gotErr != nil {
+		return
+	}
+	if m.isDir {
+		n.Close()
+		return
+	}
+	h := diffHandle{n: n, m: m, flags: flags}
+	if flags.Writable() {
+		m.lower = false // the union copies up at a writable open
+	} else if d.union && m.lower {
+		h.onLower, h.snap = true, append([]byte(nil), m.data...)
+	}
+	if len(d.handles) == maxDiffHandles {
+		i := d.rng.Intn(len(d.handles))
+		d.handles[i].n.Close()
+		d.handles = append(d.handles[:i], d.handles[i+1:]...)
+	}
+	d.handles = append(d.handles, h)
 }
 
 // compareTree deep-compares the filesystem against the model: exact
@@ -454,7 +608,7 @@ func seedLowerImage(t *testing.T, rng *rand.Rand, model *mnode) (*ImageFS, *host
 		if err != nil {
 			t.Fatal(err)
 		}
-		dir.children[name] = &mnode{data: data}
+		dir.children[name] = &mnode{data: data, lower: true}
 	}
 	addDir := func(p string) {
 		if err := b.AddDir(p); err != nil {
@@ -474,6 +628,10 @@ func seedLowerImage(t *testing.T, rng *rand.Rand, model *mnode) (*ImageFS, *host
 	addFile("/img/f1", 3*BlockSize+7)
 	addFile("/img/sub/deep", 777)
 	addFile("/seed", 5000)
+	addFile("/img/g", 2*BlockSize)
+	addFile("/img/x", 10)
+	addFile("/img/sub/f0", 300)
+	addFile("/a/x", 6000)
 	blob, root, err := b.Build()
 	if err != nil {
 		t.Fatal(err)

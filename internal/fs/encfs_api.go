@@ -9,12 +9,15 @@ import (
 )
 
 // Regular is an open file on the encrypted filesystem. Offsets live in the
-// LibOS open-file descriptions; Regular is stateless position-wise.
+// LibOS open-file descriptions; Regular is stateless position-wise. It
+// holds its inode's life at Open and is dead once the inode is freed, so
+// it never reaches the file that reuses the inode number (DESIGN.md,
+// "Occlum FS: image layer & union mount": the stale-handle rule).
 type Regular struct {
 	fs    *EncFS
 	ino   int
 	flags OpenFlag
-	name  string
+	life  uint64
 }
 
 var _ Node = (*Regular)(nil)
@@ -59,8 +62,12 @@ func (fs *EncFS) Open(p string, flags OpenFlag) (Node, error) {
 			}
 		}
 	}
-	return &Regular{fs: fs, ino: ino, flags: flags, name: path.Base(p)}, nil
+	return &Regular{fs: fs, ino: ino, flags: flags, life: fs.life[ino]}, nil
 }
+
+// freed reports whether the handle's inode was freed since Open. Caller
+// holds r.fs.mu.
+func (r *Regular) freed() bool { return r.fs.life[r.ino] != r.life }
 
 // ReadAt reads from the file at the given offset.
 func (r *Regular) ReadAt(p []byte, off int64) (int, error) {
@@ -69,6 +76,9 @@ func (r *Regular) ReadAt(p []byte, off int64) (int, error) {
 	}
 	r.fs.mu.Lock()
 	defer r.fs.mu.Unlock()
+	if r.freed() {
+		return 0, ErrNotExist
+	}
 	return r.fs.readAtLocked(r.ino, p, off)
 }
 
@@ -79,6 +89,9 @@ func (r *Regular) WriteAt(p []byte, off int64) (int, error) {
 	}
 	r.fs.mu.Lock()
 	defer r.fs.mu.Unlock()
+	if r.freed() {
+		return 0, ErrNotExist
+	}
 	return r.fs.writeAtLocked(r.ino, p, off)
 }
 
@@ -86,6 +99,9 @@ func (r *Regular) WriteAt(p []byte, off int64) (int, error) {
 func (r *Regular) Size() int64 {
 	r.fs.mu.Lock()
 	defer r.fs.mu.Unlock()
+	if r.freed() {
+		return 0
+	}
 	in, err := r.fs.readInode(r.ino)
 	if err != nil {
 		return 0
@@ -97,10 +113,14 @@ func (r *Regular) Size() int64 {
 func (r *Regular) Close() error { return nil }
 
 // Version implements Versioned: the inode's mutation count, read under
-// the lock every mutation holds.
+// the lock every mutation holds. A freed file has the zero version,
+// which no path's version equals.
 func (r *Regular) Version() FileVersion {
 	r.fs.mu.Lock()
 	defer r.fs.mu.Unlock()
+	if r.freed() {
+		return FileVersion{}
+	}
 	return FileVersion{FS: r.fs, Ino: r.ino, Gen: r.fs.vers[r.ino]}
 }
 
@@ -167,9 +187,17 @@ func (fs *EncFS) Unlink(p string) error {
 	if err != nil {
 		return err
 	}
+	return fs.freeInode(dir, name, ino)
+}
+
+// freeInode removes name, which links ino, from directory dir and frees
+// the inode: its life ends first, so no open Regular reaches it again,
+// then its blocks and the inode itself go.
+func (fs *EncFS) freeInode(dir int, name string, ino int) error {
 	if err := fs.removeEntry(dir, name); err != nil {
 		return err
 	}
+	fs.life[ino]++
 	if err := fs.truncateLocked(ino); err != nil {
 		return err
 	}
@@ -237,13 +265,7 @@ func (fs *EncFS) Rename(oldp, newp string) error {
 		} else if tin.mode == modeDir {
 			return ErrIsDir
 		}
-		if err := fs.removeEntry(ndir, nname); err != nil {
-			return err
-		}
-		if err := fs.truncateLocked(tIno); err != nil {
-			return err
-		}
-		if err := fs.writeInode(tIno, &inode{}); err != nil {
+		if err := fs.freeInode(ndir, nname, tIno); err != nil {
 			return err
 		}
 	}

@@ -110,6 +110,10 @@ type EncFS struct {
 	// not even across unlink and reuse of the inode number. In memory
 	// only: it versions what this mount has served, for Regular.Version.
 	vers []uint64
+	// life[ino] counts the times the inode was freed since mount
+	// (freeInode). An open Regular records it at Open and is dead once it
+	// moves on. In memory only, like vers.
+	life []uint64
 
 	// stats for /proc and tests
 	reads, writes, hits uint64
@@ -192,6 +196,7 @@ func Mount(store *BlockStore) (*EncFS, error) {
 		cache:       make(map[int]*cpage),
 		cacheCap:    1024,
 		vers:        make([]uint64, numInodes+1),
+		life:        make([]uint64, numInodes+1),
 	}, nil
 }
 

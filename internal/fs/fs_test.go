@@ -346,6 +346,95 @@ func TestReadOnlyHandleRejectsWrites(t *testing.T) {
 	}
 }
 
+// TestEncFSStaleHandle: a handle whose file was unlinked or renamed over
+// is dead. Its reads and writes fail with ErrNotExist and never reach the
+// file that reuses the inode number; a handle on a renamed file follows
+// it. Fsck stays clean: a write through a dead handle allocates nothing.
+func TestEncFSStaleHandle(t *testing.T) {
+	for _, kill := range []string{"unlink", "rename-over"} {
+		t.Run(kill, func(t *testing.T) {
+			efs, _, _ := newFS(t, 256)
+			old, err := efs.Open("/a", ORdWr|OCreate)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := old.WriteAt(make([]byte, 3*BlockSize), 0); err != nil {
+				t.Fatal(err)
+			}
+			if kill == "unlink" {
+				err = efs.Unlink("/a")
+			} else {
+				var b Node
+				if b, err = efs.Open("/b", ORdWr|OCreate); err == nil {
+					b.Close()
+					err = efs.Rename("/b", "/a")
+				}
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			sec, err := efs.Open("/secret", ORdWr|OCreate)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sec.WriteAt([]byte("TOPSECRET"), 0); err != nil {
+				t.Fatal(err)
+			}
+			if sec.(*Regular).ino != old.(*Regular).ino {
+				t.Fatalf("/secret took inode %d, not the freed %d: the test no longer reuses an inode",
+					sec.(*Regular).ino, old.(*Regular).ino)
+			}
+			buf := make([]byte, 9)
+			if n, err := old.ReadAt(buf, 0); !errors.Is(err, ErrNotExist) || n != 0 {
+				t.Fatalf("read through the dead handle: %d bytes %q, %v", n, buf[:n], err)
+			}
+			if n, err := old.WriteAt([]byte("CLOBBER"), 0); !errors.Is(err, ErrNotExist) || n != 0 {
+				t.Fatalf("write through the dead handle: %d, %v", n, err)
+			}
+			if _, err := old.WriteAt([]byte("x"), 40*BlockSize); !errors.Is(err, ErrNotExist) {
+				t.Fatalf("extending write through the dead handle: %v", err)
+			}
+			if s := old.Size(); s != 0 {
+				t.Fatalf("dead handle Size = %d", s)
+			}
+			if v := old.(Versioned).Version(); v != (FileVersion{}) {
+				t.Fatalf("dead handle Version = %+v", v)
+			}
+			if n, err := sec.ReadAt(buf, 0); err != nil || string(buf[:n]) != "TOPSECRET" {
+				t.Fatalf("/secret = %q, %v", buf[:n], err)
+			}
+			if err := efs.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			if err := efs.Fsck(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	t.Run("rename-follows", func(t *testing.T) {
+		efs, _, _ := newFS(t, 256)
+		h, err := efs.Open("/a", ORdWr|OCreate)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := efs.Rename("/a", "/b"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := h.WriteAt([]byte("moved"), 0); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := efs.Stat("/a"); !errors.Is(err, ErrNotExist) {
+			t.Fatalf("a write after the rename re-created the old name: %v", err)
+		}
+		if got := readAll(t, efs, "/b"); string(got) != "moved" {
+			t.Fatalf("/b = %q", got)
+		}
+		if err := efs.Fsck(); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
 func TestVFSRouting(t *testing.T) {
 	fs, _, _ := newFS(t, 128)
 	v := NewVFS()

@@ -20,7 +20,7 @@ type StatCounters struct {
 	// sequential read-ahead.
 	ReadAheads uint64
 	// CopyUps counts files copied from the image layer to the writable
-	// layer on first write.
+	// layer by a writable or truncating open, or a rename.
 	CopyUps uint64
 	// Whiteouts counts whiteout markers created by union unlinks.
 	Whiteouts uint64

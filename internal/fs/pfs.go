@@ -26,8 +26,9 @@
 //   - ImageFS (imagefs.go): the read-only integrity-verified image layer
 //     holding the trusted base image, lazily Merkle-verified against a
 //     root hash pinned at mount (packed by cmd/occlum-image).
-//   - UnionFS (unionfs.go): EncFS over ImageFS with copy-up on first
-//     write and whiteout-based unlink — the union root a SIP boots from.
+//   - UnionFS (unionfs.go): EncFS over ImageFS with copy-up at
+//     open-for-write and whiteout-based unlink — the union root a SIP
+//     boots from.
 //   - VFS (vfs.go): mount table dispatching paths to the union root,
 //     devfs, or procfs.
 package fs

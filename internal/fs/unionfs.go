@@ -11,11 +11,12 @@ import (
 
 // UnionFS completes Occlum's filesystem picture (§6): the writable
 // encrypted EncFS layered over the integrity-verified read-only image.
-// Reads fall through to the lowest layer holding the path; the first
-// write to an image file copies it up into the writable layer; unlink of
-// an image path leaves a whiteout marker so the name stays dead across
-// remounts. SIPs see one ordinary tree — the VFS dispatches to the union
-// exactly like to any other mounted filesystem.
+// Reads fall through to the lowest layer holding the path; opening an
+// image file for writing (or truncating) copies it up into the writable
+// layer, as overlayfs does; unlink of an image path leaves a whiteout
+// marker so the name stays dead across remounts. SIPs see one ordinary
+// tree — the VFS dispatches to the union exactly like to any other
+// mounted filesystem.
 //
 // Whiteout convention (overlayfs-style, adapted to a filesystem without
 // xattrs): a zero-length upper file ".wh.<name>" hides <name> in the
@@ -39,16 +40,6 @@ type UnionFS struct {
 	mu    sync.Mutex
 	upper FileSystem
 	lower FileSystem
-
-	// copiedUp remembers image paths already copied up in this mount, so
-	// lazily-copying handles can notice and switch layers.
-	copiedUp map[string]bool
-	// deadGen counts unlinks per path. A lazily-copying handle captures
-	// the generation at open; once they differ, the handle's name has
-	// been deleted (possibly re-created as an unrelated file) and its
-	// deferred copy-up must neither resurrect the old name nor write
-	// into the new object.
-	deadGen map[string]uint64
 }
 
 var _ FileSystem = (*UnionFS)(nil)
@@ -58,11 +49,7 @@ var _ Renamer = (*UnionFS)(nil)
 // NewUnionFS layers the writable upper filesystem over the read-only
 // lower one.
 func NewUnionFS(upper, lower FileSystem) *UnionFS {
-	return &UnionFS{
-		upper: upper, lower: lower,
-		copiedUp: make(map[string]bool),
-		deadGen:  make(map[string]uint64),
-	}
+	return &UnionFS{upper: upper, lower: lower}
 }
 
 func whiteoutPath(p string) string {
@@ -285,11 +272,9 @@ func (u *UnionFS) copyUpLocked(p string, flags OpenFlag, copyData bool) (Node, e
 	if wh, err := u.hasWhiteout(p); err != nil {
 		return nil, err
 	} else if wh {
-		// The path was unlinked after this handle was opened: copying up
-		// now would re-publish the deleted name in the namespace. The
-		// handle's reads keep working on the (immutable) lower node;
-		// writes through a dead name fail.
-		return nil, fmt.Errorf("%w: %s unlinked since open", ErrNotExist, p)
+		// The path was unlinked between the caller's locate and u.mu:
+		// copying up now would re-publish the deleted name.
+		return nil, fmt.Errorf("%w: %s unlinked", ErrNotExist, p)
 	}
 	if err := u.ensureUpperDirsLocked(path.Dir(cleanAbs(p))); err != nil {
 		return nil, err
@@ -324,92 +309,16 @@ func (u *UnionFS) copyUpLocked(p string, flags OpenFlag, copyData bool) (Node, e
 			}
 		}
 	}
-	u.copiedUp[cleanAbs(p)] = true
 	atomic.AddUint64(&fsStats.CopyUps, 1)
 	return un, nil
 }
 
-// unionNode defers copy-up until the first write: read-heavy handles
-// opened read-write never pay the copy.
-type unionNode struct {
-	u     *UnionFS
-	path  string
-	flags OpenFlag
-	gen   uint64 // deadGen at open: a later bump means the name died
-
-	mu     sync.Mutex
-	cur    Node
-	copied bool
-}
-
-var _ Node = (*unionNode)(nil)
-
-// refresh switches to the upper layer if another handle copied the file
-// up since this one was opened. It reports whether the handle's name
-// has been unlinked (stale): a stale handle keeps reading the immutable
-// lower content but must never attach to whatever now occupies the
-// name. Caller holds n.mu.
-func (n *unionNode) refresh() (stale bool) {
-	if n.copied {
-		return false
-	}
-	n.u.mu.Lock()
-	stale = n.u.deadGen[n.path] != n.gen
-	was := !stale && n.u.copiedUp[n.path]
-	n.u.mu.Unlock()
-	if was {
-		if un, err := n.u.upper.Open(n.path, n.flags&^(OCreate|OTrunc)); err == nil {
-			n.cur.Close()
-			n.cur = un
-			n.copied = true
-		}
-	}
-	return stale
-}
-
-func (n *unionNode) ReadAt(p []byte, off int64) (int, error) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.refresh()
-	return n.cur.ReadAt(p, off)
-}
-
-func (n *unionNode) WriteAt(p []byte, off int64) (int, error) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.refresh() {
-		return 0, fmt.Errorf("%w: %s unlinked since open", ErrNotExist, n.path)
-	}
-	if !n.copied {
-		n.u.mu.Lock()
-		un, err := n.u.copyUpLocked(n.path, n.flags, true)
-		n.u.mu.Unlock()
-		if err != nil {
-			return 0, err
-		}
-		n.cur.Close()
-		n.cur = un
-		n.copied = true
-	}
-	return n.cur.WriteAt(p, off)
-}
-
-func (n *unionNode) Size() int64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.refresh()
-	return n.cur.Size()
-}
-
-func (n *unionNode) Close() error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.cur.Close()
-}
-
-// Open resolves p across both layers. Writable opens of lower-only
-// files return a lazily-copying node (OTrunc skips the data copy);
-// creates land in the upper layer, clearing any whiteout.
+// Open resolves p across both layers. A writable or truncating open of
+// a lower-only file copies it up before returning (OTrunc skips the data
+// copy), so every handle that can change a file is an upper-layer handle
+// and follows that layer's stale-handle rule; a read-only handle on a
+// lower file keeps reading the immutable lower bytes. Creates land in
+// the upper layer, clearing any whiteout.
 func (u *UnionFS) Open(p string, flags OpenFlag) (Node, error) {
 	p = cleanAbs(p)
 	l, err := u.locate(p)
@@ -456,18 +365,11 @@ func (u *UnionFS) Open(p string, flags OpenFlag) (Node, error) {
 	if !flags.Writable() && flags&OTrunc == 0 {
 		return u.lower.Open(p, flags&^OCreate)
 	}
+	// Truncating opens copy up too (EncFS truncates even on read-only
+	// handles, so the union must): the lower content is dead, no copy.
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	if flags&OTrunc != 0 {
-		// Truncating open (EncFS truncates even on read-only handles, so
-		// the union must too): the lower content is dead, no copy needed.
-		return u.copyUpLocked(p, flags, false)
-	}
-	ln, err := u.lower.Open(p, ORdOnly)
-	if err != nil {
-		return nil, err
-	}
-	return &unionNode{u: u, path: p, flags: flags, gen: u.deadGen[p], cur: ln}, nil
+	return u.copyUpLocked(p, flags, flags&OTrunc == 0)
 }
 
 // Version implements VersionedFS. A read-only Open hands out the
@@ -628,36 +530,7 @@ func (u *UnionFS) Unlink(p string) error {
 			return ErrNotEmpty
 		}
 	}
-	// Whiteout before the upper deletion: if the whiteout creation
-	// fails, nothing has been removed yet (the entry stays visible via
-	// the upper layer, and the lower stays shadowed/merged); deleting
-	// the upper copy first and then failing the whiteout would silently
-	// roll the name back to stale image content.
-	if l.loPresent {
-		if err := u.setWhiteoutLocked(p); err != nil {
-			return err
-		}
-	}
-	if l.upOK {
-		if l.upFi.IsDir {
-			// Sweep markers so the upper unlink sees an empty dir.
-			upEnts, err := u.upper.ReadDir(p)
-			if err != nil {
-				return err
-			}
-			for _, e := range upEnts {
-				if err := u.upper.Unlink(path.Join(p, e.Name)); err != nil {
-					return err
-				}
-			}
-		}
-		if err := u.upper.Unlink(p); err != nil {
-			return err
-		}
-	}
-	delete(u.copiedUp, p)
-	u.deadGen[p]++
-	return nil
+	return u.unlinkLocated(p, l)
 }
 
 // Rename moves old to new within the union. Lower-only files are copied
@@ -745,7 +618,6 @@ func (u *UnionFS) Rename(oldp, newp string) error {
 		// Only now retire the target's whiteout: a failed rename above
 		// must leave a previously deleted lower entry hidden.
 		u.upper.Unlink(whiteoutPath(newp))
-		u.deadGen[oldp]++
 		if ol.loPresent {
 			return u.setWhiteoutLocked(oldp)
 		}
@@ -779,20 +651,19 @@ func (u *UnionFS) Rename(oldp, newp string) error {
 	}
 	// Only now retire the target's whiteout (see the dir branch).
 	u.upper.Unlink(whiteoutPath(newp))
-	delete(u.copiedUp, oldp)
-	u.copiedUp[newp] = true
-	// The old name is gone (and the new name is a different object from
-	// any pre-rename lazy handle's point of view).
-	u.deadGen[oldp]++
 	if ol.loPresent {
 		return u.setWhiteoutLocked(oldp)
 	}
 	return nil
 }
 
-// unlinkLocated removes an already-located entry (rename-overwrite
-// path). Whiteout first, like Unlink: failing halfway must never leave
-// the name resolving to stale lower content. Caller holds u.mu.
+// unlinkLocated removes an already-located entry (Unlink, and the
+// target of a rename-overwrite). Whiteout before the upper deletion: if
+// the whiteout creation fails, nothing has been removed yet (the entry
+// stays visible via the upper layer, and the lower stays shadowed or
+// merged); deleting the upper copy first and then failing the whiteout
+// would silently roll the name back to stale image content. Caller
+// holds u.mu.
 func (u *UnionFS) unlinkLocated(p string, l loc) error {
 	if l.loPresent {
 		if err := u.setWhiteoutLocked(p); err != nil {
@@ -815,7 +686,5 @@ func (u *UnionFS) unlinkLocated(p string, l loc) error {
 			return err
 		}
 	}
-	delete(u.copiedUp, p)
-	u.deadGen[p]++
 	return nil
 }

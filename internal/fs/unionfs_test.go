@@ -73,38 +73,51 @@ func TestUnionReadThrough(t *testing.T) {
 	}
 }
 
-func TestUnionCopyUpOnFirstWrite(t *testing.T) {
+// TestUnionCopyUpOnWritableOpen: a read-only open of an image file
+// never copies up; a writable open copies up at once, preserving the
+// content, and no later write or open copies again.
+func TestUnionCopyUpOnWritableOpen(t *testing.T) {
 	u, files := newUnion(t)
 	before := Stats()
+	r, err := u.Open("/etc/hosts", ORdOnly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 4)
+	if _, err := r.ReadAt(buf, 0); err != nil {
+		t.Fatal(err)
+	}
+	if d := Stats().Sub(before); d.CopyUps != 0 {
+		t.Fatalf("a read-only open copied up (%d)", d.CopyUps)
+	}
 	n, err := u.Open("/etc/hosts", ORdWr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Reading alone must not copy up.
-	buf := make([]byte, 4)
-	if _, err := n.ReadAt(buf, 0); err != nil {
-		t.Fatal(err)
+	if d := Stats().Sub(before); d.CopyUps != 1 {
+		t.Fatalf("copy-ups after a writable open = %d, want 1", d.CopyUps)
 	}
-	if d := Stats().Sub(before); d.CopyUps != 0 {
-		t.Fatalf("read-only use of a RW handle copied up (%d)", d.CopyUps)
+	if got := readAll(t, u, "/etc/hosts"); !bytes.Equal(got, files["/etc/hosts"]) {
+		t.Fatalf("copy-up changed the content: %q", got)
 	}
-	// First write copies up and preserves the original content.
 	if _, err := n.WriteAt([]byte("10.0.0.1"), 0); err != nil {
 		t.Fatal(err)
-	}
-	if d := Stats().Sub(before); d.CopyUps != 1 {
-		t.Fatalf("copy-ups = %d, want 1", d.CopyUps)
 	}
 	want := append([]byte("10.0.0.1"), files["/etc/hosts"][8:]...)
 	if got := readAll(t, u, "/etc/hosts"); !bytes.Equal(got, want) {
 		t.Fatalf("after copy-up: %q, want %q", got, want)
 	}
-	// A second write to the same handle must not copy again.
+	// Later writes and writable opens find the upper file.
 	if _, err := n.WriteAt([]byte("x"), 0); err != nil {
 		t.Fatal(err)
 	}
+	m, err := u.Open("/etc/hosts", ORdWr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Close()
 	if d := Stats().Sub(before); d.CopyUps != 1 {
-		t.Fatalf("second write copied up again (%d)", d.CopyUps)
+		t.Fatalf("copied up again (%d)", d.CopyUps)
 	}
 }
 
@@ -596,11 +609,17 @@ func TestUnionWhiteoutSurvivesFailedCreate(t *testing.T) {
 }
 
 // TestUnionWriteAfterUnlinkDoesNotResurrect: the open-then-unlink
-// pattern. A lazily-copying handle opened before the unlink must not
-// re-publish the deleted name via its deferred copy-up; its reads keep
-// serving the (immutable) lower content, its writes fail.
+// pattern. A writable handle opened before the unlink must not
+// re-publish the deleted name, and after the name is re-created it must
+// not reach the new file: it is dead (ErrNotExist) for reads and writes.
+// A read-only handle on the image file keeps serving the immutable lower
+// bytes.
 func TestUnionWriteAfterUnlinkDoesNotResurrect(t *testing.T) {
 	u, files := newUnion(t)
+	r, err := u.Open("/etc/hosts", ORdOnly)
+	if err != nil {
+		t.Fatal(err)
+	}
 	n, err := u.Open("/etc/hosts", ORdWr)
 	if err != nil {
 		t.Fatal(err)
@@ -612,27 +631,33 @@ func TestUnionWriteAfterUnlinkDoesNotResurrect(t *testing.T) {
 		t.Fatalf("write through unlinked handle: %v", err)
 	}
 	if _, err := u.Stat("/etc/hosts"); !errors.Is(err, ErrNotExist) {
-		t.Fatal("deferred copy-up re-published the deleted name")
+		t.Fatal("a write through the unlinked handle re-published the deleted name")
 	}
-	// Reads through the old handle still see the lower bytes.
 	buf := make([]byte, 4)
-	if _, err := n.ReadAt(buf, 0); err != nil {
+	if _, err := n.ReadAt(buf, 0); !errors.Is(err, ErrNotExist) {
+		t.Fatalf("read through unlinked handle: %v", err)
+	}
+	if _, err := r.ReadAt(buf, 0); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf, files["/etc/hosts"][:4]) {
-		t.Fatal("stale handle read diverged")
+		t.Fatal("read-only lower handle diverged after the unlink")
 	}
 	// A fresh create over the whiteout gets a NEW file; the old handle
-	// must not suddenly write into it.
+	// must not write into it.
 	c, err := u.Open("/etc/hosts", OCreate|OWrOnly)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.Close()
-	n.WriteAt([]byte("Z"), 0) // may fail; must not reach the new file
-	got := readAll(t, u, "/etc/hosts")
-	if len(got) != 0 {
+	if _, err := n.WriteAt([]byte("Z"), 0); !errors.Is(err, ErrNotExist) {
+		t.Fatalf("write through unlinked handle after re-create: %v", err)
+	}
+	if got := readAll(t, u, "/etc/hosts"); len(got) != 0 {
 		t.Fatalf("old handle leaked into recreated file: %q", got)
+	}
+	if err := u.upper.(*EncFS).Fsck(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -42,6 +42,11 @@ import (
 	"repro/internal/vm"
 )
 
+// libosReserve is enclave memory reserved for the LibOS itself at the
+// enclave's base (it contributes to enclave measurement and creation
+// cost).
+const libosReserve = 1 << 20
+
 // Config sizes the enclave and its domains.
 type Config struct {
 	// NumDomains is the number of preallocated MMDSFI domains (the
@@ -54,9 +59,6 @@ type Config struct {
 	DomainDataSize uint64
 	// StackSize is the stack carved from the top of each data region.
 	StackSize uint64
-	// LibOSReserve is enclave memory reserved for the LibOS itself
-	// (contributes to enclave measurement/creation cost).
-	LibOSReserve uint64
 	// MaxThreads is the number of SGX TCS — the size of the hart pool
 	// the M:N scheduler runs SIPs on. It no longer caps concurrent
 	// SIPs (NumDomains does): a blocked or runnable-but-descheduled
@@ -71,7 +73,7 @@ type Config struct {
 	// BaseImage optionally names the host file holding a packed
 	// read-only image (cmd/occlum-image). When set, the root mount
 	// becomes a union: the integrity-verified image below, the writable
-	// encrypted filesystem above (copy-up on first write).
+	// encrypted filesystem above (copy-up at open-for-write).
 	BaseImage string
 	// BaseImageRoot is the pinned Merkle root hash of BaseImage — the
 	// only trusted input of the image layer (in a real deployment it
@@ -103,7 +105,6 @@ func DefaultConfig() Config {
 		DomainCodeSize: 1 << 20,
 		DomainDataSize: 4 << 20,
 		StackSize:      256 << 10,
-		LibOSReserve:   1 << 20,
 		MaxThreads:     32,
 		FSImage:        "occlum.img",
 		FSKey:          fs.KeyFromString("occlum-default"),
@@ -237,14 +238,14 @@ func Boot(platform *sgx.Platform, host *hostos.Host, cfg Config) (*Occlum, error
 	}
 	g := uint64(oelf.GuardSize)
 	domSpan := cfg.DomainCodeSize + g + cfg.DomainDataSize + g
-	total := cfg.LibOSReserve + g + uint64(cfg.NumDomains)*domSpan
+	total := libosReserve + g + uint64(cfg.NumDomains)*domSpan
 
 	e, err := platform.ECreate(enclaveBase, total, cfg.MaxThreads)
 	if err != nil {
 		return nil, err
 	}
 	// LibOS reserve pages (RW; the LibOS "code" is this Go package).
-	for off := uint64(0); off < cfg.LibOSReserve; off += mem.PageSize {
+	for off := uint64(0); off < libosReserve; off += mem.PageSize {
 		if err := e.EAdd(enclaveBase+off, nil, mem.PermRW); err != nil {
 			e.Destroy()
 			return nil, err
@@ -264,7 +265,7 @@ func Boot(platform *sgx.Platform, host *hostos.Host, cfg Config) (*Occlum, error
 	// Preallocate domains: code pages RWX (the loader rewrites them;
 	// the common SGX-LibOS pitfall of §7), data pages RW, guards
 	// unmapped.
-	base := enclaveBase + cfg.LibOSReserve + g
+	base := enclaveBase + libosReserve + g
 	for i := 0; i < cfg.NumDomains; i++ {
 		d := &Domain{
 			ID:       uint32(i + 1),

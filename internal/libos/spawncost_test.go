@@ -606,7 +606,7 @@ func TestImageCacheOutlivesTheStore(t *testing.T) {
 
 // TestImageCacheUnionCopyUp: on a union root the cache is keyed by the
 // layer that answers. A binary served from the immutable base image is
-// cached under the image's version; the first write copies it up, the
+// cached under the image's version; a truncating open copies it up, the
 // upper layer answers from then on, and the new content goes back
 // through the verifier.
 func TestImageCacheUnionCopyUp(t *testing.T) {

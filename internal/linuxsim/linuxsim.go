@@ -30,9 +30,15 @@ const (
 type Linux struct {
 	*baseline.Kernel
 
-	mu       sync.Mutex
-	files    map[string][]byte       // plaintext "ext4"
-	binCache map[string]*oelf.Binary // page cache of parsed binaries
+	mu    sync.Mutex
+	files map[string]*plainFile // plaintext "ext4": one record per file
+}
+
+// plainFile is one file of the plaintext "ext4". Open fds hold the
+// record, not the path, so an fd follows its file across a rename.
+type plainFile struct {
+	data []byte
+	bin  *oelf.Binary // page cache of the parsed binary; nil after a write
 }
 
 // Proc is one native process.
@@ -43,7 +49,7 @@ type SpawnOpt = baseline.SpawnOpt
 
 // New creates a kernel over the given host network substrate.
 func New(host *hostos.Host) *Linux {
-	l := &Linux{files: make(map[string][]byte), binCache: make(map[string]*oelf.Binary)}
+	l := &Linux{files: make(map[string]*plainFile)}
 	l.Kernel = baseline.New(host, l)
 	return l
 }
@@ -52,8 +58,12 @@ func New(host *hostos.Host) *Linux {
 func (l *Linux) WriteFile(path string, data []byte) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.files[path] = append([]byte(nil), data...)
-	delete(l.binCache, path)
+	f, ok := l.files[path]
+	if !ok {
+		f = &plainFile{}
+		l.files[path] = f
+	}
+	f.data, f.bin = append([]byte(nil), data...), nil
 }
 
 // ReadFile reads a plaintext file.
@@ -64,7 +74,7 @@ func (l *Linux) ReadFile(path string) ([]byte, error) {
 	if !ok {
 		return nil, noFile(path)
 	}
-	return append([]byte(nil), f...), nil
+	return append([]byte(nil), f.data...), nil
 }
 
 func noFile(path string) error {
@@ -84,19 +94,18 @@ func (l *Linux) Sync() error { return nil }
 func (l *Linux) lookupBinary(path string) (*oelf.Binary, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if b, ok := l.binCache[path]; ok {
-		return b, nil
-	}
-	raw, ok := l.files[path]
+	f, ok := l.files[path]
 	if !ok {
 		return nil, noFile(path)
 	}
-	b, err := oelf.Unmarshal(raw)
-	if err != nil {
-		return nil, err
+	if f.bin == nil {
+		b, err := oelf.Unmarshal(f.data)
+		if err != nil {
+			return nil, err
+		}
+		f.bin = b
 	}
-	l.binCache[path] = b
-	return b, nil
+	return f.bin, nil
 }
 
 // Load implements baseline.Model — process creation is cheap (Table 1):

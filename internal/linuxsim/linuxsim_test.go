@@ -142,6 +142,51 @@ func TestNativeFileIO(t *testing.T) {
 	}
 }
 
+// TestNativeFDFollowsRename: an fd names its file, not the path it was
+// opened by. A write after rename(a, b) lands in b and does not
+// re-create a, as on Linux.
+func TestNativeFDFollowsRename(t *testing.T) {
+	l := linuxsim.New(hostos.New())
+	prog := buildProg(t, func(b *asm.Builder) {
+		b.String("a", "/tmp/a")
+		b.String("b", "/tmp/b")
+		b.String("content", "moved")
+		b.Entry("_start")
+		ulib.Prologue(b)
+		ulib.OpenPath(b, "a", 6, libos.ORdWr|libos.OCreate)
+		b.MovRR(isa.R6, isa.R0)
+		b.CmpI(isa.R6, 0)
+		b.Jl("fail")
+		ulib.RenamePath(b, "a", 6, "b", 6)
+		b.CmpI(isa.R0, 0)
+		b.Jne("fail")
+		b.MovRR(isa.R1, isa.R6)
+		b.LeaData(isa.R2, "content")
+		b.MovRI(isa.R3, 5)
+		ulib.Syscall(b, libos.SysWrite)
+		b.CmpI(isa.R0, 5)
+		b.Jne("fail")
+		ulib.Exit(b, 0)
+		b.Label("fail")
+		b.Nop()
+		ulib.Exit(b, 1)
+	})
+	install(t, l, "/bin/mv", prog)
+	p, err := l.Spawn("/bin/mv", nil, linuxsim.SpawnOpt{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if status := p.Wait(); status != 0 {
+		t.Fatalf("status = %d", status)
+	}
+	if got, err := l.ReadFile("/tmp/a"); err == nil {
+		t.Fatalf("the write re-created /tmp/a: %q", got)
+	}
+	if got, err := l.ReadFile("/tmp/b"); err != nil || string(got) != "moved" {
+		t.Fatalf("/tmp/b = %q, %v", got, err)
+	}
+}
+
 func TestNativeRunsInstrumentedBinariesToo(t *testing.T) {
 	// Sanity: the same *instrumented* binary also runs on Linux (the
 	// guards pass because BND registers default to an all-range bound

@@ -35,8 +35,6 @@ func (l *Linux) renamePlain(oldp, newp string) error {
 	}
 	l.files[newp] = f
 	delete(l.files, oldp)
-	delete(l.binCache, oldp)
-	delete(l.binCache, newp)
 	return nil
 }
 
@@ -45,58 +43,58 @@ func (l *Linux) renamePlain(oldp, newp string) error {
 func (l *Linux) Open(_ *Proc, path string, flags int) (sysdispatch.File, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	_, ok := l.files[path]
+	f, ok := l.files[path]
 	if !ok {
 		if flags&libos.OCreate == 0 {
 			return nil, noFile(path)
 		}
-		l.files[path] = nil
+		f = &plainFile{}
+		l.files[path] = f
 	}
 	if flags&libos.OTrunc != 0 {
-		l.files[path] = nil
+		f.data, f.bin = nil, nil
 	}
-	return libos.OpenNodeFile(&plainNode{l: l, path: path}, libos.ORdWr), nil
+	return libos.OpenNodeFile(&plainNode{l: l, f: f}, libos.ORdWr), nil
 }
 
-// plainNode adapts a map-backed file to the fs.Node interface.
+// plainNode adapts a plaintext file to the fs.Node interface.
 type plainNode struct {
-	l    *Linux
-	path string
+	l *Linux
+	f *plainFile
 }
 
 func (n *plainNode) ReadAt(p []byte, off int64) (int, error) {
 	n.l.mu.Lock()
 	defer n.l.mu.Unlock()
-	f := n.l.files[n.path]
-	if off >= int64(len(f)) {
+	d := n.f.data
+	if off >= int64(len(d)) {
 		return 0, nil
 	}
-	return copy(p, f[off:]), nil
+	return copy(p, d[off:]), nil
 }
 
 func (n *plainNode) WriteAt(p []byte, off int64) (int, error) {
 	n.l.mu.Lock()
 	defer n.l.mu.Unlock()
-	f := n.l.files[n.path]
-	if need := int(off) + len(p); need > len(f) {
-		if need > cap(f) {
-			nf := make([]byte, need, max(need, 2*cap(f)))
-			copy(nf, f)
-			f = nf
+	d := n.f.data
+	if need := int(off) + len(p); need > len(d) {
+		if need > cap(d) {
+			nd := make([]byte, need, max(need, 2*cap(d)))
+			copy(nd, d)
+			d = nd
 		} else {
-			f = f[:need]
+			d = d[:need]
 		}
 	}
-	copy(f[off:], p)
-	n.l.files[n.path] = f
-	delete(n.l.binCache, n.path)
+	copy(d[off:], p)
+	n.f.data, n.f.bin = d, nil
 	return len(p), nil
 }
 
 func (n *plainNode) Size() int64 {
 	n.l.mu.Lock()
 	defer n.l.mu.Unlock()
-	return int64(len(n.l.files[n.path]))
+	return int64(len(n.f.data))
 }
 
 func (n *plainNode) Close() error { return nil }

@@ -82,7 +82,8 @@ var confCommon = []struct {
 }
 
 var confSurfaceCalls = []string{"mkdir", "unlink", "lseek", "rename", "fsync",
-	"read on an unconnected socket", "write on an unconnected socket"}
+	"read on an unconnected socket", "write on an unconnected socket",
+	"rename of an open file", "write through its fd", "open of the old name"}
 
 // confSurface: Occlum has the full writable VFS; the native baseline
 // models a flat plaintext namespace without directories (mkdir/unlink
@@ -91,11 +92,14 @@ var confSurfaceCalls = []string{"mkdir", "unlink", "lseek", "rename", "fsync",
 // connected has no stream to read or write: Occlum's span bodies say
 // ENOTCONN, the baselines' map the description's error to EIO/EPIPE —
 // an errno on every kernel, where the baselines used to nil-dereference
-// and take the host process down.
+// and take the host process down. An fd follows its file across a
+// rename on both kernels that register rename: the write lands in the
+// new name and the old name stays gone (the sealed EIP filesystem
+// refuses the create, so its write finds no fd).
 var confSurface = map[string][]int64{
-	"Occlum":       {0, -libos.ENOENT, 3, -libos.ENOENT, 0, -libos.ENOTCONN, -libos.ENOTCONN},
-	"Linux":        {-libos.ENOSYS, -libos.ENOSYS, 3, -libos.ENOENT, 0, -libos.EIO, -libos.EPIPE},
-	"Graphene-SGX": {-libos.EACCES, -libos.EACCES, -libos.ENOSYS, -libos.ENOSYS, -libos.ENOSYS, -libos.EIO, -libos.EPIPE},
+	"Occlum":       {0, -libos.ENOENT, 3, -libos.ENOENT, 0, -libos.ENOTCONN, -libos.ENOTCONN, 0, 1, -libos.ENOENT},
+	"Linux":        {-libos.ENOSYS, -libos.ENOSYS, 3, -libos.ENOENT, 0, -libos.EIO, -libos.EPIPE, 0, 1, -libos.ENOENT},
+	"Graphene-SGX": {-libos.EACCES, -libos.EACCES, -libos.ENOSYS, -libos.ENOSYS, -libos.ENOSYS, -libos.EIO, -libos.EPIPE, -libos.ENOSYS, -libos.EBADF, -libos.ENOENT},
 }
 
 func buildConformParent(childPath, inputPath string) (*asm.Program, error) {
@@ -108,6 +112,8 @@ func buildConformParent(childPath, inputPath string) (*asm.Program, error) {
 	b.String("in", inputPath)
 	b.String("dir", "/confdir")
 	b.String("nope", "/nope")
+	b.String("mv", "/conf.mv")
+	b.String("mv2", "/conf.mv2")
 	b.Entry("_start")
 	ulib.Prologue(b)
 	log := func() { // clobbers R0..R3
@@ -220,6 +226,17 @@ func buildConformParent(childPath, inputPath string) (*asm.Program, error) {
 		ulib.Syscall(b, no)
 		log()
 	}
+	ulib.OpenPath(b, "mv", 8, libos.ORdWr|libos.OCreate)
+	b.MovRR(isa.R7, isa.R0)
+	ulib.RenamePath(b, "mv", 8, "mv2", 9)
+	log()
+	b.MovRR(isa.R1, isa.R7)
+	b.LeaData(isa.R2, "buf")
+	b.MovRI(isa.R3, 1)
+	ulib.Syscall(b, libos.SysWrite)
+	log()
+	ulib.OpenPath(b, "mv", 8, libos.ORdOnly)
+	log()
 	ulib.Exit(b, 7)
 	b.Label("fail")
 	b.Nop()
