@@ -14,7 +14,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/fs"
 	"repro/internal/hostos"
 	"repro/internal/isa"
 	"repro/internal/libos"
@@ -35,26 +34,6 @@ type Model interface {
 	Open(p *Proc, path string, flags int) (sysdispatch.File, error)
 	// Register adds the syscalls only this system answers.
 	Register(t *sysdispatch.Table)
-}
-
-// The errors Load and Open return reach the guest through one mapping
-// (errno): ErrNotExist is -ENOENT and ErrNoRoom -EAGAIN, as the LibOS
-// answers a missing path and an exhausted domain pool; anything else —
-// a sealed file that fails authentication, a file that is not a binary
-// — is -EACCES.
-var (
-	ErrNotExist = fs.ErrNotExist
-	ErrNoRoom   = errors.New("baseline: no room for another process")
-)
-
-func errno(err error) int64 {
-	switch {
-	case errors.Is(err, ErrNotExist):
-		return libos.ENOENT
-	case errors.Is(err, ErrNoRoom):
-		return libos.EAGAIN
-	}
-	return libos.EACCES
 }
 
 // Image is a created process before it runs. The model maps Mem; the

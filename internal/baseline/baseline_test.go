@@ -10,6 +10,7 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/eip"
+	"repro/internal/fs"
 	"repro/internal/hostos"
 	"repro/internal/isa"
 	"repro/internal/libos"
@@ -186,7 +187,7 @@ func TestSpawnErrno(t *testing.T) {
 	forEachSystem(t, 1<<30, func(t *testing.T, s system) {
 		s.write("/etc/motd", []byte("not a binary"))
 		run(t, s, "/etc/motd", nil, libos.EACCES)
-		run(t, s, "/no/such", baseline.ErrNotExist, libos.ENOENT)
+		run(t, s, "/no/such", fs.ErrNotExist, libos.ENOENT)
 	})
 	t.Run("Graphene-SGX does not fit", func(t *testing.T) {
 		s := systems(1 << 30)[1]
@@ -194,7 +195,7 @@ func TestSpawnErrno(t *testing.T) {
 			b.ReserveBSS(8 << 20) // the whole default enclave
 			ulib.Exit(b, 0)
 		})
-		run(t, s, "/bin/big", baseline.ErrNoRoom, libos.EAGAIN)
+		run(t, s, "/bin/big", sysdispatch.ErrNoRoom, libos.EAGAIN)
 	})
 	t.Run("Graphene-SGX out of EPC", func(t *testing.T) {
 		// Room for the spawner's enclave (8 MiB) but not a second one.

@@ -28,7 +28,7 @@ func (k *Kernel) newTable() *sysdispatch.Table {
 	t.Register(libos.SysOpen, func(p sysdispatch.Kernel, c *sysdispatch.Call) sysdispatch.Result {
 		f, err := k.model.Open(p.(*Proc), c.Path[0], int(c.A[2]))
 		if err != nil {
-			return sysdispatch.Errno(errno(err))
+			return sysdispatch.Err(err)
 		}
 		c.Out[0] = f
 		return sysdispatch.Ok(0)
@@ -37,7 +37,7 @@ func (k *Kernel) newTable() *sysdispatch.Table {
 	t.Register(libos.SysSpawn, func(p sysdispatch.Kernel, c *sysdispatch.Call) sysdispatch.Result {
 		child, err := k.Spawn(c.Path[0], sysdispatch.Argv(p, c), SpawnOpt{Parent: p.(*Proc)})
 		if err != nil {
-			return sysdispatch.Errno(errno(err))
+			return sysdispatch.Err(err)
 		}
 		return sysdispatch.Ok(int64(child.pid))
 	})

@@ -87,8 +87,8 @@ func TestMismatchedVerifierKeyRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = sys.OS.Spawn("/bin/h", nil, libos.SpawnOpt{})
-	if !errors.Is(err, libos.ErrNotSigned) {
-		t.Fatalf("err = %v, want ErrNotSigned", err)
+	if !errors.Is(err, oelf.ErrBadSignature) {
+		t.Fatalf("err = %v, want oelf.ErrBadSignature", err)
 	}
 }
 

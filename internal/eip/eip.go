@@ -26,10 +26,12 @@ import (
 	"sync"
 
 	"repro/internal/baseline"
+	"repro/internal/fs"
 	"repro/internal/hostos"
 	"repro/internal/mem"
 	"repro/internal/oelf"
 	"repro/internal/sgx"
+	"repro/internal/sysdispatch"
 )
 
 // libosReserve is the in-enclave LibOS footprint added to every process
@@ -106,7 +108,7 @@ func (g *Graphene) readProtected(path string) ([]byte, error) {
 	sealed, ok := g.files[path]
 	g.mu.Unlock()
 	if !ok {
-		return nil, fmt.Errorf("eip: protected file %s: %w", path, baseline.ErrNotExist)
+		return nil, fmt.Errorf("eip: protected file %s: %w", path, fs.ErrNotExist)
 	}
 	return open(g.fsKey, []byte("pf:"+path), sealed)
 }
@@ -131,7 +133,7 @@ func (g *Graphene) Load(path string, argv []string, parent *Proc) (*baseline.Ima
 	}
 	img := baseline.Place(&bin.Image, enclaveBase+libosReserve, g.cfg.HeapSize, g.cfg.StackSize)
 	if img.DataBase+img.DataSize+mem.PageSize > enclaveBase+g.cfg.EnclaveSize {
-		return nil, fmt.Errorf("%w: binary does not fit enclave size %d", baseline.ErrNoRoom, g.cfg.EnclaveSize)
+		return nil, fmt.Errorf("%w: binary does not fit enclave size %d", sysdispatch.ErrNoRoom, g.cfg.EnclaveSize)
 	}
 	encl, err := g.platform.ECreate(enclaveBase, g.cfg.EnclaveSize, 4)
 	if err != nil {
@@ -158,7 +160,7 @@ func (g *Graphene) populate(encl *sgx.Enclave, codeEnd uint64, parent *Proc, sta
 			perm = mem.PermRWX // LibOS + code pool (the RWX pitfall of §7)
 		}
 		if err := encl.EAdd(addr, nil, perm); err != nil {
-			return fmt.Errorf("%w: %w", baseline.ErrNoRoom, err)
+			return fmt.Errorf("%w: %w", sysdispatch.ErrNoRoom, err)
 		}
 	}
 	if _, err := encl.EInit(); err != nil {

@@ -8,6 +8,9 @@ import (
 	"errors"
 	"io"
 	"sync"
+
+	"repro/internal/fs"
+	"repro/internal/sysdispatch"
 )
 
 // seal encrypts-and-authenticates data with AES-GCM under a key derived
@@ -58,7 +61,7 @@ func (f roFile) ReadAt(p []byte, off int64) (int, error) {
 	return copy(p, f.data[off:]), nil
 }
 func (roFile) WriteAt([]byte, int64) (int, error) {
-	return 0, errors.New("eip: read-only filesystem")
+	return 0, fs.ErrReadOnly
 }
 func (f roFile) Size() int64 { return int64(len(f.data)) }
 func (roFile) Close() error  { return nil }
@@ -96,7 +99,7 @@ type encPipeEnd struct {
 
 func (e *encPipeEnd) Read(p []byte) (int, error) {
 	if e.writing {
-		return 0, errors.New("eip: write end")
+		return 0, sysdispatch.ErrBadFD
 	}
 	ep := e.p
 	ep.mu.Lock()
@@ -129,13 +132,13 @@ const encPipeMaxQueue = 64
 
 func (e *encPipeEnd) Write(p []byte) (int, error) {
 	if !e.writing {
-		return 0, errors.New("eip: read end")
+		return 0, sysdispatch.ErrBadFD
 	}
 	ep := e.p
 	ep.mu.Lock()
 	defer ep.mu.Unlock()
 	if ep.rClosed {
-		return 0, errors.New("eip: broken pipe")
+		return 0, io.ErrClosedPipe
 	}
 	for len(ep.queue) >= encPipeMaxQueue && !ep.rClosed {
 		ep.cond.Wait()
@@ -149,7 +152,7 @@ func (e *encPipeEnd) Write(p []byte) (int, error) {
 }
 
 func (e *encPipeEnd) Seek(int64, int) (int64, error) {
-	return 0, errors.New("eip: pipe is not seekable")
+	return 0, sysdispatch.ErrNotSeekable
 }
 
 func (e *encPipeEnd) Ref() {

@@ -672,6 +672,9 @@ func (fs *EncFS) resolveParent(p string) (int, string, error) {
 }
 
 func (fs *EncFS) lookup(dirIno int, name string) (int, error) {
+	if len(name) > maxNameLen {
+		return 0, ErrNameTooLong
+	}
 	din, err := fs.readInode(dirIno)
 	if err != nil {
 		return 0, err

@@ -91,8 +91,10 @@ const (
 	ENOSPC       = sysdispatch.ENOSPC
 	ESPIPE       = sysdispatch.ESPIPE
 	EPIPE        = sysdispatch.EPIPE
+	ENAMETOOLONG = sysdispatch.ENAMETOOLONG
 	ENOSYS       = sysdispatch.ENOSYS
 	ENOTEMPTY    = sysdispatch.ENOTEMPTY
+	EADDRINUSE   = sysdispatch.EADDRINUSE
 	ENOTCONN     = sysdispatch.ENOTCONN
 	ECONNREFUSED = sysdispatch.ECONNREFUSED
 )

@@ -1,35 +1,73 @@
-package libos
+package libos_test
 
 import (
-	"errors"
-	"fmt"
+	"bytes"
+	"encoding/binary"
+	"strings"
 	"testing"
 
-	"repro/internal/fs"
-	"repro/internal/hostos"
+	"repro/internal/asm"
+	"repro/internal/isa"
+	"repro/internal/libos"
+	"repro/internal/ulib"
 )
 
-// TestErrnoTable feeds errno the errors the stack returns, wrapped the
-// way the store and the host wrap them, and checks the errno a guest
-// sees.
-func TestErrnoTable(t *testing.T) {
-	wrap := func(err error) error { return fmt.Errorf("fs: flush: %w", fmt.Errorf("%w: img.s3", err)) }
-	for _, tc := range []struct {
-		err  error
-		want int64
-	}{
-		{nil, 0},
-		{wrap(hostos.ErrNoSpace), -ENOSPC},
-		{wrap(hostos.ErrIO), -EIO},
-		{wrap(hostos.ErrNoFile), -EIO},
-		{wrap(fs.ErrCorrupt), -EIO},
-		{wrap(fs.ErrFull), -ENOSPC},
-		{wrap(fs.ErrNotExist), -ENOENT},
-		{wrap(fs.ErrReadOnly), -EACCES},
-		{errors.New("anything else"), -EIO},
-	} {
-		if got := errno(tc.err); got != tc.want {
-			t.Errorf("errno(%v) = %d, want %d", tc.err, got, tc.want)
+// TestLongNameIsENAMETOOLONG: a path component over the store's 58-byte
+// limit answers -ENAMETOOLONG from every call that takes a path, as on
+// Linux, and not the -EIO of an error no row of the errno table names.
+// The guest logs each call's result as an 8-byte record on stdout.
+func TestLongNameIsENAMETOOLONG(t *testing.T) {
+	long := "/" + strings.Repeat("n", 59)
+	calls := []string{"open(O_CREAT)", "open", "mkdir", "stat", "rename to it", "rename from it"}
+	var out bytes.Buffer
+	sys, tc := bootSmall(t, 2, 1, 0, &out)
+	defer sys.OS.Shutdown()
+	prog := buildProg(t, func(b *asm.Builder) {
+		b.String("long", long)
+		b.String("short", "/short")
+		b.Zero("stat", 16)
+		b.Zero("rec", 8)
+		b.Entry("_start")
+		ulib.Prologue(b)
+		log := func() {
+			b.StoreData("rec", isa.R0)
+			ulib.WriteStr(b, 1, "rec", 8)
+		}
+		n := int64(len(long))
+		ulib.OpenPath(b, "long", n, libos.ORdWr|libos.OCreate)
+		log()
+		ulib.OpenPath(b, "long", n, libos.ORdOnly)
+		log()
+		b.LeaData(isa.R1, "long")
+		b.MovRI(isa.R2, n)
+		ulib.Syscall(b, libos.SysMkdir)
+		log()
+		ulib.StatPath(b, "long", n, "stat")
+		log()
+		ulib.OpenPath(b, "short", 6, libos.ORdWr|libos.OCreate)
+		ulib.RenamePath(b, "short", 6, "long", n)
+		log()
+		ulib.RenamePath(b, "long", n, "short", 6)
+		log()
+		ulib.Exit(b, 0)
+	})
+	if err := sys.Install(tc, "/bin/long", "long", prog); err != nil {
+		t.Fatal(err)
+	}
+	p, err := sys.OS.Spawn("/bin/long", nil, libos.SpawnOpt{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := p.Wait(); st != 0 {
+		t.Fatalf("status %d", st)
+	}
+	got := out.Bytes()
+	if len(got) != 8*len(calls) {
+		t.Fatalf("%d bytes of results, want %d", len(got), 8*len(calls))
+	}
+	for i, call := range calls {
+		if r := int64(binary.LittleEndian.Uint64(got[8*i:])); r != -libos.ENAMETOOLONG {
+			t.Errorf("%s of a 59-byte name = %d, want %d", call, r, -libos.ENAMETOOLONG)
 		}
 	}
 }

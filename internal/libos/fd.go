@@ -1,7 +1,6 @@
 package libos
 
 import (
-	"errors"
 	"io"
 	"sync"
 	"sync/atomic"
@@ -128,6 +127,24 @@ func (of *OpenFile) streams() (rd, wr *ring.Stream) {
 	of.mu.Lock()
 	defer of.mu.Unlock()
 	return of.rd, of.wr
+}
+
+// stream returns the stream the description reads, or writes when
+// write is set. Without one a data call fails: sysdispatch.ErrNotConn
+// on a socket never connected, sysdispatch.ErrBadFD on anything else (a
+// pipe's other end, a listener, an epoll set, a node).
+func (of *OpenFile) stream(write bool) (*ring.Stream, error) {
+	s, wr := of.streams()
+	if write {
+		s = wr
+	}
+	switch {
+	case s != nil:
+		return s, nil
+	case of.kind == kindSock:
+		return nil, sysdispatch.ErrNotConn
+	}
+	return nil, sysdispatch.ErrBadFD
 }
 
 // closeStreams shuts down the directions the description holds: the
@@ -293,8 +310,7 @@ func mapReady(r hostos.Ready) uint32 {
 // Read reads from the description, advancing the offset for seekable
 // files and blocking for streams.
 func (of *OpenFile) Read(p []byte) (int, error) {
-	switch of.kind {
-	case kindNode:
+	if of.kind == kindNode {
 		of.mu.Lock()
 		off := of.offset
 		of.mu.Unlock()
@@ -306,18 +322,17 @@ func (of *OpenFile) Read(p []byte) (int, error) {
 			return 0, io.EOF
 		}
 		return n, err
-	case kindPipe, kindSock:
-		if rd, _ := of.streams(); rd != nil {
-			return rd.Read(p)
-		}
 	}
-	return 0, errors.New("libos: fd not readable")
+	rd, err := of.stream(false)
+	if err != nil {
+		return 0, err
+	}
+	return rd.Read(p)
 }
 
 // Write writes to the description.
 func (of *OpenFile) Write(p []byte) (int, error) {
-	switch of.kind {
-	case kindNode:
+	if of.kind == kindNode {
 		of.mu.Lock()
 		off := of.offset
 		of.mu.Unlock()
@@ -326,18 +341,18 @@ func (of *OpenFile) Write(p []byte) (int, error) {
 		of.offset = off + int64(n)
 		of.mu.Unlock()
 		return n, err
-	case kindPipe, kindSock:
-		if _, wr := of.streams(); wr != nil {
-			return wr.Write(p)
-		}
 	}
-	return 0, errors.New("libos: fd not writable")
+	wr, err := of.stream(true)
+	if err != nil {
+		return 0, err
+	}
+	return wr.Write(p)
 }
 
 // Seek repositions a seekable description.
 func (of *OpenFile) Seek(off int64, whence int) (int64, error) {
 	if of.kind != kindNode {
-		return 0, errors.New("libos: not seekable")
+		return 0, sysdispatch.ErrNotSeekable
 	}
 	of.mu.Lock()
 	defer of.mu.Unlock()
@@ -349,7 +364,7 @@ func (of *OpenFile) Seek(off int64, whence int) (int64, error) {
 	case SeekEnd:
 		of.offset = of.node.Size() + off
 	default:
-		return 0, errors.New("libos: bad whence")
+		return 0, fs.ErrInvalid
 	}
 	if of.offset < 0 {
 		of.offset = 0
@@ -417,53 +432,10 @@ func (n *writerNode) Close() error { return nil }
 // the baseline kernels).
 func NewSocketFile() *OpenFile { return &OpenFile{refs: 1, kind: kindSock} }
 
-// BindHost turns a socket into a listener on the host loopback network.
-func (of *OpenFile) BindHost(h *hostos.Host, port uint16) error {
-	if of.kind != kindSock {
-		return errors.New("libos: not a socket")
-	}
-	lis, err := h.Listen(port)
-	if err != nil {
-		return err
-	}
-	of.mu.Lock()
-	of.kind = kindListener
-	of.lis = lis
-	of.mu.Unlock()
-	return nil
-}
-
-// AcceptHost blocks for an inbound connection and wraps it as a new
-// description.
-func (of *OpenFile) AcceptHost() (*OpenFile, error) {
-	if of.kind != kindListener {
-		return nil, errors.New("libos: not a listener")
-	}
-	conn, err := of.lis.Accept()
-	if err != nil {
-		return nil, err
-	}
-	return newConnFile(conn), nil
-}
-
-// ConnectHost dials a host loopback port.
-func (of *OpenFile) ConnectHost(h *hostos.Host, port uint16) error {
-	if of.kind != kindSock {
-		return errors.New("libos: not a socket")
-	}
-	conn, err := h.Dial(port)
-	if err != nil {
-		return err
-	}
-	of.mu.Lock()
-	of.rd, of.wr = conn.Streams()
-	of.mu.Unlock()
-	return nil
-}
-
 // registerSockets installs socket, bind, listen and connect over the
 // loopback host beneath the calling process (hostOf); each kernel adds
-// its own accept.
+// its own accept. bind turns a socket into a listener, and connect gives
+// it the two streams of a host connection.
 func registerSockets(t *sysdispatch.Table, hostOf func(sysdispatch.Kernel) *hostos.Host) {
 	t.Register(SysSocket, func(_ sysdispatch.Kernel, c *sysdispatch.Call) sysdispatch.Result {
 		c.Out[0] = NewSocketFile()
@@ -474,9 +446,13 @@ func registerSockets(t *sysdispatch.Table, hostOf func(sysdispatch.Kernel) *host
 		if !ok || of.kind != kindSock {
 			return sysdispatch.Errno(EBADF)
 		}
-		if of.BindHost(hostOf(k), uint16(c.A[1])) != nil {
-			return sysdispatch.Errno(EACCES)
+		lis, err := hostOf(k).Listen(uint16(c.A[1]))
+		if err != nil {
+			return sysdispatch.Err(err)
 		}
+		of.mu.Lock()
+		of.kind, of.lis = kindListener, lis
+		of.mu.Unlock()
 		return sysdispatch.Ok(0)
 	})
 	t.Register(SysListen, sysdispatch.Listen)
@@ -485,9 +461,13 @@ func registerSockets(t *sysdispatch.Table, hostOf func(sysdispatch.Kernel) *host
 		if !ok || of.kind != kindSock {
 			return sysdispatch.Errno(EBADF)
 		}
-		if of.ConnectHost(hostOf(k), uint16(c.A[1])) != nil {
-			return sysdispatch.Errno(ECONNREFUSED)
+		conn, err := hostOf(k).Dial(uint16(c.A[1]))
+		if err != nil {
+			return sysdispatch.Err(err)
 		}
+		of.mu.Lock()
+		of.rd, of.wr = conn.Streams()
+		of.mu.Unlock()
 		return sysdispatch.Ok(0)
 	})
 }
@@ -499,14 +479,14 @@ func RegisterHostSockets(t *sysdispatch.Table, host *hostos.Host) {
 	registerSockets(t, func(sysdispatch.Kernel) *hostos.Host { return host })
 	t.Register(SysAccept, func(_ sysdispatch.Kernel, c *sysdispatch.Call) sysdispatch.Result {
 		of, ok := c.F[0].(*OpenFile)
-		if !ok {
+		if !ok || of.kind != kindListener {
 			return sysdispatch.Errno(EBADF)
 		}
-		nf, err := of.AcceptHost()
+		conn, err := of.lis.Accept()
 		if err != nil {
-			return sysdispatch.Errno(EIO)
+			return sysdispatch.Err(err)
 		}
-		c.Out[0] = nf
+		c.Out[0] = newConnFile(conn)
 		return sysdispatch.Ok(0)
 	})
 }

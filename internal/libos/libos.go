@@ -215,16 +215,6 @@ type BootStats struct {
 	Measurement sgx.Measurement
 }
 
-// Boot errors.
-var (
-	// ErrNoDomains reports domain exhaustion at spawn.
-	ErrNoDomains = errors.New("libos: no free MMDSFI domains")
-	// ErrTooBig reports a binary that does not fit a domain.
-	ErrTooBig = errors.New("libos: binary does not fit in a domain")
-	// ErrNotSigned reports a binary without a valid verifier signature.
-	ErrNotSigned = errors.New("libos: binary not signed by the verifier")
-)
-
 // enclaveBase is where the enclave's ELRANGE starts.
 const enclaveBase = 0x10000000
 
@@ -429,7 +419,7 @@ func (o *Occlum) allocDomain(li *loadedImage) (*Domain, error) {
 		}
 	}
 	if d == nil {
-		return nil, ErrNoDomains
+		return nil, fmt.Errorf("libos: every MMDSFI domain is in use: %w", sysdispatch.ErrNoRoom)
 	}
 	if d.cpu == nil || d.resident != li {
 		d.cpu = vm.New(o.enclave.Paged)

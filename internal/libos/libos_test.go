@@ -115,7 +115,7 @@ func TestLoaderRefusesWrongGuardSize(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = sys.OS.Spawn("/bin/wide", nil, libos.SpawnOpt{})
-	if err == nil || errors.Is(err, libos.ErrNotSigned) {
+	if err == nil || errors.Is(err, oelf.ErrBadSignature) {
 		t.Fatalf("spawn of a signed binary with guard size 8192: err = %v, want a layout refusal", err)
 	}
 	if _, inUse := sys.OS.Domains(); inUse != 0 {

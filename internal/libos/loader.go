@@ -10,6 +10,7 @@ import (
 	"repro/internal/isa"
 	"repro/internal/mem"
 	"repro/internal/oelf"
+	"repro/internal/sysdispatch"
 )
 
 // loadedImage is what the loader keeps of a binary VerifierKey.Verify
@@ -149,12 +150,12 @@ func (o *Occlum) loadBinary(path string) (*loadedImage, error) {
 	}
 	// Loader duty 1: only verifier-signed binaries may enter a domain.
 	if err := o.cfg.VerifierKey.Verify(bin); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrNotSigned, err)
+		return nil, fmt.Errorf("libos: %s: %w", path, err)
 	}
 	// Boot maps every domain with the one layout the verifier proved
 	// accesses against; a signed image that claims another is refused.
 	if bin.Image.GuardSize != oelf.GuardSize {
-		return nil, fmt.Errorf("libos: unsupported guard size %d", bin.Image.GuardSize)
+		return nil, fmt.Errorf("%w: unsupported guard size %d", oelf.ErrBadFormat, bin.Image.GuardSize)
 	}
 	atomic.AddUint64(&o.stats.ImagesVerified, 1)
 	img := &loadedImage{bin: bin, labels: isa.FindCFIMagic(bin.Image.Code)}
@@ -186,10 +187,10 @@ func (o *Occlum) loadIntoDomain(d *Domain, li *loadedImage, path string, argv []
 	img := &li.bin.Image
 	codeSpan := img.CodeSpan()
 	if codeSpan+trampolineLen+16 > d.CodeSize {
-		return fmt.Errorf("%w: code span %d > domain code size %d", ErrTooBig, codeSpan, d.CodeSize)
+		return fmt.Errorf("%w: code span %d > domain code size %d", sysdispatch.ErrNoRoom, codeSpan, d.CodeSize)
 	}
 	if img.MinDataSize()+o.cfg.StackSize+mem.PageSize > d.DataSize {
-		return fmt.Errorf("%w: data %d + stack > domain data size %d", ErrTooBig, img.MinDataSize(), d.DataSize)
+		return fmt.Errorf("%w: data %d + stack > domain data size %d", sysdispatch.ErrNoRoom, img.MinDataSize(), d.DataSize)
 	}
 
 	codeBase := d.CodeBase + d.CodeSize - codeSpan

@@ -506,7 +506,7 @@ func (o *Occlum) Kill(pid, sig int) error {
 	p, ok := o.procs[pid]
 	if !ok || p.exited {
 		o.mu.Unlock()
-		return fmt.Errorf("libos: kill: no process %d", pid)
+		return fmt.Errorf("libos: kill %d: %w", pid, sysdispatch.ErrNoProcess)
 	}
 	sg := p.signals()
 	sg.pending = append(sg.pending, sig)

@@ -20,6 +20,7 @@ import (
 	"repro/internal/libos"
 	"repro/internal/mem"
 	"repro/internal/oelf"
+	"repro/internal/sysdispatch"
 	"repro/internal/ulib"
 )
 
@@ -159,8 +160,8 @@ func TestTeardownScrubFollowsTheSIP(t *testing.T) {
 	}
 
 	before = os.SpawnStats()
-	if _, err := os.Spawn("/bin/huge", nil, libos.SpawnOpt{}); !errors.Is(err, libos.ErrTooBig) {
-		t.Fatalf("oversized binary: %v, want ErrTooBig", err)
+	if _, err := os.Spawn("/bin/huge", nil, libos.SpawnOpt{}); !errors.Is(err, sysdispatch.ErrNoRoom) {
+		t.Fatalf("oversized binary: %v, want ErrNoRoom", err)
 	}
 	if torn := os.SpawnStats().Sub(before); torn.Exits != 1 || torn.ImageBytesLoaded != 0 || torn.PagesScrubbed > 16 {
 		t.Errorf("teardown mid-load: %+v, want 1 exit, nothing loaded, ≤ 16 pages scrubbed", torn)
@@ -335,7 +336,7 @@ func hostWrite(t testing.TB, os *libos.Occlum, path string, flags fs.OpenFlag, o
 // overwritten in place, truncated and rewritten, unlinked and recreated on
 // the same inode number, renamed over — each from the host-side VFS and
 // from inside a SIP. The next spawn must go back through the verifier:
-// refused with ErrNotSigned when the new content is unsigned, and running
+// refused with oelf.ErrBadSignature when the new content is unsigned, and running
 // the new program (never the cached one) when it is signed. One row runs
 // on a single domain, so the new program loads into the very slot that
 // held the old one: it must be copied and decoded anew.
@@ -363,7 +364,7 @@ func TestImageCacheNeverServesAChangedFile(t *testing.T) {
 		// sameIno: the changed /bin/x must sit on the inode the cached
 		// image was keyed by (the case is void otherwise).
 		sameIno bool
-		// wantStatus < 0: the spawn must fail with ErrNotSigned.
+		// wantStatus < 0: the spawn must fail with oelf.ErrBadSignature.
 		wantStatus int
 		// oneDomain: boot with a single domain (host only).
 		oneDomain bool
@@ -492,15 +493,15 @@ func TestImageCacheNeverServesAChangedFile(t *testing.T) {
 					t.Errorf("spawn after the change did not re-read the file: %+v", d)
 				}
 				if c.wantStatus < 0 {
-					if !errors.Is(err, libos.ErrNotSigned) {
-						t.Fatalf("spawn after the change: status %d, err %v; want ErrNotSigned", status, err)
+					if !errors.Is(err, oelf.ErrBadSignature) {
+						t.Fatalf("spawn after the change: status %d, err %v; want oelf.ErrBadSignature", status, err)
 					}
 					if d.ImagesVerified != 0 || d.ImageBytesLoaded != 0 {
 						t.Errorf("refused spawn loaded something: %+v", d)
 					}
 					// Refused again, not cached as refused-then-accepted.
-					if _, err := spawnWait(t, os, "/bin/x"); !errors.Is(err, libos.ErrNotSigned) {
-						t.Fatalf("second spawn after the change: %v, want ErrNotSigned", err)
+					if _, err := spawnWait(t, os, "/bin/x"); !errors.Is(err, oelf.ErrBadSignature) {
+						t.Fatalf("second spawn after the change: %v, want oelf.ErrBadSignature", err)
 					}
 					return
 				}
@@ -638,8 +639,8 @@ func TestImageCacheUnionCopyUp(t *testing.T) {
 	}
 	hostWrite(t, os, "/bin/x", fs.OWrOnly|fs.OTrunc, 0, evil.Marshal())
 	before := os.SpawnStats()
-	if _, err := spawnWait(t, os, "/bin/x"); !errors.Is(err, libos.ErrNotSigned) {
-		t.Fatalf("spawn after copy-up of unsigned content: %v, want ErrNotSigned", err)
+	if _, err := spawnWait(t, os, "/bin/x"); !errors.Is(err, oelf.ErrBadSignature) {
+		t.Fatalf("spawn after copy-up of unsigned content: %v, want oelf.ErrBadSignature", err)
 	}
 	if d := os.SpawnStats().Sub(before); d.ImageCacheHits != 0 || d.ImageBytesRead == 0 {
 		t.Errorf("spawn after copy-up did not re-read: %+v", d)
@@ -707,7 +708,7 @@ func TestImageCacheConcurrentSpawns(t *testing.T) {
 				attempts.Add(1)
 				p, err := os.Spawn("/x", nil, libos.SpawnOpt{})
 				if err != nil {
-					if errors.Is(err, libos.ErrNoDomains) {
+					if errors.Is(err, sysdispatch.ErrNoRoom) {
 						t.Errorf("spawner %d: %v", g, err)
 						return
 					}

@@ -15,8 +15,9 @@ import (
 // TestStaleFDNeverReachesAnotherSIPsFile: SIP A opens /data/a and keeps
 // the fd; SIP B unlinks /data/a and creates /data/secret, which reuses
 // the freed inode. A's read and write through the old fd must fail: the
-// read returns none of B's bytes, the write changes none of them, and
-// the filesystem is consistent (Fsck) once synced.
+// read returns none of B's bytes and answers -ENOENT, the errno of the
+// node's ErrNotExist (A exits with it), the write changes none of B's
+// bytes, and the filesystem is consistent (Fsck) once synced.
 func TestStaleFDNeverReachesAnotherSIPsFile(t *testing.T) {
 	var out bytes.Buffer
 	cfg := smallConfig(4, 2, 0, &out)
@@ -81,13 +82,15 @@ func TestStaleFDNeverReachesAnotherSIPsFile(t *testing.T) {
 		ulib.Syscall(b, libos.SysWrite)
 		ulib.Exit(b, 3)
 		b.Label("readfailed")
+		b.MovRI(isa.R7, 0)
+		b.Sub(isa.R7, isa.R0)
 		b.MovRR(isa.R1, isa.R6)
 		b.LeaData(isa.R2, "clobber")
 		b.MovRI(isa.R3, 7)
 		ulib.Syscall(b, libos.SysWrite)
 		b.CmpI(isa.R0, 0)
 		b.Jge("wrote")
-		ulib.Exit(b, 0)
+		ulib.ExitR(b, isa.R7)
 		b.Label("wrote")
 		ulib.Exit(b, 4)
 		b.Label("fail")
@@ -122,13 +125,13 @@ func TestStaleFDNeverReachesAnotherSIPsFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	switch status := p.Wait(); status {
-	case 0:
+	case libos.ENOENT:
 	case 3:
 		t.Fatalf("A read %q through its fd on B's file", out.String())
 	case 4:
 		t.Fatal("A's write through its stale fd succeeded")
 	default:
-		t.Fatalf("status = %d", status)
+		t.Fatalf("status = %d: the read through the stale fd answered -%[1]d, want -ENOENT (%d)", status, libos.ENOENT)
 	}
 	after, _, err := vfs.Version("/data/secret")
 	if err != nil {

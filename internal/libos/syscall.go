@@ -1,7 +1,6 @@
 package libos
 
 import (
-	"errors"
 	"sync/atomic"
 
 	"repro/internal/fs"
@@ -50,13 +49,13 @@ func newSysTable() *sysdispatch.Table {
 	t.Register(SysLseek, sysdispatch.Lseek)
 	t.Register(SysStat, sysStat)
 	t.Register(SysMkdir, func(k sysdispatch.Kernel, c *sysdispatch.Call) sysdispatch.Result {
-		return sysdispatch.Ok(errno(k.(*Proc).os.vfs.Mkdir(c.Path[0])))
+		return sysdispatch.Err(k.(*Proc).os.vfs.Mkdir(c.Path[0]))
 	})
 	t.Register(SysUnlink, func(k sysdispatch.Kernel, c *sysdispatch.Call) sysdispatch.Result {
-		return sysdispatch.Ok(errno(k.(*Proc).os.vfs.Unlink(c.Path[0])))
+		return sysdispatch.Err(k.(*Proc).os.vfs.Unlink(c.Path[0]))
 	})
 	t.Register(SysRename, func(k sysdispatch.Kernel, c *sysdispatch.Call) sysdispatch.Result {
-		return sysdispatch.Ok(errno(k.(*Proc).os.vfs.Rename(c.Path[0], c.Path[1])))
+		return sysdispatch.Err(k.(*Proc).os.vfs.Rename(c.Path[0], c.Path[1]))
 	})
 	t.Register(SysReaddir, sysReaddir)
 	registerSockets(t, func(k sysdispatch.Kernel) *hostos.Host { return k.(*Proc).os.host })
@@ -75,45 +74,12 @@ func newSysTable() *sysdispatch.Table {
 		return sysdispatch.Result{Yielded: true}
 	})
 	t.Register(SysFsync, func(k sysdispatch.Kernel, _ *sysdispatch.Call) sysdispatch.Result {
-		return sysdispatch.Ok(errno(k.(*Proc).os.encfs.Sync()))
+		return sysdispatch.Err(k.(*Proc).os.encfs.Sync())
 	})
 	t.Register(SysSpawnCPU, func(k sysdispatch.Kernel, _ *sysdispatch.Call) sysdispatch.Result {
 		return sysdispatch.Ok(int64(k.(*Proc).cpu.Cycles))
 	})
 	return t
-}
-
-func errno(err error) int64 {
-	switch {
-	case err == nil:
-		return 0
-	case errors.Is(err, fs.ErrNotExist):
-		return -ENOENT
-	case errors.Is(err, fs.ErrExist):
-		return -EEXIST
-	case errors.Is(err, fs.ErrIsDir):
-		return -EISDIR
-	case errors.Is(err, fs.ErrNotDir):
-		return -ENOTDIR
-	case errors.Is(err, fs.ErrNotEmpty):
-		return -ENOTEMPTY
-	case errors.Is(err, fs.ErrReadOnly):
-		return -EACCES
-	case errors.Is(err, fs.ErrFull):
-		return -ENOSPC
-	case errors.Is(err, fs.ErrCrossDevice):
-		return -EXDEV
-	case errors.Is(err, fs.ErrInvalid):
-		return -EINVAL
-	case errors.Is(err, fs.ErrReservedName):
-		return -EACCES
-	case errors.Is(err, hostos.ErrNoSpace):
-		return -ENOSPC
-	case errors.Is(err, hostos.ErrIO):
-		return -EIO
-	default:
-		return -EIO
-	}
 }
 
 // getFD resolves an fd the specs cannot describe as an argument: a poll
@@ -143,7 +109,7 @@ func sysOpen(k sysdispatch.Kernel, c *sysdispatch.Call) sysdispatch.Result {
 	flags := fs.OpenFlag(c.A[2])
 	n, err := k.(*Proc).os.vfs.Open(c.Path[0], flags)
 	if err != nil {
-		return sysdispatch.Ok(errno(err))
+		return sysdispatch.Err(err)
 	}
 	c.Out[0] = newNodeFile(n, flags)
 	return sysdispatch.Ok(0)
@@ -153,14 +119,7 @@ func sysSpawn(k sysdispatch.Kernel, c *sysdispatch.Call) sysdispatch.Result {
 	p := k.(*Proc)
 	child, err := p.os.Spawn(c.Path[0], sysdispatch.Argv(p, c), SpawnOpt{Parent: p})
 	if err != nil {
-		switch {
-		case errors.Is(err, ErrNoDomains):
-			return sysdispatch.Errno(EAGAIN)
-		case errors.Is(err, fs.ErrNotExist):
-			return sysdispatch.Errno(ENOENT)
-		default:
-			return sysdispatch.Errno(EACCES)
-		}
+		return sysdispatch.Err(err)
 	}
 	return sysdispatch.Ok(int64(child.pid))
 }
@@ -227,10 +186,7 @@ func sysFutex(k sysdispatch.Kernel, c *sysdispatch.Call) sysdispatch.Result {
 
 func sysKill(k sysdispatch.Kernel, c *sysdispatch.Call) sysdispatch.Result {
 	p := k.(*Proc)
-	if err := p.os.Kill(int(int64(c.A[0])), int(int64(c.A[1]))); err != nil {
-		return sysdispatch.Errno(ESRCH)
-	}
-	return sysdispatch.Ok(0)
+	return sysdispatch.Err(p.os.Kill(int(int64(c.A[0])), int(int64(c.A[1]))))
 }
 
 func sysSigaction(k sysdispatch.Kernel, c *sysdispatch.Call) sysdispatch.Result {
@@ -275,7 +231,7 @@ func sysStat(k sysdispatch.Kernel, c *sysdispatch.Call) sysdispatch.Result {
 	p := k.(*Proc)
 	fi, err := p.os.vfs.Stat(c.Path[0])
 	if err != nil {
-		return sysdispatch.Ok(errno(err))
+		return sysdispatch.Err(err)
 	}
 	var d uint64
 	if fi.IsDir {
@@ -291,7 +247,7 @@ func sysReaddir(k sysdispatch.Kernel, c *sysdispatch.Call) sysdispatch.Result {
 	p := k.(*Proc)
 	ents, err := p.os.vfs.ReadDir(c.Path[0])
 	if err != nil {
-		return sysdispatch.Ok(errno(err))
+		return sysdispatch.Err(err)
 	}
 	var out []byte
 	for _, e := range ents {
@@ -309,7 +265,9 @@ func sysReaddir(k sysdispatch.Kernel, c *sysdispatch.Call) sysdispatch.Result {
 // closes — the paper's Lighttpd configuration runs more workers than
 // TCS entries only because a worker waiting in accept costs no hart. On
 // an O_NONBLOCK listener an empty backlog returns EAGAIN instead (the
-// event-driven acceptor's drain loop).
+// event-driven acceptor's drain loop). A listener closed under the call
+// answers EIO, as on the baselines: hostos.ErrClosed has no row in the
+// errno table, on purpose.
 func sysAccept(k sysdispatch.Kernel, c *sysdispatch.Call) sysdispatch.Result {
 	p := k.(*Proc)
 	of := c.F[0].(*OpenFile)
@@ -324,7 +282,7 @@ func sysAccept(k sysdispatch.Kernel, c *sysdispatch.Call) sysdispatch.Result {
 	for {
 		conn, got, closed := of.lis.TryAccept(wait)
 		if closed {
-			return sysdispatch.Errno(EIO)
+			return sysdispatch.Err(hostos.ErrClosed)
 		}
 		if !got {
 			if wait == nil {

@@ -97,9 +97,9 @@ func vectored(p *Proc, c *sysdispatch.Call, write bool) sysdispatch.Result {
 // when nothing fit. A faulting span returns the bytes written before
 // it, or EFAULT when it comes first.
 func (p *Proc) writeSpans(of *OpenFile, iov []sysdispatch.Iovec) sysdispatch.Result {
-	_, wr := of.streams()
-	if wr == nil && of.kind != kindNode {
-		return sysdispatch.Errno(noStream(of))
+	wr, err := of.stream(true)
+	if err != nil && of.kind != kindNode {
+		return sysdispatch.Err(err)
 	}
 	cur := p.cursys
 	wait := p.wake
@@ -122,6 +122,7 @@ func (p *Proc) writeSpans(of *OpenFile, iov []sysdispatch.Iovec) sysdispatch.Res
 		}
 		var (
 			wn                 int
+			werr               error
 			closed, wouldBlock bool
 		)
 		if wr != nil {
@@ -129,18 +130,19 @@ func (p *Proc) writeSpans(of *OpenFile, iov []sysdispatch.Iovec) sysdispatch.Res
 			if wn > 0 {
 				of.touch(p.os.timers)
 			}
+			if closed {
+				werr = io.ErrClosedPipe
+			}
 		} else {
-			var werr error
 			wn, werr = of.Write(v.B)
-			closed = werr != nil && wn == 0
 		}
 		atomic.AddUint64(&netStats.BytesLent, uint64(wn))
 		cur.prog += int64(wn)
-		if closed {
+		if werr != nil {
 			if cur.prog > 0 {
 				break
 			}
-			return sysdispatch.Errno(EPIPE)
+			return sysdispatch.Err(werr)
 		}
 		if wouldBlock {
 			if wait == nil {
@@ -159,16 +161,6 @@ func (p *Proc) writeSpans(of *OpenFile, iov []sysdispatch.Iovec) sysdispatch.Res
 	return sysdispatch.Ok(cur.prog)
 }
 
-// noStream is the errno for a data call on a description that lacks the
-// stream direction it needs: an unconnected socket is ENOTCONN, anything
-// else (a pipe's other end, a listener, an epoll fd) EBADF.
-func noStream(of *OpenFile) int64 {
-	if of.kind == kindSock {
-		return ENOTCONN
-	}
-	return EBADF
-}
-
 // readSpans is the one read path of the LibOS: scatter-read into the
 // spans, lending each span writable and committing the fill through
 // the loan protocol (a span remapped mid-fill fails EFAULT instead of
@@ -177,9 +169,9 @@ func noStream(of *OpenFile) int64 {
 // nothing is available; empty spans are skipped, so a zero-length read
 // returns 0 without waiting.
 func (p *Proc) readSpans(of *OpenFile, iov []sysdispatch.Iovec) sysdispatch.Result {
-	rd, _ := of.streams()
-	if rd == nil && of.kind != kindNode {
-		return sysdispatch.Errno(noStream(of))
+	rd, err := of.stream(false)
+	if err != nil && of.kind != kindNode {
+		return sysdispatch.Err(err)
 	}
 	nonblock := of.nonblock.Load()
 
@@ -218,7 +210,7 @@ func (p *Proc) readSpans(of *OpenFile, iov []sysdispatch.Iovec) sysdispatch.Resu
 				if total > 0 {
 					return sysdispatch.Ok(total)
 				}
-				return sysdispatch.Errno(EIO)
+				return sysdispatch.Err(rerr)
 			}
 			eof = rerr == io.EOF
 		}
@@ -267,9 +259,9 @@ func sysSendfile(k sysdispatch.Kernel, c *sysdispatch.Call) sysdispatch.Result {
 	if off < 0 || count < 0 {
 		return sysdispatch.Errno(EINVAL)
 	}
-	_, wr := oof.streams()
-	if wr == nil {
-		return sysdispatch.Errno(noStream(oof))
+	wr, err := oof.stream(true)
+	if err != nil {
+		return sysdispatch.Err(err)
 	}
 	wait := p.wake
 	if oof.nonblock.Load() {
@@ -287,7 +279,7 @@ func sysSendfile(k sysdispatch.Kernel, c *sysdispatch.Call) sysdispatch.Result {
 				if sent > 0 {
 					break
 				}
-				return sysdispatch.Ok(errno(err))
+				return sysdispatch.Err(err)
 			}
 			chunk = b
 		} else {
@@ -300,7 +292,7 @@ func sysSendfile(k sysdispatch.Kernel, c *sysdispatch.Call) sysdispatch.Result {
 				if sent > 0 {
 					break
 				}
-				return sysdispatch.Ok(errno(err))
+				return sysdispatch.Err(err)
 			}
 			chunk = want[:rn]
 		}
@@ -363,13 +355,13 @@ func sysSplice(k sysdispatch.Kernel, c *sysdispatch.Call) sysdispatch.Result {
 	if count == 0 {
 		return sysdispatch.Ok(0)
 	}
-	src, _ := inof.streams()
-	if src == nil {
-		return sysdispatch.Errno(noStream(inof))
+	src, err := inof.stream(false)
+	if err != nil {
+		return sysdispatch.Err(err)
 	}
-	_, dst := outof.streams()
-	if dst == nil {
-		return sysdispatch.Errno(noStream(outof))
+	dst, err := outof.stream(true)
+	if err != nil {
+		return sysdispatch.Err(err)
 	}
 	if src == dst {
 		return sysdispatch.Errno(EINVAL)

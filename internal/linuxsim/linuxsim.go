@@ -12,6 +12,7 @@ import (
 	"sync"
 
 	"repro/internal/baseline"
+	"repro/internal/fs"
 	"repro/internal/hostos"
 	"repro/internal/libos"
 	"repro/internal/mem"
@@ -78,7 +79,7 @@ func (l *Linux) ReadFile(path string) ([]byte, error) {
 }
 
 func noFile(path string) error {
-	return fmt.Errorf("linuxsim: %s: %w", path, baseline.ErrNotExist)
+	return fmt.Errorf("linuxsim: %s: %w", path, fs.ErrNotExist)
 }
 
 // InstallBinary writes a marshaled binary to the plain filesystem.

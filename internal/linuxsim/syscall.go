@@ -14,10 +14,7 @@ func (l *Linux) Register(t *sysdispatch.Table) {
 		return sysdispatch.Ok(0) // plaintext FS: no deferred integrity state
 	})
 	t.Register(libos.SysRename, func(_ sysdispatch.Kernel, c *sysdispatch.Call) sysdispatch.Result {
-		if err := l.renamePlain(c.Path[0], c.Path[1]); err != nil {
-			return sysdispatch.Errno(libos.ENOENT)
-		}
-		return sysdispatch.Ok(0)
+		return sysdispatch.Err(l.renamePlain(c.Path[0], c.Path[1]))
 	})
 }
 

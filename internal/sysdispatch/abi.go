@@ -182,8 +182,10 @@ const (
 	ENOSPC       = 28
 	ESPIPE       = 29
 	EPIPE        = 32
+	ENAMETOOLONG = 36
 	ENOSYS       = 38
 	ENOTEMPTY    = 39
+	EADDRINUSE   = 98
 	ENOTCONN     = 107
 	ECONNREFUSED = 111
 )

@@ -327,7 +327,7 @@ func Listen(k Kernel, c *Call) Result {
 func Lseek(k Kernel, c *Call) Result {
 	off, err := c.F[0].Seek(int64(c.A[1]), int(int64(c.A[2])))
 	if err != nil {
-		return Errno(ESPIPE)
+		return Err(err)
 	}
 	return Ok(off)
 }
@@ -418,7 +418,7 @@ func readSpans(k Kernel, f File, iov []Iovec) Result {
 			if total > 0 {
 				break
 			}
-			return Errno(EIO)
+			return Err(err)
 		}
 		_ = k.WriteUser(v.Base, tmp[:rn]) // the span passed UserOK
 		total += int64(rn)
@@ -451,7 +451,7 @@ func writeSpans(k Kernel, f File, iov []Iovec) Result {
 			if total > 0 {
 				break
 			}
-			return Errno(EPIPE)
+			return Err(werr)
 		}
 		if wn < len(data) {
 			break

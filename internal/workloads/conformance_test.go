@@ -79,27 +79,34 @@ var confCommon = []struct {
 	{"read(60) after close", -libos.EBADF},
 	{"syscall 50 (below SysMax, unregistered)", -libos.ENOSYS},
 	{"syscall 1000 (above SysMax)", -libos.ENOSYS},
+	{"read on an unconnected socket", -libos.ENOTCONN},
+	{"write on an unconnected socket", -libos.ENOTCONN},
+	{"bind of a free port", 0},
+	{"bind of a taken port", -libos.EADDRINUSE},
+	{"connect to a port with no listener", -libos.ECONNREFUSED},
 }
 
+// confPort is the port the conformance guest binds; confPort+1 has no
+// listener.
+const confPort = 7390
+
 var confSurfaceCalls = []string{"mkdir", "unlink", "lseek", "rename", "fsync",
-	"read on an unconnected socket", "write on an unconnected socket",
 	"rename of an open file", "write through its fd", "open of the old name"}
 
 // confSurface: Occlum has the full writable VFS; the native baseline
 // models a flat plaintext namespace without directories (mkdir/unlink
 // unregistered); the EIP filesystem is sealed and read-only (Table 1)
-// and its lseek/rename/fsync are not modeled. A socket that was never
-// connected has no stream to read or write: Occlum's span bodies say
-// ENOTCONN, the baselines' map the description's error to EIO/EPIPE —
-// an errno on every kernel, where the baselines used to nil-dereference
-// and take the host process down. An fd follows its file across a
-// rename on both kernels that register rename: the write lands in the
-// new name and the old name stays gone (the sealed EIP filesystem
-// refuses the create, so its write finds no fd).
+// and its lseek/rename/fsync are not modeled. An fd follows its file
+// across a rename on both kernels that register rename: the write lands
+// in the new name and the old name stays gone (the sealed EIP
+// filesystem refuses the create, so its write finds no fd). The socket
+// rows are common: every kernel's errno comes from one table
+// (sysdispatch.Err), so an unconnected socket is ENOTCONN and a taken
+// port EADDRINUSE everywhere.
 var confSurface = map[string][]int64{
-	"Occlum":       {0, -libos.ENOENT, 3, -libos.ENOENT, 0, -libos.ENOTCONN, -libos.ENOTCONN, 0, 1, -libos.ENOENT},
-	"Linux":        {-libos.ENOSYS, -libos.ENOSYS, 3, -libos.ENOENT, 0, -libos.EIO, -libos.EPIPE, 0, 1, -libos.ENOENT},
-	"Graphene-SGX": {-libos.EACCES, -libos.EACCES, -libos.ENOSYS, -libos.ENOSYS, -libos.ENOSYS, -libos.EIO, -libos.EPIPE, -libos.ENOSYS, -libos.EBADF, -libos.ENOENT},
+	"Occlum":       {0, -libos.ENOENT, 3, -libos.ENOENT, 0, 0, 1, -libos.ENOENT},
+	"Linux":        {-libos.ENOSYS, -libos.ENOSYS, 3, -libos.ENOENT, 0, 0, 1, -libos.ENOENT},
+	"Graphene-SGX": {-libos.EACCES, -libos.EACCES, -libos.ENOSYS, -libos.ENOSYS, -libos.ENOSYS, -libos.ENOSYS, -libos.EBADF, -libos.ENOENT},
 }
 
 func buildConformParent(childPath, inputPath string) (*asm.Program, error) {
@@ -194,6 +201,25 @@ func buildConformParent(childPath, inputPath string) (*asm.Program, error) {
 	log()
 	ulib.Syscall(b, 1000)
 	log()
+	// A socket that was never connected has no stream to read or
+	// write; every kernel's description says so with one sentinel.
+	ulib.Socket(b)
+	b.MovRR(isa.R6, isa.R0)
+	for _, no := range []int64{libos.SysRead, libos.SysWrite} {
+		b.MovRR(isa.R1, isa.R6)
+		b.LeaData(isa.R2, "rec")
+		b.MovRI(isa.R3, 8)
+		ulib.Syscall(b, no)
+		log()
+	}
+	ulib.Bind(b, isa.R6, confPort)
+	log()
+	ulib.Socket(b)
+	b.MovRR(isa.R7, isa.R0)
+	ulib.Bind(b, isa.R7, confPort)
+	log()
+	ulib.Connect(b, isa.R7, confPort+1)
+	log()
 	ulib.WriteStr(b, 1, "buf", int64(len(confScalar)+len(confVector)))
 
 	b.LeaData(isa.R1, "dir")
@@ -217,15 +243,6 @@ func buildConformParent(childPath, inputPath string) (*asm.Program, error) {
 	b.MovRI(isa.R1, 1)
 	ulib.Syscall(b, libos.SysFsync)
 	log()
-	ulib.Socket(b)
-	b.MovRR(isa.R6, isa.R0)
-	for _, no := range []int64{libos.SysRead, libos.SysWrite} {
-		b.MovRR(isa.R1, isa.R6)
-		b.LeaData(isa.R2, "buf")
-		b.MovRI(isa.R3, 8)
-		ulib.Syscall(b, no)
-		log()
-	}
 	ulib.OpenPath(b, "mv", 8, libos.ORdWr|libos.OCreate)
 	b.MovRR(isa.R7, isa.R0)
 	ulib.RenamePath(b, "mv", 8, "mv2", 9)
