@@ -73,12 +73,14 @@ func absent(err error) bool {
 	return errors.Is(err, ErrNotExist) || errors.Is(err, ErrNotDir)
 }
 
+// hasWhiteout reports whether p is whited out. A whiteout name too long
+// for the upper layer was never made: a name of 55–58 bytes has none.
 func (u *UnionFS) hasWhiteout(p string) (bool, error) {
 	_, err := u.upper.Stat(whiteoutPath(p))
 	if err == nil {
 		return true, nil
 	}
-	if absent(err) {
+	if absent(err) || errors.Is(err, ErrNameTooLong) {
 		return false, nil
 	}
 	return false, err

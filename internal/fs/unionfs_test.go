@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -233,6 +235,59 @@ func TestUnionMergedReadDir(t *testing.T) {
 	ents, _ = u.ReadDir("/etc")
 	if got := names(ents); !equalStrings(got, []string{"app", "extra", "hosts"}) {
 		t.Fatalf("readdir after copy-up = %v", got)
+	}
+}
+
+// TestUnionLongNames: a name of 55–58 bytes fits an EncFS dirent but its
+// whiteout name does not, so the union must not take the whiteout probe's
+// ErrNameTooLong for the name's own. Under "/", a directory in both
+// layers, such a name is created, stat'ed, listed, renamed and unlinked
+// like any other; a 59-byte name is ErrNameTooLong.
+func TestUnionLongNames(t *testing.T) {
+	u, _ := newUnion(t)
+	long := "/" + strings.Repeat("n", maxNameLen)
+	n, err := u.Open(long, OCreate|OWrOnly)
+	if err != nil {
+		t.Fatalf("create: %v", err)
+	}
+	if _, err := n.WriteAt([]byte("long"), 0); err != nil {
+		t.Fatal(err)
+	}
+	n.Close()
+	if fi, err := u.Stat(long); err != nil || fi.Size != 4 {
+		t.Fatalf("stat: %+v, %v", fi, err)
+	}
+	if got := readAll(t, u, long); string(got) != "long" {
+		t.Fatalf("read: %q", got)
+	}
+	ents, err := u.ReadDir("/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := names(ents); !slices.Contains(got, long[1:]) {
+		t.Fatalf("readdir / = %v, want the long name in it", got)
+	}
+	if err := u.Rename(long, "/short"); err != nil {
+		t.Fatalf("rename from: %v", err)
+	}
+	if err := u.Rename("/short", long); err != nil {
+		t.Fatalf("rename to: %v", err)
+	}
+	if err := u.Unlink(long); err != nil {
+		t.Fatalf("unlink: %v", err)
+	}
+	if _, err := u.Stat(long); !errors.Is(err, ErrNotExist) {
+		t.Fatalf("stat after unlink: %v", err)
+	}
+	if err := u.Mkdir(long); err != nil {
+		t.Fatalf("mkdir: %v", err)
+	}
+	tooLong := long + "n"
+	if _, err := u.Open(tooLong, OCreate|OWrOnly); !errors.Is(err, ErrNameTooLong) {
+		t.Fatalf("create of a %d-byte name: %v, want ErrNameTooLong", len(tooLong)-1, err)
+	}
+	if _, err := u.Stat(tooLong); !errors.Is(err, ErrNameTooLong) {
+		t.Fatalf("stat of a %d-byte name: %v, want ErrNameTooLong", len(tooLong)-1, err)
 	}
 }
 

@@ -71,3 +71,38 @@ func TestLongNameIsENAMETOOLONG(t *testing.T) {
 		}
 	}
 }
+
+// TestTooBigIsENOMEM: a binary no domain can hold answers -ENOMEM, as an
+// image too big to map does on Linux, and not -EAGAIN: every domain in
+// use is worth a retry, a binary over the domain size never is.
+func TestTooBigIsENOMEM(t *testing.T) {
+	sys, tc := bootSmall(t, 2, 1, 0, nil)
+	defer sys.OS.Shutdown()
+	huge := buildProg(t, func(b *asm.Builder) {
+		b.Bytes("pad", make([]byte, 2<<20)) // the domain's data region is 1 MiB
+		b.Entry("_start")
+		ulib.Prologue(b)
+		ulib.Exit(b, 0)
+	})
+	spawner := buildProg(t, func(b *asm.Builder) {
+		b.String("path", "/bin/huge")
+		b.Entry("_start")
+		ulib.Prologue(b)
+		ulib.SpawnPath(b, "path", 9, "", 0)
+		b.MovRI(isa.R6, 0)
+		b.Sub(isa.R6, isa.R0)
+		ulib.ExitR(b, isa.R6)
+	})
+	for path, prog := range map[string]*asm.Program{"/bin/huge": huge, "/bin/spawner": spawner} {
+		if err := sys.Install(tc, path, path[5:], prog); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p, err := sys.OS.Spawn("/bin/spawner", nil, libos.SpawnOpt{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := p.Wait(); st != libos.ENOMEM {
+		t.Errorf("guest spawn of a binary over the domain size = -%d, want -%d", st, libos.ENOMEM)
+	}
+}

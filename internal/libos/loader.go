@@ -187,10 +187,10 @@ func (o *Occlum) loadIntoDomain(d *Domain, li *loadedImage, path string, argv []
 	img := &li.bin.Image
 	codeSpan := img.CodeSpan()
 	if codeSpan+trampolineLen+16 > d.CodeSize {
-		return fmt.Errorf("%w: code span %d > domain code size %d", sysdispatch.ErrNoRoom, codeSpan, d.CodeSize)
+		return fmt.Errorf("%w: code span %d > domain code size %d", sysdispatch.ErrTooBig, codeSpan, d.CodeSize)
 	}
 	if img.MinDataSize()+o.cfg.StackSize+mem.PageSize > d.DataSize {
-		return fmt.Errorf("%w: data %d + stack > domain data size %d", sysdispatch.ErrNoRoom, img.MinDataSize(), d.DataSize)
+		return fmt.Errorf("%w: data %d + stack > domain data size %d", sysdispatch.ErrTooBig, img.MinDataSize(), d.DataSize)
 	}
 
 	codeBase := d.CodeBase + d.CodeSize - codeSpan

@@ -160,8 +160,8 @@ func TestTeardownScrubFollowsTheSIP(t *testing.T) {
 	}
 
 	before = os.SpawnStats()
-	if _, err := os.Spawn("/bin/huge", nil, libos.SpawnOpt{}); !errors.Is(err, sysdispatch.ErrNoRoom) {
-		t.Fatalf("oversized binary: %v, want ErrNoRoom", err)
+	if _, err := os.Spawn("/bin/huge", nil, libos.SpawnOpt{}); !errors.Is(err, sysdispatch.ErrTooBig) {
+		t.Fatalf("oversized binary: %v, want ErrTooBig", err)
 	}
 	if torn := os.SpawnStats().Sub(before); torn.Exits != 1 || torn.ImageBytesLoaded != 0 || torn.PagesScrubbed > 16 {
 		t.Errorf("teardown mid-load: %+v, want 1 exit, nothing loaded, ≤ 16 pages scrubbed", torn)

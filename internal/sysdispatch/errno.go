@@ -12,9 +12,12 @@ import (
 // The kernels' own failures. They are declared here, beside the table
 // that gives each its errno, because every kernel imports this package.
 var (
-	// ErrNoRoom: every MMDSFI domain is in use, or a binary does not
-	// fit a domain or an enclave.
+	// ErrNoRoom: every MMDSFI domain is in use, or a Graphene-SGX
+	// enclave cannot be made (EPC used up, or the binary over the
+	// enclave size).
 	ErrNoRoom = errors.New("no room for another process")
+	// ErrTooBig: a binary that no MMDSFI domain can hold, now or later.
+	ErrTooBig = errors.New("binary does not fit a domain")
 	// ErrNotConn: a data call on a socket that was never connected.
 	ErrNotConn = errors.New("socket not connected")
 	// ErrBadFD: a data call on a description not open for it.
@@ -51,6 +54,7 @@ var errnos = [...]struct {
 	{oelf.ErrBadFormat, EACCES},
 	{oelf.ErrBadSignature, EACCES},
 	{ErrNoRoom, EAGAIN},
+	{ErrTooBig, ENOMEM},
 	{ErrNotConn, ENOTCONN},
 	{ErrBadFD, EBADF},
 	{ErrNotSeekable, ESPIPE},
