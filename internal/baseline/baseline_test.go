@@ -195,7 +195,7 @@ func TestSpawnErrno(t *testing.T) {
 			b.ReserveBSS(8 << 20) // the whole default enclave
 			ulib.Exit(b, 0)
 		})
-		run(t, s, "/bin/big", sysdispatch.ErrNoRoom, libos.EAGAIN)
+		run(t, s, "/bin/big", sysdispatch.ErrTooBig, libos.ENOMEM)
 	})
 	t.Run("Graphene-SGX out of EPC", func(t *testing.T) {
 		// Room for the spawner's enclave (8 MiB) but not a second one.

@@ -133,7 +133,7 @@ func (g *Graphene) Load(path string, argv []string, parent *Proc) (*baseline.Ima
 	}
 	img := baseline.Place(&bin.Image, enclaveBase+libosReserve, g.cfg.HeapSize, g.cfg.StackSize)
 	if img.DataBase+img.DataSize+mem.PageSize > enclaveBase+g.cfg.EnclaveSize {
-		return nil, fmt.Errorf("%w: binary does not fit enclave size %d", sysdispatch.ErrNoRoom, g.cfg.EnclaveSize)
+		return nil, fmt.Errorf("%w for enclave size %d", sysdispatch.ErrTooBig, g.cfg.EnclaveSize)
 	}
 	encl, err := g.platform.ECreate(enclaveBase, g.cfg.EnclaveSize, 4)
 	if err != nil {

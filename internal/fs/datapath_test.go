@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"math/rand"
 	"testing"
@@ -64,8 +65,9 @@ func TestDecodedStripesCountsTheFastPath(t *testing.T) {
 		t.Fatalf("intact read of %d blocks: decoded %d, repaired %d, want 0 and 0", n, d.DecodedStripes, d.RepairedShards)
 	}
 
-	// A rotted parity file is still found — every cell is read and
-	// crc-checked — and repaired, without one decode.
+	// A rotted parity file is not the read's to find: a clean read
+	// never looks at parity. One scrub pass, which reads and crc-checks
+	// every cell, repairs each rotted cell without a decode.
 	flipped := 0
 	for i := 0; i < n; i += 4 {
 		off := s.cellOff(s.blockStripe(i, s.slot(i))) + 17
@@ -74,11 +76,20 @@ func TestDecodedStripesCountsTheFastPath(t *testing.T) {
 		}
 		flipped++
 	}
-	if d := readSeq(t, s, want); d.DecodedStripes != 0 || d.RepairedShards != uint64(flipped) {
-		t.Fatalf("parity rot: decoded %d, repaired %d, want 0 and %d", d.DecodedStripes, d.RepairedShards, flipped)
+	if d := readSeq(t, s, want); d.DecodedStripes != 0 || d.RepairedShards != 0 {
+		t.Fatalf("parity rot read: decoded %d, repaired %d, want 0 and 0", d.DecodedStripes, d.RepairedShards)
 	}
-	if d := readSeq(t, s, want); d.RepairedShards != 0 {
-		t.Fatalf("parity rot came back after repair: repaired %d", d.RepairedShards)
+	before := Stats()
+	if _, err := s.Scrub(); err != nil {
+		t.Fatal(err)
+	}
+	if d := Stats().Sub(before); d.DecodedStripes != 0 || d.RepairedShards != uint64(flipped) {
+		t.Fatalf("parity rot scrub: decoded %d, repaired %d, want 0 and %d", d.DecodedStripes, d.RepairedShards, flipped)
+	}
+	for i := 0; i < n; i += 4 {
+		if err := wantCellsWhole(h, s, s.blockStripe(i, s.slot(i))); err != nil {
+			t.Fatalf("block %d after scrub: %v", i, err)
+		}
 	}
 
 	// A lost data file sends every stripe through reconstruct, once.
@@ -88,6 +99,95 @@ func TestDecodedStripesCountsTheFastPath(t *testing.T) {
 	}
 	if d := readSeq(t, s, want); d.DecodedStripes != 0 || d.RepairedShards != 0 {
 		t.Fatalf("after repair-on-read: decoded %d, repaired %d, want 0 and 0", d.DecodedStripes, d.RepairedShards)
+	}
+}
+
+// wantCellsWhole reports the first of stripe st's k+m cells that does
+// not read back whole or fails its crc trailer.
+func wantCellsWhole(d hostos.Disk, s *BlockStore, st int) error {
+	ss := s.shardSize()
+	cell := make([]byte, s.cellSize())
+	for f := 0; f < s.nFiles(); f++ {
+		n, err := d.ReadFileAt(s.fileName(f), s.cellOff(st), cell)
+		if err != nil || n != len(cell) {
+			return fmt.Errorf("stripe %d file %d: read %d of %d bytes: %v", st, f, n, len(cell), err)
+		}
+		if binary.LittleEndian.Uint32(cell[ss:]) != crc32.ChecksumIEEE(cell[:ss]) {
+			return fmt.Errorf("stripe %d file %d: crc mismatch", st, f)
+		}
+	}
+	return nil
+}
+
+// countingDisk records each ReadFileAt a store makes through it. Test
+// support only: the store's own data path counts nothing per read.
+type countingDisk struct {
+	hostos.Disk
+	reads []diskRead
+}
+
+type diskRead struct {
+	name   string
+	off, n int
+}
+
+func (c *countingDisk) ReadFileAt(name string, off int, p []byte) (int, error) {
+	c.reads = append(c.reads, diskRead{name, off, len(p)})
+	return c.Disk.ReadFileAt(name, off, p)
+}
+
+// TestCleanReadTouchesOnlyDataShards pins a clean block read by count:
+// one read of each data shard's payload, none of a crc trailer or a
+// parity file, one open, no crc, no decode. A rotted data shard fails
+// that one open and goes to the full read, which does not open the same
+// concatenation again.
+func TestCleanReadTouchesOnlyDataShards(t *testing.T) {
+	const n = 16
+	h, _, want := newSeqStore(t, n)
+	disk := &countingDisk{Disk: h}
+	s, err := OpenStore(disk, "seq", KeyFromString("seq"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ss := s.shardSize()
+	dst := make([]byte, BlockSize)
+	for i := range want {
+		disk.reads = disk.reads[:0]
+		before := Stats()
+		if err := s.ReadBlockInto(i, dst); err != nil || !bytes.Equal(dst, want[i]) {
+			t.Fatalf("block %d: %v", i, err)
+		}
+		if d := Stats().Sub(before); d.CRCMismatches != 0 || d.DecodedStripes != 0 || d.TagFailures != 0 {
+			t.Fatalf("block %d: %d crc mismatches, %d decoded, %d tag failures, want 0, 0 and 0",
+				i, d.CRCMismatches, d.DecodedStripes, d.TagFailures)
+		}
+		if len(disk.reads) != s.k {
+			t.Fatalf("block %d: %d host reads, want k = %d: %v", i, len(disk.reads), s.k, disk.reads)
+		}
+		off := s.cellOff(s.blockStripe(i, s.slot(i)))
+		for d, r := range disk.reads {
+			if r != (diskRead{s.fileName(d), off, ss}) {
+				t.Fatalf("block %d: read %d is %+v, want %d bytes of %s at %d", i, d, r, ss, s.fileName(d), off)
+			}
+		}
+	}
+
+	const blk = 5
+	if err := hostfault.FlipBit(h, s.fileName(2), s.cellOff(s.blockStripe(blk, s.slot(blk)))+9); err != nil {
+		t.Fatal(err)
+	}
+	disk.reads = disk.reads[:0]
+	before := Stats()
+	if err := s.ReadBlockInto(blk, dst); err != nil || !bytes.Equal(dst, want[blk]) {
+		t.Fatalf("rotted data shard: %v", err)
+	}
+	d := Stats().Sub(before)
+	if d.TagFailures != 1 || d.CRCMismatches != 1 || d.DecodedStripes != 1 || d.RepairedShards != 1 {
+		t.Fatalf("rotted data shard: %d tag failures, %d crc mismatches, %d decoded, %d repaired, want 1 each",
+			d.TagFailures, d.CRCMismatches, d.DecodedStripes, d.RepairedShards)
+	}
+	if len(disk.reads) != s.k+s.nFiles() {
+		t.Fatalf("rotted data shard: %d host reads, want k + (k+m) = %d", len(disk.reads), s.k+s.nFiles())
 	}
 }
 
@@ -447,4 +547,21 @@ func BenchmarkStoreImageBuild(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*blocks), "ns/block")
+}
+
+// BenchmarkStoreReadBlock is the store's per-block read as an fs_read
+// EncFS miss makes it: clean ReadBlockInto calls round a flushed
+// 2048-block (8 MiB) store, every block once per 2048 iterations.
+func BenchmarkStoreReadBlock(b *testing.B) {
+	const blocks = 2048
+	_, s, _ := newSeqStore(b, blocks)
+	dst := make([]byte, BlockSize)
+	b.SetBytes(BlockSize)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := s.ReadBlockInto(i%blocks, dst); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -33,10 +33,11 @@ type StatCounters struct {
 	// RebuiltShards counts shards recreated by offline Repair (the
 	// lost-backing-file recovery path); a subset of RepairedShards.
 	RebuiltShards uint64
-	// DecodedStripes counts stripes the clean-stripe fast path could not
-	// serve — a data shard missing or crc-bad, or a concatenation that
-	// failed its MAC — and that went to Reed–Solomon reconstruction. An
-	// intact device reads with this at zero.
+	// DecodedStripes counts stripes whose data shards' concatenation
+	// could not be served — a data shard missing, short or crc-bad, or a
+	// concatenation that failed its tag — and that went to Reed–Solomon
+	// reconstruction. An intact device reads with this at zero, and so
+	// does a read over rotted parity: a clean read never looks at it.
 	DecodedStripes uint64
 	// TableStripesWritten counts version-table stripes a Flush wrote
 	// into an A/B table slot. A commit that changed few entries writes
@@ -52,12 +53,15 @@ type StatCounters struct {
 	// CRCMismatches counts shard cells read whole whose crc32 trailer
 	// did not match their payload (CHECKSUM_MISMATCH): rot, a torn write,
 	// or a tamperer who did not fix the trailer up. Missing files and
-	// short reads are not counted.
+	// short reads are not counted. Trailers are checked only where every
+	// cell is read: by the scrubber, Repair and the table load, and by a
+	// block read whose clean read missed. A clean read checks none.
 	CRCMismatches uint64
 	// TagFailures counts block payloads that failed to open under their
-	// GCM tag (DATA_CORRUPTED): a crc-clean payload whose bytes are not
-	// the block's, and every k-subset the recovery search tried and
-	// rejected. An intact device reads with this at zero.
+	// GCM tag (DATA_CORRUPTED): a clean read's data shards over a rotted
+	// or forged one, a crc-clean payload whose bytes are not the block's,
+	// and every k-subset the recovery search tried and rejected. An
+	// intact device reads with this at zero.
 	TagFailures uint64
 }
 

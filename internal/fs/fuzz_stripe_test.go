@@ -19,7 +19,8 @@ import (
 // entirely. Whatever combination results, ReadBlock must either return
 // the exact original plaintext or fail with ErrCorrupt — reconstructed
 // bytes that never re-passed MAC verification must not escape, and
-// nothing may panic.
+// nothing may panic. After a good read, one Scrub must leave every cell
+// of the stripe whole under its crc.
 func FuzzStripeRecover(f *testing.F) {
 	f.Add([]byte{0})
 	f.Add([]byte{1, 1, 1})          // m+1 rotted shards
@@ -88,11 +89,17 @@ func FuzzStripeRecover(f *testing.F) {
 		if !bytes.Equal(got, want) {
 			t.Fatal("read returned bytes that differ from the original — unverified reconstruction escaped")
 		}
-		// If the read succeeded it also repaired: a second read with the
-		// same result must come from healthy shards.
-		got2, err := s.ReadBlock(0)
-		if err != nil || !bytes.Equal(got2, want) {
-			t.Fatalf("post-repair re-read: %v", err)
+		// A read repairs only what it had to look at; the scrubber reads
+		// every cell. After one pass each of the stripe's k+m cells reads
+		// back whole and passes its crc, and the block still reads true.
+		if _, err := s.Scrub(); err != nil {
+			t.Fatalf("scrub after a good read: %v", err)
+		}
+		if err := wantCellsWhole(h, s, s.blockStripe(0, s.slot(0))); err != nil {
+			t.Fatalf("after scrub: %v", err)
+		}
+		if got, err := s.ReadBlock(0); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("read after scrub: %v", err)
 		}
 	})
 }

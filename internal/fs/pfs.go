@@ -174,12 +174,16 @@ func KeyFromString(s string) Key {
 //
 // Durability: each 4 KiB stripe (a block slot, or one table chunk) is
 // split into k data shards and m Reed–Solomon parity shards, one per
-// backing file, each with a crc32 locator trailer. Reads exclude
-// crc-bad/short/missing shards, reconstruct from any k survivors, open
-// the result under its tag, and only then serve it — rewriting the bad
-// shards in place (repair-on-read). The scrubber (ScrubStep) walks
-// stripes incrementally doing the same in the background, and Repair
-// rebuilds whole lost backing files offline.
+// backing file, each with a crc32 locator trailer. A clean read is k
+// host reads of the data shards and one open under the block's tag. A
+// read that misses (a data shard missing, short or failing the tag)
+// reads every cell, excludes crc-bad/short/missing shards, reconstructs
+// from any k survivors, opens the result under its tag, and only then
+// serves it — rewriting the bad shards in place (repair-on-read). Rot a
+// read does not need to see — in parity, or in a data cell's crc
+// trailer — is the scrubber's: ScrubStep walks stripes incrementally,
+// checking every cell, and Repair rebuilds whole lost backing files
+// offline.
 //
 // Failure: the store is fail-stop. The first host write or Sync error
 // from WriteBlock, Flush, Repair or a scrub is returned and latched in
@@ -589,7 +593,7 @@ func (s *BlockStore) loadTable(epoch uint64, wantRoot [32]byte) bool {
 	slot := int(epoch & 1)
 	T := s.tableStripes()
 	for j := 0; j < T; j++ {
-		pay, _, err := s.readStripe(slot*T+j, nil)
+		pay, _, err := s.readStripe(slot*T+j, nil, false)
 		if err != nil {
 			return false
 		}
@@ -704,27 +708,50 @@ func (s *BlockStore) writeCell(f, st int, shard []byte) error {
 // readStripe reassembles stripe st's payload, repairing as it goes. The
 // result may live in scratch: it is valid until the next store call.
 // Every payload it builds or returns has tagSize bytes of spare
-// capacity, where open puts the tag.
+// capacity, where open puts the tag. verify is the authenticity gate —
+// for block stripes it opens the payload under the block's table entry;
+// nil (table stripes during open) defers to the caller's root-MAC check.
+// A payload that fails verify is NEVER served.
 //
-// All k+m cells are read and classified by the crc32 locator — parity
-// too, or parity rot would go unseen until the day it is needed. When
-// every data shard passes crc the payload is their concatenation: no
-// decode. Otherwise missing files, short reads and crc mismatches are
-// excluded and the payload is reconstructed from any k survivors. verify
-// is the authenticity gate — for block stripes it opens the payload
-// under the block's table entry; nil (table stripes during open) defers
-// to the caller's root-MAC check. A payload that fails verify is NEVER
-// served: if neither the concatenation nor the crc-guided decode
+// A clean read (clean, which needs a verify) first reads the k data
+// shards alone, straight into s.ct — no crc trailer, no parity — and
+// serves them if they open: k host reads and one open. The tag decides;
+// a crc would decide nothing it does not. Rot in parity or in a data
+// cell's trailer is therefore not seen here but by the scrubber, which,
+// like Repair and the table load, reads with clean false.
+//
+// Otherwise — a missing file, a short read, a failed open, or a caller
+// that wants every cell checked — all k+m cells are read and classified
+// by the crc32 locator. When every data shard passes crc the payload is
+// their concatenation: no decode. Else missing files, short reads and
+// crc mismatches are excluded and the payload is reconstructed from any
+// k survivors. If neither the concatenation nor the crc-guided decode
 // authenticates (a tamperer can forge crc trailers), a bounded search
 // over k-subsets of the readable shards looks for any combination that
-// does. Only after the payload authenticates are bad shards rewritten in
-// place (repair-on-read) — so repair can restore accidental damage but
-// can never launder adversarial bytes into the device. A rewrite the
-// host refuses comes back as repairErr beside a payload that is still
-// good: the shard stays bad for the next scrub pass to retry.
-func (s *BlockStore) readStripe(st int, verify func([]byte) bool) (pay []byte, repairErr, err error) {
+// does. The concatenation is opened at most once per read. Only after
+// the payload authenticates are bad shards rewritten in place
+// (repair-on-read) — so repair can restore accidental damage but can
+// never launder adversarial bytes into the device. A rewrite the host
+// refuses comes back as repairErr beside a payload that is still good:
+// the shard stays bad for the next scrub pass to retry.
+func (s *BlockStore) readStripe(st int, verify func([]byte) bool, clean bool) (pay []byte, repairErr, err error) {
 	n := s.nFiles()
 	ss, cs := s.shardSize(), s.cellSize()
+	opened := false // the data shards' concatenation failed verify once already
+	if clean {
+		read := true
+		for d := 0; d < s.k && read; d++ {
+			cnt, err := s.host.ReadFileAt(s.fileName(d), s.cellOff(st), s.ct[d*ss:(d+1)*ss])
+			read = err == nil && cnt == ss
+		}
+		if read {
+			if verify(s.ct) {
+				return s.ct, nil, nil
+			}
+			opened = true
+		}
+	}
+
 	raw, crcOK := s.raw, s.crcOK // raw[f]: full-length shard payload (nil: unreadable)
 	nCrcOK, dataOK := 0, true
 	for f := 0; f < n; f++ {
@@ -745,15 +772,16 @@ func (s *BlockStore) readStripe(st int, verify func([]byte) bool) (pay []byte, r
 		}
 	}
 
-	// First attempt: trust the crc locators. With every data shard clean
-	// the code is systematic, so the payload needs no decode.
-	if dataOK {
+	// Trust the crc locators. With every data shard clean the code is
+	// systematic, so the payload needs no decode.
+	if dataOK && !opened {
 		for d := 0; d < s.k; d++ {
 			copy(s.ct[d*ss:], raw[d])
 		}
 		if verify == nil || verify(s.ct) {
 			return s.ct, s.repairFrom(st, s.ct, crcOK), nil
 		}
+		opened = true
 	}
 	atomic.AddUint64(&fsStats.DecodedStripes, 1)
 	if !dataOK && nCrcOK >= s.k {
@@ -772,8 +800,14 @@ func (s *BlockStore) readStripe(st int, verify func([]byte) bool) (pay []byte, r
 			}
 		}
 		if len(readable) >= s.k && n <= 16 {
+			// readable is ascending, so when every data shard is readable
+			// the lowest k bits select exactly them: the concatenation.
+			concat := -1
+			if opened && readable[s.k-1] == s.k-1 {
+				concat = 1<<uint(s.k) - 1
+			}
 			for mask := 0; mask < 1<<uint(len(readable)); mask++ {
-				if popcount(mask) != s.k {
+				if popcount(mask) != s.k || mask == concat {
 					continue
 				}
 				sel := make([]bool, n)
@@ -952,10 +986,11 @@ func (s *BlockStore) ReadBlockInto(i int, dst []byte) error {
 }
 
 // readBlockLocked opens block i (repairing its stripe) and, given a dst,
-// copies the plaintext there once it has authenticated. The scrubber
-// passes a nil dst: it opens into scratch and keeps nothing. repairErr
-// is a refused repair-on-read rewrite; the block read is good
-// regardless.
+// copies the plaintext there once it has authenticated; a reader with a
+// dst takes readStripe's clean read. The scrubber and Repair pass a nil
+// dst: they read and crc-check every cell, open into scratch and keep
+// nothing. repairErr is a refused repair-on-read rewrite; the block read
+// is good regardless.
 func (s *BlockStore) readBlockLocked(i int, dst []byte) (repairErr, err error) {
 	if i < 0 || i >= s.maxBlocks {
 		return nil, fmt.Errorf("fs: block %d out of range", i)
@@ -966,7 +1001,7 @@ func (s *BlockStore) readBlockLocked(i int, dst []byte) (repairErr, err error) {
 	}
 	_, repairErr, err = s.readStripe(s.blockStripe(i, s.slot(i)), func(ct []byte) bool {
 		return s.open(i, ct)
-	})
+	}, dst != nil)
 	if err != nil {
 		return nil, fmt.Errorf("%w: block %d", ErrCorrupt, i)
 	}

@@ -58,8 +58,11 @@ func wantBlock(t *testing.T, s *BlockStore, i int) {
 
 // TestBlockStoreBitFlipAnyShardRepaired flips one bit in every
 // byte-offset sample of every block's live cell, in each backing file in
-// turn: the read must succeed with the original content (repaired from
-// parity), and so must a read through a fresh open of the damaged image.
+// turn: the read must succeed with the original content, and so must a
+// read through a fresh open of the damaged image. A flip in a data shard
+// fails the clean read's open, so the read repairs it from parity: one
+// tag failure, then one crc mismatch. A flip in a parity shard is not
+// the read's to see (0 and 0); one Scrub repairs it.
 func TestBlockStoreBitFlipAnyShardRepaired(t *testing.T) {
 	h, s, key := newTamperStore(t)
 	pristine := hostfault.CopyFiles(h, "dev.s*")
@@ -75,12 +78,33 @@ func TestBlockStoreBitFlipAnyShardRepaired(t *testing.T) {
 				before := Stats()
 				wantBlock(t, s, blk)
 				d := Stats().Sub(before)
-				if d.RepairedShards == 0 {
-					t.Fatalf("block %d file %d: flip was not repaired", blk, f)
+				if f < s.k {
+					if d.RepairedShards != 1 || d.CRCMismatches != 1 || d.TagFailures != 1 {
+						t.Fatalf("block %d data file %d: read repaired %d, counted %d crc mismatches and %d tag failures, want 1, 1 and 1",
+							blk, f, d.RepairedShards, d.CRCMismatches, d.TagFailures)
+					}
+				} else {
+					if d.RepairedShards != 0 || d.CRCMismatches != 0 || d.TagFailures != 0 {
+						t.Fatalf("block %d parity file %d: read repaired %d, counted %d crc mismatches and %d tag failures, want 0, 0 and 0",
+							blk, f, d.RepairedShards, d.CRCMismatches, d.TagFailures)
+					}
+					// A pass over s would latch it clean for the rest of
+					// the loop; a fresh open of the image scrubs once.
+					sc, err := OpenStore(h, "dev", key)
+					if err != nil {
+						t.Fatal(err)
+					}
+					before = Stats()
+					if _, err := sc.Scrub(); err != nil {
+						t.Fatal(err)
+					}
+					if d := Stats().Sub(before); d.RepairedShards != 1 || d.CRCMismatches != 1 {
+						t.Fatalf("block %d parity file %d: scrub repaired %d, counted %d crc mismatches, want 1 and 1",
+							blk, f, d.RepairedShards, d.CRCMismatches)
+					}
 				}
-				if d.CRCMismatches != 1 || d.TagFailures != 0 {
-					t.Fatalf("block %d file %d: a rotted cell counted %d crc mismatches and %d tag failures, want 1 and 0",
-						blk, f, d.CRCMismatches, d.TagFailures)
+				if err := wantCellsWhole(h, s, s.blockStripe(blk, s.slot(blk))); err != nil {
+					t.Fatalf("block %d file %d: %v", blk, f, err)
 				}
 				// The repair must have stuck: pristine bytes again on disk,
 				// and an intact read counts nothing.

@@ -435,7 +435,8 @@ func NewSocketFile() *OpenFile { return &OpenFile{refs: 1, kind: kindSock} }
 // registerSockets installs socket, bind, listen and connect over the
 // loopback host beneath the calling process (hostOf); each kernel adds
 // its own accept. bind turns a socket into a listener, and connect gives
-// it the two streams of a host connection.
+// it the two streams of a host connection. A connected socket cannot be
+// bound (EINVAL, as on Linux): it keeps its streams for close to shut.
 func registerSockets(t *sysdispatch.Table, hostOf func(sysdispatch.Kernel) *hostos.Host) {
 	t.Register(SysSocket, func(_ sysdispatch.Kernel, c *sysdispatch.Call) sysdispatch.Result {
 		c.Out[0] = NewSocketFile()
@@ -445,6 +446,9 @@ func registerSockets(t *sysdispatch.Table, hostOf func(sysdispatch.Kernel) *host
 		of, ok := c.F[0].(*OpenFile)
 		if !ok || of.kind != kindSock {
 			return sysdispatch.Errno(EBADF)
+		}
+		if rd, wr := of.streams(); rd != nil || wr != nil {
+			return sysdispatch.Errno(EINVAL)
 		}
 		lis, err := hostOf(k).Listen(uint16(c.A[1]))
 		if err != nil {

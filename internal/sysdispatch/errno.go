@@ -12,12 +12,13 @@ import (
 // The kernels' own failures. They are declared here, beside the table
 // that gives each its errno, because every kernel imports this package.
 var (
-	// ErrNoRoom: every MMDSFI domain is in use, or a Graphene-SGX
-	// enclave cannot be made (EPC used up, or the binary over the
-	// enclave size).
+	// ErrNoRoom: every MMDSFI domain is in use, or the EPC has no room
+	// for another Graphene-SGX enclave. Both clear once a process
+	// exits: EAGAIN.
 	ErrNoRoom = errors.New("no room for another process")
-	// ErrTooBig: a binary that no MMDSFI domain can hold, now or later.
-	ErrTooBig = errors.New("binary does not fit a domain")
+	// ErrTooBig: a binary that no MMDSFI domain, or no Graphene-SGX
+	// enclave of the configured size, can hold, now or later.
+	ErrTooBig = errors.New("binary too big")
 	// ErrNotConn: a data call on a socket that was never connected.
 	ErrNotConn = errors.New("socket not connected")
 	// ErrBadFD: a data call on a description not open for it.

@@ -322,3 +322,63 @@ func TestCrossKernelConformance(t *testing.T) {
 		})
 	}
 }
+
+// TestBindOnConnectedSocketIsEINVAL: bind on a connected socket answers
+// -EINVAL on every kernel, as on Linux, and leaves the connection whole:
+// the guest's close then reaches the host peer as EOF.
+func TestBindOnConnectedSocketIsEINVAL(t *testing.T) {
+	const port = 7411
+	for _, k := range testKernels(t) {
+		t.Run(k.Name(), func(t *testing.T) {
+			lis, err := k.Host().Listen(port)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer lis.Close()
+			b := asm.NewBuilder()
+			b.Zero("rec", 8)
+			b.Entry("_start")
+			ulib.Prologue(b)
+			log := func() {
+				b.StoreData("rec", isa.R0)
+				ulib.WriteStr(b, 1, "rec", 8)
+			}
+			ulib.Socket(b)
+			b.MovRR(isa.R6, isa.R0)
+			ulib.Connect(b, isa.R6, port)
+			log()
+			ulib.Bind(b, isa.R6, port+1)
+			log()
+			ulib.Close(b, isa.R6)
+			log()
+			ulib.Exit(b, 0)
+			prog, err := b.Finish()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := k.InstallProgram("/bin/bindconn", prog); err != nil {
+				t.Fatal(err)
+			}
+			var out bytes.Buffer
+			if status, err := RunToCompletion(k, "/bin/bindconn", nil, &out); err != nil || status != 0 {
+				t.Fatalf("status %d, %v", status, err)
+			}
+			want := []int64{0, -libos.EINVAL, 0}
+			if out.Len() != 8*len(want) {
+				t.Fatalf("transcript is %d bytes, want %d", out.Len(), 8*len(want))
+			}
+			for i, call := range []string{"connect", "bind on the connected socket", "close"} {
+				if v := int64(binary.LittleEndian.Uint64(out.Bytes()[8*i:])); v != want[i] {
+					t.Errorf("%s = %d, want %d", call, v, want[i])
+				}
+			}
+			conn, err := lis.Accept()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n, eof, _ := conn.TryRead(make([]byte, 8), nil); n != 0 || !eof {
+				t.Fatalf("host peer after the guest's close: read %d bytes, eof %v, want 0 and EOF", n, eof)
+			}
+		})
+	}
+}
